@@ -106,6 +106,10 @@ class Tensor:
                 stack.append((parent, False))
 
         self.grad = np.ones_like(self.data)
+        # Closures may hand back the upstream gradient itself or a view of
+        # it, so a first contribution is stored as is and only a buffer the
+        # tape allocated here (`owned`) is ever updated in place.
+        owned = {id(self)}
         for node in reversed(order):
             if node._backward is None or node.grad is None:
                 continue
@@ -113,11 +117,15 @@ class Tensor:
                 if grad is None or not parent.requires_grad:
                     continue
                 if parent.grad is None:
-                    # closures may hand back views of the upstream gradient;
-                    # copying keeps every .grad buffer exclusively owned
-                    parent.grad = np.array(grad)
-                else:
+                    parent.grad = grad
+                elif id(parent) in owned:
                     parent.grad += grad
+                else:
+                    parent.grad = parent.grad + grad
+                    owned.add(id(parent))
+        for node in order:
+            if node._backward is None and node.grad is not None and id(node) not in owned:
+                node.grad = np.array(node.grad)
 
 
 def as_tensor(value) -> Tensor:

@@ -12,6 +12,11 @@ train items. One pass computes
 with an independent dropout mask per DROP occurrence. Dropout uses
 inverted scaling (survivors divided by the keep probability), so each
 factor is unbiased and evaluation needs no rescale.
+
+Pooling H_i^T E_i is K x d, so the broadcast is the only per-row work: a
+caller that reads only some users and items (a training batch) passes
+their ids, and only those rows of H_u, of the final broadcast and of its
+dropout masks are computed.
 """
 
 from __future__ import annotations
@@ -45,15 +50,24 @@ class HyperedgeParameters:
 
 @dataclass
 class IncidencePair:
+    """Incidence of every item, and of the users the caller reads (all users
+    unless `build_incidence` was given `user_rows`)."""
+
     modality: str
     h_items: ad.Tensor
     h_users: ad.Tensor
 
 
 def build_incidence(
-    features: np.ndarray, v_m, x_u: sp.spmatrix, modality: str = ""
+    features: np.ndarray,
+    v_m,
+    x_u: sp.spmatrix,
+    modality: str = "",
+    user_rows: np.ndarray | None = None,
 ) -> IncidencePair:
-    """Item and user incidence for one modality; no nonlinearity applied."""
+    """Item and user incidence for one modality; no nonlinearity applied.
+
+    `user_rows` restricts the user incidence to X_u[user_rows] @ H_i."""
     features = np.asarray(features, dtype=np.float64)
     v_m = ad.as_tensor(v_m)
     if features.ndim != 2 or v_m.ndim != 2:
@@ -68,7 +82,7 @@ def build_incidence(
             f"{features.shape[0]} rows"
         )
     h_items = ad.matmul(ad.constant(features), ad.transpose(v_m))
-    h_users = ad.spmm(x_u, h_items)
+    h_users = ad.spmm(x_u if user_rows is None else x_u[user_rows], h_items)
     return IncidencePair(modality, h_items, h_users)
 
 
@@ -87,13 +101,17 @@ def hypergraph_pass(
     drop_rate: float,
     steps: int = 1,
     rng: int | np.random.Generator | None = None,
+    item_rows: np.ndarray | None = None,
 ) -> tuple[ad.Tensor, ad.Tensor]:
     """Run `steps` rounds of hyperedge pooling and broadcasting.
 
+    Earlier steps update only the item state, over every item. The final
+    step also computes the user update from the same incoming item state,
+    and broadcasts items only to `item_rows` (default: every item).
     Masks are resampled for every DROP occurrence in a fixed order (item
     update's two factors, then the user update's two), so a seeded `rng`
     pins the whole stochastic chain. Returns (user, item) states after the
-    final step; both updates of a step read the same incoming item state.
+    final step, with the rows of `pair.h_users` and `item_rows`.
     """
     if steps < 1:
         raise ConfigError("steps must be >= 1")
@@ -110,15 +128,16 @@ def hypergraph_pass(
             f"item state rows {e_items.shape[0]} != incidence rows {pair.h_items.shape[0]}"
         )
 
+    def broadcast(targets: ad.Tensor, state: ad.Tensor) -> ad.Tensor:
+        pooled = ad.matmul(ad.transpose(_dropped(pair.h_items, drop_rate, rng)), state)
+        return ad.matmul(_dropped(targets, drop_rate, rng), pooled)
+
     e_cur = e_items
-    e_users = None
-    for _ in range(steps):
-        pooled_i = ad.matmul(ad.transpose(_dropped(pair.h_items, drop_rate, rng)), e_cur)
-        e_next = ad.matmul(_dropped(pair.h_items, drop_rate, rng), pooled_i)
-        pooled_u = ad.matmul(ad.transpose(_dropped(pair.h_items, drop_rate, rng)), e_cur)
-        e_users = ad.matmul(_dropped(pair.h_users, drop_rate, rng), pooled_u)
-        e_cur = e_next
-    return e_users, e_cur
+    for _ in range(steps - 1):
+        e_cur = broadcast(pair.h_items, e_cur)
+    h_targets = pair.h_items if item_rows is None else ad.gather_rows(pair.h_items, item_rows)
+    e_next = broadcast(h_targets, e_cur)
+    return broadcast(pair.h_users, e_cur), e_next
 
 
 def aggregate_hyper(per_modality: list[tuple[ad.Tensor, ad.Tensor]]) -> ad.Tensor:

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Sequence
 
 import numpy as np
@@ -51,20 +50,17 @@ def _normalized_rows(matrix: np.ndarray, tag: str) -> np.ndarray:
 
 
 def build_affinity_graph(
-    features: ModalityFeatures, k: int, block_size: int = 2048, norm: str = "row"
+    features: ModalityFeatures, k: int, block_size: int = 2048
 ) -> AffinityGraph:
     """Keep each item's K most cosine-similar neighbors (self excluded),
-    clamp negatives to zero, and normalize.
+    clamp negatives to zero, and divide each row by its sum, so nonzero rows
+    are stochastic.
 
-    The default "row" mode divides each row by its sum, so nonzero rows are
-    stochastic; "sym" applies D^-1/2 S D^-1/2 instead. Ties at the K-th
-    value resolve to the lower item index. Similarities are computed in row
-    blocks so memory stays O(block_size * |I|).
+    Ties at the K-th value resolve to the lower item index. Similarities are
+    computed in row blocks so memory stays O(block_size * |I|).
     """
     if k < 1:
         raise ConfigError("neighbor count k must be >= 1")
-    if norm not in ("row", "sym"):
-        raise ConfigError(f"normalization must be 'row' or 'sym', got {norm!r}")
     num_items = features.matrix.shape[0]
     if k >= num_items:
         log.warning("k=%d >= %d items; clamping to %d", k, num_items, num_items - 1)
@@ -86,10 +82,9 @@ def build_affinity_graph(
             nz = kept[r] > 0.0
             cols = order[r][nz]
             vals = kept[r][nz]
-            if norm == "row":
-                total = vals.sum()
-                if total > 0.0:
-                    vals = vals / total
+            total = vals.sum()
+            if total > 0.0:
+                vals = vals / total
             col_order = np.argsort(cols, kind="stable")
             indices.append(cols[col_order])
             data.append(vals[col_order])
@@ -103,19 +98,17 @@ def build_affinity_graph(
         ),
         shape=(num_items, num_items),
     )
-    if norm == "sym":
-        row_sums = np.asarray(matrix.sum(axis=1)).ravel()
-        col_sums = np.asarray(matrix.sum(axis=0)).ravel()
-        inv_sqrt_r = np.divide(1.0, np.sqrt(row_sums), out=np.zeros_like(row_sums), where=row_sums > 0)
-        inv_sqrt_c = np.divide(1.0, np.sqrt(col_sums), out=np.zeros_like(col_sums), where=col_sums > 0)
-        matrix = (sp.diags(inv_sqrt_r) @ matrix @ sp.diags(inv_sqrt_c)).tocsr()
-        matrix.sort_indices()
     return AffinityGraph(features.modality, matrix, k)
 
 
-def propagate_items(graphs: Sequence[AffinityGraph], projected: Sequence) -> ad.Tensor:
+def propagate_items(
+    graphs: Sequence[AffinityGraph], projected: Sequence, rows: np.ndarray | None = None
+) -> ad.Tensor:
     """Sum over modalities of S_m @ P_m, where P_m is the projected feature
-    matrix for modality m. Linear in every projected input."""
+    matrix for modality m. Linear in every projected input.
+
+    `rows` (item ids) restricts the output to those rows, computed as
+    S_m[rows] @ P_m; the default computes every item."""
     if len(graphs) != len(projected):
         raise ShapeError(f"{len(graphs)} graphs but {len(projected)} projected matrices")
     if not graphs:
@@ -127,14 +120,8 @@ def propagate_items(graphs: Sequence[AffinityGraph], projected: Sequence) -> ad.
             raise ShapeError(
                 f"{graph.modality}: projected rows {p.shape[0]} != {graph.matrix.shape[0]} items"
             )
-        term = ad.spmm(graph.matrix, p)
+        matrix = graph.matrix if rows is None else graph.matrix[rows]
+        term = ad.spmm(matrix, p)
         out = term if out is None else out + term
     return out
 
-
-def dump_affinity_tsv(graph: AffinityGraph, path: str | Path) -> None:
-    """Debug dump of the sparsified graph as `i<TAB>j<TAB>weight` lines."""
-    coo = graph.matrix.tocoo()
-    with Path(path).open("w", encoding="utf-8") as fh:
-        for i, j, w in zip(coo.row.tolist(), coo.col.tolist(), coo.data.tolist()):
-            fh.write(f"{i}\t{j}\t{w:.10g}\n")

@@ -220,18 +220,33 @@ class Adam:
         self.t = 0
         self.m = {name: np.zeros_like(p.data) for name, p in params.items()}
         self.v = {name: np.zeros_like(p.data) for name, p in params.items()}
+        self._scratch = {name: (np.empty_like(p.data), np.empty_like(p.data))
+                         for name, p in params.items()}
 
     def step(self) -> None:
+        """In place, with the arithmetic order of the textbook update
+        m = b1*m + (1-b1)*g, v = b2*v + (1-b2)*g*g,
+        p -= lr * m_hat / (sqrt(v_hat) + eps), so results are bit-identical."""
         self.t += 1
         for name, p in self.params.items():
             if p.grad is None:
                 continue
-            g = p.grad
-            self.m[name] = self.beta1 * self.m[name] + (1.0 - self.beta1) * g
-            self.v[name] = self.beta2 * self.v[name] + (1.0 - self.beta2) * g * g
-            m_hat = self.m[name] / (1.0 - self.beta1**self.t)
-            v_hat = self.v[name] / (1.0 - self.beta2**self.t)
-            p.data -= self.learning_rate * m_hat / (np.sqrt(v_hat) + self.eps)
+            g, m, v = p.grad, self.m[name], self.v[name]
+            update, denom = self._scratch[name]
+            m *= self.beta1
+            np.multiply(1.0 - self.beta1, g, out=update)
+            m += update
+            v *= self.beta2
+            np.multiply(1.0 - self.beta2, g, out=denom)
+            denom *= g
+            v += denom
+            np.divide(v, 1.0 - self.beta2**self.t, out=denom)
+            np.sqrt(denom, out=denom)
+            denom += self.eps
+            np.divide(m, 1.0 - self.beta1**self.t, out=update)
+            np.multiply(self.learning_rate, update, out=update)
+            update /= denom
+            p.data -= update
 
 
 @dataclass
@@ -271,7 +286,12 @@ class Batch:
 
 @dataclass
 class ForwardResult:
-    """Per-view full-node embeddings plus the training losses (train mode)."""
+    """Per-view embeddings plus the training losses (train mode).
+
+    In eval mode the view tensors hold every node and `nodes` is None. In
+    train mode they hold only the rows the losses read, and row r is global
+    node `nodes[r]`.
+    """
 
     e_ui: ad.Tensor
     e_ii: ad.Tensor
@@ -280,6 +300,7 @@ class ForwardResult:
     hyper_stacks: list[ad.Tensor] = field(default_factory=list)
     total: ad.Tensor | None = None
     breakdown: LossBreakdown | None = None
+    nodes: np.ndarray | None = None
 
 
 def train_item_sets(ds: InteractionDataset) -> list[frozenset[int]]:
@@ -316,6 +337,21 @@ def sample_negatives(
     return negatives
 
 
+def _batch_nodes(batch: Batch, num_users: int) -> tuple[np.ndarray, int, np.ndarray]:
+    """The node rows a batch's losses read: its unique users, then |U| + its
+    unique positive and negative items, each in ascending order.
+
+    Returns (nodes, number of user rows, local positions of the batch's
+    users, positives and negatives concatenated).
+    """
+    users, user_local = np.unique(np.asarray(batch.users, dtype=np.int64), return_inverse=True)
+    items, item_local = np.unique(
+        np.concatenate([batch.pos_items, batch.neg_items]).astype(np.int64), return_inverse=True
+    )
+    nodes = np.concatenate([users, num_users + items])
+    return nodes, users.size, np.concatenate([user_local, users.size + item_local])
+
+
 def forward(
     params: ModelParameters,
     views: ViewInputs,
@@ -327,9 +363,17 @@ def forward(
     """Assemble the three views, fuse them, and (in train mode) compute the
     loss breakdown on the batch.
 
+    Train mode computes each view only on the rows the losses read
+    (`_batch_nodes`): the batch's users, positives and negatives; row r of
+    each view tensor is global node `result.nodes[r]`. Without dropout each
+    row equals the eval-mode row up to the last bits of the hypergraph
+    broadcast. Dropout masks are drawn only for those rows, so checkpoints
+    trained at a fixed seed differ from those of earlier versions, which
+    computed every node. Evaluation mode computes every node, disables
+    dropout and computes no losses.
+
     Ablation flags zero a view's contribution and drop its loss terms
-    without touching the remaining views' computations. Evaluation mode
-    disables dropout and computes no losses.
+    without touching the remaining views' computations.
     """
     if mode not in ("train", "eval"):
         raise ConfigError(f"mode must be 'train' or 'eval', got {mode!r}")
@@ -337,8 +381,14 @@ def forward(
     if train_mode and batch is None:
         raise ConfigError("train mode requires a batch")
     num_users, num_items, d = params.num_users, params.num_items, params.d
-    n_nodes = num_users + num_items
-    zero_view = ad.zeros((n_nodes, d))
+    if train_mode:
+        nodes, n_user_rows, local = _batch_nodes(batch, num_users)
+        user_rows, item_rows = nodes[:n_user_rows], nodes[n_user_rows:] - num_users
+        n_rows = nodes.size
+    else:
+        nodes = user_rows = item_rows = None
+        n_user_rows, n_rows = num_users, num_users + num_items
+    zero_view = ad.zeros((n_rows, d))
 
     projected: dict[str, ad.Tensor] = {}
     if cfg.use_ii or cfg.use_hem:
@@ -347,13 +397,13 @@ def forward(
                 ad.constant(feats.matrix), params.hyper.w[feats.modality]
             )
 
-    e_ui = propagate_ui(views.graph, params.e0, cfg.layers) if cfg.use_ui else zero_view
+    e_ui = propagate_ui(views.graph, params.e0, cfg.layers, nodes) if cfg.use_ui else zero_view
 
     if cfg.use_ii:
         items_part = propagate_items(
-            views.affinity, [projected[g.modality] for g in views.affinity]
+            views.affinity, [projected[g.modality] for g in views.affinity], item_rows
         )
-        e_ii = ad.concat_rows([ad.zeros((num_users, d)), items_part])
+        e_ii = ad.concat_rows([ad.zeros((n_user_rows, d)), items_part])
     else:
         e_ii = zero_view
 
@@ -365,10 +415,12 @@ def forward(
         pairs = []
         for feats in views.features:
             incidence = build_incidence(
-                feats.matrix, params.hyper.v[feats.modality], views.x_u, feats.modality
+                feats.matrix, params.hyper.v[feats.modality], views.x_u, feats.modality, user_rows
             )
             pairs.append(
-                hypergraph_pass(incidence, projected[feats.modality], drop, cfg.hyper_steps, rng)
+                hypergraph_pass(
+                    incidence, projected[feats.modality], drop, cfg.hyper_steps, rng, item_rows
+                )
             )
         hyper_stacks = [ad.concat_rows([e_u, e_i]) for e_u, e_i in pairs]
         e_h = aggregate_hyper(pairs)
@@ -377,35 +429,35 @@ def forward(
 
     e_graph = e_ui + e_ii
     fused = e_graph + e_h
-    result = ForwardResult(e_ui=e_ui, e_ii=e_ii, e_h=e_h, fused=fused, hyper_stacks=hyper_stacks)
+    result = ForwardResult(
+        e_ui=e_ui, e_ii=e_ii, e_h=e_h, fused=fused, hyper_stacks=hyper_stacks, nodes=nodes
+    )
     if not train_mode:
         return result
 
-    user_nodes = np.asarray(batch.users, dtype=np.int64)
-    pos_nodes = num_users + np.asarray(batch.pos_items, dtype=np.int64)
-    neg_nodes = num_users + np.asarray(batch.neg_items, dtype=np.int64)
-
-    u_emb = ad.gather_rows(fused, user_nodes)
-    pos_emb = ad.gather_rows(fused, pos_nodes)
-    neg_emb = ad.gather_rows(fused, neg_nodes)
+    user_local, pos_local, neg_local = np.split(
+        local, np.cumsum([len(batch.users), len(batch.pos_items)])
+    )
+    u_emb = ad.gather_rows(fused, user_local)
+    pos_emb = ad.gather_rows(fused, pos_local)
+    neg_emb = ad.gather_rows(fused, neg_local)
     l_bpr = bpr_loss(ad.row_dot(u_emb, pos_emb), ad.row_dot(u_emb, neg_emb))
 
-    contrastive_nodes = np.concatenate([user_nodes, pos_nodes])
+    contrastive_local = np.concatenate([user_local, pos_local])
     if cfg.use_hem and cfg.use_hc:
         if len(hyper_stacks) < 2:
             raise ConfigError("the cross-modal contrastive loss needs >= 2 modalities")
-        l_hc = hyper_contrastive_loss(hyper_stacks, contrastive_nodes, cfg.effective_tau_hc)
+        l_hc = hyper_contrastive_loss(hyper_stacks, contrastive_local, cfg.effective_tau_hc)
     else:
         l_hc = 0.0
     if cfg.use_hem and cfg.use_ghc:
         l_ghc = graph_hyper_contrastive_loss(
-            e_graph, e_h, contrastive_nodes, cfg.effective_tau_ghc
+            e_graph, e_h, contrastive_local, cfg.effective_tau_ghc
         )
     else:
         l_ghc = 0.0
 
-    reg_nodes = np.concatenate([user_nodes, pos_nodes, neg_nodes])
-    l_reg = embedding_l2(ad.gather_rows(params.e0, reg_nodes))
+    l_reg = embedding_l2(ad.gather_rows(params.e0, nodes[local]))
 
     result.total, result.breakdown = total_loss(
         l_bpr, l_hc, l_ghc, l_reg, cfg.lambda_hc, cfg.lambda_ghc, cfg.lambda_reg

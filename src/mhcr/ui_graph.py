@@ -46,10 +46,16 @@ def build_norm_adjacency(ds: InteractionDataset) -> NormalizedBipartiteGraph:
     return NormalizedBipartiteGraph(adjacency, ds.num_users, ds.num_items)
 
 
-def propagate_ui(graph: NormalizedBipartiteGraph, e0, layers: int) -> ad.Tensor:
+def propagate_ui(
+    graph: NormalizedBipartiteGraph, e0, layers: int, rows: np.ndarray | None = None
+) -> ad.Tensor:
     """Sum of embeddings over layers 0..L, where layer l is A_norm^l @ e0.
 
     Pure linear propagation: no nonlinearity and no per-layer parameters.
+    `rows` (node ids) restricts the output to those rows: layers 1..L-1
+    still run over the whole graph, layer L is A_norm[rows] @ layer L-1, and
+    the readout adds only the selected rows, in the same order, so each row
+    equals the corresponding row of the default all-node output.
     """
     if layers < 0:
         raise ConfigError("layer count must be >= 0")
@@ -58,9 +64,16 @@ def propagate_ui(graph: NormalizedBipartiteGraph, e0, layers: int) -> ad.Tensor:
         raise ShapeError(
             f"embedding rows {e0.shape} do not match {graph.num_nodes} graph nodes"
         )
-    out = e0
+    if rows is None:
+        last_adjacency = graph.adjacency
+        out = e0
+    else:
+        last_adjacency = graph.adjacency[rows]
+        out = ad.gather_rows(e0, rows)
     current = e0
-    for _ in range(layers):
+    for layer in range(1, layers + 1):
+        if layer == layers:
+            return out + ad.spmm(last_adjacency, current)
         current = ad.spmm(graph.adjacency, current)
-        out = out + current
+        out = out + (current if rows is None else ad.gather_rows(current, rows))
     return out

@@ -131,6 +131,32 @@ def test_reused_tensor_accumulates_both_paths():
     assert_grad_close(x_t.grad, numeric, "reuse")
 
 
+def test_leaf_gradients_are_owned_buffers():
+    # x feeds two parents; y reaches the loss once, through an add whose
+    # backward hands the upstream gradient on unchanged
+    x = rng.normal(size=(3, 3))
+    weights = rng.normal(size=(3, 3))
+    x_t = ad.Tensor(x, requires_grad=True)
+    y_t = ad.Tensor(rng.normal(size=(3, 3)), requires_grad=True)
+    doubled = x_t + x_t
+    flipped = x_t.T
+    summed = doubled + flipped + y_t
+    loss = ad.tensor_sum(ad.mul(summed, ad.constant(weights)))
+    loss.backward()
+    assert np.array_equal(x_t.grad, 2.0 * weights + weights.T)
+    assert np.array_equal(y_t.grad, weights)
+
+    for leaf in (x_t, y_t):
+        others = [t for t in (x_t, y_t, doubled, flipped, summed, loss) if t is not leaf]
+        before = [(t.data.copy(), t.grad.copy()) for t in others]
+        data_before = leaf.data.copy()
+        leaf.grad[...] = 123.0
+        assert np.array_equal(leaf.data, data_before)
+        for t, (data, grad) in zip(others, before):
+            assert np.array_equal(t.data, data)
+            assert np.array_equal(t.grad, grad)
+
+
 def test_scale_and_python_operators():
     x = rng.normal(size=(2, 2))
     x_t = ad.Tensor(x, requires_grad=True)

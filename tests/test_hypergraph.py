@@ -96,6 +96,22 @@ class TestPass:
             assert np.abs(e_items.data - expected_items).max() <= 1e-6
             assert np.abs(e_users.data - expected_users).max() <= 1e-6
 
+    def test_selected_rows_match_all_rows_without_dropout(self):
+        rng = np.random.default_rng(6)
+        features = rng.normal(size=(7, 3))
+        v = ad.Tensor(rng.normal(size=(4, 3)))
+        x_u = sp.csr_matrix((rng.random((5, 7)) < 0.4).astype(float))
+        state = rng.normal(size=(7, 2))
+        user_rows, item_rows = np.array([0, 3, 4]), np.array([1, 2, 6])
+        for steps in (1, 2):
+            all_u, all_i = hypergraph_pass(build_incidence(features, v, x_u), state, 0.0, steps)
+            sel_u, sel_i = hypergraph_pass(
+                build_incidence(features, v, x_u, user_rows=user_rows),
+                state, 0.0, steps, item_rows=item_rows,
+            )
+            assert np.allclose(sel_u.data, all_u.data[user_rows], rtol=1e-12, atol=0.0)
+            assert np.allclose(sel_i.data, all_i.data[item_rows], rtol=1e-12, atol=0.0)
+
     def test_fixed_seed_reproducible(self):
         rng = np.random.default_rng(4)
         pair = pair_from(rng.normal(size=(3, 2)), rng.normal(size=(2, 2)))

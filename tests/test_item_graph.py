@@ -9,7 +9,6 @@ from mhcr.errors import ConfigError, ShapeError
 from mhcr.item_graph import (
     build_affinity_graph,
     cosine_affinity,
-    dump_affinity_tsv,
     propagate_items,
 )
 
@@ -122,30 +121,6 @@ class TestBuildAffinity:
         b = build_affinity_graph(feats, k=4, block_size=1000)
         assert np.allclose(a.matrix.toarray(), b.matrix.toarray())
 
-    def test_symmetric_normalization_mode(self):
-        rng = np.random.default_rng(10)
-        feats = ModalityFeatures("text", rng.uniform(0.2, 1.0, size=(6, 3)))
-        row_graph = build_affinity_graph(feats, k=3, norm="row")
-        sym_graph = build_affinity_graph(feats, k=3, norm="sym")
-        assert np.array_equal(row_graph.matrix.indices, sym_graph.matrix.indices)
-
-        # dense oracle: kept top-3 clamped weights, then D^-1/2 S D^-1/2
-        dense = np.zeros((6, 6))
-        for i in range(6):
-            sims = sorted(
-                ((j, cosine_affinity(feats.matrix, i, j)) for j in range(6) if j != i),
-                key=lambda p: (-p[1], p[0]),
-            )[:3]
-            for j, s in sims:
-                dense[i, j] = max(s, 0.0)
-        expected = dense / np.sqrt(np.outer(dense.sum(axis=1), dense.sum(axis=0)))
-        expected[~np.isfinite(expected)] = 0.0
-        assert np.allclose(sym_graph.matrix.toarray(), expected)
-
-    def test_unknown_norm_rejected(self):
-        with pytest.raises(ConfigError):
-            build_affinity_graph(ModalityFeatures("image", np.ones((3, 2))), k=1, norm="max")
-
 
 class TestPropagate:
     def test_two_item_swap(self):
@@ -187,12 +162,3 @@ class TestPropagate:
             propagate_items([graph], [ad.Tensor(np.ones((4, 2)))])
         with pytest.raises(ShapeError):
             propagate_items([graph], [])
-
-
-def test_debug_dump(tmp_path):
-    graph = build_affinity_graph(ModalityFeatures("image", np.ones((3, 2))), k=2)
-    dump_affinity_tsv(graph, tmp_path / "s.tsv")
-    lines = (tmp_path / "s.tsv").read_text().strip().splitlines()
-    assert len(lines) == graph.matrix.nnz
-    i, j, w = lines[0].split("\t")
-    assert float(w) == pytest.approx(0.5)

@@ -7,9 +7,16 @@ import pytest
 
 from mhcr import autodiff as ad
 from mhcr import evaluation
-from mhcr.dataio import SyntheticConfig, generate_synthetic, split_dataset
+from mhcr.dataio import TRAIN, SyntheticConfig, generate_synthetic, split_dataset
 from mhcr.errors import ConfigError, NumericError
-from mhcr.objectives import bpr_loss
+from mhcr.objectives import (
+    LossBreakdown,
+    bpr_loss,
+    embedding_l2,
+    graph_hyper_contrastive_loss,
+    hyper_contrastive_loss,
+    total_loss,
+)
 from mhcr.training import (
     Adam,
     Batch,
@@ -101,10 +108,15 @@ class TestForward:
         assert result.breakdown.l_hc == 0.0
         assert result.breakdown.l_ghc == 0.0
 
+        local = {node: row for row, node in enumerate(result.nodes.tolist())}
         e_ui = result.e_ui.data
-        u = e_ui[batch.users]
-        pos = e_ui[ds.num_users + batch.pos_items]
-        neg = e_ui[ds.num_users + batch.neg_items]
+
+        def rows(nodes):
+            return e_ui[[local[node] for node in nodes.tolist()]]
+
+        u = rows(batch.users)
+        pos = rows(ds.num_users + batch.pos_items)
+        neg = rows(ds.num_users + batch.neg_items)
         expected = bpr_loss((u * pos).sum(axis=1), (u * neg).sum(axis=1)).item()
         assert result.breakdown.l_bpr == pytest.approx(expected, abs=1e-12)
         assert result.breakdown.total == pytest.approx(
@@ -154,6 +166,104 @@ class TestForward:
             forward(params, views, cfg, batch=micro_batch(), mode="train", rng=MASK_SEED)
 
 
+def batch_row_instance():
+    """40 users x 30 items; a 6-interaction batch reads a strict subset of
+    the nodes, so narrowing to batch rows is exercised."""
+    ds, feats = generate_synthetic(
+        SyntheticConfig(
+            num_users=40,
+            num_items=30,
+            num_clusters=3,
+            mean_interactions=5.0,
+            modality_dims={"image": 6, "text": 4},
+            seed=8,
+        )
+    )
+    ds = split_dataset(ds, seed=8)
+    users, items = ds.split_pairs(TRAIN)
+    idx = np.random.default_rng(8).choice(users.size, size=6, replace=False)
+    negs = sample_negatives(ds, users[idx], np.random.default_rng(9))
+    return ds, feats, Batch(users=users[idx], pos_items=items[idx], neg_items=negs)
+
+
+def full_node_losses(params, views, cfg, batch, num_users):
+    """The training losses recomputed from eval-mode (all-node) views
+    gathered at the batch's global node ids."""
+    full = forward(params, views, cfg, mode="eval")
+    user_nodes = np.asarray(batch.users)
+    pos_nodes = num_users + np.asarray(batch.pos_items)
+    neg_nodes = num_users + np.asarray(batch.neg_items)
+    u = ad.gather_rows(full.fused, user_nodes)
+    l_bpr = bpr_loss(
+        ad.row_dot(u, ad.gather_rows(full.fused, pos_nodes)),
+        ad.row_dot(u, ad.gather_rows(full.fused, neg_nodes)),
+    )
+    contrastive = np.concatenate([user_nodes, pos_nodes])
+    l_hc = l_ghc = 0.0
+    if cfg.use_hem and cfg.use_hc:
+        l_hc = hyper_contrastive_loss(full.hyper_stacks, contrastive, cfg.effective_tau_hc)
+    if cfg.use_hem and cfg.use_ghc:
+        l_ghc = graph_hyper_contrastive_loss(
+            full.e_ui + full.e_ii, full.e_h, contrastive, cfg.effective_tau_ghc
+        )
+    reg_nodes = np.concatenate([user_nodes, pos_nodes, neg_nodes])
+    l_reg = embedding_l2(ad.gather_rows(params.e0, reg_nodes))
+    return total_loss(l_bpr, l_hc, l_ghc, l_reg, cfg.lambda_hc, cfg.lambda_ghc, cfg.lambda_reg)
+
+
+class TestBatchRows:
+    """Train mode computes only the rows the losses read; without dropout
+    its losses and gradients equal those of the all-node computation."""
+
+    @pytest.mark.parametrize("hyper_steps", [1, 2])
+    @pytest.mark.parametrize("layers", [0, 1, 3])
+    @pytest.mark.parametrize("variant", ["full", "wo-ui", "wo-ii", "wo-hem", "bpr-mf"])
+    def test_losses_and_gradients_match_all_node_views(self, variant, layers, hyper_steps):
+        ds, feats, batch = batch_row_instance()
+        cfg = apply_variant(
+            micro_config(layers=layers, hyper_steps=hyper_steps, drop_rate=0.0,
+                         lambda_hc=0.3, lambda_ghc=0.3),
+            variant,
+        )
+        views = build_views(ds, feats, cfg)
+        params = make_params(cfg, ds, views)
+
+        result = forward(params, views, cfg, batch=batch, mode="train", rng=MASK_SEED)
+        assert result.nodes.size < ds.num_users + ds.num_items
+        expected_total, expected = full_node_losses(params, views, cfg, batch, ds.num_users)
+        for part in LossBreakdown.CSV_FIELDS:
+            assert getattr(result.breakdown, part) == pytest.approx(
+                getattr(expected, part), rel=1e-12, abs=0.0
+            ), part
+
+        params.zero_grad()
+        expected_total.backward()
+        expected_grads = {name: t.grad for name, t in params.tensors().items()}
+        params.zero_grad()
+        result.total.backward()
+        for name, tensor in params.tensors().items():
+            if expected_grads[name] is None:
+                assert tensor.grad is None or not tensor.grad.any(), name
+                continue
+            scale = np.abs(expected_grads[name]).max()
+            assert np.abs(tensor.grad - expected_grads[name]).max() <= 1e-12 * scale, name
+
+    def test_nodes_are_the_unique_batch_rows(self):
+        ds, feats, batch = batch_row_instance()
+        cfg = micro_config()
+        views = build_views(ds, feats, cfg)
+        result = forward(
+            make_params(cfg, ds, views), views, cfg, batch=batch, mode="train", rng=MASK_SEED
+        )
+        items = np.union1d(batch.pos_items, batch.neg_items)
+        assert np.array_equal(
+            result.nodes, np.concatenate([np.unique(batch.users), ds.num_users + items])
+        )
+        for view in ("e_ui", "e_ii", "e_h", "fused"):
+            assert getattr(result, view).shape == (result.nodes.size, cfg.d), view
+        assert forward(make_params(cfg, ds, views), views, cfg, mode="eval").nodes is None
+
+
 class TestGradients:
     """Analytic gradients vs central finite differences (h=1e-4) with
     dropout masks pinned by a fixed seed."""
@@ -193,6 +303,26 @@ class TestGradients:
 
 
 class TestOptimizer:
+    def test_adam_steps_match_textbook_formula_bitwise(self):
+        rng = np.random.default_rng(21)
+        shape = (40, 30)
+        p = ad.Tensor(rng.normal(size=shape), requires_grad=True)
+        optimizer = Adam({"p": p}, learning_rate=0.0123)
+        data, m, v = p.data.copy(), np.zeros(shape), np.zeros(shape)
+        for t in (1, 2, 3):
+            g = rng.normal(size=shape)
+            p.grad = g.copy()
+            optimizer.step()
+            m = 0.9 * m + (1.0 - 0.9) * g
+            v = 0.999 * v + (1.0 - 0.999) * g * g
+            m_hat = m / (1.0 - 0.9**t)
+            v_hat = v / (1.0 - 0.999**t)
+            data -= 0.0123 * m_hat / (np.sqrt(v_hat) + 1e-8)
+            assert np.array_equal(p.data, data), t
+            assert np.array_equal(optimizer.m["p"], m), t
+            assert np.array_equal(optimizer.v["p"], v), t
+            assert np.array_equal(p.grad, g), t
+
     def test_zero_learning_rate_keeps_parameters(self, micro):
         ds, _, cfg, views = micro
         params = make_params(cfg, ds, views)

@@ -82,6 +82,16 @@ class TestPropagate:
             power = dense @ power
         assert np.abs(out - expected).max() <= 1e-6
 
+    @pytest.mark.parametrize("layers", [0, 1, 2, 3])
+    def test_selected_rows_equal_all_node_rows_bitwise(self, layers):
+        rng = np.random.default_rng(9)
+        ds = make_ds([0, 0, 1, 1, 2, 3], [0, 1, 1, 2, 0, 2], num_users=4, num_items=3)
+        graph = build_norm_adjacency(ds)
+        e0 = rng.normal(size=(graph.num_nodes, 4))
+        rows = np.array([1, 3, 4, 6])
+        full = propagate_ui(graph, e0, layers).data
+        assert np.array_equal(propagate_ui(graph, e0, layers, rows).data, full[rows])
+
     def test_linearity(self):
         rng = np.random.default_rng(8)
         graph = build_norm_adjacency(make_ds([0, 1, 1], [0, 0, 1]))
