@@ -149,6 +149,12 @@ def _node(data: Array, parents: tuple[Tensor, ...], backward) -> Tensor:
     return out
 
 
+def custom_op(data, parents: Sequence[Tensor], backward) -> Tensor:
+    """One tape node with a hand-derived gradient: `backward(g)` maps the
+    upstream gradient to one gradient (or None) per parent, in order."""
+    return _node(data, tuple(parents), backward)
+
+
 def _unbroadcast(grad: Array, shape: tuple[int, ...]) -> Array:
     """Sum `grad` down to `shape`, undoing numpy broadcasting."""
     if grad.shape == shape:
@@ -234,8 +240,12 @@ def gather_rows(a: Tensor, indices) -> Tensor:
     data = a.data[indices]
 
     def backward(g):
-        out = np.zeros_like(a.data)
-        np.add.at(out, indices, g)
+        out = np.zeros(a.shape)
+        ordered = np.sort(indices)
+        if (ordered[1:] == ordered[:-1]).any():
+            np.add.at(out, indices, g)
+        else:
+            out[indices] = g
         return (out,)
 
     return _node(data, (a,), backward)

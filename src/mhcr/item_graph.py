@@ -49,6 +49,21 @@ def _normalized_rows(matrix: np.ndarray, tag: str) -> np.ndarray:
     return matrix / norms
 
 
+def _top_k(sims: np.ndarray, k: int) -> np.ndarray:
+    """Column indices of each row's k largest values, by descending value and
+    ascending index among equal values: the first k entries of a stable
+    argsort of -sims, without sorting whole rows."""
+    cols = np.sort(np.argpartition(sims, -k, axis=1)[:, -k:], axis=1)
+    vals = np.take_along_axis(sims, cols, axis=1)
+    # a row whose k-th value recurs outside the partition needs the lower
+    # indices among those equal values; only such rows are fully sorted
+    tied = (sims >= vals.min(axis=1, keepdims=True)).sum(axis=1) > k
+    order = np.take_along_axis(cols, np.argsort(-vals, axis=1, kind="stable"), axis=1)
+    if tied.any():
+        order[tied] = np.argsort(-sims[tied], axis=1, kind="stable")[:, :k]
+    return order
+
+
 def build_affinity_graph(
     features: ModalityFeatures, k: int, block_size: int = 2048
 ) -> AffinityGraph:
@@ -74,8 +89,7 @@ def build_affinity_graph(
         stop = min(start + block_size, num_items)
         sims = normalized[start:stop] @ normalized.T
         sims[np.arange(stop - start), np.arange(start, stop)] = -np.inf
-        # stable argsort of the negated row keeps lower indices first on ties
-        order = np.argsort(-sims, axis=1, kind="stable")[:, :k]
+        order = _top_k(sims, k)
         kept = np.take_along_axis(sims, order, axis=1)
         kept = np.maximum(kept, 0.0)
         for r in range(stop - start):

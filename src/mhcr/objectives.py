@@ -5,12 +5,16 @@ weighted composition.
 All similarities are cosine: embeddings are L2-normalized before any inner
 product, which makes every loss invariant to a common positive rescaling
 of its inputs.
+
+Each contrastive loss is a single autodiff node over its normalized batch
+rows, with a closed-form softmax-minus-target gradient. Both are computed
+as log-sum-exps shifted per node, so they stay finite at any tau > 0.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import permutations
+from itertools import combinations
 from typing import Sequence
 
 import numpy as np
@@ -46,6 +50,13 @@ def _batch_normalized(embeddings, batch: np.ndarray) -> ad.Tensor:
     return ad.row_normalize(ad.gather_rows(ad.as_tensor(embeddings), batch))
 
 
+def _logsumexp_terms(terms: np.ndarray) -> np.ndarray:
+    """Per node (column), ln of the sum of exp over its terms (rows), shifted
+    by the node's largest term."""
+    top = terms.max(axis=0)
+    return top + np.log(np.exp(terms - top).sum(axis=0))
+
+
 def hyper_contrastive_loss(
     per_modality: Sequence, batch: np.ndarray, tau: float
 ) -> ad.Tensor:
@@ -56,6 +67,13 @@ def hyper_contrastive_loss(
     quantity over every batch node x' (x included). The loss is the batch
     mean of -ln(pos / neg); it is non-negative because each positive term
     also appears among the negatives.
+
+    Everything after the gather and row normalization is one tape node.
+    The ordered pair (m', m) reads the transpose of the (m, m') similarity
+    block, so each unordered pair gives node x its row sum and its column
+    sum. Both masses are log-sum-exps shifted per node (row maximum for row
+    sums, column maximum for column sums), so no exponential overflows and
+    no node's mass underflows to zero at any tau > 0.
     """
     if tau <= 0:
         raise ConfigError("temperature must be > 0")
@@ -66,35 +84,84 @@ def hyper_contrastive_loss(
         raise DataError("hyper_contrastive_loss: empty batch")
 
     normalized = [_batch_normalized(e, batch) for e in per_modality]
+    z = [t.data for t in normalized]
     inv_tau = 1.0 / tau
-    pos = None
-    neg = None
-    for a, b in permutations(range(len(normalized)), 2):
-        e_a, e_b = normalized[a], normalized[b]
-        pos_term = ad.exp(ad.row_dot(e_a, e_b) * inv_tau)
-        neg_term = ad.tensor_sum(ad.exp(ad.matmul(e_a, ad.transpose(e_b)) * inv_tau), axis=1)
-        pos = pos_term if pos is None else pos + pos_term
-        neg = neg_term if neg is None else neg + neg_term
-    return ad.mean(ad.log(neg) - ad.log(pos))
+    pairs = list(combinations(range(len(z)), 2))
+    blocks, log_mass, diag = [], [], []
+    for a, b in pairs:
+        sims = (z[a] * inv_tau) @ z[b].T
+        diag.append(np.diagonal(sims).copy())
+        row_top = sims.max(axis=1)
+        col_top = sims.max(axis=0)
+        by_col = sims - col_top
+        np.exp(by_col, out=by_col)
+        np.subtract(sims, row_top[:, None], out=sims)
+        by_row = np.exp(sims, out=sims)
+        log_mass.append(row_top + np.log(by_row.sum(axis=1)))
+        log_mass.append(col_top + np.log(by_col.sum(axis=0)))
+        blocks.append((by_row, row_top, by_col, col_top))
+    log_neg = _logsumexp_terms(np.stack(log_mass))
+    diag = np.stack(diag)
+    log_pos_half = _logsumexp_terms(diag)
+    value = np.mean(log_neg - log_pos_half - np.log(2.0))
+
+    # dL/dS_ab * B = each entry's share of its row node's and its column
+    # node's negative mass, minus on the diagonal the pair's share of the
+    # positive mass. The shares are the kept exponentials reweighted per node
+    # (factors <= 1); one B' x B' matrix per pair is kept for backward.
+    weights = []
+    for (by_row, row_top, by_col, col_top), d in zip(blocks, diag):
+        by_row *= np.exp(row_top - log_neg)[:, None]
+        by_col *= np.exp(col_top - log_neg)
+        by_row += by_col
+        weights.append((by_row, np.exp(d - log_pos_half)[:, None]))
+
+    def backward(g):
+        coef = float(g) * inv_tau / batch.size
+        grads = [np.zeros_like(x) for x in z]
+        for (a, b), (w, on_diag) in zip(pairs, weights):
+            grads[a] += w @ z[b] - on_diag * z[b]
+            grads[b] += w.T @ z[a] - on_diag * z[a]
+        for grad in grads:
+            grad *= coef
+        return grads
+
+    return ad.custom_op(value, normalized, backward)
 
 
 def graph_hyper_contrastive_loss(
     e_graph, e_hyper, batch: np.ndarray, tau: float
 ) -> ad.Tensor:
     """InfoNCE aligning the graph-side and hypergraph-side embedding of each
-    batch node against in-batch negatives."""
+    batch node against in-batch negatives.
+
+    One tape node over the normalized rows: a row log-sum-exp shifted by the
+    row maximum, stable at any tau > 0, with the softmax-minus-identity
+    gradient."""
     if tau <= 0:
         raise ConfigError("temperature must be > 0")
     batch = np.asarray(batch, dtype=np.int64)
     if batch.size == 0:
         raise DataError("graph_hyper_contrastive_loss: empty batch")
 
-    g = _batch_normalized(e_graph, batch)
-    h = _batch_normalized(e_hyper, batch)
+    g_rows = _batch_normalized(e_graph, batch)
+    h_rows = _batch_normalized(e_hyper, batch)
+    g, h = g_rows.data, h_rows.data
     inv_tau = 1.0 / tau
-    pos = ad.row_dot(g, h) * inv_tau
-    denom = ad.tensor_sum(ad.exp(ad.matmul(g, ad.transpose(h)) * inv_tau), axis=1)
-    return ad.mean(ad.log(denom) - pos)
+    sims = (g * inv_tau) @ h.T
+    pos = np.diagonal(sims).copy()
+    top = sims.max(axis=1)
+    np.subtract(sims, top[:, None], out=sims)
+    soft = np.exp(sims, out=sims)
+    mass = soft.sum(axis=1)
+    value = np.mean(top + np.log(mass) - pos)
+    soft /= mass[:, None]
+
+    def backward(grad):
+        coef = float(grad) * inv_tau / batch.size
+        return (soft @ h - h) * coef, (soft.T @ g - g) * coef
+
+    return ad.custom_op(value, (g_rows, h_rows), backward)
 
 
 def embedding_l2(rows) -> ad.Tensor:

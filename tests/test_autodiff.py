@@ -83,6 +83,17 @@ def test_gather_rows_accumulates_duplicates():
     assert_grad_close(x_t.grad, numeric, "gather_rows")
 
 
+@pytest.mark.parametrize("idx", [[4, 0, 2], [3, 1, 1, 4, 3, 3], [], [2]])
+def test_gather_rows_backward_equals_add_at(idx):
+    x = rng.normal(size=(6, 3))
+    idx = np.array(idx, dtype=np.int64)
+    g = rng.normal(size=(idx.size, 3))
+    (grad,) = ad.gather_rows(ad.Tensor(x, requires_grad=True), idx)._backward(g)
+    expected = np.zeros_like(x)
+    np.add.at(expected, idx, g)
+    assert np.array_equal(grad, expected)
+
+
 def test_concat_rows_gradient():
     a = rng.normal(size=(2, 3))
     b = rng.normal(size=(4, 3))

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from mhcr import autodiff as ad
 from mhcr.dataio import ModalityFeatures
@@ -27,6 +28,36 @@ def brute_force_topk(matrix: np.ndarray, k: int) -> list[list[int]]:
         sims.sort(key=lambda pair: (-pair[1], pair[0]))
         result.append(sorted(b for b, _ in sims[:k]))
     return result
+
+
+def full_sort_affinity(matrix: np.ndarray, k: int, block_size: int) -> sp.csr_matrix:
+    """The affinity graph with each row's top k taken from a full stable
+    argsort of the negated similarities, computed in the same row blocks
+    and with the same per-row normalization as the library."""
+    n = matrix.shape[0]
+    norms = np.linalg.norm(matrix, axis=1, keepdims=True)
+    norms[norms[:, 0] == 0.0] = 1.0
+    unit = matrix / norms
+    indptr, indices, data = [0], [], []
+    for start in range(0, n, block_size):
+        stop = min(start + block_size, n)
+        sims = unit[start:stop] @ unit.T
+        sims[np.arange(stop - start), np.arange(start, stop)] = -np.inf
+        order = np.argsort(-sims, axis=1, kind="stable")[:, :k]
+        kept = np.maximum(np.take_along_axis(sims, order, axis=1), 0.0)
+        for r in range(stop - start):
+            nz = kept[r] > 0.0
+            cols, vals = order[r][nz], kept[r][nz]
+            total = vals.sum()
+            if total > 0.0:
+                vals = vals / total
+            col_order = np.argsort(cols, kind="stable")
+            indices.append(cols[col_order])
+            data.append(vals[col_order])
+            indptr.append(indptr[-1] + cols.size)
+    return sp.csr_matrix(
+        (np.concatenate(data), np.concatenate(indices), np.asarray(indptr)), shape=(n, n)
+    )
 
 
 class TestCosine:
@@ -120,6 +151,24 @@ class TestBuildAffinity:
         a = build_affinity_graph(feats, k=4, block_size=5)
         b = build_affinity_graph(feats, k=4, block_size=1000)
         assert np.allclose(a.matrix.toarray(), b.matrix.toarray())
+
+
+    @pytest.mark.parametrize("k", [1, 3, 9, 10, 11, 19, 40])
+    def test_byte_identical_to_full_sort_with_ties(self, k):
+        # 200 items drawn from 20 distinct rows: each item has 9 or more exact
+        # duplicates, so the k-th value is often shared; plus rounded
+        # features with near-ties and a few zero rows
+        rng = np.random.default_rng(k)
+        distinct = rng.normal(size=(20, 4))
+        duplicated = distinct[rng.integers(0, 20, size=200)]
+        rounded = np.round(rng.normal(size=(60, 2)), 1)
+        rounded[:3] = 0.0
+        for matrix, block_size in ((duplicated, 64), (duplicated, 2048), (rounded, 16)):
+            graph = build_affinity_graph(ModalityFeatures("image", matrix), k, block_size)
+            expected = full_sort_affinity(matrix, graph.k, block_size)
+            for field in ("indptr", "indices", "data"):
+                actual, wanted = getattr(graph.matrix, field), getattr(expected, field)
+                assert actual.tobytes() == wanted.tobytes(), field
 
 
 class TestPropagate:

@@ -8,10 +8,13 @@ cross-modal loss and -ln(e^5 / (e^5 + 1)) for the diagonal instance of
 the graph-hypergraph loss.
 """
 
+from itertools import permutations
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import logsumexp
 
 from mhcr import autodiff as ad
 from mhcr.errors import ConfigError, DataError
@@ -25,6 +28,54 @@ from mhcr.objectives import (
 )
 
 LN2 = float(np.log(2.0))
+
+
+def _normalized_batch(embeddings, batch):
+    return ad.row_normalize(ad.gather_rows(ad.as_tensor(embeddings), batch))
+
+
+def tape_hyper_contrastive(per_modality, batch, tau):
+    """Op-by-op tape formulation of the cross-modal loss: every ordered
+    modality pair adds its own B x B matmul, scale, exp and sum."""
+    normalized = [_normalized_batch(e, batch) for e in per_modality]
+    pos = neg = None
+    for a, b in permutations(range(len(normalized)), 2):
+        e_a, e_b = normalized[a], normalized[b]
+        pos_term = ad.exp(ad.row_dot(e_a, e_b) * (1.0 / tau))
+        neg_term = ad.tensor_sum(ad.exp(ad.matmul(e_a, ad.transpose(e_b)) * (1.0 / tau)), axis=1)
+        pos = pos_term if pos is None else pos + pos_term
+        neg = neg_term if neg is None else neg + neg_term
+    return ad.mean(ad.log(neg) - ad.log(pos))
+
+
+def tape_graph_hyper_contrastive(e_graph, e_hyper, batch, tau):
+    """Op-by-op tape formulation of the graph-hypergraph InfoNCE."""
+    g = _normalized_batch(e_graph, batch)
+    h = _normalized_batch(e_hyper, batch)
+    pos = ad.row_dot(g, h) * (1.0 / tau)
+    denom = ad.tensor_sum(ad.exp(ad.matmul(g, ad.transpose(h)) * (1.0 / tau)), axis=1)
+    return ad.mean(ad.log(denom) - pos)
+
+
+def unit_rows(x):
+    return x / np.linalg.norm(x, axis=1, keepdims=True)
+
+
+def logsumexp_hyper_contrastive(per_modality, batch, tau):
+    """Cross-modal loss from scipy's logsumexp over every term of each node."""
+    z = [unit_rows(np.asarray(e)[batch]) for e in per_modality]
+    neg_terms, pos_terms = [], []
+    for a, b in permutations(range(len(z)), 2):
+        neg_terms.append(z[a] @ z[b].T / tau)
+        pos_terms.append(np.sum(z[a] * z[b], axis=1) / tau)
+    neg = logsumexp(np.concatenate(neg_terms, axis=1), axis=1)
+    pos = logsumexp(np.stack(pos_terms, axis=1), axis=1)
+    return float(np.mean(neg - pos))
+
+
+def logsumexp_graph_hyper_contrastive(e_graph, e_hyper, batch, tau):
+    g, h = unit_rows(e_graph[batch]), unit_rows(e_hyper[batch])
+    return float(np.mean(logsumexp(g @ h.T / tau, axis=1) - np.sum(g * h, axis=1) / tau))
 ALIGNED_ORTHOGONAL = float(-np.log(2 * np.e**5 / (2 * np.e**5 + 2)))  # 0.0067153...
 DIAGONAL_INFONCE = float(-np.log(np.e**5 / (np.e**5 + 1)))  # 0.0067153...
 
@@ -232,6 +283,138 @@ class TestLossGradients:
 
         assert_grad_close(a_t.grad, finite_difference(value, a), "hc/a")
         assert_grad_close(b_t.grad, finite_difference(value, b), "hc/b")
+
+
+    def test_hc_gradient_three_modalities_batch_of_six(self):
+        from conftest import assert_grad_close, finite_difference
+
+        rng = np.random.default_rng(4)
+        embeddings = [rng.normal(size=(6, 4)) for _ in range(3)]
+        batch = np.arange(6)
+        tensors = [ad.Tensor(e, requires_grad=True) for e in embeddings]
+        hyper_contrastive_loss(tensors, batch, 0.2).backward()
+
+        def value():
+            return hyper_contrastive_loss([ad.Tensor(e) for e in embeddings], batch, 0.2).item()
+
+        for m, (e, t) in enumerate(zip(embeddings, tensors)):
+            assert_grad_close(t.grad, finite_difference(value, e), f"hc/{m}")
+
+    def test_ghc_gradient_matches_finite_differences(self):
+        from conftest import assert_grad_close, finite_difference
+
+        rng = np.random.default_rng(5)
+        g = rng.normal(size=(6, 4))
+        h = rng.normal(size=(6, 4))
+        batch = np.arange(6)
+        g_t = ad.Tensor(g, requires_grad=True)
+        h_t = ad.Tensor(h, requires_grad=True)
+        graph_hyper_contrastive_loss(g_t, h_t, batch, 0.2).backward()
+
+        def value():
+            return graph_hyper_contrastive_loss(ad.Tensor(g), ad.Tensor(h), batch, 0.2).item()
+
+        assert_grad_close(g_t.grad, finite_difference(value, g), "ghc/g")
+        assert_grad_close(h_t.grad, finite_difference(value, h), "ghc/h")
+
+
+def _rel_err(actual, expected):
+    return np.abs(actual - expected).max() / max(np.abs(expected).max(), 1e-300)
+
+
+class TestFusedAgainstTape:
+    """The single-node losses against the op-by-op tape formulation, with
+    duplicate batch rows (a node read twice in the batch)."""
+
+    BATCH = np.array([0, 3, 1, 3, 5, 2, 0, 6, 4, 7])
+
+    @pytest.mark.parametrize("modalities", [2, 3])
+    @pytest.mark.parametrize("tau", [0.05, 0.2, 1.0])
+    def test_hc_value_and_gradients(self, modalities, tau):
+        rng = np.random.default_rng(10 * modalities + int(100 * tau))
+        embeddings = [rng.normal(size=(8, 5)) for _ in range(modalities)]
+        fused_in = [ad.Tensor(e, requires_grad=True) for e in embeddings]
+        tape_in = [ad.Tensor(e, requires_grad=True) for e in embeddings]
+        fused = hyper_contrastive_loss(fused_in, self.BATCH, tau)
+        tape = tape_hyper_contrastive(tape_in, self.BATCH, tau)
+        assert _rel_err(fused.item(), tape.item()) <= 1e-12
+        fused.backward()
+        tape.backward()
+        for f, t in zip(fused_in, tape_in):
+            assert _rel_err(f.grad, t.grad) <= 1e-10
+
+    @pytest.mark.parametrize("tau", [0.05, 0.2, 1.0])
+    def test_ghc_value_and_gradients(self, tau):
+        rng = np.random.default_rng(int(100 * tau))
+        g, h = rng.normal(size=(8, 5)), rng.normal(size=(8, 5))
+        fused_in = [ad.Tensor(g, requires_grad=True), ad.Tensor(h, requires_grad=True)]
+        tape_in = [ad.Tensor(g, requires_grad=True), ad.Tensor(h, requires_grad=True)]
+        fused = graph_hyper_contrastive_loss(*fused_in, self.BATCH, tau)
+        tape = tape_graph_hyper_contrastive(*tape_in, self.BATCH, tau)
+        assert _rel_err(fused.item(), tape.item()) <= 1e-12
+        fused.backward()
+        tape.backward()
+        for f, t in zip(fused_in, tape_in):
+            assert _rel_err(f.grad, t.grad) <= 1e-10
+
+
+class TestTinyTemperature:
+    @pytest.mark.parametrize("tau", [1e-4, 1e-3])
+    def test_hc_finite_and_matches_logsumexp(self, tau):
+        rng = np.random.default_rng(6)
+        embeddings = [rng.normal(size=(7, 4)) for _ in range(3)]
+        batch = np.array([0, 1, 2, 3, 4, 5, 6, 2])
+        tensors = [ad.Tensor(e, requires_grad=True) for e in embeddings]
+        loss = hyper_contrastive_loss(tensors, batch, tau)
+        expected = logsumexp_hyper_contrastive(embeddings, batch, tau)
+        assert np.isfinite(loss.item()) and loss.item() >= 0.0
+        assert loss.item() == pytest.approx(expected, rel=1e-12)
+        loss.backward()
+        assert all(np.isfinite(t.grad).all() for t in tensors)
+
+    @pytest.mark.parametrize("tau", [1e-4, 1e-3])
+    def test_ghc_finite_and_matches_logsumexp(self, tau):
+        rng = np.random.default_rng(7)
+        g, h = rng.normal(size=(7, 4)), rng.normal(size=(7, 4))
+        batch = np.array([0, 1, 2, 3, 4, 5, 6, 2])
+        g_t, h_t = ad.Tensor(g, requires_grad=True), ad.Tensor(h, requires_grad=True)
+        loss = graph_hyper_contrastive_loss(g_t, h_t, batch, tau)
+        expected = logsumexp_graph_hyper_contrastive(g, h, batch, tau)
+        assert np.isfinite(loss.item()) and loss.item() >= 0.0
+        assert loss.item() == pytest.approx(expected, rel=1e-12)
+        loss.backward()
+        assert np.isfinite(g_t.grad).all() and np.isfinite(h_t.grad).all()
+
+
+class TestOneTapeNode:
+    """Each loss is a single node whose parents are the normalized batch
+    rows (row_normalize over gather_rows of each input)."""
+
+    @staticmethod
+    def assert_normalized_gather(parent, source, batch):
+        (gathered,) = parent._parents
+        (origin,) = gathered._parents
+        assert origin is source
+        np.testing.assert_array_equal(gathered.data, source.data[batch])
+        np.testing.assert_array_equal(parent.data, unit_rows(source.data[batch]))
+
+    def test_hc(self):
+        rng = np.random.default_rng(8)
+        batch = np.array([0, 2, 2, 1])
+        inputs = [ad.Tensor(rng.normal(size=(3, 4)), requires_grad=True) for _ in range(3)]
+        loss = hyper_contrastive_loss(inputs, batch, 0.2)
+        assert len(loss._parents) == 3
+        for parent, source in zip(loss._parents, inputs):
+            self.assert_normalized_gather(parent, source, batch)
+
+    def test_ghc(self):
+        rng = np.random.default_rng(9)
+        batch = np.array([0, 2, 2, 1])
+        inputs = [ad.Tensor(rng.normal(size=(3, 4)), requires_grad=True) for _ in range(2)]
+        loss = graph_hyper_contrastive_loss(*inputs, batch, 0.2)
+        assert len(loss._parents) == 2
+        for parent, source in zip(loss._parents, inputs):
+            self.assert_normalized_gather(parent, source, batch)
 
 
 def test_breakdown_csv_fields():

@@ -344,6 +344,20 @@ class TestOptimizer:
             backward_and_step(result.total, params, optimizer)
         params.check_finite()
 
+    @pytest.mark.parametrize("tau", [1e-4, 1e-3])
+    def test_tiny_temperature_trains_finite(self, micro, tau):
+        ds, feats, _, _ = micro
+        cfg = micro_config(tau=tau)
+        views = build_views(ds, feats, cfg)
+        params = make_params(cfg, ds, views)
+        optimizer = Adam(params.tensors(), cfg.learning_rate)
+        rng = np.random.default_rng(0)
+        for _ in range(5):
+            result = forward(params, views, cfg, batch=micro_batch(), mode="train", rng=rng)
+            assert np.isfinite(result.breakdown.total)
+            backward_and_step(result.total, params, optimizer)
+        params.check_finite()
+
     def test_nan_gradients_raise(self, micro):
         ds, _, cfg, views = micro
         params = make_params(cfg, ds, views)
