@@ -1,13 +1,14 @@
 """Minimal reverse-mode automatic differentiation over numpy arrays.
 
 The model's training graph is a fixed composition of matrix products,
-sparse-dense products, gathers, row normalization, and log/exp pointwise
+sparse-dense products, gathers, row normalization, and a few pointwise
 maps, so a small tensor engine is enough: each op records its parents and
 a closure that maps the upstream gradient to parent gradients. Gradients
 accumulate by summation during a reverse topological sweep.
 
-All data is float64. Sparse operands (scipy CSR) are constants of the
-graph; gradients flow only through dense tensors.
+All data is float64. Elementwise ops (`add`, `mul`) take operands of equal
+shape; there is no broadcasting. Sparse operands (scipy CSR) are constants
+of the graph; gradients flow only through dense tensors.
 """
 
 from __future__ import annotations
@@ -43,10 +44,6 @@ class Tensor:
     def ndim(self) -> int:
         return self.data.ndim
 
-    @property
-    def T(self) -> "Tensor":
-        return transpose(self)
-
     def zero_grad(self) -> None:
         self.grad = None
 
@@ -56,35 +53,16 @@ class Tensor:
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, grad={self.requires_grad})"
 
-    def __neg__(self):
-        return scale(self, -1.0)
-
     def __add__(self, other):
         return add(self, other)
 
-    __radd__ = __add__
-
     def __sub__(self, other):
         return add(self, scale(as_tensor(other), -1.0))
-
-    def __rsub__(self, other):
-        return add(as_tensor(other), scale(self, -1.0))
 
     def __mul__(self, other):
         if isinstance(other, (int, float)):
             return scale(self, float(other))
         return mul(self, other)
-
-    __rmul__ = __mul__
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def sum(self, axis: int | None = None, keepdims: bool = False) -> "Tensor":
-        return tensor_sum(self, axis=axis, keepdims=keepdims)
-
-    def mean(self) -> "Tensor":
-        return mean(self)
 
     def backward(self) -> None:
         """Accumulate d(self)/d(leaf) into .grad of every reachable tensor."""
@@ -155,35 +133,29 @@ def custom_op(data, parents: Sequence[Tensor], backward) -> Tensor:
     return _node(data, tuple(parents), backward)
 
 
-def _unbroadcast(grad: Array, shape: tuple[int, ...]) -> Array:
-    """Sum `grad` down to `shape`, undoing numpy broadcasting."""
-    if grad.shape == shape:
-        return grad
-    extra = grad.ndim - len(shape)
-    if extra > 0:
-        grad = grad.sum(axis=tuple(range(extra)))
-    axes = tuple(i for i, n in enumerate(shape) if n == 1 and grad.shape[i] != 1)
-    if axes:
-        grad = grad.sum(axis=axes, keepdims=True)
-    return grad.reshape(shape)
+def _equal_shapes(op: str, a: Tensor, b: Tensor) -> None:
+    if a.shape != b.shape:
+        raise ShapeError(f"{op} shape mismatch: {a.shape} vs {b.shape}")
 
 
 def add(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
+    _equal_shapes("add", a, b)
     data = a.data + b.data
 
     def backward(g):
-        return _unbroadcast(g, a.shape), _unbroadcast(g, b.shape)
+        return g, g
 
     return _node(data, (a, b), backward)
 
 
 def mul(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
+    _equal_shapes("mul", a, b)
     data = a.data * b.data
 
     def backward(g):
-        return _unbroadcast(g * b.data, a.shape), _unbroadcast(g * a.data, b.shape)
+        return g * b.data, g * a.data
 
     return _node(data, (a, b), backward)
 
@@ -283,24 +255,6 @@ def mean(a: Tensor) -> Tensor:
     return _node(data, (a,), backward)
 
 
-def exp(a: Tensor) -> Tensor:
-    data = np.exp(a.data)
-
-    def backward(g):
-        return (g * data,)
-
-    return _node(data, (a,), backward)
-
-
-def log(a: Tensor) -> Tensor:
-    data = np.log(a.data)
-
-    def backward(g):
-        return (g / a.data,)
-
-    return _node(data, (a,), backward)
-
-
 def softplus(a: Tensor) -> Tensor:
     """ln(1 + e^x), computed without overflow; gradient is the logistic map."""
     data = np.logaddexp(0.0, a.data)
@@ -326,6 +280,4 @@ def row_normalize(a: Tensor, eps: float = 1e-12) -> Tensor:
 
 def row_dot(a: Tensor, b: Tensor) -> Tensor:
     """Per-row inner products of two equal-shape matrices, returned as (n,)."""
-    if a.shape != b.shape:
-        raise ShapeError(f"row_dot shape mismatch: {a.shape} vs {b.shape}")
     return tensor_sum(mul(a, b), axis=1)

@@ -1,20 +1,22 @@
 """Command-line entry point: generate / train / evaluate / ablate / sweep.
 
-Configuration precedence is CLI flag > config file > built-in default; the
-config file is flat `key = value` text with `#` comments. The output
-directory may additionally be set through the MHCR_OUTPUT_DIR environment
-variable (CLI flag still wins). All randomness flows from one root seed,
-printed at startup.
+Every scalar field of the command's config dataclass is both a
+`--field-name` flag and a key of the `--config` file, a flat `key = value`
+text with `#` comments; every command rejects keys it does not know.
+Precedence is built-in default < config file < `--variant` preset < flag.
+The output directory is `--out-dir`, else the MHCR_OUTPUT_DIR environment
+variable, else the file's `out_dir`, else `mhcr-out`. All randomness flows
+from one root seed, printed at startup.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
-import dataclasses
 import json
 import os
 import sys
+import typing
 from dataclasses import replace
 from pathlib import Path
 from typing import Sequence
@@ -45,7 +47,6 @@ from .training import (
     build_views,
     compute_embeddings,
     fit,
-    variant_label,
 )
 
 EXIT_OK = 0
@@ -55,8 +56,30 @@ EXIT_NUMERIC = 4
 
 ENV_OUTPUT_DIR = "MHCR_OUTPUT_DIR"
 
-_TRAIN_FIELDS = {f.name: f.type for f in dataclasses.fields(TrainConfig)}
-_FLAG_FIELDS = ("use_ui", "use_ii", "use_hem", "use_hc", "use_ghc")
+
+def _scalar_fields(cls) -> dict[str, type]:
+    """Name -> type of each bool, int or float field of a config dataclass;
+    an optional field (`float | None`) has the type of its value."""
+    fields = {}
+    for name, hint in typing.get_type_hints(cls).items():
+        kinds = [t for t in typing.get_args(hint) if t is not type(None)] or [hint]
+        if len(kinds) == 1 and kinds[0] in (bool, int, float):
+            fields[name] = kinds[0]
+    return fields
+
+
+_TRAIN_FIELDS = _scalar_fields(TrainConfig)
+_SYNTHETIC_FIELDS = _scalar_fields(SyntheticConfig)
+_DIM_KEYS = {f"{tag}_dim": int for tag in MODALITIES}
+# Config-file keys of the training commands besides the TrainConfig fields.
+_RUN_KEYS = {
+    "out_dir": str,
+    "data_dir": str,
+    "split_ratios": str,
+    "variant": str,
+    "modalities": str,
+    "cold_threshold": int,
+}
 
 
 def load_config_file(path: str | Path) -> dict[str, str]:
@@ -91,45 +114,43 @@ def _coerce(key: str, value: str, kind: type) -> object:
         raise ConfigError(f"config key {key}: cannot parse {value!r} as {kind.__name__}") from None
 
 
-def _merge_train_config(args: argparse.Namespace) -> TrainConfig:
-    cfg = TrainConfig()
-    file_values = load_config_file(args.config) if args.config else {}
-    updates: dict[str, object] = {}
-    for key, value in file_values.items():
-        if key in ("out_dir", "data_dir", "split_ratios", "variant", "modalities", "cold_threshold"):
-            continue
-        if key not in _TRAIN_FIELDS:
+def _read_config(args: argparse.Namespace, kinds: dict[str, type]) -> dict[str, object]:
+    """The `--config` file's values, parsed to the types in `kinds`; a key
+    not in `kinds` is an error."""
+    raw = load_config_file(args.config) if args.config else {}
+    for key in raw:
+        if key not in kinds:
             raise ConfigError(f"unknown config key {key!r}")
-        kind = {"d": int, "layers": int, "k_knn": int, "k_hyper": int, "hyper_steps": int,
-                "batch_size": int, "max_epochs": int, "patience": int, "seed": int}.get(key)
-        if kind is None:
-            kind = bool if key in _FLAG_FIELDS else float
-        updates[key] = _coerce(key, value, kind)
-    cfg = replace(cfg, **updates)
+    return {key: _coerce(key, value, kinds[key]) for key, value in raw.items()}
 
-    variant = getattr(args, "variant", None)
-    if variant is None:
-        variant = file_values.get("variant")
+
+def _setting(args: argparse.Namespace, file_values: dict[str, object], key: str, default=None):
+    """One value by precedence: CLI flag > config file > default."""
+    value = getattr(args, key, None)
+    if value is None:
+        value = file_values.get(key, default)
+    return value
+
+
+def _train_config(args: argparse.Namespace) -> tuple[TrainConfig, dict[str, object]]:
+    """The validated TrainConfig (defaults < config file < `--variant`
+    preset < flags) and the config file's values."""
+    file_values = _read_config(args, {**_TRAIN_FIELDS, **_RUN_KEYS})
+    cfg = replace(TrainConfig(), **{k: v for k, v in file_values.items() if k in _TRAIN_FIELDS})
+    variant = _setting(args, file_values, "variant")
     if variant:
         cfg = apply_variant(cfg, variant)
-
-    cli_updates = {
-        name: getattr(args, name)
-        for name in _TRAIN_FIELDS
-        if getattr(args, name, None) is not None
-    }
-    return replace(cfg, **cli_updates)
+    flags = {name: getattr(args, name) for name in _TRAIN_FIELDS}
+    cfg = replace(cfg, **{name: value for name, value in flags.items() if value is not None})
+    cfg.validate()
+    return cfg, file_values
 
 
-def _resolve_out_dir(args: argparse.Namespace, file_values: dict[str, str] | None = None) -> Path:
-    if args.out_dir:
-        out = Path(args.out_dir)
-    elif os.environ.get(ENV_OUTPUT_DIR):
-        out = Path(os.environ[ENV_OUTPUT_DIR])
-    elif file_values and "out_dir" in file_values:
-        out = Path(file_values["out_dir"])
-    else:
-        out = Path("mhcr-out")
+def _out_dir(args: argparse.Namespace, file_values: dict[str, object]) -> Path:
+    """`--out-dir` > MHCR_OUTPUT_DIR > the config file's out_dir > mhcr-out."""
+    out = Path(
+        args.out_dir or os.environ.get(ENV_OUTPUT_DIR) or file_values.get("out_dir", "mhcr-out")
+    )
     out.mkdir(parents=True, exist_ok=True)
     return out
 
@@ -143,15 +164,6 @@ def _parse_ratios(text: str) -> tuple[float, float, float]:
     except ValueError:
         raise ConfigError(f"cannot parse split ratios {text!r}") from None
     return train, val, test
-
-
-def _resolve_ratios(args, file_values: dict[str, str]) -> tuple[float, float, float]:
-    text = args.split_ratios or file_values.get("split_ratios")
-    return _parse_ratios(text) if text else (0.7, 0.1, 0.2)
-
-
-def _resolve_modalities(args, file_values: dict[str, str]) -> str | None:
-    return args.modalities or file_values.get("modalities")
 
 
 def _load_data(data_dir: str, modalities: str | None):
@@ -194,37 +206,22 @@ def _combined_report(user_emb, item_emb, ds, cold_threshold: int) -> evaluation.
 
 
 def cmd_generate(args: argparse.Namespace) -> int:
-    file_values = load_config_file(args.config) if args.config else {}
-    cfg = SyntheticConfig()
-    updates: dict[str, object] = {}
-    for key in ("num_users", "num_items", "num_clusters", "seed"):
-        value = getattr(args, key, None)
-        if value is None and key in file_values:
-            value = _coerce(key, file_values[key], int)
-        if value is not None:
-            updates[key] = value
-    for key in ("mean_interactions", "degree_exponent", "within_cluster_prob", "noise_std"):
-        value = getattr(args, key, None)
-        if value is None and key in file_values:
-            value = _coerce(key, file_values[key], float)
-        if value is not None:
-            updates[key] = value
-    dims = dict(cfg.modality_dims)
+    file_values = _read_config(args, {**_SYNTHETIC_FIELDS, **_DIM_KEYS, "out_dir": str})
+    updates = {key: _setting(args, file_values, key) for key in _SYNTHETIC_FIELDS}
+    dims = dict(SyntheticConfig().modality_dims)
     for tag in MODALITIES:
-        value = getattr(args, f"{tag}_dim", None)
-        if value is None and f"{tag}_dim" in file_values:
-            value = _coerce(f"{tag}_dim", file_values[f"{tag}_dim"], int)
-        if value is not None:
-            if value == 0:
-                dims.pop(tag, None)
-            else:
-                dims[tag] = value
-    updates["modality_dims"] = dims
-    cfg = replace(cfg, **updates)
+        value = _setting(args, file_values, f"{tag}_dim")
+        if value == 0:
+            dims.pop(tag, None)
+        elif value is not None:
+            dims[tag] = value
+    cfg = SyntheticConfig(
+        modality_dims=dims, **{key: value for key, value in updates.items() if value is not None}
+    )
     cfg.validate()
     print(f"root seed: {cfg.seed}")
 
-    out_dir = _resolve_out_dir(args, file_values)
+    out_dir = _out_dir(args, file_values)
     ds, features = generate_synthetic(cfg)
     save_interactions(ds, out_dir / "interactions.tsv")
     for feats in features:
@@ -234,15 +231,18 @@ def cmd_generate(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _run_training(args: argparse.Namespace) -> int:
-    file_values = load_config_file(args.config) if args.config else {}
-    cfg = _merge_train_config(args)
-    cfg.validate()
-    print(f"root seed: {cfg.seed}")
-    out_dir = _resolve_out_dir(args, file_values)
-    ratios = _resolve_ratios(args, file_values)
+def _ratios(args: argparse.Namespace, file_values: dict[str, object]) -> tuple[float, float, float]:
+    return _parse_ratios(_setting(args, file_values, "split_ratios", "0.7,0.1,0.2"))
 
-    ds_raw, features = _load_data(args.data_dir, _resolve_modalities(args, file_values))
+
+def _run_training(args: argparse.Namespace) -> int:
+    """`train` and `ablate`; argparse makes `--variant` required for `ablate`."""
+    cfg, file_values = _train_config(args)
+    print(f"root seed: {cfg.seed}")
+    out_dir = _out_dir(args, file_values)
+    ratios = _ratios(args, file_values)
+
+    ds_raw, features = _load_data(args.data_dir, _setting(args, file_values, "modalities"))
     ds = split_dataset(ds_raw, ratios, seed=cfg.seed)
     save_split(ds, out_dir / "split.tsv")
     print(format_dataset_stats(ds.num_users, ds.num_items, len(ds)))
@@ -272,21 +272,10 @@ def _run_training(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def cmd_train(args: argparse.Namespace) -> int:
-    return _run_training(args)
-
-
-def cmd_ablate(args: argparse.Namespace) -> int:
-    if not getattr(args, "variant", None):
-        raise ConfigError("ablate requires --variant")
-    return _run_training(args)
-
-
 def cmd_evaluate(args: argparse.Namespace) -> int:
-    file_values = load_config_file(args.config) if args.config else {}
-    cfg = _merge_train_config(args)
+    cfg, file_values = _train_config(args)
     print(f"root seed: {cfg.seed}")
-    out_dir = _resolve_out_dir(args, file_values)
+    out_dir = _out_dir(args, file_values)
 
     params = load_checkpoint(args.checkpoint)
     if args.d is not None and args.d != params.d:
@@ -297,11 +286,11 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         )
     cfg = replace(cfg, d=params.d, k_hyper=params.hyper.k_hyper)
 
-    ds_raw, features = _load_data(args.data_dir, _resolve_modalities(args, file_values))
+    ds_raw, features = _load_data(args.data_dir, _setting(args, file_values, "modalities"))
     if args.split:
         ds = load_split(ds_raw, args.split)
     else:
-        ds = split_dataset(ds_raw, _resolve_ratios(args, file_values), seed=cfg.seed)
+        ds = split_dataset(ds_raw, _ratios(args, file_values), seed=cfg.seed)
     if ds.num_users != params.num_users or ds.num_items != params.num_items:
         raise DataError(
             f"checkpoint was trained on {params.num_users} users / {params.num_items} items, "
@@ -313,17 +302,11 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
             f"checkpoint modality dims {params.modality_dims} do not match data {expected_dims}"
         )
 
-    cold_threshold = args.cold_threshold
-    if cold_threshold is None:
-        cold_threshold = (
-            _coerce("cold_threshold", file_values["cold_threshold"], int)
-            if "cold_threshold" in file_values
-            else 3
-        )
-
     views = build_views(ds, features, cfg)
     user_emb, item_emb = compute_embeddings(params, views, cfg)
-    report = _combined_report(user_emb, item_emb, ds, cold_threshold)
+    report = _combined_report(
+        user_emb, item_emb, ds, _setting(args, file_values, "cold_threshold", 3)
+    )
     (out_dir / "eval_test.json").write_text(report.to_json(), encoding="utf-8")
     print(report.format_table())
     return EXIT_OK
@@ -337,18 +320,16 @@ def _parse_grid(text: str, kind: type) -> list:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    file_values = load_config_file(args.config) if args.config else {}
-    cfg = _merge_train_config(args)
-    cfg.validate()
+    cfg, file_values = _train_config(args)
     print(f"root seed: {cfg.seed}")
-    out_dir = _resolve_out_dir(args, file_values)
+    out_dir = _out_dir(args, file_values)
 
     hyper_grid = _parse_grid(args.hyper_num_grid, int)
     hc_grid = _parse_grid(args.lambda_hc_grid, float)
     ghc_grid = _parse_grid(args.lambda_ghc_grid, float)
 
-    ds_raw, features = _load_data(args.data_dir, _resolve_modalities(args, file_values))
-    ds = split_dataset(ds_raw, _resolve_ratios(args, file_values), seed=cfg.seed)
+    ds_raw, features = _load_data(args.data_dir, _setting(args, file_values, "modalities"))
+    ds = split_dataset(ds_raw, _ratios(args, file_values), seed=cfg.seed)
 
     rows = []
     for k_hyper in hyper_grid:
@@ -377,30 +358,19 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _add_field_flags(parser: argparse.ArgumentParser, fields: dict[str, type]) -> None:
+    for name, kind in fields.items():
+        flag = "--" + name.replace("_", "-")
+        if kind is bool:
+            parser.add_argument(flag, action=argparse.BooleanOptionalAction, default=None)
+        else:
+            parser.add_argument(flag, type=kind)
+
+
 def _add_train_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="flat key=value config file")
     parser.add_argument("--out-dir", help=f"output directory (env {ENV_OUTPUT_DIR})")
-    parser.add_argument("--d", type=int)
-    parser.add_argument("--layers", type=int)
-    parser.add_argument("--k-knn", type=int, dest="k_knn")
-    parser.add_argument("--k-hyper", type=int, dest="k_hyper")
-    parser.add_argument("--hyper-steps", type=int, dest="hyper_steps")
-    parser.add_argument("--drop-rate", type=float, dest="drop_rate")
-    parser.add_argument("--tau", type=float)
-    parser.add_argument("--tau-hc", type=float, dest="tau_hc")
-    parser.add_argument("--tau-ghc", type=float, dest="tau_ghc")
-    parser.add_argument("--lambda-hc", type=float, dest="lambda_hc")
-    parser.add_argument("--lambda-ghc", type=float, dest="lambda_ghc")
-    parser.add_argument("--lambda-reg", type=float, dest="lambda_reg")
-    parser.add_argument("--learning-rate", type=float, dest="learning_rate")
-    parser.add_argument("--batch-size", type=int, dest="batch_size")
-    parser.add_argument("--max-epochs", type=int, dest="max_epochs")
-    parser.add_argument("--patience", type=int)
-    parser.add_argument("--seed", type=int)
-    for flag in _FLAG_FIELDS:
-        parser.add_argument(
-            f"--{flag.replace('_', '-')}", action=argparse.BooleanOptionalAction, default=None
-        )
+    _add_field_flags(parser, _TRAIN_FIELDS)
     parser.add_argument("--split-ratios", dest="split_ratios", help="train,val,test e.g. 0.7,0.1,0.2")
     parser.add_argument("--modalities", help="comma-separated tags; default: discover files")
 
@@ -412,14 +382,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen = sub.add_parser("generate", help="write a synthetic dataset")
     p_gen.add_argument("--config")
     p_gen.add_argument("--out-dir")
-    p_gen.add_argument("--num-users", type=int, dest="num_users")
-    p_gen.add_argument("--num-items", type=int, dest="num_items")
-    p_gen.add_argument("--num-clusters", type=int, dest="num_clusters")
-    p_gen.add_argument("--mean-interactions", type=float, dest="mean_interactions")
-    p_gen.add_argument("--degree-exponent", type=float, dest="degree_exponent")
-    p_gen.add_argument("--within-cluster-prob", type=float, dest="within_cluster_prob")
-    p_gen.add_argument("--noise-std", type=float, dest="noise_std")
-    p_gen.add_argument("--seed", type=int)
+    _add_field_flags(p_gen, _SYNTHETIC_FIELDS)
     for tag in MODALITIES:
         p_gen.add_argument(f"--{tag}-dim", type=int, dest=f"{tag}_dim", help="0 disables the modality")
     p_gen.set_defaults(func=cmd_generate)
@@ -428,13 +391,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_train.add_argument("--data-dir", required=True, dest="data_dir")
     _add_train_flags(p_train)
     p_train.add_argument("--variant", choices=sorted(VARIANT_PRESETS))
-    p_train.set_defaults(func=cmd_train)
+    p_train.set_defaults(func=_run_training)
 
     p_ablate = sub.add_parser("ablate", help="train a named ablation variant")
     p_ablate.add_argument("--data-dir", required=True, dest="data_dir")
     _add_train_flags(p_ablate)
     p_ablate.add_argument("--variant", required=True, choices=sorted(VARIANT_PRESETS))
-    p_ablate.set_defaults(func=cmd_ablate)
+    p_ablate.set_defaults(func=_run_training)
 
     p_eval = sub.add_parser("evaluate", help="evaluate a checkpoint on the test split")
     p_eval.add_argument("--data-dir", required=True, dest="data_dir")

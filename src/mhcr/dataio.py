@@ -65,10 +65,6 @@ class InteractionDataset:
     def __len__(self) -> int:
         return self.users.size
 
-    @property
-    def pairs(self) -> list[tuple[int, int]]:
-        return list(zip(self.users.tolist(), self.items.tolist()))
-
     def require_split(self) -> np.ndarray:
         if self.split is None:
             raise DataError("dataset has no split assignment; run split_dataset first")

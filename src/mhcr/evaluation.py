@@ -1,5 +1,5 @@
-"""Top-K evaluation: view fusion, inner-product scoring, full-ranking
-Recall@K / NDCG@K, and cold-start slicing.
+"""Top-K evaluation: inner-product scoring, full-ranking Recall@K /
+NDCG@K, and cold-start slicing.
 
 Candidates for a test-split evaluation are all items minus the user's train
 and val items; ranking ties break toward the lower item index so reports
@@ -20,6 +20,8 @@ from .errors import ConfigError, ShapeError
 
 SLICE_ALL = "all"
 SLICE_COLD = "cold_start"
+
+_USER_BLOCK = 1024
 
 
 @dataclass
@@ -62,23 +64,6 @@ class EvalReport:
         return "\n".join(lines)
 
 
-def fuse_embeddings(e_ui, e_ii_lifted, e_h, num_users: int) -> tuple[np.ndarray, np.ndarray]:
-    """Sum the three views elementwise and split into user and item blocks.
-
-    Views disabled by ablation are passed in as zero matrices.
-    """
-    mats = [np.asarray(getattr(m, "data", m), dtype=np.float64) for m in (e_ui, e_ii_lifted, e_h)]
-    if len({m.shape for m in mats}) != 1:
-        raise ShapeError(f"view shapes differ: {[m.shape for m in mats]}")
-    fused = mats[0] + mats[1] + mats[2]
-    return fused[:num_users], fused[num_users:]
-
-
-def score(user_embedding: np.ndarray, item_embedding: np.ndarray) -> float:
-    """Predicted interaction likelihood: the plain inner product."""
-    return float(np.dot(user_embedding, item_embedding))
-
-
 def rank_items(scores: np.ndarray, excluded: Iterable[int], k: int) -> np.ndarray:
     """Top-k candidate item indices by score, ties resolved to the lower
     index. Excluded items are removed from candidacy entirely, so the result
@@ -91,22 +76,6 @@ def rank_items(scores: np.ndarray, excluded: Iterable[int], k: int) -> np.ndarra
         n_candidates -= np.unique(excluded).size
     order = np.argsort(-masked, kind="stable")
     return order[:min(k, n_candidates)]
-
-
-def rank_and_score(
-    user: int,
-    user_emb: np.ndarray,
-    item_emb: np.ndarray,
-    ds: InteractionDataset,
-    k: int,
-    mask_splits: Sequence[int] = (TRAIN, VAL),
-) -> np.ndarray:
-    """Rank all items for one user, excluding the masked splits' items."""
-    split = ds.require_split()
-    own = ds.users == user
-    excluded = ds.items[own & np.isin(split, mask_splits)]
-    scores = item_emb @ user_emb[user]
-    return rank_items(scores, excluded, k)
 
 
 def recall_at_k(topk: np.ndarray, test_items: np.ndarray) -> float:
@@ -144,9 +113,7 @@ def evaluate(
     slice_name: str = SLICE_ALL,
     ks: Sequence[int] = (10, 20),
     target_split: int = TEST,
-    mask_splits: Sequence[int] | None = None,
     cold_threshold: int = 3,
-    user_block: int = 1024,
 ) -> EvalReport:
     """Mean per-user Recall@K and NDCG@K over one user slice.
 
@@ -156,8 +123,7 @@ def evaluate(
     """
     if user_emb.shape[0] != ds.num_users or item_emb.shape[0] != ds.num_items:
         raise ShapeError("embedding row counts do not match the dataset")
-    if mask_splits is None:
-        mask_splits = (TRAIN,) if target_split == VAL else (TRAIN, VAL)
+    mask_splits = (TRAIN,) if target_split == VAL else (TRAIN, VAL)
     split = ds.require_split()
     targets = ds.items_by_user(target_split)
     slice_users = _slice_users(ds, slice_name, cold_threshold)
@@ -169,8 +135,8 @@ def evaluate(
     mask_users = ds.users[np.isin(split, mask_splits)]
 
     count = 0
-    for start in range(0, len(eligible), user_block):
-        block = eligible[start:start + user_block]
+    for start in range(0, len(eligible), _USER_BLOCK):
+        block = eligible[start:start + _USER_BLOCK]
         if not block:
             continue
         scores = user_emb[block] @ item_emb.T

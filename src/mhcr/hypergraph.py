@@ -140,15 +140,11 @@ def hypergraph_pass(
     return broadcast(pair.h_users, e_cur), e_next
 
 
-def aggregate_hyper(per_modality: list[tuple[ad.Tensor, ad.Tensor]]) -> ad.Tensor:
-    """Stack each modality's (user, item) pair and sum across modalities."""
-    if not per_modality:
+def aggregate_hyper(stacks: list[ad.Tensor]) -> ad.Tensor:
+    """Sum the per-modality stacked (user; item) states across modalities."""
+    if not stacks:
         raise ConfigError("aggregate_hyper requires at least one modality")
-    shapes = {(u.shape, i.shape) for u, i in per_modality}
-    if len(shapes) != 1:
-        raise ShapeError(f"inconsistent per-modality shapes: {sorted(shapes)}")
-    out = None
-    for e_u, e_i in per_modality:
-        stacked = ad.concat_rows([e_u, e_i])
-        out = stacked if out is None else out + stacked
+    out = stacks[0]
+    for stacked in stacks[1:]:
+        out = out + stacked
     return out

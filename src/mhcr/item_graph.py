@@ -30,16 +30,6 @@ class AffinityGraph:
     k: int
 
 
-def cosine_affinity(features: np.ndarray, a: int, b: int) -> float:
-    """Cosine similarity of item rows a and b; zero-norm rows compare as 0."""
-    va, vb = features[a], features[b]
-    na, nb = np.linalg.norm(va), np.linalg.norm(vb)
-    if na == 0.0 or nb == 0.0:
-        log.warning("cosine_affinity: zero-norm feature row (items %d, %d)", a, b)
-        return 0.0
-    return float(va @ vb / (na * nb))
-
-
 def _normalized_rows(matrix: np.ndarray, tag: str) -> np.ndarray:
     norms = np.linalg.norm(matrix, axis=1, keepdims=True)
     zero = norms[:, 0] == 0.0

@@ -6,7 +6,7 @@ loop with early stopping on validation Recall@20."""
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field, replace
+from dataclasses import astuple, dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
@@ -61,6 +61,10 @@ class TrainConfig:
     use_ghc: bool = True
 
     def validate(self) -> None:
+        if not all(np.isfinite(v) for v in astuple(self) if isinstance(v, float)):
+            raise ConfigError("float settings must be finite")
+        if not (self.use_ui or self.use_ii or self.use_hem):
+            raise ConfigError("at least one view (use_ui, use_ii, use_hem) must be on")
         if self.d < 1 or self.k_hyper < 1 or self.k_knn < 1 or self.hyper_steps < 1:
             raise ConfigError("d, k_knn, k_hyper, hyper_steps must be >= 1")
         if self.layers < 0:
@@ -206,17 +210,11 @@ def init_parameters(
 class Adam:
     """Adam with bias correction; betas (0.9, 0.999), eps 1e-8."""
 
-    def __init__(
-        self,
-        params: dict[str, ad.Tensor],
-        learning_rate: float,
-        betas: tuple[float, float] = (0.9, 0.999),
-        eps: float = 1e-8,
-    ):
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
+
+    def __init__(self, params: dict[str, ad.Tensor], learning_rate: float):
         self.params = params
         self.learning_rate = learning_rate
-        self.beta1, self.beta2 = betas
-        self.eps = eps
         self.t = 0
         self.m = {name: np.zeros_like(p.data) for name, p in params.items()}
         self.v = {name: np.zeros_like(p.data) for name, p in params.items()}
@@ -423,7 +421,7 @@ def forward(
                 )
             )
         hyper_stacks = [ad.concat_rows([e_u, e_i]) for e_u, e_i in pairs]
-        e_h = aggregate_hyper(pairs)
+        e_h = aggregate_hyper(hyper_stacks)
     else:
         e_h = zero_view
 
@@ -479,9 +477,13 @@ def backward_and_step(total: ad.Tensor, params: ModelParameters, optimizer: Adam
 def compute_embeddings(
     params: ModelParameters, views: ViewInputs, cfg: TrainConfig
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Evaluation-mode fused embeddings, split into user and item blocks."""
+    """Evaluation-mode fused embeddings, split into user and item blocks.
+
+    The sum is a fresh array, not the forward pass's `fused` buffer, so the
+    caller keeps no part of the pass alive."""
     result = forward(params, views, cfg, mode="eval")
-    return evaluation.fuse_embeddings(result.e_ui, result.e_ii, result.e_h, params.num_users)
+    fused = (result.e_ui.data + result.e_ii.data) + result.e_h.data
+    return fused[:params.num_users], fused[params.num_users:]
 
 
 def evaluate_params(

@@ -15,7 +15,7 @@ from mhcr import evaluation
 from mhcr.cli import main
 from mhcr.dataio import ModalityFeatures, SyntheticConfig, generate_synthetic, split_dataset
 from mhcr.hypergraph import IncidencePair, hypergraph_pass
-from mhcr.item_graph import build_affinity_graph, cosine_affinity
+from mhcr.item_graph import build_affinity_graph
 from mhcr.objectives import bpr_loss, graph_hyper_contrastive_loss, hyper_contrastive_loss
 from mhcr.training import (
     TrainConfig,
@@ -27,6 +27,8 @@ from mhcr.training import (
     init_parameters,
 )
 from mhcr.ui_graph import build_norm_adjacency, propagate_ui
+
+from oracles import cosine_affinity
 
 from conftest import assert_grad_close, finite_difference, micro_batch, micro_config, micro_dataset
 from test_evaluation import brute_force_report, random_instance

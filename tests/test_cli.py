@@ -1,13 +1,20 @@
 """CLI subcommands: generate / train / evaluate / ablate / sweep wiring,
 file outputs, exit codes, and byte-level determinism."""
 
+import argparse
 import json
+import tempfile
+from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from mhcr.cli import EXIT_CONFIG, EXIT_DATA, load_config_file, main
+from mhcr.cli import EXIT_CONFIG, EXIT_DATA, _train_config, build_parser, load_config_file, main
 from mhcr.dataio import load_interactions
+from mhcr.training import TrainConfig
 
 GEN_ARGS = [
     "generate",
@@ -281,3 +288,173 @@ def test_split_sidecar_round_trips_through_evaluate(data_dir, tmp_path):
     assert json.loads((out_a / "eval_test.json").read_text()) == json.loads(
         (out_b / "eval_test.json").read_text()
     )
+
+
+class TestConfigValidation:
+    @pytest.mark.parametrize("command", ["train", "ablate", "evaluate", "sweep"])
+    def test_invalid_values_rejected_before_any_work(self, command, tmp_path):
+        argv = [command, "--data-dir", str(tmp_path / "nowhere"), "--out-dir", str(tmp_path / "o"),
+                "--drop-rate", "2", "--tau", "-1"]
+        if command == "ablate":
+            argv += ["--variant", "full"]
+        if command == "evaluate":
+            argv += ["--checkpoint", str(tmp_path / "none.bin")]
+        assert main(argv) == EXIT_CONFIG
+
+    def test_generate_rejects_unknown_key(self, tmp_path, capsys):
+        cfg_file = tmp_path / "gen.cfg"
+        cfg_file.write_text("num_userz = 5\n", encoding="utf-8")
+        code = main(["generate", "--config", str(cfg_file), "--out-dir", str(tmp_path / "o")])
+        assert code == EXIT_CONFIG
+        assert "num_userz" in capsys.readouterr().err
+
+    def test_variant_sits_between_file_and_flags(self, tmp_path):
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text("use_hem = true\nuse_hc = false\nd = 4\n", encoding="utf-8")
+        args = build_parser().parse_args(
+            ["train", "--data-dir", "x", "--config", str(cfg_file), "--variant", "wo-hem",
+             "--use-hc", "--d", "8"]
+        )
+        cfg, _ = _train_config(args)
+        assert (cfg.use_hem, cfg.use_hc, cfg.d) == (False, True, 8)
+
+
+VARIANTS = ("bpr-mf", "full", "wo-ghc", "wo-hc", "wo-hem", "wo-ii", "wo-ui")
+
+# Option strings -> (dest, type, default, choices, required) of every
+# subcommand, as written out by hand before the flags were derived from the
+# config dataclasses.
+GENERATE_OPTIONS = {
+    ("--config",): ("config", None, None, None, False),
+    ("--out-dir",): ("out_dir", None, None, None, False),
+    ("--num-users",): ("num_users", int, None, None, False),
+    ("--num-items",): ("num_items", int, None, None, False),
+    ("--num-clusters",): ("num_clusters", int, None, None, False),
+    ("--mean-interactions",): ("mean_interactions", float, None, None, False),
+    ("--degree-exponent",): ("degree_exponent", float, None, None, False),
+    ("--within-cluster-prob",): ("within_cluster_prob", float, None, None, False),
+    ("--noise-std",): ("noise_std", float, None, None, False),
+    ("--seed",): ("seed", int, None, None, False),
+    ("--image-dim",): ("image_dim", int, None, None, False),
+    ("--video-dim",): ("video_dim", int, None, None, False),
+    ("--text-dim",): ("text_dim", int, None, None, False),
+}
+TRAINING_OPTIONS = {
+    ("--data-dir",): ("data_dir", None, None, None, True),
+    ("--config",): ("config", None, None, None, False),
+    ("--out-dir",): ("out_dir", None, None, None, False),
+    ("--d",): ("d", int, None, None, False),
+    ("--layers",): ("layers", int, None, None, False),
+    ("--k-knn",): ("k_knn", int, None, None, False),
+    ("--k-hyper",): ("k_hyper", int, None, None, False),
+    ("--hyper-steps",): ("hyper_steps", int, None, None, False),
+    ("--drop-rate",): ("drop_rate", float, None, None, False),
+    ("--tau",): ("tau", float, None, None, False),
+    ("--tau-hc",): ("tau_hc", float, None, None, False),
+    ("--tau-ghc",): ("tau_ghc", float, None, None, False),
+    ("--lambda-hc",): ("lambda_hc", float, None, None, False),
+    ("--lambda-ghc",): ("lambda_ghc", float, None, None, False),
+    ("--lambda-reg",): ("lambda_reg", float, None, None, False),
+    ("--learning-rate",): ("learning_rate", float, None, None, False),
+    ("--batch-size",): ("batch_size", int, None, None, False),
+    ("--max-epochs",): ("max_epochs", int, None, None, False),
+    ("--patience",): ("patience", int, None, None, False),
+    ("--seed",): ("seed", int, None, None, False),
+    ("--use-ui", "--no-use-ui"): ("use_ui", None, None, None, False),
+    ("--use-ii", "--no-use-ii"): ("use_ii", None, None, None, False),
+    ("--use-hem", "--no-use-hem"): ("use_hem", None, None, None, False),
+    ("--use-hc", "--no-use-hc"): ("use_hc", None, None, None, False),
+    ("--use-ghc", "--no-use-ghc"): ("use_ghc", None, None, None, False),
+    ("--split-ratios",): ("split_ratios", None, None, None, False),
+    ("--modalities",): ("modalities", None, None, None, False),
+}
+CLI_SURFACE = {
+    "generate": GENERATE_OPTIONS,
+    "train": {**TRAINING_OPTIONS, ("--variant",): ("variant", None, None, VARIANTS, False)},
+    "ablate": {**TRAINING_OPTIONS, ("--variant",): ("variant", None, None, VARIANTS, True)},
+    "evaluate": {
+        **TRAINING_OPTIONS,
+        ("--checkpoint",): ("checkpoint", None, None, None, True),
+        ("--split",): ("split", None, None, None, False),
+        ("--cold-threshold",): ("cold_threshold", int, None, None, False),
+        ("--variant",): ("variant", None, None, VARIANTS, False),
+    },
+    "sweep": {
+        **TRAINING_OPTIONS,
+        ("--hyper-num-grid",): ("hyper_num_grid", None, "8,16,32,64", None, False),
+        ("--lambda-hc-grid",): ("lambda_hc_grid", None, "1e-6,1e-5,1e-4", None, False),
+        ("--lambda-ghc-grid",): ("lambda_ghc_grid", None, "0.001,0.01,0.1", None, False),
+    },
+}
+
+
+def test_cli_surface_is_frozen():
+    (subparsers,) = [
+        a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    ]
+    surface = {
+        name: {
+            tuple(a.option_strings): (
+                a.dest, a.type, a.default, tuple(a.choices) if a.choices else None, a.required
+            )
+            for a in parser._actions
+            if a.dest != "help"
+        }
+        for name, parser in subparsers.choices.items()
+    }
+    assert surface == CLI_SURFACE
+
+
+_positive = st.floats(1e-6, 1e3)
+_weight = st.floats(0.0, 10.0)
+_train_configs = st.builds(
+    TrainConfig,
+    d=st.integers(1, 512),
+    layers=st.integers(0, 8),
+    k_knn=st.integers(1, 64),
+    k_hyper=st.integers(1, 128),
+    hyper_steps=st.integers(1, 4),
+    drop_rate=st.floats(0.0, 1.0),
+    tau=_positive,
+    tau_hc=st.none() | _positive,
+    tau_ghc=st.none() | _positive,
+    lambda_hc=_weight,
+    lambda_ghc=_weight,
+    lambda_reg=_weight,
+    learning_rate=st.floats(0.0, 1.0),
+    batch_size=st.integers(1, 8192),
+    max_epochs=st.integers(1, 1000),
+    patience=st.integers(0, 100),
+    seed=st.integers(0, 2**32 - 1),
+    use_ui=st.booleans(),
+    use_ii=st.booleans(),
+    use_hem=st.booleans(),
+    use_hc=st.booleans(),
+    use_ghc=st.booleans(),
+).filter(lambda cfg: cfg.use_ui or cfg.use_ii or cfg.use_hem)
+
+
+@given(cfg=_train_configs)
+@settings(max_examples=50, deadline=None)
+def test_config_round_trips_through_file_and_flags(cfg):
+    flags, lines = [], []
+    for field in fields(cfg):
+        name, value = field.name, getattr(cfg, field.name)
+        flag = name.replace("_", "-")
+        if value is None:
+            continue
+        if isinstance(value, bool):
+            flags.append(f"--{flag}" if value else f"--no-{flag}")
+            lines.append(f"{name} = {str(value).lower()}")
+        else:
+            flags += [f"--{flag}", repr(value)]
+            lines.append(f"{name} = {value!r}")
+    parser = build_parser()
+    from_flags, _ = _train_config(parser.parse_args(["train", "--data-dir", "x"] + flags))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "run.cfg"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        args = parser.parse_args(["train", "--data-dir", "x", "--config", str(path)])
+        from_file, _ = _train_config(args)
+    assert from_flags == cfg
+    assert from_file == cfg

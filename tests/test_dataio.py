@@ -39,7 +39,7 @@ class TestLoadInteractions:
         ds = load_interactions(write(tmp_path, "0\t0\n0\t1\n1\t0\n"))
         assert ds.num_users == 2 and ds.num_items == 2
         assert len(ds) == 3
-        assert ds.pairs == [(0, 0), (0, 1), (1, 0)]
+        assert ds.users.tolist() == [0, 0, 1] and ds.items.tolist() == [0, 1, 0]
 
     def test_duplicates_counted(self, tmp_path):
         ds = load_interactions(write(tmp_path, "0\t0\n0\t0\n"))
@@ -66,7 +66,7 @@ class TestLoadInteractions:
         ds = InteractionDataset(3, 4, np.array([0, 1, 2]), np.array([3, 0, 1]))
         save_interactions(ds, tmp_path / "rt.tsv")
         back = load_interactions(tmp_path / "rt.tsv")
-        assert back.pairs == ds.pairs
+        assert np.array_equal(back.users, ds.users) and np.array_equal(back.items, ds.items)
 
 
 class TestDatasetInvariants:

@@ -6,19 +6,15 @@ import numpy as np
 import pytest
 
 from mhcr.dataio import TEST, TRAIN, VAL, InteractionDataset
-from mhcr.errors import ShapeError
 from mhcr.evaluation import (
     SLICE_ALL,
     SLICE_COLD,
     EvalReport,
     evaluate,
-    fuse_embeddings,
     mean_recall,
     ndcg_at_k,
-    rank_and_score,
     rank_items,
     recall_at_k,
-    score,
 )
 
 
@@ -85,42 +81,6 @@ def random_instance(seed, num_users=18, num_items=27, d=6):
     return ds, user_emb, item_emb
 
 
-class TestFuse:
-    def test_two_views_zero(self):
-        x = np.arange(12, dtype=np.float64).reshape(4, 3)
-        zeros = np.zeros_like(x)
-        user, item = fuse_embeddings(x, zeros, zeros, num_users=1)
-        assert np.array_equal(np.vstack([user, item]), x)
-
-    def test_all_views_equal_triples(self):
-        x = np.ones((4, 2))
-        user, item = fuse_embeddings(x, x, x, num_users=2)
-        assert np.allclose(user, 3.0) and np.allclose(item, 3.0)
-
-    def test_matches_elementwise_sum_oracle(self):
-        rng = np.random.default_rng(1)
-        a, b, c = (rng.normal(size=(5, 4)) for _ in range(3))
-        user, item = fuse_embeddings(a, b, c, num_users=2)
-        assert np.array_equal(np.vstack([user, item]), a + b + c)
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ShapeError):
-            fuse_embeddings(np.ones((2, 2)), np.ones((3, 2)), np.ones((2, 2)), 1)
-
-
-class TestScore:
-    def test_zero_user_vector(self):
-        assert score(np.zeros(4), np.ones(4)) == 0.0
-
-    def test_orthonormal_basis(self):
-        e = np.zeros(4)
-        e[1] = 1.0
-        assert score(e, e) == 1.0
-
-    def test_hand_value(self):
-        assert score(np.array([1.0, 2.0]), np.array([3.0, -1.0])) == 1.0
-
-
 class TestRanking:
     def test_hand_scores_order(self):
         topk = rank_items(np.array([0.9, 0.5, 0.1]), np.array([], dtype=np.int64), 3)
@@ -131,23 +91,11 @@ class TestRanking:
         assert topk.tolist() == [1, 0, 2, 3]
 
     def test_masked_items_never_appear(self):
-        ds = InteractionDataset(
-            1, 4, np.array([0, 0, 0]), np.array([0, 1, 2]),
-            split=np.array([TRAIN, VAL, TEST]),
-        )
-        user_emb = np.array([[1.0]])
-        item_emb = np.array([[9.0], [8.0], [7.0], [0.5]])
-        topk = rank_and_score(0, user_emb, item_emb, ds, k=4)
-        assert 0 not in topk and 1 not in topk
-        assert topk.tolist()[:2] == [2, 3]
+        topk = rank_items(np.array([9.0, 8.0, 7.0, 0.5]), np.array([0, 1]), 4)
+        assert topk.tolist() == [2, 3]
 
     def test_best_candidate_is_rank_one(self):
-        ds = InteractionDataset(
-            1, 3, np.array([0, 0]), np.array([0, 2]), split=np.array([TRAIN, TEST])
-        )
-        user_emb = np.array([[1.0]])
-        item_emb = np.array([[0.1], [0.2], [5.0]])
-        topk = rank_and_score(0, user_emb, item_emb, ds, k=1)
+        topk = rank_items(np.array([0.1, 0.2, 5.0]), np.array([0]), 1)
         assert topk.tolist() == [2]
 
 

@@ -155,41 +155,25 @@ class TestPass:
 
 class TestAggregate:
     def test_single_modality_is_identity(self):
-        e_u = ad.Tensor(np.ones((2, 3)))
-        e_i = ad.Tensor(2.0 * np.ones((4, 3)))
-        out = aggregate_hyper([(e_u, e_i)]).data
-        assert np.allclose(out[:2], 1.0)
-        assert np.allclose(out[2:], 2.0)
+        stacked = ad.Tensor(np.vstack([np.ones((2, 3)), 2.0 * np.ones((4, 3))]))
+        assert np.array_equal(aggregate_hyper([stacked]).data, stacked.data)
 
     def test_two_identical_modalities_double(self):
-        e_u = ad.Tensor(np.random.default_rng(1).normal(size=(2, 3)))
-        e_i = ad.Tensor(np.random.default_rng(2).normal(size=(3, 3)))
-        single = aggregate_hyper([(e_u, e_i)]).data
-        double = aggregate_hyper([(e_u, e_i), (e_u, e_i)]).data
-        assert np.allclose(double, 2.0 * single)
+        stacked = ad.Tensor(np.random.default_rng(1).normal(size=(5, 3)))
+        double = aggregate_hyper([stacked, stacked]).data
+        assert np.array_equal(double, 2.0 * stacked.data)
 
     def test_disjoint_supports_add(self):
         rng = np.random.default_rng(3)
-        a_u, a_i = rng.normal(size=(3, 4)), rng.normal(size=(2, 4))
-        b_u, b_i = rng.normal(size=(3, 4)), rng.normal(size=(2, 4))
-        a_u[:, 2:] = 0.0
-        a_i[:, 2:] = 0.0
-        b_u[:, :2] = 0.0
-        b_i[:, :2] = 0.0
-        out = aggregate_hyper(
-            [(ad.Tensor(a_u), ad.Tensor(a_i)), (ad.Tensor(b_u), ad.Tensor(b_i))]
-        ).data
-        expected = np.vstack([a_u, a_i]) + np.vstack([b_u, b_i])
-        assert np.allclose(out, expected)
+        a, b = rng.normal(size=(5, 4)), rng.normal(size=(5, 4))
+        a[:, 2:] = 0.0
+        b[:, :2] = 0.0
+        out = aggregate_hyper([ad.Tensor(a), ad.Tensor(b)]).data
+        assert np.array_equal(out, a + b)
 
     def test_shape_mismatch(self):
         with pytest.raises(ShapeError):
-            aggregate_hyper(
-                [
-                    (ad.Tensor(np.ones((2, 3))), ad.Tensor(np.ones((3, 3)))),
-                    (ad.Tensor(np.ones((2, 3))), ad.Tensor(np.ones((4, 3)))),
-                ]
-            )
+            aggregate_hyper([ad.Tensor(np.ones((5, 3))), ad.Tensor(np.ones((6, 3)))])
 
 
 def test_hyperedge_parameters_validation():

@@ -7,11 +7,9 @@ import scipy.sparse as sp
 from mhcr import autodiff as ad
 from mhcr.dataio import ModalityFeatures
 from mhcr.errors import ConfigError, ShapeError
-from mhcr.item_graph import (
-    build_affinity_graph,
-    cosine_affinity,
-    propagate_items,
-)
+from mhcr.item_graph import build_affinity_graph, propagate_items
+
+from oracles import cosine_affinity
 
 
 def brute_force_topk(matrix: np.ndarray, k: int) -> list[list[int]]:

@@ -27,6 +27,8 @@ from mhcr.objectives import (
     total_loss,
 )
 
+from oracles import exp, log
+
 LN2 = float(np.log(2.0))
 
 
@@ -41,11 +43,11 @@ def tape_hyper_contrastive(per_modality, batch, tau):
     pos = neg = None
     for a, b in permutations(range(len(normalized)), 2):
         e_a, e_b = normalized[a], normalized[b]
-        pos_term = ad.exp(ad.row_dot(e_a, e_b) * (1.0 / tau))
-        neg_term = ad.tensor_sum(ad.exp(ad.matmul(e_a, ad.transpose(e_b)) * (1.0 / tau)), axis=1)
+        pos_term = exp(ad.row_dot(e_a, e_b) * (1.0 / tau))
+        neg_term = ad.tensor_sum(exp(ad.matmul(e_a, ad.transpose(e_b)) * (1.0 / tau)), axis=1)
         pos = pos_term if pos is None else pos + pos_term
         neg = neg_term if neg is None else neg + neg_term
-    return ad.mean(ad.log(neg) - ad.log(pos))
+    return ad.mean(log(neg) - log(pos))
 
 
 def tape_graph_hyper_contrastive(e_graph, e_hyper, batch, tau):
@@ -53,8 +55,8 @@ def tape_graph_hyper_contrastive(e_graph, e_hyper, batch, tau):
     g = _normalized_batch(e_graph, batch)
     h = _normalized_batch(e_hyper, batch)
     pos = ad.row_dot(g, h) * (1.0 / tau)
-    denom = ad.tensor_sum(ad.exp(ad.matmul(g, ad.transpose(h)) * (1.0 / tau)), axis=1)
-    return ad.mean(ad.log(denom) - pos)
+    denom = ad.tensor_sum(exp(ad.matmul(g, ad.transpose(h)) * (1.0 / tau)), axis=1)
+    return ad.mean(log(denom) - pos)
 
 
 def unit_rows(x):

@@ -21,6 +21,7 @@ from mhcr.training import (
     Adam,
     Batch,
     TrainConfig,
+    VARIANT_PRESETS,
     apply_variant,
     backward_and_step,
     build_views,
@@ -153,9 +154,10 @@ class TestForward:
         ds, _, cfg, views = micro
         params = make_params(cfg, ds, views)
         result = forward(params, views, cfg, mode="eval")
-        assert np.allclose(
-            result.fused.data, result.e_ui.data + result.e_ii.data + result.e_h.data
-        )
+        views_sum = result.e_ui.data + result.e_ii.data + result.e_h.data
+        assert np.array_equal(result.fused.data, views_sum)
+        user_emb, item_emb = compute_embeddings(params, views, cfg)
+        assert np.array_equal(np.vstack([user_emb, item_emb]), views_sum)
 
     def test_hc_requires_two_modalities(self, micro):
         ds, feats, _, _ = micro
@@ -386,6 +388,30 @@ class TestVariants:
         params = make_params(cfg, ds, views)
         result = forward(params, views, cfg, mode="eval")
         assert np.array_equal(result.fused.data, params.e0.data)
+
+
+class TestConfigContract:
+    @pytest.mark.parametrize(
+        "override",
+        [
+            {"tau": float("nan")},
+            {"tau_hc": float("inf")},
+            {"tau_ghc": -float("inf")},
+            {"lambda_ghc": float("nan")},
+            {"lambda_reg": float("inf")},
+            {"learning_rate": float("inf")},
+            {"use_ui": False, "use_ii": False, "use_hem": False},
+        ],
+        ids=["tau-nan", "tau_hc-inf", "tau_ghc-neginf", "lambda_ghc-nan", "lambda_reg-inf",
+             "learning_rate-inf", "no-view"],
+    )
+    def test_rejected(self, override):
+        with pytest.raises(ConfigError):
+            TrainConfig(**override).validate()
+
+    @pytest.mark.parametrize("variant", sorted(VARIANT_PRESETS))
+    def test_presets_valid(self, variant):
+        apply_variant(TrainConfig(), variant).validate()
 
 
 class TestFit:
