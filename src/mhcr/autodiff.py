@@ -1,23 +1,23 @@
 """Minimal reverse-mode automatic differentiation over numpy arrays.
 
-The model's training graph is a fixed composition of matrix products,
-sparse-dense products, gathers, row normalization, and a few pointwise
-maps, so a small tensor engine is enough: each op records its parents and
-a closure that maps the upstream gradient to parent gradients. Gradients
-accumulate by summation during a reverse topological sweep.
+The model's training graph is a fixed composition, so a small tensor
+engine is enough: each op records its parents and a closure that maps the
+upstream gradient to parent gradients. Gradients accumulate by summation
+during a reverse topological sweep. Each view step (UI propagation, item
+propagation, each incidence and hypergraph broadcast) and each loss term
+is one `custom_op` node with a hand-derived gradient; the generic ops
+below cover the projections, gathers, row normalization, concatenation
+and the BPR scores.
 
 All data is float64. Elementwise ops (`add`, `mul`) take operands of equal
-shape; there is no broadcasting. Sparse operands (scipy CSR) are constants
-of the graph; gradients flow only through dense tensors.
+shape; there is no broadcasting.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.special import expit
 
 from .errors import ShapeError
 
@@ -56,14 +56,6 @@ class Tensor:
     def __add__(self, other):
         return add(self, other)
 
-    def __sub__(self, other):
-        return add(self, scale(as_tensor(other), -1.0))
-
-    def __mul__(self, other):
-        if isinstance(other, (int, float)):
-            return scale(self, float(other))
-        return mul(self, other)
-
     def backward(self) -> None:
         """Accumulate d(self)/d(leaf) into .grad of every reachable tensor."""
         if self.data.size != 1:
@@ -86,7 +78,8 @@ class Tensor:
         self.grad = np.ones_like(self.data)
         # Closures may hand back the upstream gradient itself or a view of
         # it, so a first contribution is stored as is and only a buffer the
-        # tape allocated here (`owned`) is ever updated in place.
+        # tape allocated here, or an array the closure allocated (`owned`),
+        # is ever updated in place. A RowGrad is added into such a buffer.
         owned = {id(self)}
         for node in reversed(order):
             if node._backward is None or node.grad is None:
@@ -94,8 +87,18 @@ class Tensor:
             for parent, grad in zip(node._parents, node._backward(node.grad)):
                 if grad is None or not parent.requires_grad:
                     continue
-                if parent.grad is None:
+                if isinstance(grad, RowGrad):
+                    if parent.grad is None:
+                        parent.grad = np.zeros(parent.shape)
+                    elif id(parent) not in owned:
+                        parent.grad = parent.grad.copy()
+                    owned.add(id(parent))
+                    add_rows(parent.grad, *grad)
+                elif parent.grad is None:
                     parent.grad = grad
+                    fresh = isinstance(grad, np.ndarray) and grad.flags.owndata
+                    if fresh and grad is not node.grad:
+                        owned.add(id(parent))
                 elif id(parent) in owned:
                     parent.grad += grad
                 else:
@@ -129,7 +132,9 @@ def _node(data: Array, parents: tuple[Tensor, ...], backward) -> Tensor:
 
 def custom_op(data, parents: Sequence[Tensor], backward) -> Tensor:
     """One tape node with a hand-derived gradient: `backward(g)` maps the
-    upstream gradient to one gradient (or None) per parent, in order."""
+    upstream gradient to one gradient (or None) per parent, in order. Each is
+    `g` or a view of it, a RowGrad, or an array allocated for that parent
+    alone, which the tape may then update in place."""
     return _node(data, tuple(parents), backward)
 
 
@@ -160,15 +165,6 @@ def mul(a, b) -> Tensor:
     return _node(data, (a, b), backward)
 
 
-def scale(a: Tensor, c: float) -> Tensor:
-    data = a.data * c
-
-    def backward(g):
-        return (g * c,)
-
-    return _node(data, (a,), backward)
-
-
 def matmul(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
     if a.ndim != 2 or b.ndim != 2:
@@ -183,44 +179,32 @@ def matmul(a, b) -> Tensor:
     return _node(data, (a, b), backward)
 
 
-def spmm(matrix: sp.spmatrix, x) -> Tensor:
-    """Sparse @ dense where the sparse factor is a constant of the graph."""
-    x = as_tensor(x)
-    if x.ndim != 2:
-        raise ShapeError(f"spmm expects a 2-D dense operand, got {x.shape}")
-    if matrix.shape[1] != x.shape[0]:
-        raise ShapeError(f"spmm shape mismatch: {matrix.shape} @ {x.shape}")
-    data = matrix @ x.data
+class RowGrad(NamedTuple):
+    """A gradient that is zero outside rows `indices`, as `add_rows` adds it."""
 
-    def backward(g):
-        return (matrix.T @ g,)
-
-    return _node(data, (x,), backward)
+    indices: Array
+    values: Array
 
 
-def transpose(a: Tensor) -> Tensor:
-    data = a.data.T
-
-    def backward(g):
-        return (g.T,)
-
-    return _node(data, (a,), backward)
+def add_rows(out: Array, indices: Array | None, g: Array) -> None:
+    """out += g scattered to rows `indices` (every row when None), in place.
+    Repeated indices are first summed in order, as `np.add.at` sums them into
+    zeros, so the result is bit for bit `out` plus that dense scatter."""
+    if indices is None:
+        out += g
+        return
+    rows, inverse = np.unique(indices, return_inverse=True)
+    if rows.size == indices.size:
+        out[indices] += g
+    else:
+        summed = np.zeros((rows.size,) + g.shape[1:])
+        np.add.at(summed, inverse, g)
+        out[rows] += summed
 
 
 def gather_rows(a: Tensor, indices) -> Tensor:
     indices = np.asarray(indices, dtype=np.int64)
-    data = a.data[indices]
-
-    def backward(g):
-        out = np.zeros(a.shape)
-        ordered = np.sort(indices)
-        if (ordered[1:] == ordered[:-1]).any():
-            np.add.at(out, indices, g)
-        else:
-            out[indices] = g
-        return (out,)
-
-    return _node(data, (a,), backward)
+    return _node(a.data[indices], (a,), lambda g: (RowGrad(indices, g),))
 
 
 def concat_rows(parts: Iterable[Tensor]) -> Tensor:
@@ -241,26 +225,6 @@ def tensor_sum(a: Tensor, axis: int | None = None, keepdims: bool = False) -> Te
         if axis is not None and not keepdims:
             g = np.expand_dims(g, axis)
         return (np.broadcast_to(g, a.shape).copy(),)
-
-    return _node(data, (a,), backward)
-
-
-def mean(a: Tensor) -> Tensor:
-    n = a.data.size
-    data = a.data.mean()
-
-    def backward(g):
-        return (np.full(a.shape, float(g) / n),)
-
-    return _node(data, (a,), backward)
-
-
-def softplus(a: Tensor) -> Tensor:
-    """ln(1 + e^x), computed without overflow; gradient is the logistic map."""
-    data = np.logaddexp(0.0, a.data)
-
-    def backward(g):
-        return (g * expit(a.data),)
 
     return _node(data, (a,), backward)
 

@@ -71,15 +71,10 @@ def _scalar_fields(cls) -> dict[str, type]:
 _TRAIN_FIELDS = _scalar_fields(TrainConfig)
 _SYNTHETIC_FIELDS = _scalar_fields(SyntheticConfig)
 _DIM_KEYS = {f"{tag}_dim": int for tag in MODALITIES}
-# Config-file keys of the training commands besides the TrainConfig fields.
-_RUN_KEYS = {
-    "out_dir": str,
-    "data_dir": str,
-    "split_ratios": str,
-    "variant": str,
-    "modalities": str,
-    "cold_threshold": int,
-}
+# Config-file keys of the training commands besides the TrainConfig fields
+# (`--data-dir` is a required flag, so it is no key); `cold_threshold` is a
+# key only of the command that has the flag, `evaluate`.
+_RUN_KEYS = {"out_dir": str, "split_ratios": str, "variant": str, "modalities": str}
 
 
 def load_config_file(path: str | Path) -> dict[str, str]:
@@ -135,7 +130,10 @@ def _setting(args: argparse.Namespace, file_values: dict[str, object], key: str,
 def _train_config(args: argparse.Namespace) -> tuple[TrainConfig, dict[str, object]]:
     """The validated TrainConfig (defaults < config file < `--variant`
     preset < flags) and the config file's values."""
-    file_values = _read_config(args, {**_TRAIN_FIELDS, **_RUN_KEYS})
+    keys = {**_TRAIN_FIELDS, **_RUN_KEYS}
+    if hasattr(args, "cold_threshold"):
+        keys["cold_threshold"] = int
+    file_values = _read_config(args, keys)
     cfg = replace(TrainConfig(), **{k: v for k, v in file_values.items() if k in _TRAIN_FIELDS})
     variant = _setting(args, file_values, "variant")
     if variant:

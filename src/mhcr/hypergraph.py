@@ -17,6 +17,10 @@ Pooling H_i^T E_i is K x d, so the broadcast is the only per-row work: a
 caller that reads only some users and items (a training batch) passes
 their ids, and only those rows of H_u, of the final broadcast and of its
 dropout masks are computed.
+
+On the tape, H_i and H_u are one node each, and so is every broadcast
+DROP(T) @ (DROP(H_i)^T @ E), with the product rule through both masks as
+its gradient; targets that are rows of H_i add their gradient into H_i's.
 """
 
 from __future__ import annotations
@@ -81,18 +85,59 @@ def build_incidence(
             f"interaction matrix has {x_u.shape[1]} item columns, features have "
             f"{features.shape[0]} rows"
         )
-    h_items = ad.matmul(ad.constant(features), ad.transpose(v_m))
-    h_users = ad.spmm(x_u if user_rows is None else x_u[user_rows], h_items)
+    h_items = ad.custom_op(features @ v_m.data.T, (v_m,), lambda g: ((features.T @ g).T,))
+    x_rows = x_u if user_rows is None else x_u[user_rows]
+    h_users = ad.custom_op(x_rows @ h_items.data, (h_items,), lambda g: (x_rows.T @ g,))
     return IncidencePair(modality, h_items, h_users)
 
 
-def _dropped(t: ad.Tensor, rate: float, rng: np.random.Generator) -> ad.Tensor:
+def _mask(shape: tuple[int, ...], rate: float, rng: np.random.Generator):
+    """The factor of one DROP occurrence: None (keep everything), 0.0 (drop
+    everything) or an inverted-dropout mask drawn from `rng`."""
     if rate <= 0.0:
-        return t
+        return None
     if rate >= 1.0:
-        return t * 0.0
-    mask = (rng.random(t.shape) >= rate) / (1.0 - rate)
-    return ad.mul(t, ad.constant(mask))
+        return 0.0
+    return (rng.random(shape) >= rate) * (1.0 / (1.0 - rate))
+
+
+def _masked(x: np.ndarray, mask) -> np.ndarray:
+    return x if mask is None else x * mask
+
+
+def _broadcast(
+    h_items: ad.Tensor,
+    state: ad.Tensor,
+    rate: float,
+    rng: np.random.Generator,
+    targets: ad.Tensor | None = None,
+    rows: np.ndarray | None = None,
+) -> ad.Tensor:
+    """DROP(T) @ (DROP(H_i)^T @ state) as one tape node, the pool mask drawn
+    before the target mask. T is `targets`, or else H_i's own rows `rows`
+    (default: every item), whose gradient is added into H_i's."""
+    pool_mask = _mask(h_items.shape, rate, rng)
+    source = _masked(h_items.data, pool_mask)
+    pooled = source.T @ state.data
+    own = targets is None
+    t_data = (h_items if own else targets).data
+    t_data = t_data if rows is None else t_data[rows]
+    target_mask = _mask(t_data.shape, rate, rng)
+    dropped_targets = _masked(t_data, target_mask)
+
+    def backward(g):
+        g_pooled = dropped_targets.T @ g
+        g_items = _masked((g_pooled @ state.data.T).T, pool_mask)
+        g_state = source @ g_pooled
+        g_targets = _masked(g @ pooled.T, target_mask)
+        if own and rows is not None:
+            g_targets = ad.RowGrad(rows, g_targets)
+        # own targets reach H_i as a separate contribution before the pool
+        # term, as on an op-by-op tape, so H_i sums its terms in that order
+        return g_targets, g_items, g_state
+
+    parents = (h_items if own else targets, h_items, state)
+    return ad.custom_op(dropped_targets @ pooled, parents, backward)
 
 
 def hypergraph_pass(
@@ -128,16 +173,11 @@ def hypergraph_pass(
             f"item state rows {e_items.shape[0]} != incidence rows {pair.h_items.shape[0]}"
         )
 
-    def broadcast(targets: ad.Tensor, state: ad.Tensor) -> ad.Tensor:
-        pooled = ad.matmul(ad.transpose(_dropped(pair.h_items, drop_rate, rng)), state)
-        return ad.matmul(_dropped(targets, drop_rate, rng), pooled)
-
     e_cur = e_items
     for _ in range(steps - 1):
-        e_cur = broadcast(pair.h_items, e_cur)
-    h_targets = pair.h_items if item_rows is None else ad.gather_rows(pair.h_items, item_rows)
-    e_next = broadcast(h_targets, e_cur)
-    return broadcast(pair.h_users, e_cur), e_next
+        e_cur = _broadcast(pair.h_items, e_cur, drop_rate, rng)
+    e_next = _broadcast(pair.h_items, e_cur, drop_rate, rng, rows=item_rows)
+    return _broadcast(pair.h_items, e_cur, drop_rate, rng, targets=pair.h_users), e_next
 
 
 def aggregate_hyper(stacks: list[ad.Tensor]) -> ad.Tensor:

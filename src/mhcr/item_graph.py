@@ -2,7 +2,8 @@
 sparsification, row normalization, and feature propagation.
 
 Graphs are built once from the raw modality features and frozen; only the
-projection applied to the propagated features is learnable.
+projection applied to the propagated features is learnable. Propagation
+over all modalities is one tape node with a closed-form gradient.
 """
 
 from __future__ import annotations
@@ -112,20 +113,21 @@ def propagate_items(
     matrix for modality m. Linear in every projected input.
 
     `rows` (item ids) restricts the output to those rows, computed as
-    S_m[rows] @ P_m; the default computes every item."""
+    S_m[rows] @ P_m; the default computes every item. One tape node; the
+    gradient into P_m is S_m[rows]^T @ g."""
     if len(graphs) != len(projected):
         raise ShapeError(f"{len(graphs)} graphs but {len(projected)} projected matrices")
     if not graphs:
         raise ConfigError("propagate_items requires at least one modality")
+    projected = [ad.as_tensor(p) for p in projected]
+    matrices = []
     out = None
     for graph, p in zip(graphs, projected):
-        p = ad.as_tensor(p)
         if p.shape[0] != graph.matrix.shape[0]:
             raise ShapeError(
                 f"{graph.modality}: projected rows {p.shape[0]} != {graph.matrix.shape[0]} items"
             )
-        matrix = graph.matrix if rows is None else graph.matrix[rows]
-        term = ad.spmm(matrix, p)
+        matrices.append(graph.matrix if rows is None else graph.matrix[rows])
+        term = matrices[-1] @ p.data
         out = term if out is None else out + term
-    return out
-
+    return ad.custom_op(out, projected, lambda g: [m.T @ g for m in matrices])

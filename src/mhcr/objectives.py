@@ -6,9 +6,10 @@ All similarities are cosine: embeddings are L2-normalized before any inner
 product, which makes every loss invariant to a common positive rescaling
 of its inputs.
 
-Each contrastive loss is a single autodiff node over its normalized batch
-rows, with a closed-form softmax-minus-target gradient. Both are computed
-as log-sum-exps shifted per node, so they stay finite at any tau > 0.
+Every loss, and their weighted total, is a single autodiff node with a
+closed-form gradient. Each contrastive loss reads its normalized batch rows
+and has a softmax-minus-target gradient; both are computed as log-sum-exps
+shifted per node, so they stay finite at any tau > 0.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from itertools import combinations
 from typing import Sequence
 
 import numpy as np
+from scipy.special import expit
 
 from . import autodiff as ad
 from .errors import ConfigError, DataError
@@ -37,13 +39,21 @@ class LossBreakdown:
 
 
 def bpr_loss(pos_scores, neg_scores) -> ad.Tensor:
-    """Mean of -ln(sigmoid(pos - neg)) over the batch."""
+    """Mean of -ln(sigmoid(pos - neg)) over the batch: softplus(neg - pos),
+    computed without overflow, as one tape node whose gradient is the
+    logistic map of neg - pos."""
     pos, neg = ad.as_tensor(pos_scores), ad.as_tensor(neg_scores)
     if pos.shape != neg.shape:
         raise DataError(f"score batches differ in shape: {pos.shape} vs {neg.shape}")
     if pos.data.size == 0:
         raise DataError("bpr_loss: empty batch")
-    return ad.mean(ad.softplus(neg - pos))
+    margin = neg.data - pos.data
+
+    def backward(g):
+        d = np.full(margin.shape, float(g) / margin.size) * expit(margin)
+        return -d, d
+
+    return ad.custom_op(np.logaddexp(0.0, margin).mean(), (pos, neg), backward)
 
 
 def _batch_normalized(embeddings, batch: np.ndarray) -> ad.Tensor:
@@ -167,7 +177,13 @@ def graph_hyper_contrastive_loss(
 def embedding_l2(rows) -> ad.Tensor:
     """Mean squared L2 norm of the given embedding rows."""
     rows = ad.as_tensor(rows)
-    return ad.mean(ad.tensor_sum(ad.mul(rows, rows), axis=1))
+    n = rows.shape[0]
+
+    def backward(g):
+        half = np.broadcast_to(np.full(n, float(g) / n)[:, None], rows.shape) * rows.data
+        return (half + half,)
+
+    return ad.custom_op((rows.data * rows.data).sum(axis=1).mean(), (rows,), backward)
 
 
 def total_loss(
@@ -187,16 +203,12 @@ def total_loss(
     """
     if min(lambda_hc, lambda_ghc, lambda_reg) < 0:
         raise ConfigError("loss weights must be >= 0")
-    l_bpr = ad.as_tensor(l_bpr)
-    l_hc = ad.as_tensor(l_hc)
-    l_ghc = ad.as_tensor(l_ghc)
-    l_reg = ad.as_tensor(l_reg)
-    total = l_bpr + l_hc * lambda_hc + l_ghc * lambda_ghc + l_reg * lambda_reg
-    breakdown = LossBreakdown(
-        l_bpr=l_bpr.item(),
-        l_hc=l_hc.item(),
-        l_ghc=l_ghc.item(),
-        l_reg=l_reg.item(),
-        total=total.item(),
+    parts = [ad.as_tensor(x) for x in (l_bpr, l_hc, l_ghc, l_reg)]
+    b, hc, ghc, reg = (t.data for t in parts)
+    total = ad.custom_op(
+        b + hc * lambda_hc + ghc * lambda_ghc + reg * lambda_reg,
+        parts,
+        lambda g: (g, g * lambda_hc, g * lambda_ghc, g * lambda_reg),
     )
+    breakdown = LossBreakdown(*(float(x) for x in (b, hc, ghc, reg, total.data)))
     return total, breakdown

@@ -207,6 +207,11 @@ def init_parameters(
     return ModelParameters(num_users, num_items, cfg.d, e0, hyper, tags, dict(modality_dims))
 
 
+# Adam sweeps each parameter in row blocks of about this many elements, so
+# its dozen elementwise passes over a block stay in cache.
+_ADAM_BLOCK_ELEMENTS = 1 << 15
+
+
 class Adam:
     """Adam with bias correction; betas (0.9, 0.999), eps 1e-8."""
 
@@ -218,33 +223,40 @@ class Adam:
         self.t = 0
         self.m = {name: np.zeros_like(p.data) for name, p in params.items()}
         self.v = {name: np.zeros_like(p.data) for name, p in params.items()}
-        self._scratch = {name: (np.empty_like(p.data), np.empty_like(p.data))
-                         for name, p in params.items()}
+        self._scratch = {}
+        for name, p in params.items():
+            width = max(1, p.data[:1].size)
+            rows = max(1, min(len(p.data), _ADAM_BLOCK_ELEMENTS // width))
+            block = np.empty((rows,) + p.shape[1:])
+            self._scratch[name] = (block, np.empty_like(block))
 
     def step(self) -> None:
-        """In place, with the arithmetic order of the textbook update
-        m = b1*m + (1-b1)*g, v = b2*v + (1-b2)*g*g,
+        """In place, block by block, with the arithmetic order of the
+        textbook update m = b1*m + (1-b1)*g, v = b2*v + (1-b2)*g*g,
         p -= lr * m_hat / (sqrt(v_hat) + eps), so results are bit-identical."""
         self.t += 1
         for name, p in self.params.items():
             if p.grad is None:
                 continue
-            g, m, v = p.grad, self.m[name], self.v[name]
-            update, denom = self._scratch[name]
-            m *= self.beta1
-            np.multiply(1.0 - self.beta1, g, out=update)
-            m += update
-            v *= self.beta2
-            np.multiply(1.0 - self.beta2, g, out=denom)
-            denom *= g
-            v += denom
-            np.divide(v, 1.0 - self.beta2**self.t, out=denom)
-            np.sqrt(denom, out=denom)
-            denom += self.eps
-            np.divide(m, 1.0 - self.beta1**self.t, out=update)
-            np.multiply(self.learning_rate, update, out=update)
-            update /= denom
-            p.data -= update
+            update_block, denom_block = self._scratch[name]
+            for start in range(0, len(p.data), len(update_block)):
+                rows = slice(start, start + len(update_block))
+                g, m, v = p.grad[rows], self.m[name][rows], self.v[name][rows]
+                update, denom = update_block[:len(g)], denom_block[:len(g)]
+                m *= self.beta1
+                np.multiply(1.0 - self.beta1, g, out=update)
+                m += update
+                v *= self.beta2
+                np.multiply(1.0 - self.beta2, g, out=denom)
+                denom *= g
+                v += denom
+                np.divide(v, 1.0 - self.beta2**self.t, out=denom)
+                np.sqrt(denom, out=denom)
+                denom += self.eps
+                np.divide(m, 1.0 - self.beta1**self.t, out=update)
+                np.multiply(self.learning_rate, update, out=update)
+                update /= denom
+                p.data[rows] -= update
 
 
 @dataclass

@@ -1,5 +1,6 @@
 """Symmetrically normalized user-item bipartite graph and its linear
-propagation with layer-sum readout."""
+propagation with layer-sum readout, one tape node with a closed-form
+gradient."""
 
 from __future__ import annotations
 
@@ -56,6 +57,11 @@ def propagate_ui(
     still run over the whole graph, layer L is A_norm[rows] @ layer L-1, and
     the readout adds only the selected rows, in the same order, so each row
     equals the corresponding row of the default all-node output.
+
+    One tape node with the transposed chain as its gradient: the upstream
+    gradient g enters layer L-1 through A_norm[rows]^T and every layer
+    through the readout at `rows`, and each layer passes its total on to the
+    one below through A_norm^T.
     """
     if layers < 0:
         raise ConfigError("layer count must be >= 0")
@@ -64,16 +70,22 @@ def propagate_ui(
         raise ShapeError(
             f"embedding rows {e0.shape} do not match {graph.num_nodes} graph nodes"
         )
-    if rows is None:
-        last_adjacency = graph.adjacency
-        out = e0
-    else:
-        last_adjacency = graph.adjacency[rows]
-        out = ad.gather_rows(e0, rows)
-    current = e0
-    for layer in range(1, layers + 1):
-        if layer == layers:
-            return out + ad.spmm(last_adjacency, current)
-        current = ad.spmm(graph.adjacency, current)
-        out = out + (current if rows is None else ad.gather_rows(current, rows))
-    return out
+    if layers == 0:
+        return e0 if rows is None else ad.gather_rows(e0, rows)
+    adjacency = graph.adjacency
+    last_adjacency = adjacency if rows is None else adjacency[rows]
+    current = e0.data
+    out = current if rows is None else current[rows]
+    for _ in range(layers - 1):
+        current = adjacency @ current
+        out = out + (current if rows is None else current[rows])
+
+    def backward(g):
+        grad = last_adjacency.T @ g
+        for _ in range(layers - 1):
+            ad.add_rows(grad, rows, g)
+            grad = adjacency.T @ grad
+        ad.add_rows(grad, rows, g)
+        return (grad,)
+
+    return ad.custom_op(out + last_adjacency @ current, (e0,), backward)

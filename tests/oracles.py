@@ -1,11 +1,15 @@
 """Reference code the tests compare the library against, kept out of the
-package because no program path runs it."""
+package because no program path runs it: generic tape ops the program no
+longer calls, and the op-by-op tape composition of the three views that
+their single-node versions must reproduce."""
 
 from __future__ import annotations
 
 import numpy as np
+from scipy.special import expit
 
 from mhcr import autodiff as ad
+from mhcr.hypergraph import IncidencePair
 
 
 def exp(a: ad.Tensor) -> ad.Tensor:
@@ -17,6 +21,33 @@ def log(a: ad.Tensor) -> ad.Tensor:
     return ad.custom_op(np.log(a.data), (a,), lambda g: (g / a.data,))
 
 
+def scale(a: ad.Tensor, c: float) -> ad.Tensor:
+    return ad.custom_op(a.data * c, (a,), lambda g: (g * c,))
+
+
+def sub(a: ad.Tensor, b: ad.Tensor) -> ad.Tensor:
+    return ad.add(a, scale(b, -1.0))
+
+
+def mean(a: ad.Tensor) -> ad.Tensor:
+    n = a.data.size
+    return ad.custom_op(a.data.mean(), (a,), lambda g: (np.full(a.shape, float(g) / n),))
+
+
+def softplus(a: ad.Tensor) -> ad.Tensor:
+    """ln(1 + e^x), computed without overflow; gradient is the logistic map."""
+    return ad.custom_op(np.logaddexp(0.0, a.data), (a,), lambda g: (g * expit(a.data),))
+
+
+def spmm(matrix, x: ad.Tensor) -> ad.Tensor:
+    """Sparse @ dense where the sparse factor is a constant of the graph."""
+    return ad.custom_op(matrix @ x.data, (x,), lambda g: (matrix.T @ g,))
+
+
+def transpose(a: ad.Tensor) -> ad.Tensor:
+    return ad.custom_op(a.data.T, (a,), lambda g: (g.T,))
+
+
 def cosine_affinity(features: np.ndarray, a: int, b: int) -> float:
     """Cosine similarity of item rows a and b; zero-norm rows compare as 0."""
     va, vb = features[a], features[b]
@@ -24,3 +55,73 @@ def cosine_affinity(features: np.ndarray, a: int, b: int) -> float:
     if na == 0.0 or nb == 0.0:
         return 0.0
     return float(va @ vb / (na * nb))
+
+
+def tape_bpr_loss(pos: ad.Tensor, neg: ad.Tensor) -> ad.Tensor:
+    return mean(softplus(sub(neg, pos)))
+
+
+def tape_embedding_l2(rows: ad.Tensor) -> ad.Tensor:
+    return mean(ad.tensor_sum(ad.mul(rows, rows), axis=1))
+
+
+def tape_total_loss(l_bpr, l_hc, l_ghc, l_reg, lambda_hc, lambda_ghc, lambda_reg) -> ad.Tensor:
+    parts = [ad.as_tensor(x) for x in (l_bpr, l_hc, l_ghc, l_reg)]
+    out = ad.add(parts[0], scale(parts[1], lambda_hc))
+    out = ad.add(out, scale(parts[2], lambda_ghc))
+    return ad.add(out, scale(parts[3], lambda_reg))
+
+
+def tape_propagate_ui(graph, e0: ad.Tensor, layers: int, rows=None) -> ad.Tensor:
+    """Layer-sum propagation as spmm, gather and add nodes."""
+    if rows is None:
+        last_adjacency, out = graph.adjacency, e0
+    else:
+        last_adjacency, out = graph.adjacency[rows], ad.gather_rows(e0, rows)
+    current = e0
+    for layer in range(1, layers + 1):
+        if layer == layers:
+            return out + spmm(last_adjacency, current)
+        current = spmm(graph.adjacency, current)
+        out = out + (current if rows is None else ad.gather_rows(current, rows))
+    return out
+
+
+def tape_propagate_items(graphs, projected, rows=None) -> ad.Tensor:
+    out = None
+    for graph, p in zip(graphs, projected):
+        term = spmm(graph.matrix if rows is None else graph.matrix[rows], p)
+        out = term if out is None else out + term
+    return out
+
+
+def tape_build_incidence(features, v_m: ad.Tensor, x_u, user_rows=None) -> IncidencePair:
+    h_items = ad.matmul(ad.constant(features), transpose(v_m))
+    h_users = spmm(x_u if user_rows is None else x_u[user_rows], h_items)
+    return IncidencePair("", h_items, h_users)
+
+
+def _dropped(t: ad.Tensor, rate: float, rng: np.random.Generator) -> ad.Tensor:
+    if rate <= 0.0:
+        return t
+    if rate >= 1.0:
+        return scale(t, 0.0)
+    mask = (rng.random(t.shape) >= rate) / (1.0 - rate)
+    return ad.mul(t, ad.constant(mask))
+
+
+def tape_hypergraph_pass(pair, e_items, drop_rate, steps=1, rng=None, item_rows=None):
+    """Hypergraph pass with every dropout mask, transpose and product as its
+    own node, the masks drawn in the library's order."""
+    rng = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
+
+    def broadcast(targets, state):
+        pooled = ad.matmul(transpose(_dropped(pair.h_items, drop_rate, rng)), state)
+        return ad.matmul(_dropped(targets, drop_rate, rng), pooled)
+
+    e_cur = ad.as_tensor(e_items)
+    for _ in range(steps - 1):
+        e_cur = broadcast(pair.h_items, e_cur)
+    h_targets = pair.h_items if item_rows is None else ad.gather_rows(pair.h_items, item_rows)
+    e_next = broadcast(h_targets, e_cur)
+    return broadcast(pair.h_users, e_cur), e_next

@@ -8,22 +8,22 @@ from mhcr import autodiff as ad
 from mhcr.errors import ShapeError
 
 from conftest import assert_grad_close, finite_difference
-from oracles import exp, log
+from oracles import exp, log, mean, scale, softplus, spmm, sub, transpose
 
 rng = np.random.default_rng(42)
 
 
 def scalar_loss(t: ad.Tensor) -> ad.Tensor:
-    return ad.mean(ad.mul(t, t))
+    return mean(ad.mul(t, t))
 
 
 @pytest.mark.parametrize(
     "op,shape",
     [
         (exp, (3, 4)),
-        (ad.softplus, (3, 4)),
+        (softplus, (3, 4)),
         (ad.row_normalize, (4, 5)),
-        (ad.transpose, (3, 4)),
+        (transpose, (3, 4)),
     ],
 )
 def test_unary_gradients(op, shape):
@@ -57,8 +57,8 @@ def test_spmm_gradient():
     matrix = sp.random(5, 4, density=0.5, random_state=1, format="csr")
     x = rng.normal(size=(4, 3))
     x_t = ad.Tensor(x, requires_grad=True)
-    scalar_loss(ad.spmm(matrix, x_t)).backward()
-    numeric = finite_difference(lambda: scalar_loss(ad.spmm(matrix, ad.Tensor(x))).item(), x)
+    scalar_loss(spmm(matrix, x_t)).backward()
+    numeric = finite_difference(lambda: scalar_loss(spmm(matrix, ad.Tensor(x))).item(), x)
     assert_grad_close(x_t.grad, numeric, "spmm")
 
 
@@ -85,9 +85,23 @@ def test_gather_rows_backward_equals_add_at(idx):
     idx = np.array(idx, dtype=np.int64)
     g = rng.normal(size=(idx.size, 3))
     (grad,) = ad.gather_rows(ad.Tensor(x, requires_grad=True), idx)._backward(g)
+    dense = np.zeros_like(x)
+    ad.add_rows(dense, *grad)
     expected = np.zeros_like(x)
     np.add.at(expected, idx, g)
-    assert np.array_equal(grad, expected)
+    assert np.array_equal(dense, expected)
+
+
+@pytest.mark.parametrize("idx", [[4, 0, 2], [3, 1, 1, 4, 3, 3], [5, 0, 2] * 30, [], [2]])
+def test_add_rows_equals_adding_the_dense_scatter(idx):
+    out = rng.normal(size=(6, 3))
+    idx = np.array(idx, dtype=np.int64)
+    g = rng.normal(size=(idx.size, 3)) * 10.0 ** rng.integers(-8, 8, size=(idx.size, 1))
+    scatter = np.zeros_like(out)
+    np.add.at(scatter, idx, g)
+    expected = out + scatter
+    ad.add_rows(out, idx, g)
+    assert np.array_equal(out, expected)
 
 
 def test_concat_rows_gradient():
@@ -106,10 +120,10 @@ def test_concat_rows_gradient():
 def test_sum_axis_and_mean_gradients():
     x = rng.normal(size=(4, 3))
     x_t = ad.Tensor(x, requires_grad=True)
-    loss = ad.mean(exp(ad.tensor_sum(x_t, axis=1)))
+    loss = mean(exp(ad.tensor_sum(x_t, axis=1)))
     loss.backward()
     numeric = finite_difference(
-        lambda: ad.mean(exp(ad.tensor_sum(ad.Tensor(x), axis=1))).item(), x
+        lambda: mean(exp(ad.tensor_sum(ad.Tensor(x), axis=1))).item(), x
     )
     assert_grad_close(x_t.grad, numeric, "sum-axis")
 
@@ -118,10 +132,10 @@ def test_row_dot_gradient():
     a = rng.normal(size=(4, 3))
     b = rng.normal(size=(4, 3))
     a_t, b_t = ad.Tensor(a, requires_grad=True), ad.Tensor(b, requires_grad=True)
-    ad.mean(ad.softplus(ad.row_dot(a_t, b_t))).backward()
+    mean(softplus(ad.row_dot(a_t, b_t))).backward()
 
     def f():
-        return ad.mean(ad.softplus(ad.row_dot(ad.Tensor(a), ad.Tensor(b)))).item()
+        return mean(softplus(ad.row_dot(ad.Tensor(a), ad.Tensor(b)))).item()
 
     assert_grad_close(a_t.grad, finite_difference(f, a), "row_dot/a")
     assert_grad_close(b_t.grad, finite_difference(f, b), "row_dot/b")
@@ -146,7 +160,7 @@ def test_leaf_gradients_are_owned_buffers():
     x_t = ad.Tensor(x, requires_grad=True)
     y_t = ad.Tensor(rng.normal(size=(3, 3)), requires_grad=True)
     doubled = x_t + x_t
-    flipped = ad.transpose(x_t)
+    flipped = transpose(x_t)
     summed = doubled + flipped + y_t
     loss = ad.tensor_sum(ad.mul(summed, ad.constant(weights)))
     loss.backward()
@@ -167,17 +181,20 @@ def test_leaf_gradients_are_owned_buffers():
 def test_scale_and_python_operators():
     x = rng.normal(size=(2, 2))
     x_t = ad.Tensor(x, requires_grad=True)
-    out = (x_t * 3.0 - x_t) * 0.5 + x_t
+    out = scale(sub(scale(x_t, 3.0), x_t), 0.5) + x_t
     scalar_loss(out).backward()
     numeric = finite_difference(
-        lambda: scalar_loss((ad.Tensor(x) * 3.0 - ad.Tensor(x)) * 0.5 + ad.Tensor(x)).item(), x
+        lambda: scalar_loss(
+            scale(sub(scale(ad.Tensor(x), 3.0), ad.Tensor(x)), 0.5) + ad.Tensor(x)
+        ).item(),
+        x,
     )
     assert_grad_close(x_t.grad, numeric, "operators")
 
 
 def test_softplus_is_stable_for_large_inputs():
     x = ad.Tensor(np.array([[800.0, -800.0]]))
-    out = ad.softplus(x)
+    out = softplus(x)
     assert np.isfinite(out.data).all()
     assert out.data[0, 0] == pytest.approx(800.0)
     assert out.data[0, 1] == pytest.approx(0.0, abs=1e-12)
@@ -193,7 +210,7 @@ def test_row_normalize_zero_row_maps_to_zero():
 def test_backward_requires_scalar():
     x = ad.Tensor(np.ones((2, 2)), requires_grad=True)
     with pytest.raises(ShapeError):
-        (x * 2.0).backward()
+        scale(x, 2.0).backward()
 
 
 def test_matmul_shape_mismatch():

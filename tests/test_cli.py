@@ -301,6 +301,31 @@ class TestConfigValidation:
             argv += ["--checkpoint", str(tmp_path / "none.bin")]
         assert main(argv) == EXIT_CONFIG
 
+    @pytest.mark.parametrize(
+        "command,key",
+        [(c, "data_dir = x") for c in ("train", "ablate", "evaluate", "sweep")]
+        + [(c, "cold_threshold = 5") for c in ("train", "ablate", "sweep")],
+    )
+    def test_keys_the_command_ignores_are_rejected(self, command, key, tmp_path, capsys):
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text(key + "\n", encoding="utf-8")
+        argv = [command, "--data-dir", str(tmp_path / "nowhere"), "--out-dir", str(tmp_path / "o"),
+                "--config", str(cfg_file)]
+        if command == "ablate":
+            argv += ["--variant", "full"]
+        if command == "evaluate":
+            argv += ["--checkpoint", str(tmp_path / "none.bin")]
+        assert main(argv) == EXIT_CONFIG
+        assert key.split()[0] in capsys.readouterr().err
+
+    def test_evaluate_reads_cold_threshold_key(self, tmp_path):
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text("cold_threshold = 5\n", encoding="utf-8")
+        args = build_parser().parse_args(
+            ["evaluate", "--data-dir", "x", "--checkpoint", "c", "--config", str(cfg_file)]
+        )
+        assert _train_config(args)[1]["cold_threshold"] == 5
+
     def test_generate_rejects_unknown_key(self, tmp_path, capsys):
         cfg_file = tmp_path / "gen.cfg"
         cfg_file.write_text("num_userz = 5\n", encoding="utf-8")

@@ -17,7 +17,10 @@ from hypothesis import strategies as st
 from scipy.special import logsumexp
 
 from mhcr import autodiff as ad
+from mhcr.dataio import TRAIN, SyntheticConfig, generate_synthetic, split_dataset
 from mhcr.errors import ConfigError, DataError
+from mhcr.hypergraph import build_incidence, hypergraph_pass
+from mhcr.item_graph import propagate_items
 from mhcr.objectives import (
     LossBreakdown,
     bpr_loss,
@@ -26,8 +29,20 @@ from mhcr.objectives import (
     hyper_contrastive_loss,
     total_loss,
 )
+from mhcr.training import Batch, TrainConfig, build_views, forward, init_parameters
+from mhcr.ui_graph import propagate_ui
 
-from oracles import exp, log
+from oracles import (
+    exp,
+    log,
+    mean,
+    scale,
+    sub,
+    tape_bpr_loss,
+    tape_embedding_l2,
+    tape_total_loss,
+    transpose,
+)
 
 LN2 = float(np.log(2.0))
 
@@ -43,20 +58,20 @@ def tape_hyper_contrastive(per_modality, batch, tau):
     pos = neg = None
     for a, b in permutations(range(len(normalized)), 2):
         e_a, e_b = normalized[a], normalized[b]
-        pos_term = exp(ad.row_dot(e_a, e_b) * (1.0 / tau))
-        neg_term = ad.tensor_sum(exp(ad.matmul(e_a, ad.transpose(e_b)) * (1.0 / tau)), axis=1)
+        pos_term = exp(scale(ad.row_dot(e_a, e_b), 1.0 / tau))
+        neg_term = ad.tensor_sum(exp(scale(ad.matmul(e_a, transpose(e_b)), 1.0 / tau)), axis=1)
         pos = pos_term if pos is None else pos + pos_term
         neg = neg_term if neg is None else neg + neg_term
-    return ad.mean(log(neg) - log(pos))
+    return mean(sub(log(neg), log(pos)))
 
 
 def tape_graph_hyper_contrastive(e_graph, e_hyper, batch, tau):
     """Op-by-op tape formulation of the graph-hypergraph InfoNCE."""
     g = _normalized_batch(e_graph, batch)
     h = _normalized_batch(e_hyper, batch)
-    pos = ad.row_dot(g, h) * (1.0 / tau)
-    denom = ad.tensor_sum(exp(ad.matmul(g, ad.transpose(h)) * (1.0 / tau)), axis=1)
-    return ad.mean(log(denom) - pos)
+    pos = scale(ad.row_dot(g, h), 1.0 / tau)
+    denom = ad.tensor_sum(exp(scale(ad.matmul(g, transpose(h)), 1.0 / tau)), axis=1)
+    return mean(sub(log(denom), pos))
 
 
 def unit_rows(x):
@@ -319,6 +334,25 @@ class TestLossGradients:
         assert_grad_close(g_t.grad, finite_difference(value, g), "ghc/g")
         assert_grad_close(h_t.grad, finite_difference(value, h), "ghc/h")
 
+    def test_l2_and_total_gradients_match_finite_differences(self):
+        from conftest import assert_grad_close, finite_difference
+
+        rng = np.random.default_rng(7)
+        rows, scores = rng.normal(size=(5, 3)), rng.normal(size=(3, 4))
+
+        def build(r, s):
+            l_bpr = bpr_loss(ad.tensor_sum(s, axis=1), ad.tensor_sum(ad.mul(s, s), axis=1))
+            return total_loss(l_bpr, 0.0, ad.tensor_sum(s), embedding_l2(r), 0.3, 0.7, 1.9)[0]
+
+        r_t, s_t = ad.Tensor(rows, requires_grad=True), ad.Tensor(scores, requires_grad=True)
+        build(r_t, s_t).backward()
+
+        def value():
+            return build(ad.Tensor(rows), ad.Tensor(scores)).item()
+
+        assert_grad_close(r_t.grad, finite_difference(value, rows), "l2")
+        assert_grad_close(s_t.grad, finite_difference(value, scores), "total")
+
 
 def _rel_err(actual, expected):
     return np.abs(actual - expected).max() / max(np.abs(expected).max(), 1e-300)
@@ -360,6 +394,21 @@ class TestFusedAgainstTape:
             assert _rel_err(f.grad, t.grad) <= 1e-10
 
 
+    def test_bpr_l2_and_total_bitwise(self):
+        rng = np.random.default_rng(12)
+        pos, neg, rows = rng.normal(size=9), 30.0 * rng.normal(size=9), rng.normal(size=(6, 4))
+        results = []
+        for bpr, l2, total in ((bpr_loss, embedding_l2, lambda *a: total_loss(*a)[0]),
+                               (tape_bpr_loss, tape_embedding_l2, tape_total_loss)):
+            inputs = [ad.Tensor(x.copy(), requires_grad=True) for x in (pos, neg, rows)]
+            hc = ad.Tensor(np.array(1.7), requires_grad=True)
+            loss = total(bpr(inputs[0], inputs[1]), hc, 0.0, l2(inputs[2]), 1e-5, 0.01, 1e-4)
+            loss.backward()
+            results.append([loss.data] + [t.grad for t in inputs + [hc]])
+        for fused, tape in zip(*results):
+            assert np.array_equal(fused, tape)
+
+
 class TestTinyTemperature:
     @pytest.mark.parametrize("tau", [1e-4, 1e-3])
     def test_hc_finite_and_matches_logsumexp(self, tau):
@@ -389,8 +438,9 @@ class TestTinyTemperature:
 
 
 class TestOneTapeNode:
-    """Each loss is a single node whose parents are the normalized batch
-    rows (row_normalize over gather_rows of each input)."""
+    """Each contrastive loss is a single node whose parents are the
+    normalized batch rows (row_normalize over gather_rows of each input);
+    BPR, L2 and the total are one node each, and so is each view step."""
 
     @staticmethod
     def assert_normalized_gather(parent, source, batch):
@@ -417,6 +467,61 @@ class TestOneTapeNode:
         assert len(loss._parents) == 2
         for parent, source in zip(loss._parents, inputs):
             self.assert_normalized_gather(parent, source, batch)
+
+
+    @staticmethod
+    def tape_nodes(outputs, inputs=()) -> int:
+        """Nodes with a backward reachable from `outputs`, not entering `inputs`."""
+        stop = {id(t) for t in inputs}
+        seen, stack = set(), list(outputs)
+        while stack:
+            node = stack.pop()
+            if id(node) in seen or id(node) in stop or node._backward is None:
+                continue
+            seen.add(id(node))
+            stack.extend(node._parents)
+        return len(seen)
+
+    def test_bpr_l2_total(self):
+        rng = np.random.default_rng(10)
+        pos, neg, rows = (ad.Tensor(rng.normal(size=s), requires_grad=True)
+                          for s in ((4,), (4,), (4, 3)))
+        l_bpr, l_reg = bpr_loss(pos, neg), embedding_l2(rows)
+        assert l_bpr._parents == (pos, neg) and l_reg._parents == (rows,)
+        total, _ = total_loss(l_bpr, 0.0, 0.0, l_reg, 1e-5, 0.01, 1e-4)
+        assert self.tape_nodes([total], [pos, neg, rows]) == 3
+
+    @pytest.mark.parametrize("steps", [1, 3])
+    def test_each_view_is_a_fixed_number_of_nodes(self, micro, steps):
+        _, _, _, views = micro
+        rng = np.random.default_rng(11)
+        e0 = ad.Tensor(rng.normal(size=(views.graph.num_nodes, 3)), requires_grad=True)
+        rows = np.array([0, 2, 5])
+        for layers in (1, 3):
+            assert self.tape_nodes([propagate_ui(views.graph, e0, layers, rows)], [e0]) == 1
+        projected = [ad.Tensor(rng.normal(size=(6, 3)), requires_grad=True)
+                     for _ in views.affinity]
+        assert self.tape_nodes([propagate_items(views.affinity, projected, rows)], projected) == 1
+        feats = views.features[0]
+        v = ad.Tensor(rng.normal(size=(2, feats.dim)), requires_grad=True)
+        pair = build_incidence(feats.matrix, v, views.x_u, user_rows=np.array([0, 3]))
+        assert self.tape_nodes([pair.h_items, pair.h_users], [v]) == 2
+        e_u, e_i = hypergraph_pass(pair, projected[0], 0.5, steps, 3, item_rows=rows)
+        inputs = [pair.h_items, pair.h_users, projected[0]]
+        assert self.tape_nodes([e_u, e_i], inputs) == steps + 1
+
+    def test_full_model_step_records_at_most_50_nodes(self):
+        ds, feats = generate_synthetic(SyntheticConfig(
+            num_users=30, num_items=20, num_clusters=2, mean_interactions=4.0,
+            modality_dims={"image": 5, "video": 4, "text": 3}, seed=2))
+        ds = split_dataset(ds, seed=2)
+        cfg = TrainConfig(d=4, k_knn=3, k_hyper=3, layers=2, hyper_steps=1)
+        views = build_views(ds, feats, cfg)
+        params = init_parameters(cfg, ds.num_users, ds.num_items, views.modality_dims)
+        users, items = ds.split_pairs(TRAIN)
+        batch = Batch(users[:8], items[:8], items[8:16])
+        result = forward(params, views, cfg, batch=batch, mode="train", rng=0)
+        assert self.tape_nodes([result.total]) <= 50
 
 
 def test_breakdown_csv_fields():

@@ -18,6 +18,7 @@ from mhcr.objectives import (
     total_loss,
 )
 from mhcr.training import (
+    _ADAM_BLOCK_ELEMENTS,
     Adam,
     Batch,
     TrainConfig,
@@ -304,26 +305,44 @@ class TestGradients:
         self.check_all_tensors(micro_config(lambda_hc=0.5, lambda_ghc=0.5, drop_rate=0.0))
 
 
+def check_adam_against_textbook_formula(shape):
+    rng = np.random.default_rng(21)
+    p = ad.Tensor(rng.normal(size=shape), requires_grad=True)
+    optimizer = Adam({"p": p}, learning_rate=0.0123)
+    data, m, v = p.data.copy(), np.zeros(shape), np.zeros(shape)
+    for t in (1, 2, 3):
+        g = rng.normal(size=shape)
+        p.grad = g.copy()
+        optimizer.step()
+        m = 0.9 * m + (1.0 - 0.9) * g
+        v = 0.999 * v + (1.0 - 0.999) * g * g
+        m_hat = m / (1.0 - 0.9**t)
+        v_hat = v / (1.0 - 0.999**t)
+        data -= 0.0123 * m_hat / (np.sqrt(v_hat) + 1e-8)
+        assert np.array_equal(p.data, data), t
+        assert np.array_equal(optimizer.m["p"], m), t
+        assert np.array_equal(optimizer.v["p"], v), t
+        assert np.array_equal(p.grad, g), t
+
+
+BLOCK = _ADAM_BLOCK_ELEMENTS
+
+
 class TestOptimizer:
     def test_adam_steps_match_textbook_formula_bitwise(self):
-        rng = np.random.default_rng(21)
-        shape = (40, 30)
-        p = ad.Tensor(rng.normal(size=shape), requires_grad=True)
-        optimizer = Adam({"p": p}, learning_rate=0.0123)
-        data, m, v = p.data.copy(), np.zeros(shape), np.zeros(shape)
-        for t in (1, 2, 3):
-            g = rng.normal(size=shape)
-            p.grad = g.copy()
-            optimizer.step()
-            m = 0.9 * m + (1.0 - 0.9) * g
-            v = 0.999 * v + (1.0 - 0.999) * g * g
-            m_hat = m / (1.0 - 0.9**t)
-            v_hat = v / (1.0 - 0.999**t)
-            data -= 0.0123 * m_hat / (np.sqrt(v_hat) + 1e-8)
-            assert np.array_equal(p.data, data), t
-            assert np.array_equal(optimizer.m["p"], m), t
-            assert np.array_equal(optimizer.v["p"], v), t
-            assert np.array_equal(p.grad, g), t
+        check_adam_against_textbook_formula((40, 30))
+
+    @pytest.mark.parametrize(
+        "shape",
+        [
+            (5 * BLOCK // 64 + 7, 32),  # 2.5 blocks of 1024 rows, the last one partial
+            (2 * (BLOCK // 7) + 100, 7),  # narrow rows: two blocks of 4681 rows and 100
+            (3, BLOCK + 5),  # rows wider than a block: one row per block
+            (9, 4),  # smaller than one block
+        ],
+    )
+    def test_adam_row_blocks_match_textbook_formula_bitwise(self, shape):
+        check_adam_against_textbook_formula(shape)
 
     def test_zero_learning_rate_keeps_parameters(self, micro):
         ds, _, cfg, views = micro

@@ -1,0 +1,219 @@
+"""The single-node views against their op-by-op tape composition in
+`oracles.py`, and finite-difference checks of every view node."""
+
+import numpy as np
+import pytest
+
+from mhcr import autodiff as ad
+from mhcr.dataio import SyntheticConfig, generate_synthetic, split_dataset
+from mhcr.hypergraph import IncidencePair, build_incidence, hypergraph_pass
+from mhcr.item_graph import propagate_items
+from mhcr.training import build_views
+from mhcr.ui_graph import propagate_ui
+
+from conftest import assert_grad_close, finite_difference, micro_config, micro_dataset
+from oracles import (
+    tape_build_incidence,
+    tape_hypergraph_pass,
+    tape_propagate_items,
+    tape_propagate_ui,
+)
+
+ROW_CASES = ["all", "subset", "duplicates"]
+
+
+@pytest.fixture(scope="module")
+def instance():
+    """40 users x 30 items, two modalities, d = 5."""
+    ds, feats = generate_synthetic(
+        SyntheticConfig(
+            num_users=40,
+            num_items=30,
+            num_clusters=3,
+            mean_interactions=5.0,
+            modality_dims={"image": 6, "text": 4},
+            seed=8,
+        )
+    )
+    ds = split_dataset(ds, seed=8)
+    return build_views(ds, feats, micro_config(d=5, k_knn=3))
+
+
+def pick_rows(case: str, n: int, rng: np.random.Generator):
+    if case == "all":
+        return None
+    if case == "subset":
+        return np.sort(rng.choice(n, size=n // 3, replace=False))
+    return rng.integers(0, n, size=n // 2 + 3)  # unsorted, with repeats
+
+
+def weighted_sum(out: ad.Tensor, weights: np.ndarray) -> ad.Tensor:
+    return ad.tensor_sum(ad.mul(out, ad.constant(weights)))
+
+
+def leaf(data: np.ndarray) -> ad.Tensor:
+    return ad.Tensor(data.copy(), requires_grad=True)
+
+
+def assert_grads_agree(got: np.ndarray, expected: np.ndarray, name: str) -> None:
+    scale = np.abs(expected).max()
+    assert scale > 0.0, name
+    assert np.abs(got - expected).max() <= 1e-12 * scale, name
+
+
+class TestViewsAgainstTape:
+    """Forward outputs bit-equal to the tape's; gradients within 1e-12."""
+
+    @pytest.mark.parametrize("rows_case", ROW_CASES)
+    @pytest.mark.parametrize("layers", [0, 1, 3])
+    def test_ui(self, instance, layers, rows_case):
+        rng = np.random.default_rng(layers)
+        graph = instance.graph
+        e0 = rng.normal(size=(graph.num_nodes, 5))
+        rows = pick_rows(rows_case, graph.num_nodes, rng)
+        outs = []
+        for propagate in (propagate_ui, tape_propagate_ui):
+            x = leaf(e0)
+            out = propagate(graph, x, layers, rows)
+            if not outs:
+                weights = rng.normal(size=out.shape)
+            weighted_sum(out, weights).backward()
+            outs.append((out.data, x.grad))
+        (out, grad), (tape_out, tape_grad) = outs
+        assert np.array_equal(out, tape_out)
+        assert_grads_agree(grad, tape_grad, "E0")
+
+    @pytest.mark.parametrize("rows_case", ROW_CASES)
+    def test_items(self, instance, rows_case):
+        rng = np.random.default_rng(3)
+        graphs = instance.affinity
+        projected = [rng.normal(size=(g.matrix.shape[0], 5)) for g in graphs]
+        rows = pick_rows(rows_case, graphs[0].matrix.shape[0], rng)
+        outs = []
+        for propagate in (propagate_items, tape_propagate_items):
+            leaves = [leaf(p) for p in projected]
+            out = propagate(graphs, leaves, rows)
+            if not outs:
+                weights = rng.normal(size=out.shape)
+            weighted_sum(out, weights).backward()
+            outs.append((out.data, [t.grad for t in leaves]))
+        (out, grads), (tape_out, tape_grads) = outs
+        assert np.array_equal(out, tape_out)
+        for grad, tape_grad in zip(grads, tape_grads):
+            assert_grads_agree(grad, tape_grad, "projected")
+
+    @pytest.mark.parametrize("rows_case", ROW_CASES)
+    @pytest.mark.parametrize("drop_rate", [0.0, 0.5, 1.0])
+    @pytest.mark.parametrize("steps", [1, 2, 3])
+    def test_hypergraph(self, instance, steps, drop_rate, rows_case):
+        rng = np.random.default_rng(10 * steps + int(4 * drop_rate))
+        feats = instance.features[0].matrix
+        num_users = instance.x_u.shape[0]
+        v = rng.normal(size=(3, feats.shape[1]))
+        w = rng.normal(size=(feats.shape[1], 5))
+        user_rows = pick_rows(rows_case, num_users, rng)
+        item_rows = pick_rows(rows_case, feats.shape[0], rng)
+        outs = []
+        for incidence, run in (
+            (build_incidence, hypergraph_pass),
+            (tape_build_incidence, tape_hypergraph_pass),
+        ):
+            v_t, w_t = leaf(v), leaf(w)
+            pair = incidence(feats, v_t, instance.x_u, user_rows=user_rows)
+            state = ad.matmul(ad.constant(feats), w_t)
+            e_u, e_i = run(pair, state, drop_rate, steps, 99, item_rows=item_rows)
+            if not outs:
+                weights = rng.normal(size=e_u.shape), rng.normal(size=e_i.shape)
+            (weighted_sum(e_u, weights[0]) + weighted_sum(e_i, weights[1])).backward()
+            outs.append(
+                ([pair.h_items.data, pair.h_users.data, e_u.data, e_i.data], [v_t.grad, w_t.grad])
+            )
+        (out, grads), (tape_out, tape_grads) = outs
+        for got, expected in zip(out, tape_out):
+            assert np.array_equal(got, expected)
+        for name, got, expected in zip(["V", "W"], grads, tape_grads):
+            if drop_rate == 1.0:
+                assert not got.any() and not expected.any(), name
+            else:
+                assert_grads_agree(got, expected, name)
+
+
+class TestViewGradients:
+    """Central finite differences on the micro instance; dropout masks are
+    pinned by reseeding every pass."""
+
+    @staticmethod
+    def check(build, arrays: dict[str, np.ndarray], seed: int = 5) -> None:
+        weights_rng = np.random.default_rng(seed)
+        outs = build({name: ad.Tensor(a) for name, a in arrays.items()})
+        weights = [weights_rng.normal(size=o.shape) for o in outs]
+
+        def loss(tensors):
+            total = None
+            for out, w in zip(build(tensors), weights):
+                term = weighted_sum(out, w)
+                total = term if total is None else total + term
+            return total
+
+        tensors = {name: ad.Tensor(a, requires_grad=True) for name, a in arrays.items()}
+        loss(tensors).backward()
+        for name, array in arrays.items():
+            numeric = finite_difference(
+                lambda: loss({n: ad.Tensor(a) for n, a in arrays.items()}).item(), array
+            )
+            assert_grad_close(tensors[name].grad, numeric, name)
+
+    @pytest.fixture
+    def views(self):
+        ds, feats = micro_dataset()
+        return build_views(ds, feats, micro_config())
+
+    def test_propagate_ui(self, views):
+        rows = np.array([7, 0, 3, 7, 9])
+        e0 = np.random.default_rng(0).normal(size=(views.graph.num_nodes, 3))
+        self.check(lambda t: [propagate_ui(views.graph, t["e0"], 2, rows)], {"e0": e0})
+
+    def test_propagate_items(self, views):
+        rng = np.random.default_rng(1)
+        rows = np.array([5, 1, 1, 2])
+        arrays = {g.modality: rng.normal(size=(6, 3)) for g in views.affinity}
+        self.check(
+            lambda t: [propagate_items(views.affinity, [t[g.modality] for g in views.affinity],
+                                       rows)],
+            arrays,
+        )
+
+    def test_build_incidence(self, views):
+        feats = views.features[0].matrix
+        v = np.random.default_rng(2).normal(size=(3, feats.shape[1]))
+
+        def build(t):
+            pair = build_incidence(feats, t["v"], views.x_u, user_rows=np.array([3, 0, 3]))
+            return [pair.h_items, pair.h_users]
+
+        self.check(build, {"v": v})
+
+    @pytest.mark.parametrize("item_rows", [None, np.array([4, 1, 4, 0])])
+    def test_broadcasts_with_dropout(self, item_rows):
+        rng = np.random.default_rng(3)
+        arrays = {
+            "h_items": rng.normal(size=(6, 3)),
+            "h_users": rng.normal(size=(4, 3)),
+            "state": rng.normal(size=(6, 2)),
+        }
+
+        def build(t):
+            pair = IncidencePair("image", t["h_items"], t["h_users"])
+            return list(hypergraph_pass(pair, t["state"], 0.5, 2, 17, item_rows=item_rows))
+
+        self.check(build, arrays)
+
+
+def test_own_targets_gradient_is_scattered_into_incidence():
+    # one item broadcast to item 0 twice: both target rows add into H_i[0]
+    h = ad.Tensor(np.array([[1.0], [2.0]]), requires_grad=True)
+    pair = IncidencePair("image", h, ad.Tensor(np.zeros((1, 1))))
+    _, e_items = hypergraph_pass(pair, np.array([[1.0], [1.0]]), 0.0, item_rows=np.array([0, 0]))
+    ad.tensor_sum(e_items).backward()
+    # out_r = H[0] * (H[0] + H[1]) for both rows, so dL/dH = 2 * (2 H[0] + H[1], H[0])
+    assert np.array_equal(h.grad, np.array([[8.0], [2.0]]))
