@@ -5,6 +5,9 @@ f32 tensors. Layout:
     num_items u64 | k_hyper u32 | num_modalities u32
     per modality: tag u8 | d_m u32
     per tensor:  name_len u16 | name utf-8 | ndim u8 | dims u64... | f32 data
+
+The header's sizes are read off the tensors. On load they fix, through
+`training.parameter_shapes`, the tensors the file must hold, all finite.
 """
 
 from __future__ import annotations
@@ -16,9 +19,8 @@ import numpy as np
 
 from . import autodiff as ad
 from .dataio import MODALITIES
-from .errors import DataError
-from .hypergraph import HyperedgeParameters
-from .training import ModelParameters
+from .errors import DataError, NumericError
+from .training import ModelParameters, parameter_shapes
 
 _MAGIC = b"MHCRCKPT"
 _VERSION = 1
@@ -27,6 +29,13 @@ _MODALITY = struct.Struct("<BI")
 
 
 def save_checkpoint(params: ModelParameters, path: str | Path) -> None:
+    """Write `params`; raises NumericError, before the file is opened, if a
+    value is not finite once rounded to f32."""
+    with np.errstate(over="ignore"):
+        stored = {n: np.ascontiguousarray(t.data, dtype="<f4") for n, t in params.named.items()}
+    for name, data in stored.items():
+        if not np.isfinite(data).all():
+            raise NumericError(f"parameter {name} has values that are not finite in f32")
     with Path(path).open("wb") as fh:
         fh.write(
             _HEADER.pack(
@@ -35,19 +44,19 @@ def save_checkpoint(params: ModelParameters, path: str | Path) -> None:
                 params.d,
                 params.num_users,
                 params.num_items,
-                params.hyper.k_hyper,
-                len(params.modality_tags),
+                params.k_hyper,
+                len(params.modality_dims),
             )
         )
-        for tag in params.modality_tags:
-            fh.write(_MODALITY.pack(MODALITIES.index(tag), params.modality_dims[tag]))
-        for name, tensor in params.tensors().items():
+        for tag, d_m in params.modality_dims.items():
+            fh.write(_MODALITY.pack(MODALITIES.index(tag), d_m))
+        for name, data in stored.items():
             encoded = name.encode("utf-8")
             fh.write(struct.pack("<H", len(encoded)))
             fh.write(encoded)
-            fh.write(struct.pack("<B", tensor.data.ndim))
-            fh.write(struct.pack(f"<{tensor.data.ndim}Q", *tensor.data.shape))
-            fh.write(np.ascontiguousarray(tensor.data, dtype="<f4").tobytes())
+            fh.write(struct.pack("<B", data.ndim))
+            fh.write(struct.pack(f"<{data.ndim}Q", *data.shape))
+            fh.write(data.tobytes())
 
 
 class _Reader:
@@ -86,15 +95,14 @@ def load_checkpoint(path: str | Path) -> ModelParameters:
     if version != _VERSION:
         raise DataError(f"{path}: unsupported checkpoint version {version}")
 
+    if not n_mod:
+        raise DataError(f"{path}: checkpoint has no modalities")
     modality_dims: dict[str, int] = {}
-    tags: list[str] = []
     for _ in range(n_mod):
         tag_id, d_m = reader.take(_MODALITY)
         if tag_id >= len(MODALITIES):
             raise DataError(f"{path}: unknown modality tag {tag_id}")
-        tag = MODALITIES[tag_id]
-        tags.append(tag)
-        modality_dims[tag] = d_m
+        modality_dims[MODALITIES[tag_id]] = d_m
 
     tensors: dict[str, np.ndarray] = {}
     while not reader.exhausted():
@@ -105,10 +113,7 @@ def load_checkpoint(path: str | Path) -> ModelParameters:
         data = reader.take_bytes(int(np.prod(dims)) * 4)
         tensors[name] = np.frombuffer(data, dtype="<f4").reshape(dims).astype(np.float64)
 
-    expected: dict[str, tuple[int, ...]] = {"E0": (num_users + num_items, d)}
-    for tag in tags:
-        expected[f"W_{tag}"] = (modality_dims[tag], d)
-        expected[f"V_{tag}"] = (k_hyper, modality_dims[tag])
+    expected = parameter_shapes(num_users, num_items, d, k_hyper, modality_dims)
     if set(tensors) != set(expected):
         raise DataError(
             f"{path}: tensor set mismatch; found {sorted(tensors)}, "
@@ -117,18 +122,8 @@ def load_checkpoint(path: str | Path) -> ModelParameters:
     for name, shape in expected.items():
         if tensors[name].shape != shape:
             raise DataError(f"{path}: {name} has shape {tensors[name].shape}, expected {shape}")
-
-    hyper = HyperedgeParameters(
-        v={tag: ad.Tensor(tensors[f"V_{tag}"], requires_grad=True) for tag in tags},
-        w={tag: ad.Tensor(tensors[f"W_{tag}"], requires_grad=True) for tag in tags},
-        k_hyper=k_hyper,
-    )
+        if not np.isfinite(tensors[name]).all():
+            raise DataError(f"{path}: {name} contains non-finite values")
     return ModelParameters(
-        num_users=num_users,
-        num_items=num_items,
-        d=d,
-        e0=ad.Tensor(tensors["E0"], requires_grad=True),
-        hyper=hyper,
-        modality_tags=tuple(tags),
-        modality_dims=modality_dims,
+        num_users, {name: ad.Tensor(tensors[name], requires_grad=True) for name in expected}
     )

@@ -47,6 +47,7 @@ from .training import (
     build_views,
     compute_embeddings,
     fit,
+    parameter_shapes,
 )
 
 EXIT_OK = 0
@@ -278,27 +279,26 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     params = load_checkpoint(args.checkpoint)
     if args.d is not None and args.d != params.d:
         raise ConfigError(f"--d {args.d} conflicts with checkpoint d={params.d}")
-    if args.k_hyper is not None and args.k_hyper != params.hyper.k_hyper:
+    if args.k_hyper is not None and args.k_hyper != params.k_hyper:
         raise ConfigError(
-            f"--k-hyper {args.k_hyper} conflicts with checkpoint k_hyper={params.hyper.k_hyper}"
+            f"--k-hyper {args.k_hyper} conflicts with checkpoint k_hyper={params.k_hyper}"
         )
-    cfg = replace(cfg, d=params.d, k_hyper=params.hyper.k_hyper)
+    cfg = replace(cfg, d=params.d, k_hyper=params.k_hyper)
 
     ds_raw, features = _load_data(args.data_dir, _setting(args, file_values, "modalities"))
     if args.split:
         ds = load_split(ds_raw, args.split)
     else:
         ds = split_dataset(ds_raw, _ratios(args, file_values), seed=cfg.seed)
-    if ds.num_users != params.num_users or ds.num_items != params.num_items:
-        raise DataError(
-            f"checkpoint was trained on {params.num_users} users / {params.num_items} items, "
-            f"dataset has {ds.num_users} / {ds.num_items}"
-        )
-    expected_dims = {f.modality: f.dim for f in features}
-    if expected_dims != params.modality_dims:
-        raise DataError(
-            f"checkpoint modality dims {params.modality_dims} do not match data {expected_dims}"
-        )
+    # E0 stacks users over items, so its shape alone misses a shifted split
+    found = {"users": params.num_users, **{n: t.shape for n, t in params.tensors().items()}}
+    dims = {f.modality: f.dim for f in features}
+    expected = {"users": ds.num_users,
+                **parameter_shapes(ds.num_users, ds.num_items, cfg.d, cfg.k_hyper, dims)}
+    differ = [f"{n} {found.get(n)} in the checkpoint, {expected.get(n)} for the data"
+              for n in {**expected, **found} if found.get(n) != expected.get(n)]
+    if differ:
+        raise DataError("checkpoint does not fit the data: " + "; ".join(differ))
 
     views = build_views(ds, features, cfg)
     user_emb, item_emb = compute_embeddings(params, views, cfg)

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import logging
 import struct
+from array import array
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -127,6 +128,28 @@ def validate_features(ds: InteractionDataset, features: Sequence[ModalityFeature
         raise DataError("duplicate modality tags")
 
 
+def _int_columns(path: Path, layout: str) -> tuple[array, np.ndarray]:
+    """The fields of a UTF-8 TSV whose non-blank lines read `layout` (e.g.
+    'user<TAB>item') as int64 columns, and the line number of each row."""
+    width = layout.count("<TAB>") + 1
+    linenos, values = array("q"), array("q")  # int64 buffers keep no int object per entry
+    with path.open("r", encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            row = line.split("\t")  # int() ignores the last field's newline
+            if len(row) != width:
+                if line == "\n":
+                    continue
+                text = line.rstrip("\n")
+                raise ParseError(f"{path}:{lineno}: expected {layout!r}, got {text!r}")
+            try:
+                values.extend(map(int, row))
+            except ValueError:
+                text = line.rstrip("\n")
+                raise ParseError(f"{path}:{lineno}: non-integer field in {text!r}") from None
+            linenos.append(lineno)
+    return linenos, np.frombuffer(values, dtype=np.int64).reshape(-1, width).T.copy()
+
+
 def load_interactions(path: str | Path) -> InteractionDataset:
     """Read a UTF-8 TSV of `user<TAB>item` integer pairs (no header).
 
@@ -135,28 +158,13 @@ def load_interactions(path: str | Path) -> InteractionDataset:
     path = Path(path)
     if not path.exists():
         raise DataError(f"interactions file not found: {path}")
-    users: list[int] = []
-    items: list[int] = []
-    with path.open("r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            fields = line.split("\t")
-            if len(fields) != 2:
-                raise ParseError(f"{path}:{lineno}: expected 'user<TAB>item', got {line!r}")
-            try:
-                u, i = int(fields[0]), int(fields[1])
-            except ValueError:
-                raise ParseError(f"{path}:{lineno}: non-integer id in {line!r}") from None
-            if u < 0 or i < 0:
-                raise DataError(f"{path}:{lineno}: negative id in {line!r}")
-            users.append(u)
-            items.append(i)
-    if not users:
+    linenos, (u_arr, i_arr) = _int_columns(path, "user<TAB>item")
+    if not linenos:
         raise DataError(f"{path}: no interactions")
-    u_arr = np.asarray(users, dtype=np.int64)
-    i_arr = np.asarray(items, dtype=np.int64)
+    negative = np.flatnonzero((u_arr < 0) | (i_arr < 0))
+    if negative.size:
+        row = negative[0]
+        raise DataError(f"{path}:{linenos[row]}: negative id in ({u_arr[row]}, {i_arr[row]})")
     num_users = int(u_arr.max()) + 1
     num_items = int(i_arr.max()) + 1
     keys = u_arr * num_items + i_arr
@@ -387,43 +395,29 @@ def load_split(ds: InteractionDataset, path: str | Path) -> InteractionDataset:
     path = Path(path)
     if not path.exists():
         raise DataError(f"split file not found: {path}")
-    assignment: dict[tuple[int, int], int] = {}
-    with path.open("r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            fields = line.split("\t")
-            if len(fields) != 3:
-                raise ParseError(f"{path}:{lineno}: expected 'user<TAB>item<TAB>label'")
-            try:
-                u, i, s = int(fields[0]), int(fields[1]), int(fields[2])
-            except ValueError:
-                raise ParseError(f"{path}:{lineno}: non-integer field") from None
-            if s not in (TRAIN, VAL, TEST):
-                raise ParseError(f"{path}:{lineno}: label must be 0, 1, or 2")
-            assignment[(u, i)] = s
-    labels = np.empty(len(ds), dtype=np.int8)
-    for idx, (u, i) in enumerate(zip(ds.users.tolist(), ds.items.tolist())):
-        if (u, i) not in assignment:
-            raise DataError(f"{path}: no split label for pair ({u}, {i})")
-        labels[idx] = assignment[(u, i)]
-    return replace(ds, split=labels)
-
-
-def dataset_stats(num_users: int, num_items: int, num_interactions: int) -> dict[str, float]:
-    return {
-        "sparsity": 1.0 - num_interactions / (num_users * num_items),
-        "mean_per_user": num_interactions / num_users,
-        "mean_per_item": num_interactions / num_items,
-    }
+    linenos, (users, items, split) = _int_columns(path, "user<TAB>item<TAB>label")
+    bad = np.flatnonzero(~np.isin(split, (TRAIN, VAL, TEST)))
+    if bad.size:
+        raise ParseError(f"{path}:{linenos[bad[0]]}: label must be 0, 1, or 2")
+    # pair keys u*|I| + i, last line first: np.unique keeps a repeated pair's last label
+    inside = np.flatnonzero((users >= 0) & (users < ds.num_users) & (items >= 0)
+                            & (items < ds.num_items))[::-1]
+    keys, first = np.unique(users[inside] * ds.num_items + items[inside], return_index=True)
+    keys = np.append(keys, np.iinfo(np.int64).max)  # above every key, so `at` stays in range
+    wanted = ds.users * ds.num_items + ds.items
+    at = np.searchsorted(keys, wanted)
+    missing = np.flatnonzero(keys[at] != wanted)
+    if missing.size:
+        u, i = ds.users[missing[0]], ds.items[missing[0]]
+        raise DataError(f"{path}: no split label for pair ({u}, {i})")
+    return replace(ds, split=split[inside[first[at]]].astype(np.int8))
 
 
 def format_dataset_stats(num_users: int, num_items: int, num_interactions: int) -> str:
-    stats = dataset_stats(num_users, num_items, num_interactions)
+    sparsity = 1.0 - num_interactions / (num_users * num_items)
     return (
         f"users={num_users} items={num_items} interactions={num_interactions} "
-        f"sparsity={100.0 * stats['sparsity']:.2f}% "
-        f"mean_per_user={stats['mean_per_user']:.2f} "
-        f"mean_per_item={stats['mean_per_item']:.2f}"
+        f"sparsity={100.0 * sparsity:.2f}% "
+        f"mean_per_user={num_interactions / num_users:.2f} "
+        f"mean_per_item={num_interactions / num_items:.2f}"
     )

@@ -25,7 +25,6 @@ its gradient; targets that are rows of H_i add their gradient into H_i's.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,23 +32,6 @@ import scipy.sparse as sp
 
 from . import autodiff as ad
 from .errors import ConfigError, ShapeError
-
-log = logging.getLogger(__name__)
-
-
-@dataclass
-class HyperedgeParameters:
-    """Learnable hyperedge matrices V_m (K x d_m) and projections W_m (d_m x d)."""
-
-    v: dict[str, ad.Tensor]
-    w: dict[str, ad.Tensor]
-    k_hyper: int
-
-    def __post_init__(self):
-        if self.k_hyper < 1:
-            raise ConfigError("hyperedge count must be >= 1")
-        if set(self.v) != set(self.w):
-            raise ConfigError("V and W must cover the same modalities")
 
 
 @dataclass
@@ -162,8 +144,6 @@ def hypergraph_pass(
         raise ConfigError("steps must be >= 1")
     if not 0.0 <= drop_rate <= 1.0:
         raise ConfigError("drop_rate must be in [0, 1]")
-    if drop_rate >= 1.0:
-        log.warning("drop_rate=1 zeroes every message; output is all-zero")
     if not isinstance(rng, np.random.Generator):
         rng = np.random.default_rng(rng)
 

@@ -16,7 +16,7 @@ from . import autodiff as ad
 from . import evaluation
 from .dataio import MODALITIES, TRAIN, InteractionDataset, ModalityFeatures, validate_features
 from .errors import ConfigError, DataError, NumericError
-from .hypergraph import HyperedgeParameters, aggregate_hyper, build_incidence, hypergraph_pass
+from .hypergraph import aggregate_hyper, build_incidence, hypergraph_pass
 from .item_graph import AffinityGraph, build_affinity_graph, propagate_items
 from .objectives import (
     LossBreakdown,
@@ -130,52 +130,68 @@ def canonical_modalities(features: Sequence[ModalityFeatures]) -> list[ModalityF
     return sorted(features, key=lambda f: order[f.modality])
 
 
+def parameter_shapes(
+    num_users: int, num_items: int, d: int, k_hyper: int, modality_dims: dict[str, int]
+) -> dict[str, tuple[int, ...]]:
+    """Name -> shape of every learnable tensor, in the order they are drawn,
+    stored and updated: the ID embeddings E0 ((|U| + |I|) x d), then per
+    modality in canonical order its projection W_m (d_m x d) and hyperedge
+    matrix V_m (K x d_m)."""
+    shapes: dict[str, tuple[int, ...]] = {"E0": (num_users + num_items, d)}
+    for tag in MODALITIES:
+        if tag in modality_dims:
+            shapes[f"W_{tag}"] = (modality_dims[tag], d)
+            shapes[f"V_{tag}"] = (k_hyper, modality_dims[tag])
+    return shapes
+
+
 @dataclass
 class ModelParameters:
-    """All learnable tensors, exclusively owned by the training loop."""
+    """All learnable tensors, laid out by `parameter_shapes` and owned by the
+    training loop. Every size is read off the tensors, so none can disagree."""
 
     num_users: int
-    num_items: int
-    d: int
-    e0: ad.Tensor
-    hyper: HyperedgeParameters
-    modality_tags: tuple[str, ...]
-    modality_dims: dict[str, int]
+    named: dict[str, ad.Tensor]
 
     def tensors(self) -> dict[str, ad.Tensor]:
-        named = {"E0": self.e0}
-        for tag in self.modality_tags:
-            named[f"W_{tag}"] = self.hyper.w[tag]
-            named[f"V_{tag}"] = self.hyper.v[tag]
-        return named
+        return dict(self.named)
+
+    @property
+    def e0(self) -> ad.Tensor:
+        return self.named["E0"]
+
+    @property
+    def d(self) -> int:
+        return self.e0.shape[1]
+
+    @property
+    def num_items(self) -> int:
+        return self.e0.shape[0] - self.num_users
+
+    @property
+    def modality_tags(self) -> tuple[str, ...]:
+        return tuple(name[2:] for name in self.named if name.startswith("W_"))
+
+    @property
+    def modality_dims(self) -> dict[str, int]:
+        return {tag: self.named[f"W_{tag}"].shape[0] for tag in self.modality_tags}
+
+    @property
+    def k_hyper(self) -> int:
+        return self.named[f"V_{self.modality_tags[0]}"].shape[0]
 
     def zero_grad(self) -> None:
-        for tensor in self.tensors().values():
+        for tensor in self.named.values():
             tensor.zero_grad()
 
     def check_finite(self) -> None:
-        for name, tensor in self.tensors().items():
+        for name, tensor in self.named.items():
             if not np.isfinite(tensor.data).all():
                 raise NumericError(f"parameter {name} contains non-finite values")
 
     def copy(self) -> "ModelParameters":
-        def clone(t: ad.Tensor) -> ad.Tensor:
-            return ad.Tensor(t.data.copy(), requires_grad=True)
-
-        hyper = HyperedgeParameters(
-            v={tag: clone(t) for tag, t in self.hyper.v.items()},
-            w={tag: clone(t) for tag, t in self.hyper.w.items()},
-            k_hyper=self.hyper.k_hyper,
-        )
-        return ModelParameters(
-            self.num_users,
-            self.num_items,
-            self.d,
-            clone(self.e0),
-            hyper,
-            self.modality_tags,
-            dict(self.modality_dims),
-        )
+        clones = {n: ad.Tensor(t.data.copy(), requires_grad=True) for n, t in self.named.items()}
+        return ModelParameters(self.num_users, clones)
 
 
 def init_parameters(
@@ -186,25 +202,18 @@ def init_parameters(
     rng_seed: int | None = None,
 ) -> ModelParameters:
     """Gaussian init, every entry i.i.d. N(0, (1/sqrt(d))^2), so ID embedding
-    row norms concentrate near 1. Deterministic given the seed: tensors are
-    drawn in a fixed order (E0, then W/V per canonical modality order)."""
+    row norms concentrate near 1. Deterministic given the seed: the tensors
+    of `parameter_shapes` are drawn in its order."""
     cfg.validate()
-    seed = cfg.seed if rng_seed is None else rng_seed
-    rng = np.random.default_rng(seed)
-    std = 1.0 / np.sqrt(cfg.d)
-    tags = tuple(tag for tag in MODALITIES if tag in modality_dims)
-    if not tags:
+    shapes = parameter_shapes(num_users, num_items, cfg.d, cfg.k_hyper, modality_dims)
+    if len(shapes) == 1:
         raise ConfigError("at least one modality is required")
-
-    e0 = ad.Tensor(rng.normal(0.0, std, size=(num_users + num_items, cfg.d)), requires_grad=True)
-    w: dict[str, ad.Tensor] = {}
-    v: dict[str, ad.Tensor] = {}
-    for tag in tags:
-        d_m = modality_dims[tag]
-        w[tag] = ad.Tensor(rng.normal(0.0, std, size=(d_m, cfg.d)), requires_grad=True)
-        v[tag] = ad.Tensor(rng.normal(0.0, std, size=(cfg.k_hyper, d_m)), requires_grad=True)
-    hyper = HyperedgeParameters(v=v, w=w, k_hyper=cfg.k_hyper)
-    return ModelParameters(num_users, num_items, cfg.d, e0, hyper, tags, dict(modality_dims))
+    rng = np.random.default_rng(cfg.seed if rng_seed is None else rng_seed)
+    std = 1.0 / np.sqrt(cfg.d)
+    return ModelParameters(num_users, {
+        name: ad.Tensor(rng.normal(0.0, std, size=shape), requires_grad=True)
+        for name, shape in shapes.items()
+    })
 
 
 # Adam sweeps each parameter in row blocks of about this many elements, so
@@ -404,7 +413,7 @@ def forward(
     if cfg.use_ii or cfg.use_hem:
         for feats in views.features:
             projected[feats.modality] = ad.matmul(
-                ad.constant(feats.matrix), params.hyper.w[feats.modality]
+                ad.constant(feats.matrix), params.named[f"W_{feats.modality}"]
             )
 
     e_ui = propagate_ui(views.graph, params.e0, cfg.layers, nodes) if cfg.use_ui else zero_view
@@ -424,9 +433,8 @@ def forward(
         drop = cfg.drop_rate if train_mode else 0.0
         pairs = []
         for feats in views.features:
-            incidence = build_incidence(
-                feats.matrix, params.hyper.v[feats.modality], views.x_u, feats.modality, user_rows
-            )
+            v_m = params.named[f"V_{feats.modality}"]
+            incidence = build_incidence(feats.matrix, v_m, views.x_u, feats.modality, user_rows)
             pairs.append(
                 hypergraph_pass(
                     incidence, projected[feats.modality], drop, cfg.hyper_steps, rng, item_rows
@@ -476,12 +484,13 @@ def forward(
 
 
 def backward_and_step(total: ad.Tensor, params: ModelParameters, optimizer: Adam) -> None:
-    """Reverse-mode gradient accumulation followed by one Adam update."""
+    """Reverse-mode gradient accumulation followed by one Adam update, for a
+    finite loss. The one finite scan is of the updated parameters: Adam
+    carries a non-finite gradient into its parameter, as it does overflow."""
+    if not np.isfinite(total.data):
+        raise NumericError(f"training loss is {float(total.data)}")
     params.zero_grad()
     total.backward()
-    for name, tensor in params.tensors().items():
-        if tensor.grad is not None and not np.isfinite(tensor.grad).all():
-            raise NumericError(f"gradient for {name} contains non-finite values")
     optimizer.step()
     params.check_finite()
 
@@ -560,6 +569,8 @@ def fit(
     ds.require_split()
     if cfg.use_hem and cfg.use_hc and len(features) < 2:
         raise ConfigError("the cross-modal contrastive loss needs >= 2 modalities")
+    if cfg.use_hem and cfg.drop_rate >= 1.0:
+        log.warning("drop_rate=1 zeroes every hypergraph message; the view is all-zero in training")
 
     views = build_views(ds, features, cfg)
     params = init_parameters(cfg, ds.num_users, ds.num_items, views.modality_dims)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from mhcr.checkpoint import load_checkpoint, save_checkpoint
-from mhcr.errors import DataError
+from mhcr.errors import DataError, NumericError
 from mhcr.training import build_views, init_parameters
 
 from conftest import micro_config, micro_dataset
@@ -25,7 +25,7 @@ def test_round_trip_preserves_structure_and_f32_values(tmp_path):
     assert loaded.num_users == params.num_users
     assert loaded.num_items == params.num_items
     assert loaded.d == params.d
-    assert loaded.hyper.k_hyper == params.hyper.k_hyper
+    assert loaded.k_hyper == params.k_hyper
     assert loaded.modality_tags == params.modality_tags
     for (name, original), restored in zip(params.tensors().items(), loaded.tensors().values()):
         assert np.array_equal(restored.data, original.data.astype(np.float32).astype(np.float64)), name
@@ -62,3 +62,23 @@ def test_truncated_file(tmp_path):
 def test_missing_file(tmp_path):
     with pytest.raises(DataError, match="not found"):
         load_checkpoint(tmp_path / "nope.bin")
+
+
+def test_value_beyond_f32_is_refused_before_writing(tmp_path):
+    params = make_params()
+    params.e0.data[0, 0] = 1e39
+    path = tmp_path / "ckpt.bin"
+    with pytest.raises(NumericError, match="E0"):
+        save_checkpoint(params, path)
+    assert not path.exists()
+
+
+def test_non_finite_tensor_is_rejected_on_load(tmp_path):
+    params = make_params()
+    path = tmp_path / "ckpt.bin"
+    save_checkpoint(params, path)
+    raw = bytearray(path.read_bytes())
+    raw[-4:] = np.array([np.nan], dtype="<f4").tobytes()  # last entry of the last tensor
+    (tmp_path / "nan.bin").write_bytes(bytes(raw))
+    with pytest.raises(DataError, match="non-finite"):
+        load_checkpoint(tmp_path / "nan.bin")

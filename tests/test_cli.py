@@ -190,6 +190,38 @@ class TestEvaluate:
         )
         assert code == EXIT_DATA
 
+    @pytest.mark.parametrize(
+        "flags, gen_args, expected",
+        [
+            (["--d", "16"], [], EXIT_CONFIG),
+            (["--k-hyper", "8"], [], EXIT_CONFIG),
+            ([], ["--num-items", "30"], EXIT_DATA),
+            ([], ["--num-users", "45", "--num-items", "20"], EXIT_DATA),
+            ([], ["--image-dim", "7"], EXIT_DATA),
+            ([], ["--video-dim", "3"], EXIT_DATA),
+        ],
+        ids=["d", "k_hyper", "items", "same-node-count", "modality-dim", "modality-set"],
+    )
+    def test_checkpoint_consistency_errors(
+        self, data_dir, tmp_path, capsys, flags, gen_args, expected
+    ):
+        run = tmp_path / "run"
+        assert run_train(data_dir, run) == 0
+        eval_dir = data_dir
+        if gen_args:
+            eval_dir = tmp_path / "other-data"
+            assert main(GEN_ARGS + gen_args + ["--out-dir", str(eval_dir)]) == 0
+        capsys.readouterr()
+        code = main(
+            ["evaluate", "--data-dir", str(eval_dir), "--checkpoint", str(run / "checkpoint.bin"),
+             "--out-dir", str(tmp_path / "e"), "--seed", "13"] + flags
+        )
+        assert code == expected
+        err = capsys.readouterr().err
+        assert "checkpoint" in err
+        if expected == EXIT_CONFIG:
+            assert "conflicts with" in err
+
 
 class TestSweep:
     def test_tiny_grid_rows_and_best_mark(self, data_dir, tmp_path):

@@ -254,6 +254,32 @@ class TestSplitSidecar:
         with pytest.raises(DataError, match="no split label"):
             load_split(ds, tmp_path / "split.tsv")
 
+    def test_last_label_wins_and_pairs_outside_the_data_are_ignored(self, tmp_path):
+        # (0, 3) would share the key u*|I| + i of (1, 0)
+        text = "-1\t5\t1\n9\t9\t0\n0\t1\t0\n1\t0\t2\n2\t2\t1\n2\t0\t0\n0\t1\t2\n0\t3\t1\n"
+        ds = InteractionDataset(3, 3, np.array([0, 1, 2, 2]), np.array([1, 0, 2, 0]))
+        assert load_split(ds, write(tmp_path, text)).split.tolist() == [2, 2, 1, 0]
+
+
+@pytest.mark.parametrize(
+    "split_file, text, error, lineno",
+    [
+        (False, "0\t1\n\n-1\t0\n", DataError, 3),
+        (False, "0\t1\n0\t1.5\n", ParseError, 2),
+        (True, "0\t0\t0\n\n0\t1\t5\n", ParseError, 3),
+        (True, "0\t0\t0\n0\tx\t1\n", ParseError, 2),
+        (True, "0\t0\n", ParseError, 1),
+    ],
+    ids=["negative-id", "float-id", "label", "non-integer", "field-count"],
+)
+def test_tsv_errors_name_their_line(tmp_path, split_file, text, error, lineno):
+    path = write(tmp_path, text)
+    with pytest.raises(error, match=f"inter.tsv:{lineno}:"):
+        if split_file:
+            load_split(InteractionDataset(1, 2, np.array([0, 0]), np.array([0, 1])), path)
+        else:
+            load_interactions(path)
+
 
 def test_unseen_eval_items_counted():
     ds = InteractionDataset(

@@ -8,7 +8,6 @@ import scipy.sparse as sp
 from mhcr import autodiff as ad
 from mhcr.errors import ConfigError, ShapeError
 from mhcr.hypergraph import (
-    HyperedgeParameters,
     IncidencePair,
     aggregate_hyper,
     build_incidence,
@@ -174,10 +173,3 @@ class TestAggregate:
     def test_shape_mismatch(self):
         with pytest.raises(ShapeError):
             aggregate_hyper([ad.Tensor(np.ones((5, 3))), ad.Tensor(np.ones((6, 3)))])
-
-
-def test_hyperedge_parameters_validation():
-    with pytest.raises(ConfigError):
-        HyperedgeParameters(v={}, w={}, k_hyper=0)
-    with pytest.raises(ConfigError):
-        HyperedgeParameters(v={"image": ad.Tensor(np.ones((2, 2)))}, w={}, k_hyper=2)

@@ -4,11 +4,13 @@ the fit loop."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mhcr import autodiff as ad
 from mhcr import evaluation
-from mhcr.dataio import TRAIN, SyntheticConfig, generate_synthetic, split_dataset
-from mhcr.errors import ConfigError, NumericError
+from mhcr.dataio import MODALITIES, TRAIN, SyntheticConfig, generate_synthetic, split_dataset
+from mhcr.errors import ConfigError, DataError, NumericError
 from mhcr.objectives import (
     LossBreakdown,
     bpr_loss,
@@ -389,6 +391,37 @@ class TestOptimizer:
             with pytest.raises(NumericError):
                 backward_and_step(result.total, params, optimizer)
 
+    def test_overflowing_update_raises(self, micro):
+        # the loss and gradients are finite; the Adam update overflows E0
+        ds, _, cfg, views = micro
+        params = make_params(cfg, ds, views)
+        optimizer = Adam(params.tensors(), learning_rate=1e308)
+        result = forward(params, views, cfg, batch=micro_batch(), mode="train", rng=MASK_SEED)
+        with np.errstate(all="ignore"), pytest.raises(NumericError, match="parameter"):
+            backward_and_step(result.total, params, optimizer)
+
+    def test_overflowing_loss_raises(self, micro):
+        # the weighted total overflows while every gradient stays finite,
+        # so at learning_rate 0 the parameters never show it
+        ds, feats, _, _ = micro
+        cfg = micro_config(tau_ghc=1e8, lambda_ghc=1e308, learning_rate=0.0, use_hc=False)
+        views = build_views(ds, feats, cfg)
+        params = make_params(cfg, ds, views)
+        optimizer = Adam(params.tensors(), cfg.learning_rate)
+        with np.errstate(over="ignore"):
+            result = forward(params, views, cfg, batch=micro_batch(), mode="train", rng=MASK_SEED)
+        assert result.breakdown.total == np.inf
+        with pytest.raises(NumericError, match="loss"):
+            backward_and_step(result.total, params, optimizer)
+
+    @pytest.mark.parametrize("learning_rate", [1e308, 1e200])
+    def test_overflowing_learning_rate_raises_in_fit(self, micro, learning_rate):
+        # 1e308 overflows the parameters in the first Adam step; 1e200 leaves
+        # them finite but so large that the next step's loss overflows
+        ds, feats, _, _ = micro
+        with np.errstate(all="ignore"), pytest.raises(NumericError):
+            fit(ds, feats, micro_config(learning_rate=learning_rate, max_epochs=2))
+
 
 class TestVariants:
     def test_labels(self):
@@ -409,6 +442,11 @@ class TestVariants:
         assert np.array_equal(result.fused.data, params.e0.data)
 
 
+# tiny, ordinary and huge magnitudes
+_POSITIVE = st.sampled_from([1e-300, 1e-8, 1e8, 1e300, 1e308]) | st.floats(1e-6, 1e3)
+_NON_NEGATIVE = st.just(0.0) | _POSITIVE
+
+
 class TestConfigContract:
     @pytest.mark.parametrize(
         "override",
@@ -420,9 +458,11 @@ class TestConfigContract:
             {"lambda_reg": float("inf")},
             {"learning_rate": float("inf")},
             {"use_ui": False, "use_ii": False, "use_hem": False},
+            {"k_hyper": 0},
+            {"d": 0},
         ],
         ids=["tau-nan", "tau_hc-inf", "tau_ghc-neginf", "lambda_ghc-nan", "lambda_reg-inf",
-             "learning_rate-inf", "no-view"],
+             "learning_rate-inf", "no-view", "k_hyper-0", "d-0"],
     )
     def test_rejected(self, override):
         with pytest.raises(ConfigError):
@@ -431,6 +471,52 @@ class TestConfigContract:
     @pytest.mark.parametrize("variant", sorted(VARIANT_PRESETS))
     def test_presets_valid(self, variant):
         apply_variant(TrainConfig(), variant).validate()
+
+    @given(
+        cfg=st.builds(
+            TrainConfig,
+            d=st.integers(1, 8),
+            layers=st.integers(0, 3),
+            k_knn=st.integers(1, 25),
+            k_hyper=st.integers(1, 8),
+            hyper_steps=st.integers(1, 3),
+            drop_rate=st.floats(0.0, 1.0),
+            tau=_POSITIVE,
+            tau_hc=st.none() | _POSITIVE,
+            tau_ghc=st.none() | _POSITIVE,
+            lambda_hc=_NON_NEGATIVE,
+            lambda_ghc=_NON_NEGATIVE,
+            lambda_reg=_NON_NEGATIVE,
+            learning_rate=_NON_NEGATIVE,
+            batch_size=st.integers(4, 64),
+            max_epochs=st.integers(1, 2),
+            patience=st.integers(0, 2),
+            seed=st.integers(0, 2**16),
+            use_ui=st.booleans(),
+            use_ii=st.booleans(),
+            use_hem=st.booleans(),
+            use_hc=st.booleans(),
+            use_ghc=st.booleans(),
+        ),
+        tags=st.sets(st.sampled_from(MODALITIES), min_size=1),
+        data_seed=st.integers(0, 2**16),
+    )
+    @settings(max_examples=50, deadline=None)
+    def test_any_config_trains_or_raises_a_typed_error(self, cfg, tags, data_seed):
+        data = SyntheticConfig(
+            num_users=30, num_items=20, num_clusters=3, mean_interactions=4.0,
+            modality_dims={tag: 4 for tag in tags}, seed=data_seed,
+        )
+        ds, feats = generate_synthetic(data)
+        ds = split_dataset(ds, seed=data_seed)
+        try:
+            with np.errstate(all="ignore"):
+                result = fit(ds, feats, cfg)
+        except (ConfigError, DataError, NumericError):
+            return
+        assert 1 <= len(result.epochs) <= cfg.max_epochs
+        for e in result.epochs:
+            assert np.isfinite([e.loss.total, e.val_recall20]).all(), e
 
 
 class TestFit:
@@ -474,6 +560,12 @@ class TestFit:
         )
         result = fit(ds, feats, cfg)
         assert result.best_val_recall20 > result.initial_val_recall20
+
+    def test_full_dropout_is_logged_once_per_fit(self, micro, caplog):
+        ds, feats, _, _ = micro
+        with caplog.at_level("WARNING", logger="mhcr"):
+            fit(ds, feats, micro_config(drop_rate=1.0, max_epochs=2))
+        assert sum("drop_rate=1" in r.getMessage() for r in caplog.records) == 1
 
     def test_restores_best_parameters(self, micro):
         ds, feats, _, _ = micro
