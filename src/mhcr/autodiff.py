@@ -5,12 +5,15 @@ engine is enough: each op records its parents and a closure that maps the
 upstream gradient to parent gradients. Gradients accumulate by summation
 during a reverse topological sweep. Each view step (UI propagation, item
 propagation, each incidence and hypergraph broadcast) and each loss term
-is one `custom_op` node with a hand-derived gradient; the generic ops
-below cover the projections, gathers, row normalization, concatenation
-and the BPR scores.
+is one `custom_op` node with a hand-derived gradient, and so is each
+contrastive loss, gather and normalization included; the generic ops below
+cover the projections, the BPR gathers and scores, concatenation and the
+view sums. A full training step records 36 nodes. Inputs that do not
+require a gradient record nothing, so a forward pass over constants builds
+no tape.
 
-All data is float64. Elementwise ops (`add`, `mul`) take operands of equal
-shape; there is no broadcasting.
+All data is float64. `add` takes operands of equal shape; there is no
+broadcasting.
 """
 
 from __future__ import annotations
@@ -154,17 +157,6 @@ def add(a, b) -> Tensor:
     return _node(data, (a, b), backward)
 
 
-def mul(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
-    _equal_shapes("mul", a, b)
-    data = a.data * b.data
-
-    def backward(g):
-        return g * b.data, g * a.data
-
-    return _node(data, (a, b), backward)
-
-
 def matmul(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
     if a.ndim != 2 or b.ndim != 2:
@@ -186,13 +178,10 @@ class RowGrad(NamedTuple):
     values: Array
 
 
-def add_rows(out: Array, indices: Array | None, g: Array) -> None:
-    """out += g scattered to rows `indices` (every row when None), in place.
-    Repeated indices are first summed in order, as `np.add.at` sums them into
-    zeros, so the result is bit for bit `out` plus that dense scatter."""
-    if indices is None:
-        out += g
-        return
+def add_rows(out: Array, indices: Array, g: Array) -> None:
+    """out += g scattered to rows `indices`, in place. Repeated indices are
+    first summed in order, as `np.add.at` sums them into zeros, so the
+    result is bit for bit `out` plus that dense scatter."""
     rows, inverse = np.unique(indices, return_inverse=True)
     if rows.size == indices.size:
         out[indices] += g
@@ -218,30 +207,13 @@ def concat_rows(parts: Iterable[Tensor]) -> Tensor:
     return _node(data, parts, backward)
 
 
-def tensor_sum(a: Tensor, axis: int | None = None, keepdims: bool = False) -> Tensor:
-    data = a.data.sum(axis=axis, keepdims=keepdims)
-
-    def backward(g):
-        if axis is not None and not keepdims:
-            g = np.expand_dims(g, axis)
-        return (np.broadcast_to(g, a.shape).copy(),)
-
-    return _node(data, (a,), backward)
-
-
-def row_normalize(a: Tensor, eps: float = 1e-12) -> Tensor:
-    """L2-normalize each row; all-zero rows map to zero."""
-    norms = np.linalg.norm(a.data, axis=1, keepdims=True)
-    safe = np.maximum(norms, eps)
-    data = a.data / safe
-
-    def backward(g):
-        inner = (g * data).sum(axis=1, keepdims=True)
-        return ((g - data * inner) / safe,)
-
-    return _node(data, (a,), backward)
-
-
 def row_dot(a: Tensor, b: Tensor) -> Tensor:
     """Per-row inner products of two equal-shape matrices, returned as (n,)."""
-    return tensor_sum(mul(a, b), axis=1)
+    a, b = as_tensor(a), as_tensor(b)
+    _equal_shapes("row_dot", a, b)
+
+    def backward(g):
+        g = g[:, None]
+        return g * b.data, g * a.data
+
+    return _node((a.data * b.data).sum(axis=1), (a, b), backward)

@@ -14,9 +14,9 @@ inverted scaling (survivors divided by the keep probability), so each
 factor is unbiased and evaluation needs no rescale.
 
 Pooling H_i^T E_i is K x d, so the broadcast is the only per-row work: a
-caller that reads only some users and items (a training batch) passes
-their ids, and only those rows of H_u, of the final broadcast and of its
-dropout masks are computed.
+caller names the users and items it reads (a training batch passes its
+ids; the default is every row), and only those rows of H_u, of the final
+broadcast and of its dropout masks are computed.
 
 On the tape, H_i and H_u are one node each, and so is every broadcast
 DROP(T) @ (DROP(H_i)^T @ E), with the product rule through both masks as
@@ -36,8 +36,8 @@ from .errors import ConfigError, ShapeError
 
 @dataclass
 class IncidencePair:
-    """Incidence of every item, and of the users the caller reads (all users
-    unless `build_incidence` was given `user_rows`)."""
+    """Incidence of every item, and of the users the caller reads (the
+    `user_rows` given to `build_incidence`)."""
 
     modality: str
     h_items: ad.Tensor
@@ -53,7 +53,7 @@ def build_incidence(
 ) -> IncidencePair:
     """Item and user incidence for one modality; no nonlinearity applied.
 
-    `user_rows` restricts the user incidence to X_u[user_rows] @ H_i."""
+    The user incidence is X_u[user_rows] @ H_i (default: every user)."""
     features = np.asarray(features, dtype=np.float64)
     v_m = ad.as_tensor(v_m)
     if features.ndim != 2 or v_m.ndim != 2:
@@ -67,8 +67,10 @@ def build_incidence(
             f"interaction matrix has {x_u.shape[1]} item columns, features have "
             f"{features.shape[0]} rows"
         )
+    if user_rows is None:
+        user_rows = np.arange(x_u.shape[0])
     h_items = ad.custom_op(features @ v_m.data.T, (v_m,), lambda g: ((features.T @ g).T,))
-    x_rows = x_u if user_rows is None else x_u[user_rows]
+    x_rows = x_u[user_rows]
     h_users = ad.custom_op(x_rows @ h_items.data, (h_items,), lambda g: (x_rows.T @ g,))
     return IncidencePair(modality, h_items, h_users)
 
@@ -92,18 +94,17 @@ def _broadcast(
     state: ad.Tensor,
     rate: float,
     rng: np.random.Generator,
-    targets: ad.Tensor | None = None,
-    rows: np.ndarray | None = None,
+    targets: ad.Tensor | np.ndarray,
 ) -> ad.Tensor:
     """DROP(T) @ (DROP(H_i)^T @ state) as one tape node, the pool mask drawn
-    before the target mask. T is `targets`, or else H_i's own rows `rows`
-    (default: every item), whose gradient is added into H_i's."""
+    before the target mask. T is the tensor `targets`, or, when `targets` is
+    an array of item ids, those rows of H_i, whose gradient is added into
+    H_i's."""
     pool_mask = _mask(h_items.shape, rate, rng)
     source = _masked(h_items.data, pool_mask)
     pooled = source.T @ state.data
-    own = targets is None
-    t_data = (h_items if own else targets).data
-    t_data = t_data if rows is None else t_data[rows]
+    own = not isinstance(targets, ad.Tensor)
+    t_data = h_items.data[targets] if own else targets.data
     target_mask = _mask(t_data.shape, rate, rng)
     dropped_targets = _masked(t_data, target_mask)
 
@@ -112,11 +113,9 @@ def _broadcast(
         g_items = _masked((g_pooled @ state.data.T).T, pool_mask)
         g_state = source @ g_pooled
         g_targets = _masked(g @ pooled.T, target_mask)
-        if own and rows is not None:
-            g_targets = ad.RowGrad(rows, g_targets)
         # own targets reach H_i as a separate contribution before the pool
         # term, as on an op-by-op tape, so H_i sums its terms in that order
-        return g_targets, g_items, g_state
+        return (ad.RowGrad(targets, g_targets) if own else g_targets), g_items, g_state
 
     parents = (h_items if own else targets, h_items, state)
     return ad.custom_op(dropped_targets @ pooled, parents, backward)
@@ -148,16 +147,18 @@ def hypergraph_pass(
         rng = np.random.default_rng(rng)
 
     e_items = ad.as_tensor(e_items)
-    if e_items.shape[0] != pair.h_items.shape[0]:
-        raise ShapeError(
-            f"item state rows {e_items.shape[0]} != incidence rows {pair.h_items.shape[0]}"
-        )
+    num_items = pair.h_items.shape[0]
+    if e_items.shape[0] != num_items:
+        raise ShapeError(f"item state rows {e_items.shape[0]} != incidence rows {num_items}")
+    every_item = np.arange(num_items)
+    if item_rows is None:
+        item_rows = every_item
 
     e_cur = e_items
     for _ in range(steps - 1):
-        e_cur = _broadcast(pair.h_items, e_cur, drop_rate, rng)
-    e_next = _broadcast(pair.h_items, e_cur, drop_rate, rng, rows=item_rows)
-    return _broadcast(pair.h_items, e_cur, drop_rate, rng, targets=pair.h_users), e_next
+        e_cur = _broadcast(pair.h_items, e_cur, drop_rate, rng, every_item)
+    e_next = _broadcast(pair.h_items, e_cur, drop_rate, rng, item_rows)
+    return _broadcast(pair.h_items, e_cur, drop_rate, rng, pair.h_users), e_next
 
 
 def aggregate_hyper(stacks: list[ad.Tensor]) -> ad.Tensor:

@@ -21,6 +21,10 @@ from .errors import ConfigError, ShapeError
 
 log = logging.getLogger(__name__)
 
+# Similarities are computed in row blocks of about this many entries (at
+# least one row), so building a graph holds O(this) floats, not O(|I|^2).
+_AFFINITY_BLOCK_ELEMENTS = 1 << 19
+
 
 @dataclass
 class AffinityGraph:
@@ -55,15 +59,14 @@ def _top_k(sims: np.ndarray, k: int) -> np.ndarray:
     return order
 
 
-def build_affinity_graph(
-    features: ModalityFeatures, k: int, block_size: int = 2048
-) -> AffinityGraph:
+def build_affinity_graph(features: ModalityFeatures, k: int) -> AffinityGraph:
     """Keep each item's K most cosine-similar neighbors (self excluded),
     clamp negatives to zero, and divide each row by its sum, so nonzero rows
     are stochastic.
 
     Ties at the K-th value resolve to the lower item index. Similarities are
-    computed in row blocks so memory stays O(block_size * |I|).
+    computed in row blocks of `_AFFINITY_BLOCK_ELEMENTS // |I|` rows (at
+    least one).
     """
     if k < 1:
         raise ConfigError("neighbor count k must be >= 1")
@@ -73,6 +76,7 @@ def build_affinity_graph(
         k = max(num_items - 1, 1)
 
     normalized = _normalized_rows(features.matrix, features.modality)
+    block_size = max(1, _AFFINITY_BLOCK_ELEMENTS // num_items)
     indptr = [0]
     indices: list[np.ndarray] = []
     data: list[np.ndarray] = []
@@ -112,14 +116,16 @@ def propagate_items(
     """Sum over modalities of S_m @ P_m, where P_m is the projected feature
     matrix for modality m. Linear in every projected input.
 
-    `rows` (item ids) restricts the output to those rows, computed as
-    S_m[rows] @ P_m; the default computes every item. One tape node; the
-    gradient into P_m is S_m[rows]^T @ g."""
+    `rows` (item ids, default every item) selects the output rows, computed
+    as S_m[rows] @ P_m. One tape node; the gradient into P_m is
+    S_m[rows]^T @ g."""
     if len(graphs) != len(projected):
         raise ShapeError(f"{len(graphs)} graphs but {len(projected)} projected matrices")
     if not graphs:
         raise ConfigError("propagate_items requires at least one modality")
     projected = [ad.as_tensor(p) for p in projected]
+    if rows is None:
+        rows = np.arange(graphs[0].matrix.shape[0])
     matrices = []
     out = None
     for graph, p in zip(graphs, projected):
@@ -127,7 +133,7 @@ def propagate_items(
             raise ShapeError(
                 f"{graph.modality}: projected rows {p.shape[0]} != {graph.matrix.shape[0]} items"
             )
-        matrices.append(graph.matrix if rows is None else graph.matrix[rows])
+        matrices.append(graph.matrix[rows])
         term = matrices[-1] @ p.data
         out = term if out is None else out + term
     return ad.custom_op(out, projected, lambda g: [m.T @ g for m in matrices])

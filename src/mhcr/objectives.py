@@ -7,9 +7,11 @@ product, which makes every loss invariant to a common positive rescaling
 of its inputs.
 
 Every loss, and their weighted total, is a single autodiff node with a
-closed-form gradient. Each contrastive loss reads its normalized batch rows
-and has a softmax-minus-target gradient; both are computed as log-sum-exps
-shifted per node, so they stay finite at any tau > 0.
+closed-form gradient. Each contrastive loss takes the full embedding
+tensors as its parents: it gathers and normalizes the batch rows itself,
+has a softmax-minus-target gradient, and hands each input its gradient as
+rows (`ad.RowGrad`). Both are computed as log-sum-exps shifted per node, so
+they stay finite at any tau > 0.
 """
 
 from __future__ import annotations
@@ -56,8 +58,19 @@ def bpr_loss(pos_scores, neg_scores) -> ad.Tensor:
     return ad.custom_op(np.logaddexp(0.0, margin).mean(), (pos, neg), backward)
 
 
-def _batch_normalized(embeddings, batch: np.ndarray) -> ad.Tensor:
-    return ad.row_normalize(ad.gather_rows(ad.as_tensor(embeddings), batch))
+class _UnitRows:
+    """The batch rows of one input scaled to unit L2 norm (all-zero rows stay
+    zero), and the map from their gradient back to the input's rows."""
+
+    def __init__(self, embeddings: ad.Tensor, batch: np.ndarray):
+        rows = embeddings.data[batch]
+        self.batch = batch
+        self.safe_norms = np.maximum(np.linalg.norm(rows, axis=1, keepdims=True), 1e-12)
+        self.data = rows / self.safe_norms
+
+    def grad(self, g: np.ndarray) -> ad.RowGrad:
+        inner = (g * self.data).sum(axis=1, keepdims=True)
+        return ad.RowGrad(self.batch, (g - self.data * inner) / self.safe_norms)
 
 
 def _logsumexp_terms(terms: np.ndarray) -> np.ndarray:
@@ -78,10 +91,9 @@ def hyper_contrastive_loss(
     mean of -ln(pos / neg); it is non-negative because each positive term
     also appears among the negatives.
 
-    Everything after the gather and row normalization is one tape node.
-    The ordered pair (m', m) reads the transpose of the (m, m') similarity
-    block, so each unordered pair gives node x its row sum and its column
-    sum. Both masses are log-sum-exps shifted per node (row maximum for row
+    One tape node whose parents are the per-modality inputs. The ordered
+    pair (m', m) reads the transpose of the (m, m') similarity block, so
+    each unordered pair gives node x its row sum and its column sum. Both masses are log-sum-exps shifted per node (row maximum for row
     sums, column maximum for column sums), so no exponential overflows and
     no node's mass underflows to zero at any tau > 0.
     """
@@ -93,8 +105,9 @@ def hyper_contrastive_loss(
     if batch.size == 0:
         raise DataError("hyper_contrastive_loss: empty batch")
 
-    normalized = [_batch_normalized(e, batch) for e in per_modality]
-    z = [t.data for t in normalized]
+    inputs = [ad.as_tensor(e) for e in per_modality]
+    normalized = [_UnitRows(e, batch) for e in inputs]
+    z = [rows.data for rows in normalized]
     inv_tau = 1.0 / tau
     pairs = list(combinations(range(len(z)), 2))
     blocks, log_mass, diag = [], [], []
@@ -134,9 +147,9 @@ def hyper_contrastive_loss(
             grads[b] += w.T @ z[a] - on_diag * z[a]
         for grad in grads:
             grad *= coef
-        return grads
+        return [rows.grad(grad) for rows, grad in zip(normalized, grads)]
 
-    return ad.custom_op(value, normalized, backward)
+    return ad.custom_op(value, inputs, backward)
 
 
 def graph_hyper_contrastive_loss(
@@ -145,17 +158,17 @@ def graph_hyper_contrastive_loss(
     """InfoNCE aligning the graph-side and hypergraph-side embedding of each
     batch node against in-batch negatives.
 
-    One tape node over the normalized rows: a row log-sum-exp shifted by the
-    row maximum, stable at any tau > 0, with the softmax-minus-identity
-    gradient."""
+    One tape node whose parents are the two inputs: a row log-sum-exp over
+    the normalized batch rows, shifted by the row maximum, stable at any
+    tau > 0, with the softmax-minus-identity gradient."""
     if tau <= 0:
         raise ConfigError("temperature must be > 0")
     batch = np.asarray(batch, dtype=np.int64)
     if batch.size == 0:
         raise DataError("graph_hyper_contrastive_loss: empty batch")
 
-    g_rows = _batch_normalized(e_graph, batch)
-    h_rows = _batch_normalized(e_hyper, batch)
+    e_graph, e_hyper = ad.as_tensor(e_graph), ad.as_tensor(e_hyper)
+    g_rows, h_rows = _UnitRows(e_graph, batch), _UnitRows(e_hyper, batch)
     g, h = g_rows.data, h_rows.data
     inv_tau = 1.0 / tau
     sims = (g * inv_tau) @ h.T
@@ -169,9 +182,9 @@ def graph_hyper_contrastive_loss(
 
     def backward(grad):
         coef = float(grad) * inv_tau / batch.size
-        return (soft @ h - h) * coef, (soft.T @ g - g) * coef
+        return g_rows.grad((soft @ h - h) * coef), h_rows.grad((soft.T @ g - g) * coef)
 
-    return ad.custom_op(value, (g_rows, h_rows), backward)
+    return ad.custom_op(value, (e_graph, e_hyper), backward)
 
 
 def embedding_l2(rows) -> ad.Tensor:

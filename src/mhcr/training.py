@@ -199,7 +199,6 @@ def init_parameters(
     num_users: int,
     num_items: int,
     modality_dims: dict[str, int],
-    rng_seed: int | None = None,
 ) -> ModelParameters:
     """Gaussian init, every entry i.i.d. N(0, (1/sqrt(d))^2), so ID embedding
     row norms concentrate near 1. Deterministic given the seed: the tensors
@@ -208,7 +207,7 @@ def init_parameters(
     shapes = parameter_shapes(num_users, num_items, cfg.d, cfg.k_hyper, modality_dims)
     if len(shapes) == 1:
         raise ConfigError("at least one modality is required")
-    rng = np.random.default_rng(cfg.seed if rng_seed is None else rng_seed)
+    rng = np.random.default_rng(cfg.seed)
     std = 1.0 / np.sqrt(cfg.d)
     return ModelParameters(num_users, {
         name: ad.Tensor(rng.normal(0.0, std, size=shape), requires_grad=True)
@@ -307,19 +306,19 @@ class Batch:
 class ForwardResult:
     """Per-view embeddings plus the training losses (train mode).
 
-    In eval mode the view tensors hold every node and `nodes` is None. In
-    train mode they hold only the rows the losses read, and row r is global
-    node `nodes[r]`.
+    Row r of each view tensor is global node `nodes[r]`: every node in
+    order (`np.arange(|U| + |I|)`) in eval mode, and only the rows the
+    losses read in train mode.
     """
 
     e_ui: ad.Tensor
     e_ii: ad.Tensor
     e_h: ad.Tensor
     fused: ad.Tensor
+    nodes: np.ndarray
     hyper_stacks: list[ad.Tensor] = field(default_factory=list)
     total: ad.Tensor | None = None
     breakdown: LossBreakdown | None = None
-    nodes: np.ndarray | None = None
 
 
 def train_item_sets(ds: InteractionDataset) -> list[frozenset[int]]:
@@ -382,14 +381,14 @@ def forward(
     """Assemble the three views, fuse them, and (in train mode) compute the
     loss breakdown on the batch.
 
-    Train mode computes each view only on the rows the losses read
-    (`_batch_nodes`): the batch's users, positives and negatives; row r of
-    each view tensor is global node `result.nodes[r]`. Without dropout each
-    row equals the eval-mode row up to the last bits of the hypergraph
-    broadcast. Dropout masks are drawn only for those rows, so checkpoints
-    trained at a fixed seed differ from those of earlier versions, which
-    computed every node. Evaluation mode computes every node, disables
-    dropout and computes no losses.
+    Every view is computed on explicit node rows, and row r of each view
+    tensor is global node `result.nodes[r]`. Train mode takes the rows the
+    losses read (`_batch_nodes`): the batch's users, positives and
+    negatives. Without dropout each row equals the eval-mode row up to the
+    last bits of the hypergraph broadcast. Dropout masks are drawn only for
+    those rows. Eval mode takes every node in order, disables dropout and
+    computes no losses. Either mode records a tape through the parameters
+    that require gradients; `compute_embeddings` passes constants instead.
 
     Ablation flags zero a view's contribution and drop its loss terms
     without touching the remaining views' computations.
@@ -402,12 +401,10 @@ def forward(
     num_users, num_items, d = params.num_users, params.num_items, params.d
     if train_mode:
         nodes, n_user_rows, local = _batch_nodes(batch, num_users)
-        user_rows, item_rows = nodes[:n_user_rows], nodes[n_user_rows:] - num_users
-        n_rows = nodes.size
     else:
-        nodes = user_rows = item_rows = None
-        n_user_rows, n_rows = num_users, num_users + num_items
-    zero_view = ad.zeros((n_rows, d))
+        nodes, n_user_rows = np.arange(num_users + num_items), num_users
+    user_rows, item_rows = nodes[:n_user_rows], nodes[n_user_rows:] - num_users
+    zero_view = ad.zeros((nodes.size, d))
 
     projected: dict[str, ad.Tensor] = {}
     if cfg.use_ii or cfg.use_hem:
@@ -500,10 +497,15 @@ def compute_embeddings(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Evaluation-mode fused embeddings, split into user and item blocks.
 
-    The sum is a fresh array, not the forward pass's `fused` buffer, so the
-    caller keeps no part of the pass alive."""
-    result = forward(params, views, cfg, mode="eval")
-    fused = (result.e_ui.data + result.e_ii.data) + result.e_h.data
+    The forward pass runs on the parameters' values wrapped as constants, so
+    it records no tape. The two blocks are views of one array allocated
+    before the pass: callers keep it while the pass's temporaries are freed,
+    and a heap can only shrink back to its highest live block."""
+    fused = np.empty(params.e0.shape)
+    frozen = ModelParameters(
+        params.num_users, {name: ad.constant(t.data) for name, t in params.named.items()}
+    )
+    np.copyto(fused, forward(frozen, views, cfg, mode="eval").fused.data)
     return fused[:params.num_users], fused[params.num_users:]
 
 

@@ -53,10 +53,9 @@ def propagate_ui(
     """Sum of embeddings over layers 0..L, where layer l is A_norm^l @ e0.
 
     Pure linear propagation: no nonlinearity and no per-layer parameters.
-    `rows` (node ids) restricts the output to those rows: layers 1..L-1
-    still run over the whole graph, layer L is A_norm[rows] @ layer L-1, and
-    the readout adds only the selected rows, in the same order, so each row
-    equals the corresponding row of the default all-node output.
+    `rows` (node ids, default every node) selects the output rows: layers
+    1..L-1 run over the whole graph, layer L is A_norm[rows] @ layer L-1, and
+    the readout adds only the selected rows, in the same order.
 
     One tape node with the transposed chain as its gradient: the upstream
     gradient g enters layer L-1 through A_norm[rows]^T and every layer
@@ -70,15 +69,17 @@ def propagate_ui(
         raise ShapeError(
             f"embedding rows {e0.shape} do not match {graph.num_nodes} graph nodes"
         )
+    if rows is None:
+        rows = np.arange(graph.num_nodes)
     if layers == 0:
-        return e0 if rows is None else ad.gather_rows(e0, rows)
+        return ad.gather_rows(e0, rows)
     adjacency = graph.adjacency
-    last_adjacency = adjacency if rows is None else adjacency[rows]
+    last_adjacency = adjacency[rows]
     current = e0.data
-    out = current if rows is None else current[rows]
+    out = current[rows]
     for _ in range(layers - 1):
         current = adjacency @ current
-        out = out + (current if rows is None else current[rows])
+        out = out + current[rows]
 
     def backward(g):
         grad = last_adjacency.T @ g

@@ -9,7 +9,36 @@ import numpy as np
 from scipy.special import expit
 
 from mhcr import autodiff as ad
+from mhcr.errors import ShapeError
 from mhcr.hypergraph import IncidencePair
+
+
+def mul(a, b) -> ad.Tensor:
+    a, b = ad.as_tensor(a), ad.as_tensor(b)
+    if a.shape != b.shape:
+        raise ShapeError(f"mul shape mismatch: {a.shape} vs {b.shape}")
+    return ad.custom_op(a.data * b.data, (a, b), lambda g: (g * b.data, g * a.data))
+
+
+def tensor_sum(a: ad.Tensor, axis: int | None = None, keepdims: bool = False) -> ad.Tensor:
+    def backward(g):
+        if axis is not None and not keepdims:
+            g = np.expand_dims(g, axis)
+        return (np.broadcast_to(g, a.shape).copy(),)
+
+    return ad.custom_op(a.data.sum(axis=axis, keepdims=keepdims), (a,), backward)
+
+
+def row_normalize(a: ad.Tensor, eps: float = 1e-12) -> ad.Tensor:
+    """L2-normalize each row; all-zero rows map to zero."""
+    safe = np.maximum(np.linalg.norm(a.data, axis=1, keepdims=True), eps)
+    data = a.data / safe
+
+    def backward(g):
+        inner = (g * data).sum(axis=1, keepdims=True)
+        return ((g - data * inner) / safe,)
+
+    return ad.custom_op(data, (a,), backward)
 
 
 def exp(a: ad.Tensor) -> ad.Tensor:
@@ -62,7 +91,7 @@ def tape_bpr_loss(pos: ad.Tensor, neg: ad.Tensor) -> ad.Tensor:
 
 
 def tape_embedding_l2(rows: ad.Tensor) -> ad.Tensor:
-    return mean(ad.tensor_sum(ad.mul(rows, rows), axis=1))
+    return mean(tensor_sum(mul(rows, rows), axis=1))
 
 
 def tape_total_loss(l_bpr, l_hc, l_ghc, l_reg, lambda_hc, lambda_ghc, lambda_reg) -> ad.Tensor:
@@ -107,7 +136,7 @@ def _dropped(t: ad.Tensor, rate: float, rng: np.random.Generator) -> ad.Tensor:
     if rate >= 1.0:
         return scale(t, 0.0)
     mask = (rng.random(t.shape) >= rate) / (1.0 - rate)
-    return ad.mul(t, ad.constant(mask))
+    return mul(t, ad.constant(mask))
 
 
 def tape_hypergraph_pass(pair, e_items, drop_rate, steps=1, rng=None, item_rows=None):

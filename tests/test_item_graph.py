@@ -5,6 +5,7 @@ import pytest
 import scipy.sparse as sp
 
 from mhcr import autodiff as ad
+from mhcr import item_graph
 from mhcr.dataio import ModalityFeatures
 from mhcr.errors import ConfigError, ShapeError
 from mhcr.item_graph import build_affinity_graph, propagate_items
@@ -26,6 +27,11 @@ def brute_force_topk(matrix: np.ndarray, k: int) -> list[list[int]]:
         sims.sort(key=lambda pair: (-pair[1], pair[0]))
         result.append(sorted(b for b, _ in sims[:k]))
     return result
+
+
+def set_block_rows(monkeypatch, rows: int, num_items: int) -> None:
+    """Make `build_affinity_graph` compute `rows` similarity rows per block."""
+    monkeypatch.setattr(item_graph, "_AFFINITY_BLOCK_ELEMENTS", rows * num_items)
 
 
 def full_sort_affinity(matrix: np.ndarray, k: int, block_size: int) -> sp.csr_matrix:
@@ -142,17 +148,35 @@ class TestBuildAffinity:
         with pytest.raises(ConfigError):
             build_affinity_graph(ModalityFeatures("image", np.ones((3, 2))), k=0)
 
-    def test_blocked_build_matches_unblocked(self):
+    def test_blocked_build_matches_unblocked(self, monkeypatch):
         rng = np.random.default_rng(9)
         matrix = rng.normal(size=(23, 4))
         feats = ModalityFeatures("text", matrix)
-        a = build_affinity_graph(feats, k=4, block_size=5)
-        b = build_affinity_graph(feats, k=4, block_size=1000)
+        set_block_rows(monkeypatch, 5, 23)
+        a = build_affinity_graph(feats, k=4)
+        set_block_rows(monkeypatch, 1000, 23)
+        b = build_affinity_graph(feats, k=4)
         assert np.allclose(a.matrix.toarray(), b.matrix.toarray())
+
+    def test_block_rows_come_from_the_element_budget(self, monkeypatch):
+        # a budget below one row still computes one row per block
+        original, block_rows = item_graph._top_k, []
+
+        def top_k(sims, k):
+            block_rows.append(len(sims))
+            return original(sims, k)
+
+        monkeypatch.setattr(item_graph, "_top_k", top_k)
+        matrix = np.random.default_rng(4).normal(size=(7, 3))
+        for budget, expected in ((1, [1] * 7), (7 * 3, [3, 3, 1]), (10**6, [7])):
+            block_rows.clear()
+            monkeypatch.setattr(item_graph, "_AFFINITY_BLOCK_ELEMENTS", budget)
+            build_affinity_graph(ModalityFeatures("image", matrix), k=2)
+            assert block_rows == expected, budget
 
 
     @pytest.mark.parametrize("k", [1, 3, 9, 10, 11, 19, 40])
-    def test_byte_identical_to_full_sort_with_ties(self, k):
+    def test_byte_identical_to_full_sort_with_ties(self, k, monkeypatch):
         # 200 items drawn from 20 distinct rows: each item has 9 or more exact
         # duplicates, so the k-th value is often shared; plus rounded
         # features with near-ties and a few zero rows
@@ -162,7 +186,8 @@ class TestBuildAffinity:
         rounded = np.round(rng.normal(size=(60, 2)), 1)
         rounded[:3] = 0.0
         for matrix, block_size in ((duplicated, 64), (duplicated, 2048), (rounded, 16)):
-            graph = build_affinity_graph(ModalityFeatures("image", matrix), k, block_size)
+            set_block_rows(monkeypatch, block_size, len(matrix))
+            graph = build_affinity_graph(ModalityFeatures("image", matrix), k)
             expected = full_sort_affinity(matrix, graph.k, block_size)
             for field in ("indptr", "indices", "data"):
                 actual, wanted = getattr(graph.matrix, field), getattr(expected, field)

@@ -36,11 +36,14 @@ from oracles import (
     exp,
     log,
     mean,
+    mul,
+    row_normalize,
     scale,
     sub,
     tape_bpr_loss,
     tape_embedding_l2,
     tape_total_loss,
+    tensor_sum,
     transpose,
 )
 
@@ -48,7 +51,7 @@ LN2 = float(np.log(2.0))
 
 
 def _normalized_batch(embeddings, batch):
-    return ad.row_normalize(ad.gather_rows(ad.as_tensor(embeddings), batch))
+    return row_normalize(ad.gather_rows(ad.as_tensor(embeddings), batch))
 
 
 def tape_hyper_contrastive(per_modality, batch, tau):
@@ -59,7 +62,7 @@ def tape_hyper_contrastive(per_modality, batch, tau):
     for a, b in permutations(range(len(normalized)), 2):
         e_a, e_b = normalized[a], normalized[b]
         pos_term = exp(scale(ad.row_dot(e_a, e_b), 1.0 / tau))
-        neg_term = ad.tensor_sum(exp(scale(ad.matmul(e_a, transpose(e_b)), 1.0 / tau)), axis=1)
+        neg_term = tensor_sum(exp(scale(ad.matmul(e_a, transpose(e_b)), 1.0 / tau)), axis=1)
         pos = pos_term if pos is None else pos + pos_term
         neg = neg_term if neg is None else neg + neg_term
     return mean(sub(log(neg), log(pos)))
@@ -70,7 +73,7 @@ def tape_graph_hyper_contrastive(e_graph, e_hyper, batch, tau):
     g = _normalized_batch(e_graph, batch)
     h = _normalized_batch(e_hyper, batch)
     pos = scale(ad.row_dot(g, h), 1.0 / tau)
-    denom = ad.tensor_sum(exp(scale(ad.matmul(g, transpose(h)), 1.0 / tau)), axis=1)
+    denom = tensor_sum(exp(scale(ad.matmul(g, transpose(h)), 1.0 / tau)), axis=1)
     return mean(sub(log(denom), pos))
 
 
@@ -341,8 +344,8 @@ class TestLossGradients:
         rows, scores = rng.normal(size=(5, 3)), rng.normal(size=(3, 4))
 
         def build(r, s):
-            l_bpr = bpr_loss(ad.tensor_sum(s, axis=1), ad.tensor_sum(ad.mul(s, s), axis=1))
-            return total_loss(l_bpr, 0.0, ad.tensor_sum(s), embedding_l2(r), 0.3, 0.7, 1.9)[0]
+            l_bpr = bpr_loss(tensor_sum(s, axis=1), tensor_sum(mul(s, s), axis=1))
+            return total_loss(l_bpr, 0.0, tensor_sum(s), embedding_l2(r), 0.3, 0.7, 1.9)[0]
 
         r_t, s_t = ad.Tensor(rows, requires_grad=True), ad.Tensor(scores, requires_grad=True)
         build(r_t, s_t).backward()
@@ -438,35 +441,56 @@ class TestTinyTemperature:
 
 
 class TestOneTapeNode:
-    """Each contrastive loss is a single node whose parents are the
-    normalized batch rows (row_normalize over gather_rows of each input);
-    BPR, L2 and the total are one node each, and so is each view step."""
+    """Each contrastive loss is a single node whose parents are its input
+    tensors, with the gather and row normalization inside; BPR, L2, the
+    total and each row dot product are one node each, and so is each view
+    step."""
 
     @staticmethod
-    def assert_normalized_gather(parent, source, batch):
-        (gathered,) = parent._parents
-        (origin,) = gathered._parents
-        assert origin is source
-        np.testing.assert_array_equal(gathered.data, source.data[batch])
-        np.testing.assert_array_equal(parent.data, unit_rows(source.data[batch]))
+    def assert_one_node_matching_the_reference(loss, reference, inputs, tape_inputs):
+        assert loss._parents == tuple(inputs)
+        assert loss.item() == pytest.approx(reference.item(), rel=1e-12)
+        loss.backward()
+        reference.backward()
+        for t, ref in zip(inputs, tape_inputs):
+            assert _rel_err(t.grad, ref.grad) <= 1e-12
 
     def test_hc(self):
         rng = np.random.default_rng(8)
         batch = np.array([0, 2, 2, 1])
-        inputs = [ad.Tensor(rng.normal(size=(3, 4)), requires_grad=True) for _ in range(3)]
-        loss = hyper_contrastive_loss(inputs, batch, 0.2)
-        assert len(loss._parents) == 3
-        for parent, source in zip(loss._parents, inputs):
-            self.assert_normalized_gather(parent, source, batch)
+        values = [rng.normal(size=(3, 4)) for _ in range(3)]
+        inputs = [ad.Tensor(v, requires_grad=True) for v in values]
+        tape_inputs = [ad.Tensor(v, requires_grad=True) for v in values]
+        self.assert_one_node_matching_the_reference(
+            hyper_contrastive_loss(inputs, batch, 0.2),
+            tape_hyper_contrastive(tape_inputs, batch, 0.2), inputs, tape_inputs,
+        )
 
     def test_ghc(self):
         rng = np.random.default_rng(9)
         batch = np.array([0, 2, 2, 1])
-        inputs = [ad.Tensor(rng.normal(size=(3, 4)), requires_grad=True) for _ in range(2)]
-        loss = graph_hyper_contrastive_loss(*inputs, batch, 0.2)
-        assert len(loss._parents) == 2
-        for parent, source in zip(loss._parents, inputs):
-            self.assert_normalized_gather(parent, source, batch)
+        values = [rng.normal(size=(3, 4)) for _ in range(2)]
+        inputs = [ad.Tensor(v, requires_grad=True) for v in values]
+        tape_inputs = [ad.Tensor(v, requires_grad=True) for v in values]
+        self.assert_one_node_matching_the_reference(
+            graph_hyper_contrastive_loss(*inputs, batch, 0.2),
+            tape_graph_hyper_contrastive(*tape_inputs, batch, 0.2), inputs, tape_inputs,
+        )
+
+    def test_row_dot(self):
+        # bit for bit the product and row sum of the op-by-op tape
+        rng = np.random.default_rng(12)
+        values, weights = [rng.normal(size=(4, 3)) for _ in range(2)], rng.normal(size=4)
+        results = []
+        for dot in (ad.row_dot, lambda a, b: tensor_sum(mul(a, b), axis=1)):
+            a, b = (ad.Tensor(v, requires_grad=True) for v in values)
+            dots = dot(a, b)
+            tensor_sum(mul(dots, ad.constant(weights))).backward()
+            results.append((dots, a, b))
+        (dots, a, b), (reference, ref_a, ref_b) = results
+        assert dots._parents == (a, b)
+        assert np.array_equal(dots.data, reference.data)
+        assert np.array_equal(a.grad, ref_a.grad) and np.array_equal(b.grad, ref_b.grad)
 
 
     @staticmethod
@@ -510,7 +534,7 @@ class TestOneTapeNode:
         inputs = [pair.h_items, pair.h_users, projected[0]]
         assert self.tape_nodes([e_u, e_i], inputs) == steps + 1
 
-    def test_full_model_step_records_at_most_50_nodes(self):
+    def test_full_model_step_records_at_most_36_nodes(self):
         ds, feats = generate_synthetic(SyntheticConfig(
             num_users=30, num_items=20, num_clusters=2, mean_interactions=4.0,
             modality_dims={"image": 5, "video": 4, "text": 3}, seed=2))
@@ -521,7 +545,7 @@ class TestOneTapeNode:
         users, items = ds.split_pairs(TRAIN)
         batch = Batch(users[:8], items[:8], items[8:16])
         result = forward(params, views, cfg, batch=batch, mode="train", rng=0)
-        assert self.tape_nodes([result.total]) <= 50
+        assert self.tape_nodes([result.total]) <= 36
 
 
 def test_breakdown_csv_fields():

@@ -2,13 +2,15 @@
 ablation flags, gradient correctness against finite differences, Adam, and
 the fit loop."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mhcr import autodiff as ad
-from mhcr import evaluation
+from mhcr import evaluation, training
 from mhcr.dataio import MODALITIES, TRAIN, SyntheticConfig, generate_synthetic, split_dataset
 from mhcr.errors import ConfigError, DataError, NumericError
 from mhcr.objectives import (
@@ -44,7 +46,9 @@ MASK_SEED = 1234
 
 
 def make_params(cfg, ds, views, seed=None):
-    return init_parameters(cfg, ds.num_users, ds.num_items, views.modality_dims, seed)
+    if seed is not None:
+        cfg = replace(cfg, seed=seed)
+    return init_parameters(cfg, ds.num_users, ds.num_items, views.modality_dims)
 
 
 class TestInit:
@@ -63,7 +67,7 @@ class TestInit:
 
     def test_row_norms_concentrate_near_one(self):
         cfg = TrainConfig(d=64)
-        params = init_parameters(cfg, 500, 500, {"image": 16}, rng_seed=0)
+        params = init_parameters(cfg, 500, 500, {"image": 16})
         norms = np.linalg.norm(params.e0.data, axis=1)
         assert 0.8 <= norms.mean() <= 1.2
 
@@ -161,6 +165,25 @@ class TestForward:
         assert np.array_equal(result.fused.data, views_sum)
         user_emb, item_emb = compute_embeddings(params, views, cfg)
         assert np.array_equal(np.vstack([user_emb, item_emb]), views_sum)
+
+    def test_compute_embeddings_records_no_tape(self, micro, monkeypatch):
+        ds, _, cfg, views = micro
+        params = make_params(cfg, ds, views)
+        passes = []
+
+        def recorded_forward(*args, **kwargs):
+            passes.append(forward(*args, **kwargs))
+            return passes[-1]
+
+        monkeypatch.setattr(training, "forward", recorded_forward)
+        compute_embeddings(params, views, cfg)
+        (result,) = passes
+        outputs = [result.e_ui, result.e_ii, result.e_h, result.fused, *result.hyper_stacks]
+        assert result.hyper_stacks
+        for tensor in outputs:
+            assert tensor._backward is None and tensor._parents == ()
+            assert not tensor.requires_grad
+        assert all(t.requires_grad and t.grad is None for t in params.tensors().values())
 
     def test_hc_requires_two_modalities(self, micro):
         ds, feats, _, _ = micro
@@ -266,7 +289,8 @@ class TestBatchRows:
         )
         for view in ("e_ui", "e_ii", "e_h", "fused"):
             assert getattr(result, view).shape == (result.nodes.size, cfg.d), view
-        assert forward(make_params(cfg, ds, views), views, cfg, mode="eval").nodes is None
+        eval_nodes = forward(make_params(cfg, ds, views), views, cfg, mode="eval").nodes
+        assert np.array_equal(eval_nodes, np.arange(ds.num_users + ds.num_items))
 
 
 class TestGradients:

@@ -13,10 +13,12 @@ from mhcr.ui_graph import propagate_ui
 
 from conftest import assert_grad_close, finite_difference, micro_config, micro_dataset
 from oracles import (
+    mul,
     tape_build_incidence,
     tape_hypergraph_pass,
     tape_propagate_items,
     tape_propagate_ui,
+    tensor_sum,
 )
 
 ROW_CASES = ["all", "subset", "duplicates"]
@@ -48,7 +50,7 @@ def pick_rows(case: str, n: int, rng: np.random.Generator):
 
 
 def weighted_sum(out: ad.Tensor, weights: np.ndarray) -> ad.Tensor:
-    return ad.tensor_sum(ad.mul(out, ad.constant(weights)))
+    return tensor_sum(mul(out, ad.constant(weights)))
 
 
 def leaf(data: np.ndarray) -> ad.Tensor:
@@ -214,6 +216,6 @@ def test_own_targets_gradient_is_scattered_into_incidence():
     h = ad.Tensor(np.array([[1.0], [2.0]]), requires_grad=True)
     pair = IncidencePair("image", h, ad.Tensor(np.zeros((1, 1))))
     _, e_items = hypergraph_pass(pair, np.array([[1.0], [1.0]]), 0.0, item_rows=np.array([0, 0]))
-    ad.tensor_sum(e_items).backward()
+    tensor_sum(e_items).backward()
     # out_r = H[0] * (H[0] + H[1]) for both rows, so dL/dH = 2 * (2 H[0] + H[1], H[0])
     assert np.array_equal(h.grad, np.array([[8.0], [2.0]]))
