@@ -79,11 +79,9 @@ class Tensor:
                 stack.append((parent, False))
 
         self.grad = np.ones_like(self.data)
-        # Closures may hand back the upstream gradient itself or a view of
-        # it, so a first contribution is stored as is and only a buffer the
-        # tape allocated here, or an array the closure allocated (`owned`),
-        # is ever updated in place. A RowGrad is added into such a buffer.
-        owned = {id(self)}
+        # Every closure hands back a RowGrad or an array made for that parent
+        # alone (see `custom_op`), so a first contribution is stored as is
+        # and later ones are added into it in place.
         for node in reversed(order):
             if node._backward is None or node.grad is None:
                 continue
@@ -93,23 +91,11 @@ class Tensor:
                 if isinstance(grad, RowGrad):
                     if parent.grad is None:
                         parent.grad = np.zeros(parent.shape)
-                    elif id(parent) not in owned:
-                        parent.grad = parent.grad.copy()
-                    owned.add(id(parent))
                     add_rows(parent.grad, *grad)
                 elif parent.grad is None:
                     parent.grad = grad
-                    fresh = isinstance(grad, np.ndarray) and grad.flags.owndata
-                    if fresh and grad is not node.grad:
-                        owned.add(id(parent))
-                elif id(parent) in owned:
-                    parent.grad += grad
                 else:
-                    parent.grad = parent.grad + grad
-                    owned.add(id(parent))
-        for node in order:
-            if node._backward is None and node.grad is not None and id(node) not in owned:
-                node.grad = np.array(node.grad)
+                    parent.grad += grad
 
 
 def as_tensor(value) -> Tensor:
@@ -136,8 +122,9 @@ def _node(data: Array, parents: tuple[Tensor, ...], backward) -> Tensor:
 def custom_op(data, parents: Sequence[Tensor], backward) -> Tensor:
     """One tape node with a hand-derived gradient: `backward(g)` maps the
     upstream gradient to one gradient (or None) per parent, in order. Each is
-    `g` or a view of it, a RowGrad, or an array allocated for that parent
-    alone, which the tape may then update in place."""
+    a RowGrad or an array allocated for that parent alone, never `g` or a
+    view of it: the tape keeps the first gradient a tensor is handed and
+    adds later ones into it in place."""
     return _node(data, tuple(parents), backward)
 
 
@@ -152,7 +139,7 @@ def add(a, b) -> Tensor:
     data = a.data + b.data
 
     def backward(g):
-        return g, g
+        return tuple(g.copy() if p.requires_grad else None for p in (a, b))
 
     return _node(data, (a, b), backward)
 
@@ -202,7 +189,10 @@ def concat_rows(parts: Iterable[Tensor]) -> Tensor:
     offsets = np.cumsum([p.shape[0] for p in parts])[:-1]
 
     def backward(g):
-        return tuple(np.split(g, offsets, axis=0))
+        return tuple(
+            part.copy() if p.requires_grad else None
+            for p, part in zip(parts, np.split(g, offsets, axis=0))
+        )
 
     return _node(data, parts, backward)
 

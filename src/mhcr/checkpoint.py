@@ -12,6 +12,7 @@ The header's sizes are read off the tensors. On load they fix, through
 
 from __future__ import annotations
 
+import math
 import struct
 from pathlib import Path
 
@@ -110,7 +111,7 @@ def load_checkpoint(path: str | Path) -> ModelParameters:
         name = reader.take_bytes(name_len).decode("utf-8")
         (ndim,) = reader.take("<B")
         dims = reader.take(f"<{ndim}Q")
-        data = reader.take_bytes(int(np.prod(dims)) * 4)
+        data = reader.take_bytes(math.prod(dims) * 4)  # exact, so corrupt dims cannot wrap
         tensors[name] = np.frombuffer(data, dtype="<f4").reshape(dims).astype(np.float64)
 
     expected = parameter_shapes(num_users, num_items, d, k_hyper, modality_dims)

@@ -124,15 +124,13 @@ def evaluate(
     if user_emb.shape[0] != ds.num_users or item_emb.shape[0] != ds.num_items:
         raise ShapeError("embedding row counts do not match the dataset")
     mask_splits = (TRAIN,) if target_split == VAL else (TRAIN, VAL)
-    split = ds.require_split()
     targets = ds.items_by_user(target_split)
+    masked = ds.items_by_user(mask_splits)
     slice_users = _slice_users(ds, slice_name, cold_threshold)
     eligible = [u for u in slice_users.tolist() if targets[u].size > 0]
 
     k_max = max(ks)
     sums = {k: np.zeros(2) for k in ks}
-    mask_items = ds.items[np.isin(split, mask_splits)]
-    mask_users = ds.users[np.isin(split, mask_splits)]
 
     count = 0
     for start in range(0, len(eligible), _USER_BLOCK):
@@ -141,8 +139,7 @@ def evaluate(
             continue
         scores = user_emb[block] @ item_emb.T
         for row, u in enumerate(block):
-            excluded = mask_items[mask_users == u]
-            topk = rank_items(scores[row], excluded, k_max)
+            topk = rank_items(scores[row], masked[u], k_max)
             for k in ks:
                 sums[k][0] += recall_at_k(topk[:k], targets[u])
                 sums[k][1] += ndcg_at_k(topk, targets[u], k)

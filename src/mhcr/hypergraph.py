@@ -15,7 +15,7 @@ factor is unbiased and evaluation needs no rescale.
 
 Pooling H_i^T E_i is K x d, so the broadcast is the only per-row work: a
 caller names the users and items it reads (a training batch passes its
-ids; the default is every row), and only those rows of H_u, of the final
+ids, evaluation every row), and only those rows of H_u, of the final
 broadcast and of its dropout masks are computed.
 
 On the tape, H_i and H_u are one node each, and so is every broadcast
@@ -25,8 +25,6 @@ its gradient; targets that are rows of H_i add their gradient into H_i's.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 import scipy.sparse as sp
 
@@ -34,26 +32,12 @@ from . import autodiff as ad
 from .errors import ConfigError, ShapeError
 
 
-@dataclass
-class IncidencePair:
-    """Incidence of every item, and of the users the caller reads (the
-    `user_rows` given to `build_incidence`)."""
-
-    modality: str
-    h_items: ad.Tensor
-    h_users: ad.Tensor
-
-
 def build_incidence(
-    features: np.ndarray,
-    v_m,
-    x_u: sp.spmatrix,
-    modality: str = "",
-    user_rows: np.ndarray | None = None,
-) -> IncidencePair:
-    """Item and user incidence for one modality; no nonlinearity applied.
-
-    The user incidence is X_u[user_rows] @ H_i (default: every user)."""
+    features: np.ndarray, v_m, x_u: sp.spmatrix, user_rows: np.ndarray
+) -> tuple[ad.Tensor, ad.Tensor]:
+    """(H_i, H_u) for one modality: the incidence of every item, and
+    H_u = X_u[user_rows] @ H_i of the users the caller reads. No
+    nonlinearity applied."""
     features = np.asarray(features, dtype=np.float64)
     v_m = ad.as_tensor(v_m)
     if features.ndim != 2 or v_m.ndim != 2:
@@ -67,12 +51,10 @@ def build_incidence(
             f"interaction matrix has {x_u.shape[1]} item columns, features have "
             f"{features.shape[0]} rows"
         )
-    if user_rows is None:
-        user_rows = np.arange(x_u.shape[0])
     h_items = ad.custom_op(features @ v_m.data.T, (v_m,), lambda g: ((features.T @ g).T,))
     x_rows = x_u[user_rows]
     h_users = ad.custom_op(x_rows @ h_items.data, (h_items,), lambda g: (x_rows.T @ g,))
-    return IncidencePair(modality, h_items, h_users)
+    return h_items, h_users
 
 
 def _mask(shape: tuple[int, ...], rate: float, rng: np.random.Generator):
@@ -122,43 +104,40 @@ def _broadcast(
 
 
 def hypergraph_pass(
-    pair: IncidencePair,
+    incidence: tuple[ad.Tensor, ad.Tensor],
     e_items,
     drop_rate: float,
-    steps: int = 1,
-    rng: int | np.random.Generator | None = None,
-    item_rows: np.ndarray | None = None,
+    steps: int,
+    rng: np.random.Generator,
+    item_rows: np.ndarray,
 ) -> tuple[ad.Tensor, ad.Tensor]:
-    """Run `steps` rounds of hyperedge pooling and broadcasting.
+    """Run `steps` rounds of hyperedge pooling and broadcasting over the
+    incidence (H_i, H_u) that `build_incidence` returns.
 
     Earlier steps update only the item state, over every item. The final
     step also computes the user update from the same incoming item state,
-    and broadcasts items only to `item_rows` (default: every item).
-    Masks are resampled for every DROP occurrence in a fixed order (item
-    update's two factors, then the user update's two), so a seeded `rng`
-    pins the whole stochastic chain. Returns (user, item) states after the
-    final step, with the rows of `pair.h_users` and `item_rows`.
+    and broadcasts items only to `item_rows`. Masks are resampled for every
+    DROP occurrence in a fixed order (item update's two factors, then the
+    user update's two), so a seeded `rng` pins the whole stochastic chain.
+    Returns (user, item) states after the final step, with the rows of H_u
+    and `item_rows`.
     """
     if steps < 1:
         raise ConfigError("steps must be >= 1")
     if not 0.0 <= drop_rate <= 1.0:
         raise ConfigError("drop_rate must be in [0, 1]")
-    if not isinstance(rng, np.random.Generator):
-        rng = np.random.default_rng(rng)
 
+    h_items, h_users = incidence
     e_items = ad.as_tensor(e_items)
-    num_items = pair.h_items.shape[0]
+    num_items = h_items.shape[0]
     if e_items.shape[0] != num_items:
         raise ShapeError(f"item state rows {e_items.shape[0]} != incidence rows {num_items}")
-    every_item = np.arange(num_items)
-    if item_rows is None:
-        item_rows = every_item
 
     e_cur = e_items
     for _ in range(steps - 1):
-        e_cur = _broadcast(pair.h_items, e_cur, drop_rate, rng, every_item)
-    e_next = _broadcast(pair.h_items, e_cur, drop_rate, rng, item_rows)
-    return _broadcast(pair.h_items, e_cur, drop_rate, rng, pair.h_users), e_next
+        e_cur = _broadcast(h_items, e_cur, drop_rate, rng, np.arange(num_items))
+    e_next = _broadcast(h_items, e_cur, drop_rate, rng, item_rows)
+    return _broadcast(h_items, e_cur, drop_rate, rng, h_users), e_next
 
 
 def aggregate_hyper(stacks: list[ad.Tensor]) -> ad.Tensor:

@@ -9,7 +9,6 @@ over all modalities is one tape node with a closed-form gradient.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -24,15 +23,6 @@ log = logging.getLogger(__name__)
 # Similarities are computed in row blocks of about this many entries (at
 # least one row), so building a graph holds O(this) floats, not O(|I|^2).
 _AFFINITY_BLOCK_ELEMENTS = 1 << 19
-
-
-@dataclass
-class AffinityGraph:
-    """Row-stochastic top-K item-item graph for one modality."""
-
-    modality: str
-    matrix: sp.csr_matrix
-    k: int
 
 
 def _normalized_rows(matrix: np.ndarray, tag: str) -> np.ndarray:
@@ -59,7 +49,7 @@ def _top_k(sims: np.ndarray, k: int) -> np.ndarray:
     return order
 
 
-def build_affinity_graph(features: ModalityFeatures, k: int) -> AffinityGraph:
+def build_affinity_graph(features: ModalityFeatures, k: int) -> sp.csr_matrix:
     """Keep each item's K most cosine-similar neighbors (self excluded),
     clamp negatives to zero, and divide each row by its sum, so nonzero rows
     are stochastic.
@@ -99,7 +89,7 @@ def build_affinity_graph(features: ModalityFeatures, k: int) -> AffinityGraph:
             data.append(vals[col_order])
             indptr.append(indptr[-1] + cols.size)
 
-    matrix = sp.csr_matrix(
+    return sp.csr_matrix(
         (
             np.concatenate(data) if data else np.empty(0),
             np.concatenate(indices) if indices else np.empty(0, dtype=np.int64),
@@ -107,33 +97,27 @@ def build_affinity_graph(features: ModalityFeatures, k: int) -> AffinityGraph:
         ),
         shape=(num_items, num_items),
     )
-    return AffinityGraph(features.modality, matrix, k)
 
 
 def propagate_items(
-    graphs: Sequence[AffinityGraph], projected: Sequence, rows: np.ndarray | None = None
+    graphs: Sequence[sp.csr_matrix], projected: Sequence, rows: np.ndarray
 ) -> ad.Tensor:
     """Sum over modalities of S_m @ P_m, where P_m is the projected feature
     matrix for modality m. Linear in every projected input.
 
-    `rows` (item ids, default every item) selects the output rows, computed
-    as S_m[rows] @ P_m. One tape node; the gradient into P_m is
-    S_m[rows]^T @ g."""
+    `rows` (item ids) selects the output rows, computed as S_m[rows] @ P_m.
+    One tape node; the gradient into P_m is S_m[rows]^T @ g."""
     if len(graphs) != len(projected):
         raise ShapeError(f"{len(graphs)} graphs but {len(projected)} projected matrices")
     if not graphs:
         raise ConfigError("propagate_items requires at least one modality")
     projected = [ad.as_tensor(p) for p in projected]
-    if rows is None:
-        rows = np.arange(graphs[0].matrix.shape[0])
     matrices = []
     out = None
     for graph, p in zip(graphs, projected):
-        if p.shape[0] != graph.matrix.shape[0]:
-            raise ShapeError(
-                f"{graph.modality}: projected rows {p.shape[0]} != {graph.matrix.shape[0]} items"
-            )
-        matrices.append(graph.matrix[rows])
+        if p.shape[0] != graph.shape[0]:
+            raise ShapeError(f"projected rows {p.shape[0]} != {graph.shape[0]} items")
+        matrices.append(graph[rows])
         term = matrices[-1] @ p.data
         out = term if out is None else out + term
     return ad.custom_op(out, projected, lambda g: [m.T @ g for m in matrices])

@@ -221,7 +221,7 @@ def total_loss(
     total = ad.custom_op(
         b + hc * lambda_hc + ghc * lambda_ghc + reg * lambda_reg,
         parts,
-        lambda g: (g, g * lambda_hc, g * lambda_ghc, g * lambda_reg),
+        lambda g: (g.copy(), g * lambda_hc, g * lambda_ghc, g * lambda_reg),
     )
     breakdown = LossBreakdown(*(float(x) for x in (b, hc, ghc, reg, total.data)))
     return total, breakdown

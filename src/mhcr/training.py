@@ -17,7 +17,7 @@ from . import evaluation
 from .dataio import MODALITIES, TRAIN, InteractionDataset, ModalityFeatures, validate_features
 from .errors import ConfigError, DataError, NumericError
 from .hypergraph import aggregate_hyper, build_incidence, hypergraph_pass
-from .item_graph import AffinityGraph, build_affinity_graph, propagate_items
+from .item_graph import build_affinity_graph, propagate_items
 from .objectives import (
     LossBreakdown,
     bpr_loss,
@@ -26,7 +26,7 @@ from .objectives import (
     hyper_contrastive_loss,
     total_loss,
 )
-from .ui_graph import NormalizedBipartiteGraph, build_norm_adjacency, propagate_ui
+from .ui_graph import build_norm_adjacency, propagate_ui
 
 log = logging.getLogger(__name__)
 
@@ -269,10 +269,14 @@ class Adam:
 
 @dataclass
 class ViewInputs:
-    """Frozen graph structures shared by every training step."""
+    """Frozen graph structures shared by every training step, as plain
+    matrices: the normalized user-item adjacency (`build_norm_adjacency`),
+    one affinity graph per modality (`build_affinity_graph`; entry i belongs
+    to `features[i]`), the |U| x |I| train interaction matrix X_u, and the
+    modality features in canonical order."""
 
-    graph: NormalizedBipartiteGraph
-    affinity: list[AffinityGraph]
+    adjacency: sp.csr_matrix
+    affinity: list[sp.csr_matrix]
     x_u: sp.csr_matrix
     features: list[ModalityFeatures]
 
@@ -286,13 +290,13 @@ def build_views(
 ) -> ViewInputs:
     validate_features(ds, features)
     feats = canonical_modalities(features)
-    graph = build_norm_adjacency(ds)
+    adjacency = build_norm_adjacency(ds)
     affinity = [build_affinity_graph(f, cfg.k_knn) for f in feats]
     users, items = ds.split_pairs(TRAIN)
     x_u = sp.csr_matrix(
         (np.ones(users.size), (users, items)), shape=(ds.num_users, ds.num_items)
     )
-    return ViewInputs(graph, affinity, x_u, feats)
+    return ViewInputs(adjacency, affinity, x_u, feats)
 
 
 @dataclass
@@ -329,15 +333,14 @@ def sample_negatives(
     ds: InteractionDataset,
     batch_users: np.ndarray,
     rng: np.random.Generator,
-    train_sets: Sequence[frozenset[int]] | None = None,
+    train_sets: Sequence[frozenset[int]],
 ) -> np.ndarray:
-    """One uniformly sampled non-train item per batch user.
+    """One uniformly sampled non-train item per batch user, given each
+    user's train items (`train_item_sets`).
 
     Rejection sampling capped at 100 tries per user; users interacting with
     (nearly) every item fall back to an unconstrained uniform draw.
     """
-    if train_sets is None:
-        train_sets = train_item_sets(ds)
     negatives = np.empty(len(batch_users), dtype=np.int64)
     fallbacks = 0
     for row, u in enumerate(np.asarray(batch_users).tolist()):
@@ -413,11 +416,11 @@ def forward(
                 ad.constant(feats.matrix), params.named[f"W_{feats.modality}"]
             )
 
-    e_ui = propagate_ui(views.graph, params.e0, cfg.layers, nodes) if cfg.use_ui else zero_view
+    e_ui = propagate_ui(views.adjacency, params.e0, cfg.layers, nodes) if cfg.use_ui else zero_view
 
     if cfg.use_ii:
         items_part = propagate_items(
-            views.affinity, [projected[g.modality] for g in views.affinity], item_rows
+            views.affinity, [projected[f.modality] for f in views.features], item_rows
         )
         e_ii = ad.concat_rows([ad.zeros((n_user_rows, d)), items_part])
     else:
@@ -431,7 +434,7 @@ def forward(
         pairs = []
         for feats in views.features:
             v_m = params.named[f"V_{feats.modality}"]
-            incidence = build_incidence(feats.matrix, v_m, views.x_u, feats.modality, user_rows)
+            incidence = build_incidence(feats.matrix, v_m, views.x_u, user_rows)
             pairs.append(
                 hypergraph_pass(
                     incidence, projected[feats.modality], drop, cfg.hyper_steps, rng, item_rows

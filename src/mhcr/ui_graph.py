@@ -4,8 +4,6 @@ gradient."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 import scipy.sparse as sp
 
@@ -14,24 +12,12 @@ from .dataio import TRAIN, InteractionDataset
 from .errors import ConfigError, DataError, ShapeError
 
 
-@dataclass
-class NormalizedBipartiteGraph:
+def build_norm_adjacency(ds: InteractionDataset) -> sp.csr_matrix:
     """(|U|+|I|)-node adjacency with edge weight 1/sqrt(deg(u) * deg(i)).
 
     Users occupy node rows [0, |U|), items [|U|, |U|+|I|). Only train
     interactions contribute edges; isolated nodes keep zero rows.
     """
-
-    adjacency: sp.csr_matrix
-    num_users: int
-    num_items: int
-
-    @property
-    def num_nodes(self) -> int:
-        return self.num_users + self.num_items
-
-
-def build_norm_adjacency(ds: InteractionDataset) -> NormalizedBipartiteGraph:
     users, items = ds.split_pairs(TRAIN)
     if users.size == 0:
         raise DataError("cannot build bipartite graph: no train interactions")
@@ -43,19 +29,16 @@ def build_norm_adjacency(ds: InteractionDataset) -> NormalizedBipartiteGraph:
     rows = np.concatenate([users, ds.num_users + items])
     cols = np.concatenate([ds.num_users + items, users])
     vals = np.concatenate([weights, weights])
-    adjacency = sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
-    return NormalizedBipartiteGraph(adjacency, ds.num_users, ds.num_items)
+    return sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
 
 
-def propagate_ui(
-    graph: NormalizedBipartiteGraph, e0, layers: int, rows: np.ndarray | None = None
-) -> ad.Tensor:
+def propagate_ui(adjacency: sp.csr_matrix, e0, layers: int, rows: np.ndarray) -> ad.Tensor:
     """Sum of embeddings over layers 0..L, where layer l is A_norm^l @ e0.
 
     Pure linear propagation: no nonlinearity and no per-layer parameters.
-    `rows` (node ids, default every node) selects the output rows: layers
-    1..L-1 run over the whole graph, layer L is A_norm[rows] @ layer L-1, and
-    the readout adds only the selected rows, in the same order.
+    `rows` (node ids) selects the output rows: layers 1..L-1 run over the
+    whole graph, layer L is A_norm[rows] @ layer L-1, and the readout adds
+    only the selected rows, in the same order.
 
     One tape node with the transposed chain as its gradient: the upstream
     gradient g enters layer L-1 through A_norm[rows]^T and every layer
@@ -65,15 +48,12 @@ def propagate_ui(
     if layers < 0:
         raise ConfigError("layer count must be >= 0")
     e0 = ad.as_tensor(e0)
-    if e0.ndim != 2 or e0.shape[0] != graph.num_nodes:
+    if e0.ndim != 2 or e0.shape[0] != adjacency.shape[0]:
         raise ShapeError(
-            f"embedding rows {e0.shape} do not match {graph.num_nodes} graph nodes"
+            f"embedding rows {e0.shape} do not match {adjacency.shape[0]} graph nodes"
         )
-    if rows is None:
-        rows = np.arange(graph.num_nodes)
     if layers == 0:
         return ad.gather_rows(e0, rows)
-    adjacency = graph.adjacency
     last_adjacency = adjacency[rows]
     current = e0.data
     out = current[rows]

@@ -10,7 +10,6 @@ from scipy.special import expit
 
 from mhcr import autodiff as ad
 from mhcr.errors import ShapeError
-from mhcr.hypergraph import IncidencePair
 
 
 def mul(a, b) -> ad.Tensor:
@@ -74,7 +73,7 @@ def spmm(matrix, x: ad.Tensor) -> ad.Tensor:
 
 
 def transpose(a: ad.Tensor) -> ad.Tensor:
-    return ad.custom_op(a.data.T, (a,), lambda g: (g.T,))
+    return ad.custom_op(a.data.T, (a,), lambda g: (g.T.copy(),))
 
 
 def cosine_affinity(features: np.ndarray, a: int, b: int) -> float:
@@ -101,33 +100,29 @@ def tape_total_loss(l_bpr, l_hc, l_ghc, l_reg, lambda_hc, lambda_ghc, lambda_reg
     return ad.add(out, scale(parts[3], lambda_reg))
 
 
-def tape_propagate_ui(graph, e0: ad.Tensor, layers: int, rows=None) -> ad.Tensor:
+def tape_propagate_ui(adjacency, e0: ad.Tensor, layers: int, rows) -> ad.Tensor:
     """Layer-sum propagation as spmm, gather and add nodes."""
-    if rows is None:
-        last_adjacency, out = graph.adjacency, e0
-    else:
-        last_adjacency, out = graph.adjacency[rows], ad.gather_rows(e0, rows)
+    out = ad.gather_rows(e0, rows)
     current = e0
     for layer in range(1, layers + 1):
         if layer == layers:
-            return out + spmm(last_adjacency, current)
-        current = spmm(graph.adjacency, current)
-        out = out + (current if rows is None else ad.gather_rows(current, rows))
+            return out + spmm(adjacency[rows], current)
+        current = spmm(adjacency, current)
+        out = out + ad.gather_rows(current, rows)
     return out
 
 
-def tape_propagate_items(graphs, projected, rows=None) -> ad.Tensor:
+def tape_propagate_items(graphs, projected, rows) -> ad.Tensor:
     out = None
     for graph, p in zip(graphs, projected):
-        term = spmm(graph.matrix if rows is None else graph.matrix[rows], p)
+        term = spmm(graph[rows], p)
         out = term if out is None else out + term
     return out
 
 
-def tape_build_incidence(features, v_m: ad.Tensor, x_u, user_rows=None) -> IncidencePair:
+def tape_build_incidence(features, v_m: ad.Tensor, x_u, user_rows):
     h_items = ad.matmul(ad.constant(features), transpose(v_m))
-    h_users = spmm(x_u if user_rows is None else x_u[user_rows], h_items)
-    return IncidencePair("", h_items, h_users)
+    return h_items, spmm(x_u[user_rows], h_items)
 
 
 def _dropped(t: ad.Tensor, rate: float, rng: np.random.Generator) -> ad.Tensor:
@@ -139,18 +134,17 @@ def _dropped(t: ad.Tensor, rate: float, rng: np.random.Generator) -> ad.Tensor:
     return mul(t, ad.constant(mask))
 
 
-def tape_hypergraph_pass(pair, e_items, drop_rate, steps=1, rng=None, item_rows=None):
+def tape_hypergraph_pass(incidence, e_items, drop_rate, steps, rng, item_rows):
     """Hypergraph pass with every dropout mask, transpose and product as its
     own node, the masks drawn in the library's order."""
-    rng = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
+    h_items, h_users = incidence
 
     def broadcast(targets, state):
-        pooled = ad.matmul(transpose(_dropped(pair.h_items, drop_rate, rng)), state)
+        pooled = ad.matmul(transpose(_dropped(h_items, drop_rate, rng)), state)
         return ad.matmul(_dropped(targets, drop_rate, rng), pooled)
 
     e_cur = ad.as_tensor(e_items)
     for _ in range(steps - 1):
-        e_cur = broadcast(pair.h_items, e_cur)
-    h_targets = pair.h_items if item_rows is None else ad.gather_rows(pair.h_items, item_rows)
-    e_next = broadcast(h_targets, e_cur)
-    return broadcast(pair.h_users, e_cur), e_next
+        e_cur = broadcast(h_items, e_cur)
+    e_next = broadcast(ad.gather_rows(h_items, item_rows), e_cur)
+    return broadcast(h_users, e_cur), e_next

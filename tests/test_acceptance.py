@@ -14,7 +14,7 @@ from mhcr import autodiff as ad
 from mhcr import evaluation
 from mhcr.cli import main
 from mhcr.dataio import ModalityFeatures, SyntheticConfig, generate_synthetic, split_dataset
-from mhcr.hypergraph import IncidencePair, hypergraph_pass
+from mhcr.hypergraph import hypergraph_pass
 from mhcr.item_graph import build_affinity_graph
 from mhcr.objectives import bpr_loss, graph_hyper_contrastive_loss, hyper_contrastive_loss
 from mhcr.training import (
@@ -90,8 +90,8 @@ def test_propagation_oracles():
     graph = build_norm_adjacency(ds)
     e0 = rng.normal(size=(18, 5))
     for layers in (0, 1, 2, 3):
-        sparse_out = propagate_ui(graph, e0, layers).data
-        dense = graph.adjacency.toarray()
+        sparse_out = propagate_ui(graph, e0, layers, np.arange(18)).data
+        dense = graph.toarray()
         expected = np.zeros_like(e0)
         power = np.eye(18)
         for _ in range(layers + 1):
@@ -103,9 +103,11 @@ def test_propagation_oracles():
     h_i = rng.normal(size=(9, 4))
     h_u = rng.normal(size=(5, 4))
     state = rng.normal(size=(9, 3))
-    pair = IncidencePair("image", ad.Tensor(h_i), ad.Tensor(h_u))
+    pair = ad.Tensor(h_i), ad.Tensor(h_u)
     for steps in (1, 2, 3):
-        e_users, e_items = hypergraph_pass(pair, state, 0.0, steps=steps, rng=0)
+        e_users, e_items = hypergraph_pass(
+            pair, state, 0.0, steps, np.random.default_rng(0), np.arange(9)
+        )
         expected_items = state.copy()
         for _ in range(steps):
             expected_users = h_u @ (h_i.T @ expected_items)
@@ -122,7 +124,7 @@ def test_propagation_oracles():
             key=lambda pair: (-pair[1], pair[0]),
         )
         oracle = [j for j, s in sims[:7] if max(s, 0.0) > 0.0]
-        kept = sorted(graph_knn.matrix.getrow(i).indices.tolist())
+        kept = sorted(graph_knn.getrow(i).indices.tolist())
         assert kept == sorted(oracle), f"row {i}"
 
     elapsed = time.monotonic() - started
@@ -212,14 +214,15 @@ def test_dropout_unbiasedness_10k_draws():
     h_i = rng.normal(size=(3, 2))
     h_u = rng.normal(size=(2, 2))
     state = rng.normal(size=(3, 1))
-    pair = IncidencePair("image", ad.Tensor(h_i), ad.Tensor(h_u))
-    exact_u, exact_i = hypergraph_pass(pair, state, 0.0, steps=1, rng=0)
+    pair = ad.Tensor(h_i), ad.Tensor(h_u)
+    every_item = np.arange(3)
+    exact_u, exact_i = hypergraph_pass(pair, state, 0.0, 1, np.random.default_rng(0), every_item)
 
     draws = 10_000
     samples_u = np.empty((draws,) + exact_u.data.shape)
     samples_i = np.empty((draws,) + exact_i.data.shape)
     for t in range(draws):
-        e_u, e_i = hypergraph_pass(pair, state, 0.5, steps=1, rng=t)
+        e_u, e_i = hypergraph_pass(pair, state, 0.5, 1, np.random.default_rng(t), every_item)
         samples_u[t] = e_u.data
         samples_i[t] = e_i.data
 

@@ -5,9 +5,10 @@ import pytest
 import scipy.sparse as sp
 
 from mhcr import autodiff as ad
+from mhcr import training
 from mhcr.errors import ShapeError
 
-from conftest import assert_grad_close, finite_difference
+from conftest import assert_grad_close, finite_difference, micro_batch
 from oracles import (
     exp,
     log,
@@ -165,8 +166,7 @@ def test_reused_tensor_accumulates_both_paths():
 
 
 def test_leaf_gradients_are_owned_buffers():
-    # x feeds two parents; y reaches the loss once, through an add whose
-    # backward hands the upstream gradient on unchanged
+    # x feeds two parents; y reaches the loss once, through an add
     x = rng.normal(size=(3, 3))
     weights = rng.normal(size=(3, 3))
     x_t = ad.Tensor(x, requires_grad=True)
@@ -234,3 +234,36 @@ def test_no_graph_is_built_without_requires_grad():
     a = ad.Tensor(np.ones((2, 2)))
     out = ad.matmul(a, a)
     assert out._backward is None and out._parents == ()
+
+
+def test_no_closure_hands_back_its_upstream_gradient(micro):
+    # the tape keeps the first gradient a tensor is handed and adds later
+    # ones into it in place, so a dense gradient must not alias `g`
+    ds, _, cfg, views = micro
+    params = training.init_parameters(cfg, ds.num_users, ds.num_items, views.modality_dims)
+    result = training.forward(params, views, cfg, batch=micro_batch(), mode="train", rng=0)
+    aliased, calls = [], []
+
+    def checked(node, backward):
+        def wrapped(g):
+            grads = backward(g)
+            calls.append(node)
+            for parent, grad in zip(node._parents, grads):
+                if isinstance(grad, np.ndarray) and np.shares_memory(grad, g):
+                    aliased.append((node.shape, parent.shape))
+            return grads
+
+        return wrapped
+
+    seen, stack, recorded = set(), [result.total], 0
+    while stack:
+        node = stack.pop()
+        if id(node) in seen or node._backward is None:
+            continue
+        seen.add(id(node))
+        node._backward = checked(node, node._backward)
+        recorded += 1
+        stack.extend(node._parents)
+    training.backward_and_step(result.total, params, training.Adam(params.tensors(), 1e-3))
+    assert len(calls) == recorded > 0
+    assert aliased == []

@@ -1,5 +1,7 @@
 """Checkpoint round trips and format validation."""
 
+import struct
+
 import numpy as np
 import pytest
 
@@ -57,6 +59,19 @@ def test_truncated_file(tmp_path):
     (tmp_path / "cut.bin").write_bytes(path.read_bytes()[:-10])
     with pytest.raises(DataError, match="truncated"):
         load_checkpoint(tmp_path / "cut.bin")
+
+
+def test_dims_whose_product_wraps_in_int64_are_truncation(tmp_path):
+    # 2^33 * 2^33 * 4 bytes wraps to 0 in int64 arithmetic
+    params = make_params()
+    path = tmp_path / "ckpt.bin"
+    save_checkpoint(params, path)
+    raw = bytearray(path.read_bytes())
+    dims_at = raw.index(b"\x02\x00E0\x02") + 5  # name_len, name, ndim of E0
+    raw[dims_at:dims_at + 16] = struct.pack("<2Q", 2**33, 2**33)
+    (tmp_path / "huge.bin").write_bytes(bytes(raw))
+    with pytest.raises(DataError, match="truncated"):
+        load_checkpoint(tmp_path / "huge.bin")
 
 
 def test_missing_file(tmp_path):

@@ -78,6 +78,20 @@ class TestDatasetInvariants:
         with pytest.raises(DataError):
             InteractionDataset(2, 2, np.array([0, 0]), np.array([1, 1]))
 
+    def test_pairs_of_a_tuple_of_labels_keep_dataset_order(self):
+        users = np.array([1, 0, 1, 0, 2, 1])
+        items = np.array([0, 3, 2, 1, 0, 4])
+        split = np.array([TRAIN, VAL, TEST, TRAIN, VAL, VAL])
+        ds = InteractionDataset(4, 5, users, items, split=split)
+        pair_users, pair_items = ds.split_pairs((TRAIN, VAL))
+        assert pair_users.tolist() == [1, 0, 0, 2, 1]
+        assert pair_items.tolist() == [0, 3, 1, 0, 4]
+        by_user = ds.items_by_user((TRAIN, VAL))
+        assert [row.tolist() for row in by_user] == [[3, 1], [0, 4], [0], []]
+        for label in (TRAIN, VAL, TEST):
+            one, single = ds.items_by_user((label,)), ds.items_by_user(label)
+            assert [r.tolist() for r in one] == [r.tolist() for r in single]
+
 
 class TestSplit:
     def make(self, counts):

@@ -86,7 +86,7 @@ class TestBuildAffinity:
     def test_three_identical_items(self):
         feats = ModalityFeatures("image", np.ones((3, 4)))
         graph = build_affinity_graph(feats, k=2)
-        dense = graph.matrix.toarray()
+        dense = graph.toarray()
         expected = (np.ones((3, 3)) - np.eye(3)) / 2.0
         assert np.allclose(dense, expected)
 
@@ -94,9 +94,9 @@ class TestBuildAffinity:
         rng = np.random.default_rng(1)
         base = rng.uniform(0.5, 1.0, size=(6, 3))
         graph = build_affinity_graph(ModalityFeatures("text", base), k=5)
-        sums = np.asarray(graph.matrix.sum(axis=1)).ravel()
+        sums = np.asarray(graph.sum(axis=1)).ravel()
         assert np.allclose(sums, 1.0, atol=1e-6)
-        assert all(graph.matrix.getrow(i).nnz == 5 for i in range(6))
+        assert all(graph.getrow(i).nnz == 5 for i in range(6))
 
     def test_matches_full_sort_oracle(self):
         rng = np.random.default_rng(5)
@@ -104,7 +104,7 @@ class TestBuildAffinity:
         graph = build_affinity_graph(ModalityFeatures("video", matrix), k=7)
         oracle = brute_force_topk(matrix, 7)
         for i in range(50):
-            row = graph.matrix.getrow(i)
+            row = graph.getrow(i)
             kept = sorted(row.indices.tolist())
             # rows may keep fewer entries when clamped negatives fall out,
             # but every kept index must be among the oracle's top-k
@@ -123,26 +123,27 @@ class TestBuildAffinity:
             [1.0, 0.1],
         ])
         graph = build_affinity_graph(ModalityFeatures("image", base), k=2)
-        kept = set(graph.matrix.getrow(0).indices.tolist())
+        kept = set(graph.getrow(0).indices.tolist())
         assert kept == {1, 3}
 
     def test_negative_similarities_clamped(self):
         # item 1 is anti-aligned with item 0: clamped out, leaving only item 2
         base = np.array([[1.0, 0.0], [-1.0, 0.0], [1.0, 1.0]])
         graph = build_affinity_graph(ModalityFeatures("image", base), k=2)
-        row = graph.matrix.getrow(0)
+        row = graph.getrow(0)
         assert row.indices.tolist() == [2]
         assert row.data.tolist() == [1.0]
 
     def test_all_negative_row_stays_zero(self):
         base = np.array([[1.0, 0.0], [-1.0, 0.0]])
         graph = build_affinity_graph(ModalityFeatures("image", base), k=1)
-        assert graph.matrix.getrow(0).nnz == 0
-        assert graph.matrix.getrow(1).nnz == 0
+        assert graph.getrow(0).nnz == 0
+        assert graph.getrow(1).nnz == 0
 
-    def test_k_clamped_to_item_count(self):
+    def test_k_clamped_to_item_count(self, caplog):
         graph = build_affinity_graph(ModalityFeatures("image", np.ones((3, 2))), k=10)
-        assert graph.k == 2
+        assert graph.getnnz(axis=1).tolist() == [2, 2, 2]
+        assert "clamping to 2" in caplog.text
 
     def test_k_must_be_positive(self):
         with pytest.raises(ConfigError):
@@ -156,7 +157,7 @@ class TestBuildAffinity:
         a = build_affinity_graph(feats, k=4)
         set_block_rows(monkeypatch, 1000, 23)
         b = build_affinity_graph(feats, k=4)
-        assert np.allclose(a.matrix.toarray(), b.matrix.toarray())
+        assert np.allclose(a.toarray(), b.toarray())
 
     def test_block_rows_come_from_the_element_budget(self, monkeypatch):
         # a budget below one row still computes one row per block
@@ -188,9 +189,9 @@ class TestBuildAffinity:
         for matrix, block_size in ((duplicated, 64), (duplicated, 2048), (rounded, 16)):
             set_block_rows(monkeypatch, block_size, len(matrix))
             graph = build_affinity_graph(ModalityFeatures("image", matrix), k)
-            expected = full_sort_affinity(matrix, graph.k, block_size)
+            expected = full_sort_affinity(matrix, min(k, len(matrix) - 1), block_size)
             for field in ("indptr", "indices", "data"):
-                actual, wanted = getattr(graph.matrix, field), getattr(expected, field)
+                actual, wanted = getattr(graph, field), getattr(expected, field)
                 assert actual.tobytes() == wanted.tobytes(), field
 
 
@@ -198,23 +199,23 @@ class TestPropagate:
     def test_two_item_swap(self):
         feats = ModalityFeatures("image", np.array([[1.0, 0.1], [1.0, 0.1]]))
         graph = build_affinity_graph(feats, k=1)
-        assert np.allclose(graph.matrix.toarray(), [[0.0, 1.0], [1.0, 0.0]])
+        assert np.allclose(graph.toarray(), [[0.0, 1.0], [1.0, 0.0]])
         projected = ad.Tensor(np.array([[1.0, 0.0], [0.0, 1.0]]))
-        out = propagate_items([graph], [projected]).data
+        out = propagate_items([graph], [projected], np.arange(2)).data
         assert np.allclose(out, [[0.0, 1.0], [1.0, 0.0]])
 
     def test_zero_rows_stay_zero(self):
         base = np.array([[1.0, 0.0], [-1.0, 0.0]])
         graph = build_affinity_graph(ModalityFeatures("image", base), k=1)
-        out = propagate_items([graph], [ad.Tensor(np.ones((2, 3)))]).data
+        out = propagate_items([graph], [ad.Tensor(np.ones((2, 3)))], np.arange(2)).data
         assert np.allclose(out, 0.0)
 
     def test_two_identical_modalities_double(self):
         feats = ModalityFeatures("image", np.ones((3, 2)))
         graph = build_affinity_graph(feats, k=2)
         p = ad.Tensor(np.random.default_rng(2).normal(size=(3, 4)))
-        single = propagate_items([graph], [p]).data
-        double = propagate_items([graph, graph], [p, p]).data
+        single = propagate_items([graph], [p], np.arange(3)).data
+        double = propagate_items([graph, graph], [p, p], np.arange(3)).data
         assert np.allclose(double, 2.0 * single)
 
     def test_linear_in_projected_input(self):
@@ -222,15 +223,16 @@ class TestPropagate:
         graph = build_affinity_graph(ModalityFeatures("image", rng.normal(size=(5, 3))), k=2)
         x = rng.normal(size=(5, 2))
         y = rng.normal(size=(5, 2))
-        mixed = propagate_items([graph], [ad.Tensor(3.0 * x - y)]).data
-        apart = 3.0 * propagate_items([graph], [ad.Tensor(x)]).data - propagate_items(
-            [graph], [ad.Tensor(y)]
+        rows = np.arange(5)
+        mixed = propagate_items([graph], [ad.Tensor(3.0 * x - y)], rows).data
+        apart = 3.0 * propagate_items([graph], [ad.Tensor(x)], rows).data - propagate_items(
+            [graph], [ad.Tensor(y)], rows
         ).data
         assert np.allclose(mixed, apart, atol=1e-12)
 
     def test_shape_mismatch(self):
         graph = build_affinity_graph(ModalityFeatures("image", np.ones((3, 2))), k=1)
         with pytest.raises(ShapeError):
-            propagate_items([graph], [ad.Tensor(np.ones((4, 2)))])
+            propagate_items([graph], [ad.Tensor(np.ones((4, 2)))], np.arange(3))
         with pytest.raises(ShapeError):
-            propagate_items([graph], [])
+            propagate_items([graph], [], np.arange(3))

@@ -519,19 +519,19 @@ class TestOneTapeNode:
     def test_each_view_is_a_fixed_number_of_nodes(self, micro, steps):
         _, _, _, views = micro
         rng = np.random.default_rng(11)
-        e0 = ad.Tensor(rng.normal(size=(views.graph.num_nodes, 3)), requires_grad=True)
+        e0 = ad.Tensor(rng.normal(size=(views.adjacency.shape[0], 3)), requires_grad=True)
         rows = np.array([0, 2, 5])
         for layers in (1, 3):
-            assert self.tape_nodes([propagate_ui(views.graph, e0, layers, rows)], [e0]) == 1
+            assert self.tape_nodes([propagate_ui(views.adjacency, e0, layers, rows)], [e0]) == 1
         projected = [ad.Tensor(rng.normal(size=(6, 3)), requires_grad=True)
                      for _ in views.affinity]
         assert self.tape_nodes([propagate_items(views.affinity, projected, rows)], projected) == 1
         feats = views.features[0]
         v = ad.Tensor(rng.normal(size=(2, feats.dim)), requires_grad=True)
-        pair = build_incidence(feats.matrix, v, views.x_u, user_rows=np.array([0, 3]))
-        assert self.tape_nodes([pair.h_items, pair.h_users], [v]) == 2
-        e_u, e_i = hypergraph_pass(pair, projected[0], 0.5, steps, 3, item_rows=rows)
-        inputs = [pair.h_items, pair.h_users, projected[0]]
+        pair = build_incidence(feats.matrix, v, views.x_u, np.array([0, 3]))
+        assert self.tape_nodes(list(pair), [v]) == 2
+        e_u, e_i = hypergraph_pass(pair, projected[0], 0.5, steps, np.random.default_rng(3), rows)
+        inputs = [*pair, projected[0]]
         assert self.tape_nodes([e_u, e_i], inputs) == steps + 1
 
     def test_full_model_step_records_at_most_36_nodes(self):

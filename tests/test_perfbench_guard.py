@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from mhcr import training
+from mhcr import checkpoint, dataio, evaluation, training
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -41,11 +41,28 @@ def test_runner_calls_bind_to_the_program_signatures():
         inspect.signature(fn).bind(*args, **kwargs)
 
     params, views, cfg, batch, ds, users, rng = (object(),) * 7
+    feats, total, optimizer, emb, path = (object(),) * 5
     bind(training.forward, params, views, cfg, batch=batch, mode="train", rng=rng)
     bind(training.sample_negatives, ds, users, rng, [frozenset()])
     bind(training.train_item_sets, ds)
     bind(training.init_parameters, cfg, 4, 3, {"image": 2})
     bind(training.Adam, {}, 1e-3)
+    bind(training.fit, ds, feats, cfg)
+    bind(training.build_views, ds, feats, cfg)
+    bind(training.compute_embeddings, params, views, cfg)
+    bind(training.backward_and_step, total, params, optimizer)
+    bind(training.Batch, users=users, pos_items=users, neg_items=users)
+    bind(checkpoint.save_checkpoint, params, path)
+    bind(checkpoint.load_checkpoint, path)
+    bind(dataio.load_split, ds, path)
+    bind(dataio.split_dataset, ds, seed=0)
+    bind(evaluation.evaluate, emb, emb, ds, slice_name="all", cold_threshold=3)
+
+
+def test_mean_recall_keeps_the_argument_names_the_runner_reads():
+    # the runner binds each call's arguments and reads them by name
+    names = inspect.signature(evaluation.mean_recall).parameters
+    assert {"user_emb", "item_emb", "ds", "target_split", "k"} <= set(names)
 
 
 def test_tracer_reads_the_forward_mode_at_its_position(spans):

@@ -88,14 +88,17 @@ class TestNegativeSampling:
         ds = InteractionDataset(
             1, 2, np.array([0, 0]), np.array([0, 1]), split=np.array([0, 0])
         )
-        negs = sample_negatives(ds, np.array([0, 0, 0]), np.random.default_rng(1))
+        negs = sample_negatives(
+            ds, np.array([0, 0, 0]), np.random.default_rng(1), train_item_sets(ds)
+        )
         assert set(negs.tolist()) <= {0, 1}
 
     def test_reproducible_given_seed(self, micro):
         ds, _, _, _ = micro
         users = np.repeat(np.arange(4), 10)
-        a = sample_negatives(ds, users, np.random.default_rng(3))
-        b = sample_negatives(ds, users, np.random.default_rng(3))
+        sets = train_item_sets(ds)
+        a = sample_negatives(ds, users, np.random.default_rng(3), sets)
+        b = sample_negatives(ds, users, np.random.default_rng(3), sets)
         assert np.array_equal(a, b)
 
 
@@ -210,7 +213,7 @@ def batch_row_instance():
     ds = split_dataset(ds, seed=8)
     users, items = ds.split_pairs(TRAIN)
     idx = np.random.default_rng(8).choice(users.size, size=6, replace=False)
-    negs = sample_negatives(ds, users[idx], np.random.default_rng(9))
+    negs = sample_negatives(ds, users[idx], np.random.default_rng(9), train_item_sets(ds))
     return ds, feats, Batch(users=users[idx], pos_items=items[idx], neg_items=negs)
 
 

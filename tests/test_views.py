@@ -6,7 +6,7 @@ import pytest
 
 from mhcr import autodiff as ad
 from mhcr.dataio import SyntheticConfig, generate_synthetic, split_dataset
-from mhcr.hypergraph import IncidencePair, build_incidence, hypergraph_pass
+from mhcr.hypergraph import build_incidence, hypergraph_pass
 from mhcr.item_graph import propagate_items
 from mhcr.training import build_views
 from mhcr.ui_graph import propagate_ui
@@ -43,7 +43,7 @@ def instance():
 
 def pick_rows(case: str, n: int, rng: np.random.Generator):
     if case == "all":
-        return None
+        return np.arange(n)
     if case == "subset":
         return np.sort(rng.choice(n, size=n // 3, replace=False))
     return rng.integers(0, n, size=n // 2 + 3)  # unsorted, with repeats
@@ -70,9 +70,9 @@ class TestViewsAgainstTape:
     @pytest.mark.parametrize("layers", [0, 1, 3])
     def test_ui(self, instance, layers, rows_case):
         rng = np.random.default_rng(layers)
-        graph = instance.graph
-        e0 = rng.normal(size=(graph.num_nodes, 5))
-        rows = pick_rows(rows_case, graph.num_nodes, rng)
+        graph = instance.adjacency
+        e0 = rng.normal(size=(graph.shape[0], 5))
+        rows = pick_rows(rows_case, graph.shape[0], rng)
         outs = []
         for propagate in (propagate_ui, tape_propagate_ui):
             x = leaf(e0)
@@ -89,8 +89,8 @@ class TestViewsAgainstTape:
     def test_items(self, instance, rows_case):
         rng = np.random.default_rng(3)
         graphs = instance.affinity
-        projected = [rng.normal(size=(g.matrix.shape[0], 5)) for g in graphs]
-        rows = pick_rows(rows_case, graphs[0].matrix.shape[0], rng)
+        projected = [rng.normal(size=(g.shape[0], 5)) for g in graphs]
+        rows = pick_rows(rows_case, graphs[0].shape[0], rng)
         outs = []
         for propagate in (propagate_items, tape_propagate_items):
             leaves = [leaf(p) for p in projected]
@@ -121,14 +121,14 @@ class TestViewsAgainstTape:
             (tape_build_incidence, tape_hypergraph_pass),
         ):
             v_t, w_t = leaf(v), leaf(w)
-            pair = incidence(feats, v_t, instance.x_u, user_rows=user_rows)
+            pair = incidence(feats, v_t, instance.x_u, user_rows)
             state = ad.matmul(ad.constant(feats), w_t)
-            e_u, e_i = run(pair, state, drop_rate, steps, 99, item_rows=item_rows)
+            e_u, e_i = run(pair, state, drop_rate, steps, np.random.default_rng(99), item_rows)
             if not outs:
                 weights = rng.normal(size=e_u.shape), rng.normal(size=e_i.shape)
             (weighted_sum(e_u, weights[0]) + weighted_sum(e_i, weights[1])).backward()
             outs.append(
-                ([pair.h_items.data, pair.h_users.data, e_u.data, e_i.data], [v_t.grad, w_t.grad])
+                ([pair[0].data, pair[1].data, e_u.data, e_i.data], [v_t.grad, w_t.grad])
             )
         (out, grads), (tape_out, tape_grads) = outs
         for got, expected in zip(out, tape_out):
@@ -172,15 +172,15 @@ class TestViewGradients:
 
     def test_propagate_ui(self, views):
         rows = np.array([7, 0, 3, 7, 9])
-        e0 = np.random.default_rng(0).normal(size=(views.graph.num_nodes, 3))
-        self.check(lambda t: [propagate_ui(views.graph, t["e0"], 2, rows)], {"e0": e0})
+        e0 = np.random.default_rng(0).normal(size=(views.adjacency.shape[0], 3))
+        self.check(lambda t: [propagate_ui(views.adjacency, t["e0"], 2, rows)], {"e0": e0})
 
     def test_propagate_items(self, views):
         rng = np.random.default_rng(1)
         rows = np.array([5, 1, 1, 2])
-        arrays = {g.modality: rng.normal(size=(6, 3)) for g in views.affinity}
+        arrays = {f.modality: rng.normal(size=(6, 3)) for f in views.features}
         self.check(
-            lambda t: [propagate_items(views.affinity, [t[g.modality] for g in views.affinity],
+            lambda t: [propagate_items(views.affinity, [t[f.modality] for f in views.features],
                                        rows)],
             arrays,
         )
@@ -190,13 +190,13 @@ class TestViewGradients:
         v = np.random.default_rng(2).normal(size=(3, feats.shape[1]))
 
         def build(t):
-            pair = build_incidence(feats, t["v"], views.x_u, user_rows=np.array([3, 0, 3]))
-            return [pair.h_items, pair.h_users]
+            return list(build_incidence(feats, t["v"], views.x_u, np.array([3, 0, 3])))
 
         self.check(build, {"v": v})
 
     @pytest.mark.parametrize("item_rows", [None, np.array([4, 1, 4, 0])])
     def test_broadcasts_with_dropout(self, item_rows):
+        item_rows = np.arange(6) if item_rows is None else item_rows  # None: every item
         rng = np.random.default_rng(3)
         arrays = {
             "h_items": rng.normal(size=(6, 3)),
@@ -205,8 +205,9 @@ class TestViewGradients:
         }
 
         def build(t):
-            pair = IncidencePair("image", t["h_items"], t["h_users"])
-            return list(hypergraph_pass(pair, t["state"], 0.5, 2, 17, item_rows=item_rows))
+            pair = t["h_items"], t["h_users"]
+            rng = np.random.default_rng(17)
+            return list(hypergraph_pass(pair, t["state"], 0.5, 2, rng, item_rows))
 
         self.check(build, arrays)
 
@@ -214,8 +215,10 @@ class TestViewGradients:
 def test_own_targets_gradient_is_scattered_into_incidence():
     # one item broadcast to item 0 twice: both target rows add into H_i[0]
     h = ad.Tensor(np.array([[1.0], [2.0]]), requires_grad=True)
-    pair = IncidencePair("image", h, ad.Tensor(np.zeros((1, 1))))
-    _, e_items = hypergraph_pass(pair, np.array([[1.0], [1.0]]), 0.0, item_rows=np.array([0, 0]))
+    pair = h, ad.Tensor(np.zeros((1, 1)))
+    _, e_items = hypergraph_pass(
+        pair, np.array([[1.0], [1.0]]), 0.0, 1, np.random.default_rng(0), np.array([0, 0])
+    )
     tensor_sum(e_items).backward()
     # out_r = H[0] * (H[0] + H[1]) for both rows, so dL/dH = 2 * (2 H[0] + H[1], H[0])
     assert np.array_equal(h.grad, np.array([[8.0], [2.0]]))
