@@ -3,6 +3,7 @@ per-user splitting, synthetic generation, and the on-disk formats."""
 
 from __future__ import annotations
 
+import io
 import logging
 import struct
 from array import array
@@ -22,6 +23,17 @@ TRAIN, VAL, TEST = 0, 1, 2
 _FEATURE_MAGIC = b"MHCRFEAT"
 _FEATURE_VERSION = 1
 _FEATURE_HEADER = struct.Struct("<8sIBQQ")
+
+# A TSV made only of these bytes is parsed whole by numpy's C reader; any
+# other file, or one that reader rejects, is read line by line.
+_PLAIN_TSV_BYTES = b"0123456789-\t\n"
+
+
+def _pair_keys(users: np.ndarray, items: np.ndarray, num_users: int, num_items: int) -> np.ndarray:
+    """The key u*|I| + i of each pair, distinct for distinct in-range pairs."""
+    if int(num_users) * int(num_items) > np.iinfo(np.int64).max:
+        raise DataError(f"{num_users} users x {num_items} items overflow int64 pair keys")
+    return users * num_items + items
 
 
 @dataclass
@@ -53,8 +65,8 @@ class InteractionDataset:
                 raise DataError("user index out of range")
             if self.items.min() < 0 or self.items.max() >= self.num_items:
                 raise DataError("item index out of range")
-        keys = self.users * self.num_items + self.items
-        if np.unique(keys).size != keys.size:
+        keys = np.sort(_pair_keys(self.users, self.items, self.num_users, self.num_items))
+        if (keys[1:] == keys[:-1]).any():
             raise DataError("duplicate (user, item) pairs")
         if self.split is not None:
             self.split = np.asarray(self.split, dtype=np.int8)
@@ -133,9 +145,11 @@ def validate_features(ds: InteractionDataset, features: Sequence[ModalityFeature
         raise DataError("duplicate modality tags")
 
 
-def _int_columns(path: Path, layout: str) -> tuple[array, np.ndarray]:
+def _int_columns_by_line(path: Path, layout: str) -> tuple[array, np.ndarray]:
     """The fields of a UTF-8 TSV whose non-blank lines read `layout` (e.g.
-    'user<TAB>item') as int64 columns, and the line number of each row."""
+    'user<TAB>item') as int64 columns, and the line number of each row.
+    Each field is what `int()` accepts; this reader defines the grammar and
+    every `ParseError`."""
     width = layout.count("<TAB>") + 1
     linenos, values = array("q"), array("q")  # int64 buffers keep no int object per entry
     with path.open("r", encoding="utf-8") as fh:
@@ -151,8 +165,33 @@ def _int_columns(path: Path, layout: str) -> tuple[array, np.ndarray]:
             except ValueError:
                 text = line.rstrip("\n")
                 raise ParseError(f"{path}:{lineno}: non-integer field in {text!r}") from None
+            except OverflowError:
+                text = line.rstrip("\n")
+                raise ParseError(f"{path}:{lineno}: field outside int64 in {text!r}") from None
             linenos.append(lineno)
     return linenos, np.frombuffer(values, dtype=np.int64).reshape(-1, width).T.copy()
+
+
+def _int_columns(path: Path, layout: str) -> np.ndarray:
+    """`_int_columns_by_line`'s columns. A non-empty file of digits, '-',
+    tabs and newlines is parsed whole by numpy's C reader, which accepts a
+    subset of the line reader's grammar; every other file, and every file
+    that reader rejects, goes through the line reader."""
+    raw = path.read_bytes()
+    if raw.count(b"\n") < len(raw) and not raw.translate(None, _PLAIN_TSV_BYTES):
+        try:
+            table = np.loadtxt(io.StringIO(raw.decode("ascii")), dtype=np.int64,
+                               delimiter="\t", comments=None, ndmin=2)
+        except ValueError:
+            table = None
+        if table is not None and table.shape[1] == layout.count("<TAB>") + 1:
+            return table.T.copy()
+    return _int_columns_by_line(path, layout)[1]
+
+
+def _line_of_row(path: Path, layout: str, row: int) -> int:
+    """The line number of data row `row`, for an error message."""
+    return _int_columns_by_line(path, layout)[0][row]
 
 
 def load_interactions(path: str | Path) -> InteractionDataset:
@@ -163,16 +202,18 @@ def load_interactions(path: str | Path) -> InteractionDataset:
     path = Path(path)
     if not path.exists():
         raise DataError(f"interactions file not found: {path}")
-    linenos, (u_arr, i_arr) = _int_columns(path, "user<TAB>item")
-    if not linenos:
+    layout = "user<TAB>item"
+    u_arr, i_arr = _int_columns(path, layout)
+    if not u_arr.size:
         raise DataError(f"{path}: no interactions")
     negative = np.flatnonzero((u_arr < 0) | (i_arr < 0))
     if negative.size:
         row = negative[0]
-        raise DataError(f"{path}:{linenos[row]}: negative id in ({u_arr[row]}, {i_arr[row]})")
+        lineno = _line_of_row(path, layout, row)
+        raise DataError(f"{path}:{lineno}: negative id in ({u_arr[row]}, {i_arr[row]})")
     num_users = int(u_arr.max()) + 1
     num_items = int(i_arr.max()) + 1
-    keys = u_arr * num_items + i_arr
+    keys = _pair_keys(u_arr, i_arr, num_users, num_items)
     _, first = np.unique(keys, return_index=True)
     first.sort()
     dup_count = keys.size - first.size
@@ -209,31 +250,31 @@ def split_dataset(
 
     order = np.argsort(ds.users, kind="stable")
     sorted_users = ds.users[order]
-    bounds = np.searchsorted(sorted_users, np.arange(ds.num_users + 1))
+    counts = np.bincount(ds.users, minlength=ds.num_users)
+    first = (np.cumsum(counts) - counts)[sorted_users]
+    rank = np.arange(len(ds)) - first  # place in the user's shuffled list
+    # each user's list is shuffled by one rng.permutation(n), in user order;
+    # permutation(1) draws nothing, so single-row users are skipped
+    shuffled = rank.copy()
+    multi = counts >= 2
+    if multi.any():
+        shuffled[multi[sorted_users]] = np.concatenate(
+            [rng.permutation(n) for n in counts[multi].tolist()]
+        )
+    rows = order[first + shuffled]
 
+    n_test = np.minimum(counts, np.floor(r_test * counts + 0.5).astype(np.int64))
+    n_val = np.minimum(counts - n_test, np.floor(r_val * counts + 0.5).astype(np.int64))
+    n_train = counts - n_val - n_test
     split = np.empty(len(ds), dtype=np.int8)
-    drop = np.zeros(len(ds), dtype=bool)
-    dropped_users = 0
-    for u in range(ds.num_users):
-        rows = order[bounds[u]:bounds[u + 1]]
-        n = rows.size
-        if n == 0:
-            continue
-        rows = rows[rng.permutation(n)]
-        n_test = min(n, int(np.floor(r_test * n + 0.5)))
-        n_val = min(n - n_test, int(np.floor(r_val * n + 0.5)))
-        n_train = n - n_val - n_test
-        if n_train == 0:
-            drop[rows] = True
-            dropped_users += 1
-            continue
-        split[rows[:n_train]] = TRAIN
-        split[rows[n_train:n_train + n_val]] = VAL
-        split[rows[n_train + n_val:]] = TEST
+    split[rows] = np.where(rank < n_train[sorted_users], TRAIN,
+                           np.where(rank < (n_train + n_val)[sorted_users], VAL, TEST))
+    dropped = (counts > 0) & (n_train == 0)
+    dropped_users = int(dropped.sum())
 
     if dropped_users:
         log.warning("dropped %d user(s) left without train interactions", dropped_users)
-    keep = ~drop
+    keep = ~dropped[ds.users]
     return InteractionDataset(
         ds.num_users,
         ds.num_items,
@@ -400,10 +441,11 @@ def load_split(ds: InteractionDataset, path: str | Path) -> InteractionDataset:
     path = Path(path)
     if not path.exists():
         raise DataError(f"split file not found: {path}")
-    linenos, (users, items, split) = _int_columns(path, "user<TAB>item<TAB>label")
+    layout = "user<TAB>item<TAB>label"
+    users, items, split = _int_columns(path, layout)
     bad = np.flatnonzero(~np.isin(split, (TRAIN, VAL, TEST)))
     if bad.size:
-        raise ParseError(f"{path}:{linenos[bad[0]]}: label must be 0, 1, or 2")
+        raise ParseError(f"{path}:{_line_of_row(path, layout, bad[0])}: label must be 0, 1, or 2")
     # pair keys u*|I| + i, last line first: np.unique keeps a repeated pair's last label
     inside = np.flatnonzero((users >= 0) & (users < ds.num_users) & (items >= 0)
                             & (items < ds.num_items))[::-1]

@@ -67,7 +67,7 @@ def build_affinity_graph(features: ModalityFeatures, k: int) -> sp.csr_matrix:
 
     normalized = _normalized_rows(features.matrix, features.modality)
     block_size = max(1, _AFFINITY_BLOCK_ELEMENTS // num_items)
-    indptr = [0]
+    counts: list[np.ndarray] = []
     indices: list[np.ndarray] = []
     data: list[np.ndarray] = []
     for start in range(0, num_items, block_size):
@@ -75,26 +75,29 @@ def build_affinity_graph(features: ModalityFeatures, k: int) -> sp.csr_matrix:
         sims = normalized[start:stop] @ normalized.T
         sims[np.arange(stop - start), np.arange(start, stop)] = -np.inf
         order = _top_k(sims, k)
-        kept = np.take_along_axis(sims, order, axis=1)
-        kept = np.maximum(kept, 0.0)
-        for r in range(stop - start):
-            nz = kept[r] > 0.0
-            cols = order[r][nz]
-            vals = kept[r][nz]
-            total = vals.sum()
-            if total > 0.0:
-                vals = vals / total
-            col_order = np.argsort(cols, kind="stable")
-            indices.append(cols[col_order])
-            data.append(vals[col_order])
-            indptr.append(indptr[-1] + cols.size)
+        kept = np.maximum(np.take_along_axis(sims, order, axis=1), 0.0)
+        # values fall along each row, so the positive ones are a prefix
+        positive = kept > 0.0
+        count = positive.sum(axis=1)
+        total = np.ones(stop - start)
+        for c in np.unique(count[count > 0]).tolist():
+            # rows of one count sum as (rows, c) blocks, in the order a
+            # single row's 1-D sum takes
+            same = np.flatnonzero(count == c)
+            total[same] = kept[same, :c].sum(axis=1)
+        kept /= total[:, None]
+        # out-of-prefix columns sort last, so each row's prefix stays its own
+        cols = np.where(positive, order, num_items)
+        by_col = np.argsort(cols, axis=1, kind="stable")
+        prefix = np.arange(k) < count[:, None]
+        counts.append(count)
+        indices.append(np.take_along_axis(cols, by_col, axis=1)[prefix])
+        data.append(np.take_along_axis(kept, by_col, axis=1)[prefix])
 
+    indptr = np.zeros(num_items + 1, dtype=np.int64)
+    np.cumsum(np.concatenate(counts), out=indptr[1:])
     return sp.csr_matrix(
-        (
-            np.concatenate(data) if data else np.empty(0),
-            np.concatenate(indices) if indices else np.empty(0, dtype=np.int64),
-            np.asarray(indptr, dtype=np.int64),
-        ),
+        (np.concatenate(data), np.concatenate(indices), indptr),
         shape=(num_items, num_items),
     )
 

@@ -1,7 +1,8 @@
 """Reference code the tests compare the library against, kept out of the
 package because no program path runs it: generic tape ops the program no
-longer calls, and the op-by-op tape composition of the three views that
-their single-node versions must reproduce."""
+longer calls, the op-by-op tape composition of the three views that
+their single-node versions must reproduce, and the user-by-user split that
+the whole-array `split_dataset` must reproduce."""
 
 from __future__ import annotations
 
@@ -9,6 +10,7 @@ import numpy as np
 from scipy.special import expit
 
 from mhcr import autodiff as ad
+from mhcr.dataio import TEST, TRAIN, VAL, InteractionDataset
 from mhcr.errors import ShapeError
 
 
@@ -148,3 +150,35 @@ def tape_hypergraph_pass(incidence, e_items, drop_rate, steps, rng, item_rows):
         e_cur = broadcast(h_items, e_cur)
     e_next = broadcast(ad.gather_rows(h_items, item_rows), e_cur)
     return broadcast(h_users, e_cur), e_next
+
+
+def split_by_user(ds: InteractionDataset, ratios, seed: int) -> InteractionDataset:
+    """`split_dataset` one user at a time: shuffle the user's rows with
+    `rng.permutation`, then cut train, val and test from the front."""
+    _, r_val, r_test = ratios
+    rng = np.random.default_rng(seed)
+    order = np.argsort(ds.users, kind="stable")
+    bounds = np.searchsorted(ds.users[order], np.arange(ds.num_users + 1))
+    split = np.empty(len(ds), dtype=np.int8)
+    drop = np.zeros(len(ds), dtype=bool)
+    dropped_users = 0
+    for u in range(ds.num_users):
+        rows = order[bounds[u]:bounds[u + 1]]
+        n = rows.size
+        if n == 0:
+            continue
+        rows = rows[rng.permutation(n)]
+        n_test = min(n, int(np.floor(r_test * n + 0.5)))
+        n_val = min(n - n_test, int(np.floor(r_val * n + 0.5)))
+        n_train = n - n_val - n_test
+        if n_train == 0:
+            drop[rows] = True
+            dropped_users += 1
+            continue
+        split[rows[:n_train]] = TRAIN
+        split[rows[n_train:n_train + n_val]] = VAL
+        split[rows[n_train + n_val:]] = TEST
+    keep = ~drop
+    return InteractionDataset(ds.num_users, ds.num_items, ds.users[keep], ds.items[keep],
+                              split=split[keep], num_duplicates=ds.num_duplicates,
+                              num_dropped_users=dropped_users)

@@ -1,5 +1,8 @@
 """Dataset loading, splitting, synthesis, cold-start slicing, and file formats."""
 
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -26,6 +29,7 @@ from mhcr.dataio import (
     validate_features,
 )
 from mhcr.errors import ConfigError, DataError, ParseError
+from oracles import split_by_user
 
 
 def write(tmp_path, text, name="inter.tsv"):
@@ -62,6 +66,15 @@ class TestLoadInteractions:
         with pytest.raises(DataError):
             load_interactions(tmp_path / "nope.tsv")
 
+    def test_field_beyond_int64_names_its_line(self, tmp_path):
+        with pytest.raises(ParseError, match=r"inter\.tsv:2: field outside int64"):
+            load_interactions(write(tmp_path, "0\t1\n99999999999999999999\t0\n"))
+
+    def test_pair_keys_that_would_wrap_raise(self, tmp_path):
+        # |U|*|I| = (2^32 + 1) * 2^32 > 2^63: u*|I| + i maps (2^32, 0) onto (0, 0)
+        with pytest.raises(DataError, match="overflow int64 pair keys"):
+            load_interactions(write(tmp_path, "0\t0\n4294967296\t0\n0\t4294967295\n"))
+
     def test_round_trip(self, tmp_path):
         ds = InteractionDataset(3, 4, np.array([0, 1, 2]), np.array([3, 0, 1]))
         save_interactions(ds, tmp_path / "rt.tsv")
@@ -77,6 +90,10 @@ class TestDatasetInvariants:
     def test_duplicate_pairs_rejected(self):
         with pytest.raises(DataError):
             InteractionDataset(2, 2, np.array([0, 0]), np.array([1, 1]))
+
+    def test_vocabulary_whose_pair_keys_overflow_rejected(self):
+        with pytest.raises(DataError, match="overflow int64 pair keys"):
+            InteractionDataset(2**32 + 1, 2**32, np.array([0]), np.array([0]))
 
     def test_pairs_of_a_tuple_of_labels_keep_dataset_order(self):
         users = np.array([1, 0, 1, 0, 2, 1])
@@ -137,6 +154,34 @@ class TestSplit:
         train_count = int((ds.split == TRAIN).sum())
         assert abs(train_count - 0.7 * n) <= 1.0
         assert train_count >= 1
+
+
+@st.composite
+def split_cases(draw):
+    """A dataset with shuffled rows, a seed and valid ratios, degenerate
+    ones (no train share) included."""
+    degrees = draw(st.lists(st.integers(0, 12), min_size=1, max_size=30))
+    users = np.repeat(np.arange(len(degrees)), degrees)
+    items = np.concatenate([np.arange(n) for n in degrees]).astype(np.int64)
+    order = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).permutation(users.size)
+    ds = InteractionDataset(len(degrees), max(max(degrees), 1), users[order], items[order])
+    val = draw(st.floats(0.0, 1.0))
+    test = draw(st.floats(0.0, 1.0 - val))
+    ratios = draw(st.sampled_from([
+        (max(0.0, 1.0 - val - test), val, test),
+        (0.7, 0.1, 0.2), (0.0, 0.5, 0.5), (0.0, 0.0, 1.0), (0.0, 1.0, 0.0), (1.0, 0.0, 0.0),
+    ]))
+    return ds, ratios, draw(st.integers(0, 2**32 - 1))
+
+
+@given(split_cases())
+@settings(max_examples=200, deadline=None)
+def test_split_matches_the_user_by_user_reference(case):
+    ds, ratios, seed = case
+    got, want = split_dataset(ds, ratios, seed=seed), split_by_user(ds, ratios, seed)
+    assert np.array_equal(got.split, want.split)
+    assert np.array_equal(got.users, want.users) and np.array_equal(got.items, want.items)
+    assert got.num_dropped_users == want.num_dropped_users
 
 
 class TestColdStart:
@@ -293,6 +338,63 @@ def test_tsv_errors_name_their_line(tmp_path, split_file, text, error, lineno):
             load_split(InteractionDataset(1, 2, np.array([0, 0]), np.array([0, 1])), path)
         else:
             load_interactions(path)
+
+
+LAYOUTS = ("user<TAB>item", "user<TAB>item<TAB>label")
+TOKENS = st.one_of(
+    st.sampled_from(list("0123456789-+_ \t\r\nx")),
+    st.text("0123456789", min_size=18, max_size=24),
+)
+FIELDS = st.integers(-(2**64), 2**64).map(str) | st.integers(0, 99).map("{:03d}".format)
+
+
+@st.composite
+def tsv_cases(draw):
+    """A layout and a text: free token soup, or rows of mostly that many
+    integer fields with stray tokens, other widths and blank lines."""
+    layout = draw(st.sampled_from(LAYOUTS))
+    if draw(st.integers(0, 3)) == 0:
+        return layout, "".join(draw(st.lists(TOKENS, max_size=40)))
+    width = layout.count("<TAB>") + 1
+    row = st.lists(FIELDS, min_size=width, max_size=width)
+    if draw(st.booleans()):
+        row = row | st.lists(FIELDS | TOKENS, min_size=1, max_size=4) | st.just([])
+    rows = draw(st.lists(row.map("\t".join), min_size=1, max_size=12))
+    return layout, "\n".join(rows) + draw(st.sampled_from(["", "\n", "\r\n", "\n\n"]))
+
+
+def read_or_error(reader, path, layout):
+    try:
+        return reader(path, layout)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+@given(tsv_cases())
+@settings(max_examples=400, deadline=None)
+def test_whole_buffer_reader_matches_the_line_reader(case):
+    layout, text = case
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "data.tsv"
+        path.write_bytes(text.encode("utf-8"))
+        got = read_or_error(dataio._int_columns, path, layout)
+        want = read_or_error(lambda p, lay: dataio._int_columns_by_line(p, lay)[1], path, layout)
+    if isinstance(want, np.ndarray):
+        assert isinstance(got, np.ndarray) and got.dtype == want.dtype
+        assert np.array_equal(got, want)
+    else:
+        assert got == want
+
+
+def test_plain_files_skip_the_line_reader(tmp_path, monkeypatch):
+    def refuse(path, layout):
+        raise AssertionError("a plain TSV went through the line reader")
+
+    monkeypatch.setattr(dataio, "_int_columns_by_line", refuse)
+    ds = load_interactions(write(tmp_path, "0\t0\n\n0\t1\n1\t0\n"))
+    assert ds.users.tolist() == [0, 0, 1] and ds.items.tolist() == [0, 1, 0]
+    split_file = write(tmp_path, "0\t0\t0\n0\t1\t2\n1\t0\t1", name="split.tsv")
+    assert load_split(ds, split_file).split.tolist() == [TRAIN, TEST, VAL]
 
 
 def test_unseen_eval_items_counted():
