@@ -1,56 +1,48 @@
-"""Binary checkpoint format: a fixed header followed by named little-endian
-f32 tensors. Layout:
+"""Binary checkpoint format, version 2: a header with the training config,
+followed by named little-endian f32 tensors. Layout:
 
-    magic "MHCRCKPT" (8s) | version u32 | d u32 | num_users u64 |
-    num_items u64 | k_hyper u32 | num_modalities u32
-    per modality: tag u8 | d_m u32
+    magic "MHCRCKPT" (8s) | version u32 | num_users u64 |
+    config_len u32 | config: the TrainConfig as UTF-8 JSON, sorted keys
     per tensor:  name_len u16 | name utf-8 | ndim u8 | dims u64... | f32 data
 
-The header's sizes are read off the tensors. On load they fix, through
-`training.parameter_shapes`, the tensors the file must hold, all finite.
+The header holds only what the tensors cannot give. On load `d` and
+`k_hyper` come from the config, the item count and modality dims from the
+tensors, and `training.parameter_shapes` fixes the tensors the file must
+hold, all finite.
 """
 
 from __future__ import annotations
 
+import json
 import math
 import struct
+import typing
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
 
 from . import autodiff as ad
-from .dataio import MODALITIES
-from .errors import DataError, NumericError
-from .training import ModelParameters, parameter_shapes
+from .errors import ConfigError, DataError, NumericError
+from .training import ModelParameters, TrainConfig, parameter_shapes
 
 _MAGIC = b"MHCRCKPT"
-_VERSION = 1
-_HEADER = struct.Struct("<8sIIQQII")
-_MODALITY = struct.Struct("<BI")
+_VERSION = 2
+_HEADER = struct.Struct("<8sIQI")  # magic, version, num_users, config_len
 
 
 def save_checkpoint(params: ModelParameters, path: str | Path) -> None:
-    """Write `params`; raises NumericError, before the file is opened, if a
-    value is not finite once rounded to f32."""
+    """Write `params` and `params.config`; raises NumericError, before the
+    file is opened, if a value is not finite once rounded to f32."""
     with np.errstate(over="ignore"):
         stored = {n: np.ascontiguousarray(t.data, dtype="<f4") for n, t in params.named.items()}
     for name, data in stored.items():
         if not np.isfinite(data).all():
             raise NumericError(f"parameter {name} has values that are not finite in f32")
+    config = json.dumps(asdict(params.config), sort_keys=True).encode("utf-8")
     with Path(path).open("wb") as fh:
-        fh.write(
-            _HEADER.pack(
-                _MAGIC,
-                _VERSION,
-                params.d,
-                params.num_users,
-                params.num_items,
-                params.k_hyper,
-                len(params.modality_dims),
-            )
-        )
-        for tag, d_m in params.modality_dims.items():
-            fh.write(_MODALITY.pack(MODALITIES.index(tag), d_m))
+        fh.write(_HEADER.pack(_MAGIC, _VERSION, params.num_users, len(config)))
+        fh.write(config)
         for name, data in stored.items():
             encoded = name.encode("utf-8")
             fh.write(struct.pack("<H", len(encoded)))
@@ -68,11 +60,7 @@ class _Reader:
 
     def take(self, fmt: struct.Struct | str):
         fmt = struct.Struct(fmt) if isinstance(fmt, str) else fmt
-        if self.offset + fmt.size > len(self.raw):
-            raise DataError(f"{self.path}: truncated checkpoint")
-        values = fmt.unpack_from(self.raw, self.offset)
-        self.offset += fmt.size
-        return values
+        return fmt.unpack(self.take_bytes(fmt.size))
 
     def take_bytes(self, n: int) -> bytes:
         if self.offset + n > len(self.raw):
@@ -81,8 +69,27 @@ class _Reader:
         self.offset += n
         return chunk
 
-    def exhausted(self) -> bool:
-        return self.offset >= len(self.raw)
+
+def _config_from_json(blob: bytes, path: Path) -> TrainConfig:
+    """The valid TrainConfig of a JSON object holding every field once, each
+    with a value of the field's type (an int serves a float field)."""
+    try:
+        values = json.loads(blob.decode("utf-8"))
+    except (ValueError, RecursionError) as exc:  # bad UTF-8 or JSON, or JSON nested too deep
+        raise DataError(f"{path}: checkpoint config is not UTF-8 JSON: {exc}") from None
+    kinds = typing.get_type_hints(TrainConfig)
+    if not isinstance(values, dict) or set(values) != set(kinds):
+        found = sorted(values) if isinstance(values, dict) else type(values).__name__
+        raise DataError(f"{path}: checkpoint config has fields {found}, expected {sorted(kinds)}")
+    for name, value in values.items():
+        if type(value) is not kinds[name] and (kinds[name], type(value)) != (float, int):
+            raise DataError(f"{path}: checkpoint config {name}={value!r} is no {kinds[name].__name__}")
+    cfg = TrainConfig(**values)
+    try:
+        cfg.validate()
+    except ConfigError as exc:
+        raise DataError(f"{path}: checkpoint config is invalid: {exc}") from None
+    return cfg
 
 
 def load_checkpoint(path: str | Path) -> ModelParameters:
@@ -90,41 +97,47 @@ def load_checkpoint(path: str | Path) -> ModelParameters:
     if not path.exists():
         raise DataError(f"checkpoint not found: {path}")
     reader = _Reader(path.read_bytes(), path)
-    magic, version, d, num_users, num_items, k_hyper, n_mod = reader.take(_HEADER)
+    magic, version, num_users, config_len = reader.take(_HEADER)
     if magic != _MAGIC:
         raise DataError(f"{path}: bad checkpoint magic {magic!r}")
     if version != _VERSION:
-        raise DataError(f"{path}: unsupported checkpoint version {version}")
-
-    if not n_mod:
-        raise DataError(f"{path}: checkpoint has no modalities")
-    modality_dims: dict[str, int] = {}
-    for _ in range(n_mod):
-        tag_id, d_m = reader.take(_MODALITY)
-        if tag_id >= len(MODALITIES):
-            raise DataError(f"{path}: unknown modality tag {tag_id}")
-        modality_dims[MODALITIES[tag_id]] = d_m
+        raise DataError(
+            f"{path}: checkpoint version {version} is not readable; this program reads "
+            f"version {_VERSION}, which stores the training config: retrain to write one"
+        )
+    cfg = _config_from_json(reader.take_bytes(config_len), path)
 
     tensors: dict[str, np.ndarray] = {}
-    while not reader.exhausted():
+    while reader.offset < len(reader.raw):
         (name_len,) = reader.take("<H")
-        name = reader.take_bytes(name_len).decode("utf-8")
+        name = reader.take_bytes(name_len).decode("utf-8", "replace")  # bad names fail below
         (ndim,) = reader.take("<B")
         dims = reader.take(f"<{ndim}Q")
         data = reader.take_bytes(math.prod(dims) * 4)  # exact, so corrupt dims cannot wrap
         tensors[name] = np.frombuffer(data, dtype="<f4").reshape(dims).astype(np.float64)
 
-    expected = parameter_shapes(num_users, num_items, d, k_hyper, modality_dims)
+    # sizes the tensors give; a wrong one fails the shape check below
+    e0 = tensors.get("E0")
+    num_items = max(e0.shape[0] - num_users, 0) if e0 is not None and e0.ndim else 0
+    modality_dims = {n[2:]: t.shape[0] for n, t in tensors.items() if n[:2] == "W_" and t.ndim}
+    if not modality_dims:
+        raise DataError(f"{path}: checkpoint has no modalities")
+    expected = parameter_shapes(num_users, num_items, cfg.d, cfg.k_hyper, modality_dims)
     if set(tensors) != set(expected):
         raise DataError(
-            f"{path}: tensor set mismatch; found {sorted(tensors)}, "
+            f"{path}: checkpoint tensor set mismatch; found {sorted(tensors)}, "
             f"expected {sorted(expected)}"
         )
     for name, shape in expected.items():
         if tensors[name].shape != shape:
-            raise DataError(f"{path}: {name} has shape {tensors[name].shape}, expected {shape}")
+            raise DataError(
+                f"{path}: checkpoint tensor {name} has shape {tensors[name].shape}, "
+                f"its config and sizes give {shape}"
+            )
         if not np.isfinite(tensors[name]).all():
             raise DataError(f"{path}: {name} contains non-finite values")
     return ModelParameters(
-        num_users, {name: ad.Tensor(tensors[name], requires_grad=True) for name in expected}
+        num_users,
+        {name: ad.Tensor(tensors[name], requires_grad=True) for name in expected},
+        cfg,
     )

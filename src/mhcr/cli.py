@@ -1,19 +1,19 @@
-"""Command-line entry point: generate / train / evaluate / ablate / sweep.
+"""Command-line entry point: generate / train / evaluate / sweep.
 
-Every scalar field of the command's config dataclass is both a
-`--field-name` flag and a key of the `--config` file, a flat `key = value`
-text with `#` comments; every command rejects keys it does not know.
-Precedence is built-in default < config file < `--variant` preset < flag.
-The output directory is `--out-dir`, else the MHCR_OUTPUT_DIR environment
-variable, else the file's `out_dir`, else `mhcr-out`. All randomness flows
-from one root seed, printed at startup.
+Every scalar field of the config dataclass of `generate`, `train` and
+`sweep` is both a `--field-name` flag and a key of the `--config` file, a
+flat `key = value` text with `#` comments; `evaluate` takes its model from
+the checkpoint. Every command rejects keys it does not know. Precedence is
+built-in default < config file < `--variant` preset < flag. The output
+directory is `--out-dir`, else the MHCR_OUTPUT_DIR environment variable,
+else the file's `out_dir`, else `mhcr-out`. All randomness flows from one
+root seed, printed at startup.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
-import json
 import os
 import sys
 import typing
@@ -27,6 +27,7 @@ from .dataio import (
     MODALITIES,
     VAL,
     SyntheticConfig,
+    check_split_ratios,
     format_dataset_stats,
     generate_synthetic,
     load_features,
@@ -48,6 +49,7 @@ from .training import (
     compute_embeddings,
     fit,
     parameter_shapes,
+    variant_label,
 )
 
 EXIT_OK = 0
@@ -59,23 +61,20 @@ ENV_OUTPUT_DIR = "MHCR_OUTPUT_DIR"
 
 
 def _scalar_fields(cls) -> dict[str, type]:
-    """Name -> type of each bool, int or float field of a config dataclass;
-    an optional field (`float | None`) has the type of its value."""
-    fields = {}
-    for name, hint in typing.get_type_hints(cls).items():
-        kinds = [t for t in typing.get_args(hint) if t is not type(None)] or [hint]
-        if len(kinds) == 1 and kinds[0] in (bool, int, float):
-            fields[name] = kinds[0]
-    return fields
+    """Name -> type of each bool, int or float field of a config dataclass."""
+    return {
+        name: kind for name, kind in typing.get_type_hints(cls).items()
+        if kind in (bool, int, float)
+    }
 
 
 _TRAIN_FIELDS = _scalar_fields(TrainConfig)
 _SYNTHETIC_FIELDS = _scalar_fields(SyntheticConfig)
 _DIM_KEYS = {f"{tag}_dim": int for tag in MODALITIES}
-# Config-file keys of the training commands besides the TrainConfig fields
-# (`--data-dir` is a required flag, so it is no key); `cold_threshold` is a
-# key only of the command that has the flag, `evaluate`.
+# Config-file keys of `train` and `sweep` besides the TrainConfig fields, and
+# all those of `evaluate` (`--data-dir` is a required flag, so it is no key).
 _RUN_KEYS = {"out_dir": str, "split_ratios": str, "variant": str, "modalities": str}
+_EVALUATE_KEYS = {"out_dir": str, "split_ratios": str, "cold_threshold": int}
 
 
 def load_config_file(path: str | Path) -> dict[str, str]:
@@ -83,7 +82,12 @@ def load_config_file(path: str | Path) -> dict[str, str]:
     if not path.exists():
         raise ConfigError(f"config file not found: {path}")
     values: dict[str, str] = {}
-    for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
+    text = path.read_bytes().decode("utf-8", "surrogateescape")
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        try:
+            line.encode("utf-8")  # the bytes that were not UTF-8 are lone surrogates now
+        except UnicodeEncodeError:
+            raise ConfigError(f"{path}:{lineno}: line is not UTF-8") from None
         line = line.split("#", 1)[0].strip()
         if not line:
             continue
@@ -131,10 +135,7 @@ def _setting(args: argparse.Namespace, file_values: dict[str, object], key: str,
 def _train_config(args: argparse.Namespace) -> tuple[TrainConfig, dict[str, object]]:
     """The validated TrainConfig (defaults < config file < `--variant`
     preset < flags) and the config file's values."""
-    keys = {**_TRAIN_FIELDS, **_RUN_KEYS}
-    if hasattr(args, "cold_threshold"):
-        keys["cold_threshold"] = int
-    file_values = _read_config(args, keys)
+    file_values = _read_config(args, {**_TRAIN_FIELDS, **_RUN_KEYS})
     cfg = replace(TrainConfig(), **{k: v for k, v in file_values.items() if k in _TRAIN_FIELDS})
     variant = _setting(args, file_values, "variant")
     if variant:
@@ -154,18 +155,24 @@ def _out_dir(args: argparse.Namespace, file_values: dict[str, object]) -> Path:
     return out
 
 
-def _parse_ratios(text: str) -> tuple[float, float, float]:
+def _ratios(args: argparse.Namespace, file_values: dict[str, object]) -> tuple[float, float, float]:
+    """The split ratios by precedence, checked before any data is read."""
+    text = _setting(args, file_values, "split_ratios", "0.7,0.1,0.2")
     parts = text.split(",")
     if len(parts) != 3:
         raise ConfigError(f"split ratios need three comma-separated values, got {text!r}")
     try:
-        train, val, test = (float(p) for p in parts)
+        ratios = tuple(float(p) for p in parts)
     except ValueError:
         raise ConfigError(f"cannot parse split ratios {text!r}") from None
-    return train, val, test
+    check_split_ratios(ratios)
+    return ratios
 
 
-def _load_data(data_dir: str, modalities: str | None):
+def _load_data(data_dir: str, modalities: str | None, named_by: str = "the modalities setting"):
+    """The interactions and the feature files of the comma-separated
+    `modalities` (`named_by` says who named them), else of every modality
+    that has a file."""
     root = Path(data_dir)
     interactions = root / "interactions.tsv"
     if not interactions.exists():
@@ -181,7 +188,7 @@ def _load_data(data_dir: str, modalities: str | None):
     for tag in tags:
         path = root / f"features_{tag}.bin"
         if not path.exists():
-            raise DataError(f"missing feature file for modality {tag!r}: {path}")
+            raise DataError(f"{named_by} names modality {tag!r}, but {path} does not exist")
         features.append(load_features(path))
     return ds, features
 
@@ -230,16 +237,11 @@ def cmd_generate(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _ratios(args: argparse.Namespace, file_values: dict[str, object]) -> tuple[float, float, float]:
-    return _parse_ratios(_setting(args, file_values, "split_ratios", "0.7,0.1,0.2"))
-
-
-def _run_training(args: argparse.Namespace) -> int:
-    """`train` and `ablate`; argparse makes `--variant` required for `ablate`."""
+def cmd_train(args: argparse.Namespace) -> int:
     cfg, file_values = _train_config(args)
     print(f"root seed: {cfg.seed}")
-    out_dir = _out_dir(args, file_values)
     ratios = _ratios(args, file_values)
+    out_dir = _out_dir(args, file_values)
 
     ds_raw, features = _load_data(args.data_dir, _setting(args, file_values, "modalities"))
     ds = split_dataset(ds_raw, ratios, seed=cfg.seed)
@@ -250,7 +252,7 @@ def _run_training(args: argparse.Namespace) -> int:
         print(f"dropped users without train interactions: {ds.num_dropped_users}")
 
     result = fit(ds, features, cfg)
-    print(f"variant: {result.variant}")
+    print(f"variant: {variant_label(cfg)}")
     print(
         f"best epoch {result.best_epoch} val Recall@20 {result.best_val_recall20:.5f} "
         f"(initial {result.initial_val_recall20:.5f})"
@@ -259,7 +261,7 @@ def _run_training(args: argparse.Namespace) -> int:
     save_checkpoint(result.params, out_dir / "checkpoint.bin")
     _write_training_log(
         out_dir / "training_log.csv",
-        result.variant,
+        variant_label(cfg),
         [(e.epoch, e.loss) for e in result.epochs],
     )
 
@@ -272,24 +274,19 @@ def _run_training(args: argparse.Namespace) -> int:
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
-    cfg, file_values = _train_config(args)
-    print(f"root seed: {cfg.seed}")
+    """Score a checkpoint with the model and seed of its training config."""
+    file_values = _read_config(args, _EVALUATE_KEYS)
+    ratios = _ratios(args, file_values)
     out_dir = _out_dir(args, file_values)
-
     params = load_checkpoint(args.checkpoint)
-    if args.d is not None and args.d != params.d:
-        raise ConfigError(f"--d {args.d} conflicts with checkpoint d={params.d}")
-    if args.k_hyper is not None and args.k_hyper != params.k_hyper:
-        raise ConfigError(
-            f"--k-hyper {args.k_hyper} conflicts with checkpoint k_hyper={params.k_hyper}"
-        )
-    cfg = replace(cfg, d=params.d, k_hyper=params.k_hyper)
+    cfg = params.config
+    print(f"root seed: {cfg.seed}")
 
-    ds_raw, features = _load_data(args.data_dir, _setting(args, file_values, "modalities"))
+    ds_raw, features = _load_data(args.data_dir, ",".join(params.modality_tags), "the checkpoint")
     if args.split:
         ds = load_split(ds_raw, args.split)
     else:
-        ds = split_dataset(ds_raw, _ratios(args, file_values), seed=cfg.seed)
+        ds = split_dataset(ds_raw, ratios, seed=cfg.seed)
     # E0 stacks users over items, so its shape alone misses a shifted split
     found = {"users": params.num_users, **{n: t.shape for n, t in params.tensors().items()}}
     dims = {f.modality: f.dim for f in features}
@@ -320,6 +317,7 @@ def _parse_grid(text: str, kind: type) -> list:
 def cmd_sweep(args: argparse.Namespace) -> int:
     cfg, file_values = _train_config(args)
     print(f"root seed: {cfg.seed}")
+    ratios = _ratios(args, file_values)
     out_dir = _out_dir(args, file_values)
 
     hyper_grid = _parse_grid(args.hyper_num_grid, int)
@@ -327,7 +325,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     ghc_grid = _parse_grid(args.lambda_ghc_grid, float)
 
     ds_raw, features = _load_data(args.data_dir, _setting(args, file_values, "modalities"))
-    ds = split_dataset(ds_raw, _ratios(args, file_values), seed=cfg.seed)
+    ds = split_dataset(ds_raw, ratios, seed=cfg.seed)
 
     rows = []
     for k_hyper in hyper_grid:
@@ -365,11 +363,17 @@ def _add_field_flags(parser: argparse.ArgumentParser, fields: dict[str, type]) -
             parser.add_argument(flag, type=kind)
 
 
-def _add_train_flags(parser: argparse.ArgumentParser) -> None:
+def _add_data_flags(parser: argparse.ArgumentParser) -> None:
+    """The options of every command that reads a data directory."""
+    parser.add_argument("--data-dir", required=True, dest="data_dir")
     parser.add_argument("--config", help="flat key=value config file")
     parser.add_argument("--out-dir", help=f"output directory (env {ENV_OUTPUT_DIR})")
-    _add_field_flags(parser, _TRAIN_FIELDS)
     parser.add_argument("--split-ratios", dest="split_ratios", help="train,val,test e.g. 0.7,0.1,0.2")
+
+
+def _add_train_flags(parser: argparse.ArgumentParser) -> None:
+    _add_data_flags(parser)
+    _add_field_flags(parser, _TRAIN_FIELDS)
     parser.add_argument("--modalities", help="comma-separated tags; default: discover files")
 
 
@@ -386,34 +390,21 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.set_defaults(func=cmd_generate)
 
     p_train = sub.add_parser("train", help="train and checkpoint a model")
-    p_train.add_argument("--data-dir", required=True, dest="data_dir")
     _add_train_flags(p_train)
-    p_train.add_argument("--variant", choices=sorted(VARIANT_PRESETS))
-    p_train.set_defaults(func=_run_training)
+    p_train.add_argument("--variant", choices=sorted(VARIANT_PRESETS), help="an ablation preset")
+    p_train.set_defaults(func=cmd_train)
 
-    p_ablate = sub.add_parser("ablate", help="train a named ablation variant")
-    p_ablate.add_argument("--data-dir", required=True, dest="data_dir")
-    _add_train_flags(p_ablate)
-    p_ablate.add_argument("--variant", required=True, choices=sorted(VARIANT_PRESETS))
-    p_ablate.set_defaults(func=_run_training)
-
-    p_eval = sub.add_parser("evaluate", help="evaluate a checkpoint on the test split")
-    p_eval.add_argument("--data-dir", required=True, dest="data_dir")
+    p_eval = sub.add_parser("evaluate", help="score a checkpoint's model on the test split")
+    _add_data_flags(p_eval)
     p_eval.add_argument("--checkpoint", required=True)
     p_eval.add_argument("--split", help="sidecar split TSV; default: re-split from seed")
     p_eval.add_argument(
         "--cold-threshold", type=int, default=None, dest="cold_threshold",
         help="train-interaction count below which a user is cold (default 3)",
     )
-    _add_train_flags(p_eval)
-    p_eval.add_argument(
-        "--variant", choices=sorted(VARIANT_PRESETS),
-        help="apply the same ablation preset the checkpoint was trained with",
-    )
     p_eval.set_defaults(func=cmd_evaluate)
 
     p_sweep = sub.add_parser("sweep", help="grid search over hypergraph hyperparameters")
-    p_sweep.add_argument("--data-dir", required=True, dest="data_dir")
     _add_train_flags(p_sweep)
     p_sweep.add_argument("--hyper-num-grid", default="8,16,32,64", dest="hyper_num_grid")
     p_sweep.add_argument("--lambda-hc-grid", default="1e-6,1e-5,1e-4", dest="lambda_hc_grid")

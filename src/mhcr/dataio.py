@@ -152,24 +152,31 @@ def _int_columns_by_line(path: Path, layout: str) -> tuple[array, np.ndarray]:
     every `ParseError`."""
     width = layout.count("<TAB>") + 1
     linenos, values = array("q"), array("q")  # int64 buffers keep no int object per entry
-    with path.open("r", encoding="utf-8") as fh:
+    # a byte that is not UTF-8 reads as a lone surrogate, which no int() accepts
+    with path.open("r", encoding="utf-8", errors="surrogateescape") as fh:
         for lineno, line in enumerate(fh, start=1):
             row = line.split("\t")  # int() ignores the last field's newline
             if len(row) != width:
                 if line == "\n":
                     continue
-                text = line.rstrip("\n")
-                raise ParseError(f"{path}:{lineno}: expected {layout!r}, got {text!r}")
+                raise _line_error(path, lineno, line, f"expected {layout!r}, got")
             try:
                 values.extend(map(int, row))
             except ValueError:
-                text = line.rstrip("\n")
-                raise ParseError(f"{path}:{lineno}: non-integer field in {text!r}") from None
+                raise _line_error(path, lineno, line, "non-integer field in") from None
             except OverflowError:
-                text = line.rstrip("\n")
-                raise ParseError(f"{path}:{lineno}: field outside int64 in {text!r}") from None
+                raise _line_error(path, lineno, line, "field outside int64 in") from None
             linenos.append(lineno)
     return linenos, np.frombuffer(values, dtype=np.int64).reshape(-1, width).T.copy()
+
+
+def _line_error(path: Path, lineno: int, line: str, problem: str) -> ParseError:
+    text = line.rstrip("\n")
+    try:
+        text.encode("utf-8")
+    except UnicodeEncodeError:
+        problem = "bytes that are not UTF-8 in"
+    return ParseError(f"{path}:{lineno}: {problem} {text!r}")
 
 
 def _int_columns(path: Path, layout: str) -> np.ndarray:
@@ -229,6 +236,12 @@ def save_interactions(ds: InteractionDataset, path: str | Path) -> None:
             fh.write(f"{u}\t{i}\n")
 
 
+def check_split_ratios(ratios: Sequence[float]) -> None:
+    """Raise ConfigError unless the ratios are >= 0 and sum to 1 (NaN and inf fail the sum)."""
+    if any(r < 0 for r in ratios) or not abs(sum(ratios) - 1.0) <= 1e-9:
+        raise ConfigError(f"split ratios must be finite, >= 0 and sum to 1, got {ratios}")
+
+
 def split_dataset(
     ds: InteractionDataset,
     ratios: tuple[float, float, float] = (0.7, 0.1, 0.2),
@@ -243,8 +256,7 @@ def split_dataset(
     interactions (possible only for degenerate ratios) are dropped entirely
     and counted in `num_dropped_users`.
     """
-    if any(r < 0 for r in ratios) or abs(sum(ratios) - 1.0) > 1e-9:
-        raise ConfigError(f"split ratios must be >= 0 and sum to 1, got {ratios}")
+    check_split_ratios(ratios)
     _, r_val, r_test = ratios
     rng = np.random.default_rng(seed)
 

@@ -15,7 +15,7 @@ import scipy.sparse as sp
 from . import autodiff as ad
 from . import evaluation
 from .dataio import MODALITIES, TRAIN, InteractionDataset, ModalityFeatures, validate_features
-from .errors import ConfigError, DataError, NumericError
+from .errors import ConfigError, NumericError
 from .hypergraph import aggregate_hyper, build_incidence, hypergraph_pass
 from .item_graph import build_affinity_graph, propagate_items
 from .objectives import (
@@ -44,8 +44,6 @@ class TrainConfig:
     hyper_steps: int = 1
     drop_rate: float = 0.5
     tau: float = 0.2
-    tau_hc: float | None = None
-    tau_ghc: float | None = None
     lambda_hc: float = 1e-5
     lambda_ghc: float = 0.01
     lambda_reg: float = 1e-4
@@ -71,8 +69,8 @@ class TrainConfig:
             raise ConfigError("layers must be >= 0")
         if not 0.0 <= self.drop_rate <= 1.0:
             raise ConfigError("drop_rate must be in [0, 1]")
-        if min(self.effective_tau_hc, self.effective_tau_ghc) <= 0:
-            raise ConfigError("temperatures must be > 0")
+        if self.tau <= 0:
+            raise ConfigError("tau must be > 0")
         if min(self.lambda_hc, self.lambda_ghc, self.lambda_reg) < 0:
             raise ConfigError("loss weights must be >= 0")
         if self.learning_rate < 0:
@@ -81,14 +79,6 @@ class TrainConfig:
             raise ConfigError("batch_size and max_epochs must be >= 1")
         if self.patience < 0:
             raise ConfigError("patience must be >= 0")
-
-    @property
-    def effective_tau_hc(self) -> float:
-        return self.tau if self.tau_hc is None else self.tau_hc
-
-    @property
-    def effective_tau_ghc(self) -> float:
-        return self.tau if self.tau_ghc is None else self.tau_ghc
 
 
 VARIANT_PRESETS = {
@@ -148,10 +138,12 @@ def parameter_shapes(
 @dataclass
 class ModelParameters:
     """All learnable tensors, laid out by `parameter_shapes` and owned by the
-    training loop. Every size is read off the tensors, so none can disagree."""
+    training loop, and the config that built them. Every size is read off the
+    tensors; `init_parameters` and `load_checkpoint` make them fit `config`."""
 
     num_users: int
     named: dict[str, ad.Tensor]
+    config: TrainConfig
 
     def tensors(self) -> dict[str, ad.Tensor]:
         return dict(self.named)
@@ -172,14 +164,6 @@ class ModelParameters:
     def modality_tags(self) -> tuple[str, ...]:
         return tuple(name[2:] for name in self.named if name.startswith("W_"))
 
-    @property
-    def modality_dims(self) -> dict[str, int]:
-        return {tag: self.named[f"W_{tag}"].shape[0] for tag in self.modality_tags}
-
-    @property
-    def k_hyper(self) -> int:
-        return self.named[f"V_{self.modality_tags[0]}"].shape[0]
-
     def zero_grad(self) -> None:
         for tensor in self.named.values():
             tensor.zero_grad()
@@ -191,7 +175,7 @@ class ModelParameters:
 
     def copy(self) -> "ModelParameters":
         clones = {n: ad.Tensor(t.data.copy(), requires_grad=True) for n, t in self.named.items()}
-        return ModelParameters(self.num_users, clones)
+        return ModelParameters(self.num_users, clones, self.config)
 
 
 def init_parameters(
@@ -212,7 +196,7 @@ def init_parameters(
     return ModelParameters(num_users, {
         name: ad.Tensor(rng.normal(0.0, std, size=shape), requires_grad=True)
         for name, shape in shapes.items()
-    })
+    }, cfg)
 
 
 # Adam sweeps each parameter in row blocks of about this many elements, so
@@ -465,13 +449,11 @@ def forward(
     if cfg.use_hem and cfg.use_hc:
         if len(hyper_stacks) < 2:
             raise ConfigError("the cross-modal contrastive loss needs >= 2 modalities")
-        l_hc = hyper_contrastive_loss(hyper_stacks, contrastive_local, cfg.effective_tau_hc)
+        l_hc = hyper_contrastive_loss(hyper_stacks, contrastive_local, cfg.tau)
     else:
         l_hc = 0.0
     if cfg.use_hem and cfg.use_ghc:
-        l_ghc = graph_hyper_contrastive_loss(
-            e_graph, e_h, contrastive_local, cfg.effective_tau_ghc
-        )
+        l_ghc = graph_hyper_contrastive_loss(e_graph, e_h, contrastive_local, cfg.tau)
     else:
         l_ghc = 0.0
 
@@ -506,7 +488,7 @@ def compute_embeddings(
     and a heap can only shrink back to its highest live block."""
     fused = np.empty(params.e0.shape)
     frozen = ModelParameters(
-        params.num_users, {name: ad.constant(t.data) for name, t in params.named.items()}
+        params.num_users, {n: ad.constant(t.data) for n, t in params.named.items()}, params.config
     )
     np.copyto(fused, forward(frozen, views, cfg, mode="eval").fused.data)
     return fused[:params.num_users], fused[params.num_users:]
@@ -516,12 +498,13 @@ def evaluate_params(
     params: ModelParameters,
     ds: InteractionDataset,
     features: Sequence[ModalityFeatures],
-    cfg: TrainConfig,
     slice_name: str = evaluation.SLICE_ALL,
     ks: Sequence[int] = (10, 20),
     cold_threshold: int = 3,
 ) -> evaluation.EvalReport:
-    """Full pipeline for one report: rebuild views, fuse in eval mode, rank."""
+    """Full pipeline for one report: rebuild the views of `params.config`,
+    fuse in eval mode, rank."""
+    cfg = params.config
     views = build_views(ds, features, cfg)
     user_emb, item_emb = compute_embeddings(params, views, cfg)
     return evaluation.evaluate(
@@ -543,8 +526,6 @@ class TrainResult:
     best_epoch: int
     best_val_recall20: float
     initial_val_recall20: float
-    variant: str
-    seed: int
 
 
 def _mean_breakdown(parts: list[tuple[int, LossBreakdown]], cfg: TrainConfig) -> LossBreakdown:
@@ -630,6 +611,4 @@ def fit(
         best_epoch=best_epoch,
         best_val_recall20=float(best_recall),
         initial_val_recall20=float(initial_recall),
-        variant=variant_label(cfg),
-        seed=cfg.seed,
     )

@@ -1,10 +1,14 @@
-"""Shared fixtures: finite-difference helpers and the pinned micro-instance
-(4 users, 6 items, 2 modalities) used for gradient checks."""
+"""Shared fixtures: finite-difference helpers, the pinned micro-instance
+(4 users, 6 items, 2 modalities) used for gradient checks, a strategy over
+valid training configs and a checkpoint config rewriter."""
 
 from __future__ import annotations
 
+import struct
+
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from mhcr import dataio, training
 from mhcr.dataio import InteractionDataset, ModalityFeatures
@@ -95,3 +99,38 @@ def micro():
     cfg = micro_config()
     views = training.build_views(ds, feats, cfg)
     return ds, feats, cfg, views
+
+
+_positive = st.floats(1e-6, 1e3)
+_weight = st.floats(0.0, 10.0)
+# valid TrainConfigs at ordinary magnitudes
+train_configs = st.builds(
+    training.TrainConfig,
+    d=st.integers(1, 512),
+    layers=st.integers(0, 8),
+    k_knn=st.integers(1, 64),
+    k_hyper=st.integers(1, 128),
+    hyper_steps=st.integers(1, 4),
+    drop_rate=st.floats(0.0, 1.0),
+    tau=_positive,
+    lambda_hc=_weight,
+    lambda_ghc=_weight,
+    lambda_reg=_weight,
+    learning_rate=st.floats(0.0, 1.0),
+    batch_size=st.integers(1, 8192),
+    max_epochs=st.integers(1, 1000),
+    patience=st.integers(0, 100),
+    seed=st.integers(0, 2**32 - 1),
+    use_ui=st.booleans(),
+    use_ii=st.booleans(),
+    use_hem=st.booleans(),
+    use_hc=st.booleans(),
+    use_ghc=st.booleans(),
+).filter(lambda cfg: cfg.use_ui or cfg.use_ii or cfg.use_hem)
+
+
+def with_checkpoint_config(raw: bytes, config: bytes) -> bytes:
+    """A version-2 checkpoint's bytes with its config blob replaced; the
+    blob's length is the u32 at offset 20, after magic, version, num_users."""
+    (length,) = struct.unpack_from("<I", raw, 20)
+    return raw[:20] + struct.pack("<I", len(config)) + config + raw[24 + length:]

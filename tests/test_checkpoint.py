@@ -1,15 +1,20 @@
 """Checkpoint round trips and format validation."""
 
+import json
 import struct
+import tempfile
+from dataclasses import asdict
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from mhcr.checkpoint import load_checkpoint, save_checkpoint
 from mhcr.errors import DataError, NumericError
 from mhcr.training import build_views, init_parameters
 
-from conftest import micro_config, micro_dataset
+from conftest import micro_config, micro_dataset, train_configs, with_checkpoint_config
 
 
 def make_params():
@@ -26,8 +31,7 @@ def test_round_trip_preserves_structure_and_f32_values(tmp_path):
     loaded = load_checkpoint(path)
     assert loaded.num_users == params.num_users
     assert loaded.num_items == params.num_items
-    assert loaded.d == params.d
-    assert loaded.k_hyper == params.k_hyper
+    assert loaded.config == params.config
     assert loaded.modality_tags == params.modality_tags
     for (name, original), restored in zip(params.tensors().items(), loaded.tensors().values()):
         assert np.array_equal(restored.data, original.data.astype(np.float32).astype(np.float64)), name
@@ -97,3 +101,83 @@ def test_non_finite_tensor_is_rejected_on_load(tmp_path):
     (tmp_path / "nan.bin").write_bytes(bytes(raw))
     with pytest.raises(DataError, match="non-finite"):
         load_checkpoint(tmp_path / "nan.bin")
+
+
+@given(cfg=train_configs)
+@settings(max_examples=50, deadline=None)
+def test_every_valid_config_round_trips(cfg):
+    params = init_parameters(cfg, 3, 2, {"image": 2, "text": 1})
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "ckpt.bin"
+        save_checkpoint(params, path)
+        loaded = load_checkpoint(path)
+    assert loaded.config == cfg
+    assert list(loaded.named) == list(params.named)
+    for name, original in params.named.items():
+        f32 = original.data.astype(np.float32).astype(np.float64)
+        assert np.array_equal(loaded.named[name].data, f32), name
+
+
+def _version_1_bytes(params) -> bytes:
+    """`params` in the version-1 layout: sizes and modality dims in the
+    header, no config, then the tensor records of version 2."""
+    raw = bytearray()
+    dims = {tag: params.named[f"W_{tag}"].shape[0] for tag in params.modality_tags}
+    raw += struct.pack("<8sIIQQII", b"MHCRCKPT", 1, params.d, params.num_users,
+                       params.num_items, params.config.k_hyper, len(dims))
+    for tag, d_m in dims.items():
+        raw += struct.pack("<BI", ("image", "video", "text").index(tag), d_m)
+    for name, tensor in params.named.items():
+        data = tensor.data.astype("<f4")
+        raw += struct.pack("<H", len(name)) + name.encode() + struct.pack("<B", data.ndim)
+        raw += struct.pack(f"<{data.ndim}Q", *data.shape) + data.tobytes()
+    return bytes(raw)
+
+
+def test_version_1_is_rejected_with_a_retrain_hint(tmp_path):
+    path = tmp_path / "v1.bin"
+    path.write_bytes(_version_1_bytes(make_params()))
+    with pytest.raises(DataError, match="version 1 .*retrain"):
+        load_checkpoint(path)
+
+
+def _config_json(**changes) -> bytes:
+    values = {**asdict(micro_config()), **changes}
+    return json.dumps({k: v for k, v in values.items() if v is not None}).encode()
+
+
+@pytest.mark.parametrize(
+    "blob, message",
+    [
+        (b"\xff", "not UTF-8 JSON"),
+        (b"{", "not UTF-8 JSON"),
+        (b"[" * 100_000, "not UTF-8 JSON"),
+        (b"[]", "fields"),
+        (_config_json(tau_hc=0.2), "fields"),
+        (_config_json(seed=None), "fields"),
+        (_config_json(d="8"), "d='8'"),
+        (_config_json(d=8.0), "d=8.0"),
+        (_config_json(layers=True), "layers=True"),
+        (_config_json(use_hem=1), "use_hem=1"),
+        (_config_json(tau=0.0), "invalid"),
+        (_config_json(learning_rate=float("nan")), "invalid"),
+        (_config_json(d=16), "E0"),
+        (_config_json(k_hyper=4), "V_image"),
+    ],
+    ids=["not-utf8", "bad-json", "deep-json", "no-object", "unknown-field", "missing-field", "str-int",
+         "float-int", "bool-int", "int-bool", "tau-0", "lr-nan", "d-vs-tensors",
+         "k_hyper-vs-tensors"],
+)
+def test_bad_config_is_a_data_error(tmp_path, blob, message):
+    path = tmp_path / "ckpt.bin"
+    save_checkpoint(make_params(), path)
+    path.write_bytes(with_checkpoint_config(path.read_bytes(), blob))
+    with pytest.raises(DataError, match=message):
+        load_checkpoint(path)
+
+
+def test_an_int_serves_a_float_field(tmp_path):
+    path = tmp_path / "ckpt.bin"
+    save_checkpoint(make_params(), path)
+    path.write_bytes(with_checkpoint_config(path.read_bytes(), _config_json(learning_rate=1)))
+    assert load_checkpoint(path).config.learning_rate == 1.0

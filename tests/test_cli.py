@@ -1,20 +1,30 @@
-"""CLI subcommands: generate / train / evaluate / ablate / sweep wiring,
-file outputs, exit codes, and byte-level determinism."""
+"""CLI subcommands: generate / train / evaluate / sweep wiring, file
+outputs, exit codes, and byte-level determinism."""
 
 import argparse
 import json
 import tempfile
-from dataclasses import fields
+from dataclasses import asdict, fields, replace
 from pathlib import Path
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from mhcr.cli import EXIT_CONFIG, EXIT_DATA, _train_config, build_parser, load_config_file, main
-from mhcr.dataio import load_interactions
-from mhcr.training import TrainConfig
+from mhcr.checkpoint import load_checkpoint
+from mhcr.cli import (
+    EXIT_CONFIG,
+    EXIT_DATA,
+    _combined_report,
+    _train_config,
+    build_parser,
+    load_config_file,
+    main,
+)
+from mhcr.dataio import cold_start_users, load_features, load_interactions, load_split
+from mhcr.errors import ConfigError
+from mhcr.training import build_views, compute_embeddings
+
+from conftest import train_configs, with_checkpoint_config
 
 GEN_ARGS = [
     "generate",
@@ -113,21 +123,13 @@ class TestTrain:
 class TestAblate:
     def test_variant_recorded_in_log_header(self, data_dir, tmp_path):
         out = tmp_path / "ab"
-        code = main(
-            ["ablate", "--data-dir", str(data_dir), "--out-dir", str(out), "--variant", "wo-hem"]
-            + FAST_TRAIN
-        )
-        assert code == 0
+        assert run_train(data_dir, out, ["--variant", "wo-hem"]) == 0
         header = (out / "training_log.csv").read_text().splitlines()[0]
         assert header == "# variant: w/o HEM"
 
     def test_bpr_mf_variant(self, data_dir, tmp_path):
         out = tmp_path / "mf"
-        code = main(
-            ["ablate", "--data-dir", str(data_dir), "--out-dir", str(out), "--variant", "bpr-mf"]
-            + FAST_TRAIN
-        )
-        assert code == 0
+        assert run_train(data_dir, out, ["--variant", "bpr-mf"]) == 0
         assert (out / "training_log.csv").read_text().splitlines()[0] == "# variant: BPR-MF"
 
 
@@ -143,7 +145,6 @@ class TestEvaluate:
                 "--checkpoint", str(run / "checkpoint.bin"),
                 "--split", str(run / "split.tsv"),
                 "--out-dir", str(out),
-                "--seed", "13",
             ]
         )
         assert code == 0
@@ -157,7 +158,7 @@ class TestEvaluate:
         base = [
             "evaluate", "--data-dir", str(data_dir),
             "--checkpoint", str(run / "checkpoint.bin"),
-            "--split", str(run / "split.tsv"), "--seed", "13",
+            "--split", str(run / "split.tsv"),
         ]
         assert main(base + ["--out-dir", str(tmp_path / "default")]) == 0
         assert main(base + ["--cold-threshold", "3", "--out-dir", str(tmp_path / "explicit")]) == 0
@@ -174,7 +175,7 @@ class TestEvaluate:
         bad.write_bytes(bytes(raw))
         code = main(
             ["evaluate", "--data-dir", str(data_dir), "--checkpoint", str(bad),
-             "--out-dir", str(tmp_path / "e"), "--seed", "13"]
+             "--out-dir", str(tmp_path / "e")]
         )
         assert code == EXIT_DATA
         assert "magic" in capsys.readouterr().err
@@ -186,41 +187,76 @@ class TestEvaluate:
         assert main(GEN_ARGS[:2] + ["35"] + GEN_ARGS[3:] + ["--out-dir", str(other)]) == 0
         code = main(
             ["evaluate", "--data-dir", str(other), "--checkpoint", str(run / "checkpoint.bin"),
-             "--out-dir", str(tmp_path / "e"), "--seed", "13"]
+             "--out-dir", str(tmp_path / "e")]
         )
         assert code == EXIT_DATA
 
     @pytest.mark.parametrize(
-        "flags, gen_args, expected",
+        "config_edit, gen_args",
         [
-            (["--d", "16"], [], EXIT_CONFIG),
-            (["--k-hyper", "8"], [], EXIT_CONFIG),
-            ([], ["--num-items", "30"], EXIT_DATA),
-            ([], ["--num-users", "45", "--num-items", "20"], EXIT_DATA),
-            ([], ["--image-dim", "7"], EXIT_DATA),
-            ([], ["--video-dim", "3"], EXIT_DATA),
+            ({"d": 16}, []),  # the stored config against the checkpoint's own tensors
+            ({"k_hyper": 8}, []),
+            ({}, ["--num-items", "30"]),  # the checkpoint against other data
+            ({}, ["--num-users", "45", "--num-items", "20"]),
+            ({}, ["--image-dim", "7"]),
+            ({}, ["--text-dim", "0"]),
         ],
         ids=["d", "k_hyper", "items", "same-node-count", "modality-dim", "modality-set"],
     )
-    def test_checkpoint_consistency_errors(
-        self, data_dir, tmp_path, capsys, flags, gen_args, expected
-    ):
+    def test_checkpoint_consistency_errors(self, data_dir, tmp_path, capsys, config_edit, gen_args):
         run = tmp_path / "run"
         assert run_train(data_dir, run) == 0
+        ckpt = run / "checkpoint.bin"
+        if config_edit:
+            edited = replace(load_checkpoint(ckpt).config, **config_edit)
+            blob = json.dumps(asdict(edited)).encode()
+            ckpt.write_bytes(with_checkpoint_config(ckpt.read_bytes(), blob))
         eval_dir = data_dir
         if gen_args:
             eval_dir = tmp_path / "other-data"
             assert main(GEN_ARGS + gen_args + ["--out-dir", str(eval_dir)]) == 0
         capsys.readouterr()
         code = main(
-            ["evaluate", "--data-dir", str(eval_dir), "--checkpoint", str(run / "checkpoint.bin"),
-             "--out-dir", str(tmp_path / "e"), "--seed", "13"] + flags
+            ["evaluate", "--data-dir", str(eval_dir), "--checkpoint", str(ckpt),
+             "--out-dir", str(tmp_path / "e")]
         )
-        assert code == expected
-        err = capsys.readouterr().err
-        assert "checkpoint" in err
-        if expected == EXIT_CONFIG:
-            assert "conflicts with" in err
+        assert code == EXIT_DATA
+        assert "checkpoint" in capsys.readouterr().err
+
+    def test_model_comes_from_the_checkpoint(self, data_dir, tmp_path):
+        run = tmp_path / "run"
+        assert run_train(data_dir, run, ["--variant", "wo-hem", "--layers", "1", "--k-knn", "5"]) == 0
+        out = tmp_path / "eval"
+        assert main(
+            ["evaluate", "--data-dir", str(data_dir), "--checkpoint", str(run / "checkpoint.bin"),
+             "--split", str(run / "split.tsv"), "--out-dir", str(out)]
+        ) == 0
+        params = load_checkpoint(run / "checkpoint.bin")
+        cfg = params.config
+        assert (cfg.use_hem, cfg.layers, cfg.k_knn, cfg.seed) == (False, 1, 5, 13)
+        ds = load_split(load_interactions(data_dir / "interactions.tsv"), run / "split.tsv")
+        feats = [load_features(data_dir / f"features_{t}.bin") for t in params.modality_tags]
+        user_emb, item_emb = compute_embeddings(params, build_views(ds, feats, cfg), cfg)
+        expected = _combined_report(user_emb, item_emb, ds, 3).to_json()
+        assert (out / "eval_test.json").read_text() == expected
+
+    @pytest.mark.parametrize("edit", ["version-1", "bad-config"])
+    def test_unreadable_checkpoint_exits_3(self, data_dir, tmp_path, capsys, edit):
+        run = tmp_path / "run"
+        assert run_train(data_dir, run) == 0
+        ckpt = run / "checkpoint.bin"
+        raw = ckpt.read_bytes()
+        if edit == "version-1":
+            raw = raw[:8] + (1).to_bytes(4, "little") + raw[12:]
+        else:
+            raw = with_checkpoint_config(raw, b'{"d": 8}')
+        ckpt.write_bytes(raw)
+        code = main(
+            ["evaluate", "--data-dir", str(data_dir), "--checkpoint", str(ckpt),
+             "--out-dir", str(tmp_path / "e")]
+        )
+        assert code == EXIT_DATA
+        assert ("retrain" if edit == "version-1" else "checkpoint config") in capsys.readouterr().err
 
 
 class TestSweep:
@@ -282,6 +318,14 @@ class TestConfigFile:
         with pytest.raises(Exception):
             load_config_file(cfg_file)
 
+    def test_bytes_that_are_not_utf8_name_their_line(self, tmp_path, capsys):
+        cfg_file = tmp_path / "bad.cfg"
+        cfg_file.write_bytes(b"d = 8\r\nseed = 1\xff\n")
+        with pytest.raises(ConfigError, match=r"bad.cfg:2: line is not UTF-8"):
+            load_config_file(cfg_file)
+        assert main(["train", "--data-dir", "x", "--config", str(cfg_file)]) == EXIT_CONFIG
+        assert "bad.cfg:2" in capsys.readouterr().err
+
     def test_env_var_output_dir(self, data_dir, tmp_path, monkeypatch):
         target = tmp_path / "env-out"
         monkeypatch.setenv("MHCR_OUTPUT_DIR", str(target))
@@ -314,7 +358,7 @@ def test_split_sidecar_round_trips_through_evaluate(data_dir, tmp_path):
     # evaluating with the saved sidecar must agree with re-splitting by seed
     out_a = tmp_path / "a"
     out_b = tmp_path / "b"
-    base = ["evaluate", "--data-dir", str(data_dir), "--checkpoint", str(run / "checkpoint.bin"), "--seed", "13"]
+    base = ["evaluate", "--data-dir", str(data_dir), "--checkpoint", str(run / "checkpoint.bin")]
     assert main(base + ["--split", str(run / "split.tsv"), "--out-dir", str(out_a)]) == 0
     assert main(base + ["--out-dir", str(out_b)]) == 0
     assert json.loads((out_a / "eval_test.json").read_text()) == json.loads(
@@ -323,40 +367,56 @@ def test_split_sidecar_round_trips_through_evaluate(data_dir, tmp_path):
 
 
 class TestConfigValidation:
-    @pytest.mark.parametrize("command", ["train", "ablate", "evaluate", "sweep"])
+    @pytest.mark.parametrize("command", ["train", "evaluate", "sweep"])
     def test_invalid_values_rejected_before_any_work(self, command, tmp_path):
-        argv = [command, "--data-dir", str(tmp_path / "nowhere"), "--out-dir", str(tmp_path / "o"),
-                "--drop-rate", "2", "--tau", "-1"]
-        if command == "ablate":
-            argv += ["--variant", "full"]
+        argv = [command, "--data-dir", str(tmp_path / "nowhere"), "--out-dir", str(tmp_path / "o")]
+        if command == "evaluate":  # it has no model settings, so a bad split is its bad value
+            argv += ["--checkpoint", str(tmp_path / "none.bin"), "--split-ratios", "nan,0.1,0.2"]
+        else:
+            argv += ["--drop-rate", "2", "--tau", "-1"]
+        assert main(argv) == EXIT_CONFIG
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("command", ["train", "evaluate", "sweep"])
+    @pytest.mark.parametrize("ratios", ["nan,0.1,0.2", "0.7,nan,0.3", "inf,0,1", "0.5,0.6,-0.1"])
+    def test_split_ratios_rejected_before_any_work(self, command, ratios, tmp_path, capsys):
+        argv = [command, "--data-dir", str(tmp_path / "nowhere"), "--split-ratios", ratios]
         if command == "evaluate":
             argv += ["--checkpoint", str(tmp_path / "none.bin")]
         assert main(argv) == EXIT_CONFIG
+        assert "split ratios" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "command,key",
-        [(c, "data_dir = x") for c in ("train", "ablate", "evaluate", "sweep")]
-        + [(c, "cold_threshold = 5") for c in ("train", "ablate", "sweep")],
+        [(c, "data_dir = x") for c in ("train", "evaluate", "sweep")]
+        + [(c, "cold_threshold = 5") for c in ("train", "sweep")]
+        + [("evaluate", key) for key in ("d = 8", "seed = 1", "variant = wo-hem",
+                                          "modalities = image")],
     )
     def test_keys_the_command_ignores_are_rejected(self, command, key, tmp_path, capsys):
         cfg_file = tmp_path / "run.cfg"
         cfg_file.write_text(key + "\n", encoding="utf-8")
         argv = [command, "--data-dir", str(tmp_path / "nowhere"), "--out-dir", str(tmp_path / "o"),
                 "--config", str(cfg_file)]
-        if command == "ablate":
-            argv += ["--variant", "full"]
         if command == "evaluate":
             argv += ["--checkpoint", str(tmp_path / "none.bin")]
         assert main(argv) == EXIT_CONFIG
         assert key.split()[0] in capsys.readouterr().err
 
-    def test_evaluate_reads_cold_threshold_key(self, tmp_path):
+    def test_evaluate_reads_cold_threshold_key(self, data_dir, tmp_path):
+        run = tmp_path / "run"
+        assert run_train(data_dir, run) == 0
         cfg_file = tmp_path / "run.cfg"
         cfg_file.write_text("cold_threshold = 5\n", encoding="utf-8")
-        args = build_parser().parse_args(
-            ["evaluate", "--data-dir", "x", "--checkpoint", "c", "--config", str(cfg_file)]
-        )
-        assert _train_config(args)[1]["cold_threshold"] == 5
+        base = ["evaluate", "--data-dir", str(data_dir), "--checkpoint", str(run / "checkpoint.bin"),
+                "--split", str(run / "split.tsv")]
+        assert main(base + ["--config", str(cfg_file), "--out-dir", str(tmp_path / "file")]) == 0
+        assert main(base + ["--cold-threshold", "5", "--out-dir", str(tmp_path / "flag")]) == 0
+        from_file = (tmp_path / "file" / "eval_test.json").read_text()
+        assert from_file == (tmp_path / "flag" / "eval_test.json").read_text()
+        ds = load_split(load_interactions(data_dir / "interactions.tsv"), run / "split.tsv")
+        cold = [r for r in json.loads(from_file)["records"] if r["slice"] == "cold_start"]
+        assert {r["users"] for r in cold} == {len(cold_start_users(ds, 5))}
 
     def test_generate_rejects_unknown_key(self, tmp_path, capsys):
         cfg_file = tmp_path / "gen.cfg"
@@ -407,8 +467,6 @@ TRAINING_OPTIONS = {
     ("--hyper-steps",): ("hyper_steps", int, None, None, False),
     ("--drop-rate",): ("drop_rate", float, None, None, False),
     ("--tau",): ("tau", float, None, None, False),
-    ("--tau-hc",): ("tau_hc", float, None, None, False),
-    ("--tau-ghc",): ("tau_ghc", float, None, None, False),
     ("--lambda-hc",): ("lambda_hc", float, None, None, False),
     ("--lambda-ghc",): ("lambda_ghc", float, None, None, False),
     ("--lambda-reg",): ("lambda_reg", float, None, None, False),
@@ -428,13 +486,14 @@ TRAINING_OPTIONS = {
 CLI_SURFACE = {
     "generate": GENERATE_OPTIONS,
     "train": {**TRAINING_OPTIONS, ("--variant",): ("variant", None, None, VARIANTS, False)},
-    "ablate": {**TRAINING_OPTIONS, ("--variant",): ("variant", None, None, VARIANTS, True)},
     "evaluate": {
-        **TRAINING_OPTIONS,
+        ("--data-dir",): ("data_dir", None, None, None, True),
         ("--checkpoint",): ("checkpoint", None, None, None, True),
         ("--split",): ("split", None, None, None, False),
+        ("--split-ratios",): ("split_ratios", None, None, None, False),
         ("--cold-threshold",): ("cold_threshold", int, None, None, False),
-        ("--variant",): ("variant", None, None, VARIANTS, False),
+        ("--out-dir",): ("out_dir", None, None, None, False),
+        ("--config",): ("config", None, None, None, False),
     },
     "sweep": {
         **TRAINING_OPTIONS,
@@ -462,44 +521,13 @@ def test_cli_surface_is_frozen():
     assert surface == CLI_SURFACE
 
 
-_positive = st.floats(1e-6, 1e3)
-_weight = st.floats(0.0, 10.0)
-_train_configs = st.builds(
-    TrainConfig,
-    d=st.integers(1, 512),
-    layers=st.integers(0, 8),
-    k_knn=st.integers(1, 64),
-    k_hyper=st.integers(1, 128),
-    hyper_steps=st.integers(1, 4),
-    drop_rate=st.floats(0.0, 1.0),
-    tau=_positive,
-    tau_hc=st.none() | _positive,
-    tau_ghc=st.none() | _positive,
-    lambda_hc=_weight,
-    lambda_ghc=_weight,
-    lambda_reg=_weight,
-    learning_rate=st.floats(0.0, 1.0),
-    batch_size=st.integers(1, 8192),
-    max_epochs=st.integers(1, 1000),
-    patience=st.integers(0, 100),
-    seed=st.integers(0, 2**32 - 1),
-    use_ui=st.booleans(),
-    use_ii=st.booleans(),
-    use_hem=st.booleans(),
-    use_hc=st.booleans(),
-    use_ghc=st.booleans(),
-).filter(lambda cfg: cfg.use_ui or cfg.use_ii or cfg.use_hem)
-
-
-@given(cfg=_train_configs)
+@given(cfg=train_configs)
 @settings(max_examples=50, deadline=None)
 def test_config_round_trips_through_file_and_flags(cfg):
     flags, lines = [], []
     for field in fields(cfg):
         name, value = field.name, getattr(cfg, field.name)
         flag = name.replace("_", "-")
-        if value is None:
-            continue
         if isinstance(value, bool):
             flags.append(f"--{flag}" if value else f"--no-{flag}")
             lines.append(f"{name} = {str(value).lower()}")

@@ -142,6 +142,15 @@ class TestSplit:
         with pytest.raises(ConfigError):
             split_dataset(self.make([5]), ratios=(0.5, 0.2, 0.2), seed=0)
 
+    @pytest.mark.parametrize(
+        "ratios",
+        [(0.7, np.nan, 0.3), (np.nan, 0.0, 1.0), (0.5, 0.5, np.nan), (np.inf, 0.0, 0.0),
+         (0.5, np.inf, -np.inf)],
+    )
+    def test_non_finite_ratios_rejected(self, ratios):
+        with pytest.raises(ConfigError, match="finite"):
+            split_dataset(self.make([5, 3]), ratios=ratios, seed=0)
+
     def test_degenerate_ratio_drops_users(self):
         ds = split_dataset(self.make([2, 2]), ratios=(0.0, 0.5, 0.5), seed=0)
         assert ds.num_dropped_users == 2
@@ -338,6 +347,19 @@ def test_tsv_errors_name_their_line(tmp_path, split_file, text, error, lineno):
             load_split(InteractionDataset(1, 2, np.array([0, 0]), np.array([0, 1])), path)
         else:
             load_interactions(path)
+
+
+@pytest.mark.parametrize(
+    "raw, lineno",
+    [(b"0\t1\n\xff\t2\n", 2), (b"0\t1\r\n1\t2\xfe\n", 2), (b"\xc3\t1\n0\t1\n", 1),
+     (b"0\t1\n\xff\n", 2)],
+    ids=["field", "crlf-field-tail", "cut-sequence", "field-count"],
+)
+def test_bytes_that_are_not_utf8_name_their_line(tmp_path, raw, lineno):
+    path = tmp_path / "inter.tsv"
+    path.write_bytes(raw)
+    with pytest.raises(ParseError, match=f"inter.tsv:{lineno}: bytes that are not UTF-8"):
+        load_interactions(path)
 
 
 LAYOUTS = ("user<TAB>item", "user<TAB>item<TAB>label")

@@ -232,11 +232,9 @@ def full_node_losses(params, views, cfg, batch, num_users):
     contrastive = np.concatenate([user_nodes, pos_nodes])
     l_hc = l_ghc = 0.0
     if cfg.use_hem and cfg.use_hc:
-        l_hc = hyper_contrastive_loss(full.hyper_stacks, contrastive, cfg.effective_tau_hc)
+        l_hc = hyper_contrastive_loss(full.hyper_stacks, contrastive, cfg.tau)
     if cfg.use_hem and cfg.use_ghc:
-        l_ghc = graph_hyper_contrastive_loss(
-            full.e_ui + full.e_ii, full.e_h, contrastive, cfg.effective_tau_ghc
-        )
+        l_ghc = graph_hyper_contrastive_loss(full.e_ui + full.e_ii, full.e_h, contrastive, cfg.tau)
     reg_nodes = np.concatenate([user_nodes, pos_nodes, neg_nodes])
     l_reg = embedding_l2(ad.gather_rows(params.e0, reg_nodes))
     return total_loss(l_bpr, l_hc, l_ghc, l_reg, cfg.lambda_hc, cfg.lambda_ghc, cfg.lambda_reg)
@@ -431,7 +429,7 @@ class TestOptimizer:
         # the weighted total overflows while every gradient stays finite,
         # so at learning_rate 0 the parameters never show it
         ds, feats, _, _ = micro
-        cfg = micro_config(tau_ghc=1e8, lambda_ghc=1e308, learning_rate=0.0, use_hc=False)
+        cfg = micro_config(tau=1e8, lambda_ghc=1e308, learning_rate=0.0, use_hc=False)
         views = build_views(ds, feats, cfg)
         params = make_params(cfg, ds, views)
         optimizer = Adam(params.tensors(), cfg.learning_rate)
@@ -479,8 +477,8 @@ class TestConfigContract:
         "override",
         [
             {"tau": float("nan")},
-            {"tau_hc": float("inf")},
-            {"tau_ghc": -float("inf")},
+            {"tau": float("inf")},
+            {"tau": -float("inf")},
             {"lambda_ghc": float("nan")},
             {"lambda_reg": float("inf")},
             {"learning_rate": float("inf")},
@@ -488,7 +486,7 @@ class TestConfigContract:
             {"k_hyper": 0},
             {"d": 0},
         ],
-        ids=["tau-nan", "tau_hc-inf", "tau_ghc-neginf", "lambda_ghc-nan", "lambda_reg-inf",
+        ids=["tau-nan", "tau-inf", "tau-neginf", "lambda_ghc-nan", "lambda_reg-inf",
              "learning_rate-inf", "no-view", "k_hyper-0", "d-0"],
     )
     def test_rejected(self, override):
@@ -509,8 +507,6 @@ class TestConfigContract:
             hyper_steps=st.integers(1, 3),
             drop_rate=st.floats(0.0, 1.0),
             tau=_POSITIVE,
-            tau_hc=st.none() | _POSITIVE,
-            tau_ghc=st.none() | _POSITIVE,
             lambda_hc=_NON_NEGATIVE,
             lambda_ghc=_NON_NEGATIVE,
             lambda_reg=_NON_NEGATIVE,
@@ -607,7 +603,8 @@ class TestFit:
         ds, feats, _, _ = micro
         cfg = micro_config(max_epochs=2)
         result = fit(ds, feats, cfg)
-        report = evaluate_params(result.params, ds, feats, cfg)
+        assert result.params.config == cfg
+        report = evaluate_params(result.params, ds, feats)
         views = build_views(ds, feats, cfg)
         user_emb, item_emb = compute_embeddings(result.params, views, cfg)
         manual = evaluation.evaluate(user_emb, item_emb, ds)
