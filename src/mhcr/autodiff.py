@@ -6,9 +6,9 @@ upstream gradient to parent gradients. Gradients accumulate by summation
 during a reverse topological sweep. Each view step (UI propagation, item
 propagation, each incidence and hypergraph broadcast) and each loss term
 is one `custom_op` node with a hand-derived gradient, and so is each
-contrastive loss, gather and normalization included; the generic ops below
-cover the projections, the BPR gathers and scores, concatenation and the
-view sums. A full training step records 36 nodes. Inputs that do not
+objective, reading its own rows of the embeddings it scores; the generic
+ops below cover the projections, the readout gather, concatenation and the
+view sums. A full training step records 30 nodes. Inputs that do not
 require a gradient record nothing, so a forward pass over constants builds
 no tape.
 
@@ -196,14 +196,3 @@ def concat_rows(parts: Iterable[Tensor]) -> Tensor:
 
     return _node(data, parts, backward)
 
-
-def row_dot(a: Tensor, b: Tensor) -> Tensor:
-    """Per-row inner products of two equal-shape matrices, returned as (n,)."""
-    a, b = as_tensor(a), as_tensor(b)
-    _equal_shapes("row_dot", a, b)
-
-    def backward(g):
-        g = g[:, None]
-        return g * b.data, g * a.data
-
-    return _node((a.data * b.data).sum(axis=1), (a, b), backward)

@@ -74,7 +74,7 @@ _DIM_KEYS = {f"{tag}_dim": int for tag in MODALITIES}
 # Config-file keys of `train` and `sweep` besides the TrainConfig fields, and
 # all those of `evaluate` (`--data-dir` is a required flag, so it is no key).
 _RUN_KEYS = {"out_dir": str, "split_ratios": str, "variant": str, "modalities": str}
-_EVALUATE_KEYS = {"out_dir": str, "split_ratios": str, "cold_threshold": int}
+_EVALUATE_KEYS = {"out_dir": str, "cold_threshold": int}
 
 
 def load_config_file(path: str | Path) -> dict[str, str]:
@@ -274,19 +274,15 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
-    """Score a checkpoint with the model and seed of its training config."""
+    """Score a checkpoint with the model of its training config on the split
+    that training wrote."""
     file_values = _read_config(args, _EVALUATE_KEYS)
-    ratios = _ratios(args, file_values)
     out_dir = _out_dir(args, file_values)
     params = load_checkpoint(args.checkpoint)
     cfg = params.config
     print(f"root seed: {cfg.seed}")
 
-    ds_raw, features = _load_data(args.data_dir, ",".join(params.modality_tags), "the checkpoint")
-    if args.split:
-        ds = load_split(ds_raw, args.split)
-    else:
-        ds = split_dataset(ds_raw, ratios, seed=cfg.seed)
+    ds, features = _load_data(args.data_dir, ",".join(params.modality_tags), "the checkpoint")
     # E0 stacks users over items, so its shape alone misses a shifted split
     found = {"users": params.num_users, **{n: t.shape for n, t in params.tensors().items()}}
     dims = {f.modality: f.dim for f in features}
@@ -296,6 +292,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
               for n in {**expected, **found} if found.get(n) != expected.get(n)]
     if differ:
         raise DataError("checkpoint does not fit the data: " + "; ".join(differ))
+    ds = load_split(ds, args.split)
 
     views = build_views(ds, features, cfg)
     user_emb, item_emb = compute_embeddings(params, views, cfg)
@@ -368,11 +365,11 @@ def _add_data_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--data-dir", required=True, dest="data_dir")
     parser.add_argument("--config", help="flat key=value config file")
     parser.add_argument("--out-dir", help=f"output directory (env {ENV_OUTPUT_DIR})")
-    parser.add_argument("--split-ratios", dest="split_ratios", help="train,val,test e.g. 0.7,0.1,0.2")
 
 
 def _add_train_flags(parser: argparse.ArgumentParser) -> None:
     _add_data_flags(parser)
+    parser.add_argument("--split-ratios", dest="split_ratios", help="train,val,test e.g. 0.7,0.1,0.2")
     _add_field_flags(parser, _TRAIN_FIELDS)
     parser.add_argument("--modalities", help="comma-separated tags; default: discover files")
 
@@ -397,7 +394,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval = sub.add_parser("evaluate", help="score a checkpoint's model on the test split")
     _add_data_flags(p_eval)
     p_eval.add_argument("--checkpoint", required=True)
-    p_eval.add_argument("--split", help="sidecar split TSV; default: re-split from seed")
+    p_eval.add_argument("--split", required=True, help="the split.tsv that train wrote")
     p_eval.add_argument(
         "--cold-threshold", type=int, default=None, dest="cold_threshold",
         help="train-interaction count below which a user is cold (default 3)",

@@ -58,12 +58,10 @@ def build_incidence(
 
 
 def _mask(shape: tuple[int, ...], rate: float, rng: np.random.Generator):
-    """The factor of one DROP occurrence: None (keep everything), 0.0 (drop
-    everything) or an inverted-dropout mask drawn from `rng`."""
+    """The factor of one DROP occurrence: None (keep everything) or an
+    inverted-dropout mask drawn from `rng`."""
     if rate <= 0.0:
         return None
-    if rate >= 1.0:
-        return 0.0
     return (rng.random(shape) >= rate) * (1.0 / (1.0 - rate))
 
 
@@ -124,8 +122,8 @@ def hypergraph_pass(
     """
     if steps < 1:
         raise ConfigError("steps must be >= 1")
-    if not 0.0 <= drop_rate <= 1.0:
-        raise ConfigError("drop_rate must be in [0, 1]")
+    if not 0.0 <= drop_rate < 1.0:
+        raise ConfigError("drop_rate must be in [0, 1)")
 
     h_items, h_users = incidence
     e_items = ad.as_tensor(e_items)

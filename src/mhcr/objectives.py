@@ -7,11 +7,13 @@ product, which makes every loss invariant to a common positive rescaling
 of its inputs.
 
 Every loss, and their weighted total, is a single autodiff node with a
-closed-form gradient. Each contrastive loss takes the full embedding
-tensors as its parents: it gathers and normalizes the batch rows itself,
-has a softmax-minus-target gradient, and hands each input its gradient as
-rows (`ad.RowGrad`). Both are computed as log-sum-exps shifted per node, so
-they stay finite at any tau > 0.
+closed-form gradient. Each loss takes the embedding tensors it scores as
+its parents, with the row indices it reads: it gathers (and, for the
+contrastive losses, normalizes) the batch rows itself. BPR scatters its
+gradient into the fused rows; the L2 term and each contrastive loss hand
+their inputs the gradient as rows (`ad.RowGrad`). The contrastive losses
+have a softmax-minus-target gradient and are computed as log-sum-exps
+shifted per node, so they stay finite at any tau > 0.
 """
 
 from __future__ import annotations
@@ -40,22 +42,37 @@ class LossBreakdown:
     CSV_FIELDS = ("l_bpr", "l_hc", "l_ghc", "l_reg", "total")
 
 
-def bpr_loss(pos_scores, neg_scores) -> ad.Tensor:
-    """Mean of -ln(sigmoid(pos - neg)) over the batch: softplus(neg - pos),
-    computed without overflow, as one tape node whose gradient is the
-    logistic map of neg - pos."""
-    pos, neg = ad.as_tensor(pos_scores), ad.as_tensor(neg_scores)
-    if pos.shape != neg.shape:
-        raise DataError(f"score batches differ in shape: {pos.shape} vs {neg.shape}")
-    if pos.data.size == 0:
+def bpr_loss(fused, users, positives, negatives) -> ad.Tensor:
+    """Mean of -ln(sigmoid(<u, p> - <u, n>)) over the batch, where u, p and n
+    are rows `users`, `positives` and `negatives` of `fused`: softplus of the
+    score margin, computed without overflow. One tape node whose gradient is
+    the logistic map of the margin, scattered into the rows of `fused`."""
+    fused = ad.as_tensor(fused)
+    users, positives, negatives = (
+        np.asarray(rows, dtype=np.int64) for rows in (users, positives, negatives)
+    )
+    if not users.shape == positives.shape == negatives.shape:
+        raise DataError(
+            f"batch rows differ in shape: {users.shape}, {positives.shape}, {negatives.shape}"
+        )
+    if users.size == 0:
         raise DataError("bpr_loss: empty batch")
-    margin = neg.data - pos.data
+    u, p, n = fused.data[users], fused.data[positives], fused.data[negatives]
+    margin = (u * n).sum(axis=1) - (u * p).sum(axis=1)
 
     def backward(g):
-        d = np.full(margin.shape, float(g) / margin.size) * expit(margin)
-        return -d, d
+        d = (np.full(margin.shape, float(g) / margin.size) * expit(margin))[:, None]
+        # each group is summed into `fused` on its own, as a row gather would
+        # be, so repeated rows add up bit for bit as on an op-by-op tape
+        grad = np.zeros(fused.shape)
+        ad.add_rows(grad, positives, -d * u)
+        g_users = -d * p
+        g_users += d * n
+        ad.add_rows(grad, users, g_users)
+        ad.add_rows(grad, negatives, d * u)
+        return (grad,)
 
-    return ad.custom_op(np.logaddexp(0.0, margin).mean(), (pos, neg), backward)
+    return ad.custom_op(np.logaddexp(0.0, margin).mean(), (fused,), backward)
 
 
 class _UnitRows:
@@ -187,16 +204,18 @@ def graph_hyper_contrastive_loss(
     return ad.custom_op(value, (e_graph, e_hyper), backward)
 
 
-def embedding_l2(rows) -> ad.Tensor:
-    """Mean squared L2 norm of the given embedding rows."""
-    rows = ad.as_tensor(rows)
-    n = rows.shape[0]
+def embedding_l2(embeddings, rows) -> ad.Tensor:
+    """Mean squared L2 norm of rows `rows` of `embeddings`, as one tape node
+    that hands `embeddings` its gradient as those rows."""
+    embeddings = ad.as_tensor(embeddings)
+    rows = np.asarray(rows, dtype=np.int64)
+    x = embeddings.data[rows]
 
     def backward(g):
-        half = np.broadcast_to(np.full(n, float(g) / n)[:, None], rows.shape) * rows.data
-        return (half + half,)
+        half = np.broadcast_to(np.full(rows.size, float(g) / rows.size)[:, None], x.shape) * x
+        return (ad.RowGrad(rows, half + half),)
 
-    return ad.custom_op((rows.data * rows.data).sum(axis=1).mean(), (rows,), backward)
+    return ad.custom_op((x * x).sum(axis=1).mean(), (embeddings,), backward)
 
 
 def total_loss(

@@ -1,7 +1,7 @@
 """Model assembly and optimization: parameter ownership, the multi-view
-forward pass with ablation toggles, reverse-mode gradients through the
-fixed computation chain, Adam updates, negative sampling, and the epoch
-loop with early stopping on validation Recall@20."""
+forward pass with view flags and loss weights, reverse-mode gradients
+through the fixed computation chain, Adam updates, negative sampling, and
+the epoch loop with early stopping on validation Recall@20."""
 
 from __future__ import annotations
 
@@ -35,7 +35,8 @@ _NEGATIVE_SAMPLING_TRIES = 100
 
 @dataclass(frozen=True)
 class TrainConfig:
-    """Model, objective, and optimizer hyperparameters plus ablation flags."""
+    """Model, objective, and optimizer hyperparameters plus the view flags.
+    A contrastive loss is off when its weight is 0."""
 
     d: int = 64
     layers: int = 2
@@ -55,8 +56,6 @@ class TrainConfig:
     use_ui: bool = True
     use_ii: bool = True
     use_hem: bool = True
-    use_hc: bool = True
-    use_ghc: bool = True
 
     def validate(self) -> None:
         if not all(np.isfinite(v) for v in astuple(self) if isinstance(v, float)):
@@ -67,8 +66,8 @@ class TrainConfig:
             raise ConfigError("d, k_knn, k_hyper, hyper_steps must be >= 1")
         if self.layers < 0:
             raise ConfigError("layers must be >= 0")
-        if not 0.0 <= self.drop_rate <= 1.0:
-            raise ConfigError("drop_rate must be in [0, 1]")
+        if not 0.0 <= self.drop_rate < 1.0:
+            raise ConfigError("drop_rate must be in [0, 1)")
         if self.tau <= 0:
             raise ConfigError("tau must be > 0")
         if min(self.lambda_hc, self.lambda_ghc, self.lambda_reg) < 0:
@@ -86,9 +85,9 @@ VARIANT_PRESETS = {
     "wo-ui": {"use_ui": False},
     "wo-ii": {"use_ii": False},
     "wo-hem": {"use_hem": False},
-    "wo-hc": {"use_hc": False},
-    "wo-ghc": {"use_ghc": False},
-    "bpr-mf": {"use_ii": False, "use_hem": False, "use_hc": False, "use_ghc": False, "layers": 0},
+    "wo-hc": {"lambda_hc": 0.0},
+    "wo-ghc": {"lambda_ghc": 0.0},
+    "bpr-mf": {"use_ii": False, "use_hem": False, "layers": 0},
 }
 
 
@@ -102,16 +101,13 @@ def variant_label(cfg: TrainConfig) -> str:
     """Human-readable name for an ablation configuration."""
     if cfg.use_ui and not cfg.use_ii and not cfg.use_hem and cfg.layers == 0:
         return "BPR-MF"
-    missing = []
-    for flag, name in (
+    missing = [name for on, name in (
         (cfg.use_ui, "UI"),
         (cfg.use_ii, "II"),
         (cfg.use_hem, "HEM"),
-        (cfg.use_hc, "HC"),
-        (cfg.use_ghc, "GHC"),
-    ):
-        if not flag:
-            missing.append(name)
+        (cfg.lambda_hc > 0, "HC"),
+        (cfg.lambda_ghc > 0, "GHC"),
+    ) if not on]
     return "MHCR" if not missing else "w/o " + "+".join(missing)
 
 
@@ -377,8 +373,9 @@ def forward(
     computes no losses. Either mode records a tape through the parameters
     that require gradients; `compute_embeddings` passes constants instead.
 
-    Ablation flags zero a view's contribution and drop its loss terms
-    without touching the remaining views' computations.
+    View flags zero a view's contribution without touching the remaining
+    views' computations. A contrastive loss is computed only when the
+    hypergraph view is on and its weight is positive; otherwise it is 0.0.
     """
     if mode not in ("train", "eval"):
         raise ConfigError(f"mode must be 'train' or 'eval', got {mode!r}")
@@ -440,24 +437,14 @@ def forward(
     user_local, pos_local, neg_local = np.split(
         local, np.cumsum([len(batch.users), len(batch.pos_items)])
     )
-    u_emb = ad.gather_rows(fused, user_local)
-    pos_emb = ad.gather_rows(fused, pos_local)
-    neg_emb = ad.gather_rows(fused, neg_local)
-    l_bpr = bpr_loss(ad.row_dot(u_emb, pos_emb), ad.row_dot(u_emb, neg_emb))
-
+    l_bpr = bpr_loss(fused, user_local, pos_local, neg_local)
     contrastive_local = np.concatenate([user_local, pos_local])
-    if cfg.use_hem and cfg.use_hc:
-        if len(hyper_stacks) < 2:
-            raise ConfigError("the cross-modal contrastive loss needs >= 2 modalities")
+    l_hc = l_ghc = 0.0
+    if cfg.use_hem and cfg.lambda_hc > 0:
         l_hc = hyper_contrastive_loss(hyper_stacks, contrastive_local, cfg.tau)
-    else:
-        l_hc = 0.0
-    if cfg.use_hem and cfg.use_ghc:
+    if cfg.use_hem and cfg.lambda_ghc > 0:
         l_ghc = graph_hyper_contrastive_loss(e_graph, e_h, contrastive_local, cfg.tau)
-    else:
-        l_ghc = 0.0
-
-    l_reg = embedding_l2(ad.gather_rows(params.e0, nodes[local]))
+    l_reg = embedding_l2(params.e0, nodes[local])
 
     result.total, result.breakdown = total_loss(
         l_bpr, l_hc, l_ghc, l_reg, cfg.lambda_hc, cfg.lambda_ghc, cfg.lambda_reg
@@ -553,10 +540,8 @@ def fit(
     """
     cfg.validate()
     ds.require_split()
-    if cfg.use_hem and cfg.use_hc and len(features) < 2:
+    if cfg.use_hem and cfg.lambda_hc > 0 and len(features) < 2:
         raise ConfigError("the cross-modal contrastive loss needs >= 2 modalities")
-    if cfg.use_hem and cfg.drop_rate >= 1.0:
-        log.warning("drop_rate=1 zeroes every hypergraph message; the view is all-zero in training")
 
     views = build_views(ds, features, cfg)
     params = init_parameters(cfg, ds.num_users, ds.num_items, views.modality_dims)

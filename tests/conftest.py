@@ -111,7 +111,7 @@ train_configs = st.builds(
     k_knn=st.integers(1, 64),
     k_hyper=st.integers(1, 128),
     hyper_steps=st.integers(1, 4),
-    drop_rate=st.floats(0.0, 1.0),
+    drop_rate=st.floats(0.0, 1.0, exclude_max=True),
     tau=_positive,
     lambda_hc=_weight,
     lambda_ghc=_weight,
@@ -124,8 +124,6 @@ train_configs = st.builds(
     use_ui=st.booleans(),
     use_ii=st.booleans(),
     use_hem=st.booleans(),
-    use_hc=st.booleans(),
-    use_ghc=st.booleans(),
 ).filter(lambda cfg: cfg.use_ui or cfg.use_ii or cfg.use_hem)
 
 

@@ -1,7 +1,7 @@
 """Reference code the tests compare the library against, kept out of the
 package because no program path runs it: generic tape ops the program no
-longer calls, the op-by-op tape composition of the three views that
-their single-node versions must reproduce, and the user-by-user split that
+longer calls, the op-by-op tape composition of the three views and of the
+BPR and L2 objectives that their single-node versions must reproduce, and the user-by-user split that
 the whole-array `split_dataset` must reproduce."""
 
 from __future__ import annotations
@@ -87,12 +87,42 @@ def cosine_affinity(features: np.ndarray, a: int, b: int) -> float:
     return float(va @ vb / (na * nb))
 
 
-def tape_bpr_loss(pos: ad.Tensor, neg: ad.Tensor) -> ad.Tensor:
-    return mean(softplus(sub(neg, pos)))
+def row_dot(a: ad.Tensor, b: ad.Tensor) -> ad.Tensor:
+    """Per-row inner products of two equal-shape matrices, returned as (n,)."""
+    a, b = ad.as_tensor(a), ad.as_tensor(b)
+    if a.shape != b.shape:
+        raise ShapeError(f"row_dot shape mismatch: {a.shape} vs {b.shape}")
+
+    def backward(g):
+        g = g[:, None]
+        return g * b.data, g * a.data
+
+    return ad.custom_op((a.data * b.data).sum(axis=1), (a, b), backward)
 
 
-def tape_embedding_l2(rows: ad.Tensor) -> ad.Tensor:
-    return mean(tensor_sum(mul(rows, rows), axis=1))
+def scores_bpr_loss(pos: ad.Tensor, neg: ad.Tensor) -> ad.Tensor:
+    """BPR over score vectors as one node: mean softplus(neg - pos), with
+    gradient -d to the positive and d to the negative scores."""
+    margin = neg.data - pos.data
+
+    def backward(g):
+        d = np.full(margin.shape, float(g) / margin.size) * expit(margin)
+        return -d, d
+
+    return ad.custom_op(np.logaddexp(0.0, margin).mean(), (pos, neg), backward)
+
+
+def tape_bpr_loss(fused: ad.Tensor, users, positives, negatives) -> ad.Tensor:
+    """BPR as three row gathers, two row dot products and the score node."""
+    u = ad.gather_rows(fused, users)
+    pos = ad.gather_rows(fused, positives)
+    neg = ad.gather_rows(fused, negatives)
+    return scores_bpr_loss(row_dot(u, pos), row_dot(u, neg))
+
+
+def tape_embedding_l2(embeddings: ad.Tensor, rows) -> ad.Tensor:
+    x = ad.gather_rows(embeddings, rows)
+    return mean(tensor_sum(mul(x, x), axis=1))
 
 
 def tape_total_loss(l_bpr, l_hc, l_ghc, l_reg, lambda_hc, lambda_ghc, lambda_reg) -> ad.Tensor:
@@ -130,8 +160,6 @@ def tape_build_incidence(features, v_m: ad.Tensor, x_u, user_rows):
 def _dropped(t: ad.Tensor, rate: float, rng: np.random.Generator) -> ad.Tensor:
     if rate <= 0.0:
         return t
-    if rate >= 1.0:
-        return scale(t, 0.0)
     mask = (rng.random(t.shape) >= rate) / (1.0 - rate)
     return mul(t, ad.constant(mask))
 

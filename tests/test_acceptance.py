@@ -137,9 +137,9 @@ def test_propagation_oracles():
 
 
 def test_loss_closed_forms():
-    # -ln(sigmoid(0)) = ln 2
+    # -ln(sigmoid(0)) = ln 2: one user row scores its positive and negative rows equally
     ln2 = float(np.log(2.0))
-    bpr = bpr_loss(np.array([0.7]), np.array([0.7])).item()
+    bpr = bpr_loss(np.array([[1.0], [0.7], [0.7]]), [0], [1], [2]).item()
     assert abs(bpr - ln2) <= 1e-5
 
     # two nodes, two modalities, all embeddings identical: -ln(2/4) = ln 2

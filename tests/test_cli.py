@@ -7,6 +7,7 @@ import tempfile
 from dataclasses import asdict, fields, replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 
@@ -20,7 +21,13 @@ from mhcr.cli import (
     load_config_file,
     main,
 )
-from mhcr.dataio import cold_start_users, load_features, load_interactions, load_split
+from mhcr.dataio import (
+    cold_start_users,
+    load_features,
+    load_interactions,
+    load_split,
+    split_dataset,
+)
 from mhcr.errors import ConfigError
 from mhcr.training import build_views, compute_embeddings
 
@@ -175,7 +182,7 @@ class TestEvaluate:
         bad.write_bytes(bytes(raw))
         code = main(
             ["evaluate", "--data-dir", str(data_dir), "--checkpoint", str(bad),
-             "--out-dir", str(tmp_path / "e")]
+             "--split", str(run / "split.tsv"), "--out-dir", str(tmp_path / "e")]
         )
         assert code == EXIT_DATA
         assert "magic" in capsys.readouterr().err
@@ -187,7 +194,7 @@ class TestEvaluate:
         assert main(GEN_ARGS[:2] + ["35"] + GEN_ARGS[3:] + ["--out-dir", str(other)]) == 0
         code = main(
             ["evaluate", "--data-dir", str(other), "--checkpoint", str(run / "checkpoint.bin"),
-             "--out-dir", str(tmp_path / "e")]
+             "--split", str(run / "split.tsv"), "--out-dir", str(tmp_path / "e")]
         )
         assert code == EXIT_DATA
 
@@ -218,7 +225,7 @@ class TestEvaluate:
         capsys.readouterr()
         code = main(
             ["evaluate", "--data-dir", str(eval_dir), "--checkpoint", str(ckpt),
-             "--out-dir", str(tmp_path / "e")]
+             "--split", str(run / "split.tsv"), "--out-dir", str(tmp_path / "e")]
         )
         assert code == EXIT_DATA
         assert "checkpoint" in capsys.readouterr().err
@@ -240,7 +247,7 @@ class TestEvaluate:
         expected = _combined_report(user_emb, item_emb, ds, 3).to_json()
         assert (out / "eval_test.json").read_text() == expected
 
-    @pytest.mark.parametrize("edit", ["version-1", "bad-config"])
+    @pytest.mark.parametrize("edit", ["version-1", "bad-config", "contrastive-switches"])
     def test_unreadable_checkpoint_exits_3(self, data_dir, tmp_path, capsys, edit):
         run = tmp_path / "run"
         assert run_train(data_dir, run) == 0
@@ -248,12 +255,15 @@ class TestEvaluate:
         raw = ckpt.read_bytes()
         if edit == "version-1":
             raw = raw[:8] + (1).to_bytes(4, "little") + raw[12:]
-        else:
+        elif edit == "bad-config":
             raw = with_checkpoint_config(raw, b'{"d": 8}')
+        else:  # a config from before the loss weights became the only contrastive switches
+            old = {**asdict(load_checkpoint(ckpt).config), "use_hc": True, "use_ghc": True}
+            raw = with_checkpoint_config(raw, json.dumps(old, sort_keys=True).encode())
         ckpt.write_bytes(raw)
         code = main(
             ["evaluate", "--data-dir", str(data_dir), "--checkpoint", str(ckpt),
-             "--out-dir", str(tmp_path / "e")]
+             "--split", str(run / "split.tsv"), "--out-dir", str(tmp_path / "e")]
         )
         assert code == EXIT_DATA
         assert ("retrain" if edit == "version-1" else "checkpoint config") in capsys.readouterr().err
@@ -336,7 +346,7 @@ class TestConfigFile:
         cfg_file = tmp_path / "run.cfg"
         cfg_file.write_text(
             "modalities = image\nsplit_ratios = 0.8,0.1,0.1\nmax_epochs = 1\n"
-            "use_hc = false\n",  # the cross-modal loss needs >= 2 modalities
+            "lambda_hc = 0\n",  # the cross-modal loss needs >= 2 modalities
             encoding="utf-8",
         )
         out = tmp_path / "run"
@@ -353,25 +363,43 @@ class TestConfigFile:
 
 
 def test_split_sidecar_round_trips_through_evaluate(data_dir, tmp_path):
+    # the checkpoint does not store the split ratios; the sidecar carries the split
+    run = tmp_path / "run"
+    assert run_train(data_dir, run, ["--split-ratios", "0.5,0.1,0.4"]) == 0
+    out = tmp_path / "eval"
+    assert main(["evaluate", "--data-dir", str(data_dir), "--checkpoint", str(run / "checkpoint.bin"),
+                 "--split", str(run / "split.tsv"), "--out-dir", str(out)]) == 0
+    raw = load_interactions(data_dir / "interactions.tsv")
+    ds = load_split(raw, run / "split.tsv")
+    assert np.array_equal(ds.split, split_dataset(raw, (0.5, 0.1, 0.4), seed=13).split)
+    params = load_checkpoint(run / "checkpoint.bin")
+    feats = [load_features(data_dir / f"features_{t}.bin") for t in params.modality_tags]
+    user_emb, item_emb = compute_embeddings(params, build_views(ds, feats, params.config),
+                                            params.config)
+    expected = _combined_report(user_emb, item_emb, ds, 3).to_json()
+    assert (out / "eval_test.json").read_text() == expected
+
+
+def test_evaluate_requires_the_split(data_dir, tmp_path, capsys):
     run = tmp_path / "run"
     assert run_train(data_dir, run) == 0
-    # evaluating with the saved sidecar must agree with re-splitting by seed
-    out_a = tmp_path / "a"
-    out_b = tmp_path / "b"
-    base = ["evaluate", "--data-dir", str(data_dir), "--checkpoint", str(run / "checkpoint.bin")]
-    assert main(base + ["--split", str(run / "split.tsv"), "--out-dir", str(out_a)]) == 0
-    assert main(base + ["--out-dir", str(out_b)]) == 0
-    assert json.loads((out_a / "eval_test.json").read_text()) == json.loads(
-        (out_b / "eval_test.json").read_text()
-    )
+    with pytest.raises(SystemExit) as exited:
+        main(["evaluate", "--data-dir", str(data_dir), "--checkpoint", str(run / "checkpoint.bin"),
+              "--out-dir", str(tmp_path / "e")])
+    assert exited.value.code == EXIT_CONFIG
+    assert "--split" in capsys.readouterr().err
+    assert not (tmp_path / "e").exists()
 
 
 class TestConfigValidation:
     @pytest.mark.parametrize("command", ["train", "evaluate", "sweep"])
     def test_invalid_values_rejected_before_any_work(self, command, tmp_path):
         argv = [command, "--data-dir", str(tmp_path / "nowhere"), "--out-dir", str(tmp_path / "o")]
-        if command == "evaluate":  # it has no model settings, so a bad split is its bad value
-            argv += ["--checkpoint", str(tmp_path / "none.bin"), "--split-ratios", "nan,0.1,0.2"]
+        if command == "evaluate":  # it has no model settings; its bad value is a cold threshold
+            cfg_file = tmp_path / "run.cfg"
+            cfg_file.write_text("cold_threshold = three\n", encoding="utf-8")
+            argv += ["--checkpoint", str(tmp_path / "none.bin"), "--split", str(tmp_path / "none"),
+                     "--config", str(cfg_file)]
         else:
             argv += ["--drop-rate", "2", "--tau", "-1"]
         assert main(argv) == EXIT_CONFIG
@@ -381,8 +409,13 @@ class TestConfigValidation:
     @pytest.mark.parametrize("ratios", ["nan,0.1,0.2", "0.7,nan,0.3", "inf,0,1", "0.5,0.6,-0.1"])
     def test_split_ratios_rejected_before_any_work(self, command, ratios, tmp_path, capsys):
         argv = [command, "--data-dir", str(tmp_path / "nowhere"), "--split-ratios", ratios]
-        if command == "evaluate":
-            argv += ["--checkpoint", str(tmp_path / "none.bin")]
+        if command == "evaluate":  # it reads the split from --split and takes no ratios
+            argv += ["--checkpoint", str(tmp_path / "none.bin"), "--split", str(tmp_path / "none")]
+            with pytest.raises(SystemExit) as exited:
+                main(argv)
+            assert exited.value.code == EXIT_CONFIG
+            assert "unrecognized arguments: --split-ratios" in capsys.readouterr().err
+            return
         assert main(argv) == EXIT_CONFIG
         assert "split ratios" in capsys.readouterr().err
 
@@ -391,7 +424,7 @@ class TestConfigValidation:
         [(c, "data_dir = x") for c in ("train", "evaluate", "sweep")]
         + [(c, "cold_threshold = 5") for c in ("train", "sweep")]
         + [("evaluate", key) for key in ("d = 8", "seed = 1", "variant = wo-hem",
-                                          "modalities = image")],
+                                          "modalities = image", "split_ratios = 0.7,0.1,0.2")],
     )
     def test_keys_the_command_ignores_are_rejected(self, command, key, tmp_path, capsys):
         cfg_file = tmp_path / "run.cfg"
@@ -399,7 +432,7 @@ class TestConfigValidation:
         argv = [command, "--data-dir", str(tmp_path / "nowhere"), "--out-dir", str(tmp_path / "o"),
                 "--config", str(cfg_file)]
         if command == "evaluate":
-            argv += ["--checkpoint", str(tmp_path / "none.bin")]
+            argv += ["--checkpoint", str(tmp_path / "none.bin"), "--split", str(tmp_path / "none")]
         assert main(argv) == EXIT_CONFIG
         assert key.split()[0] in capsys.readouterr().err
 
@@ -427,13 +460,13 @@ class TestConfigValidation:
 
     def test_variant_sits_between_file_and_flags(self, tmp_path):
         cfg_file = tmp_path / "run.cfg"
-        cfg_file.write_text("use_hem = true\nuse_hc = false\nd = 4\n", encoding="utf-8")
+        cfg_file.write_text("use_hem = true\nlambda_hc = 0.5\nd = 4\n", encoding="utf-8")
         args = build_parser().parse_args(
-            ["train", "--data-dir", "x", "--config", str(cfg_file), "--variant", "wo-hem",
-             "--use-hc", "--d", "8"]
+            ["train", "--data-dir", "x", "--config", str(cfg_file), "--variant", "bpr-mf",
+             "--layers", "1", "--d", "8"]
         )
         cfg, _ = _train_config(args)
-        assert (cfg.use_hem, cfg.use_hc, cfg.d) == (False, True, 8)
+        assert (cfg.use_hem, cfg.layers, cfg.lambda_hc, cfg.d) == (False, 1, 0.5, 8)
 
 
 VARIANTS = ("bpr-mf", "full", "wo-ghc", "wo-hc", "wo-hem", "wo-ii", "wo-ui")
@@ -478,8 +511,6 @@ TRAINING_OPTIONS = {
     ("--use-ui", "--no-use-ui"): ("use_ui", None, None, None, False),
     ("--use-ii", "--no-use-ii"): ("use_ii", None, None, None, False),
     ("--use-hem", "--no-use-hem"): ("use_hem", None, None, None, False),
-    ("--use-hc", "--no-use-hc"): ("use_hc", None, None, None, False),
-    ("--use-ghc", "--no-use-ghc"): ("use_ghc", None, None, None, False),
     ("--split-ratios",): ("split_ratios", None, None, None, False),
     ("--modalities",): ("modalities", None, None, None, False),
 }
@@ -489,8 +520,7 @@ CLI_SURFACE = {
     "evaluate": {
         ("--data-dir",): ("data_dir", None, None, None, True),
         ("--checkpoint",): ("checkpoint", None, None, None, True),
-        ("--split",): ("split", None, None, None, False),
-        ("--split-ratios",): ("split_ratios", None, None, None, False),
+        ("--split",): ("split", None, None, None, True),
         ("--cold-threshold",): ("cold_threshold", int, None, None, False),
         ("--out-dir",): ("out_dir", None, None, None, False),
         ("--config",): ("config", None, None, None, False),

@@ -92,14 +92,6 @@ class TestPass:
         assert np.allclose(e_items.data, [[4.0], [4.0]])
         assert np.allclose(e_users.data, [[4.0]])
 
-    def test_full_dropout_zeroes_everything(self):
-        pair = pair_from(np.ones((2, 2)), np.ones((1, 2)))
-        e_users, e_items = hypergraph_pass(
-            pair, np.ones((2, 3)), 1.0, 1, seeded(0), every_item(pair)
-        )
-        assert np.allclose(e_items.data, 0.0)
-        assert np.allclose(e_users.data, 0.0)
-
     def test_matches_dense_oracle_without_dropout(self):
         rng = np.random.default_rng(4)
         h_i = rng.normal(size=(7, 3))
@@ -171,8 +163,9 @@ class TestPass:
         pair = pair_from(np.ones((2, 2)), np.ones((1, 2)))
         with pytest.raises(ConfigError):
             hypergraph_pass(pair, np.ones((2, 2)), 0.0, 0, seeded(0), every_item(pair))
-        with pytest.raises(ConfigError):
-            hypergraph_pass(pair, np.ones((2, 2)), 1.5, 1, seeded(0), every_item(pair))
+        for drop_rate in (1.0, 1.5, -0.1):
+            with pytest.raises(ConfigError):
+                hypergraph_pass(pair, np.ones((2, 2)), drop_rate, 1, seeded(0), every_item(pair))
         with pytest.raises(ShapeError):
             hypergraph_pass(pair, np.ones((3, 2)), 0.0, 1, seeded(0), every_item(pair))
 

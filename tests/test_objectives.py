@@ -37,6 +37,7 @@ from oracles import (
     log,
     mean,
     mul,
+    row_dot,
     row_normalize,
     scale,
     sub,
@@ -61,7 +62,7 @@ def tape_hyper_contrastive(per_modality, batch, tau):
     pos = neg = None
     for a, b in permutations(range(len(normalized)), 2):
         e_a, e_b = normalized[a], normalized[b]
-        pos_term = exp(scale(ad.row_dot(e_a, e_b), 1.0 / tau))
+        pos_term = exp(scale(row_dot(e_a, e_b), 1.0 / tau))
         neg_term = tensor_sum(exp(scale(ad.matmul(e_a, transpose(e_b)), 1.0 / tau)), axis=1)
         pos = pos_term if pos is None else pos + pos_term
         neg = neg_term if neg is None else neg + neg_term
@@ -72,7 +73,7 @@ def tape_graph_hyper_contrastive(e_graph, e_hyper, batch, tau):
     """Op-by-op tape formulation of the graph-hypergraph InfoNCE."""
     g = _normalized_batch(e_graph, batch)
     h = _normalized_batch(e_hyper, batch)
-    pos = scale(ad.row_dot(g, h), 1.0 / tau)
+    pos = scale(row_dot(g, h), 1.0 / tau)
     denom = tensor_sum(exp(scale(ad.matmul(g, transpose(h)), 1.0 / tau)), axis=1)
     return mean(sub(log(denom), pos))
 
@@ -100,26 +101,35 @@ ALIGNED_ORTHOGONAL = float(-np.log(2 * np.e**5 / (2 * np.e**5 + 2)))  # 0.006715
 DIAGONAL_INFONCE = float(-np.log(np.e**5 / (np.e**5 + 1)))  # 0.0067153...
 
 
+def bpr_of_scores(pos, neg) -> ad.Tensor:
+    """BPR over given scores: width-1 rows, one user row [1] scoring the
+    positive rows `pos` and the negative rows `neg`."""
+    pos, neg = np.asarray(pos, dtype=np.float64), np.asarray(neg, dtype=np.float64)
+    fused = np.concatenate([[1.0], pos, neg])[:, None]
+    return bpr_loss(fused, np.zeros(pos.size, dtype=np.int64), 1 + np.arange(pos.size),
+                    1 + pos.size + np.arange(neg.size))
+
+
 class TestBpr:
     def test_equal_scores_give_ln2(self):
-        loss = bpr_loss(np.array([1.0, -3.0]), np.array([1.0, -3.0]))
+        loss = bpr_of_scores([1.0, -3.0], [1.0, -3.0])
         assert loss.item() == pytest.approx(LN2, abs=1e-12)
 
     def test_large_margin_vanishes(self):
-        loss = bpr_loss(np.array([20.0]), np.array([0.0]))
+        loss = bpr_of_scores([20.0], [0.0])
         assert loss.item() == pytest.approx(2.06e-9, rel=1e-2)
 
     def test_large_negative_margin_is_linear(self):
-        loss = bpr_loss(np.array([0.0]), np.array([20.0]))
+        loss = bpr_of_scores([0.0], [20.0])
         assert loss.item() == pytest.approx(20.0, abs=1e-6)
 
     def test_empty_batch(self):
         with pytest.raises(DataError):
-            bpr_loss(np.array([]), np.array([]))
+            bpr_of_scores([], [])
 
     def test_shape_mismatch(self):
         with pytest.raises(DataError):
-            bpr_loss(np.array([1.0]), np.array([1.0, 2.0]))
+            bpr_of_scores([1.0], [1.0, 2.0])
 
     @given(
         margin=st.floats(-30, 30),
@@ -127,8 +137,8 @@ class TestBpr:
     )
     @settings(max_examples=50, deadline=None)
     def test_strictly_decreasing_in_margin(self, margin, delta):
-        low = bpr_loss(np.array([margin]), np.array([0.0])).item()
-        high = bpr_loss(np.array([margin + delta]), np.array([0.0])).item()
+        low = bpr_of_scores([margin], [0.0]).item()
+        high = bpr_of_scores([margin + delta], [0.0]).item()
         assert high < low
 
 
@@ -246,12 +256,12 @@ class TestTotal:
             total_loss(1.0, 0.0, 0.0, 0.0, -1.0, 0.0, 0.0)
 
     def test_gradient_flows_through_composition(self):
-        x = ad.Tensor(np.array([[1.0, 2.0]]), requires_grad=True)
+        x = ad.Tensor(np.array([[1.0, 2.0], [0.5, -1.0]]), requires_grad=True)
         total, _ = total_loss(
-            bpr_loss(ad.row_dot(x, x), ad.Tensor(np.array([0.5]))),
+            bpr_loss(x, [0], [0], [1]),
             0.0,
             0.0,
-            embedding_l2(x),
+            embedding_l2(x, [0, 1]),
             1e-5,
             0.01,
             1e-4,
@@ -261,31 +271,26 @@ class TestTotal:
 
 
 def test_embedding_l2_mean_squared_norm():
-    rows = np.array([[3.0, 4.0], [0.0, 2.0]])
-    assert embedding_l2(rows).item() == pytest.approx((25.0 + 4.0) / 2.0)
+    embeddings = np.array([[3.0, 4.0], [1.0, 1.0], [0.0, 2.0]])
+    assert embedding_l2(embeddings, [0, 2]).item() == pytest.approx((25.0 + 4.0) / 2.0)
+    assert embedding_l2(embeddings, [0, 0, 2]).item() == pytest.approx((50.0 + 4.0) / 3.0)
 
 
 class TestLossGradients:
     def test_bpr_gradient_matches_finite_differences(self):
         from conftest import assert_grad_close, finite_difference
 
+        # users and items repeat, and item 4 is both a positive and a negative
         rng = np.random.default_rng(0)
-        emb = rng.normal(size=(4, 3))
-        pos = rng.normal(size=(4, 3))
-        neg = rng.normal(size=(4, 3))
-        emb_t = ad.Tensor(emb, requires_grad=True)
-        loss = bpr_loss(
-            ad.row_dot(emb_t, ad.Tensor(pos)), ad.row_dot(emb_t, ad.Tensor(neg))
-        )
-        loss.backward()
+        fused = rng.normal(size=(7, 3))
+        rows = (np.array([0, 1, 0, 2]), np.array([3, 4, 4, 5]), np.array([6, 3, 4, 6]))
+        fused_t = ad.Tensor(fused, requires_grad=True)
+        bpr_loss(fused_t, *rows).backward()
 
         def value():
-            return bpr_loss(
-                ad.row_dot(ad.Tensor(emb), ad.Tensor(pos)),
-                ad.row_dot(ad.Tensor(emb), ad.Tensor(neg)),
-            ).item()
+            return bpr_loss(ad.Tensor(fused), *rows).item()
 
-        assert_grad_close(emb_t.grad, finite_difference(value, emb), "bpr")
+        assert_grad_close(fused_t.grad, finite_difference(value, fused), "bpr")
 
     def test_hc_gradient_on_two_node_two_modality_instance(self):
         from conftest import assert_grad_close, finite_difference
@@ -344,8 +349,9 @@ class TestLossGradients:
         rows, scores = rng.normal(size=(5, 3)), rng.normal(size=(3, 4))
 
         def build(r, s):
-            l_bpr = bpr_loss(tensor_sum(s, axis=1), tensor_sum(mul(s, s), axis=1))
-            return total_loss(l_bpr, 0.0, tensor_sum(s), embedding_l2(r), 0.3, 0.7, 1.9)[0]
+            l_bpr = bpr_loss(s, [0, 0], [1, 2], [2, 1])
+            l_reg = embedding_l2(r, [0, 3, 3, 4])
+            return total_loss(l_bpr, 0.0, tensor_sum(s), l_reg, 0.3, 0.7, 1.9)[0]
 
         r_t, s_t = ad.Tensor(rows, requires_grad=True), ad.Tensor(scores, requires_grad=True)
         build(r_t, s_t).backward()
@@ -398,14 +404,22 @@ class TestFusedAgainstTape:
 
 
     def test_bpr_l2_and_total_bitwise(self):
+        # against row gathers, row dot products and the BPR node over scores;
+        # users and items repeat, and items 5 and 7 are positives and negatives
         rng = np.random.default_rng(12)
-        pos, neg, rows = rng.normal(size=9), 30.0 * rng.normal(size=9), rng.normal(size=(6, 4))
+        fused = rng.normal(size=(9, 4)) * np.array([1.0] * 4 + [30.0] * 5)[:, None]
+        e0 = rng.normal(size=(12, 4))
+        users = np.array([0, 1, 0, 2, 3, 1, 0, 3, 2])
+        positives = np.array([4, 5, 5, 6, 7, 8, 4, 7, 5])
+        negatives = np.array([7, 8, 6, 5, 5, 4, 8, 6, 7])
+        reg_rows = np.array([0, 1, 0, 2, 11, 5, 5, 9, 3, 9])
         results = []
         for bpr, l2, total in ((bpr_loss, embedding_l2, lambda *a: total_loss(*a)[0]),
                                (tape_bpr_loss, tape_embedding_l2, tape_total_loss)):
-            inputs = [ad.Tensor(x.copy(), requires_grad=True) for x in (pos, neg, rows)]
+            inputs = [ad.Tensor(x.copy(), requires_grad=True) for x in (fused, e0)]
             hc = ad.Tensor(np.array(1.7), requires_grad=True)
-            loss = total(bpr(inputs[0], inputs[1]), hc, 0.0, l2(inputs[2]), 1e-5, 0.01, 1e-4)
+            l_bpr = bpr(inputs[0], users, positives, negatives)
+            loss = total(l_bpr, hc, 0.0, l2(inputs[1], reg_rows), 1e-5, 0.01, 1e-4)
             loss.backward()
             results.append([loss.data] + [t.grad for t in inputs + [hc]])
         for fused, tape in zip(*results):
@@ -441,9 +455,9 @@ class TestTinyTemperature:
 
 
 class TestOneTapeNode:
-    """Each contrastive loss is a single node whose parents are its input
-    tensors, with the gather and row normalization inside; BPR, L2, the
-    total and each row dot product are one node each, and so is each view
+    """Each loss is a single node whose parents are the tensors it reads,
+    with the row gathers (and, for the contrastive losses, the row
+    normalization) inside; the total is one node, and so is each view
     step."""
 
     @staticmethod
@@ -482,7 +496,7 @@ class TestOneTapeNode:
         rng = np.random.default_rng(12)
         values, weights = [rng.normal(size=(4, 3)) for _ in range(2)], rng.normal(size=4)
         results = []
-        for dot in (ad.row_dot, lambda a, b: tensor_sum(mul(a, b), axis=1)):
+        for dot in (row_dot, lambda a, b: tensor_sum(mul(a, b), axis=1)):
             a, b = (ad.Tensor(v, requires_grad=True) for v in values)
             dots = dot(a, b)
             tensor_sum(mul(dots, ad.constant(weights))).backward()
@@ -508,12 +522,12 @@ class TestOneTapeNode:
 
     def test_bpr_l2_total(self):
         rng = np.random.default_rng(10)
-        pos, neg, rows = (ad.Tensor(rng.normal(size=s), requires_grad=True)
-                          for s in ((4,), (4,), (4, 3)))
-        l_bpr, l_reg = bpr_loss(pos, neg), embedding_l2(rows)
-        assert l_bpr._parents == (pos, neg) and l_reg._parents == (rows,)
+        fused, e0 = (ad.Tensor(rng.normal(size=(6, 3)), requires_grad=True) for _ in range(2))
+        l_bpr = bpr_loss(fused, [0, 1, 0], [2, 3, 3], [4, 5, 2])
+        l_reg = embedding_l2(e0, [0, 1, 2, 3, 3])
+        assert l_bpr._parents == (fused,) and l_reg._parents == (e0,)
         total, _ = total_loss(l_bpr, 0.0, 0.0, l_reg, 1e-5, 0.01, 1e-4)
-        assert self.tape_nodes([total], [pos, neg, rows]) == 3
+        assert self.tape_nodes([total], [fused, e0]) == 3
 
     @pytest.mark.parametrize("steps", [1, 3])
     def test_each_view_is_a_fixed_number_of_nodes(self, micro, steps):
@@ -534,7 +548,7 @@ class TestOneTapeNode:
         inputs = [*pair, projected[0]]
         assert self.tape_nodes([e_u, e_i], inputs) == steps + 1
 
-    def test_full_model_step_records_at_most_36_nodes(self):
+    def test_full_model_step_records_at_most_30_nodes(self):
         ds, feats = generate_synthetic(SyntheticConfig(
             num_users=30, num_items=20, num_clusters=2, mean_interactions=4.0,
             modality_dims={"image": 5, "video": 4, "text": 3}, seed=2))
@@ -545,7 +559,7 @@ class TestOneTapeNode:
         users, items = ds.split_pairs(TRAIN)
         batch = Batch(users[:8], items[:8], items[8:16])
         result = forward(params, views, cfg, batch=batch, mode="train", rng=0)
-        assert self.tape_nodes([result.total]) <= 36
+        assert self.tape_nodes([result.total]) <= 30
 
 
 def test_breakdown_csv_fields():

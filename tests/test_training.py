@@ -1,5 +1,5 @@
 """Parameter init, negative sampling, the multi-view forward pass with
-ablation flags, gradient correctness against finite differences, Adam, and
+view flags and loss weights, gradient correctness against finite differences, Adam, and
 the fit loop."""
 
 from dataclasses import replace
@@ -112,7 +112,7 @@ class TestForward:
 
     def test_ui_only_reduces_to_bpr_on_ui_scores(self, micro):
         ds, _, _, views = micro
-        cfg = micro_config(use_ii=False, use_hem=False, use_hc=False, use_ghc=False)
+        cfg = micro_config(use_ii=False, use_hem=False)
         params = make_params(cfg, ds, views)
         batch = micro_batch()
         result = forward(params, views, cfg, batch=batch, mode="train", rng=MASK_SEED)
@@ -128,7 +128,8 @@ class TestForward:
         u = rows(batch.users)
         pos = rows(ds.num_users + batch.pos_items)
         neg = rows(ds.num_users + batch.neg_items)
-        expected = bpr_loss((u * pos).sum(axis=1), (u * neg).sum(axis=1)).item()
+        margin = (u * neg).sum(axis=1) - (u * pos).sum(axis=1)
+        expected = np.logaddexp(0.0, margin).mean()
         assert result.breakdown.l_bpr == pytest.approx(expected, abs=1e-12)
         assert result.breakdown.total == pytest.approx(
             expected + cfg.lambda_reg * result.breakdown.l_reg, abs=1e-12
@@ -188,6 +189,22 @@ class TestForward:
             assert not tensor.requires_grad
         assert all(t.requires_grad and t.grad is None for t in params.tensors().values())
 
+    @pytest.mark.parametrize("weight, loss, part", [
+        ("lambda_hc", "hyper_contrastive_loss", "l_hc"),
+        ("lambda_ghc", "graph_hyper_contrastive_loss", "l_ghc"),
+    ])
+    def test_zero_weight_skips_its_loss(self, micro, monkeypatch, weight, loss, part):
+        ds, _, _, views = micro
+        cfg = micro_config(**{weight: 0.0})
+        params = make_params(cfg, ds, views)
+        calls = []
+        original = getattr(training, loss)
+        monkeypatch.setattr(training, loss, lambda *a, **k: calls.append(a) or original(*a, **k))
+        result = forward(params, views, cfg, batch=micro_batch(), mode="train", rng=MASK_SEED)
+        assert calls == [] and getattr(result.breakdown, part) == 0.0
+        forward(params, views, micro_config(), batch=micro_batch(), mode="train", rng=MASK_SEED)
+        assert len(calls) == 1
+
     def test_hc_requires_two_modalities(self, micro):
         ds, feats, _, _ = micro
         cfg = micro_config()
@@ -224,19 +241,15 @@ def full_node_losses(params, views, cfg, batch, num_users):
     user_nodes = np.asarray(batch.users)
     pos_nodes = num_users + np.asarray(batch.pos_items)
     neg_nodes = num_users + np.asarray(batch.neg_items)
-    u = ad.gather_rows(full.fused, user_nodes)
-    l_bpr = bpr_loss(
-        ad.row_dot(u, ad.gather_rows(full.fused, pos_nodes)),
-        ad.row_dot(u, ad.gather_rows(full.fused, neg_nodes)),
-    )
+    l_bpr = bpr_loss(full.fused, user_nodes, pos_nodes, neg_nodes)
     contrastive = np.concatenate([user_nodes, pos_nodes])
     l_hc = l_ghc = 0.0
-    if cfg.use_hem and cfg.use_hc:
+    if cfg.use_hem and cfg.lambda_hc > 0:
         l_hc = hyper_contrastive_loss(full.hyper_stacks, contrastive, cfg.tau)
-    if cfg.use_hem and cfg.use_ghc:
+    if cfg.use_hem and cfg.lambda_ghc > 0:
         l_ghc = graph_hyper_contrastive_loss(full.e_ui + full.e_ii, full.e_h, contrastive, cfg.tau)
     reg_nodes = np.concatenate([user_nodes, pos_nodes, neg_nodes])
-    l_reg = embedding_l2(ad.gather_rows(params.e0, reg_nodes))
+    l_reg = embedding_l2(params.e0, reg_nodes)
     return total_loss(l_bpr, l_hc, l_ghc, l_reg, cfg.lambda_hc, cfg.lambda_ghc, cfg.lambda_reg)
 
 
@@ -324,7 +337,7 @@ class TestGradients:
 
     def test_bpr_only_configuration(self):
         self.check_all_tensors(
-            micro_config(use_ii=False, use_hem=False, use_hc=False, use_ghc=False, layers=0)
+            micro_config(use_ii=False, use_hem=False, layers=0)
         )
 
     def test_contrastive_only_weights(self):
@@ -429,7 +442,7 @@ class TestOptimizer:
         # the weighted total overflows while every gradient stays finite,
         # so at learning_rate 0 the parameters never show it
         ds, feats, _, _ = micro
-        cfg = micro_config(tau=1e8, lambda_ghc=1e308, learning_rate=0.0, use_hc=False)
+        cfg = micro_config(tau=1e8, lambda_hc=0.0, lambda_ghc=1e308, learning_rate=0.0)
         views = build_views(ds, feats, cfg)
         params = make_params(cfg, ds, views)
         optimizer = Adam(params.tensors(), cfg.learning_rate)
@@ -453,6 +466,9 @@ class TestVariants:
         assert variant_label(TrainConfig()) == "MHCR"
         assert variant_label(apply_variant(TrainConfig(), "wo-hem")) == "w/o HEM"
         assert variant_label(apply_variant(TrainConfig(), "wo-ui")) == "w/o UI"
+        assert variant_label(apply_variant(TrainConfig(), "wo-hc")) == "w/o HC"
+        assert variant_label(apply_variant(TrainConfig(), "wo-ghc")) == "w/o GHC"
+        assert variant_label(TrainConfig(lambda_hc=0.0, lambda_ghc=0.0)) == "w/o HC+GHC"
         assert variant_label(apply_variant(TrainConfig(), "bpr-mf")) == "BPR-MF"
 
     def test_unknown_variant(self):
@@ -505,7 +521,7 @@ class TestConfigContract:
             k_knn=st.integers(1, 25),
             k_hyper=st.integers(1, 8),
             hyper_steps=st.integers(1, 3),
-            drop_rate=st.floats(0.0, 1.0),
+            drop_rate=st.floats(0.0, 1.0, exclude_max=True),
             tau=_POSITIVE,
             lambda_hc=_NON_NEGATIVE,
             lambda_ghc=_NON_NEGATIVE,
@@ -518,8 +534,6 @@ class TestConfigContract:
             use_ui=st.booleans(),
             use_ii=st.booleans(),
             use_hem=st.booleans(),
-            use_hc=st.booleans(),
-            use_ghc=st.booleans(),
         ),
         tags=st.sets(st.sampled_from(MODALITIES), min_size=1),
         data_seed=st.integers(0, 2**16),
@@ -584,11 +598,20 @@ class TestFit:
         result = fit(ds, feats, cfg)
         assert result.best_val_recall20 > result.initial_val_recall20
 
-    def test_full_dropout_is_logged_once_per_fit(self, micro, caplog):
+    def test_one_modality_trains_only_without_the_cross_modal_loss(self, micro):
         ds, feats, _, _ = micro
-        with caplog.at_level("WARNING", logger="mhcr"):
+        with pytest.raises(ConfigError, match="2 modalities"):
+            fit(ds, feats[:1], micro_config(max_epochs=1))
+        result = fit(ds, feats[:1], micro_config(lambda_hc=0.0, max_epochs=1))
+        assert result.epochs[0].loss.l_hc == 0.0 and result.epochs[0].loss.l_ghc > 0.0
+
+    def test_full_dropout_is_rejected(self, micro):
+        # drop_rate=1 would zero every hypergraph message in training only
+        ds, feats, _, _ = micro
+        with pytest.raises(ConfigError, match="drop_rate"):
+            micro_config(drop_rate=1.0).validate()
+        with pytest.raises(ConfigError, match="drop_rate"):
             fit(ds, feats, micro_config(drop_rate=1.0, max_epochs=2))
-        assert sum("drop_rate=1" in r.getMessage() for r in caplog.records) == 1
 
     def test_restores_best_parameters(self, micro):
         ds, feats, _, _ = micro
