@@ -277,6 +277,8 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     """Score a checkpoint with the model of its training config on the split
     that training wrote."""
     file_values = _read_config(args, _EVALUATE_KEYS)
+    cold_threshold = _setting(args, file_values, "cold_threshold", 3)
+    evaluation.check_cold_threshold(cold_threshold)
     out_dir = _out_dir(args, file_values)
     params = load_checkpoint(args.checkpoint)
     cfg = params.config
@@ -296,9 +298,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
     views = build_views(ds, features, cfg)
     user_emb, item_emb = compute_embeddings(params, views, cfg)
-    report = _combined_report(
-        user_emb, item_emb, ds, _setting(args, file_values, "cold_threshold", 3)
-    )
+    report = _combined_report(user_emb, item_emb, ds, cold_threshold)
     (out_dir / "eval_test.json").write_text(report.to_json(), encoding="utf-8")
     print(report.format_table())
     return EXIT_OK

@@ -96,13 +96,18 @@ class InteractionDataset:
         users, _ = self.split_pairs(label)
         return np.bincount(users, minlength=self.num_users)
 
+    def user_csr(self, label: int | tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+        """`split_pairs(label)` grouped by user as (indptr, items): user u's
+        items, in dataset order, are items[indptr[u]:indptr[u + 1]]."""
+        users, items = self.split_pairs(label)
+        indptr = np.zeros(self.num_users + 1, dtype=np.int64)
+        np.cumsum(np.bincount(users, minlength=self.num_users), out=indptr[1:])
+        return indptr, items[np.argsort(users, kind="stable")]
+
     def items_by_user(self, label: int | tuple[int, ...]) -> list[np.ndarray]:
         """Per user, the items of `split_pairs(label)` in dataset order."""
-        users, items = self.split_pairs(label)
-        order = np.argsort(users, kind="stable")
-        users, items = users[order], items[order]
-        bounds = np.searchsorted(users, np.arange(self.num_users + 1))
-        return [items[bounds[u]:bounds[u + 1]] for u in range(self.num_users)]
+        indptr, items = self.user_csr(label)
+        return [items[indptr[u]:indptr[u + 1]] for u in range(self.num_users)]
 
 
 @dataclass

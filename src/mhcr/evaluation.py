@@ -10,8 +10,9 @@ least one interaction in the target split.
 from __future__ import annotations
 
 import json
+import operator
 from dataclasses import asdict, dataclass, field
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -21,7 +22,12 @@ from .errors import ConfigError, ShapeError
 SLICE_ALL = "all"
 SLICE_COLD = "cold_start"
 
-_USER_BLOCK = 1024
+# Users are scored in blocks of about this many (user, item) entries, at
+# least one row, so a pass holds O(this) floats however many items there are.
+_BLOCK_ELEMENTS = 1 << 21
+# A score's bits can depend on the row count of the product it comes from;
+# no block grows past the 1024 rows that fixed the reported numbers.
+_MAX_BLOCK_ROWS = 1024
 
 
 @dataclass
@@ -64,38 +70,22 @@ class EvalReport:
         return "\n".join(lines)
 
 
-def rank_items(scores: np.ndarray, excluded: Iterable[int], k: int) -> np.ndarray:
-    """Top-k candidate item indices by score, ties resolved to the lower
-    index. Excluded items are removed from candidacy entirely, so the result
-    may hold fewer than k entries."""
-    masked = np.array(scores, dtype=np.float64)
-    excluded = np.fromiter(excluded, dtype=np.int64) if not isinstance(excluded, np.ndarray) else excluded
-    n_candidates = masked.size
-    if excluded.size:
-        masked[excluded] = -np.inf
-        n_candidates -= np.unique(excluded).size
-    order = np.argsort(-masked, kind="stable")
-    return order[:min(k, n_candidates)]
+def check_cold_threshold(threshold: int) -> None:
+    """A cold-start threshold below 1 leaves the slice empty by definition."""
+    if threshold < 1:
+        raise ConfigError(f"cold_threshold must be >= 1, got {threshold}")
 
 
-def recall_at_k(topk: np.ndarray, test_items: np.ndarray) -> float:
-    if len(test_items) == 0:
-        raise ConfigError("recall_at_k: user has no target items")
-    hits = np.isin(topk, test_items).sum()
-    return float(hits) / len(test_items)
-
-
-def ndcg_at_k(topk: np.ndarray, test_items: np.ndarray, k: int | None = None) -> float:
-    """Binary-relevance NDCG with 1/log2(rank+1) gain, ranks starting at 1."""
-    if len(test_items) == 0:
-        raise ConfigError("ndcg_at_k: user has no target items")
-    k = len(topk) if k is None else k
-    hits = np.isin(topk[:k], test_items)
-    ranks = np.flatnonzero(hits) + 1
-    dcg = float((1.0 / np.log2(ranks + 1)).sum())
-    ideal = np.arange(1, min(len(test_items), k) + 1)
-    idcg = float((1.0 / np.log2(ideal + 1)).sum())
-    return dcg / idcg
+def _cutoffs(ks: Sequence[int]) -> tuple[int, ...]:
+    try:
+        ks = tuple(operator.index(k) for k in ks)
+    except TypeError:
+        raise ConfigError(f"ks must be integers, got {ks!r}") from None
+    if not ks or min(ks) < 1:
+        raise ConfigError(f"ks must be one or more cutoffs >= 1, got {ks}")
+    if len(set(ks)) != len(ks):
+        raise ConfigError(f"ks repeats a cutoff: {ks}")
+    return ks
 
 
 def _slice_users(ds: InteractionDataset, slice_name: str, cold_threshold: int) -> np.ndarray:
@@ -104,6 +94,49 @@ def _slice_users(ds: InteractionDataset, slice_name: str, cold_threshold: int) -
     if slice_name == SLICE_COLD:
         return np.fromiter(sorted(cold_start_users(ds, cold_threshold)), dtype=np.int64)
     raise ConfigError(f"unknown slice {slice_name!r}")
+
+
+def _entries(indptr: np.ndarray, items: np.ndarray, users: np.ndarray):
+    """(row, item) of every CSR entry of `users`, row i standing for users[i]."""
+    starts, lengths = indptr[users], indptr[users + 1] - indptr[users]
+    rows = np.repeat(np.arange(users.size), lengths)
+    # entry j of row r sits at starts[r] + j - (entries before row r)
+    shift = starts - (np.cumsum(lengths) - lengths)
+    return rows, items[np.arange(rows.size) + shift[rows]]
+
+
+def _ranked_hits(scores: np.ndarray, masked, targets, width: int) -> np.ndarray:
+    """Whether each of the first `width` ranked items of a score block's rows
+    is a target; `masked` and `targets` are (row, item) entries. `scores`
+    is overwritten."""
+    # negated, so an ascending stable sort ranks high scores first and ties
+    # toward the lower item index; masked items sort last
+    np.negative(scores, out=scores)
+    scores[masked] = np.inf
+    order = np.empty((len(scores), width), dtype=np.int64)
+    for row, line in enumerate(scores):
+        order[row] = line.argsort(kind="stable")[:width]
+    is_target = np.zeros(scores.shape, dtype=bool)
+    is_target[targets] = True
+    return np.take_along_axis(is_target, order, axis=1)
+
+
+def _dcg(hits: np.ndarray, gains: np.ndarray) -> np.ndarray:
+    count = hits.sum(axis=1)
+    dcg = np.zeros(len(hits))
+    for c in np.unique(count[count > 0]).tolist():
+        # rows of one hit count sum as (rows, c) blocks, in the order a
+        # single row's 1-D sum takes
+        same = np.flatnonzero(count == c)
+        dcg[same] = gains[np.nonzero(hits[same])[1].reshape(-1, c)].sum(axis=1)
+    return dcg
+
+
+def _ideal_dcg(num_targets: np.ndarray, k: int) -> np.ndarray:
+    """Each user's IDCG@k: the gains of ranks 1..min(|targets|, k), summed."""
+    level, which = np.unique(np.minimum(num_targets, k), return_inverse=True)
+    sums = [float((1.0 / np.log2(np.arange(1, m + 1) + 1)).sum()) for m in level.tolist()]
+    return np.array(sums)[which]
 
 
 def evaluate(
@@ -118,38 +151,52 @@ def evaluate(
     """Mean per-user Recall@K and NDCG@K over one user slice.
 
     Users without interactions in the target split are skipped. An empty
-    slice yields zero metrics flagged as degenerate. Per-user scores are
-    computed in user blocks; accumulation order is fixed by user index.
+    slice yields zero metrics flagged as degenerate. Users are scored in
+    blocks of `_BLOCK_ELEMENTS // |I|` rows (at least 1, at most
+    `_MAX_BLOCK_ROWS`); each block is masked, matched against its targets
+    and scored at once, and only the stable sort runs per user. Per-user
+    values are summed one at a time in user order.
     """
     if user_emb.shape[0] != ds.num_users or item_emb.shape[0] != ds.num_items:
         raise ShapeError("embedding row counts do not match the dataset")
+    ks = _cutoffs(ks)
+    check_cold_threshold(cold_threshold)
     mask_splits = (TRAIN,) if target_split == VAL else (TRAIN, VAL)
-    targets = ds.items_by_user(target_split)
-    masked = ds.items_by_user(mask_splits)
-    slice_users = _slice_users(ds, slice_name, cold_threshold)
-    eligible = [u for u in slice_users.tolist() if targets[u].size > 0]
+    targets = ds.user_csr(target_split)
+    masked = ds.user_csr(mask_splits)
+    num_targets = np.diff(targets[0])
+    users = _slice_users(ds, slice_name, cold_threshold)
+    users = users[num_targets[users] > 0]
+    num_targets = num_targets[users]
+    # InteractionDataset holds no duplicate pairs, so no masked item repeats
+    num_candidates = ds.num_items - np.diff(masked[0])[users]
 
-    k_max = max(ks)
-    sums = {k: np.zeros(2) for k in ks}
+    width = min(max(ks), ds.num_items)
+    gains = 1.0 / np.log2(np.arange(1, width + 1) + 1)
+    values = {k: np.empty((2, users.size)) for k in ks}
+    rows = min(_MAX_BLOCK_ROWS, max(1, _BLOCK_ELEMENTS // ds.num_items))
+    for start in range(0, users.size, rows):
+        block = slice(start, start + rows)
+        block_users = users[block]
+        scores = np.asarray(user_emb[block_users] @ item_emb.T, dtype=np.float64)
+        hits = _ranked_hits(scores, _entries(*masked, block_users),
+                            _entries(*targets, block_users), width)
+        # only a row's first |I| - |masked| positions rank, as one user's
+        # ranking always did; past them sit masked items or NaN scores
+        hits &= np.arange(width) < num_candidates[block, None]
+        for k in ks:
+            values[k][0, block] = hits[:, :k].sum(axis=1) / num_targets[block]
+            values[k][1, block] = _dcg(hits[:, :k], gains)
 
-    count = 0
-    for start in range(0, len(eligible), _USER_BLOCK):
-        block = eligible[start:start + _USER_BLOCK]
-        if not block:
-            continue
-        scores = user_emb[block] @ item_emb.T
-        for row, u in enumerate(block):
-            topk = rank_items(scores[row], masked[u], k_max)
-            for k in ks:
-                sums[k][0] += recall_at_k(topk[:k], targets[u])
-                sums[k][1] += ndcg_at_k(topk, targets[u], k)
-            count += 1
-
-    report = EvalReport(target_split=target_split, masked_splits=tuple(mask_splits))
+    report = EvalReport(target_split=target_split, masked_splits=mask_splits)
     for k in ks:
-        if count:
-            recall, ndcg = sums[k] / count
-            report.records.append(MetricRecord(slice_name, k, float(recall), float(ndcg), count))
+        if users.size:
+            values[k][1] /= _ideal_dcg(num_targets, k)
+            # accumulate adds one user at a time, in user order
+            recall, ndcg = np.add.accumulate(values[k], axis=1)[:, -1] / users.size
+            report.records.append(
+                MetricRecord(slice_name, k, float(recall), float(ndcg), users.size)
+            )
         else:
             report.records.append(MetricRecord(slice_name, k, 0.0, 0.0, 0, degenerate=True))
     return report

@@ -1,8 +1,10 @@
 """Reference code the tests compare the library against, kept out of the
 package because no program path runs it: generic tape ops the program no
 longer calls, the op-by-op tape composition of the three views and of the
-BPR and L2 objectives that their single-node versions must reproduce, and the user-by-user split that
-the whole-array `split_dataset` must reproduce."""
+BPR and L2 objectives that their single-node versions must reproduce, the
+user-by-user split that the whole-array `split_dataset` must reproduce, and
+the user-by-user ranking and metrics that the block `evaluate` must
+reproduce byte for byte."""
 
 from __future__ import annotations
 
@@ -10,8 +12,9 @@ import numpy as np
 from scipy.special import expit
 
 from mhcr import autodiff as ad
-from mhcr.dataio import TEST, TRAIN, VAL, InteractionDataset
-from mhcr.errors import ShapeError
+from mhcr.dataio import TEST, TRAIN, VAL, InteractionDataset, cold_start_users
+from mhcr.errors import ConfigError, ShapeError
+from mhcr.evaluation import SLICE_ALL, SLICE_COLD, EvalReport, MetricRecord
 
 
 def mul(a, b) -> ad.Tensor:
@@ -210,3 +213,72 @@ def split_by_user(ds: InteractionDataset, ratios, seed: int) -> InteractionDatas
     return InteractionDataset(ds.num_users, ds.num_items, ds.users[keep], ds.items[keep],
                               split=split[keep], num_duplicates=ds.num_duplicates,
                               num_dropped_users=dropped_users)
+
+
+def rank_items(scores: np.ndarray, excluded, k: int) -> np.ndarray:
+    """Top-k candidate item indices by score, ties resolved to the lower
+    index. Excluded items are removed from candidacy entirely, so the result
+    may hold fewer than k entries."""
+    masked = np.array(scores, dtype=np.float64)
+    excluded = np.asarray(excluded, dtype=np.int64)
+    n_candidates = masked.size
+    if excluded.size:
+        masked[excluded] = -np.inf
+        n_candidates -= np.unique(excluded).size
+    order = np.argsort(-masked, kind="stable")
+    return order[:min(k, n_candidates)]
+
+
+def recall_at_k(topk: np.ndarray, test_items: np.ndarray) -> float:
+    if len(test_items) == 0:
+        raise ConfigError("recall_at_k: user has no target items")
+    hits = np.isin(topk, test_items).sum()
+    return float(hits) / len(test_items)
+
+
+def ndcg_at_k(topk: np.ndarray, test_items: np.ndarray, k: int | None = None) -> float:
+    """Binary-relevance NDCG with 1/log2(rank+1) gain, ranks starting at 1."""
+    if len(test_items) == 0:
+        raise ConfigError("ndcg_at_k: user has no target items")
+    k = len(topk) if k is None else k
+    hits = np.isin(topk[:k], test_items)
+    ranks = np.flatnonzero(hits) + 1
+    dcg = float((1.0 / np.log2(ranks + 1)).sum())
+    ideal = np.arange(1, min(len(test_items), k) + 1)
+    idcg = float((1.0 / np.log2(ideal + 1)).sum())
+    return dcg / idcg
+
+
+def evaluate_by_user(user_emb, item_emb, ds: InteractionDataset, slice_name=SLICE_ALL,
+                     ks=(10, 20), target_split=TEST, cold_threshold=3,
+                     block_rows=1024) -> EvalReport:
+    """`evaluate` one user at a time with `rank_items`, `recall_at_k` and
+    `ndcg_at_k`, scoring users in blocks of `block_rows` (a score's bits can
+    depend on the block's row count)."""
+    mask_splits = (TRAIN,) if target_split == VAL else (TRAIN, VAL)
+    targets = ds.items_by_user(target_split)
+    masked = ds.items_by_user(mask_splits)
+    if slice_name == SLICE_COLD:
+        slice_users = sorted(cold_start_users(ds, cold_threshold))
+    else:
+        slice_users = range(ds.num_users)
+    eligible = [u for u in slice_users if targets[u].size > 0]
+    k_max = max(ks)
+    sums = {k: np.zeros(2) for k in ks}
+    for start in range(0, len(eligible), block_rows):
+        block = eligible[start:start + block_rows]
+        scores = user_emb[block] @ item_emb.T
+        for row, u in enumerate(block):
+            topk = rank_items(scores[row], masked[u], k_max)
+            for k in ks:
+                sums[k][0] += recall_at_k(topk[:k], targets[u])
+                sums[k][1] += ndcg_at_k(topk, targets[u], k)
+    report = EvalReport(target_split=target_split, masked_splits=mask_splits)
+    count = len(eligible)
+    for k in ks:
+        if count:
+            recall, ndcg = sums[k] / count
+            report.records.append(MetricRecord(slice_name, k, float(recall), float(ndcg), count))
+        else:
+            report.records.append(MetricRecord(slice_name, k, 0.0, 0.0, 0, degenerate=True))
+    return report

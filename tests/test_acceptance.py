@@ -185,7 +185,7 @@ def test_loss_closed_forms():
 
 def test_metric_oracle():
     from mhcr.dataio import TEST, TRAIN, VAL
-    from mhcr.evaluation import ndcg_at_k
+    from oracles import ndcg_at_k
 
     for seed in (0, 1):
         ds, user_emb, item_emb = random_instance(seed, num_users=18, num_items=27)

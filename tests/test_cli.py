@@ -436,6 +436,23 @@ class TestConfigValidation:
         assert main(argv) == EXIT_CONFIG
         assert key.split()[0] in capsys.readouterr().err
 
+    @pytest.mark.parametrize("threshold", ["0", "-1"])
+    @pytest.mark.parametrize("source", ["flag", "file"])
+    def test_cold_threshold_below_one_rejected_before_any_work(self, source, threshold, tmp_path,
+                                                              capsys):
+        argv = ["evaluate", "--data-dir", str(tmp_path / "nowhere"),
+                "--checkpoint", str(tmp_path / "none.bin"), "--split", str(tmp_path / "none"),
+                "--out-dir", str(tmp_path / "o")]
+        if source == "flag":
+            argv += ["--cold-threshold", threshold]
+        else:
+            cfg_file = tmp_path / "run.cfg"
+            cfg_file.write_text(f"cold_threshold = {threshold}\n", encoding="utf-8")
+            argv += ["--config", str(cfg_file)]
+        assert main(argv) == EXIT_CONFIG
+        assert "cold_threshold" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_evaluate_reads_cold_threshold_key(self, data_dir, tmp_path):
         run = tmp_path / "run"
         assert run_train(data_dir, run) == 0

@@ -1,21 +1,20 @@
-"""Metric harness against an independent brute-force ranking script."""
+"""Metric harness against an independent brute-force ranking script and
+against the user-by-user reference in `oracles`."""
 
 import json
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from mhcr import evaluation
 from mhcr.dataio import TEST, TRAIN, VAL, InteractionDataset
-from mhcr.evaluation import (
-    SLICE_ALL,
-    SLICE_COLD,
-    EvalReport,
-    evaluate,
-    mean_recall,
-    ndcg_at_k,
-    rank_items,
-    recall_at_k,
-)
+from mhcr.errors import ConfigError
+from mhcr.evaluation import SLICE_ALL, SLICE_COLD, EvalReport, evaluate, mean_recall
+
+from oracles import evaluate_by_user, ndcg_at_k, rank_items, recall_at_k
 
 
 def brute_force_report(user_emb, item_emb, ds, users, ks, target, masked):
@@ -210,6 +209,113 @@ class TestEvaluate:
         value = mean_recall(user_emb, item_emb, ds, k=20, target_split=TEST)
         report = evaluate(user_emb, item_emb, ds, ks=(20,), target_split=TEST)
         assert value == report.record(SLICE_ALL, 20).recall
+
+
+@st.composite
+def eval_cases(draw):
+    """A random split dataset, embeddings (integer-valued half the time, so
+    scores tie, and sometimes with a NaN item), cutoffs that may exceed |I|,
+    a target split, a slice and a block budget of 1 to 3 rows or the
+    default."""
+    num_users, num_items = draw(st.integers(1, 12)), draw(st.integers(1, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    users, items = np.nonzero(rng.random((num_users, num_items)) < draw(st.floats(0.1, 1.0)))
+    order = rng.permutation(users.size)
+    split = rng.choice(3, size=users.size, p=rng.dirichlet(np.ones(3)))
+    ds = InteractionDataset(num_users, num_items, users[order], items[order], split=split)
+    d = draw(st.integers(1, 4))
+    if draw(st.booleans()):
+        user_emb = rng.integers(-2, 3, size=(num_users, d)).astype(np.float64)
+        item_emb = rng.integers(-2, 3, size=(num_items, d)).astype(np.float64)
+    else:
+        user_emb, item_emb = rng.normal(size=(num_users, d)), rng.normal(size=(num_items, d))
+    if draw(st.integers(0, 9)) == 0:
+        item_emb[rng.integers(num_items)] = np.nan
+    kwargs = dict(
+        ks=tuple(draw(st.lists(st.integers(1, 45), min_size=1, max_size=3, unique=True))),
+        target_split=draw(st.sampled_from([TEST, VAL])),
+        slice_name=draw(st.sampled_from([SLICE_ALL, SLICE_COLD])),
+        cold_threshold=draw(st.integers(1, 4)),
+    )
+    return ds, user_emb, item_emb, kwargs, draw(st.sampled_from([None, 1, 2, 3]))
+
+
+class TestBlockEvaluate:
+    @given(eval_cases())
+    @settings(max_examples=300, deadline=None)
+    def test_report_bytes_match_the_user_by_user_reference(self, case):
+        ds, user_emb, item_emb, kwargs, block_rows = case
+        if block_rows is None:
+            report = evaluate(user_emb, item_emb, ds, **kwargs)
+            block_rows = 1024
+        else:
+            with mock.patch.object(evaluation, "_BLOCK_ELEMENTS", block_rows * ds.num_items):
+                report = evaluate(user_emb, item_emb, ds, **kwargs)
+        expected = evaluate_by_user(user_emb, item_emb, ds, block_rows=block_rows, **kwargs)
+        assert report.to_json() == expected.to_json()
+
+    def test_many_hits_sum_as_one_row(self):
+        # up to 30 hits per user, so DCG sums take numpy's 8-way unrolled path
+        rng = np.random.default_rng(3)
+        num_users, num_items = 40, 60
+        users, items = np.nonzero(rng.random((num_users, num_items)) < 0.7)
+        split = np.where(rng.random(users.size) < 0.8, TEST, TRAIN)
+        ds = InteractionDataset(num_users, num_items, users, items, split=split)
+        item_emb = rng.normal(size=(num_items, 3))
+        user_emb = rng.normal(size=(num_users, 3))
+        for ks in ((1, 8, 30), (17, 45, 60, 100)):
+            report = evaluate(user_emb, item_emb, ds, ks=ks)
+            assert report.to_json() == evaluate_by_user(user_emb, item_emb, ds, ks=ks).to_json()
+
+    def test_budget_sets_the_block_rows(self):
+        ds, user_emb, item_emb = random_instance(2)
+        seen, ranked_hits = [], evaluation._ranked_hits
+
+        def counting(scores, *args):
+            seen.append(len(scores))
+            return ranked_hits(scores, *args)
+
+        with mock.patch.object(evaluation, "_ranked_hits", counting):
+            with mock.patch.object(evaluation, "_BLOCK_ELEMENTS", 5 * ds.num_items + 3):
+                evaluate(user_emb, item_emb, ds)
+            eligible = sum(seen)
+            assert seen == [5] * (eligible // 5) + ([eligible % 5] if eligible % 5 else [])
+            seen.clear()
+            with mock.patch.object(evaluation, "_BLOCK_ELEMENTS", 1):
+                evaluate(user_emb, item_emb, ds)
+            assert seen == [1] * eligible
+            seen.clear()
+            with mock.patch.object(evaluation, "_BLOCK_ELEMENTS", 1 << 40):
+                evaluate(np.zeros((2000, 2)), np.zeros((ds.num_items, 2)),
+                         InteractionDataset(2000, ds.num_items, np.arange(2000),
+                                            np.zeros(2000, dtype=np.int64),
+                                            split=np.full(2000, TEST)))
+            assert seen == [1024, 976]
+
+
+class TestSettings:
+    @pytest.mark.parametrize("ks", [(), (0,), (-1,), (10, 0), (10, 10), (2.5,), ("10",)])
+    def test_bad_cutoffs_rejected(self, ks):
+        ds, user_emb, item_emb = random_instance(0)
+        with pytest.raises(ConfigError, match="ks"):
+            evaluate(user_emb, item_emb, ds, ks=ks)
+
+    def test_bad_cutoff_rejected_by_mean_recall(self):
+        ds, user_emb, item_emb = random_instance(0)
+        with pytest.raises(ConfigError, match="ks"):
+            mean_recall(user_emb, item_emb, ds, k=0)
+
+    def test_numpy_integer_cutoffs_report_as_ints(self):
+        ds, user_emb, item_emb = random_instance(0)
+        report = evaluate(user_emb, item_emb, ds, ks=np.array([10, 20]))
+        assert report.to_json() == evaluate(user_emb, item_emb, ds, ks=(10, 20)).to_json()
+
+    @pytest.mark.parametrize("slice_name", [SLICE_ALL, SLICE_COLD])
+    @pytest.mark.parametrize("threshold", [0, -1])
+    def test_cold_threshold_below_one_rejected(self, slice_name, threshold):
+        ds, user_emb, item_emb = random_instance(0)
+        with pytest.raises(ConfigError, match="cold_threshold"):
+            evaluate(user_emb, item_emb, ds, slice_name=slice_name, cold_threshold=threshold)
 
 
 class TestReport:
