@@ -4,11 +4,11 @@ The model's training graph is a fixed composition, so a small tensor
 engine is enough: each op records its parents and a closure that maps the
 upstream gradient to parent gradients. Gradients accumulate by summation
 during a reverse topological sweep. Each view step (UI propagation, item
-propagation, each incidence and hypergraph broadcast) and each loss term
-is one `custom_op` node with a hand-derived gradient, and so is each
+propagation, each incidence and each whole hypergraph pass) and each loss
+term is one `custom_op` node with a hand-derived gradient, and so is each
 objective, reading its own rows of the embeddings it scores; the generic
 ops below cover the projections, the readout gather, concatenation and the
-view sums. A full training step records 30 nodes. Inputs that do not
+view sums. A full training step records 21 nodes. Inputs that do not
 require a gradient record nothing, so a forward pass over constants builds
 no tape.
 

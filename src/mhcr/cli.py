@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import itertools
 import os
 import sys
 import typing
@@ -169,18 +170,27 @@ def _ratios(args: argparse.Namespace, file_values: dict[str, object]) -> tuple[f
     return ratios
 
 
-def _load_data(data_dir: str, modalities: str | None, named_by: str = "the modalities setting"):
-    """The interactions and the feature files of the comma-separated
-    `modalities` (`named_by` says who named them), else of every modality
-    that has a file."""
+def _modalities(args: argparse.Namespace, file_values: dict[str, object]) -> list[str] | None:
+    """The tags of the modalities setting, checked before any data is read;
+    None when unset (every modality that has a file)."""
+    text = _setting(args, file_values, "modalities")
+    if text is None:
+        return None
+    tags = [t.strip() for t in text.split(",") if t.strip()]
+    if not tags or len(set(tags)) != len(tags) or not set(tags) <= set(MODALITIES):
+        raise ConfigError(f"modalities {text!r}: give distinct tags of {', '.join(MODALITIES)}")
+    return tags
+
+
+def _load_data(data_dir: str, tags: Sequence[str] | None, named_by="the modalities setting"):
+    """The interactions and the feature files of `tags` (`named_by` says who
+    named them), or of every modality that has a file if `tags` is None."""
     root = Path(data_dir)
     interactions = root / "interactions.tsv"
     if not interactions.exists():
         raise DataError(f"interactions file not found: {interactions}")
     ds = load_interactions(interactions)
-    if modalities:
-        tags = [t.strip() for t in modalities.split(",") if t.strip()]
-    else:
+    if tags is None:
         tags = [t for t in MODALITIES if (root / f"features_{t}.bin").exists()]
         if not tags:
             raise DataError(f"no features_<modality>.bin files found in {root}")
@@ -241,9 +251,10 @@ def cmd_train(args: argparse.Namespace) -> int:
     cfg, file_values = _train_config(args)
     print(f"root seed: {cfg.seed}")
     ratios = _ratios(args, file_values)
+    tags = _modalities(args, file_values)
     out_dir = _out_dir(args, file_values)
 
-    ds_raw, features = _load_data(args.data_dir, _setting(args, file_values, "modalities"))
+    ds_raw, features = _load_data(args.data_dir, tags)
     ds = split_dataset(ds_raw, ratios, seed=cfg.seed)
     save_split(ds, out_dir / "split.tsv")
     print(format_dataset_stats(ds.num_users, ds.num_items, len(ds)))
@@ -284,7 +295,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     cfg = params.config
     print(f"root seed: {cfg.seed}")
 
-    ds, features = _load_data(args.data_dir, ",".join(params.modality_tags), "the checkpoint")
+    ds, features = _load_data(args.data_dir, params.modality_tags, "the checkpoint")
     # E0 stacks users over items, so its shape alone misses a shifted split
     found = {"users": params.num_users, **{n: t.shape for n, t in params.tensors().items()}}
     dims = {f.modality: f.dim for f in features}
@@ -304,50 +315,54 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _parse_grid(text: str, kind: type) -> list:
+def _parse_grid(name: str, text: str, kind: type) -> list:
     try:
-        return [kind(part) for part in text.split(",") if part.strip()]
+        grid = [kind(part) for part in text.split(",") if part.strip()]
     except ValueError:
-        raise ConfigError(f"cannot parse grid {text!r}") from None
+        raise ConfigError(f"cannot parse {name} {text!r}") from None
+    if not grid:
+        raise ConfigError(f"{name} {text!r} holds no value")
+    return grid
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     cfg, file_values = _train_config(args)
     print(f"root seed: {cfg.seed}")
     ratios = _ratios(args, file_values)
+    tags = _modalities(args, file_values)
+    grid = itertools.product(
+        _parse_grid("--hyper-num-grid", args.hyper_num_grid, int),
+        _parse_grid("--lambda-hc-grid", args.lambda_hc_grid, float),
+        _parse_grid("--lambda-ghc-grid", args.lambda_ghc_grid, float),
+    )
+    cells = [replace(cfg, k_hyper=k, lambda_hc=hc, lambda_ghc=ghc) for k, hc, ghc in grid]
+    for cell in cells:  # every cell is checked before any trains
+        cell.validate()
     out_dir = _out_dir(args, file_values)
 
-    hyper_grid = _parse_grid(args.hyper_num_grid, int)
-    hc_grid = _parse_grid(args.lambda_hc_grid, float)
-    ghc_grid = _parse_grid(args.lambda_ghc_grid, float)
-
-    ds_raw, features = _load_data(args.data_dir, _setting(args, file_values, "modalities"))
+    ds_raw, features = _load_data(args.data_dir, tags)
     ds = split_dataset(ds_raw, ratios, seed=cfg.seed)
 
     rows = []
-    for k_hyper in hyper_grid:
-        for lambda_hc in hc_grid:
-            for lambda_ghc in ghc_grid:
-                cell = replace(cfg, k_hyper=k_hyper, lambda_hc=lambda_hc, lambda_ghc=lambda_ghc)
-                result = fit(ds, features, cell)
-                rows.append((k_hyper, lambda_hc, lambda_ghc, result.best_val_recall20))
-                print(
-                    f"hyper_num={k_hyper} lambda_hc={lambda_hc} lambda_ghc={lambda_ghc} "
-                    f"val_recall20={result.best_val_recall20:.5f}"
-                )
+    for cell in cells:
+        result = fit(ds, features, cell)
+        rows.append((cell.k_hyper, cell.lambda_hc, cell.lambda_ghc, result.best_val_recall20))
+        print(
+            f"hyper_num={cell.k_hyper} lambda_hc={cell.lambda_hc} lambda_ghc={cell.lambda_ghc} "
+            f"val_recall20={result.best_val_recall20:.5f}"
+        )
 
-    best_idx = max(range(len(rows)), key=lambda i: rows[i][3]) if rows else -1
+    best_idx = max(range(len(rows)), key=lambda i: rows[i][3])
     with (out_dir / "sweep.csv").open("w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["hyper_num", "lambda_hc", "lambda_ghc", "val_recall20", "best"])
         for i, row in enumerate(rows):
             writer.writerow(list(row) + [1 if i == best_idx else 0])
-    if rows:
-        best = rows[best_idx]
-        print(
-            f"best cell: hyper_num={best[0]} lambda_hc={best[1]} lambda_ghc={best[2]} "
-            f"val_recall20={best[3]:.5f}"
-        )
+    best = rows[best_idx]
+    print(
+        f"best cell: hyper_num={best[0]} lambda_hc={best[1]} lambda_ghc={best[2]} "
+        f"val_recall20={best[3]:.5f}"
+    )
     return EXIT_OK
 
 

@@ -16,7 +16,7 @@ from . import autodiff as ad
 from . import evaluation
 from .dataio import MODALITIES, TRAIN, InteractionDataset, ModalityFeatures, validate_features
 from .errors import ConfigError, NumericError
-from .hypergraph import aggregate_hyper, build_incidence, hypergraph_pass
+from .hypergraph import build_incidence, hypergraph_pass
 from .item_graph import build_affinity_graph, propagate_items
 from .objectives import (
     LossBreakdown,
@@ -412,17 +412,13 @@ def forward(
         if not isinstance(rng, np.random.Generator):
             rng = np.random.default_rng(rng)
         drop = cfg.drop_rate if train_mode else 0.0
-        pairs = []
+        x_rows = views.x_u[user_rows]
         for feats in views.features:
-            v_m = params.named[f"V_{feats.modality}"]
-            incidence = build_incidence(feats.matrix, v_m, views.x_u, user_rows)
-            pairs.append(
-                hypergraph_pass(
-                    incidence, projected[feats.modality], drop, cfg.hyper_steps, rng, item_rows
-                )
-            )
-        hyper_stacks = [ad.concat_rows([e_u, e_i]) for e_u, e_i in pairs]
-        e_h = aggregate_hyper(hyper_stacks)
+            h_items = build_incidence(feats.matrix, params.named[f"V_{feats.modality}"])
+            hyper_stacks.append(hypergraph_pass(
+                h_items, projected[feats.modality], x_rows, drop, cfg.hyper_steps, rng, item_rows
+            ))
+        e_h = sum(hyper_stacks[1:], hyper_stacks[0])
     else:
         e_h = zero_view
 

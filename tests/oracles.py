@@ -2,7 +2,8 @@
 package because no program path runs it: generic tape ops the program no
 longer calls, the op-by-op tape composition of the three views and of the
 BPR and L2 objectives that their single-node versions must reproduce, the
-user-by-user split that the whole-array `split_dataset` must reproduce, and
+hypergraph pass with one node per broadcast whose gradient bits the one-node
+pass must reproduce, the user-by-user split that the whole-array `split_dataset` must reproduce, and
 the user-by-user ranking and metrics that the block `evaluate` must
 reproduce byte for byte."""
 
@@ -155,9 +156,8 @@ def tape_propagate_items(graphs, projected, rows) -> ad.Tensor:
     return out
 
 
-def tape_build_incidence(features, v_m: ad.Tensor, x_u, user_rows):
-    h_items = ad.matmul(ad.constant(features), transpose(v_m))
-    return h_items, spmm(x_u[user_rows], h_items)
+def tape_build_incidence(features, v_m: ad.Tensor) -> ad.Tensor:
+    return ad.matmul(ad.constant(features), transpose(v_m))
 
 
 def _dropped(t: ad.Tensor, rate: float, rng: np.random.Generator) -> ad.Tensor:
@@ -167,10 +167,10 @@ def _dropped(t: ad.Tensor, rate: float, rng: np.random.Generator) -> ad.Tensor:
     return mul(t, ad.constant(mask))
 
 
-def tape_hypergraph_pass(incidence, e_items, drop_rate, steps, rng, item_rows):
-    """Hypergraph pass with every dropout mask, transpose and product as its
-    own node, the masks drawn in the library's order."""
-    h_items, h_users = incidence
+def tape_hypergraph_pass(h_items, e_items, x_rows, drop_rate, steps, rng, item_rows):
+    """Hypergraph pass with H_u, every dropout mask, transpose and product
+    as its own node, the masks drawn in the library's order, and the
+    (user; item) rows stacked by a concatenation node."""
 
     def broadcast(targets, state):
         pooled = ad.matmul(transpose(_dropped(h_items, drop_rate, rng)), state)
@@ -180,7 +180,62 @@ def tape_hypergraph_pass(incidence, e_items, drop_rate, steps, rng, item_rows):
     for _ in range(steps - 1):
         e_cur = broadcast(h_items, e_cur)
     e_next = broadcast(ad.gather_rows(h_items, item_rows), e_cur)
-    return broadcast(h_users, e_cur), e_next
+    return ad.concat_rows([broadcast(spmm(x_rows, h_items), e_cur), e_next])
+
+
+def per_broadcast_incidence(features, v_m, x_u, user_rows) -> tuple[ad.Tensor, ad.Tensor]:
+    """(H_i, H_u = X_u[user_rows] @ H_i) as one node each."""
+    features = np.asarray(features, dtype=np.float64)
+    v_m = ad.as_tensor(v_m)
+    h_items = ad.custom_op(features @ v_m.data.T, (v_m,), lambda g: ((features.T @ g).T,))
+    x_rows = x_u[user_rows]
+    h_users = ad.custom_op(x_rows @ h_items.data, (h_items,), lambda g: (x_rows.T @ g,))
+    return h_items, h_users
+
+
+def _mask(shape, rate: float, rng: np.random.Generator):
+    return None if rate <= 0.0 else (rng.random(shape) >= rate) * (1.0 / (1.0 - rate))
+
+
+def _masked(x: np.ndarray, mask) -> np.ndarray:
+    return x if mask is None else x * mask
+
+
+def _one_broadcast(h_items: ad.Tensor, state: ad.Tensor, rate: float,
+                   rng: np.random.Generator, targets) -> ad.Tensor:
+    """DROP(T) @ (DROP(H_i)^T @ state) as one tape node, the pool mask drawn
+    before the target mask. T is the tensor `targets`, or, when `targets` is
+    an array of item ids, those rows of H_i, whose gradient is added into
+    H_i's ahead of the pool term."""
+    pool_mask = _mask(h_items.shape, rate, rng)
+    source = _masked(h_items.data, pool_mask)
+    pooled = source.T @ state.data
+    own = not isinstance(targets, ad.Tensor)
+    t_data = h_items.data[targets] if own else targets.data
+    target_mask = _mask(t_data.shape, rate, rng)
+    dropped_targets = _masked(t_data, target_mask)
+
+    def backward(g):
+        g_pooled = dropped_targets.T @ g
+        g_items = _masked((g_pooled @ state.data.T).T, pool_mask)
+        g_state = source @ g_pooled
+        g_targets = _masked(g @ pooled.T, target_mask)
+        return (ad.RowGrad(targets, g_targets) if own else g_targets), g_items, g_state
+
+    parents = (h_items if own else targets, h_items, state)
+    return ad.custom_op(dropped_targets @ pooled, parents, backward)
+
+
+def per_broadcast_pass(incidence, e_items, drop_rate, steps, rng, item_rows):
+    """The hypergraph pass over (H_i, H_u) from `per_broadcast_incidence`
+    with each broadcast one node; returns the (user; item) states. The
+    summation order of its tape is the order the one-node pass reproduces."""
+    h_items, h_users = incidence
+    e_cur = ad.as_tensor(e_items)
+    for _ in range(steps - 1):
+        e_cur = _one_broadcast(h_items, e_cur, drop_rate, rng, np.arange(h_items.shape[0]))
+    e_next = _one_broadcast(h_items, e_cur, drop_rate, rng, item_rows)
+    return _one_broadcast(h_items, e_cur, drop_rate, rng, h_users), e_next
 
 
 def split_by_user(ds: InteractionDataset, ratios, seed: int) -> InteractionDataset:

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
+from mhcr import cli
 from mhcr.checkpoint import load_checkpoint
 from mhcr.cli import (
     EXIT_CONFIG,
@@ -435,6 +436,42 @@ class TestConfigValidation:
             argv += ["--checkpoint", str(tmp_path / "none.bin"), "--split", str(tmp_path / "none")]
         assert main(argv) == EXIT_CONFIG
         assert key.split()[0] in capsys.readouterr().err
+
+    @pytest.mark.parametrize("tags", ["image,image", "audio", "image,audio", ",", ""])
+    @pytest.mark.parametrize("source", ["flag", "file"])
+    @pytest.mark.parametrize("command", ["train", "sweep"])
+    def test_bad_modalities_rejected_before_any_work(self, command, source, tags, tmp_path,
+                                                      capsys):
+        # a missing data directory would exit 3: exit 2 means nothing was read
+        argv = [command, "--data-dir", str(tmp_path / "nowhere"), "--out-dir", str(tmp_path / "o")]
+        if source == "flag":
+            argv += ["--modalities", tags]
+        else:
+            cfg_file = tmp_path / "run.cfg"
+            cfg_file.write_text(f"modalities = {tags}\n", encoding="utf-8")
+            argv += ["--config", str(cfg_file)]
+        assert main(argv) == EXIT_CONFIG
+        assert "modalities" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("flag,grid", [
+        ("--hyper-num-grid", "4,0"),
+        ("--hyper-num-grid", "4,x"),
+        ("--hyper-num-grid", ","),
+        ("--lambda-hc-grid", "1e-5,nan"),
+        ("--lambda-hc-grid", ""),
+        ("--lambda-ghc-grid", "0.01,-1"),
+        ("--lambda-ghc-grid", "0.01,inf"),
+    ])
+    def test_bad_sweep_grid_rejected_before_any_work(self, data_dir, flag, grid, tmp_path,
+                                                     monkeypatch):
+        def no_training(*args, **kwargs):
+            raise AssertionError("a cell trained")
+
+        monkeypatch.setattr(cli, "fit", no_training)
+        argv = ["sweep", "--data-dir", str(data_dir), "--out-dir", str(tmp_path / "o"), flag, grid]
+        assert main(argv) == EXIT_CONFIG
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("threshold", ["0", "-1"])
     @pytest.mark.parametrize("source", ["flag", "file"])

@@ -542,24 +542,25 @@ class TestOneTapeNode:
         assert self.tape_nodes([propagate_items(views.affinity, projected, rows)], projected) == 1
         feats = views.features[0]
         v = ad.Tensor(rng.normal(size=(2, feats.dim)), requires_grad=True)
-        pair = build_incidence(feats.matrix, v, views.x_u, np.array([0, 3]))
-        assert self.tape_nodes(list(pair), [v]) == 2
-        e_u, e_i = hypergraph_pass(pair, projected[0], 0.5, steps, np.random.default_rng(3), rows)
-        inputs = [*pair, projected[0]]
-        assert self.tape_nodes([e_u, e_i], inputs) == steps + 1
+        h_items = build_incidence(feats.matrix, v)
+        assert self.tape_nodes([h_items], [v]) == 1
+        stacked = hypergraph_pass(h_items, projected[0], views.x_u[[0, 3]], 0.5, steps,
+                                  np.random.default_rng(3), rows)
+        assert self.tape_nodes([stacked], [h_items, projected[0]]) == 1
 
-    def test_full_model_step_records_at_most_30_nodes(self):
+    def test_full_model_step_records_21_nodes(self):
         ds, feats = generate_synthetic(SyntheticConfig(
             num_users=30, num_items=20, num_clusters=2, mean_interactions=4.0,
             modality_dims={"image": 5, "video": 4, "text": 3}, seed=2))
         ds = split_dataset(ds, seed=2)
-        cfg = TrainConfig(d=4, k_knn=3, k_hyper=3, layers=2, hyper_steps=1)
-        views = build_views(ds, feats, cfg)
-        params = init_parameters(cfg, ds.num_users, ds.num_items, views.modality_dims)
         users, items = ds.split_pairs(TRAIN)
         batch = Batch(users[:8], items[:8], items[8:16])
-        result = forward(params, views, cfg, batch=batch, mode="train", rng=0)
-        assert self.tape_nodes([result.total]) <= 30
+        for hyper_steps in (1, 2, 3):
+            cfg = TrainConfig(d=4, k_knn=3, k_hyper=3, layers=2, hyper_steps=hyper_steps)
+            views = build_views(ds, feats, cfg)
+            params = init_parameters(cfg, ds.num_users, ds.num_items, views.modality_dims)
+            result = forward(params, views, cfg, batch=batch, mode="train", rng=0)
+            assert self.tape_nodes([result.total]) == 21, hyper_steps
 
 
 def test_breakdown_csv_fields():

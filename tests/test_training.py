@@ -167,6 +167,12 @@ class TestForward:
         result = forward(params, views, cfg, mode="eval")
         views_sum = result.e_ui.data + result.e_ii.data + result.e_h.data
         assert np.array_equal(result.fused.data, views_sum)
+        # the hypergraph view adds the modalities' stacks, left to right
+        image, text = result.hyper_stacks
+        assert np.array_equal(result.e_h.data, image.data + text.data)
+        one = replace(views, affinity=views.affinity[:1], features=views.features[:1])
+        alone = forward(params, one, cfg, mode="eval")
+        assert np.array_equal(alone.e_h.data, image.data)
         user_emb, item_emb = compute_embeddings(params, views, cfg)
         assert np.array_equal(np.vstack([user_emb, item_emb]), views_sum)
 

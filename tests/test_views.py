@@ -1,8 +1,10 @@
 """The single-node views against their op-by-op tape composition in
-`oracles.py`, and finite-difference checks of every view node."""
+`oracles.py`, the one-node hypergraph pass bit for bit against its
+per-broadcast tape, and finite-difference checks of every view node."""
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from mhcr import autodiff as ad
 from mhcr.dataio import SyntheticConfig, generate_synthetic, split_dataset
@@ -15,6 +17,8 @@ from mhcr.ui_graph import propagate_ui
 from conftest import assert_grad_close, finite_difference, micro_config, micro_dataset
 from oracles import (
     mul,
+    per_broadcast_incidence,
+    per_broadcast_pass,
     tape_build_incidence,
     tape_hypergraph_pass,
     tape_propagate_items,
@@ -114,13 +118,12 @@ class TestViewsAgainstTape:
         num_users = instance.x_u.shape[0]
         v = rng.normal(size=(3, feats.shape[1]))
         w = rng.normal(size=(feats.shape[1], 5))
-        user_rows = pick_rows(rows_case, num_users, rng)
+        x_rows = instance.x_u[pick_rows(rows_case, num_users, rng)]
         item_rows = pick_rows(rows_case, feats.shape[0], rng)
         if drop_rate == 1.0:  # a rate that drops every message is refused
-            pair = build_incidence(feats, leaf(v), instance.x_u, user_rows)
             with pytest.raises(ConfigError, match="drop_rate"):
-                hypergraph_pass(pair, feats @ w, drop_rate, steps, np.random.default_rng(99),
-                                item_rows)
+                hypergraph_pass(build_incidence(feats, leaf(v)), feats @ w, x_rows, drop_rate,
+                                steps, np.random.default_rng(99), item_rows)
             return
         outs = []
         for incidence, run in (
@@ -128,20 +131,59 @@ class TestViewsAgainstTape:
             (tape_build_incidence, tape_hypergraph_pass),
         ):
             v_t, w_t = leaf(v), leaf(w)
-            pair = incidence(feats, v_t, instance.x_u, user_rows)
+            h_items = incidence(feats, v_t)
             state = ad.matmul(ad.constant(feats), w_t)
-            e_u, e_i = run(pair, state, drop_rate, steps, np.random.default_rng(99), item_rows)
+            stacked = run(h_items, state, x_rows, drop_rate, steps, np.random.default_rng(99),
+                          item_rows)
             if not outs:
-                weights = rng.normal(size=e_u.shape), rng.normal(size=e_i.shape)
-            (weighted_sum(e_u, weights[0]) + weighted_sum(e_i, weights[1])).backward()
-            outs.append(
-                ([pair[0].data, pair[1].data, e_u.data, e_i.data], [v_t.grad, w_t.grad])
-            )
+                weights = rng.normal(size=stacked.shape)
+            weighted_sum(stacked, weights).backward()
+            outs.append(([h_items.data, stacked.data], [v_t.grad, w_t.grad]))
         (out, grads), (tape_out, tape_grads) = outs
         for got, expected in zip(out, tape_out):
             assert np.array_equal(got, expected)
         for name, got, expected in zip(["V", "W"], grads, tape_grads):
             assert_grads_agree(got, expected, name)
+
+
+class TestPassAgainstPerBroadcastNodes:
+    """The one-node pass against `per_broadcast_pass`, whose tape has H_u and
+    each broadcast as its own node: outputs and the gradients of V, W and the
+    projection bit for bit. The projection also feeds `propagate_items`, whose
+    gradient the tape adds first, so its three-term sum is pinned too."""
+
+    @pytest.mark.parametrize("rows_case", ROW_CASES)
+    @pytest.mark.parametrize("drop_rate", [0.0, 0.5])
+    @pytest.mark.parametrize("steps", [1, 2, 3])
+    def test_bitwise(self, instance, steps, drop_rate, rows_case):
+        rng = np.random.default_rng(20 * steps + int(4 * drop_rate))
+        feats = instance.features[0].matrix
+        v = rng.normal(size=(3, feats.shape[1]))
+        w = rng.normal(size=(feats.shape[1], 5))
+        user_rows = pick_rows(rows_case, instance.x_u.shape[0], rng)
+        item_rows = pick_rows(rows_case, feats.shape[0], rng)
+        outs = []
+        for one_node in (True, False):
+            v_t, w_t = leaf(v), leaf(w)
+            projected = ad.matmul(ad.constant(feats), w_t)
+            mask_rng = np.random.default_rng(99)
+            if one_node:
+                stacked = hypergraph_pass(build_incidence(feats, v_t), projected,
+                                          instance.x_u[user_rows], drop_rate, steps, mask_rng,
+                                          item_rows)
+            else:
+                incidence = per_broadcast_incidence(feats, v_t, instance.x_u, user_rows)
+                stacked = ad.concat_rows(
+                    per_broadcast_pass(incidence, projected, drop_rate, steps, mask_rng,
+                                       item_rows)
+                )
+            items = propagate_items(instance.affinity[:1], [projected], item_rows)
+            if not outs:
+                weights = rng.normal(size=items.shape), rng.normal(size=stacked.shape)
+            (weighted_sum(items, weights[0]) + weighted_sum(stacked, weights[1])).backward()
+            outs.append([stacked.data, v_t.grad, w_t.grad, projected.grad])
+        for name, got, expected in zip(["stacked", "V", "W", "projection"], *outs):
+            assert np.array_equal(got, expected), name
 
 
 class TestViewGradients:
@@ -190,11 +232,18 @@ class TestViewGradients:
         )
 
     def test_build_incidence(self, views):
+        # H_i, and H_u = X_u H_i through the pass over users with a repeat
         feats = views.features[0].matrix
-        v = np.random.default_rng(2).normal(size=(3, feats.shape[1]))
+        rng = np.random.default_rng(2)
+        v = rng.normal(size=(3, feats.shape[1]))
+        state = ad.Tensor(rng.normal(size=(feats.shape[0], 2)))
+        x_rows = views.x_u[np.array([3, 0, 3])]
 
         def build(t):
-            return list(build_incidence(feats, t["v"], views.x_u, np.array([3, 0, 3])))
+            h_items = build_incidence(feats, t["v"])
+            passed = hypergraph_pass(h_items, state, x_rows, 0.0, 1, np.random.default_rng(0),
+                                     np.array([1]))
+            return [h_items, passed]
 
         self.check(build, {"v": v})
 
@@ -202,16 +251,12 @@ class TestViewGradients:
     def test_broadcasts_with_dropout(self, item_rows):
         item_rows = np.arange(6) if item_rows is None else item_rows  # None: every item
         rng = np.random.default_rng(3)
-        arrays = {
-            "h_items": rng.normal(size=(6, 3)),
-            "h_users": rng.normal(size=(4, 3)),
-            "state": rng.normal(size=(6, 2)),
-        }
+        arrays = {"h_items": rng.normal(size=(6, 3)), "state": rng.normal(size=(6, 2))}
+        x_rows = sp.csr_matrix(rng.random((4, 6)) < 0.5, dtype=np.float64)[[2, 0, 2, 3]]
 
         def build(t):
-            pair = t["h_items"], t["h_users"]
             rng = np.random.default_rng(17)
-            return list(hypergraph_pass(pair, t["state"], 0.5, 2, rng, item_rows))
+            return [hypergraph_pass(t["h_items"], t["state"], x_rows, 0.5, 2, rng, item_rows)]
 
         self.check(build, arrays)
 
@@ -219,9 +264,9 @@ class TestViewGradients:
 def test_own_targets_gradient_is_scattered_into_incidence():
     # one item broadcast to item 0 twice: both target rows add into H_i[0]
     h = ad.Tensor(np.array([[1.0], [2.0]]), requires_grad=True)
-    pair = h, ad.Tensor(np.zeros((1, 1)))
-    _, e_items = hypergraph_pass(
-        pair, np.array([[1.0], [1.0]]), 0.0, 1, np.random.default_rng(0), np.array([0, 0])
+    no_users = sp.csr_matrix((0, 2))
+    e_items = hypergraph_pass(
+        h, np.array([[1.0], [1.0]]), no_users, 0.0, 1, np.random.default_rng(0), np.array([0, 0])
     )
     tensor_sum(e_items).backward()
     # out_r = H[0] * (H[0] + H[1]) for both rows, so dL/dH = 2 * (2 H[0] + H[1], H[0])
