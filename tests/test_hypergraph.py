@@ -1,13 +1,17 @@
-"""Incidence construction, message passing vs dense oracles, and dropout
-unbiasedness."""
+"""Incidence construction, message passing vs dense oracles, dropout
+unbiasedness, and the forward's sum of the modalities' hypergraph stacks."""
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
 from mhcr import autodiff as ad
+from mhcr.dataio import ModalityFeatures
 from mhcr.errors import ConfigError, ShapeError
 from mhcr.hypergraph import build_incidence, hypergraph_pass
+from mhcr.training import build_views, forward, init_parameters
+
+from conftest import micro_config, micro_dataset
 
 
 def seeded(seed: int) -> np.random.Generator:
@@ -152,3 +156,48 @@ class TestPass:
                 hypergraph_pass(h_i, np.ones((2, 2)), x_u, drop_rate, 1, seeded(0), every_item)
         with pytest.raises(ShapeError):
             hypergraph_pass(h_i, np.ones((3, 2)), x_u, 0.0, 1, seeded(0), every_item)
+
+
+def hyper_view(features, edit=None):
+    """The eval-mode forward of the micro dataset over `features`, after
+    `edit` has changed the named parameters in place."""
+    ds, _ = micro_dataset()
+    cfg = micro_config()
+    views = build_views(ds, features, cfg)
+    params = init_parameters(cfg, ds.num_users, ds.num_items, views.modality_dims)
+    if edit is not None:
+        edit(params.named)
+    return forward(params, views, cfg, mode="eval")
+
+
+class TestAggregate:
+    def test_single_modality_is_identity(self):
+        result = hyper_view(micro_dataset()[1][:1])
+        (stacked,) = result.hyper_stacks
+        assert np.array_equal(result.e_h.data, stacked.data)
+
+    def test_two_identical_modalities_double(self):
+        image = micro_dataset()[1][0].matrix
+        feats = [ModalityFeatures("image", image), ModalityFeatures("text", image.copy())]
+
+        def tie(named):
+            for kind in ("W", "V"):
+                named[f"{kind}_text"].data[...] = named[f"{kind}_image"].data
+
+        result = hyper_view(feats, tie)
+        a, b = result.hyper_stacks
+        assert np.array_equal(a.data, b.data)
+        assert np.array_equal(result.e_h.data, 2.0 * a.data)
+
+    def test_disjoint_supports_add(self):
+        # the pass is linear in the item state feats @ W, so zeroing W's
+        # columns zeroes the same columns of that modality's stack
+        def split_columns(named):
+            named["W_image"].data[:, 4:] = 0.0
+            named["W_text"].data[:, :4] = 0.0
+
+        result = hyper_view(micro_dataset()[1], split_columns)
+        a, b = (stacked.data for stacked in result.hyper_stacks)
+        assert a[:, :4].any() and not a[:, 4:].any()
+        assert b[:, 4:].any() and not b[:, :4].any()
+        assert np.array_equal(result.e_h.data, a + b)
