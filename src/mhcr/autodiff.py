@@ -3,14 +3,13 @@
 The model's training graph is a fixed composition, so a small tensor
 engine is enough: each op records its parents and a closure that maps the
 upstream gradient to parent gradients. Gradients accumulate by summation
-during a reverse topological sweep. Each view step (UI propagation, item
-propagation, each incidence and each whole hypergraph pass) and each loss
-term is one `custom_op` node with a hand-derived gradient, and so is each
-objective, reading its own rows of the embeddings it scores; the generic
-ops below cover the projections, the readout gather, concatenation and the
-view sums. A full training step records 21 nodes. Inputs that do not
-require a gradient record nothing, so a forward pass over constants builds
-no tape.
+during a reverse topological sweep. Every node on a training tape is a
+model node with a hand-derived gradient (`custom_op`): each projection,
+each view step (UI propagation, item propagation, each incidence and each
+whole hypergraph pass) and each objective, reading its own rows of the
+embeddings it scores; the view sums are `add` nodes. A full training step
+records 19 nodes. Inputs that do not require a gradient record nothing,
+so a forward pass over constants builds no tape.
 
 All data is float64. `add` takes operands of equal shape; there is no
 broadcasting.
@@ -18,7 +17,7 @@ broadcasting.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -106,10 +105,6 @@ def constant(value) -> Tensor:
     return Tensor(value, requires_grad=False)
 
 
-def zeros(shape: tuple[int, ...]) -> Tensor:
-    return Tensor(np.zeros(shape))
-
-
 def _node(data: Array, parents: tuple[Tensor, ...], backward) -> Tensor:
     out = Tensor(data)
     if any(p.requires_grad for p in parents):
@@ -128,34 +123,23 @@ def custom_op(data, parents: Sequence[Tensor], backward) -> Tensor:
     return _node(data, tuple(parents), backward)
 
 
-def _equal_shapes(op: str, a: Tensor, b: Tensor) -> None:
-    if a.shape != b.shape:
-        raise ShapeError(f"{op} shape mismatch: {a.shape} vs {b.shape}")
-
-
-def add(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
-    _equal_shapes("add", a, b)
-    data = a.data + b.data
-
-    def backward(g):
-        return tuple(g.copy() if p.requires_grad else None for p in (a, b))
-
-    return _node(data, (a, b), backward)
-
-
-def matmul(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
-    if a.ndim != 2 or b.ndim != 2:
-        raise ShapeError(f"matmul expects 2-D operands, got {a.shape} @ {b.shape}")
-    if a.shape[1] != b.shape[0]:
-        raise ShapeError(f"matmul shape mismatch: {a.shape} @ {b.shape}")
-    data = a.data @ b.data
+def add(*terms) -> Tensor:
+    """The sum of equal-shape terms, left to right, as one node that hands
+    each term a copy of the upstream gradient; a single term is returned
+    as it is."""
+    terms = tuple(as_tensor(t) for t in terms)
+    if len(terms) == 1:
+        return terms[0]
+    data = terms[0].data
+    for t in terms[1:]:
+        if t.shape != terms[0].shape:
+            raise ShapeError(f"add shape mismatch: {terms[0].shape} vs {t.shape}")
+        data = data + t.data
 
     def backward(g):
-        return g @ b.data.T, a.data.T @ g
+        return tuple(g.copy() if t.requires_grad else None for t in terms)
 
-    return _node(data, (a, b), backward)
+    return _node(data, terms, backward)
 
 
 class RowGrad(NamedTuple):
@@ -176,23 +160,3 @@ def add_rows(out: Array, indices: Array, g: Array) -> None:
         summed = np.zeros((rows.size,) + g.shape[1:])
         np.add.at(summed, inverse, g)
         out[rows] += summed
-
-
-def gather_rows(a: Tensor, indices) -> Tensor:
-    indices = np.asarray(indices, dtype=np.int64)
-    return _node(a.data[indices], (a,), lambda g: (RowGrad(indices, g),))
-
-
-def concat_rows(parts: Iterable[Tensor]) -> Tensor:
-    parts = tuple(as_tensor(p) for p in parts)
-    data = np.concatenate([p.data for p in parts], axis=0)
-    offsets = np.cumsum([p.shape[0] for p in parts])[:-1]
-
-    def backward(g):
-        return tuple(
-            part.copy() if p.requires_grad else None
-            for p, part in zip(parts, np.split(g, offsets, axis=0))
-        )
-
-    return _node(data, parts, backward)
-

@@ -47,6 +47,7 @@ from .training import (
     VARIANT_PRESETS,
     apply_variant,
     build_views,
+    check_modality_count,
     compute_embeddings,
     fit,
     parameter_shapes,
@@ -252,9 +253,10 @@ def cmd_train(args: argparse.Namespace) -> int:
     print(f"root seed: {cfg.seed}")
     ratios = _ratios(args, file_values)
     tags = _modalities(args, file_values)
+    ds_raw, features = _load_data(args.data_dir, tags)
+    check_modality_count(cfg, len(features))
     out_dir = _out_dir(args, file_values)
 
-    ds_raw, features = _load_data(args.data_dir, tags)
     ds = split_dataset(ds_raw, ratios, seed=cfg.seed)
     save_split(ds, out_dir / "split.tsv")
     print(format_dataset_stats(ds.num_users, ds.num_items, len(ds)))
@@ -338,9 +340,11 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     cells = [replace(cfg, k_hyper=k, lambda_hc=hc, lambda_ghc=ghc) for k, hc, ghc in grid]
     for cell in cells:  # every cell is checked before any trains
         cell.validate()
+    ds_raw, features = _load_data(args.data_dir, tags)
+    for cell in cells:
+        check_modality_count(cell, len(features))
     out_dir = _out_dir(args, file_values)
 
-    ds_raw, features = _load_data(args.data_dir, tags)
     ds = split_dataset(ds_raw, ratios, seed=cfg.seed)
 
     rows = []

@@ -103,24 +103,26 @@ def build_affinity_graph(features: ModalityFeatures, k: int) -> sp.csr_matrix:
 
 
 def propagate_items(
-    graphs: Sequence[sp.csr_matrix], projected: Sequence, rows: np.ndarray
+    graphs: Sequence[sp.csr_matrix], projected: Sequence, rows: np.ndarray, user_rows: int
 ) -> ad.Tensor:
     """Sum over modalities of S_m @ P_m, where P_m is the projected feature
     matrix for modality m. Linear in every projected input.
 
-    `rows` (item ids) selects the output rows, computed as S_m[rows] @ P_m.
-    One tape node; the gradient into P_m is S_m[rows]^T @ g."""
+    Returns `user_rows` zero rows (the view has no user side), then the rows
+    of items `rows`, computed as S_m[rows] @ P_m. One tape node; the
+    gradient into P_m is S_m[rows]^T @ g[user_rows:]."""
     if len(graphs) != len(projected):
         raise ShapeError(f"{len(graphs)} graphs but {len(projected)} projected matrices")
     if not graphs:
         raise ConfigError("propagate_items requires at least one modality")
     projected = [ad.as_tensor(p) for p in projected]
-    matrices = []
-    out = None
     for graph, p in zip(graphs, projected):
         if p.shape[0] != graph.shape[0]:
             raise ShapeError(f"projected rows {p.shape[0]} != {graph.shape[0]} items")
-        matrices.append(graph[rows])
-        term = matrices[-1] @ p.data
-        out = term if out is None else out + term
-    return ad.custom_op(out, projected, lambda g: [m.T @ g for m in matrices])
+    matrices = [graph[rows] for graph in graphs]
+    out = np.zeros((user_rows + len(rows), projected[0].shape[1]))
+    items = out[user_rows:]
+    items[...] = matrices[0] @ projected[0].data
+    for m, p in zip(matrices[1:], projected[1:]):
+        items += m @ p.data
+    return ad.custom_op(out, projected, lambda g: [m.T @ g[user_rows:] for m in matrices])

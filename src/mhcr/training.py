@@ -292,12 +292,12 @@ class ForwardResult:
 
     Row r of each view tensor is global node `nodes[r]`: every node in
     order (`np.arange(|U| + |I|)`) in eval mode, and only the rows the
-    losses read in train mode.
+    losses read in train mode. A disabled view is None.
     """
 
-    e_ui: ad.Tensor
-    e_ii: ad.Tensor
-    e_h: ad.Tensor
+    e_ui: ad.Tensor | None
+    e_ii: ad.Tensor | None
+    e_h: ad.Tensor | None
     fused: ad.Tensor
     nodes: np.ndarray
     hyper_stacks: list[ad.Tensor] = field(default_factory=list)
@@ -353,6 +353,12 @@ def _batch_nodes(batch: Batch, num_users: int) -> tuple[np.ndarray, int, np.ndar
     return nodes, users.size, np.concatenate([user_local, users.size + item_local])
 
 
+def _project(features: np.ndarray, w: ad.Tensor) -> ad.Tensor:
+    """F_m W_m as one node; the features are constants, so its only
+    gradient is F_m^T g, into W_m."""
+    return ad.custom_op(features @ w.data, (w,), lambda g: (features.T @ g,))
+
+
 def forward(
     params: ModelParameters,
     views: ViewInputs,
@@ -373,39 +379,34 @@ def forward(
     computes no losses. Either mode records a tape through the parameters
     that require gradients; `compute_embeddings` passes constants instead.
 
-    View flags zero a view's contribution without touching the remaining
-    views' computations. A contrastive loss is computed only when the
-    hypergraph view is on and its weight is positive; otherwise it is 0.0.
+    A view whose flag is off is not computed and is left out of the sums,
+    without touching the remaining views' computations. A contrastive loss
+    is computed only when the hypergraph view is on and its weight is
+    positive; otherwise it is 0.0.
     """
     if mode not in ("train", "eval"):
         raise ConfigError(f"mode must be 'train' or 'eval', got {mode!r}")
     train_mode = mode == "train"
     if train_mode and batch is None:
         raise ConfigError("train mode requires a batch")
-    num_users, num_items, d = params.num_users, params.num_items, params.d
+    num_users, num_items = params.num_users, params.num_items
     if train_mode:
         nodes, n_user_rows, local = _batch_nodes(batch, num_users)
     else:
         nodes, n_user_rows = np.arange(num_users + num_items), num_users
     user_rows, item_rows = nodes[:n_user_rows], nodes[n_user_rows:] - num_users
-    zero_view = ad.zeros((nodes.size, d))
 
     projected: dict[str, ad.Tensor] = {}
     if cfg.use_ii or cfg.use_hem:
         for feats in views.features:
-            projected[feats.modality] = ad.matmul(
-                ad.constant(feats.matrix), params.named[f"W_{feats.modality}"]
-            )
+            projected[feats.modality] = _project(feats.matrix, params.named[f"W_{feats.modality}"])
 
-    e_ui = propagate_ui(views.adjacency, params.e0, cfg.layers, nodes) if cfg.use_ui else zero_view
-
+    e_ui = propagate_ui(views.adjacency, params.e0, cfg.layers, nodes) if cfg.use_ui else None
+    e_ii = e_h = None
     if cfg.use_ii:
-        items_part = propagate_items(
-            views.affinity, [projected[f.modality] for f in views.features], item_rows
+        e_ii = propagate_items(
+            views.affinity, [projected[f.modality] for f in views.features], item_rows, n_user_rows
         )
-        e_ii = ad.concat_rows([ad.zeros((n_user_rows, d)), items_part])
-    else:
-        e_ii = zero_view
 
     hyper_stacks: list[ad.Tensor] = []
     if cfg.use_hem:
@@ -418,12 +419,11 @@ def forward(
             hyper_stacks.append(hypergraph_pass(
                 h_items, projected[feats.modality], x_rows, drop, cfg.hyper_steps, rng, item_rows
             ))
-        e_h = sum(hyper_stacks[1:], hyper_stacks[0])
-    else:
-        e_h = zero_view
+        e_h = ad.add(*hyper_stacks)
 
-    e_graph = e_ui + e_ii
-    fused = e_graph + e_h
+    graph_views = [view for view in (e_ui, e_ii) if view is not None]
+    e_graph = ad.add(*graph_views) if graph_views else None
+    fused = ad.add(*(view for view in (e_graph, e_h) if view is not None))
     result = ForwardResult(
         e_ui=e_ui, e_ii=e_ii, e_h=e_h, fused=fused, hyper_stacks=hyper_stacks, nodes=nodes
     )
@@ -439,7 +439,8 @@ def forward(
     if cfg.use_hem and cfg.lambda_hc > 0:
         l_hc = hyper_contrastive_loss(hyper_stacks, contrastive_local, cfg.tau)
     if cfg.use_hem and cfg.lambda_ghc > 0:
-        l_ghc = graph_hyper_contrastive_loss(e_graph, e_h, contrastive_local, cfg.tau)
+        graph_side = np.zeros(e_h.shape) if e_graph is None else e_graph
+        l_ghc = graph_hyper_contrastive_loss(graph_side, e_h, contrastive_local, cfg.tau)
     l_reg = embedding_l2(params.e0, nodes[local])
 
     result.total, result.breakdown = total_loss(
@@ -523,6 +524,13 @@ def _mean_breakdown(parts: list[tuple[int, LossBreakdown]], cfg: TrainConfig) ->
     return LossBreakdown(l_bpr, l_hc, l_ghc, l_reg, total)
 
 
+def check_modality_count(cfg: TrainConfig, count: int) -> None:
+    """The cross-modal contrastive loss compares modalities pairwise, so a
+    config that trains it needs at least two."""
+    if cfg.use_hem and cfg.lambda_hc > 0 and count < 2:
+        raise ConfigError("the cross-modal contrastive loss needs >= 2 modalities")
+
+
 def fit(
     ds: InteractionDataset,
     features: Sequence[ModalityFeatures],
@@ -536,8 +544,7 @@ def fit(
     """
     cfg.validate()
     ds.require_split()
-    if cfg.use_hem and cfg.lambda_hc > 0 and len(features) < 2:
-        raise ConfigError("the cross-modal contrastive loss needs >= 2 modalities")
+    check_modality_count(cfg, len(features))
 
     views = build_views(ds, features, cfg)
     params = init_parameters(cfg, ds.num_users, ds.num_items, views.modality_dims)

@@ -43,7 +43,9 @@ def propagate_ui(adjacency: sp.csr_matrix, e0, layers: int, rows: np.ndarray) ->
     One tape node with the transposed chain as its gradient: the upstream
     gradient g enters layer L-1 through A_norm[rows]^T and every layer
     through the readout at `rows`, and each layer passes its total on to the
-    one below through A_norm^T.
+    one below through A_norm^T, which is A_norm itself: the matrix of
+    `build_norm_adjacency` is symmetric with sorted indices, so the product
+    sums each row in the order of the transposed one.
     """
     if layers < 0:
         raise ConfigError("layer count must be >= 0")
@@ -53,7 +55,7 @@ def propagate_ui(adjacency: sp.csr_matrix, e0, layers: int, rows: np.ndarray) ->
             f"embedding rows {e0.shape} do not match {adjacency.shape[0]} graph nodes"
         )
     if layers == 0:
-        return ad.gather_rows(e0, rows)
+        return ad.custom_op(e0.data[rows], (e0,), lambda g: (ad.RowGrad(rows, g),))
     last_adjacency = adjacency[rows]
     current = e0.data
     out = current[rows]
@@ -65,7 +67,7 @@ def propagate_ui(adjacency: sp.csr_matrix, e0, layers: int, rows: np.ndarray) ->
         grad = last_adjacency.T @ g
         for _ in range(layers - 1):
             ad.add_rows(grad, rows, g)
-            grad = adjacency.T @ grad
+            grad = adjacency @ grad
         ad.add_rows(grad, rows, g)
         return (grad,)
 

@@ -1,11 +1,14 @@
 """Reference code the tests compare the library against, kept out of the
-package because no program path runs it: generic tape ops the program no
-longer calls, the op-by-op tape composition of the three views and of the
-BPR and L2 objectives that their single-node versions must reproduce, the
-hypergraph pass with one node per broadcast whose gradient bits the one-node
-pass must reproduce, the user-by-user split that the whole-array `split_dataset` must reproduce, and
-the user-by-user ranking and metrics that the block `evaluate` must
-reproduce byte for byte."""
+package because no program path runs it: the generic tape ops (`zeros`,
+`matmul`, `gather_rows`, `concat_rows` and the elementwise ones), the
+op-by-op tape composition of the three views and of the BPR and L2
+objectives that their single-node versions must reproduce, the forward
+pass assembled from those generic ops (`tape_forward`) that the
+model-node forward must reproduce bit for bit, the hypergraph pass with
+one node per broadcast whose gradient bits the one-node pass must
+reproduce, the user-by-user split that the whole-array `split_dataset`
+must reproduce, and the user-by-user ranking and metrics that the block
+`evaluate` must reproduce byte for byte."""
 
 from __future__ import annotations
 
@@ -13,9 +16,50 @@ import numpy as np
 from scipy.special import expit
 
 from mhcr import autodiff as ad
+from mhcr import training
 from mhcr.dataio import TEST, TRAIN, VAL, InteractionDataset, cold_start_users
 from mhcr.errors import ConfigError, ShapeError
 from mhcr.evaluation import SLICE_ALL, SLICE_COLD, EvalReport, MetricRecord
+from mhcr.hypergraph import build_incidence, hypergraph_pass
+from mhcr.objectives import (
+    bpr_loss,
+    embedding_l2,
+    graph_hyper_contrastive_loss,
+    hyper_contrastive_loss,
+    total_loss,
+)
+
+
+def zeros(shape: tuple[int, ...]) -> ad.Tensor:
+    return ad.Tensor(np.zeros(shape))
+
+
+def matmul(a, b) -> ad.Tensor:
+    a, b = ad.as_tensor(a), ad.as_tensor(b)
+    if a.ndim != 2 or b.ndim != 2:
+        raise ShapeError(f"matmul expects 2-D operands, got {a.shape} @ {b.shape}")
+    if a.shape[1] != b.shape[0]:
+        raise ShapeError(f"matmul shape mismatch: {a.shape} @ {b.shape}")
+    return ad.custom_op(a.data @ b.data, (a, b), lambda g: (g @ b.data.T, a.data.T @ g))
+
+
+def gather_rows(a: ad.Tensor, indices) -> ad.Tensor:
+    indices = np.asarray(indices, dtype=np.int64)
+    return ad.custom_op(a.data[indices], (a,), lambda g: (ad.RowGrad(indices, g),))
+
+
+def concat_rows(parts) -> ad.Tensor:
+    parts = tuple(ad.as_tensor(p) for p in parts)
+    data = np.concatenate([p.data for p in parts], axis=0)
+    offsets = np.cumsum([p.shape[0] for p in parts])[:-1]
+
+    def backward(g):
+        return tuple(
+            part.copy() if p.requires_grad else None
+            for p, part in zip(parts, np.split(g, offsets, axis=0))
+        )
+
+    return ad.custom_op(data, parts, backward)
 
 
 def mul(a, b) -> ad.Tensor:
@@ -118,14 +162,14 @@ def scores_bpr_loss(pos: ad.Tensor, neg: ad.Tensor) -> ad.Tensor:
 
 def tape_bpr_loss(fused: ad.Tensor, users, positives, negatives) -> ad.Tensor:
     """BPR as three row gathers, two row dot products and the score node."""
-    u = ad.gather_rows(fused, users)
-    pos = ad.gather_rows(fused, positives)
-    neg = ad.gather_rows(fused, negatives)
+    u = gather_rows(fused, users)
+    pos = gather_rows(fused, positives)
+    neg = gather_rows(fused, negatives)
     return scores_bpr_loss(row_dot(u, pos), row_dot(u, neg))
 
 
 def tape_embedding_l2(embeddings: ad.Tensor, rows) -> ad.Tensor:
-    x = ad.gather_rows(embeddings, rows)
+    x = gather_rows(embeddings, rows)
     return mean(tensor_sum(mul(x, x), axis=1))
 
 
@@ -138,13 +182,13 @@ def tape_total_loss(l_bpr, l_hc, l_ghc, l_reg, lambda_hc, lambda_ghc, lambda_reg
 
 def tape_propagate_ui(adjacency, e0: ad.Tensor, layers: int, rows) -> ad.Tensor:
     """Layer-sum propagation as spmm, gather and add nodes."""
-    out = ad.gather_rows(e0, rows)
+    out = gather_rows(e0, rows)
     current = e0
     for layer in range(1, layers + 1):
         if layer == layers:
             return out + spmm(adjacency[rows], current)
         current = spmm(adjacency, current)
-        out = out + ad.gather_rows(current, rows)
+        out = out + gather_rows(current, rows)
     return out
 
 
@@ -157,7 +201,7 @@ def tape_propagate_items(graphs, projected, rows) -> ad.Tensor:
 
 
 def tape_build_incidence(features, v_m: ad.Tensor) -> ad.Tensor:
-    return ad.matmul(ad.constant(features), transpose(v_m))
+    return matmul(ad.constant(features), transpose(v_m))
 
 
 def _dropped(t: ad.Tensor, rate: float, rng: np.random.Generator) -> ad.Tensor:
@@ -173,14 +217,14 @@ def tape_hypergraph_pass(h_items, e_items, x_rows, drop_rate, steps, rng, item_r
     (user; item) rows stacked by a concatenation node."""
 
     def broadcast(targets, state):
-        pooled = ad.matmul(transpose(_dropped(h_items, drop_rate, rng)), state)
-        return ad.matmul(_dropped(targets, drop_rate, rng), pooled)
+        pooled = matmul(transpose(_dropped(h_items, drop_rate, rng)), state)
+        return matmul(_dropped(targets, drop_rate, rng), pooled)
 
     e_cur = ad.as_tensor(e_items)
     for _ in range(steps - 1):
         e_cur = broadcast(h_items, e_cur)
-    e_next = broadcast(ad.gather_rows(h_items, item_rows), e_cur)
-    return ad.concat_rows([broadcast(spmm(x_rows, h_items), e_cur), e_next])
+    e_next = broadcast(gather_rows(h_items, item_rows), e_cur)
+    return concat_rows([broadcast(spmm(x_rows, h_items), e_cur), e_next])
 
 
 def per_broadcast_incidence(features, v_m, x_u, user_rows) -> tuple[ad.Tensor, ad.Tensor]:
@@ -236,6 +280,113 @@ def per_broadcast_pass(incidence, e_items, drop_rate, steps, rng, item_rows):
         e_cur = _one_broadcast(h_items, e_cur, drop_rate, rng, np.arange(h_items.shape[0]))
     e_next = _one_broadcast(h_items, e_cur, drop_rate, rng, item_rows)
     return _one_broadcast(h_items, e_cur, drop_rate, rng, h_users), e_next
+
+
+def transposed_propagate_ui(adjacency, e0: ad.Tensor, layers: int, rows) -> ad.Tensor:
+    """`propagate_ui` with each layer's gradient passed down through the
+    transposed adjacency, and layer 0 alone a `gather_rows` node."""
+    if layers == 0:
+        return gather_rows(e0, rows)
+    last_adjacency = adjacency[rows]
+    current = e0.data
+    out = current[rows]
+    for _ in range(layers - 1):
+        current = adjacency @ current
+        out = out + current[rows]
+
+    def backward(g):
+        grad = last_adjacency.T @ g
+        for _ in range(layers - 1):
+            ad.add_rows(grad, rows, g)
+            grad = adjacency.T @ grad
+        ad.add_rows(grad, rows, g)
+        return (grad,)
+
+    return ad.custom_op(out + last_adjacency @ current, (e0,), backward)
+
+
+def propagate_item_rows(graphs, projected, rows) -> ad.Tensor:
+    """The item view's rows `rows` alone, S_m[rows] @ P_m summed over the
+    modalities in order, as one node."""
+    matrices = [graph[rows] for graph in graphs]
+    out = None
+    for m, p in zip(matrices, projected):
+        term = m @ p.data
+        out = term if out is None else out + term
+    return ad.custom_op(out, projected, lambda g: [m.T @ g for m in matrices])
+
+
+def tape_forward(params, views, cfg, batch=None, mode="train", rng=None):
+    """`training.forward` assembled from generic ops: `matmul` projections,
+    the item view as `concat_rows` of zero user rows and the item rows, a
+    zero tensor for each disabled view, two-term adds for every sum,
+    `transposed_propagate_ui` for the UI view and `propagate_item_rows` for
+    the item rows."""
+    train_mode = mode == "train"
+    num_users, num_items, d = params.num_users, params.num_items, params.d
+    if train_mode:
+        nodes, n_user_rows, local = training._batch_nodes(batch, num_users)
+    else:
+        nodes, n_user_rows = np.arange(num_users + num_items), num_users
+    user_rows, item_rows = nodes[:n_user_rows], nodes[n_user_rows:] - num_users
+    zero_view = zeros((nodes.size, d))
+
+    projected = {}
+    if cfg.use_ii or cfg.use_hem:
+        for feats in views.features:
+            projected[feats.modality] = matmul(
+                ad.constant(feats.matrix), params.named[f"W_{feats.modality}"]
+            )
+
+    e_ui = zero_view
+    if cfg.use_ui:
+        e_ui = transposed_propagate_ui(views.adjacency, params.e0, cfg.layers, nodes)
+    e_ii = zero_view
+    if cfg.use_ii:
+        items_part = propagate_item_rows(
+            views.affinity, [projected[f.modality] for f in views.features], item_rows
+        )
+        e_ii = concat_rows([zeros((n_user_rows, d)), items_part])
+
+    hyper_stacks = []
+    e_h = zero_view
+    if cfg.use_hem:
+        if not isinstance(rng, np.random.Generator):
+            rng = np.random.default_rng(rng)
+        drop = cfg.drop_rate if train_mode else 0.0
+        x_rows = views.x_u[user_rows]
+        for feats in views.features:
+            h_items = build_incidence(feats.matrix, params.named[f"V_{feats.modality}"])
+            hyper_stacks.append(hypergraph_pass(
+                h_items, projected[feats.modality], x_rows, drop, cfg.hyper_steps, rng, item_rows
+            ))
+        e_h = hyper_stacks[0]
+        for stack in hyper_stacks[1:]:
+            e_h = ad.add(e_h, stack)
+
+    e_graph = ad.add(e_ui, e_ii)
+    fused = ad.add(e_graph, e_h)
+    result = training.ForwardResult(
+        e_ui=e_ui, e_ii=e_ii, e_h=e_h, fused=fused, hyper_stacks=hyper_stacks, nodes=nodes
+    )
+    if not train_mode:
+        return result
+
+    user_local, pos_local, neg_local = np.split(
+        local, np.cumsum([len(batch.users), len(batch.pos_items)])
+    )
+    l_bpr = bpr_loss(fused, user_local, pos_local, neg_local)
+    contrastive_local = np.concatenate([user_local, pos_local])
+    l_hc = l_ghc = 0.0
+    if cfg.use_hem and cfg.lambda_hc > 0:
+        l_hc = hyper_contrastive_loss(hyper_stacks, contrastive_local, cfg.tau)
+    if cfg.use_hem and cfg.lambda_ghc > 0:
+        l_ghc = graph_hyper_contrastive_loss(e_graph, e_h, contrastive_local, cfg.tau)
+    l_reg = embedding_l2(params.e0, nodes[local])
+    result.total, result.breakdown = total_loss(
+        l_bpr, l_hc, l_ghc, l_reg, cfg.lambda_hc, cfg.lambda_ghc, cfg.lambda_reg
+    )
+    return result
 
 
 def split_by_user(ds: InteractionDataset, ratios, seed: int) -> InteractionDataset:

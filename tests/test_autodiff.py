@@ -1,4 +1,5 @@
-"""Gradient checks for every autodiff op against central finite differences."""
+"""Gradient checks for every autodiff op, and the generic ops the tests
+keep in `oracles.py`, against central finite differences."""
 
 import numpy as np
 import pytest
@@ -10,8 +11,11 @@ from mhcr.errors import ShapeError
 
 from conftest import assert_grad_close, finite_difference, micro_batch
 from oracles import (
+    concat_rows,
     exp,
+    gather_rows,
     log,
+    matmul,
     mean,
     mul,
     row_dot,
@@ -60,9 +64,9 @@ def test_matmul_gradients_both_sides():
     a = rng.normal(size=(3, 4))
     b = rng.normal(size=(4, 2))
     a_t, b_t = ad.Tensor(a, requires_grad=True), ad.Tensor(b, requires_grad=True)
-    scalar_loss(ad.matmul(a_t, b_t)).backward()
-    num_a = finite_difference(lambda: scalar_loss(ad.matmul(ad.Tensor(a), ad.Tensor(b))).item(), a)
-    num_b = finite_difference(lambda: scalar_loss(ad.matmul(ad.Tensor(a), ad.Tensor(b))).item(), b)
+    scalar_loss(matmul(a_t, b_t)).backward()
+    num_a = finite_difference(lambda: scalar_loss(matmul(ad.Tensor(a), ad.Tensor(b))).item(), a)
+    num_b = finite_difference(lambda: scalar_loss(matmul(ad.Tensor(a), ad.Tensor(b))).item(), b)
     assert_grad_close(a_t.grad, num_a, "matmul/a")
     assert_grad_close(b_t.grad, num_b, "matmul/b")
 
@@ -82,14 +86,42 @@ def test_add_mul_reject_unequal_shapes():
         for shape in [(3, 1), (4,), ()]:
             with pytest.raises(ShapeError):
                 op(a, ad.Tensor(rng.normal(size=shape)))
+    with pytest.raises(ShapeError):  # a later term of an n-ary add
+        ad.add(a, a, ad.Tensor(rng.normal(size=(4, 3))))
+
+
+def test_nary_add_matches_nested_two_term_adds():
+    terms = [rng.normal(size=(3, 4)) for _ in range(3)]
+    weights = rng.normal(size=(3, 4))
+    results = []
+    for combine in (lambda a, b, c: ad.add(a, b, c), lambda a, b, c: ad.add(ad.add(a, b), c)):
+        leaves = [ad.Tensor(t.copy(), requires_grad=True) for t in terms]
+        out = combine(*leaves)
+        tensor_sum(mul(out, ad.constant(weights))).backward()
+        results.append([out.data] + [t.grad for t in leaves])
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(*results))
+    assert results[0][0].tobytes() == ((terms[0] + terms[1]) + terms[2]).tobytes()
+
+    def f():
+        return scalar_loss(ad.add(*(ad.Tensor(t) for t in terms))).item()
+
+    leaves = [ad.Tensor(t, requires_grad=True) for t in terms]
+    scalar_loss(ad.add(*leaves)).backward()
+    for name, t, leaf in zip("abc", terms, leaves):
+        assert_grad_close(leaf.grad, finite_difference(f, t), f"add/{name}")
+
+
+def test_nary_add_of_one_term_is_that_term():
+    x = ad.Tensor(rng.normal(size=(2, 3)), requires_grad=True)
+    assert ad.add(x) is x
 
 
 def test_gather_rows_accumulates_duplicates():
     x = rng.normal(size=(5, 3))
     idx = np.array([0, 2, 2, 4])
     x_t = ad.Tensor(x, requires_grad=True)
-    scalar_loss(ad.gather_rows(x_t, idx)).backward()
-    numeric = finite_difference(lambda: scalar_loss(ad.gather_rows(ad.Tensor(x), idx)).item(), x)
+    scalar_loss(gather_rows(x_t, idx)).backward()
+    numeric = finite_difference(lambda: scalar_loss(gather_rows(ad.Tensor(x), idx)).item(), x)
     assert_grad_close(x_t.grad, numeric, "gather_rows")
 
 
@@ -98,7 +130,7 @@ def test_gather_rows_backward_equals_add_at(idx):
     x = rng.normal(size=(6, 3))
     idx = np.array(idx, dtype=np.int64)
     g = rng.normal(size=(idx.size, 3))
-    (grad,) = ad.gather_rows(ad.Tensor(x, requires_grad=True), idx)._backward(g)
+    (grad,) = gather_rows(ad.Tensor(x, requires_grad=True), idx)._backward(g)
     dense = np.zeros_like(x)
     ad.add_rows(dense, *grad)
     expected = np.zeros_like(x)
@@ -122,10 +154,10 @@ def test_concat_rows_gradient():
     a = rng.normal(size=(2, 3))
     b = rng.normal(size=(4, 3))
     a_t, b_t = ad.Tensor(a, requires_grad=True), ad.Tensor(b, requires_grad=True)
-    scalar_loss(ad.concat_rows([a_t, b_t])).backward()
+    scalar_loss(concat_rows([a_t, b_t])).backward()
 
     def f():
-        return scalar_loss(ad.concat_rows([ad.Tensor(a), ad.Tensor(b)])).item()
+        return scalar_loss(concat_rows([ad.Tensor(a), ad.Tensor(b)])).item()
 
     assert_grad_close(a_t.grad, finite_difference(f, a), "concat/a")
     assert_grad_close(b_t.grad, finite_difference(f, b), "concat/b")
@@ -158,10 +190,10 @@ def test_row_dot_gradient():
 def test_reused_tensor_accumulates_both_paths():
     x = rng.normal(size=(3, 3))
     x_t = ad.Tensor(x, requires_grad=True)
-    out = ad.add(ad.matmul(x_t, x_t), x_t)
+    out = ad.add(matmul(x_t, x_t), x_t)
     scalar_loss(out).backward()
     numeric = finite_difference(
-        lambda: scalar_loss(ad.add(ad.matmul(ad.Tensor(x), ad.Tensor(x)), ad.Tensor(x))).item(), x
+        lambda: scalar_loss(ad.add(matmul(ad.Tensor(x), ad.Tensor(x)), ad.Tensor(x))).item(), x
     )
     assert_grad_close(x_t.grad, numeric, "reuse")
 
@@ -228,12 +260,12 @@ def test_backward_requires_scalar():
 
 def test_matmul_shape_mismatch():
     with pytest.raises(ShapeError):
-        ad.matmul(ad.Tensor(np.ones((2, 3))), ad.Tensor(np.ones((2, 3))))
+        matmul(ad.Tensor(np.ones((2, 3))), ad.Tensor(np.ones((2, 3))))
 
 
 def test_no_graph_is_built_without_requires_grad():
     a = ad.Tensor(np.ones((2, 2)))
-    out = ad.matmul(a, a)
+    out = matmul(a, a)
     assert out._backward is None and out._parents == ()
 
 

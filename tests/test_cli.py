@@ -473,6 +473,24 @@ class TestConfigValidation:
         assert main(argv) == EXIT_CONFIG
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("discovered", [False, True])
+    @pytest.mark.parametrize("command", ["train", "sweep"])
+    def test_one_modality_with_cross_modal_loss_rejected_before_any_work(
+        self, data_dir, command, discovered, tmp_path, capsys
+    ):
+        # the sweep's first cell (lambda_hc = 0) would train on one modality
+        argv = [command, "--data-dir", str(data_dir), "--out-dir", str(tmp_path / "o")]
+        if discovered:
+            (data_dir / "features_text.bin").unlink()
+        else:
+            argv += ["--modalities", "image"]
+        if command == "sweep":
+            argv += ["--hyper-num-grid", "4", "--lambda-hc-grid", "0,1e-5",
+                     "--lambda-ghc-grid", "0.01"]
+        assert main(argv + FAST_TRAIN) == EXIT_CONFIG
+        assert ">= 2 modalities" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("threshold", ["0", "-1"])
     @pytest.mark.parametrize("source", ["flag", "file"])
     def test_cold_threshold_below_one_rejected_before_any_work(self, source, threshold, tmp_path,

@@ -201,21 +201,21 @@ class TestPropagate:
         graph = build_affinity_graph(feats, k=1)
         assert np.allclose(graph.toarray(), [[0.0, 1.0], [1.0, 0.0]])
         projected = ad.Tensor(np.array([[1.0, 0.0], [0.0, 1.0]]))
-        out = propagate_items([graph], [projected], np.arange(2)).data
+        out = propagate_items([graph], [projected], np.arange(2), 0).data
         assert np.allclose(out, [[0.0, 1.0], [1.0, 0.0]])
 
     def test_zero_rows_stay_zero(self):
         base = np.array([[1.0, 0.0], [-1.0, 0.0]])
         graph = build_affinity_graph(ModalityFeatures("image", base), k=1)
-        out = propagate_items([graph], [ad.Tensor(np.ones((2, 3)))], np.arange(2)).data
+        out = propagate_items([graph], [ad.Tensor(np.ones((2, 3)))], np.arange(2), 0).data
         assert np.allclose(out, 0.0)
 
     def test_two_identical_modalities_double(self):
         feats = ModalityFeatures("image", np.ones((3, 2)))
         graph = build_affinity_graph(feats, k=2)
         p = ad.Tensor(np.random.default_rng(2).normal(size=(3, 4)))
-        single = propagate_items([graph], [p], np.arange(3)).data
-        double = propagate_items([graph, graph], [p, p], np.arange(3)).data
+        single = propagate_items([graph], [p], np.arange(3), 0).data
+        double = propagate_items([graph, graph], [p, p], np.arange(3), 0).data
         assert np.allclose(double, 2.0 * single)
 
     def test_linear_in_projected_input(self):
@@ -224,15 +224,28 @@ class TestPropagate:
         x = rng.normal(size=(5, 2))
         y = rng.normal(size=(5, 2))
         rows = np.arange(5)
-        mixed = propagate_items([graph], [ad.Tensor(3.0 * x - y)], rows).data
-        apart = 3.0 * propagate_items([graph], [ad.Tensor(x)], rows).data - propagate_items(
-            [graph], [ad.Tensor(y)], rows
+        mixed = propagate_items([graph], [ad.Tensor(3.0 * x - y)], rows, 0).data
+        apart = 3.0 * propagate_items([graph], [ad.Tensor(x)], rows, 0).data - propagate_items(
+            [graph], [ad.Tensor(y)], rows, 0
         ).data
         assert np.allclose(mixed, apart, atol=1e-12)
+
+    def test_user_rows_lead_as_zeros(self):
+        rng = np.random.default_rng(4)
+        graph = build_affinity_graph(ModalityFeatures("image", rng.normal(size=(5, 3))), k=2)
+        rows = np.array([4, 0, 4])
+        p = ad.Tensor(rng.normal(size=(5, 2)), requires_grad=True)
+        out = propagate_items([graph], [p], rows, 3)
+        assert out.shape == (6, 2) and out.data[:3].tobytes() == np.zeros((3, 2)).tobytes()
+        items = propagate_items([graph], [ad.Tensor(p.data)], rows, 0).data
+        assert out.data[3:].tobytes() == items.tobytes()
+        g = rng.normal(size=(6, 2))
+        (grad,) = out._backward(g)
+        assert grad.tobytes() == (graph[rows].T @ g[3:]).tobytes()
 
     def test_shape_mismatch(self):
         graph = build_affinity_graph(ModalityFeatures("image", np.ones((3, 2))), k=1)
         with pytest.raises(ShapeError):
-            propagate_items([graph], [ad.Tensor(np.ones((4, 2)))], np.arange(3))
+            propagate_items([graph], [ad.Tensor(np.ones((4, 2)))], np.arange(3), 0)
         with pytest.raises(ShapeError):
-            propagate_items([graph], [], np.arange(3))
+            propagate_items([graph], [], np.arange(3), 0)

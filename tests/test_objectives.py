@@ -34,7 +34,9 @@ from mhcr.ui_graph import propagate_ui
 
 from oracles import (
     exp,
+    gather_rows,
     log,
+    matmul,
     mean,
     mul,
     row_dot,
@@ -52,7 +54,7 @@ LN2 = float(np.log(2.0))
 
 
 def _normalized_batch(embeddings, batch):
-    return row_normalize(ad.gather_rows(ad.as_tensor(embeddings), batch))
+    return row_normalize(gather_rows(ad.as_tensor(embeddings), batch))
 
 
 def tape_hyper_contrastive(per_modality, batch, tau):
@@ -63,7 +65,7 @@ def tape_hyper_contrastive(per_modality, batch, tau):
     for a, b in permutations(range(len(normalized)), 2):
         e_a, e_b = normalized[a], normalized[b]
         pos_term = exp(scale(row_dot(e_a, e_b), 1.0 / tau))
-        neg_term = tensor_sum(exp(scale(ad.matmul(e_a, transpose(e_b)), 1.0 / tau)), axis=1)
+        neg_term = tensor_sum(exp(scale(matmul(e_a, transpose(e_b)), 1.0 / tau)), axis=1)
         pos = pos_term if pos is None else pos + pos_term
         neg = neg_term if neg is None else neg + neg_term
     return mean(sub(log(neg), log(pos)))
@@ -74,7 +76,7 @@ def tape_graph_hyper_contrastive(e_graph, e_hyper, batch, tau):
     g = _normalized_batch(e_graph, batch)
     h = _normalized_batch(e_hyper, batch)
     pos = scale(row_dot(g, h), 1.0 / tau)
-    denom = tensor_sum(exp(scale(ad.matmul(g, transpose(h)), 1.0 / tau)), axis=1)
+    denom = tensor_sum(exp(scale(matmul(g, transpose(h)), 1.0 / tau)), axis=1)
     return mean(sub(log(denom), pos))
 
 
@@ -539,7 +541,8 @@ class TestOneTapeNode:
             assert self.tape_nodes([propagate_ui(views.adjacency, e0, layers, rows)], [e0]) == 1
         projected = [ad.Tensor(rng.normal(size=(6, 3)), requires_grad=True)
                      for _ in views.affinity]
-        assert self.tape_nodes([propagate_items(views.affinity, projected, rows)], projected) == 1
+        items = propagate_items(views.affinity, projected, rows, 2)
+        assert self.tape_nodes([items], projected) == 1
         feats = views.features[0]
         v = ad.Tensor(rng.normal(size=(2, feats.dim)), requires_grad=True)
         h_items = build_incidence(feats.matrix, v)
@@ -548,7 +551,10 @@ class TestOneTapeNode:
                                   np.random.default_rng(3), rows)
         assert self.tape_nodes([stacked], [h_items, projected[0]]) == 1
 
-    def test_full_model_step_records_21_nodes(self):
+    def test_full_model_step_records_19_nodes(self):
+        # the UI view; per modality a projection, an incidence and a pass;
+        # the item view; the hypergraph, graph and fused sums; four losses
+        # and their total
         ds, feats = generate_synthetic(SyntheticConfig(
             num_users=30, num_items=20, num_clusters=2, mean_interactions=4.0,
             modality_dims={"image": 5, "video": 4, "text": 3}, seed=2))
@@ -560,7 +566,7 @@ class TestOneTapeNode:
             views = build_views(ds, feats, cfg)
             params = init_parameters(cfg, ds.num_users, ds.num_items, views.modality_dims)
             result = forward(params, views, cfg, batch=batch, mode="train", rng=0)
-            assert self.tape_nodes([result.total]) == 21, hyper_steps
+            assert self.tape_nodes([result.total]) == 19, hyper_steps
 
 
 def test_breakdown_csv_fields():

@@ -1,8 +1,9 @@
 """Parameter init, negative sampling, the multi-view forward pass with
-view flags and loss weights, gradient correctness against finite differences, Adam, and
-the fit loop."""
+view flags and loss weights, the forward pass bit for bit against its
+generic-op tape, gradient correctness against finite differences, Adam,
+and the fit loop."""
 
-from dataclasses import replace
+from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
@@ -41,6 +42,7 @@ from mhcr.training import (
 )
 
 from conftest import assert_grad_close, finite_difference, micro_batch, micro_config, micro_dataset
+from oracles import tape_forward
 
 MASK_SEED = 1234
 
@@ -142,20 +144,21 @@ class TestForward:
         result = forward(params, views, cfg, batch=micro_batch(), mode="train", rng=MASK_SEED)
         assert result.breakdown.l_hc == 0.0
         assert result.breakdown.l_ghc == 0.0
-        assert np.allclose(result.e_h.data, 0.0)
+        assert result.e_h is None and result.hyper_stacks == []
 
     def test_disabling_one_view_leaves_others_bitwise_identical(self, micro):
         ds, _, cfg, views = micro
         params = make_params(cfg, ds, views)
         batch = micro_batch()
         full = forward(params, views, cfg, batch=batch, mode="train", rng=MASK_SEED)
-        for flag, others in (
-            ("use_ui", ("e_ii", "e_h")),
-            ("use_ii", ("e_ui", "e_h")),
-            ("use_hem", ("e_ui", "e_ii")),
+        for flag, off, others in (
+            ("use_ui", "e_ui", ("e_ii", "e_h")),
+            ("use_ii", "e_ii", ("e_ui", "e_h")),
+            ("use_hem", "e_h", ("e_ui", "e_ii")),
         ):
             ablated_cfg = micro_config(**{flag: False})
             ablated = forward(params, views, ablated_cfg, batch=batch, mode="train", rng=MASK_SEED)
+            assert getattr(ablated, off) is None, flag
             for view in others:
                 assert np.array_equal(
                     getattr(full, view).data, getattr(ablated, view).data
@@ -253,7 +256,8 @@ def full_node_losses(params, views, cfg, batch, num_users):
     if cfg.use_hem and cfg.lambda_hc > 0:
         l_hc = hyper_contrastive_loss(full.hyper_stacks, contrastive, cfg.tau)
     if cfg.use_hem and cfg.lambda_ghc > 0:
-        l_ghc = graph_hyper_contrastive_loss(full.e_ui + full.e_ii, full.e_h, contrastive, cfg.tau)
+        e_graph = ad.add(*(view for view in (full.e_ui, full.e_ii) if view is not None))
+        l_ghc = graph_hyper_contrastive_loss(e_graph, full.e_h, contrastive, cfg.tau)
     reg_nodes = np.concatenate([user_nodes, pos_nodes, neg_nodes])
     l_reg = embedding_l2(params.e0, reg_nodes)
     return total_loss(l_bpr, l_hc, l_ghc, l_reg, cfg.lambda_hc, cfg.lambda_ghc, cfg.lambda_reg)
@@ -311,6 +315,60 @@ class TestBatchRows:
             assert getattr(result, view).shape == (result.nodes.size, cfg.d), view
         eval_nodes = forward(make_params(cfg, ds, views), views, cfg, mode="eval").nodes
         assert np.array_equal(eval_nodes, np.arange(ds.num_users + ds.num_items))
+
+
+@pytest.fixture(scope="module")
+def three_modality_batch():
+    """40 users x 30 items with three modalities, their views and an
+    8-interaction batch."""
+    ds, feats = generate_synthetic(SyntheticConfig(
+        num_users=40, num_items=30, num_clusters=3, mean_interactions=5.0,
+        modality_dims={"image": 6, "video": 5, "text": 4}, seed=4,
+    ))
+    ds = split_dataset(ds, seed=4)
+    users, items = ds.split_pairs(TRAIN)
+    idx = np.random.default_rng(4).choice(users.size, size=8, replace=False)
+    negs = sample_negatives(ds, users[idx], np.random.default_rng(5), train_item_sets(ds))
+    views = build_views(ds, feats, micro_config())
+    return ds, views, Batch(users=users[idx], pos_items=items[idx], neg_items=negs)
+
+
+class TestAgainstGenericTape:
+    """`forward` against `oracles.tape_forward`, which builds the same model
+    from generic tape ops: matmul projections, the item view concatenated
+    under zero user rows, zero tensors for disabled views, two-term sums and
+    the UI gradient through the transposed adjacency. The fused rows, the
+    loss breakdown and every parameter gradient agree bit for bit."""
+
+    @pytest.mark.parametrize("drop_rate", [0.0, 0.5])
+    @pytest.mark.parametrize("hyper_steps", [1, 2])
+    @pytest.mark.parametrize("layers", [0, 2])
+    @pytest.mark.parametrize(
+        "variant", ["full", "wo-ui", "wo-ii", "wo-hem", "bpr-mf", "hem-only"]
+    )
+    def test_bitwise(self, three_modality_batch, variant, layers, hyper_steps, drop_rate):
+        ds, views, batch = three_modality_batch
+        cfg = micro_config(layers=layers, hyper_steps=hyper_steps, drop_rate=drop_rate,
+                           lambda_hc=0.3, lambda_ghc=0.3)
+        if variant == "hem-only":
+            cfg = replace(cfg, use_ui=False, use_ii=False)
+        else:
+            cfg = apply_variant(cfg, variant)
+        params = make_params(cfg, ds, views)
+        outs = []
+        for run in (forward, tape_forward):
+            result = run(params, views, cfg, batch=batch, mode="train", rng=MASK_SEED)
+            params.zero_grad()
+            result.total.backward()
+            outs.append(
+                [run(params, views, cfg, mode="eval").fused.data, result.fused.data,
+                 np.array(astuple(result.breakdown))]
+                + [t.grad for t in params.tensors().values()]
+            )
+        names = ["eval fused", "fused", "breakdown", *params.tensors()]
+        for name, got, expected in zip(names, *outs):
+            assert (got is None) == (expected is None), name
+            assert got is None or got.tobytes() == expected.tobytes(), name
 
 
 class TestGradients:

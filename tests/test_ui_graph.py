@@ -4,7 +4,14 @@ import numpy as np
 import pytest
 
 from mhcr import autodiff as ad
-from mhcr.dataio import TRAIN, TEST, InteractionDataset
+from mhcr.dataio import (
+    TEST,
+    TRAIN,
+    InteractionDataset,
+    SyntheticConfig,
+    generate_synthetic,
+    split_dataset,
+)
 from mhcr.errors import DataError, ShapeError
 from mhcr.ui_graph import build_norm_adjacency, propagate_ui
 
@@ -45,6 +52,20 @@ class TestBuildAdjacency:
         ds = make_ds(keys // 7, keys % 7, num_users=5, num_items=7)
         dense = build_norm_adjacency(ds).toarray()
         assert np.array_equal(dense, dense.T)
+
+    def test_csr_is_its_own_transpose_with_sorted_indices(self):
+        # the UI backward multiplies by A instead of A^T; both sum each row in
+        # the same order, bit for bit, only for such a matrix
+        ds = split_dataset(generate_synthetic(SyntheticConfig(
+            num_users=50, num_items=30, mean_interactions=4.0, seed=6))[0], seed=6)
+        adjacency = build_norm_adjacency(ds)
+        transposed = adjacency.T.tocsr()
+        for field in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(adjacency, field), getattr(transposed, field)), field
+        for start, stop in zip(adjacency.indptr[:-1], adjacency.indptr[1:]):
+            assert (np.diff(adjacency.indices[start:stop]) > 0).all()
+        g = np.random.default_rng(6).normal(size=(adjacency.shape[0], 3))
+        assert (adjacency @ g).tobytes() == (adjacency.T @ g).tobytes()
 
     def test_only_train_edges_contribute(self):
         ds = make_ds([0, 0], [0, 1], split=[TRAIN, TEST])

@@ -16,6 +16,8 @@ from mhcr.ui_graph import propagate_ui
 
 from conftest import assert_grad_close, finite_difference, micro_config, micro_dataset
 from oracles import (
+    concat_rows,
+    matmul,
     mul,
     per_broadcast_incidence,
     per_broadcast_pass,
@@ -97,7 +99,8 @@ class TestViewsAgainstTape:
         projected = [rng.normal(size=(g.shape[0], 5)) for g in graphs]
         rows = pick_rows(rows_case, graphs[0].shape[0], rng)
         outs = []
-        for propagate in (propagate_items, tape_propagate_items):
+        no_users = lambda *args: propagate_items(*args, 0)  # noqa: E731
+        for propagate in (no_users, tape_propagate_items):
             leaves = [leaf(p) for p in projected]
             out = propagate(graphs, leaves, rows)
             if not outs:
@@ -132,7 +135,7 @@ class TestViewsAgainstTape:
         ):
             v_t, w_t = leaf(v), leaf(w)
             h_items = incidence(feats, v_t)
-            state = ad.matmul(ad.constant(feats), w_t)
+            state = matmul(ad.constant(feats), w_t)
             stacked = run(h_items, state, x_rows, drop_rate, steps, np.random.default_rng(99),
                           item_rows)
             if not outs:
@@ -165,7 +168,7 @@ class TestPassAgainstPerBroadcastNodes:
         outs = []
         for one_node in (True, False):
             v_t, w_t = leaf(v), leaf(w)
-            projected = ad.matmul(ad.constant(feats), w_t)
+            projected = matmul(ad.constant(feats), w_t)
             mask_rng = np.random.default_rng(99)
             if one_node:
                 stacked = hypergraph_pass(build_incidence(feats, v_t), projected,
@@ -173,11 +176,11 @@ class TestPassAgainstPerBroadcastNodes:
                                           item_rows)
             else:
                 incidence = per_broadcast_incidence(feats, v_t, instance.x_u, user_rows)
-                stacked = ad.concat_rows(
+                stacked = concat_rows(
                     per_broadcast_pass(incidence, projected, drop_rate, steps, mask_rng,
                                        item_rows)
                 )
-            items = propagate_items(instance.affinity[:1], [projected], item_rows)
+            items = propagate_items(instance.affinity[:1], [projected], item_rows, 0)
             if not outs:
                 weights = rng.normal(size=items.shape), rng.normal(size=stacked.shape)
             (weighted_sum(items, weights[0]) + weighted_sum(stacked, weights[1])).backward()
@@ -222,12 +225,13 @@ class TestViewGradients:
         self.check(lambda t: [propagate_ui(views.adjacency, t["e0"], 2, rows)], {"e0": e0})
 
     def test_propagate_items(self, views):
+        # two zero user rows ahead of the items: the backward reads past them
         rng = np.random.default_rng(1)
         rows = np.array([5, 1, 1, 2])
         arrays = {f.modality: rng.normal(size=(6, 3)) for f in views.features}
         self.check(
             lambda t: [propagate_items(views.affinity, [t[f.modality] for f in views.features],
-                                       rows)],
+                                       rows, 2)],
             arrays,
         )
 
