@@ -58,6 +58,7 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_DATA = 3
 EXIT_NUMERIC = 4
+EXIT_MEMORY = 5
 
 ENV_OUTPUT_DIR = "MHCR_OUTPUT_DIR"
 
@@ -446,6 +447,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except MhcrError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
+    except MemoryError as exc:
+        print(f"memory error: {exc}", file=sys.stderr)
+        return EXIT_MEMORY
 
 
 if __name__ == "__main__":

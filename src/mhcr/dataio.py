@@ -50,7 +50,6 @@ class InteractionDataset:
     users: np.ndarray
     items: np.ndarray
     split: np.ndarray | None = None
-    num_duplicates: int = 0
     num_dropped_users: int = 0
 
     def __post_init__(self):
@@ -209,7 +208,7 @@ def _line_of_row(path: Path, layout: str, row: int) -> int:
 def load_interactions(path: str | Path) -> InteractionDataset:
     """Read a UTF-8 TSV of `user<TAB>item` integer pairs (no header).
 
-    Duplicate pairs are dropped (first occurrence kept) and counted.
+    Duplicate pairs are dropped (first occurrence kept) with a warning that counts them.
     """
     path = Path(path)
     if not path.exists():
@@ -232,7 +231,7 @@ def load_interactions(path: str | Path) -> InteractionDataset:
     if dup_count:
         log.warning("%s: dropped %d duplicate interaction(s)", path, dup_count)
         u_arr, i_arr = u_arr[first], i_arr[first]
-    return InteractionDataset(num_users, num_items, u_arr, i_arr, num_duplicates=dup_count)
+    return InteractionDataset(num_users, num_items, u_arr, i_arr)
 
 
 def save_interactions(ds: InteractionDataset, path: str | Path) -> None:
@@ -298,7 +297,6 @@ def split_dataset(
         ds.users[keep],
         ds.items[keep],
         split=split[keep],
-        num_duplicates=ds.num_duplicates,
         num_dropped_users=dropped_users,
     )
 

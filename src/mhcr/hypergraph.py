@@ -18,11 +18,11 @@ ids and the rows of X_u of its users, evaluation every row), and only
 those rows of H_u, of the final broadcast and of its dropout masks are
 computed.
 
-On the tape, H_i is one node, and so is the whole pass (every step, H_u
-and both final broadcasts), returning the stacked (user; item) rows. Its
-backward sweeps the steps in reverse with the product rule through every
-mask, summing H_i's gradient terms in the order of a tape with H_u and
-each broadcast as nodes of their own.
+On the tape, the whole pass (H_i, every step, H_u and both final
+broadcasts) is one node, a child of V_m, returning the stacked (user;
+item) rows. Its backward sweeps the steps in reverse with the product rule
+through every mask, sums H_i's gradient terms in the order of a tape with
+H_i, H_u and each broadcast as nodes, and hands V_m (F_m^T g_H)^T.
 """
 
 from __future__ import annotations
@@ -34,18 +34,15 @@ from . import autodiff as ad
 from .errors import ConfigError, ShapeError
 
 
-def build_incidence(features: np.ndarray, v_m) -> ad.Tensor:
+def build_incidence(features: np.ndarray, v_m: np.ndarray) -> np.ndarray:
     """H_i = F_m @ V_m^T, the incidence of every item for one modality. No
     nonlinearity applied."""
     features = np.asarray(features, dtype=np.float64)
-    v_m = ad.as_tensor(v_m)
     if features.ndim != 2 or v_m.ndim != 2:
         raise ShapeError("features and hyperedge matrix must be 2-D")
     if features.shape[1] != v_m.shape[1]:
-        raise ShapeError(
-            f"feature width {features.shape[1]} != hyperedge width {v_m.shape[1]}"
-        )
-    return ad.custom_op(features @ v_m.data.T, (v_m,), lambda g: ((features.T @ g).T,))
+        raise ShapeError(f"feature width {features.shape[1]} != hyperedge width {v_m.shape[1]}")
+    return features @ v_m.T
 
 
 def _mask(shape: tuple[int, ...], rate: float, rng: np.random.Generator):
@@ -78,10 +75,11 @@ def _pool_spread(h: np.ndarray, state: np.ndarray, targets: np.ndarray, rate: fl
     return dropped_targets @ pooled, vjp
 
 
-def hypergraph_pass(h_items: ad.Tensor, e_items, x_rows: sp.spmatrix, drop_rate: float,
-                    steps: int, rng: np.random.Generator, item_rows: np.ndarray) -> ad.Tensor:
+def hypergraph_pass(features: np.ndarray, v_m: ad.Tensor, e_items, x_rows: sp.spmatrix,
+                    drop_rate: float, steps: int, rng: np.random.Generator,
+                    item_rows: np.ndarray) -> ad.Tensor:
     """Run `steps` rounds of hyperedge pooling and broadcasting over the
-    incidence H_i that `build_incidence` returns, as one tape node.
+    incidence H_i = `build_incidence(features, v_m)`, as one tape node.
 
     Earlier steps update only the item state, over every item. The final
     step also computes the user update from the same incoming item state
@@ -97,8 +95,9 @@ def hypergraph_pass(h_items: ad.Tensor, e_items, x_rows: sp.spmatrix, drop_rate:
     if not 0.0 <= drop_rate < 1.0:
         raise ConfigError("drop_rate must be in [0, 1)")
 
-    h = h_items.data
-    e_items = ad.as_tensor(e_items)
+    features = np.asarray(features, dtype=np.float64)
+    v_m, e_items = ad.as_tensor(v_m), ad.as_tensor(e_items)
+    h = build_incidence(features, v_m.data)
     num_items = h.shape[0]
     if e_items.shape[0] != num_items:
         raise ShapeError(f"item state rows {e_items.shape[0]} != incidence rows {num_items}")
@@ -124,13 +123,13 @@ def hypergraph_pass(h_items: ad.Tensor, e_items, x_rows: sp.spmatrix, drop_rate:
         if not earlier:
             # two parent entries: the state adds each in turn into the
             # gradient it already holds (the item-graph view's)
-            return g_h, g_state_users, g_state_items
+            return (features.T @ g_h).T, g_state_users, g_state_items
         g_state = g_state_users + g_state_items
         for vjp in reversed(earlier):
             g_targets, g_pool, g_state = vjp(g_state)
             g_h += g_targets
             g_h += g_pool
-        return g_h, g_state
+        return (features.T @ g_h).T, g_state
 
-    parents = (h_items, e_items, e_items) if steps == 1 else (h_items, e_items)
+    parents = (v_m, e_items, e_items) if steps == 1 else (v_m, e_items)
     return ad.custom_op(np.concatenate([e_users, e_next]), parents, backward)

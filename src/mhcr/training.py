@@ -16,7 +16,7 @@ from . import autodiff as ad
 from . import evaluation
 from .dataio import MODALITIES, TRAIN, InteractionDataset, ModalityFeatures, validate_features
 from .errors import ConfigError, NumericError
-from .hypergraph import build_incidence, hypergraph_pass
+from .hypergraph import build_incidence, hypergraph_pass  # perfbench traces build_incidence
 from .item_graph import build_affinity_graph, propagate_items
 from .objectives import (
     LossBreakdown,
@@ -381,8 +381,8 @@ def forward(
 
     A view whose flag is off is not computed and is left out of the sums,
     without touching the remaining views' computations. A contrastive loss
-    is computed only when the hypergraph view is on and its weight is
-    positive; otherwise it is 0.0.
+    is 0.0 unless its weight is positive and the hypergraph view is on; the
+    graph-hypergraph loss also needs a graph view.
     """
     if mode not in ("train", "eval"):
         raise ConfigError(f"mode must be 'train' or 'eval', got {mode!r}")
@@ -415,9 +415,9 @@ def forward(
         drop = cfg.drop_rate if train_mode else 0.0
         x_rows = views.x_u[user_rows]
         for feats in views.features:
-            h_items = build_incidence(feats.matrix, params.named[f"V_{feats.modality}"])
             hyper_stacks.append(hypergraph_pass(
-                h_items, projected[feats.modality], x_rows, drop, cfg.hyper_steps, rng, item_rows
+                feats.matrix, params.named[f"V_{feats.modality}"], projected[feats.modality],
+                x_rows, drop, cfg.hyper_steps, rng, item_rows
             ))
         e_h = ad.add(*hyper_stacks)
 
@@ -438,9 +438,8 @@ def forward(
     l_hc = l_ghc = 0.0
     if cfg.use_hem and cfg.lambda_hc > 0:
         l_hc = hyper_contrastive_loss(hyper_stacks, contrastive_local, cfg.tau)
-    if cfg.use_hem and cfg.lambda_ghc > 0:
-        graph_side = np.zeros(e_h.shape) if e_graph is None else e_graph
-        l_ghc = graph_hyper_contrastive_loss(graph_side, e_h, contrastive_local, cfg.tau)
+    if cfg.use_hem and cfg.lambda_ghc > 0 and e_graph is not None:
+        l_ghc = graph_hyper_contrastive_loss(e_graph, e_h, contrastive_local, cfg.tau)
     l_reg = embedding_l2(params.e0, nodes[local])
 
     result.total, result.breakdown = total_loss(

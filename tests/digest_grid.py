@@ -1,0 +1,161 @@
+"""Digests of a fixed grid of tiny fits, so a change can show which numbers
+it keeps and which it moves.
+
+Every config of the grid (the 7 variant presets plus hem-only and ii-only,
+x `layers` {0, 2, 3} x `hyper_steps` {1, 2, 3} x `drop_rate` {0, 0.5},
+deduplicated: bpr-mf fixes `layers` to 0, so 150 configs) is fit on one
+70-user x 45-item synthetic set and gets two digests:
+
+- "model": the trained parameters, the eval-mode embeddings and the VAL
+  and TEST report JSON;
+- "losses": the per-epoch loss parts and validation Recall@20.
+
+A change that moves only the reported losses thus shows in "losses" alone.
+One fixed-seed `mhcr train` run also hashes its `checkpoint.bin`,
+`training_log.csv`, `eval_val.json` and `split.tsv`.
+
+Digests depend on the numpy and BLAS builds, so compare them only between
+runs on one host. The script calls only `fit`, `build_views`,
+`compute_embeddings`, `evaluate` and the CLI's `main`, so it also runs
+against another checkout:
+
+    PYTHONPATH=/path/to/parent/src python tests/digest_grid.py --out parent.json
+    PYTHONPATH=src python tests/digest_grid.py --out change.json --compare parent.json
+
+`--compare` lists, per digest kind, the configs whose digests differ, and
+exits 1 if any do.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import hashlib
+import io
+import itertools
+import json
+import sys
+import tempfile
+from dataclasses import astuple, replace
+from pathlib import Path
+
+import numpy as np
+
+from mhcr.cli import main as mhcr_main
+from mhcr.dataio import VAL, SyntheticConfig, generate_synthetic, split_dataset
+from mhcr.evaluation import evaluate
+from mhcr.training import VARIANT_PRESETS, TrainConfig, build_views, compute_embeddings, fit
+
+DATA = SyntheticConfig(num_users=70, num_items=45, num_clusters=4, seed=3)
+BASE = TrainConfig(d=6, k_hyper=5, k_knn=4, batch_size=48, max_epochs=2, patience=2, seed=1)
+EXTRA_VARIANTS = {
+    "hem-only": {"use_ui": False, "use_ii": False},
+    "ii-only": {"use_ui": False, "use_hem": False},
+}
+LAYERS, HYPER_STEPS, DROP_RATES = (0, 2, 3), (1, 2, 3), (0.0, 0.5)
+KINDS = ("model", "losses")
+CLI_FILES = ("checkpoint.bin", "training_log.csv", "eval_val.json", "split.tsv")
+
+
+def grid() -> dict[str, TrainConfig]:
+    """Name -> config, each distinct config once, named by its variant and
+    its effective `layers`, `hyper_steps` and `drop_rate`."""
+    configs: dict[str, TrainConfig] = {}
+    variants = {**VARIANT_PRESETS, **EXTRA_VARIANTS}
+    for variant, layers, steps, drop in itertools.product(variants, LAYERS, HYPER_STEPS,
+                                                          DROP_RATES):
+        grid_values = {"layers": layers, "hyper_steps": steps, "drop_rate": drop}
+        cfg = replace(BASE, **{**grid_values, **variants[variant]})
+        if cfg not in configs.values():
+            name = f"{variant}/layers={cfg.layers}/hyper_steps={steps}/drop_rate={drop}"
+            configs[name] = cfg
+    return configs
+
+
+def dataset():
+    ds, features = generate_synthetic(DATA)
+    return split_dataset(ds, seed=DATA.seed), features
+
+
+def config_digests(ds, features, cfg: TrainConfig) -> dict[str, str]:
+    """The "model" and "losses" digests of one fit."""
+    result = fit(ds, features, cfg)
+    model = hashlib.sha256()
+    for name, tensor in result.params.tensors().items():
+        model.update(name.encode())
+        model.update(np.ascontiguousarray(tensor.data).tobytes())
+    user_emb, item_emb = compute_embeddings(result.params, build_views(ds, features, cfg), cfg)
+    model.update(user_emb.tobytes())
+    model.update(item_emb.tobytes())
+    for report in (evaluate(user_emb, item_emb, ds, target_split=VAL),
+                   evaluate(user_emb, item_emb, ds)):
+        model.update(report.to_json().encode())
+    losses = [list(astuple(e.loss)) + [e.val_recall20] for e in result.epochs]
+    return {
+        "model": model.hexdigest(),
+        "losses": hashlib.sha256(np.array(losses, dtype=np.float64).tobytes()).hexdigest(),
+    }
+
+
+def cli_digests() -> dict[str, str]:
+    """sha256 of each output file of one fixed-seed `mhcr train` run."""
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()):
+        data, out = Path(tmp) / "data", Path(tmp) / "run"
+        generate = ["generate", "--out-dir", str(data), "--num-users", "120", "--num-items",
+                    "50", "--num-clusters", "4", "--seed", "5"]
+        train = ["train", "--data-dir", str(data), "--out-dir", str(out), "--d", "8",
+                 "--k-hyper", "4", "--k-knn", "3", "--batch-size", "64", "--max-epochs", "3",
+                 "--seed", "5"]
+        for argv in (generate, train):
+            if mhcr_main(argv) != 0:
+                raise RuntimeError(f"mhcr {argv[0]} failed")
+        return {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in CLI_FILES}
+
+
+def collect() -> dict:
+    ds, features = dataset()
+    return {
+        "numpy": np.__version__,
+        "configs": {name: config_digests(ds, features, cfg) for name, cfg in grid().items()},
+        "cli": cli_digests(),
+    }
+
+
+def compare(ours: dict, theirs: dict) -> dict[str, list[str]]:
+    """Per digest kind, the configs (or CLI files) whose digests differ or
+    that only one side has."""
+    differ = {}
+    for kind in KINDS:
+        names = sorted(ours["configs"].keys() | theirs["configs"].keys())
+        differ[kind] = [
+            n for n in names
+            if ours["configs"].get(n, {}).get(kind) != theirs["configs"].get(n, {}).get(kind)
+        ]
+    differ["cli"] = [n for n in CLI_FILES if ours["cli"].get(n) != theirs["cli"].get(n)]
+    return differ
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--out", required=True, help="JSON file to write the digests to")
+    parser.add_argument("--compare", help="digest JSON of another run to compare with")
+    args = parser.parse_args(argv)
+    digests = collect()
+    Path(args.out).write_text(json.dumps(digests, indent=1, sort_keys=True) + "\n")
+    print(f"{len(digests['configs'])} configs, {len(digests['cli'])} CLI files -> {args.out}")
+    if not args.compare:
+        return 0
+    theirs = json.loads(Path(args.compare).read_text())
+    if theirs.get("numpy") != digests["numpy"]:
+        print(f"warning: numpy {theirs.get('numpy')} there, {digests['numpy']} here")
+    differ = compare(digests, theirs)
+    for kind, names in differ.items():
+        count = len(CLI_FILES) if kind == "cli" else len(digests["configs"])
+        print(f"{kind}: {len(names)} of {count} differ")
+        for name in names:
+            print(f"  {name}")
+    return 1 if any(differ.values()) else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

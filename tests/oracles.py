@@ -2,13 +2,14 @@
 package because no program path runs it: the generic tape ops (`zeros`,
 `matmul`, `gather_rows`, `concat_rows` and the elementwise ones), the
 op-by-op tape composition of the three views and of the BPR and L2
-objectives that their single-node versions must reproduce, the forward
-pass assembled from those generic ops (`tape_forward`) that the
-model-node forward must reproduce bit for bit, the hypergraph pass with
-one node per broadcast whose gradient bits the one-node pass must
-reproduce, the user-by-user split that the whole-array `split_dataset`
-must reproduce, and the user-by-user ranking and metrics that the block
-`evaluate` must reproduce byte for byte."""
+objectives that their single-node versions must reproduce, the
+hypergraph view with H_i, H_u and each broadcast as nodes of their own,
+whose output and gradient bits the one-node pass (which builds H_i from
+V_m itself) must reproduce, the forward pass assembled from those generic
+ops and that per-broadcast view (`tape_forward`) that the model-node
+forward must reproduce bit for bit, the user-by-user split that the
+whole-array `split_dataset` must reproduce, and the user-by-user ranking
+and metrics that the block `evaluate` must reproduce byte for byte."""
 
 from __future__ import annotations
 
@@ -20,7 +21,6 @@ from mhcr import training
 from mhcr.dataio import TEST, TRAIN, VAL, InteractionDataset, cold_start_users
 from mhcr.errors import ConfigError, ShapeError
 from mhcr.evaluation import SLICE_ALL, SLICE_COLD, EvalReport, MetricRecord
-from mhcr.hypergraph import build_incidence, hypergraph_pass
 from mhcr.objectives import (
     bpr_loss,
     embedding_l2,
@@ -320,8 +320,11 @@ def tape_forward(params, views, cfg, batch=None, mode="train", rng=None):
     """`training.forward` assembled from generic ops: `matmul` projections,
     the item view as `concat_rows` of zero user rows and the item rows, a
     zero tensor for each disabled view, two-term adds for every sum,
-    `transposed_propagate_ui` for the UI view and `propagate_item_rows` for
-    the item rows."""
+    `transposed_propagate_ui` for the UI view, `propagate_item_rows` for
+    the item rows, and each modality's hypergraph view as the H_i and H_u
+    nodes of `per_broadcast_incidence`, one node per broadcast
+    (`per_broadcast_pass`) and a `concat_rows` of its (user; item) rows.
+    The graph-hypergraph loss is computed only with a graph view on."""
     train_mode = mode == "train"
     num_users, num_items, d = params.num_users, params.num_items, params.d
     if train_mode:
@@ -354,12 +357,13 @@ def tape_forward(params, views, cfg, batch=None, mode="train", rng=None):
         if not isinstance(rng, np.random.Generator):
             rng = np.random.default_rng(rng)
         drop = cfg.drop_rate if train_mode else 0.0
-        x_rows = views.x_u[user_rows]
         for feats in views.features:
-            h_items = build_incidence(feats.matrix, params.named[f"V_{feats.modality}"])
-            hyper_stacks.append(hypergraph_pass(
-                h_items, projected[feats.modality], x_rows, drop, cfg.hyper_steps, rng, item_rows
-            ))
+            incidence = per_broadcast_incidence(
+                feats.matrix, params.named[f"V_{feats.modality}"], views.x_u, user_rows
+            )
+            hyper_stacks.append(concat_rows(per_broadcast_pass(
+                incidence, projected[feats.modality], drop, cfg.hyper_steps, rng, item_rows
+            )))
         e_h = hyper_stacks[0]
         for stack in hyper_stacks[1:]:
             e_h = ad.add(e_h, stack)
@@ -380,7 +384,7 @@ def tape_forward(params, views, cfg, batch=None, mode="train", rng=None):
     l_hc = l_ghc = 0.0
     if cfg.use_hem and cfg.lambda_hc > 0:
         l_hc = hyper_contrastive_loss(hyper_stacks, contrastive_local, cfg.tau)
-    if cfg.use_hem and cfg.lambda_ghc > 0:
+    if cfg.use_hem and cfg.lambda_ghc > 0 and (cfg.use_ui or cfg.use_ii):
         l_ghc = graph_hyper_contrastive_loss(e_graph, e_h, contrastive_local, cfg.tau)
     l_reg = embedding_l2(params.e0, nodes[local])
     result.total, result.breakdown = total_loss(
@@ -417,8 +421,7 @@ def split_by_user(ds: InteractionDataset, ratios, seed: int) -> InteractionDatas
         split[rows[n_train + n_val:]] = TEST
     keep = ~drop
     return InteractionDataset(ds.num_users, ds.num_items, ds.users[keep], ds.items[keep],
-                              split=split[keep], num_duplicates=ds.num_duplicates,
-                              num_dropped_users=dropped_users)
+                              split=split[keep], num_dropped_users=dropped_users)
 
 
 def rank_items(scores: np.ndarray, excluded, k: int) -> np.ndarray:

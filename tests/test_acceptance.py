@@ -106,9 +106,10 @@ def test_propagation_oracles():
     h_u = x_u @ h_i
     state = rng.normal(size=(9, 3))
     for steps in (1, 2, 3):
+        # features I and hyperedges H_i^T give the incidence I @ H_i = H_i
         stacked = hypergraph_pass(
-            ad.Tensor(h_i), state, sp.csr_matrix(x_u), 0.0, steps, np.random.default_rng(0),
-            np.arange(9),
+            np.eye(9), ad.Tensor(h_i.T), state, sp.csr_matrix(x_u), 0.0, steps,
+            np.random.default_rng(0), np.arange(9),
         ).data
         e_users, e_items = stacked[:5], stacked[5:]
         expected_items = state.copy()
@@ -214,14 +215,14 @@ def test_metric_oracle():
 
 def test_dropout_unbiasedness_10k_draws():
     rng = np.random.default_rng(5)
-    h_i = ad.Tensor(rng.normal(size=(3, 2)))
+    h_i = rng.normal(size=(3, 2))
     x_u = sp.csr_matrix(np.array([[1.0, 1.0, 0.0], [0.0, 1.0, 1.0]]))
     state = rng.normal(size=(3, 1))
     every_item = np.arange(3)
 
     def run(drop_rate, seed):  # the user rows, then the item rows
-        return hypergraph_pass(h_i, state, x_u, drop_rate, 1, np.random.default_rng(seed),
-                               every_item).data
+        return hypergraph_pass(np.eye(3), ad.Tensor(h_i.T), state, x_u, drop_rate, 1,
+                               np.random.default_rng(seed), every_item).data
 
     exact = run(0.0, 0)
     draws = 10_000

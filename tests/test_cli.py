@@ -16,6 +16,7 @@ from mhcr.checkpoint import load_checkpoint
 from mhcr.cli import (
     EXIT_CONFIG,
     EXIT_DATA,
+    EXIT_MEMORY,
     _combined_report,
     _train_config,
     build_parser,
@@ -126,6 +127,16 @@ class TestTrain:
 
     def test_bad_ratio_flag(self, data_dir, tmp_path):
         assert run_train(data_dir, tmp_path / "x", ["--split-ratios", "0.5,0.5"]) == EXIT_CONFIG
+
+    def test_out_of_memory_is_a_typed_exit(self, data_dir, tmp_path, monkeypatch, capsys):
+        # numpy's _ArrayMemoryError is a MemoryError; no real allocation fails here
+        def out_of_memory(*args, **kwargs):
+            raise MemoryError("Unable to allocate 7.45 TiB for an array")
+
+        monkeypatch.setattr(cli, "fit", out_of_memory)
+        assert run_train(data_dir, tmp_path / "x") == EXIT_MEMORY == 5
+        err = capsys.readouterr().err
+        assert err.startswith("memory error: Unable to allocate") and "Traceback" not in err
 
 
 class TestAblate:

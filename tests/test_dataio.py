@@ -1,5 +1,6 @@
 """Dataset loading, splitting, synthesis, cold-start slicing, and file formats."""
 
+import logging
 import tempfile
 from pathlib import Path
 
@@ -45,10 +46,11 @@ class TestLoadInteractions:
         assert len(ds) == 3
         assert ds.users.tolist() == [0, 0, 1] and ds.items.tolist() == [0, 1, 0]
 
-    def test_duplicates_counted(self, tmp_path):
-        ds = load_interactions(write(tmp_path, "0\t0\n0\t0\n"))
-        assert len(ds) == 1
-        assert ds.num_duplicates == 1
+    def test_duplicates_counted(self, tmp_path, caplog):
+        with caplog.at_level(logging.WARNING, logger="mhcr.dataio"):
+            ds = load_interactions(write(tmp_path, "0\t0\n0\t0\n0\t1\n0\t1\n0\t1\n"))
+        assert len(ds) == 2
+        assert "dropped 3 duplicate interaction(s)" in caplog.text
 
     def test_malformed_line_names_lineno(self, tmp_path):
         with pytest.raises(ParseError, match=":1"):

@@ -18,56 +18,71 @@ def seeded(seed: int) -> np.random.Generator:
     return np.random.default_rng(seed)
 
 
+def pass_over(h_i, state, x, drop_rate, steps, rng, item_rows):
+    """The pass over a given incidence H_i: features I and hyperedges
+    H_i^T, so that I @ H_i is H_i exactly."""
+    h_i = np.asarray(h_i, dtype=np.float64)
+    return hypergraph_pass(np.eye(len(h_i)), ad.Tensor(h_i.T), state, x, drop_rate, steps, rng,
+                           item_rows)
+
+
 def run_pass(h_i, x, state, drop_rate, steps, rng, item_rows=None):
     """The pass over every user of `x` and `item_rows` (default: every
     item), split into its (user, item) rows."""
     x = sp.csr_matrix(x, dtype=np.float64)
     item_rows = np.arange(len(h_i)) if item_rows is None else item_rows
-    stacked = hypergraph_pass(ad.Tensor(h_i), state, x, drop_rate, steps, rng, item_rows).data
+    stacked = pass_over(h_i, state, x, drop_rate, steps, rng, item_rows).data
     return stacked[:x.shape[0]], stacked[x.shape[0]:]
 
 
 class TestBuildIncidence:
     def test_zero_hyperedges_give_zero_incidence(self):
         features = np.ones((3, 2))
-        h_items = build_incidence(features, ad.Tensor(np.zeros((4, 2))))
-        assert np.allclose(h_items.data, 0.0)
-        e_users, e_items = run_pass(h_items.data, np.ones((2, 3)), np.ones((3, 2)), 0.0, 1,
-                                    seeded(0))
+        h_items = build_incidence(features, np.zeros((4, 2)))
+        assert np.allclose(h_items, 0.0)
+        e_users, e_items = run_pass(h_items, np.ones((2, 3)), np.ones((3, 2)), 0.0, 1, seeded(0))
         assert np.allclose(e_users, 0.0) and np.allclose(e_items, 0.0)
 
     def test_scalar_chain(self):
         # 1 item with feature [2], 1 hyperedge with weight [3], 1 user with X=[1]:
         # H_i = H_u = 6, so one pass maps state 1 to 6 * 6 * 1 for both
-        h_items = build_incidence(np.array([[2.0]]), ad.Tensor(np.array([[3.0]])))
-        assert np.allclose(h_items.data, [[6.0]])
-        e_users, e_items = run_pass(h_items.data, [[1.0]], np.array([[1.0]]), 0.0, 1, seeded(0))
+        h_items = build_incidence(np.array([[2.0]]), np.array([[3.0]]))
+        assert np.allclose(h_items, [[6.0]])
+        e_users, e_items = run_pass(h_items, [[1.0]], np.array([[1.0]]), 0.0, 1, seeded(0))
         assert np.allclose(e_users, [[36.0]]) and np.allclose(e_items, [[36.0]])
 
     def test_user_without_interactions_has_zero_row(self):
-        h_items = build_incidence(np.ones((2, 3)), ad.Tensor(np.ones((2, 3))))
+        h_items = build_incidence(np.ones((2, 3)), np.ones((2, 3)))
         x_u = np.array([[1.0, 1.0], [0.0, 0.0]])
-        e_users, _ = run_pass(h_items.data, x_u, np.ones((2, 2)), 0.0, 1, seeded(0))
+        e_users, _ = run_pass(h_items, x_u, np.ones((2, 2)), 0.0, 1, seeded(0))
         assert np.allclose(e_users[1], 0.0)
         assert not np.allclose(e_users[0], 0.0)
 
     def test_shape_mismatch(self):
         with pytest.raises(ShapeError):
-            build_incidence(np.ones((2, 3)), ad.Tensor(np.ones((2, 4))))
-        h_items = build_incidence(np.ones((2, 3)), ad.Tensor(np.ones((2, 3))))
+            build_incidence(np.ones((2, 3)), np.ones((2, 4)))
+        with pytest.raises(ShapeError):  # the pass builds the same incidence
+            hypergraph_pass(np.ones((2, 3)), ad.Tensor(np.ones((2, 4))), np.ones((2, 2)),
+                            sp.csr_matrix((1, 2)), 0.0, 1, seeded(0), np.array([0]))
         with pytest.raises(ShapeError):  # X_u has 5 item columns, H_i 2 rows
-            hypergraph_pass(h_items, np.ones((2, 2)), sp.csr_matrix((1, 5)), 0.0, 1, seeded(0),
-                            np.array([0]))
+            hypergraph_pass(np.ones((2, 3)), ad.Tensor(np.ones((2, 3))), np.ones((2, 2)),
+                            sp.csr_matrix((1, 5)), 0.0, 1, seeded(0), np.array([0]))
 
     def test_bilinear_in_features_and_hyperedges(self):
         rng = np.random.default_rng(0)
         features = rng.normal(size=(3, 4))
         v = rng.normal(size=(2, 4))
-        base = build_incidence(features, ad.Tensor(v)).data
-        doubled_f = build_incidence(2.0 * features, ad.Tensor(v)).data
-        doubled_v = build_incidence(features, ad.Tensor(3.0 * v)).data
+        base = build_incidence(features, v)
+        doubled_f = build_incidence(2.0 * features, v)
+        doubled_v = build_incidence(features, 3.0 * v)
         assert np.allclose(doubled_f, 2.0 * base)
         assert np.allclose(doubled_v, 3.0 * base)
+
+    def test_returns_a_plain_array(self):
+        # the incidence is no tape node: the pass that reads it owns V_m
+        v = ad.Tensor(np.ones((2, 3)), requires_grad=True)
+        h_items = build_incidence(np.ones((4, 3)), v.data)
+        assert type(h_items) is np.ndarray and h_items.shape == (4, 2)
 
 
 class TestPass:
@@ -86,9 +101,9 @@ class TestPass:
 
     def test_returns_user_rows_then_item_rows(self):
         h_i = np.array([[1.0], [2.0]])
-        stacked = hypergraph_pass(ad.Tensor(h_i), np.array([[1.0], [1.0]]),
-                                  sp.csr_matrix([[0.0, 1.0], [1.0, 1.0]]), 0.0, 1, seeded(0),
-                                  np.array([1, 0, 1]))
+        stacked = pass_over(h_i, np.array([[1.0], [1.0]]),
+                            sp.csr_matrix([[0.0, 1.0], [1.0, 1.0]]), 0.0, 1, seeded(0),
+                            np.array([1, 0, 1]))
         # pooled = H_i^T E = 3; users H_u = (2, 3), items H_i[[1, 0, 1]] = (2, 1, 2)
         assert np.array_equal(stacked.data, 3.0 * np.array([[2.0], [3.0], [2.0], [1.0], [2.0]]))
 
@@ -109,7 +124,7 @@ class TestPass:
 
     def test_selected_rows_match_all_rows_without_dropout(self):
         rng = np.random.default_rng(6)
-        h_i = build_incidence(rng.normal(size=(7, 3)), ad.Tensor(rng.normal(size=(4, 3)))).data
+        h_i = build_incidence(rng.normal(size=(7, 3)), rng.normal(size=(4, 3)))
         x_u = sp.csr_matrix((rng.random((5, 7)) < 0.4).astype(float))
         state = rng.normal(size=(7, 2))
         user_rows, item_rows = np.array([0, 3, 4]), np.array([1, 2, 6])
@@ -148,14 +163,14 @@ class TestPass:
             assert (np.abs(mean - exact) <= 3.0 * stderr).all()
 
     def test_invalid_arguments(self):
-        h_i, x_u, every_item = ad.Tensor(np.ones((2, 2))), sp.csr_matrix(np.ones((1, 2))), [0, 1]
+        h_i, x_u, every_item = np.ones((2, 2)), sp.csr_matrix(np.ones((1, 2))), [0, 1]
         with pytest.raises(ConfigError):
-            hypergraph_pass(h_i, np.ones((2, 2)), x_u, 0.0, 0, seeded(0), every_item)
+            pass_over(h_i, np.ones((2, 2)), x_u, 0.0, 0, seeded(0), every_item)
         for drop_rate in (1.0, 1.5, -0.1):
             with pytest.raises(ConfigError):
-                hypergraph_pass(h_i, np.ones((2, 2)), x_u, drop_rate, 1, seeded(0), every_item)
+                pass_over(h_i, np.ones((2, 2)), x_u, drop_rate, 1, seeded(0), every_item)
         with pytest.raises(ShapeError):
-            hypergraph_pass(h_i, np.ones((3, 2)), x_u, 0.0, 1, seeded(0), every_item)
+            pass_over(h_i, np.ones((3, 2)), x_u, 0.0, 1, seeded(0), every_item)
 
 
 def hyper_view(features, edit=None):

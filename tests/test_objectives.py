@@ -8,6 +8,7 @@ cross-modal loss and -ln(e^5 / (e^5 + 1)) for the diagonal instance of
 the graph-hypergraph loss.
 """
 
+from dataclasses import replace
 from itertools import permutations
 
 import numpy as np
@@ -19,7 +20,7 @@ from scipy.special import logsumexp
 from mhcr import autodiff as ad
 from mhcr.dataio import TRAIN, SyntheticConfig, generate_synthetic, split_dataset
 from mhcr.errors import ConfigError, DataError
-from mhcr.hypergraph import build_incidence, hypergraph_pass
+from mhcr.hypergraph import hypergraph_pass
 from mhcr.item_graph import propagate_items
 from mhcr.objectives import (
     LossBreakdown,
@@ -545,16 +546,17 @@ class TestOneTapeNode:
         assert self.tape_nodes([items], projected) == 1
         feats = views.features[0]
         v = ad.Tensor(rng.normal(size=(2, feats.dim)), requires_grad=True)
-        h_items = build_incidence(feats.matrix, v)
-        assert self.tape_nodes([h_items], [v]) == 1
-        stacked = hypergraph_pass(h_items, projected[0], views.x_u[[0, 3]], 0.5, steps,
+        stacked = hypergraph_pass(feats.matrix, v, projected[0], views.x_u[[0, 3]], 0.5, steps,
                                   np.random.default_rng(3), rows)
-        assert self.tape_nodes([stacked], [h_items, projected[0]]) == 1
+        assert self.tape_nodes([stacked], [v, projected[0]]) == 1
+        assert stacked._parents[0] is v
 
-    def test_full_model_step_records_19_nodes(self):
-        # the UI view; per modality a projection, an incidence and a pass;
-        # the item view; the hypergraph, graph and fused sums; four losses
-        # and their total
+    def test_full_model_step_records_16_nodes(self):
+        # the UI view; per modality a projection and a pass; the item view;
+        # the hypergraph, graph and fused sums; four losses and their total.
+        # With only the hypergraph view on: per modality a projection and a
+        # pass, the hypergraph sum (which is the fused view), BPR, hc, L2
+        # and the total, 11 nodes
         ds, feats = generate_synthetic(SyntheticConfig(
             num_users=30, num_items=20, num_clusters=2, mean_interactions=4.0,
             modality_dims={"image": 5, "video": 4, "text": 3}, seed=2))
@@ -566,7 +568,10 @@ class TestOneTapeNode:
             views = build_views(ds, feats, cfg)
             params = init_parameters(cfg, ds.num_users, ds.num_items, views.modality_dims)
             result = forward(params, views, cfg, batch=batch, mode="train", rng=0)
-            assert self.tape_nodes([result.total]) == 19, hyper_steps
+            assert self.tape_nodes([result.total]) == 16, hyper_steps
+            hem_only = replace(cfg, use_ui=False, use_ii=False)
+            result = forward(params, views, hem_only, batch=batch, mode="train", rng=0)
+            assert self.tape_nodes([result.total]) == 11, hyper_steps
 
 
 def test_breakdown_csv_fields():

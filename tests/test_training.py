@@ -214,6 +214,22 @@ class TestForward:
         forward(params, views, micro_config(), batch=micro_batch(), mode="train", rng=MASK_SEED)
         assert len(calls) == 1
 
+    def test_ghc_needs_a_graph_view(self, micro):
+        # with only the hypergraph view on there is no graph side to contrast
+        # with: the loss is skipped, so its weight changes nothing
+        ds, feats, _, views = micro
+        hem_only = micro_config(use_ui=False, use_ii=False, max_epochs=2)
+        result = forward(make_params(hem_only, ds, views), views, hem_only, batch=micro_batch(),
+                         mode="train", rng=MASK_SEED)
+        assert result.breakdown.l_ghc == 0.0 and result.breakdown.l_hc > 0.0
+        weighted, unweighted = (fit(ds, feats, replace(hem_only, lambda_ghc=weight))
+                                for weight in (0.01, 0.0))
+        for (name, a), b in zip(weighted.params.tensors().items(),
+                                unweighted.params.tensors().values()):
+            assert a.data.tobytes() == b.data.tobytes(), name
+        assert [e.loss for e in weighted.epochs] == [e.loss for e in unweighted.epochs]
+        assert all(e.loss.l_ghc == 0.0 for e in weighted.epochs)
+
     def test_hc_requires_two_modalities(self, micro):
         ds, feats, _, _ = micro
         cfg = micro_config()
@@ -255,7 +271,7 @@ def full_node_losses(params, views, cfg, batch, num_users):
     l_hc = l_ghc = 0.0
     if cfg.use_hem and cfg.lambda_hc > 0:
         l_hc = hyper_contrastive_loss(full.hyper_stacks, contrastive, cfg.tau)
-    if cfg.use_hem and cfg.lambda_ghc > 0:
+    if cfg.use_hem and cfg.lambda_ghc > 0 and (cfg.use_ui or cfg.use_ii):
         e_graph = ad.add(*(view for view in (full.e_ui, full.e_ii) if view is not None))
         l_ghc = graph_hyper_contrastive_loss(e_graph, full.e_h, contrastive, cfg.tau)
     reg_nodes = np.concatenate([user_nodes, pos_nodes, neg_nodes])

@@ -125,23 +125,27 @@ class TestViewsAgainstTape:
         item_rows = pick_rows(rows_case, feats.shape[0], rng)
         if drop_rate == 1.0:  # a rate that drops every message is refused
             with pytest.raises(ConfigError, match="drop_rate"):
-                hypergraph_pass(build_incidence(feats, leaf(v)), feats @ w, x_rows, drop_rate,
-                                steps, np.random.default_rng(99), item_rows)
+                hypergraph_pass(feats, leaf(v), feats @ w, x_rows, drop_rate, steps,
+                                np.random.default_rng(99), item_rows)
             return
         outs = []
-        for incidence, run in (
-            (build_incidence, hypergraph_pass),
-            (tape_build_incidence, tape_hypergraph_pass),
-        ):
+        for one_node in (True, False):
             v_t, w_t = leaf(v), leaf(w)
-            h_items = incidence(feats, v_t)
             state = matmul(ad.constant(feats), w_t)
-            stacked = run(h_items, state, x_rows, drop_rate, steps, np.random.default_rng(99),
-                          item_rows)
+            mask_rng = np.random.default_rng(99)
+            if one_node:
+                h_items = build_incidence(feats, v)
+                stacked = hypergraph_pass(feats, v_t, state, x_rows, drop_rate, steps, mask_rng,
+                                          item_rows)
+            else:
+                incidence = tape_build_incidence(feats, v_t)
+                h_items = incidence.data
+                stacked = tape_hypergraph_pass(incidence, state, x_rows, drop_rate, steps,
+                                               mask_rng, item_rows)
             if not outs:
                 weights = rng.normal(size=stacked.shape)
             weighted_sum(stacked, weights).backward()
-            outs.append(([h_items.data, stacked.data], [v_t.grad, w_t.grad]))
+            outs.append(([h_items, stacked.data], [v_t.grad, w_t.grad]))
         (out, grads), (tape_out, tape_grads) = outs
         for got, expected in zip(out, tape_out):
             assert np.array_equal(got, expected)
@@ -171,9 +175,8 @@ class TestPassAgainstPerBroadcastNodes:
             projected = matmul(ad.constant(feats), w_t)
             mask_rng = np.random.default_rng(99)
             if one_node:
-                stacked = hypergraph_pass(build_incidence(feats, v_t), projected,
-                                          instance.x_u[user_rows], drop_rate, steps, mask_rng,
-                                          item_rows)
+                stacked = hypergraph_pass(feats, v_t, projected, instance.x_u[user_rows],
+                                          drop_rate, steps, mask_rng, item_rows)
             else:
                 incidence = per_broadcast_incidence(feats, v_t, instance.x_u, user_rows)
                 stacked = concat_rows(
@@ -236,42 +239,40 @@ class TestViewGradients:
         )
 
     def test_build_incidence(self, views):
-        # H_i, and H_u = X_u H_i through the pass over users with a repeat
+        # V_m through H_i = F_m V_m^T, and H_u = X_u H_i over users with a
+        # repeat, inside the pass at one and two steps
         feats = views.features[0].matrix
         rng = np.random.default_rng(2)
         v = rng.normal(size=(3, feats.shape[1]))
         state = ad.Tensor(rng.normal(size=(feats.shape[0], 2)))
         x_rows = views.x_u[np.array([3, 0, 3])]
-
-        def build(t):
-            h_items = build_incidence(feats, t["v"])
-            passed = hypergraph_pass(h_items, state, x_rows, 0.0, 1, np.random.default_rng(0),
-                                     np.array([1]))
-            return [h_items, passed]
-
-        self.check(build, {"v": v})
+        for steps in (1, 2):
+            self.check(lambda t: [hypergraph_pass(feats, t["v"], state, x_rows, 0.0, steps,
+                                                  np.random.default_rng(0), np.array([1, 4, 1]))],
+                       {"v": v})
 
     @pytest.mark.parametrize("item_rows", [None, np.array([4, 1, 4, 0])])
     def test_broadcasts_with_dropout(self, item_rows):
         item_rows = np.arange(6) if item_rows is None else item_rows  # None: every item
         rng = np.random.default_rng(3)
-        arrays = {"h_items": rng.normal(size=(6, 3)), "state": rng.normal(size=(6, 2))}
+        features = rng.normal(size=(6, 4))
+        arrays = {"v": rng.normal(size=(3, 4)), "state": rng.normal(size=(6, 2))}
         x_rows = sp.csr_matrix(rng.random((4, 6)) < 0.5, dtype=np.float64)[[2, 0, 2, 3]]
 
         def build(t):
             rng = np.random.default_rng(17)
-            return [hypergraph_pass(t["h_items"], t["state"], x_rows, 0.5, 2, rng, item_rows)]
+            return [hypergraph_pass(features, t["v"], t["state"], x_rows, 0.5, 2, rng, item_rows)]
 
         self.check(build, arrays)
 
 
 def test_own_targets_gradient_is_scattered_into_incidence():
-    # one item broadcast to item 0 twice: both target rows add into H_i[0]
-    h = ad.Tensor(np.array([[1.0], [2.0]]), requires_grad=True)
+    # one item broadcast to item 0 twice: both target rows add into H_i[0].
+    # Features I make V_m = H_i^T, so V_m's gradient is H_i's transposed
+    v = ad.Tensor(np.array([[1.0, 2.0]]), requires_grad=True)
     no_users = sp.csr_matrix((0, 2))
-    e_items = hypergraph_pass(
-        h, np.array([[1.0], [1.0]]), no_users, 0.0, 1, np.random.default_rng(0), np.array([0, 0])
-    )
+    e_items = hypergraph_pass(np.eye(2), v, np.array([[1.0], [1.0]]), no_users, 0.0, 1,
+                              np.random.default_rng(0), np.array([0, 0]))
     tensor_sum(e_items).backward()
     # out_r = H[0] * (H[0] + H[1]) for both rows, so dL/dH = 2 * (2 H[0] + H[1], H[0])
-    assert np.array_equal(h.grad, np.array([[8.0], [2.0]]))
+    assert np.array_equal(v.grad, np.array([[8.0, 2.0]]))
