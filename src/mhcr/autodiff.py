@@ -4,12 +4,13 @@ The model's training graph is a fixed composition, so a small tensor
 engine is enough: each op records its parents and a closure that maps the
 upstream gradient to parent gradients. Gradients accumulate by summation
 during a reverse topological sweep. Every node on a training tape is a
-model node with a hand-derived gradient (`custom_op`): each projection,
-each view step (UI propagation, item propagation and each modality's
-whole hypergraph pass) and each objective, reading its own rows of the
-embeddings it scores; the view sums are `add` nodes. A full training step
-records 16 nodes. Inputs that do not require a gradient record nothing,
-so a forward pass over constants builds no tape.
+model node with a hand-derived gradient (`custom_op`): each view step (UI
+propagation, item propagation and each modality's whole hypergraph pass,
+each projecting the modality features itself) and each objective, reading
+its own rows of the embeddings it scores; the view sums are `add` nodes.
+A full training step (three modalities) records 13 nodes. Inputs that do
+not require a gradient record nothing, so a forward pass over constants
+builds no tape.
 
 All data is float64. `add` takes operands of equal shape; there is no
 broadcasting.

@@ -43,6 +43,7 @@ from .dataio import (
 from .errors import ConfigError, DataError, MhcrError, NumericError
 from .objectives import LossBreakdown
 from .training import (
+    EpochStats,
     TrainConfig,
     VARIANT_PRESETS,
     apply_variant,
@@ -205,13 +206,14 @@ def _load_data(data_dir: str, tags: Sequence[str] | None, named_by="the modaliti
     return ds, features
 
 
-def _write_training_log(path: Path, variant: str, rows: Sequence[tuple[int, LossBreakdown]]) -> None:
+def _write_training_log(path: Path, variant: str, epochs: Sequence[EpochStats]) -> None:
     with path.open("w", encoding="utf-8", newline="") as fh:
         fh.write(f"# variant: {variant}\n")
         writer = csv.writer(fh)
-        writer.writerow(("epoch",) + LossBreakdown.CSV_FIELDS)
-        for epoch, b in rows:
-            writer.writerow([epoch, b.l_bpr, b.l_hc, b.l_ghc, b.l_reg, b.total])
+        writer.writerow(("epoch",) + LossBreakdown.CSV_FIELDS + ("val_recall20",))
+        for e in epochs:
+            b = e.loss
+            writer.writerow([e.epoch, b.l_bpr, b.l_hc, b.l_ghc, b.l_reg, b.total, e.val_recall20])
 
 
 def _combined_report(user_emb, item_emb, ds, cold_threshold: int) -> evaluation.EvalReport:
@@ -273,11 +275,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     )
 
     save_checkpoint(result.params, out_dir / "checkpoint.bin")
-    _write_training_log(
-        out_dir / "training_log.csv",
-        variant_label(cfg),
-        [(e.epoch, e.loss) for e in result.epochs],
-    )
+    _write_training_log(out_dir / "training_log.csv", variant_label(cfg), result.epochs)
 
     views = build_views(ds, features, cfg)
     user_emb, item_emb = compute_embeddings(result.params, views, cfg)

@@ -1,9 +1,10 @@
 """Per-modality item-item affinity graphs: cosine similarity, top-K
 sparsification, row normalization, and feature propagation.
 
-Graphs are built once from the raw modality features and frozen; only the
-projection applied to the propagated features is learnable. Propagation
-over all modalities is one tape node with a closed-form gradient.
+Graphs are built once from the raw modality features and frozen, so the
+propagated features S_m F_m are constants; only the projection W_m applied
+to them is learnable. Propagation over all modalities is one tape node
+over the projections, with a closed-form gradient.
 """
 
 from __future__ import annotations
@@ -103,26 +104,26 @@ def build_affinity_graph(features: ModalityFeatures, k: int) -> sp.csr_matrix:
 
 
 def propagate_items(
-    graphs: Sequence[sp.csr_matrix], projected: Sequence, rows: np.ndarray, user_rows: int
+    smoothed: Sequence[np.ndarray], weights: Sequence, rows: np.ndarray, user_rows: int
 ) -> ad.Tensor:
-    """Sum over modalities of S_m @ P_m, where P_m is the projected feature
-    matrix for modality m. Linear in every projected input.
+    """Sum over modalities of (S_m F_m) @ W_m, where `smoothed` holds each
+    modality's features propagated over its affinity graph, S_m F_m (|I| x
+    d_m), and `weights` its projection W_m (d_m x d). Linear in every W_m.
 
     Returns `user_rows` zero rows (the view has no user side), then the rows
-    of items `rows`, computed as S_m[rows] @ P_m. One tape node; the
-    gradient into P_m is S_m[rows]^T @ g[user_rows:]."""
-    if len(graphs) != len(projected):
-        raise ShapeError(f"{len(graphs)} graphs but {len(projected)} projected matrices")
-    if not graphs:
+    of items `rows`. One tape node; the gradient into W_m is
+    (S_m F_m)[rows]^T @ g[user_rows:]."""
+    if len(smoothed) != len(weights):
+        raise ShapeError(f"{len(smoothed)} feature matrices but {len(weights)} projections")
+    if not smoothed:
         raise ConfigError("propagate_items requires at least one modality")
-    projected = [ad.as_tensor(p) for p in projected]
-    for graph, p in zip(graphs, projected):
-        if p.shape[0] != graph.shape[0]:
-            raise ShapeError(f"projected rows {p.shape[0]} != {graph.shape[0]} items")
-    matrices = [graph[rows] for graph in graphs]
-    out = np.zeros((user_rows + len(rows), projected[0].shape[1]))
+    weights = [ad.as_tensor(w) for w in weights]
+    for features, w in zip(smoothed, weights):
+        if w.shape[0] != features.shape[1]:
+            raise ShapeError(f"projection rows {w.shape[0]} != feature width {features.shape[1]}")
+    picked = [features[rows] for features in smoothed]
+    out = np.zeros((user_rows + len(rows), weights[0].shape[1]))
     items = out[user_rows:]
-    items[...] = matrices[0] @ projected[0].data
-    for m, p in zip(matrices[1:], projected[1:]):
-        items += m @ p.data
-    return ad.custom_op(out, projected, lambda g: [m.T @ g[user_rows:] for m in matrices])
+    for features, w in zip(picked, weights):
+        items += features @ w.data
+    return ad.custom_op(out, weights, lambda g: [f.T @ g[user_rows:] for f in picked])

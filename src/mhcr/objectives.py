@@ -9,11 +9,11 @@ of its inputs.
 Every loss, and their weighted total, is a single autodiff node with a
 closed-form gradient. Each loss takes the embedding tensors it scores as
 its parents, with the row indices it reads: it gathers (and, for the
-contrastive losses, normalizes) the batch rows itself. BPR scatters its
-gradient into the fused rows; the L2 term and each contrastive loss hand
-their inputs the gradient as rows (`ad.RowGrad`). The contrastive losses
+contrastive losses, normalizes) the batch rows itself, and hands its
+inputs the gradient as those rows (`ad.RowGrad`). The contrastive losses
 have a softmax-minus-target gradient and are computed as log-sum-exps
-shifted per node, so they stay finite at any tau > 0.
+shifted per node, so no exponential overflows at any tau > 0; the losses
+and their gradients still grow as 1/tau and reach inf at tau near 1e-307.
 """
 
 from __future__ import annotations
@@ -46,7 +46,8 @@ def bpr_loss(fused, users, positives, negatives) -> ad.Tensor:
     """Mean of -ln(sigmoid(<u, p> - <u, n>)) over the batch, where u, p and n
     are rows `users`, `positives` and `negatives` of `fused`: softplus of the
     score margin, computed without overflow. One tape node whose gradient is
-    the logistic map of the margin, scattered into the rows of `fused`."""
+    the logistic map of the margin, handed to the user, positive and
+    negative rows of `fused` as one `ad.RowGrad`."""
     fused = ad.as_tensor(fused)
     users, positives, negatives = (
         np.asarray(rows, dtype=np.int64) for rows in (users, positives, negatives)
@@ -61,16 +62,9 @@ def bpr_loss(fused, users, positives, negatives) -> ad.Tensor:
     margin = (u * n).sum(axis=1) - (u * p).sum(axis=1)
 
     def backward(g):
-        d = (np.full(margin.shape, float(g) / margin.size) * expit(margin))[:, None]
-        # each group is summed into `fused` on its own, as a row gather would
-        # be, so repeated rows add up bit for bit as on an op-by-op tape
-        grad = np.zeros(fused.shape)
-        ad.add_rows(grad, positives, -d * u)
-        g_users = -d * p
-        g_users += d * n
-        ad.add_rows(grad, users, g_users)
-        ad.add_rows(grad, negatives, d * u)
-        return (grad,)
+        d = (float(g) / margin.size * expit(margin))[:, None]
+        rows = np.concatenate([users, positives, negatives])
+        return (ad.RowGrad(rows, np.concatenate([d * (n - p), -d * u, d * u])),)
 
     return ad.custom_op(np.logaddexp(0.0, margin).mean(), (fused,), backward)
 
@@ -110,9 +104,10 @@ def hyper_contrastive_loss(
 
     One tape node whose parents are the per-modality inputs. The ordered
     pair (m', m) reads the transpose of the (m, m') similarity block, so
-    each unordered pair gives node x its row sum and its column sum. Both masses are log-sum-exps shifted per node (row maximum for row
-    sums, column maximum for column sums), so no exponential overflows and
-    no node's mass underflows to zero at any tau > 0.
+    each unordered pair gives node x its row sum and its column sum. Both
+    masses are log-sum-exps shifted per node (row maximum for row sums,
+    column maximum for column sums), so no exponential overflows and no
+    node's mass underflows to zero at any tau > 0.
     """
     if tau <= 0:
         raise ConfigError("temperature must be > 0")
@@ -176,8 +171,8 @@ def graph_hyper_contrastive_loss(
     batch node against in-batch negatives.
 
     One tape node whose parents are the two inputs: a row log-sum-exp over
-    the normalized batch rows, shifted by the row maximum, stable at any
-    tau > 0, with the softmax-minus-identity gradient."""
+    the normalized batch rows, shifted by the row maximum so no exponential
+    overflows, with the softmax-minus-identity gradient."""
     if tau <= 0:
         raise ConfigError("temperature must be > 0")
     batch = np.asarray(batch, dtype=np.int64)
@@ -212,8 +207,7 @@ def embedding_l2(embeddings, rows) -> ad.Tensor:
     x = embeddings.data[rows]
 
     def backward(g):
-        half = np.broadcast_to(np.full(rows.size, float(g) / rows.size)[:, None], x.shape) * x
-        return (ad.RowGrad(rows, half + half),)
+        return (ad.RowGrad(rows, (2.0 * float(g) / rows.size) * x),)
 
     return ad.custom_op((x * x).sum(axis=1).mean(), (embeddings,), backward)
 

@@ -249,14 +249,15 @@ class Adam:
 
 @dataclass
 class ViewInputs:
-    """Frozen graph structures shared by every training step, as plain
-    matrices: the normalized user-item adjacency (`build_norm_adjacency`),
-    one affinity graph per modality (`build_affinity_graph`; entry i belongs
-    to `features[i]`), the |U| x |I| train interaction matrix X_u, and the
+    """Frozen inputs shared by every training step, as plain matrices: the
+    normalized user-item adjacency (`build_norm_adjacency`), per modality
+    its features propagated over its affinity graph, S_m F_m
+    (`build_affinity_graph`; entry i belongs to `features[i]`), the
+    |U| x |I| train interactions scaled by user degree, D_u^-1 X_u, and the
     modality features in canonical order."""
 
     adjacency: sp.csr_matrix
-    affinity: list[sp.csr_matrix]
+    smoothed: list[np.ndarray]
     x_u: sp.csr_matrix
     features: list[ModalityFeatures]
 
@@ -271,12 +272,13 @@ def build_views(
     validate_features(ds, features)
     feats = canonical_modalities(features)
     adjacency = build_norm_adjacency(ds)
-    affinity = [build_affinity_graph(f, cfg.k_knn) for f in feats]
+    smoothed = [build_affinity_graph(f, cfg.k_knn) @ f.matrix for f in feats]
     users, items = ds.split_pairs(TRAIN)
+    degree = np.bincount(users, minlength=ds.num_users)
     x_u = sp.csr_matrix(
-        (np.ones(users.size), (users, items)), shape=(ds.num_users, ds.num_items)
+        (1.0 / degree[users], (users, items)), shape=(ds.num_users, ds.num_items)
     )
-    return ViewInputs(adjacency, affinity, x_u, feats)
+    return ViewInputs(adjacency, smoothed, x_u, feats)
 
 
 @dataclass
@@ -353,12 +355,6 @@ def _batch_nodes(batch: Batch, num_users: int) -> tuple[np.ndarray, int, np.ndar
     return nodes, users.size, np.concatenate([user_local, users.size + item_local])
 
 
-def _project(features: np.ndarray, w: ad.Tensor) -> ad.Tensor:
-    """F_m W_m as one node; the features are constants, so its only
-    gradient is F_m^T g, into W_m."""
-    return ad.custom_op(features @ w.data, (w,), lambda g: (features.T @ g,))
-
-
 def forward(
     params: ModelParameters,
     views: ViewInputs,
@@ -396,17 +392,11 @@ def forward(
         nodes, n_user_rows = np.arange(num_users + num_items), num_users
     user_rows, item_rows = nodes[:n_user_rows], nodes[n_user_rows:] - num_users
 
-    projected: dict[str, ad.Tensor] = {}
-    if cfg.use_ii or cfg.use_hem:
-        for feats in views.features:
-            projected[feats.modality] = _project(feats.matrix, params.named[f"W_{feats.modality}"])
-
     e_ui = propagate_ui(views.adjacency, params.e0, cfg.layers, nodes) if cfg.use_ui else None
     e_ii = e_h = None
     if cfg.use_ii:
-        e_ii = propagate_items(
-            views.affinity, [projected[f.modality] for f in views.features], item_rows, n_user_rows
-        )
+        weights = [params.named[f"W_{f.modality}"] for f in views.features]
+        e_ii = propagate_items(views.smoothed, weights, item_rows, n_user_rows)
 
     hyper_stacks: list[ad.Tensor] = []
     if cfg.use_hem:
@@ -416,8 +406,8 @@ def forward(
         x_rows = views.x_u[user_rows]
         for feats in views.features:
             hyper_stacks.append(hypergraph_pass(
-                feats.matrix, params.named[f"V_{feats.modality}"], projected[feats.modality],
-                x_rows, drop, cfg.hyper_steps, rng, item_rows
+                feats.matrix, params.named[f"V_{feats.modality}"],
+                params.named[f"W_{feats.modality}"], x_rows, drop, cfg.hyper_steps, rng, item_rows
             ))
         e_h = ad.add(*hyper_stacks)
 

@@ -1,15 +1,16 @@
 """Reference code the tests compare the library against, kept out of the
 package because no program path runs it: the generic tape ops (`zeros`,
-`matmul`, `gather_rows`, `concat_rows` and the elementwise ones), the
-op-by-op tape composition of the three views and of the BPR and L2
-objectives that their single-node versions must reproduce, the
-hypergraph view with H_i, H_u and each broadcast as nodes of their own,
-whose output and gradient bits the one-node pass (which builds H_i from
-V_m itself) must reproduce, the forward pass assembled from those generic
-ops and that per-broadcast view (`tape_forward`) that the model-node
-forward must reproduce bit for bit, the user-by-user split that the
-whole-array `split_dataset` must reproduce, and the user-by-user ranking
-and metrics that the block `evaluate` must reproduce byte for byte."""
+`matmul`, `gather_rows`, `concat_rows`, `div_rows` and the elementwise
+ones); the op-by-op tape composition of the three views (projections,
+the incidence softmax, D_e and each broadcast as nodes of their own) and
+of the BPR and L2 objectives, which the single-node versions must match;
+the hypergraph view with H_i, H_u and each broadcast one node
+(`per_broadcast_incidence`, `per_broadcast_pass`); the forward pass
+assembled from those generic ops and that per-broadcast view
+(`tape_forward`), which the model-node forward must match to a relative
+1e-12; the user-by-user split that the whole-array `split_dataset` must
+reproduce; and the user-by-user ranking and metrics that the block
+`evaluate` must reproduce byte for byte."""
 
 from __future__ import annotations
 
@@ -88,6 +89,16 @@ def row_normalize(a: ad.Tensor, eps: float = 1e-12) -> ad.Tensor:
         return ((g - data * inner) / safe,)
 
     return ad.custom_op(data, (a,), backward)
+
+
+def div_rows(a: ad.Tensor, s: ad.Tensor) -> ad.Tensor:
+    """a / s for a column s (n x 1), broadcast along each row of a (n x m)."""
+
+    def backward(g):
+        q = g / s.data
+        return q, -(q * a.data).sum(axis=1, keepdims=True) / s.data
+
+    return ad.custom_op(a.data / s.data, (a, s), backward)
 
 
 def exp(a: ad.Tensor) -> ad.Tensor:
@@ -192,16 +203,23 @@ def tape_propagate_ui(adjacency, e0: ad.Tensor, layers: int, rows) -> ad.Tensor:
     return out
 
 
-def tape_propagate_items(graphs, projected, rows) -> ad.Tensor:
+def tape_propagate_items(graphs, features, weights, rows) -> ad.Tensor:
+    """The item rows `rows` as S_m[rows] @ (F_m @ W_m), summed over the
+    modalities: a projection, an spmm and an add node each."""
     out = None
-    for graph, p in zip(graphs, projected):
-        term = spmm(graph[rows], p)
+    for graph, f, w in zip(graphs, features, weights):
+        term = spmm(graph[rows], matmul(ad.constant(f), w))
         out = term if out is None else out + term
     return out
 
 
 def tape_build_incidence(features, v_m: ad.Tensor) -> ad.Tensor:
-    return matmul(ad.constant(features), transpose(v_m))
+    """Each row's softmax of the logits F V^T: a constant shift by the row
+    maximum, then exp, row sum and division nodes."""
+    logits = matmul(ad.constant(features), transpose(v_m))
+    shift = np.broadcast_to(-logits.data.max(axis=1, keepdims=True), logits.shape)
+    e = exp(ad.add(logits, ad.constant(shift.copy())))
+    return div_rows(e, tensor_sum(e, axis=1, keepdims=True))
 
 
 def _dropped(t: ad.Tensor, rate: float, rng: np.random.Generator) -> ad.Tensor:
@@ -212,12 +230,13 @@ def _dropped(t: ad.Tensor, rate: float, rng: np.random.Generator) -> ad.Tensor:
 
 
 def tape_hypergraph_pass(h_items, e_items, x_rows, drop_rate, steps, rng, item_rows):
-    """Hypergraph pass with H_u, every dropout mask, transpose and product
-    as its own node, the masks drawn in the library's order, and the
-    (user; item) rows stacked by a concatenation node."""
+    """Hypergraph pass with D_e, H_u, every dropout mask, transpose, product
+    and division as its own node, the masks drawn in the library's order,
+    and the (user; item) rows stacked by a concatenation node."""
+    d_e = tensor_sum(transpose(h_items), axis=1, keepdims=True)
 
     def broadcast(targets, state):
-        pooled = matmul(transpose(_dropped(h_items, drop_rate, rng)), state)
+        pooled = div_rows(matmul(transpose(_dropped(h_items, drop_rate, rng)), state), d_e)
         return matmul(_dropped(targets, drop_rate, rng), pooled)
 
     e_cur = ad.as_tensor(e_items)
@@ -228,10 +247,18 @@ def tape_hypergraph_pass(h_items, e_items, x_rows, drop_rate, steps, rng, item_r
 
 
 def per_broadcast_incidence(features, v_m, x_u, user_rows) -> tuple[ad.Tensor, ad.Tensor]:
-    """(H_i, H_u = X_u[user_rows] @ H_i) as one node each."""
+    """(H_i, H_u = X_u[user_rows] @ H_i) as one node each; H_i is the row
+    softmax of F V^T, with the softmax Jacobian in its backward."""
     features = np.asarray(features, dtype=np.float64)
     v_m = ad.as_tensor(v_m)
-    h_items = ad.custom_op(features @ v_m.data.T, (v_m,), lambda g: ((features.T @ g).T,))
+    logits = features @ v_m.data.T
+    e = np.exp(logits - logits.max(axis=1, keepdims=True))
+    h = e / e.sum(axis=1, keepdims=True)
+
+    def softmax_backward(g):
+        return ((h * (g - (g * h).sum(axis=1, keepdims=True))).T @ features,)
+
+    h_items = ad.custom_op(h, (v_m,), softmax_backward)
     x_rows = x_u[user_rows]
     h_users = ad.custom_op(x_rows @ h_items.data, (h_items,), lambda g: (x_rows.T @ g,))
     return h_items, h_users
@@ -247,22 +274,23 @@ def _masked(x: np.ndarray, mask) -> np.ndarray:
 
 def _one_broadcast(h_items: ad.Tensor, state: ad.Tensor, rate: float,
                    rng: np.random.Generator, targets) -> ad.Tensor:
-    """DROP(T) @ (DROP(H_i)^T @ state) as one tape node, the pool mask drawn
-    before the target mask. T is the tensor `targets`, or, when `targets` is
-    an array of item ids, those rows of H_i, whose gradient is added into
-    H_i's ahead of the pool term."""
+    """DROP(T) @ D_e^-1 (DROP(H_i)^T @ state) as one tape node, D_e the
+    column sums of H_i and the pool mask drawn before the target mask. T is
+    the tensor `targets`, or, when `targets` is an array of item ids, those
+    rows of H_i, whose gradient is added into H_i's."""
+    d_e = h_items.data.sum(axis=0)[:, None]
     pool_mask = _mask(h_items.shape, rate, rng)
     source = _masked(h_items.data, pool_mask)
-    pooled = source.T @ state.data
+    pooled = source.T @ state.data / d_e
     own = not isinstance(targets, ad.Tensor)
     t_data = h_items.data[targets] if own else targets.data
     target_mask = _mask(t_data.shape, rate, rng)
     dropped_targets = _masked(t_data, target_mask)
 
     def backward(g):
-        g_pooled = dropped_targets.T @ g
-        g_items = _masked((g_pooled @ state.data.T).T, pool_mask)
-        g_state = source @ g_pooled
+        g_sum = dropped_targets.T @ g / d_e
+        g_items = _masked(state.data @ g_sum.T, pool_mask) - (g_sum * pooled).sum(axis=1)
+        g_state = source @ g_sum
         g_targets = _masked(g @ pooled.T, target_mask)
         return (ad.RowGrad(targets, g_targets) if own else g_targets), g_items, g_state
 
@@ -272,8 +300,7 @@ def _one_broadcast(h_items: ad.Tensor, state: ad.Tensor, rate: float,
 
 def per_broadcast_pass(incidence, e_items, drop_rate, steps, rng, item_rows):
     """The hypergraph pass over (H_i, H_u) from `per_broadcast_incidence`
-    with each broadcast one node; returns the (user; item) states. The
-    summation order of its tape is the order the one-node pass reproduces."""
+    with each broadcast one node; returns the (user; item) states."""
     h_items, h_users = incidence
     e_cur = ad.as_tensor(e_items)
     for _ in range(steps - 1):
@@ -305,26 +332,16 @@ def transposed_propagate_ui(adjacency, e0: ad.Tensor, layers: int, rows) -> ad.T
     return ad.custom_op(out + last_adjacency @ current, (e0,), backward)
 
 
-def propagate_item_rows(graphs, projected, rows) -> ad.Tensor:
-    """The item view's rows `rows` alone, S_m[rows] @ P_m summed over the
-    modalities in order, as one node."""
-    matrices = [graph[rows] for graph in graphs]
-    out = None
-    for m, p in zip(matrices, projected):
-        term = m @ p.data
-        out = term if out is None else out + term
-    return ad.custom_op(out, projected, lambda g: [m.T @ g for m in matrices])
-
-
 def tape_forward(params, views, cfg, batch=None, mode="train", rng=None):
-    """`training.forward` assembled from generic ops: `matmul` projections,
-    the item view as `concat_rows` of zero user rows and the item rows, a
-    zero tensor for each disabled view, two-term adds for every sum,
-    `transposed_propagate_ui` for the UI view, `propagate_item_rows` for
-    the item rows, and each modality's hypergraph view as the H_i and H_u
-    nodes of `per_broadcast_incidence`, one node per broadcast
-    (`per_broadcast_pass`) and a `concat_rows` of its (user; item) rows.
-    The graph-hypergraph loss is computed only with a graph view on."""
+    """`training.forward` assembled from generic ops: `matmul` projections
+    F_m W_m for the hypergraph state, the item view as `concat_rows` of
+    zero user rows and `matmul`s of the rows of S_m F_m, a zero tensor for
+    each disabled view, two-term adds for every sum,
+    `transposed_propagate_ui` for the UI view, and each modality's
+    hypergraph view as the H_i and H_u nodes of `per_broadcast_incidence`,
+    one node per broadcast (`per_broadcast_pass`) and a `concat_rows` of its
+    (user; item) rows. The graph-hypergraph loss is computed only with a
+    graph view on."""
     train_mode = mode == "train"
     num_users, num_items, d = params.num_users, params.num_items, params.d
     if train_mode:
@@ -333,22 +350,17 @@ def tape_forward(params, views, cfg, batch=None, mode="train", rng=None):
         nodes, n_user_rows = np.arange(num_users + num_items), num_users
     user_rows, item_rows = nodes[:n_user_rows], nodes[n_user_rows:] - num_users
     zero_view = zeros((nodes.size, d))
-
-    projected = {}
-    if cfg.use_ii or cfg.use_hem:
-        for feats in views.features:
-            projected[feats.modality] = matmul(
-                ad.constant(feats.matrix), params.named[f"W_{feats.modality}"]
-            )
+    weights = [params.named[f"W_{f.modality}"] for f in views.features]
 
     e_ui = zero_view
     if cfg.use_ui:
         e_ui = transposed_propagate_ui(views.adjacency, params.e0, cfg.layers, nodes)
     e_ii = zero_view
     if cfg.use_ii:
-        items_part = propagate_item_rows(
-            views.affinity, [projected[f.modality] for f in views.features], item_rows
-        )
+        items_part = None
+        for smoothed, w in zip(views.smoothed, weights):
+            term = matmul(ad.constant(smoothed[item_rows]), w)
+            items_part = term if items_part is None else ad.add(items_part, term)
         e_ii = concat_rows([zeros((n_user_rows, d)), items_part])
 
     hyper_stacks = []
@@ -357,12 +369,13 @@ def tape_forward(params, views, cfg, batch=None, mode="train", rng=None):
         if not isinstance(rng, np.random.Generator):
             rng = np.random.default_rng(rng)
         drop = cfg.drop_rate if train_mode else 0.0
-        for feats in views.features:
+        for feats, w in zip(views.features, weights):
             incidence = per_broadcast_incidence(
                 feats.matrix, params.named[f"V_{feats.modality}"], views.x_u, user_rows
             )
+            state = matmul(ad.constant(feats.matrix), w)
             hyper_stacks.append(concat_rows(per_broadcast_pass(
-                incidence, projected[feats.modality], drop, cfg.hyper_steps, rng, item_rows
+                incidence, state, drop, cfg.hyper_steps, rng, item_rows
             )))
         e_h = hyper_stacks[0]
         for stack in hyper_stacks[1:]:

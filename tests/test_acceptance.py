@@ -100,24 +100,30 @@ def test_propagation_oracles():
             power = dense @ power
         assert np.abs(sparse_out - expected).max() <= 1e-6
 
-    # hypergraph pass (drop 0) vs explicit dense chain, items <= 10
-    h_i = rng.normal(size=(9, 4))
+    # hypergraph pass (drop 0) vs explicit dense chain, items <= 10: H_i the
+    # row softmax of the logits, H_u = D_u^-1 X_u H_i, pooling through D_e^-1
+    logits = rng.normal(size=(9, 4))
     x_u = (rng.random((5, 9)) < 0.4).astype(float)
-    h_u = x_u @ h_i
+    x_u /= np.maximum(x_u.sum(axis=1, keepdims=True), 1.0)
     state = rng.normal(size=(9, 3))
+    h_i = np.exp(logits - logits.max(axis=1, keepdims=True))
+    h_i /= h_i.sum(axis=1, keepdims=True)
+    h_u = x_u @ h_i
+    d_e = h_i.sum(axis=0)[:, None]
     for steps in (1, 2, 3):
-        # features I and hyperedges H_i^T give the incidence I @ H_i = H_i
+        # features I, hyperedges logits^T and projection `state` give the
+        # logits I @ V^T and the item state I @ W exactly
         stacked = hypergraph_pass(
-            np.eye(9), ad.Tensor(h_i.T), state, sp.csr_matrix(x_u), 0.0, steps,
+            np.eye(9), ad.Tensor(logits.T), ad.Tensor(state), sp.csr_matrix(x_u), 0.0, steps,
             np.random.default_rng(0), np.arange(9),
         ).data
         e_users, e_items = stacked[:5], stacked[5:]
         expected_items = state.copy()
         for _ in range(steps):
-            expected_users = h_u @ (h_i.T @ expected_items)
-            expected_items = h_i @ (h_i.T @ expected_items)
-        assert np.abs(e_items.data - expected_items).max() <= 1e-6
-        assert np.abs(e_users.data - expected_users).max() <= 1e-6
+            pooled = h_i.T @ expected_items / d_e
+            expected_users, expected_items = h_u @ pooled, h_i @ pooled
+        assert np.abs(e_items - expected_items).max() <= 1e-6
+        assert np.abs(e_users - expected_users).max() <= 1e-6
 
     # KNN sparsification vs a brute-force full sort at |I| = 50
     matrix = rng.normal(size=(50, 6))
@@ -215,14 +221,14 @@ def test_metric_oracle():
 
 def test_dropout_unbiasedness_10k_draws():
     rng = np.random.default_rng(5)
-    h_i = rng.normal(size=(3, 2))
-    x_u = sp.csr_matrix(np.array([[1.0, 1.0, 0.0], [0.0, 1.0, 1.0]]))
+    logits = rng.normal(size=(3, 2))
+    x_u = sp.csr_matrix(np.array([[0.5, 0.5, 0.0], [0.0, 0.5, 0.5]]))  # D_u^-1 X_u
     state = rng.normal(size=(3, 1))
     every_item = np.arange(3)
 
     def run(drop_rate, seed):  # the user rows, then the item rows
-        return hypergraph_pass(np.eye(3), ad.Tensor(h_i.T), state, x_u, drop_rate, 1,
-                               np.random.default_rng(seed), every_item).data
+        return hypergraph_pass(np.eye(3), ad.Tensor(logits.T), ad.Tensor(state), x_u, drop_rate,
+                               1, np.random.default_rng(seed), every_item).data
 
     exact = run(0.0, 0)
     draws = 10_000

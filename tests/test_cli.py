@@ -101,8 +101,22 @@ class TestTrain:
         assert (out / "eval_val.json").exists()
         log = (out / "training_log.csv").read_text().splitlines()
         assert log[0] == "# variant: MHCR"
-        assert log[1] == "epoch,l_bpr,l_hc,l_ghc,l_reg,total"
+        assert log[1] == "epoch,l_bpr,l_hc,l_ghc,l_reg,total,val_recall20"
         assert len(log) == 2 + 2  # header comment + column row + one row per epoch
+
+    def test_log_records_each_epochs_validation_recall(self, data_dir, tmp_path, monkeypatch):
+        fit, results = cli.fit, []
+
+        def recording_fit(*args):
+            results.append(fit(*args))
+            return results[-1]
+
+        monkeypatch.setattr(cli, "fit", recording_fit)
+        out = tmp_path / "run"
+        assert run_train(data_dir, out) == 0
+        rows = (out / "training_log.csv").read_text().splitlines()[2:]
+        logged = [float(row.split(",")[-1]) for row in rows]
+        assert logged == [e.val_recall20 for e in results[0].epochs] and len(logged) == 2
 
     def test_max_epochs_one_gives_one_row(self, data_dir, tmp_path):
         out = tmp_path / "one"

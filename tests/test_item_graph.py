@@ -195,57 +195,66 @@ class TestBuildAffinity:
                 assert actual.tobytes() == wanted.tobytes(), field
 
 
+def smoothed(graph, features) -> np.ndarray:
+    """S F: the features propagated over the graph, as `build_views` keeps them."""
+    return graph @ np.asarray(features, dtype=np.float64)
+
+
 class TestPropagate:
     def test_two_item_swap(self):
         feats = ModalityFeatures("image", np.array([[1.0, 0.1], [1.0, 0.1]]))
         graph = build_affinity_graph(feats, k=1)
         assert np.allclose(graph.toarray(), [[0.0, 1.0], [1.0, 0.0]])
-        projected = ad.Tensor(np.array([[1.0, 0.0], [0.0, 1.0]]))
-        out = propagate_items([graph], [projected], np.arange(2), 0).data
+        identity = ad.Tensor(np.eye(2))
+        out = propagate_items([smoothed(graph, np.eye(2))], [identity], np.arange(2), 0).data
         assert np.allclose(out, [[0.0, 1.0], [1.0, 0.0]])
 
     def test_zero_rows_stay_zero(self):
         base = np.array([[1.0, 0.0], [-1.0, 0.0]])
         graph = build_affinity_graph(ModalityFeatures("image", base), k=1)
-        out = propagate_items([graph], [ad.Tensor(np.ones((2, 3)))], np.arange(2), 0).data
+        out = propagate_items([smoothed(graph, base)], [ad.Tensor(np.ones((2, 3)))],
+                              np.arange(2), 0).data
         assert np.allclose(out, 0.0)
 
     def test_two_identical_modalities_double(self):
         feats = ModalityFeatures("image", np.ones((3, 2)))
         graph = build_affinity_graph(feats, k=2)
-        p = ad.Tensor(np.random.default_rng(2).normal(size=(3, 4)))
-        single = propagate_items([graph], [p], np.arange(3), 0).data
-        double = propagate_items([graph, graph], [p, p], np.arange(3), 0).data
+        s = smoothed(graph, feats.matrix)
+        w = ad.Tensor(np.random.default_rng(2).normal(size=(2, 4)))
+        single = propagate_items([s], [w], np.arange(3), 0).data
+        double = propagate_items([s, s], [w, w], np.arange(3), 0).data
         assert np.allclose(double, 2.0 * single)
 
     def test_linear_in_projected_input(self):
         rng = np.random.default_rng(3)
-        graph = build_affinity_graph(ModalityFeatures("image", rng.normal(size=(5, 3))), k=2)
-        x = rng.normal(size=(5, 2))
-        y = rng.normal(size=(5, 2))
+        features = rng.normal(size=(5, 3))
+        s = smoothed(build_affinity_graph(ModalityFeatures("image", features), k=2), features)
+        x = rng.normal(size=(3, 2))
+        y = rng.normal(size=(3, 2))
         rows = np.arange(5)
-        mixed = propagate_items([graph], [ad.Tensor(3.0 * x - y)], rows, 0).data
-        apart = 3.0 * propagate_items([graph], [ad.Tensor(x)], rows, 0).data - propagate_items(
-            [graph], [ad.Tensor(y)], rows, 0
+        mixed = propagate_items([s], [ad.Tensor(3.0 * x - y)], rows, 0).data
+        apart = 3.0 * propagate_items([s], [ad.Tensor(x)], rows, 0).data - propagate_items(
+            [s], [ad.Tensor(y)], rows, 0
         ).data
         assert np.allclose(mixed, apart, atol=1e-12)
 
     def test_user_rows_lead_as_zeros(self):
         rng = np.random.default_rng(4)
-        graph = build_affinity_graph(ModalityFeatures("image", rng.normal(size=(5, 3))), k=2)
+        features = rng.normal(size=(5, 3))
+        s = smoothed(build_affinity_graph(ModalityFeatures("image", features), k=2), features)
         rows = np.array([4, 0, 4])
-        p = ad.Tensor(rng.normal(size=(5, 2)), requires_grad=True)
-        out = propagate_items([graph], [p], rows, 3)
+        w = ad.Tensor(rng.normal(size=(3, 2)), requires_grad=True)
+        out = propagate_items([s], [w], rows, 3)
         assert out.shape == (6, 2) and out.data[:3].tobytes() == np.zeros((3, 2)).tobytes()
-        items = propagate_items([graph], [ad.Tensor(p.data)], rows, 0).data
+        items = propagate_items([s], [ad.Tensor(w.data)], rows, 0).data
         assert out.data[3:].tobytes() == items.tobytes()
         g = rng.normal(size=(6, 2))
         (grad,) = out._backward(g)
-        assert grad.tobytes() == (graph[rows].T @ g[3:]).tobytes()
+        assert grad.tobytes() == (s[rows].T @ g[3:]).tobytes()
 
     def test_shape_mismatch(self):
-        graph = build_affinity_graph(ModalityFeatures("image", np.ones((3, 2))), k=1)
+        s = np.ones((3, 2))
+        with pytest.raises(ShapeError):  # W_m has 4 rows for 2 feature columns
+            propagate_items([s], [ad.Tensor(np.ones((4, 2)))], np.arange(3), 0)
         with pytest.raises(ShapeError):
-            propagate_items([graph], [ad.Tensor(np.ones((4, 2)))], np.arange(3), 0)
-        with pytest.raises(ShapeError):
-            propagate_items([graph], [], np.arange(3), 0)
+            propagate_items([s], [], np.arange(3), 0)

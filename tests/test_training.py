@@ -173,7 +173,7 @@ class TestForward:
         # the hypergraph view adds the modalities' stacks, left to right
         image, text = result.hyper_stacks
         assert np.array_equal(result.e_h.data, image.data + text.data)
-        one = replace(views, affinity=views.affinity[:1], features=views.features[:1])
+        one = replace(views, smoothed=views.smoothed[:1], features=views.features[:1])
         alone = forward(params, one, cfg, mode="eval")
         assert np.array_equal(alone.e_h.data, image.data)
         user_emb, item_emb = compute_embeddings(params, views, cfg)
@@ -352,9 +352,11 @@ def three_modality_batch():
 class TestAgainstGenericTape:
     """`forward` against `oracles.tape_forward`, which builds the same model
     from generic tape ops: matmul projections, the item view concatenated
-    under zero user rows, zero tensors for disabled views, two-term sums and
-    the UI gradient through the transposed adjacency. The fused rows, the
-    loss breakdown and every parameter gradient agree bit for bit."""
+    under zero user rows, zero tensors for disabled views, two-term sums,
+    the UI gradient through the transposed adjacency and one node per
+    hypergraph broadcast. The fused rows, the loss breakdown and every
+    parameter gradient agree to a relative 1e-12: the model nodes project
+    inside the views and sum in another order than the generic ops."""
 
     @pytest.mark.parametrize("drop_rate", [0.0, 0.5])
     @pytest.mark.parametrize("hyper_steps", [1, 2])
@@ -384,7 +386,8 @@ class TestAgainstGenericTape:
         names = ["eval fused", "fused", "breakdown", *params.tensors()]
         for name, got, expected in zip(names, *outs):
             assert (got is None) == (expected is None), name
-            assert got is None or got.tobytes() == expected.tobytes(), name
+            if got is not None:
+                assert np.abs(got - expected).max() <= 1e-12 * np.abs(expected).max(), name
 
 
 class TestGradients:
@@ -510,9 +513,12 @@ class TestOptimizer:
                 backward_and_step(result.total, params, optimizer)
 
     def test_overflowing_update_raises(self, micro):
-        # the loss and gradients are finite; the Adam update overflows E0
+        # the loss and gradients are finite; the Adam update overflows E0:
+        # at learning rate 1e308, lr * m_hat overflows once a gradient entry
+        # passes about 1.8; E0 scaled by 1e6 gets about 20 from the L2 term
         ds, _, cfg, views = micro
         params = make_params(cfg, ds, views)
+        params.e0.data *= 1e6
         optimizer = Adam(params.tensors(), learning_rate=1e308)
         result = forward(params, views, cfg, batch=micro_batch(), mode="train", rng=MASK_SEED)
         with np.errstate(all="ignore"), pytest.raises(NumericError, match="parameter"):

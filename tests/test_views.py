@@ -1,6 +1,6 @@
 """The single-node views against their op-by-op tape composition in
-`oracles.py`, the one-node hypergraph pass bit for bit against its
-per-broadcast tape, and finite-difference checks of every view node."""
+`oracles.py`, the one-node hypergraph pass against its per-broadcast tape,
+and finite-difference checks of every view node."""
 
 import numpy as np
 import pytest
@@ -10,7 +10,7 @@ from mhcr import autodiff as ad
 from mhcr.dataio import SyntheticConfig, generate_synthetic, split_dataset
 from mhcr.errors import ConfigError
 from mhcr.hypergraph import build_incidence, hypergraph_pass
-from mhcr.item_graph import propagate_items
+from mhcr.item_graph import build_affinity_graph, propagate_items
 from mhcr.training import build_views
 from mhcr.ui_graph import propagate_ui
 
@@ -71,7 +71,9 @@ def assert_grads_agree(got: np.ndarray, expected: np.ndarray, name: str) -> None
 
 
 class TestViewsAgainstTape:
-    """Forward outputs bit-equal to the tape's; gradients within 1e-12."""
+    """UI outputs bit-equal to the tape's; the item and hypergraph views sum
+    in another order than their tapes, so their outputs, like every
+    gradient, agree to a relative 1e-12."""
 
     @pytest.mark.parametrize("rows_case", ROW_CASES)
     @pytest.mark.parametrize("layers", [0, 1, 3])
@@ -94,23 +96,28 @@ class TestViewsAgainstTape:
 
     @pytest.mark.parametrize("rows_case", ROW_CASES)
     def test_items(self, instance, rows_case):
+        # the one node reads the precomputed S_m F_m; the tape projects F_m
+        # first and propagates the projection over S_m
         rng = np.random.default_rng(3)
-        graphs = instance.affinity
-        projected = [rng.normal(size=(g.shape[0], 5)) for g in graphs]
-        rows = pick_rows(rows_case, graphs[0].shape[0], rng)
+        graphs = [build_affinity_graph(f, 3) for f in instance.features]
+        features = [f.matrix for f in instance.features]
+        weights = [rng.normal(size=(f.shape[1], 5)) for f in features]
+        rows = pick_rows(rows_case, features[0].shape[0], rng)
         outs = []
-        no_users = lambda *args: propagate_items(*args, 0)  # noqa: E731
-        for propagate in (no_users, tape_propagate_items):
-            leaves = [leaf(p) for p in projected]
-            out = propagate(graphs, leaves, rows)
+        for one_node in (True, False):
+            leaves = [leaf(w) for w in weights]
+            if one_node:
+                out = propagate_items(instance.smoothed, leaves, rows, 0)
+            else:
+                out = tape_propagate_items(graphs, features, leaves, rows)
             if not outs:
-                weights = rng.normal(size=out.shape)
-            weighted_sum(out, weights).backward()
+                weights_out = rng.normal(size=out.shape)
+            weighted_sum(out, weights_out).backward()
             outs.append((out.data, [t.grad for t in leaves]))
         (out, grads), (tape_out, tape_grads) = outs
-        assert np.array_equal(out, tape_out)
+        assert_grads_agree(out, tape_out, "items")
         for grad, tape_grad in zip(grads, tape_grads):
-            assert_grads_agree(grad, tape_grad, "projected")
+            assert_grads_agree(grad, tape_grad, "W")
 
     @pytest.mark.parametrize("rows_case", ROW_CASES)
     @pytest.mark.parametrize("drop_rate", [0.0, 0.5, 1.0])
@@ -125,39 +132,34 @@ class TestViewsAgainstTape:
         item_rows = pick_rows(rows_case, feats.shape[0], rng)
         if drop_rate == 1.0:  # a rate that drops every message is refused
             with pytest.raises(ConfigError, match="drop_rate"):
-                hypergraph_pass(feats, leaf(v), feats @ w, x_rows, drop_rate, steps,
+                hypergraph_pass(feats, leaf(v), leaf(w), x_rows, drop_rate, steps,
                                 np.random.default_rng(99), item_rows)
             return
         outs = []
         for one_node in (True, False):
             v_t, w_t = leaf(v), leaf(w)
-            state = matmul(ad.constant(feats), w_t)
             mask_rng = np.random.default_rng(99)
             if one_node:
                 h_items = build_incidence(feats, v)
-                stacked = hypergraph_pass(feats, v_t, state, x_rows, drop_rate, steps, mask_rng,
+                stacked = hypergraph_pass(feats, v_t, w_t, x_rows, drop_rate, steps, mask_rng,
                                           item_rows)
             else:
                 incidence = tape_build_incidence(feats, v_t)
                 h_items = incidence.data
-                stacked = tape_hypergraph_pass(incidence, state, x_rows, drop_rate, steps,
-                                               mask_rng, item_rows)
+                stacked = tape_hypergraph_pass(incidence, matmul(ad.constant(feats), w_t), x_rows,
+                                               drop_rate, steps, mask_rng, item_rows)
             if not outs:
                 weights = rng.normal(size=stacked.shape)
             weighted_sum(stacked, weights).backward()
-            outs.append(([h_items, stacked.data], [v_t.grad, w_t.grad]))
-        (out, grads), (tape_out, tape_grads) = outs
-        for got, expected in zip(out, tape_out):
-            assert np.array_equal(got, expected)
-        for name, got, expected in zip(["V", "W"], grads, tape_grads):
+            outs.append([h_items, stacked.data, v_t.grad, w_t.grad])
+        for name, got, expected in zip(["H_i", "stacked", "V", "W"], *outs):
             assert_grads_agree(got, expected, name)
 
 
 class TestPassAgainstPerBroadcastNodes:
-    """The one-node pass against `per_broadcast_pass`, whose tape has H_u and
-    each broadcast as its own node: outputs and the gradients of V, W and the
-    projection bit for bit. The projection also feeds `propagate_items`, whose
-    gradient the tape adds first, so its three-term sum is pinned too."""
+    """The one-node pass against `per_broadcast_pass`, whose tape has H_i,
+    H_u and each broadcast as its own node: outputs and the gradients of V
+    and W agree to a relative 1e-12."""
 
     @pytest.mark.parametrize("rows_case", ROW_CASES)
     @pytest.mark.parametrize("drop_rate", [0.0, 0.5])
@@ -172,24 +174,22 @@ class TestPassAgainstPerBroadcastNodes:
         outs = []
         for one_node in (True, False):
             v_t, w_t = leaf(v), leaf(w)
-            projected = matmul(ad.constant(feats), w_t)
             mask_rng = np.random.default_rng(99)
             if one_node:
-                stacked = hypergraph_pass(feats, v_t, projected, instance.x_u[user_rows],
-                                          drop_rate, steps, mask_rng, item_rows)
+                stacked = hypergraph_pass(feats, v_t, w_t, instance.x_u[user_rows], drop_rate,
+                                          steps, mask_rng, item_rows)
             else:
                 incidence = per_broadcast_incidence(feats, v_t, instance.x_u, user_rows)
+                state = matmul(ad.constant(feats), w_t)
                 stacked = concat_rows(
-                    per_broadcast_pass(incidence, projected, drop_rate, steps, mask_rng,
-                                       item_rows)
+                    per_broadcast_pass(incidence, state, drop_rate, steps, mask_rng, item_rows)
                 )
-            items = propagate_items(instance.affinity[:1], [projected], item_rows, 0)
             if not outs:
-                weights = rng.normal(size=items.shape), rng.normal(size=stacked.shape)
-            (weighted_sum(items, weights[0]) + weighted_sum(stacked, weights[1])).backward()
-            outs.append([stacked.data, v_t.grad, w_t.grad, projected.grad])
-        for name, got, expected in zip(["stacked", "V", "W", "projection"], *outs):
-            assert np.array_equal(got, expected), name
+                weights = rng.normal(size=stacked.shape)
+            weighted_sum(stacked, weights).backward()
+            outs.append([stacked.data, v_t.grad, w_t.grad])
+        for name, got, expected in zip(["stacked", "V", "W"], *outs):
+            assert_grads_agree(got, expected, name)
 
 
 class TestViewGradients:
@@ -231,48 +231,56 @@ class TestViewGradients:
         # two zero user rows ahead of the items: the backward reads past them
         rng = np.random.default_rng(1)
         rows = np.array([5, 1, 1, 2])
-        arrays = {f.modality: rng.normal(size=(6, 3)) for f in views.features}
+        arrays = {f.modality: rng.normal(size=(f.dim, 3)) for f in views.features}
         self.check(
-            lambda t: [propagate_items(views.affinity, [t[f.modality] for f in views.features],
+            lambda t: [propagate_items(views.smoothed, [t[f.modality] for f in views.features],
                                        rows, 2)],
             arrays,
         )
 
     def test_build_incidence(self, views):
-        # V_m through H_i = F_m V_m^T, and H_u = X_u H_i over users with a
-        # repeat, inside the pass at one and two steps
+        # V_m through the softmax of F_m V_m^T, D_e and H_u = D_u^-1 X_u H_i
+        # over users with a repeat, and W_m through the item state, inside
+        # the pass at one and two steps
         feats = views.features[0].matrix
         rng = np.random.default_rng(2)
-        v = rng.normal(size=(3, feats.shape[1]))
-        state = ad.Tensor(rng.normal(size=(feats.shape[0], 2)))
+        arrays = {"v": rng.normal(size=(3, feats.shape[1])),
+                  "w": rng.normal(size=(feats.shape[1], 2))}
         x_rows = views.x_u[np.array([3, 0, 3])]
         for steps in (1, 2):
-            self.check(lambda t: [hypergraph_pass(feats, t["v"], state, x_rows, 0.0, steps,
+            self.check(lambda t: [hypergraph_pass(feats, t["v"], t["w"], x_rows, 0.0, steps,
                                                   np.random.default_rng(0), np.array([1, 4, 1]))],
-                       {"v": v})
+                       arrays)
 
     @pytest.mark.parametrize("item_rows", [None, np.array([4, 1, 4, 0])])
     def test_broadcasts_with_dropout(self, item_rows):
         item_rows = np.arange(6) if item_rows is None else item_rows  # None: every item
         rng = np.random.default_rng(3)
         features = rng.normal(size=(6, 4))
-        arrays = {"v": rng.normal(size=(3, 4)), "state": rng.normal(size=(6, 2))}
-        x_rows = sp.csr_matrix(rng.random((4, 6)) < 0.5, dtype=np.float64)[[2, 0, 2, 3]]
+        arrays = {"v": rng.normal(size=(3, 4)), "w": rng.normal(size=(4, 2))}
+        x_u = (rng.random((4, 6)) < 0.5).astype(np.float64)
+        x_u /= np.maximum(x_u.sum(axis=1, keepdims=True), 1.0)
+        x_rows = sp.csr_matrix(x_u)[[2, 0, 2, 3]]
 
         def build(t):
             rng = np.random.default_rng(17)
-            return [hypergraph_pass(features, t["v"], t["state"], x_rows, 0.5, 2, rng, item_rows)]
+            return [hypergraph_pass(features, t["v"], t["w"], x_rows, 0.5, 2, rng, item_rows)]
 
         self.check(build, arrays)
 
 
 def test_own_targets_gradient_is_scattered_into_incidence():
-    # one item broadcast to item 0 twice: both target rows add into H_i[0].
-    # Features I make V_m = H_i^T, so V_m's gradient is H_i's transposed
-    v = ad.Tensor(np.array([[1.0, 2.0]]), requires_grad=True)
-    no_users = sp.csr_matrix((0, 2))
-    e_items = hypergraph_pass(np.eye(2), v, np.array([[1.0], [1.0]]), no_users, 0.0, 1,
-                              np.random.default_rng(0), np.array([0, 0]))
-    tensor_sum(e_items).backward()
-    # out_r = H[0] * (H[0] + H[1]) for both rows, so dL/dH = 2 * (2 H[0] + H[1], H[0])
-    assert np.array_equal(v.grad, np.array([[8.0, 2.0]]))
+    # item 0 broadcast to twice: both target rows add into H_i[0], so every
+    # gradient is twice that of a single broadcast to item 0
+    rng = np.random.default_rng(4)
+    features, v, w = rng.normal(size=(3, 2)), rng.normal(size=(2, 2)), rng.normal(size=(2, 1))
+    no_users = sp.csr_matrix((0, 3))
+    grads = []
+    for item_rows in ([0, 0], [0]):
+        v_t, w_t = leaf(v), leaf(w)
+        e_items = hypergraph_pass(features, v_t, w_t, no_users, 0.0, 1,
+                                  np.random.default_rng(0), np.array(item_rows))
+        tensor_sum(e_items).backward()
+        grads.append((v_t.grad, w_t.grad))
+    for twice, once in zip(*grads):
+        assert once.any() and np.allclose(twice, 2.0 * once, rtol=1e-12, atol=0.0)
