@@ -1,14 +1,14 @@
-"""Binary checkpoint format, version 2: a header with the training config,
-followed by named little-endian f32 tensors. Layout:
+"""Binary checkpoint format, version 3: a header that fixes every tensor
+shape, followed by the tensors' little-endian f32 values. Layout:
 
-    magic "MHCRCKPT" (8s) | version u32 | num_users u64 |
-    config_len u32 | config: the TrainConfig as UTF-8 JSON, sorted keys
-    per tensor:  name_len u16 | name utf-8 | ndim u8 | dims u64... | f32 data
+    magic "MHCRCKPT" (8s) | version u32 | num_users u64 | num_items u64 |
+    meta_len u32 | meta: UTF-8 JSON with sorted keys,
+        {"config": <the TrainConfig>, "modality_dims": {tag: width}}
+    body: the f32 values of every tensor, in `training.parameter_shapes` order
 
-The header holds only what the tensors cannot give. On load `d` and
-`k_hyper` come from the config, the item count and modality dims from the
-tensors, and `training.parameter_shapes` fixes the tensors the file must
-hold, all finite.
+`parameter_shapes` of the header's sizes, the config's `d` and `k_hyper`
+and the widths is the only description of the body: it holds exactly
+those values, all finite, and nothing else.
 """
 
 from __future__ import annotations
@@ -23,60 +23,36 @@ from pathlib import Path
 import numpy as np
 
 from . import autodiff as ad
+from .dataio import MODALITIES
 from .errors import ConfigError, DataError, NumericError
 from .training import ModelParameters, TrainConfig, parameter_shapes
 
 _MAGIC = b"MHCRCKPT"
-_VERSION = 2
-_HEADER = struct.Struct("<8sIQI")  # magic, version, num_users, config_len
+_VERSION = 3
+_HEADER = struct.Struct("<8sIQQI")  # magic, version, num_users, num_items, meta_len
 
 
 def save_checkpoint(params: ModelParameters, path: str | Path) -> None:
     """Write `params` and `params.config`; raises NumericError, before the
     file is opened, if a value is not finite once rounded to f32."""
+    cfg, widths = params.config, params.modality_dims
+    shapes = parameter_shapes(params.num_users, params.num_items, cfg.d, cfg.k_hyper, widths)
     with np.errstate(over="ignore"):
-        stored = {n: np.ascontiguousarray(t.data, dtype="<f4") for n, t in params.named.items()}
+        stored = {n: np.ascontiguousarray(params.named[n].data, dtype="<f4") for n in shapes}
     for name, data in stored.items():
         if not np.isfinite(data).all():
             raise NumericError(f"parameter {name} has values that are not finite in f32")
-    config = json.dumps(asdict(params.config), sort_keys=True).encode("utf-8")
+    meta = json.dumps({"config": asdict(cfg), "modality_dims": widths}, sort_keys=True)
     with Path(path).open("wb") as fh:
-        fh.write(_HEADER.pack(_MAGIC, _VERSION, params.num_users, len(config)))
-        fh.write(config)
-        for name, data in stored.items():
-            encoded = name.encode("utf-8")
-            fh.write(struct.pack("<H", len(encoded)))
-            fh.write(encoded)
-            fh.write(struct.pack("<B", data.ndim))
-            fh.write(struct.pack(f"<{data.ndim}Q", *data.shape))
+        fh.write(_HEADER.pack(_MAGIC, _VERSION, params.num_users, params.num_items, len(meta)))
+        fh.write(meta.encode("utf-8"))
+        for data in stored.values():
             fh.write(data.tobytes())
 
 
-class _Reader:
-    def __init__(self, raw: bytes, path: Path):
-        self.raw = raw
-        self.path = path
-        self.offset = 0
-
-    def take(self, fmt: struct.Struct | str):
-        fmt = struct.Struct(fmt) if isinstance(fmt, str) else fmt
-        return fmt.unpack(self.take_bytes(fmt.size))
-
-    def take_bytes(self, n: int) -> bytes:
-        if self.offset + n > len(self.raw):
-            raise DataError(f"{self.path}: truncated checkpoint")
-        chunk = self.raw[self.offset:self.offset + n]
-        self.offset += n
-        return chunk
-
-
-def _config_from_json(blob: bytes, path: Path) -> TrainConfig:
+def _config_from_json(values: object, path: Path) -> TrainConfig:
     """The valid TrainConfig of a JSON object holding every field once, each
     with a value of the field's type (an int serves a float field)."""
-    try:
-        values = json.loads(blob.decode("utf-8"))
-    except (ValueError, RecursionError) as exc:  # bad UTF-8 or JSON, or JSON nested too deep
-        raise DataError(f"{path}: checkpoint config is not UTF-8 JSON: {exc}") from None
     kinds = typing.get_type_hints(TrainConfig)
     if not isinstance(values, dict) or set(values) != set(kinds):
         found = sorted(values) if isinstance(values, dict) else type(values).__name__
@@ -92,52 +68,52 @@ def _config_from_json(blob: bytes, path: Path) -> TrainConfig:
     return cfg
 
 
+def _widths_from_json(widths: object, path: Path) -> dict[str, int]:
+    if (not isinstance(widths, dict) or not widths or not set(widths) <= set(MODALITIES)
+            or any(type(w) is not int or w < 1 for w in widths.values())):
+        raise DataError(f"{path}: checkpoint modality_dims {widths!r} is not a non-empty map "
+                        f"of tags of {', '.join(MODALITIES)} to widths >= 1")
+    return widths
+
+
 def load_checkpoint(path: str | Path) -> ModelParameters:
     path = Path(path)
-    if not path.exists():
-        raise DataError(f"checkpoint not found: {path}")
-    reader = _Reader(path.read_bytes(), path)
-    magic, version, num_users, config_len = reader.take(_HEADER)
+    if not path.is_file():
+        raise DataError(f"checkpoint not found or not a file: {path}")
+    raw = path.read_bytes()
+    if len(raw) < _HEADER.size:
+        raise DataError(f"{path}: truncated checkpoint header")
+    magic, version, num_users, num_items, meta_len = _HEADER.unpack_from(raw)
     if magic != _MAGIC:
         raise DataError(f"{path}: bad checkpoint magic {magic!r}")
     if version != _VERSION:
         raise DataError(
-            f"{path}: checkpoint version {version} is not readable; this program reads "
-            f"version {_VERSION}, which stores the training config: retrain to write one"
+            f"{path}: checkpoint version {version} is not readable; this program reads version "
+            f"{_VERSION}, written since the hypergraph view was bounded: retrain to write one"
         )
-    cfg = _config_from_json(reader.take_bytes(config_len), path)
+    start = _HEADER.size + meta_len
+    if len(raw) < start:
+        raise DataError(f"{path}: truncated checkpoint header")
+    try:
+        meta = json.loads(raw[_HEADER.size:start].decode("utf-8"))
+    except (ValueError, RecursionError) as exc:  # bad UTF-8 or JSON, or JSON nested too deep
+        raise DataError(f"{path}: checkpoint config is not UTF-8 JSON: {exc}") from None
+    if not isinstance(meta, dict) or set(meta) != {"config", "modality_dims"}:
+        raise DataError(f"{path}: checkpoint meta is not a config and modality_dims object")
+    cfg = _config_from_json(meta["config"], path)
+    widths = _widths_from_json(meta["modality_dims"], path)
 
-    tensors: dict[str, np.ndarray] = {}
-    while reader.offset < len(reader.raw):
-        (name_len,) = reader.take("<H")
-        name = reader.take_bytes(name_len).decode("utf-8", "replace")  # bad names fail below
-        (ndim,) = reader.take("<B")
-        dims = reader.take(f"<{ndim}Q")
-        data = reader.take_bytes(math.prod(dims) * 4)  # exact, so corrupt dims cannot wrap
-        tensors[name] = np.frombuffer(data, dtype="<f4").reshape(dims).astype(np.float64)
-
-    # sizes the tensors give; a wrong one fails the shape check below
-    e0 = tensors.get("E0")
-    num_items = max(e0.shape[0] - num_users, 0) if e0 is not None and e0.ndim else 0
-    modality_dims = {n[2:]: t.shape[0] for n, t in tensors.items() if n[:2] == "W_" and t.ndim}
-    if not modality_dims:
-        raise DataError(f"{path}: checkpoint has no modalities")
-    expected = parameter_shapes(num_users, num_items, cfg.d, cfg.k_hyper, modality_dims)
-    if set(tensors) != set(expected):
-        raise DataError(
-            f"{path}: checkpoint tensor set mismatch; found {sorted(tensors)}, "
-            f"expected {sorted(expected)}"
-        )
-    for name, shape in expected.items():
-        if tensors[name].shape != shape:
-            raise DataError(
-                f"{path}: checkpoint tensor {name} has shape {tensors[name].shape}, "
-                f"its config and sizes give {shape}"
-            )
-        if not np.isfinite(tensors[name]).all():
+    # Python ints, so a corrupt size cannot wrap, and checked before any allocation
+    shapes = parameter_shapes(num_users, num_items, cfg.d, cfg.k_hyper, widths)
+    sizes = [math.prod(shape) for shape in shapes.values()]
+    if len(raw) - start != 4 * sum(sizes):
+        raise DataError(f"{path}: checkpoint body has {len(raw) - start} bytes; its header "
+                        f"gives {4 * sum(sizes)} for {num_users} users, {num_items} items")
+    named, offset = {}, start
+    for (name, shape), size in zip(shapes.items(), sizes):
+        data = np.frombuffer(raw, dtype="<f4", count=size, offset=offset)
+        if not np.isfinite(data).all():
             raise DataError(f"{path}: {name} contains non-finite values")
-    return ModelParameters(
-        num_users,
-        {name: ad.Tensor(tensors[name], requires_grad=True) for name in expected},
-        cfg,
-    )
+        named[name] = ad.Tensor(data.astype(np.float64).reshape(shape), requires_grad=True)
+        offset += 4 * size
+    return ModelParameters(num_users, named, cfg)

@@ -51,7 +51,6 @@ from .training import (
     check_modality_count,
     compute_embeddings,
     fit,
-    parameter_shapes,
     variant_label,
 )
 
@@ -83,8 +82,8 @@ _EVALUATE_KEYS = {"out_dir": str, "cold_threshold": int}
 
 def load_config_file(path: str | Path) -> dict[str, str]:
     path = Path(path)
-    if not path.exists():
-        raise ConfigError(f"config file not found: {path}")
+    if not path.is_file():
+        raise ConfigError(f"config file not found or not a file: {path}")
     values: dict[str, str] = {}
     text = path.read_bytes().decode("utf-8", "surrogateescape")
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -100,6 +99,8 @@ def load_config_file(path: str | Path) -> dict[str, str]:
         key, value = (part.strip() for part in line.split("=", 1))
         if not key:
             raise ConfigError(f"{path}:{lineno}: empty key")
+        if key in values:
+            raise ConfigError(f"{path}:{lineno}: key {key!r} is repeated")
         values[key] = value
     return values
 
@@ -189,19 +190,16 @@ def _load_data(data_dir: str, tags: Sequence[str] | None, named_by="the modaliti
     """The interactions and the feature files of `tags` (`named_by` says who
     named them), or of every modality that has a file if `tags` is None."""
     root = Path(data_dir)
-    interactions = root / "interactions.tsv"
-    if not interactions.exists():
-        raise DataError(f"interactions file not found: {interactions}")
-    ds = load_interactions(interactions)
+    ds = load_interactions(root / "interactions.tsv")
     if tags is None:
-        tags = [t for t in MODALITIES if (root / f"features_{t}.bin").exists()]
+        tags = [t for t in MODALITIES if (root / f"features_{t}.bin").is_file()]
         if not tags:
             raise DataError(f"no features_<modality>.bin files found in {root}")
     features = []
     for tag in tags:
         path = root / f"features_{tag}.bin"
-        if not path.exists():
-            raise DataError(f"{named_by} names modality {tag!r}, but {path} does not exist")
+        if not path.is_file():
+            raise DataError(f"{named_by} names modality {tag!r}, but {path} is not a file")
         features.append(load_features(path))
     return ds, features
 
@@ -291,22 +289,20 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     file_values = _read_config(args, _EVALUATE_KEYS)
     cold_threshold = _setting(args, file_values, "cold_threshold", 3)
     evaluation.check_cold_threshold(cold_threshold)
-    out_dir = _out_dir(args, file_values)
     params = load_checkpoint(args.checkpoint)
     cfg = params.config
     print(f"root seed: {cfg.seed}")
 
-    ds, features = _load_data(args.data_dir, params.modality_tags, "the checkpoint")
-    # E0 stacks users over items, so its shape alone misses a shifted split
-    found = {"users": params.num_users, **{n: t.shape for n, t in params.tensors().items()}}
-    dims = {f.modality: f.dim for f in features}
-    expected = {"users": ds.num_users,
-                **parameter_shapes(ds.num_users, ds.num_items, cfg.d, cfg.k_hyper, dims)}
-    differ = [f"{n} {found.get(n)} in the checkpoint, {expected.get(n)} for the data"
-              for n in {**expected, **found} if found.get(n) != expected.get(n)]
+    ds, features = _load_data(args.data_dir, list(params.modality_dims), "the checkpoint")
+    # the sizes that, with the config, fix every tensor shape
+    found = {"users": params.num_users, "items": params.num_items, **params.modality_dims}
+    data = {"users": ds.num_users, "items": ds.num_items, **{f.modality: f.dim for f in features}}
+    differ = [f"{n} {found[n]} in the checkpoint, {data[n]} in the data"
+              for n in found if found[n] != data[n]]
     if differ:
         raise DataError("checkpoint does not fit the data: " + "; ".join(differ))
     ds = load_split(ds, args.split)
+    out_dir = _out_dir(args, file_values)
 
     views = build_views(ds, features, cfg)
     user_emb, item_emb = compute_embeddings(params, views, cfg)
@@ -448,6 +444,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except MemoryError as exc:
         print(f"memory error: {exc}", file=sys.stderr)
         return EXIT_MEMORY
+    except OSError as exc:  # an unusable path, for instance
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_DATA
 
 
 if __name__ == "__main__":

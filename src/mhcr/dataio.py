@@ -7,7 +7,7 @@ import io
 import logging
 import struct
 from array import array
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -211,8 +211,8 @@ def load_interactions(path: str | Path) -> InteractionDataset:
     Duplicate pairs are dropped (first occurrence kept) with a warning that counts them.
     """
     path = Path(path)
-    if not path.exists():
-        raise DataError(f"interactions file not found: {path}")
+    if not path.is_file():
+        raise DataError(f"interactions file not found or not a file: {path}")
     layout = "user<TAB>item"
     u_arr, i_arr = _int_columns(path, layout)
     if not u_arr.size:
@@ -423,8 +423,8 @@ def save_features(feats: ModalityFeatures, path: str | Path) -> None:
 
 def load_features(path: str | Path) -> ModalityFeatures:
     path = Path(path)
-    if not path.exists():
-        raise DataError(f"feature file not found: {path}")
+    if not path.is_file():
+        raise DataError(f"feature file not found or not a file: {path}")
     raw = path.read_bytes()
     if len(raw) < _FEATURE_HEADER.size:
         raise DataError(f"{path}: truncated feature header")
@@ -452,10 +452,12 @@ def save_split(ds: InteractionDataset, path: str | Path) -> None:
 
 
 def load_split(ds: InteractionDataset, path: str | Path) -> InteractionDataset:
-    """Attach a sidecar split to `ds`; every dataset pair must be covered."""
+    """Attach a sidecar split to `ds`. Every pair of a user with a line in
+    the sidecar must be covered; the pairs of users without one are dropped
+    and counted in `num_dropped_users`, as `split_dataset` drops them."""
     path = Path(path)
-    if not path.exists():
-        raise DataError(f"split file not found: {path}")
+    if not path.is_file():
+        raise DataError(f"split file not found or not a file: {path}")
     layout = "user<TAB>item<TAB>label"
     users, items, split = _int_columns(path, layout)
     bad = np.flatnonzero(~np.isin(split, (TRAIN, VAL, TEST)))
@@ -468,11 +470,18 @@ def load_split(ds: InteractionDataset, path: str | Path) -> InteractionDataset:
     keys = np.append(keys, np.iinfo(np.int64).max)  # above every key, so `at` stays in range
     wanted = ds.users * ds.num_items + ds.items
     at = np.searchsorted(keys, wanted)
-    missing = np.flatnonzero(keys[at] != wanted)
+    keep = keys[at] == wanted
+    lined = np.zeros(ds.num_users, dtype=bool)
+    lined[users[inside]] = True
+    missing = np.flatnonzero(~keep & lined[ds.users])
     if missing.size:
         u, i = ds.users[missing[0]], ds.items[missing[0]]
         raise DataError(f"{path}: no split label for pair ({u}, {i})")
-    return replace(ds, split=split[inside[first[at]]].astype(np.int8))
+    dropped_users = np.unique(ds.users[~keep]).size
+    if dropped_users:
+        log.warning("dropped %d user(s) left without train interactions", dropped_users)
+    return InteractionDataset(ds.num_users, ds.num_items, ds.users[keep], ds.items[keep],
+                              split=split[inside[first[at[keep]]]], num_dropped_users=dropped_users)
 
 
 def format_dataset_stats(num_users: int, num_items: int, num_interactions: int) -> str:

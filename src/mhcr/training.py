@@ -157,8 +157,9 @@ class ModelParameters:
         return self.e0.shape[0] - self.num_users
 
     @property
-    def modality_tags(self) -> tuple[str, ...]:
-        return tuple(name[2:] for name in self.named if name.startswith("W_"))
+    def modality_dims(self) -> dict[str, int]:
+        """Tag -> feature width of each modality, in canonical order."""
+        return {name[2:]: t.shape[0] for name, t in self.named.items() if name.startswith("W_")}
 
     def zero_grad(self) -> None:
         for tensor in self.named.values():

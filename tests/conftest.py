@@ -1,9 +1,10 @@
 """Shared fixtures: finite-difference helpers, the pinned micro-instance
 (4 users, 6 items, 2 modalities) used for gradient checks, a strategy over
-valid training configs and a checkpoint config rewriter."""
+valid training configs and a checkpoint meta rewriter."""
 
 from __future__ import annotations
 
+import json
 import struct
 
 import numpy as np
@@ -127,8 +128,15 @@ train_configs = st.builds(
 ).filter(lambda cfg: cfg.use_ui or cfg.use_ii or cfg.use_hem)
 
 
-def with_checkpoint_config(raw: bytes, config: bytes) -> bytes:
-    """A version-2 checkpoint's bytes with its config blob replaced; the
-    blob's length is the u32 at offset 20, after magic, version, num_users."""
-    (length,) = struct.unpack_from("<I", raw, 20)
-    return raw[:20] + struct.pack("<I", len(config)) + config + raw[24 + length:]
+def with_checkpoint_meta(raw: bytes, config: bytes | None = None,
+                         widths: bytes | None = None) -> bytes:
+    """A version-3 checkpoint's bytes with the JSON text of its meta's
+    config or modality widths replaced by the given bytes, which need not
+    be JSON; the meta's length is the u32 at offset 28, after magic,
+    version, num_users and num_items."""
+    (length,) = struct.unpack_from("<I", raw, 28)
+    meta = json.loads(raw[32:32 + length])
+    config = json.dumps(meta["config"]).encode() if config is None else config
+    widths = json.dumps(meta["modality_dims"]).encode() if widths is None else widths
+    blob = b'{"config": ' + config + b', "modality_dims": ' + widths + b"}"
+    return raw[:28] + struct.pack("<I", len(blob)) + blob + raw[32 + length:]

@@ -4,9 +4,7 @@ package because no program path runs it: the generic tape ops (`zeros`,
 ones); the op-by-op tape composition of the three views (projections,
 the incidence softmax, D_e and each broadcast as nodes of their own) and
 of the BPR and L2 objectives, which the single-node versions must match;
-the hypergraph view with H_i, H_u and each broadcast one node
-(`per_broadcast_incidence`, `per_broadcast_pass`); the forward pass
-assembled from those generic ops and that per-broadcast view
+the forward pass assembled from those generic ops and views
 (`tape_forward`), which the model-node forward must match to a relative
 1e-12; the user-by-user split that the whole-array `split_dataset` must
 reproduce; and the user-by-user ranking and metrics that the block
@@ -246,102 +244,14 @@ def tape_hypergraph_pass(h_items, e_items, x_rows, drop_rate, steps, rng, item_r
     return concat_rows([broadcast(spmm(x_rows, h_items), e_cur), e_next])
 
 
-def per_broadcast_incidence(features, v_m, x_u, user_rows) -> tuple[ad.Tensor, ad.Tensor]:
-    """(H_i, H_u = X_u[user_rows] @ H_i) as one node each; H_i is the row
-    softmax of F V^T, with the softmax Jacobian in its backward."""
-    features = np.asarray(features, dtype=np.float64)
-    v_m = ad.as_tensor(v_m)
-    logits = features @ v_m.data.T
-    e = np.exp(logits - logits.max(axis=1, keepdims=True))
-    h = e / e.sum(axis=1, keepdims=True)
-
-    def softmax_backward(g):
-        return ((h * (g - (g * h).sum(axis=1, keepdims=True))).T @ features,)
-
-    h_items = ad.custom_op(h, (v_m,), softmax_backward)
-    x_rows = x_u[user_rows]
-    h_users = ad.custom_op(x_rows @ h_items.data, (h_items,), lambda g: (x_rows.T @ g,))
-    return h_items, h_users
-
-
-def _mask(shape, rate: float, rng: np.random.Generator):
-    return None if rate <= 0.0 else (rng.random(shape) >= rate) * (1.0 / (1.0 - rate))
-
-
-def _masked(x: np.ndarray, mask) -> np.ndarray:
-    return x if mask is None else x * mask
-
-
-def _one_broadcast(h_items: ad.Tensor, state: ad.Tensor, rate: float,
-                   rng: np.random.Generator, targets) -> ad.Tensor:
-    """DROP(T) @ D_e^-1 (DROP(H_i)^T @ state) as one tape node, D_e the
-    column sums of H_i and the pool mask drawn before the target mask. T is
-    the tensor `targets`, or, when `targets` is an array of item ids, those
-    rows of H_i, whose gradient is added into H_i's."""
-    d_e = h_items.data.sum(axis=0)[:, None]
-    pool_mask = _mask(h_items.shape, rate, rng)
-    source = _masked(h_items.data, pool_mask)
-    pooled = source.T @ state.data / d_e
-    own = not isinstance(targets, ad.Tensor)
-    t_data = h_items.data[targets] if own else targets.data
-    target_mask = _mask(t_data.shape, rate, rng)
-    dropped_targets = _masked(t_data, target_mask)
-
-    def backward(g):
-        g_sum = dropped_targets.T @ g / d_e
-        g_items = _masked(state.data @ g_sum.T, pool_mask) - (g_sum * pooled).sum(axis=1)
-        g_state = source @ g_sum
-        g_targets = _masked(g @ pooled.T, target_mask)
-        return (ad.RowGrad(targets, g_targets) if own else g_targets), g_items, g_state
-
-    parents = (h_items if own else targets, h_items, state)
-    return ad.custom_op(dropped_targets @ pooled, parents, backward)
-
-
-def per_broadcast_pass(incidence, e_items, drop_rate, steps, rng, item_rows):
-    """The hypergraph pass over (H_i, H_u) from `per_broadcast_incidence`
-    with each broadcast one node; returns the (user; item) states."""
-    h_items, h_users = incidence
-    e_cur = ad.as_tensor(e_items)
-    for _ in range(steps - 1):
-        e_cur = _one_broadcast(h_items, e_cur, drop_rate, rng, np.arange(h_items.shape[0]))
-    e_next = _one_broadcast(h_items, e_cur, drop_rate, rng, item_rows)
-    return _one_broadcast(h_items, e_cur, drop_rate, rng, h_users), e_next
-
-
-def transposed_propagate_ui(adjacency, e0: ad.Tensor, layers: int, rows) -> ad.Tensor:
-    """`propagate_ui` with each layer's gradient passed down through the
-    transposed adjacency, and layer 0 alone a `gather_rows` node."""
-    if layers == 0:
-        return gather_rows(e0, rows)
-    last_adjacency = adjacency[rows]
-    current = e0.data
-    out = current[rows]
-    for _ in range(layers - 1):
-        current = adjacency @ current
-        out = out + current[rows]
-
-    def backward(g):
-        grad = last_adjacency.T @ g
-        for _ in range(layers - 1):
-            ad.add_rows(grad, rows, g)
-            grad = adjacency.T @ grad
-        ad.add_rows(grad, rows, g)
-        return (grad,)
-
-    return ad.custom_op(out + last_adjacency @ current, (e0,), backward)
-
-
 def tape_forward(params, views, cfg, batch=None, mode="train", rng=None):
-    """`training.forward` assembled from generic ops: `matmul` projections
-    F_m W_m for the hypergraph state, the item view as `concat_rows` of
-    zero user rows and `matmul`s of the rows of S_m F_m, a zero tensor for
-    each disabled view, two-term adds for every sum,
-    `transposed_propagate_ui` for the UI view, and each modality's
-    hypergraph view as the H_i and H_u nodes of `per_broadcast_incidence`,
-    one node per broadcast (`per_broadcast_pass`) and a `concat_rows` of its
-    (user; item) rows. The graph-hypergraph loss is computed only with a
-    graph view on."""
+    """`training.forward` assembled from generic ops: the item view as
+    `concat_rows` of zero user rows and `matmul`s of the rows of S_m F_m, a
+    zero tensor for each disabled view, two-term adds for every sum,
+    `tape_propagate_ui` for the UI view, and each modality's hypergraph view
+    as `tape_hypergraph_pass` over the softmax nodes of
+    `tape_build_incidence` and a `matmul` projection F_m W_m. The
+    graph-hypergraph loss is computed only with a graph view on."""
     train_mode = mode == "train"
     num_users, num_items, d = params.num_users, params.num_items, params.d
     if train_mode:
@@ -354,7 +264,7 @@ def tape_forward(params, views, cfg, batch=None, mode="train", rng=None):
 
     e_ui = zero_view
     if cfg.use_ui:
-        e_ui = transposed_propagate_ui(views.adjacency, params.e0, cfg.layers, nodes)
+        e_ui = tape_propagate_ui(views.adjacency, params.e0, cfg.layers, nodes)
     e_ii = zero_view
     if cfg.use_ii:
         items_part = None
@@ -370,13 +280,11 @@ def tape_forward(params, views, cfg, batch=None, mode="train", rng=None):
             rng = np.random.default_rng(rng)
         drop = cfg.drop_rate if train_mode else 0.0
         for feats, w in zip(views.features, weights):
-            incidence = per_broadcast_incidence(
-                feats.matrix, params.named[f"V_{feats.modality}"], views.x_u, user_rows
-            )
+            incidence = tape_build_incidence(feats.matrix, params.named[f"V_{feats.modality}"])
             state = matmul(ad.constant(feats.matrix), w)
-            hyper_stacks.append(concat_rows(per_broadcast_pass(
-                incidence, state, drop, cfg.hyper_steps, rng, item_rows
-            )))
+            hyper_stacks.append(tape_hypergraph_pass(
+                incidence, state, views.x_u[user_rows], drop, cfg.hyper_steps, rng, item_rows
+            ))
         e_h = hyper_stacks[0]
         for stack in hyper_stacks[1:]:
             e_h = ad.add(e_h, stack)

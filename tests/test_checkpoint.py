@@ -12,9 +12,9 @@ from hypothesis import given, settings
 
 from mhcr.checkpoint import load_checkpoint, save_checkpoint
 from mhcr.errors import DataError, NumericError
-from mhcr.training import build_views, init_parameters
+from mhcr.training import build_views, init_parameters, parameter_shapes
 
-from conftest import micro_config, micro_dataset, train_configs, with_checkpoint_config
+from conftest import micro_config, micro_dataset, train_configs, with_checkpoint_meta
 
 
 def make_params():
@@ -22,6 +22,12 @@ def make_params():
     cfg = micro_config()
     views = build_views(ds, feats, cfg)
     return init_parameters(cfg, ds.num_users, ds.num_items, views.modality_dims)
+
+
+def saved(tmp_path, params=None) -> Path:
+    path = tmp_path / "ckpt.bin"
+    save_checkpoint(params or make_params(), path)
+    return path
 
 
 def test_round_trip_preserves_structure_and_f32_values(tmp_path):
@@ -32,10 +38,23 @@ def test_round_trip_preserves_structure_and_f32_values(tmp_path):
     assert loaded.num_users == params.num_users
     assert loaded.num_items == params.num_items
     assert loaded.config == params.config
-    assert loaded.modality_tags == params.modality_tags
+    assert loaded.modality_dims == params.modality_dims
+    assert list(loaded.named) == list(parameter_shapes(
+        params.num_users, params.num_items, params.d, params.config.k_hyper, params.modality_dims))
     for (name, original), restored in zip(params.tensors().items(), loaded.tensors().values()):
         assert np.array_equal(restored.data, original.data.astype(np.float32).astype(np.float64)), name
         assert restored.requires_grad
+
+
+def test_body_is_the_f32_values_in_parameter_shapes_order(tmp_path):
+    params = make_params()
+    raw = saved(tmp_path, params).read_bytes()
+    body = b"".join(t.data.astype("<f4").tobytes() for t in params.named.values())
+    assert raw.endswith(body)
+    (meta_len,) = struct.unpack_from("<I", raw, 28)
+    assert len(raw) == 32 + meta_len + len(body)
+    meta = json.loads(raw[32:32 + meta_len])
+    assert meta == {"config": asdict(params.config), "modality_dims": {"image": 5, "text": 3}}
 
 
 def test_save_is_deterministic(tmp_path):
@@ -57,30 +76,43 @@ def test_corrupt_magic(tmp_path):
 
 
 def test_truncated_file(tmp_path):
-    params = make_params()
-    path = tmp_path / "ckpt.bin"
-    save_checkpoint(params, path)
+    path = saved(tmp_path)
     (tmp_path / "cut.bin").write_bytes(path.read_bytes()[:-10])
-    with pytest.raises(DataError, match="truncated"):
+    with pytest.raises(DataError, match="body has"):
         load_checkpoint(tmp_path / "cut.bin")
 
 
-def test_dims_whose_product_wraps_in_int64_are_truncation(tmp_path):
-    # 2^33 * 2^33 * 4 bytes wraps to 0 in int64 arithmetic
+def test_lengthened_file(tmp_path):
+    path = saved(tmp_path)
+    (tmp_path / "long.bin").write_bytes(path.read_bytes() + bytes(4))
+    with pytest.raises(DataError, match="body has"):
+        load_checkpoint(tmp_path / "long.bin")
+
+
+@pytest.mark.parametrize("cut", [10, 40])
+def test_truncated_header(tmp_path, cut):
+    (tmp_path / "cut.bin").write_bytes(saved(tmp_path).read_bytes()[:cut])
+    with pytest.raises(DataError, match="truncated checkpoint header"):
+        load_checkpoint(tmp_path / "cut.bin")
+
+
+def test_dims_whose_product_wraps_in_int64_are_truncation(tmp_path, monkeypatch):
+    # 2^59 more users add 2^59 x d = 8 x 4 = 2^64 bytes to E0, which wraps to
+    # the true body length in 64-bit arithmetic
     params = make_params()
-    path = tmp_path / "ckpt.bin"
-    save_checkpoint(params, path)
-    raw = bytearray(path.read_bytes())
-    dims_at = raw.index(b"\x02\x00E0\x02") + 5  # name_len, name, ndim of E0
-    raw[dims_at:dims_at + 16] = struct.pack("<2Q", 2**33, 2**33)
+    raw = bytearray(saved(tmp_path, params).read_bytes())
+    raw[12:20] = struct.pack("<Q", params.num_users + 2**59)
     (tmp_path / "huge.bin").write_bytes(bytes(raw))
-    with pytest.raises(DataError, match="truncated"):
+    monkeypatch.setattr(np, "frombuffer", None)  # fails the test if anything is allocated
+    with pytest.raises(DataError, match="body has"):
         load_checkpoint(tmp_path / "huge.bin")
 
 
 def test_missing_file(tmp_path):
     with pytest.raises(DataError, match="not found"):
         load_checkpoint(tmp_path / "nope.bin")
+    with pytest.raises(DataError, match="not a file"):
+        load_checkpoint(tmp_path)
 
 
 def test_value_beyond_f32_is_refused_before_writing(tmp_path):
@@ -99,7 +131,7 @@ def test_non_finite_tensor_is_rejected_on_load(tmp_path):
     raw = bytearray(path.read_bytes())
     raw[-4:] = np.array([np.nan], dtype="<f4").tobytes()  # last entry of the last tensor
     (tmp_path / "nan.bin").write_bytes(bytes(raw))
-    with pytest.raises(DataError, match="non-finite"):
+    with pytest.raises(DataError, match="V_text contains non-finite"):
         load_checkpoint(tmp_path / "nan.bin")
 
 
@@ -118,15 +150,10 @@ def test_every_valid_config_round_trips(cfg):
         assert np.array_equal(loaded.named[name].data, f32), name
 
 
-def _version_1_bytes(params) -> bytes:
-    """`params` in the version-1 layout: sizes and modality dims in the
-    header, no config, then the tensor records of version 2."""
+def _records(params) -> bytes:
+    """The per-tensor records of versions 1 and 2: name_len u16, name,
+    ndim u8, dims u64 each, then the f32 values."""
     raw = bytearray()
-    dims = {tag: params.named[f"W_{tag}"].shape[0] for tag in params.modality_tags}
-    raw += struct.pack("<8sIIQQII", b"MHCRCKPT", 1, params.d, params.num_users,
-                       params.num_items, params.config.k_hyper, len(dims))
-    for tag, d_m in dims.items():
-        raw += struct.pack("<BI", ("image", "video", "text").index(tag), d_m)
     for name, tensor in params.named.items():
         data = tensor.data.astype("<f4")
         raw += struct.pack("<H", len(name)) + name.encode() + struct.pack("<B", data.ndim)
@@ -134,10 +161,38 @@ def _version_1_bytes(params) -> bytes:
     return bytes(raw)
 
 
+def _version_1_bytes(params) -> bytes:
+    """`params` in the version-1 layout: sizes and modality dims in the
+    header, no config, then the tensor records."""
+    dims = params.modality_dims
+    raw = struct.pack("<8sIIQQII", b"MHCRCKPT", 1, params.d, params.num_users,
+                      params.num_items, params.config.k_hyper, len(dims))
+    for tag, d_m in dims.items():
+        raw += struct.pack("<BI", ("image", "video", "text").index(tag), d_m)
+    return raw + _records(params)
+
+
+def _version_2_bytes(params) -> bytes:
+    """`params` in the version-2 layout, which every writer before the
+    bounded hypergraph view used too: users and the config in the header,
+    then the tensor records."""
+    config = json.dumps(asdict(params.config), sort_keys=True).encode()
+    return (struct.pack("<8sIQI", b"MHCRCKPT", 2, params.num_users, len(config)) + config
+            + _records(params))
+
+
 def test_version_1_is_rejected_with_a_retrain_hint(tmp_path):
     path = tmp_path / "v1.bin"
     path.write_bytes(_version_1_bytes(make_params()))
     with pytest.raises(DataError, match="version 1 .*retrain"):
+        load_checkpoint(path)
+
+
+def test_version_2_is_rejected_with_a_retrain_hint(tmp_path):
+    # a version-2 file cannot say which incidence its V_m were trained for
+    path = tmp_path / "v2.bin"
+    path.write_bytes(_version_2_bytes(make_params()))
+    with pytest.raises(DataError, match="version 2 .*retrain"):
         load_checkpoint(path)
 
 
@@ -161,23 +216,53 @@ def _config_json(**changes) -> bytes:
         (_config_json(use_hem=1), "use_hem=1"),
         (_config_json(tau=0.0), "invalid"),
         (_config_json(learning_rate=float("nan")), "invalid"),
-        (_config_json(d=16), "E0"),
-        (_config_json(k_hyper=4), "V_image"),
+        (_config_json(d=16), "body has"),
+        (_config_json(k_hyper=4), "body has"),
     ],
     ids=["not-utf8", "bad-json", "deep-json", "no-object", "unknown-field", "missing-field", "str-int",
          "float-int", "bool-int", "int-bool", "tau-0", "lr-nan", "d-vs-tensors",
          "k_hyper-vs-tensors"],
 )
 def test_bad_config_is_a_data_error(tmp_path, blob, message):
-    path = tmp_path / "ckpt.bin"
-    save_checkpoint(make_params(), path)
-    path.write_bytes(with_checkpoint_config(path.read_bytes(), blob))
+    path = saved(tmp_path)
+    path.write_bytes(with_checkpoint_meta(path.read_bytes(), config=blob))
     with pytest.raises(DataError, match=message):
         load_checkpoint(path)
 
 
+@pytest.mark.parametrize(
+    "widths, message",
+    [
+        (b"{}", "modality_dims"),
+        (b"[5, 3]", "modality_dims"),
+        (b'{"image": 5, "audio": 3}', "modality_dims"),
+        (b'{"image": 5, "text": 0}', "modality_dims"),
+        (b'{"image": 5, "text": 3.0}', "modality_dims"),
+        (b'{"image": 5, "text": true}', "modality_dims"),
+        (b'{"image": 5, "text": 4}', "body has"),
+        (b'{"image": 5}', "body has"),
+    ],
+    ids=["empty", "list", "unknown-tag", "zero", "float", "bool", "wider", "fewer"],
+)
+def test_bad_widths_are_a_data_error(tmp_path, widths, message):
+    path = saved(tmp_path)
+    path.write_bytes(with_checkpoint_meta(path.read_bytes(), widths=widths))
+    with pytest.raises(DataError, match=message):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("meta", [b"[]", b'{"config": {}}', b'{"config": {}, "modality_dims": {}, '
+                                  b'"split": null}'], ids=["list", "no-widths", "extra-key"])
+def test_bad_meta_is_a_data_error(tmp_path, meta):
+    raw = saved(tmp_path).read_bytes()
+    (length,) = struct.unpack_from("<I", raw, 28)
+    (tmp_path / "bad.bin").write_bytes(
+        raw[:28] + struct.pack("<I", len(meta)) + meta + raw[32 + length:])
+    with pytest.raises(DataError, match="meta"):
+        load_checkpoint(tmp_path / "bad.bin")
+
+
 def test_an_int_serves_a_float_field(tmp_path):
-    path = tmp_path / "ckpt.bin"
-    save_checkpoint(make_params(), path)
-    path.write_bytes(with_checkpoint_config(path.read_bytes(), _config_json(learning_rate=1)))
+    path = saved(tmp_path)
+    path.write_bytes(with_checkpoint_meta(path.read_bytes(), config=_config_json(learning_rate=1)))
     assert load_checkpoint(path).config.learning_rate == 1.0

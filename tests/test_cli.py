@@ -2,6 +2,7 @@
 outputs, exit codes, and byte-level determinism."""
 
 import argparse
+import itertools
 import json
 import tempfile
 from dataclasses import asdict, fields, replace
@@ -33,7 +34,7 @@ from mhcr.dataio import (
 from mhcr.errors import ConfigError
 from mhcr.training import build_views, compute_embeddings
 
-from conftest import train_configs, with_checkpoint_config
+from conftest import train_configs, with_checkpoint_meta
 
 GEN_ARGS = [
     "generate",
@@ -227,7 +228,7 @@ class TestEvaluate:
     @pytest.mark.parametrize(
         "config_edit, gen_args",
         [
-            ({"d": 16}, []),  # the stored config against the checkpoint's own tensors
+            ({"d": 16}, []),  # the stored config against the checkpoint's own body
             ({"k_hyper": 8}, []),
             ({}, ["--num-items", "30"]),  # the checkpoint against other data
             ({}, ["--num-users", "45", "--num-items", "20"]),
@@ -243,7 +244,7 @@ class TestEvaluate:
         if config_edit:
             edited = replace(load_checkpoint(ckpt).config, **config_edit)
             blob = json.dumps(asdict(edited)).encode()
-            ckpt.write_bytes(with_checkpoint_config(ckpt.read_bytes(), blob))
+            ckpt.write_bytes(with_checkpoint_meta(ckpt.read_bytes(), config=blob))
         eval_dir = data_dir
         if gen_args:
             eval_dir = tmp_path / "other-data"
@@ -268,31 +269,56 @@ class TestEvaluate:
         cfg = params.config
         assert (cfg.use_hem, cfg.layers, cfg.k_knn, cfg.seed) == (False, 1, 5, 13)
         ds = load_split(load_interactions(data_dir / "interactions.tsv"), run / "split.tsv")
-        feats = [load_features(data_dir / f"features_{t}.bin") for t in params.modality_tags]
+        feats = [load_features(data_dir / f"features_{t}.bin") for t in params.modality_dims]
         user_emb, item_emb = compute_embeddings(params, build_views(ds, feats, cfg), cfg)
         expected = _combined_report(user_emb, item_emb, ds, 3).to_json()
         assert (out / "eval_test.json").read_text() == expected
 
-    @pytest.mark.parametrize("edit", ["version-1", "bad-config", "contrastive-switches"])
+    @pytest.mark.parametrize(
+        "edit", ["version-1", "version-2", "bad-config", "contrastive-switches", "bad-widths"]
+    )
     def test_unreadable_checkpoint_exits_3(self, data_dir, tmp_path, capsys, edit):
         run = tmp_path / "run"
         assert run_train(data_dir, run) == 0
         ckpt = run / "checkpoint.bin"
         raw = ckpt.read_bytes()
-        if edit == "version-1":
-            raw = raw[:8] + (1).to_bytes(4, "little") + raw[12:]
+        if edit.startswith("version-"):
+            raw = raw[:8] + int(edit[-1]).to_bytes(4, "little") + raw[12:]
         elif edit == "bad-config":
-            raw = with_checkpoint_config(raw, b'{"d": 8}')
+            raw = with_checkpoint_meta(raw, config=b'{"d": 8}')
+        elif edit == "bad-widths":
+            raw = with_checkpoint_meta(raw, widths=b'{"image": -6, "text": 4}')
         else:  # a config from before the loss weights became the only contrastive switches
             old = {**asdict(load_checkpoint(ckpt).config), "use_hc": True, "use_ghc": True}
-            raw = with_checkpoint_config(raw, json.dumps(old, sort_keys=True).encode())
+            raw = with_checkpoint_meta(raw, config=json.dumps(old, sort_keys=True).encode())
         ckpt.write_bytes(raw)
         code = main(
             ["evaluate", "--data-dir", str(data_dir), "--checkpoint", str(ckpt),
              "--split", str(run / "split.tsv"), "--out-dir", str(tmp_path / "e")]
         )
         assert code == EXIT_DATA
-        assert ("retrain" if edit == "version-1" else "checkpoint config") in capsys.readouterr().err
+        expected = {"bad-config": "checkpoint config", "contrastive-switches": "checkpoint config",
+                    "bad-widths": "modality_dims"}.get(edit, "retrain")
+        assert expected in capsys.readouterr().err
+
+    def test_split_that_dropped_users(self, data_dir, tmp_path, capsys):
+        # train drops the users these ratios leave without a train pair
+        # before it writes split.tsv; evaluate drops them again
+        run = tmp_path / "run"
+        assert run_train(data_dir, run, ["--split-ratios", "0.2,0.4,0.4"]) == 0
+        raw = load_interactions(data_dir / "interactions.tsv")
+        ds = split_dataset(raw, (0.2, 0.4, 0.4), seed=13)
+        assert ds.num_dropped_users > 0
+        out = tmp_path / "eval"
+        assert main(["evaluate", "--data-dir", str(data_dir), "--checkpoint",
+                     str(run / "checkpoint.bin"), "--split", str(run / "split.tsv"),
+                     "--out-dir", str(out)]) == 0
+        params = load_checkpoint(run / "checkpoint.bin")
+        feats = [load_features(data_dir / f"features_{t}.bin") for t in params.modality_dims]
+        user_emb, item_emb = compute_embeddings(params, build_views(ds, feats, params.config),
+                                                params.config)
+        expected = _combined_report(user_emb, item_emb, ds, 3).to_json()
+        assert (out / "eval_test.json").read_text() == expected
 
 
 class TestSweep:
@@ -354,6 +380,14 @@ class TestConfigFile:
         with pytest.raises(Exception):
             load_config_file(cfg_file)
 
+    def test_repeated_key_names_its_line(self, tmp_path, capsys):
+        cfg_file = tmp_path / "twice.cfg"
+        cfg_file.write_text("d = 8\nseed = 1\nd = 16\n", encoding="utf-8")
+        with pytest.raises(ConfigError, match=r"twice.cfg:3: key 'd' is repeated"):
+            load_config_file(cfg_file)
+        assert main(["train", "--data-dir", "x", "--config", str(cfg_file)]) == EXIT_CONFIG
+        assert "twice.cfg:3" in capsys.readouterr().err
+
     def test_bytes_that_are_not_utf8_name_their_line(self, tmp_path, capsys):
         cfg_file = tmp_path / "bad.cfg"
         cfg_file.write_bytes(b"d = 8\r\nseed = 1\xff\n")
@@ -385,7 +419,7 @@ class TestConfigFile:
         from mhcr.checkpoint import load_checkpoint
 
         params = load_checkpoint(out / "checkpoint.bin")
-        assert params.modality_tags == ("image",)
+        assert list(params.modality_dims) == ["image"]
 
 
 def test_split_sidecar_round_trips_through_evaluate(data_dir, tmp_path):
@@ -399,7 +433,7 @@ def test_split_sidecar_round_trips_through_evaluate(data_dir, tmp_path):
     ds = load_split(raw, run / "split.tsv")
     assert np.array_equal(ds.split, split_dataset(raw, (0.5, 0.1, 0.4), seed=13).split)
     params = load_checkpoint(run / "checkpoint.bin")
-    feats = [load_features(data_dir / f"features_{t}.bin") for t in params.modality_tags]
+    feats = [load_features(data_dir / f"features_{t}.bin") for t in params.modality_dims]
     user_emb, item_emb = compute_embeddings(params, build_views(ds, feats, params.config),
                                             params.config)
     expected = _combined_report(user_emb, item_emb, ds, 3).to_json()
@@ -415,6 +449,39 @@ def test_evaluate_requires_the_split(data_dir, tmp_path, capsys):
     assert exited.value.code == EXIT_CONFIG
     assert "--split" in capsys.readouterr().err
     assert not (tmp_path / "e").exists()
+
+
+@pytest.mark.parametrize(
+    "command, flag, kind, code",
+    [
+        ("train", "--config", "dir", EXIT_CONFIG),
+        ("train", "--data-dir", "file", EXIT_DATA),
+        ("train", "--out-dir", "file", EXIT_DATA),
+        ("evaluate", "--checkpoint", "dir", EXIT_DATA),
+        ("evaluate", "--split", "dir", EXIT_DATA),
+        ("evaluate", "--out-dir", "file", EXIT_DATA),
+    ],
+    ids=["config-dir", "data-dir-file", "train-out-dir-file", "checkpoint-dir", "split-dir",
+         "evaluate-out-dir-file"],
+)
+def test_unusable_paths_are_typed_errors(data_dir, tmp_path, capsys, command, flag, kind, code):
+    run = tmp_path / "run"
+    paths = {"dir": tmp_path / "a-dir", "file": tmp_path / "a-file"}
+    paths["dir"].mkdir()
+    paths["file"].write_text("d = 8\n", encoding="utf-8")
+    if command == "train":
+        argv = {"--data-dir": str(data_dir), "--out-dir": str(tmp_path / "out")}
+    else:
+        assert run_train(data_dir, run) == 0
+        argv = {"--data-dir": str(data_dir), "--checkpoint": str(run / "checkpoint.bin"),
+                "--split": str(run / "split.tsv"), "--out-dir": str(tmp_path / "out")}
+    argv[flag] = str(paths[kind])
+    capsys.readouterr()
+    assert main([command, *itertools.chain(*argv.items())]
+                + (FAST_TRAIN if command == "train" else [])) == code
+    err = capsys.readouterr().err
+    assert err.startswith(("config error:", "data error:", "error:")) and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
 
 
 class TestConfigValidation:

@@ -324,6 +324,20 @@ class TestSplitSidecar:
         with pytest.raises(DataError, match="no split label"):
             load_split(ds, tmp_path / "split.tsv")
 
+    def test_users_without_a_line_are_dropped_as_the_split_dropped_them(self, tmp_path, caplog):
+        counts = [2, 3, 4, 1]  # 2 and 4 pairs leave no train pair at these ratios
+        users = np.repeat(np.arange(4), counts)
+        raw = InteractionDataset(4, 4, users, np.concatenate([np.arange(n) for n in counts]))
+        ds = split_dataset(raw, ratios=(0.2, 0.4, 0.4), seed=2)
+        assert ds.num_dropped_users == 2 and set(ds.users.tolist()) == {1, 3}
+        save_split(ds, tmp_path / "split.tsv")
+        with caplog.at_level(logging.WARNING, logger="mhcr.dataio"):
+            back = load_split(raw, tmp_path / "split.tsv")
+        assert "dropped 2 user(s) left without train interactions" in caplog.text
+        assert back.num_dropped_users == 2
+        for name in ("users", "items", "split"):
+            assert np.array_equal(getattr(back, name), getattr(ds, name)), name
+
     def test_last_label_wins_and_pairs_outside_the_data_are_ignored(self, tmp_path):
         # (0, 3) would share the key u*|I| + i of (1, 0)
         text = "-1\t5\t1\n9\t9\t0\n0\t1\t0\n1\t0\t2\n2\t2\t1\n2\t0\t0\n0\t1\t2\n0\t3\t1\n"

@@ -353,8 +353,9 @@ class TestAgainstGenericTape:
     """`forward` against `oracles.tape_forward`, which builds the same model
     from generic tape ops: matmul projections, the item view concatenated
     under zero user rows, zero tensors for disabled views, two-term sums,
-    the UI gradient through the transposed adjacency and one node per
-    hypergraph broadcast. The fused rows, the loss breakdown and every
+    the UI view as spmm, gather and add nodes, and the hypergraph view with
+    the incidence softmax, D_e and each broadcast as nodes of their own.
+    The fused rows, the loss breakdown and every
     parameter gradient agree to a relative 1e-12: the model nodes project
     inside the views and sum in another order than the generic ops."""
 
