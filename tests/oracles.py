@@ -4,7 +4,9 @@ package because no program path runs it: the generic tape ops (`zeros`,
 ones); the op-by-op tape composition of the three views (projections,
 the incidence softmax, D_e and each broadcast as nodes of their own) and
 of the BPR and L2 objectives, which the single-node versions must match;
-the forward pass assembled from those generic ops and views
+the hypergraph view with H_i, H_u and each broadcast one node
+(`per_broadcast_incidence`, `per_broadcast_pass`); the forward pass
+assembled from those generic ops and views
 (`tape_forward`), which the model-node forward must match to a relative
 1e-12; the user-by-user split that the whole-array `split_dataset` must
 reproduce; and the user-by-user ranking and metrics that the block
@@ -242,6 +244,69 @@ def tape_hypergraph_pass(h_items, e_items, x_rows, drop_rate, steps, rng, item_r
         e_cur = broadcast(h_items, e_cur)
     e_next = broadcast(gather_rows(h_items, item_rows), e_cur)
     return concat_rows([broadcast(spmm(x_rows, h_items), e_cur), e_next])
+
+
+def per_broadcast_incidence(features, v_m, x_u, user_rows) -> tuple[ad.Tensor, ad.Tensor]:
+    """(H_i, H_u = X_u[user_rows] @ H_i) as one node each; H_i is the row
+    softmax of F V^T, with the softmax Jacobian in its backward."""
+    features = np.asarray(features, dtype=np.float64)
+    v_m = ad.as_tensor(v_m)
+    logits = features @ v_m.data.T
+    e = np.exp(logits - logits.max(axis=1, keepdims=True))
+    h = e / e.sum(axis=1, keepdims=True)
+
+    def softmax_backward(g):
+        return ((h * (g - (g * h).sum(axis=1, keepdims=True))).T @ features,)
+
+    h_items = ad.custom_op(h, (v_m,), softmax_backward)
+    x_rows = x_u[user_rows]
+    h_users = ad.custom_op(x_rows @ h_items.data, (h_items,), lambda g: (x_rows.T @ g,))
+    return h_items, h_users
+
+
+def _mask(shape, rate: float, rng: np.random.Generator):
+    return None if rate <= 0.0 else (rng.random(shape) >= rate) * (1.0 / (1.0 - rate))
+
+
+def _masked(x: np.ndarray, mask) -> np.ndarray:
+    return x if mask is None else x * mask
+
+
+def _one_broadcast(h_items: ad.Tensor, state: ad.Tensor, rate: float,
+                   rng: np.random.Generator, targets) -> ad.Tensor:
+    """DROP(T) @ D_e^-1 (DROP(H_i)^T @ state) as one tape node, D_e the
+    column sums of H_i and the pool mask drawn before the target mask. T is
+    the tensor `targets`, or, when `targets` is an array of item ids, those
+    rows of H_i, whose gradient is added into H_i's."""
+    d_e = h_items.data.sum(axis=0)[:, None]
+    pool_mask = _mask(h_items.shape, rate, rng)
+    source = _masked(h_items.data, pool_mask)
+    pooled = source.T @ state.data / d_e
+    own = not isinstance(targets, ad.Tensor)
+    t_data = h_items.data[targets] if own else targets.data
+    target_mask = _mask(t_data.shape, rate, rng)
+    dropped_targets = _masked(t_data, target_mask)
+
+    def backward(g):
+        g_sum = dropped_targets.T @ g / d_e
+        g_items = _masked(state.data @ g_sum.T, pool_mask) - (g_sum * pooled).sum(axis=1)
+        g_state = source @ g_sum
+        g_targets = _masked(g @ pooled.T, target_mask)
+        return (ad.RowGrad(targets, g_targets) if own else g_targets), g_items, g_state
+
+    parents = (h_items if own else targets, h_items, state)
+    return ad.custom_op(dropped_targets @ pooled, parents, backward)
+
+
+def per_broadcast_pass(incidence, e_items, drop_rate, steps, rng, item_rows):
+    """The hypergraph pass over (H_i, H_u) from `per_broadcast_incidence`
+    with each broadcast one node; returns the (user; item) states."""
+    h_items, h_users = incidence
+    e_cur = ad.as_tensor(e_items)
+    for _ in range(steps - 1):
+        e_cur = _one_broadcast(h_items, e_cur, drop_rate, rng, np.arange(h_items.shape[0]))
+    e_next = _one_broadcast(h_items, e_cur, drop_rate, rng, item_rows)
+    return _one_broadcast(h_items, e_cur, drop_rate, rng, h_users), e_next
 
 
 def tape_forward(params, views, cfg, batch=None, mode="train", rng=None):

@@ -1,5 +1,6 @@
 """The single-node views against their op-by-op tape composition in
-`oracles.py` and finite-difference checks of every view node."""
+`oracles.py`, the one-node hypergraph pass against its per-broadcast tape,
+and finite-difference checks of every view node."""
 
 import numpy as np
 import pytest
@@ -15,8 +16,11 @@ from mhcr.ui_graph import propagate_ui
 
 from conftest import assert_grad_close, finite_difference, micro_config, micro_dataset
 from oracles import (
+    concat_rows,
     matmul,
     mul,
+    per_broadcast_incidence,
+    per_broadcast_pass,
     tape_build_incidence,
     tape_hypergraph_pass,
     tape_propagate_items,
@@ -149,6 +153,42 @@ class TestViewsAgainstTape:
             weighted_sum(stacked, weights).backward()
             outs.append([h_items, stacked.data, v_t.grad, w_t.grad])
         for name, got, expected in zip(["H_i", "stacked", "V", "W"], *outs):
+            assert_grads_agree(got, expected, name)
+
+
+class TestPassAgainstPerBroadcastNodes:
+    """The one-node pass against `per_broadcast_pass`, whose tape has H_i,
+    H_u and each broadcast as its own node: outputs and the gradients of V
+    and W agree to a relative 1e-12."""
+
+    @pytest.mark.parametrize("rows_case", ROW_CASES)
+    @pytest.mark.parametrize("drop_rate", [0.0, 0.5])
+    @pytest.mark.parametrize("steps", [1, 2, 3])
+    def test_bitwise(self, instance, steps, drop_rate, rows_case):
+        rng = np.random.default_rng(20 * steps + int(4 * drop_rate))
+        feats = instance.features[0].matrix
+        v = rng.normal(size=(3, feats.shape[1]))
+        w = rng.normal(size=(feats.shape[1], 5))
+        user_rows = pick_rows(rows_case, instance.x_u.shape[0], rng)
+        item_rows = pick_rows(rows_case, feats.shape[0], rng)
+        outs = []
+        for one_node in (True, False):
+            v_t, w_t = leaf(v), leaf(w)
+            mask_rng = np.random.default_rng(99)
+            if one_node:
+                stacked = hypergraph_pass(feats, v_t, w_t, instance.x_u[user_rows], drop_rate,
+                                          steps, mask_rng, item_rows)
+            else:
+                incidence = per_broadcast_incidence(feats, v_t, instance.x_u, user_rows)
+                state = matmul(ad.constant(feats), w_t)
+                stacked = concat_rows(
+                    per_broadcast_pass(incidence, state, drop_rate, steps, mask_rng, item_rows)
+                )
+            if not outs:
+                weights = rng.normal(size=stacked.shape)
+            weighted_sum(stacked, weights).backward()
+            outs.append([stacked.data, v_t.grad, w_t.grad])
+        for name, got, expected in zip(["stacked", "V", "W"], *outs):
             assert_grads_agree(got, expected, name)
 
 
