@@ -47,9 +47,8 @@ from .training import (
     TrainConfig,
     VARIANT_PRESETS,
     apply_variant,
-    build_views,
     check_modality_count,
-    compute_embeddings,
+    evaluate_params,
     fit,
     variant_label,
 )
@@ -214,15 +213,6 @@ def _write_training_log(path: Path, variant: str, epochs: Sequence[EpochStats]) 
             writer.writerow([e.epoch, b.l_bpr, b.l_hc, b.l_ghc, b.l_reg, b.total, e.val_recall20])
 
 
-def _combined_report(user_emb, item_emb, ds, cold_threshold: int) -> evaluation.EvalReport:
-    report = evaluation.evaluate(user_emb, item_emb, ds, slice_name=evaluation.SLICE_ALL)
-    cold = evaluation.evaluate(
-        user_emb, item_emb, ds, slice_name=evaluation.SLICE_COLD, cold_threshold=cold_threshold
-    )
-    report.records.extend(cold.records)
-    return report
-
-
 def cmd_generate(args: argparse.Namespace) -> int:
     file_values = _read_config(args, {**_SYNTHETIC_FIELDS, **_DIM_KEYS, "out_dir": str})
     updates = {key: _setting(args, file_values, key) for key in _SYNTHETIC_FIELDS}
@@ -249,16 +239,45 @@ def cmd_generate(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def cmd_train(args: argparse.Namespace) -> int:
+def _parse_grid(name: str, text: str, kind: type) -> list:
+    try:
+        grid = [kind(part) for part in text.split(",") if part.strip()]
+    except ValueError:
+        raise ConfigError(f"cannot parse {name} {text!r}") from None
+    if not grid:
+        raise ConfigError(f"{name} {text!r} holds no value")
+    return grid
+
+
+def _prepare_run(args: argparse.Namespace):
+    """The config cells (one for `train`, one per grid point for `sweep`),
+    the split dataset, the features and the output directory of a run.
+    Every setting and every cell is checked before any data is read, and the
+    data before the output directory is made, so a bad setting writes
+    nothing."""
     cfg, file_values = _train_config(args)
     print(f"root seed: {cfg.seed}")
     ratios = _ratios(args, file_values)
     tags = _modalities(args, file_values)
+    cells = [cfg]
+    if args.command == "sweep":
+        grid = itertools.product(
+            _parse_grid("--hyper-num-grid", args.hyper_num_grid, int),
+            _parse_grid("--lambda-hc-grid", args.lambda_hc_grid, float),
+            _parse_grid("--lambda-ghc-grid", args.lambda_ghc_grid, float),
+        )
+        cells = [replace(cfg, k_hyper=k, lambda_hc=hc, lambda_ghc=ghc) for k, hc, ghc in grid]
+        for cell in cells:
+            cell.validate()
     ds_raw, features = _load_data(args.data_dir, tags)
-    check_modality_count(cfg, len(features))
+    for cell in cells:
+        check_modality_count(cell, len(features))
     out_dir = _out_dir(args, file_values)
+    return cells, split_dataset(ds_raw, ratios, seed=cfg.seed), features, out_dir
 
-    ds = split_dataset(ds_raw, ratios, seed=cfg.seed)
+
+def cmd_train(args: argparse.Namespace) -> int:
+    (cfg,), ds, features, out_dir = _prepare_run(args)
     save_split(ds, out_dir / "split.tsv")
     print(format_dataset_stats(ds.num_users, ds.num_items, len(ds)))
     print(f"unseen val/test items: {unseen_eval_items(ds)} interaction(s)")
@@ -275,9 +294,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     save_checkpoint(result.params, out_dir / "checkpoint.bin")
     _write_training_log(out_dir / "training_log.csv", variant_label(cfg), result.epochs)
 
-    views = build_views(ds, features, cfg)
-    user_emb, item_emb = compute_embeddings(result.params, views, cfg)
-    report = evaluation.evaluate(user_emb, item_emb, ds, target_split=VAL, ks=(10, 20))
+    report = evaluate_params(result.params, ds, features, target_split=VAL)
     (out_dir / "eval_val.json").write_text(report.to_json(), encoding="utf-8")
     print(report.format_table())
     return EXIT_OK
@@ -290,8 +307,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     cold_threshold = _setting(args, file_values, "cold_threshold", 3)
     evaluation.check_cold_threshold(cold_threshold)
     params = load_checkpoint(args.checkpoint)
-    cfg = params.config
-    print(f"root seed: {cfg.seed}")
+    print(f"root seed: {params.config.seed}")
 
     ds, features = _load_data(args.data_dir, list(params.modality_dims), "the checkpoint")
     # the sizes that, with the config, fix every tensor shape
@@ -304,44 +320,14 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     ds = load_split(ds, args.split)
     out_dir = _out_dir(args, file_values)
 
-    views = build_views(ds, features, cfg)
-    user_emb, item_emb = compute_embeddings(params, views, cfg)
-    report = _combined_report(user_emb, item_emb, ds, cold_threshold)
+    report = evaluate_params(params, ds, features, cold_threshold=cold_threshold)
     (out_dir / "eval_test.json").write_text(report.to_json(), encoding="utf-8")
     print(report.format_table())
     return EXIT_OK
 
 
-def _parse_grid(name: str, text: str, kind: type) -> list:
-    try:
-        grid = [kind(part) for part in text.split(",") if part.strip()]
-    except ValueError:
-        raise ConfigError(f"cannot parse {name} {text!r}") from None
-    if not grid:
-        raise ConfigError(f"{name} {text!r} holds no value")
-    return grid
-
-
 def cmd_sweep(args: argparse.Namespace) -> int:
-    cfg, file_values = _train_config(args)
-    print(f"root seed: {cfg.seed}")
-    ratios = _ratios(args, file_values)
-    tags = _modalities(args, file_values)
-    grid = itertools.product(
-        _parse_grid("--hyper-num-grid", args.hyper_num_grid, int),
-        _parse_grid("--lambda-hc-grid", args.lambda_hc_grid, float),
-        _parse_grid("--lambda-ghc-grid", args.lambda_ghc_grid, float),
-    )
-    cells = [replace(cfg, k_hyper=k, lambda_hc=hc, lambda_ghc=ghc) for k, hc, ghc in grid]
-    for cell in cells:  # every cell is checked before any trains
-        cell.validate()
-    ds_raw, features = _load_data(args.data_dir, tags)
-    for cell in cells:
-        check_modality_count(cell, len(features))
-    out_dir = _out_dir(args, file_values)
-
-    ds = split_dataset(ds_raw, ratios, seed=cfg.seed)
-
+    cells, ds, features, out_dir = _prepare_run(args)
     rows = []
     for cell in cells:
         result = fit(ds, features, cell)

@@ -261,6 +261,8 @@ def split_dataset(
     and counted in `num_dropped_users`.
     """
     check_split_ratios(ratios)
+    if seed < 0:
+        raise ConfigError(f"split seed must be >= 0, got {seed}")
     _, r_val, r_test = ratios
     rng = np.random.default_rng(seed)
 
@@ -353,6 +355,8 @@ class SyntheticConfig:
             raise ConfigError("within_cluster_prob must be in [0, 1)")
         if self.noise_std < 0:
             raise ConfigError("noise_std must be >= 0")
+        if self.seed < 0:
+            raise ConfigError("seed must be >= 0")
         if not self.modality_dims:
             raise ConfigError("at least one modality is required")
         for tag, dim in self.modality_dims.items():

@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .dataio import TEST, TRAIN, VAL, InteractionDataset, cold_start_users
+from .dataio import TEST, TRAIN, VAL, InteractionDataset
 from .errors import ConfigError, ShapeError
 
 SLICE_ALL = "all"
@@ -92,7 +92,7 @@ def _slice_users(ds: InteractionDataset, slice_name: str, cold_threshold: int) -
     if slice_name == SLICE_ALL:
         return np.arange(ds.num_users)
     if slice_name == SLICE_COLD:
-        return np.fromiter(sorted(cold_start_users(ds, cold_threshold)), dtype=np.int64)
+        return np.flatnonzero(ds.user_degree(TRAIN) < cold_threshold)
     raise ConfigError(f"unknown slice {slice_name!r}")
 
 

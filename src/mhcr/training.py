@@ -14,7 +14,7 @@ import scipy.sparse as sp
 
 from . import autodiff as ad
 from . import evaluation
-from .dataio import MODALITIES, TRAIN, InteractionDataset, ModalityFeatures, validate_features
+from .dataio import MODALITIES, TEST, TRAIN, InteractionDataset, ModalityFeatures, validate_features
 from .errors import ConfigError, NumericError
 from .hypergraph import build_incidence, hypergraph_pass  # perfbench traces build_incidence
 from .item_graph import build_affinity_graph, propagate_items
@@ -78,6 +78,8 @@ class TrainConfig:
             raise ConfigError("batch_size and max_epochs must be >= 1")
         if self.patience < 0:
             raise ConfigError("patience must be >= 0")
+        if self.seed < 0:
+            raise ConfigError("seed must be >= 0")
 
 
 VARIANT_PRESETS = {
@@ -472,18 +474,23 @@ def evaluate_params(
     params: ModelParameters,
     ds: InteractionDataset,
     features: Sequence[ModalityFeatures],
-    slice_name: str = evaluation.SLICE_ALL,
-    ks: Sequence[int] = (10, 20),
-    cold_threshold: int = 3,
+    target_split: int = TEST,
+    cold_threshold: int | None = None,
 ) -> evaluation.EvalReport:
-    """Full pipeline for one report: rebuild the views of `params.config`,
-    fuse in eval mode, rank."""
+    """The report of `mhcr train` (`target_split=VAL`) and of `mhcr
+    evaluate` (`cold_threshold` given): Recall@K and NDCG@K at K = 10 and
+    20 over all users with targets in `target_split`, followed, when
+    `cold_threshold` is given, by the records of the users with fewer train
+    interactions than it. The views of `params.config` are built and the
+    eval-mode embeddings computed once for both slices."""
     cfg = params.config
-    views = build_views(ds, features, cfg)
-    user_emb, item_emb = compute_embeddings(params, views, cfg)
-    return evaluation.evaluate(
-        user_emb, item_emb, ds, slice_name=slice_name, ks=ks, cold_threshold=cold_threshold
-    )
+    user_emb, item_emb = compute_embeddings(params, build_views(ds, features, cfg), cfg)
+    report = evaluation.evaluate(user_emb, item_emb, ds, target_split=target_split)
+    if cold_threshold is not None:
+        cold = evaluation.evaluate(user_emb, item_emb, ds, slice_name=evaluation.SLICE_COLD,
+                                   target_split=target_split, cold_threshold=cold_threshold)
+        report.records.extend(cold.records)
+    return report
 
 
 @dataclass

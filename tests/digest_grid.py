@@ -12,9 +12,10 @@ deduplicated: bpr-mf fixes `layers` to 0, so 150 configs) is fit on one
 
 A change that moves only the reported losses thus shows in "losses" alone.
 One fixed-seed `mhcr train` run also hashes its `checkpoint.bin`,
-`training_log.csv`, `eval_val.json` and `split.tsv`, and the
+`training_log.csv`, `eval_val.json` and `split.tsv`, the
 `eval_test.json` that `mhcr evaluate` writes from that checkpoint and
-split, so the load path is covered too.
+split, so the load path is covered too, and the `sweep.csv` of a 2-cell
+`mhcr sweep` on the same data.
 
 Digests depend on the numpy and BLAS builds, so compare them only between
 runs on one host. The script calls only `fit`, `build_views`,
@@ -57,7 +58,7 @@ EXTRA_VARIANTS = {
 LAYERS, HYPER_STEPS, DROP_RATES = (0, 2, 3), (1, 2, 3), (0.0, 0.5)
 KINDS = ("model", "losses")
 CLI_FILES = ("checkpoint.bin", "training_log.csv", "eval_val.json", "split.tsv",
-             "eval_test.json")
+             "eval_test.json", "sweep.csv")
 
 
 def grid() -> dict[str, TrainConfig]:
@@ -101,18 +102,20 @@ def config_digests(ds, features, cfg: TrainConfig) -> dict[str, str]:
 
 
 def cli_digests() -> dict[str, str]:
-    """sha256 of each output file of one fixed-seed `mhcr train` run and of
-    the `mhcr evaluate` run on its checkpoint and split."""
+    """sha256 of each output file of one fixed-seed `mhcr train` run, of
+    the `mhcr evaluate` run on its checkpoint and split, and of a 2-cell
+    `mhcr sweep`."""
     with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()):
         data, out = Path(tmp) / "data", Path(tmp) / "run"
         generate = ["generate", "--out-dir", str(data), "--num-users", "120", "--num-items",
                     "50", "--num-clusters", "4", "--seed", "5"]
-        train = ["train", "--data-dir", str(data), "--out-dir", str(out), "--d", "8",
-                 "--k-hyper", "4", "--k-knn", "3", "--batch-size", "64", "--max-epochs", "3",
-                 "--seed", "5"]
+        model = ["--data-dir", str(data), "--out-dir", str(out), "--d", "8", "--k-hyper", "4",
+                 "--k-knn", "3", "--batch-size", "64", "--max-epochs", "3", "--seed", "5"]
         evaluate = ["evaluate", "--data-dir", str(data), "--out-dir", str(out), "--checkpoint",
                     str(out / "checkpoint.bin"), "--split", str(out / "split.tsv")]
-        for argv in (generate, train, evaluate):
+        sweep = ["sweep", *model, "--hyper-num-grid", "2,4", "--lambda-hc-grid", "1e-5",
+                 "--lambda-ghc-grid", "0.01"]
+        for argv in (generate, ["train", *model], evaluate, sweep):
             if mhcr_main(argv) != 0:
                 raise RuntimeError(f"mhcr {argv[0]} failed")
         return {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in CLI_FILES}

@@ -2,6 +2,8 @@
 outputs, exit codes, and byte-level determinism."""
 
 import argparse
+import contextlib
+import io
 import itertools
 import json
 import tempfile
@@ -11,6 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mhcr import cli
 from mhcr.checkpoint import load_checkpoint
@@ -18,7 +21,8 @@ from mhcr.cli import (
     EXIT_CONFIG,
     EXIT_DATA,
     EXIT_MEMORY,
-    _combined_report,
+    EXIT_NUMERIC,
+    EXIT_OK,
     _train_config,
     build_parser,
     load_config_file,
@@ -32,6 +36,7 @@ from mhcr.dataio import (
     split_dataset,
 )
 from mhcr.errors import ConfigError
+from mhcr.evaluation import SLICE_COLD, evaluate
 from mhcr.training import build_views, compute_embeddings
 
 from conftest import train_configs, with_checkpoint_meta
@@ -70,6 +75,16 @@ def run_train(data_dir, out, extra=()):
     return main(
         ["train", "--data-dir", str(data_dir), "--out-dir", str(out)] + FAST_TRAIN + list(extra)
     )
+
+
+def expected_eval_test(params, ds, feats) -> str:
+    """The eval_test.json `mhcr evaluate` writes at the default cold
+    threshold, built from two direct `evaluate` calls."""
+    cfg = params.config
+    user_emb, item_emb = compute_embeddings(params, build_views(ds, feats, cfg), cfg)
+    report = evaluate(user_emb, item_emb, ds)
+    report.records += evaluate(user_emb, item_emb, ds, slice_name=SLICE_COLD).records
+    return report.to_json()
 
 
 class TestGenerate:
@@ -270,9 +285,7 @@ class TestEvaluate:
         assert (cfg.use_hem, cfg.layers, cfg.k_knn, cfg.seed) == (False, 1, 5, 13)
         ds = load_split(load_interactions(data_dir / "interactions.tsv"), run / "split.tsv")
         feats = [load_features(data_dir / f"features_{t}.bin") for t in params.modality_dims]
-        user_emb, item_emb = compute_embeddings(params, build_views(ds, feats, cfg), cfg)
-        expected = _combined_report(user_emb, item_emb, ds, 3).to_json()
-        assert (out / "eval_test.json").read_text() == expected
+        assert (out / "eval_test.json").read_text() == expected_eval_test(params, ds, feats)
 
     @pytest.mark.parametrize(
         "edit", ["version-1", "version-2", "bad-config", "contrastive-switches", "bad-widths"]
@@ -315,10 +328,7 @@ class TestEvaluate:
                      "--out-dir", str(out)]) == 0
         params = load_checkpoint(run / "checkpoint.bin")
         feats = [load_features(data_dir / f"features_{t}.bin") for t in params.modality_dims]
-        user_emb, item_emb = compute_embeddings(params, build_views(ds, feats, params.config),
-                                                params.config)
-        expected = _combined_report(user_emb, item_emb, ds, 3).to_json()
-        assert (out / "eval_test.json").read_text() == expected
+        assert (out / "eval_test.json").read_text() == expected_eval_test(params, ds, feats)
 
 
 class TestSweep:
@@ -434,10 +444,7 @@ def test_split_sidecar_round_trips_through_evaluate(data_dir, tmp_path):
     assert np.array_equal(ds.split, split_dataset(raw, (0.5, 0.1, 0.4), seed=13).split)
     params = load_checkpoint(run / "checkpoint.bin")
     feats = [load_features(data_dir / f"features_{t}.bin") for t in params.modality_dims]
-    user_emb, item_emb = compute_embeddings(params, build_views(ds, feats, params.config),
-                                            params.config)
-    expected = _combined_report(user_emb, item_emb, ds, 3).to_json()
-    assert (out / "eval_test.json").read_text() == expected
+    assert (out / "eval_test.json").read_text() == expected_eval_test(params, ds, feats)
 
 
 def test_evaluate_requires_the_split(data_dir, tmp_path, capsys):
@@ -615,6 +622,15 @@ class TestConfigValidation:
         cold = [r for r in json.loads(from_file)["records"] if r["slice"] == "cold_start"]
         assert {r["users"] for r in cold} == {len(cold_start_users(ds, 5))}
 
+    @pytest.mark.parametrize("command", ["generate", "train", "sweep"])
+    def test_negative_seed_rejected_before_any_work(self, command, data_dir, tmp_path, capsys):
+        argv = [command, "--out-dir", str(tmp_path / "o"), "--seed", "-1"]
+        if command != "generate":
+            argv += ["--data-dir", str(data_dir)]
+        assert main(argv) == EXIT_CONFIG
+        assert "seed must be >= 0" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_generate_rejects_unknown_key(self, tmp_path, capsys):
         cfg_file = tmp_path / "gen.cfg"
         cfg_file.write_text("num_userz = 5\n", encoding="utf-8")
@@ -737,3 +753,89 @@ def test_config_round_trips_through_file_and_flags(cfg):
         from_file, _ = _train_config(args)
     assert from_flags == cfg
     assert from_file == cfg
+
+
+def _ints(valid: tuple[int, int], invalid: tuple[int, int]):
+    return st.integers(*valid).map(str), st.integers(*invalid).map(str)
+
+
+def _texts(valid: str, invalid: str):
+    return st.sampled_from(valid.split()), st.sampled_from(invalid.split())
+
+
+_WEIGHT = _texts("0 1e-5 0.2", "-1 nan inf")
+# flag -> (valid values, invalid values) of `train` and `sweep`, each kept
+# small enough that a valid run trains at most 4 cells of one short epoch
+_TRAINING_VALUES = {
+    "--max-epochs": _ints((1, 1), (-1, 0)),
+    "--d": _ints((1, 8), (-1, 0)),
+    "--seed": _ints((0, 2**40), (-5, -1)),
+    "--layers": _ints((0, 2), (-1, -1)),
+    "--k-knn": _ints((1, 30), (-1, 0)),
+    "--k-hyper": _ints((1, 6), (-1, 0)),
+    "--hyper-steps": _ints((1, 2), (-1, 0)),
+    "--batch-size": _ints((16, 128), (-1, 0)),
+    "--patience": _ints((0, 2), (-1, -1)),
+    "--drop-rate": _texts("0 0.2 0.5", "1 -1 nan inf"),
+    "--tau": _texts("1e-5 0.2 1", "0 -1 nan inf -inf"),
+    "--lambda-hc": _WEIGHT,
+    "--lambda-ghc": _WEIGHT,
+    "--lambda-reg": _WEIGHT,
+    "--learning-rate": _texts("0 1e-3 0.5", "-1 nan inf"),
+    "--split-ratios": _texts("0.7,0.1,0.2 0.8,0.2,0 1,0,0 0,0,1",
+                             "0.5,0.5 nan,0.1,0.9 0.5,0.6,-0.1 a,b,c"),
+    "--modalities": _texts("image,text text,image image", "image,image audio , video"),
+}
+_SWEEP_GRIDS = {
+    "--hyper-num-grid": _texts("2 2,4", "0 4,x , -1"),
+    "--lambda-hc-grid": _texts("0 1e-5 0,1e-5", "nan -1 inf"),
+    "--lambda-ghc-grid": _texts("0.01 0", "inf -1"),
+}
+# the flags every drawn `train` or `sweep` argv sets: the root seed, and the
+# sizes whose defaults would train 100 epochs of d = 64 and a sweep 36 cells
+_ALWAYS = ("--seed", "--max-epochs", "--d", *_SWEEP_GRIDS)
+
+
+@st.composite
+def cli_argv(draw, data: Path, run: Path) -> list[str]:
+    """argv of `train`, `sweep` or `evaluate` on the 40 x 25 set, with at
+    most one invalid value besides the view switches."""
+    command = draw(st.sampled_from(["train", "sweep", "evaluate"]))
+    argv = [command, f"--data-dir={data}"]
+    if command == "evaluate":
+        argv += [f"--checkpoint={run / 'checkpoint.bin'}", f"--split={run / 'split.tsv'}"]
+        threshold = draw(st.none() | st.integers(-2, 6))
+        return argv if threshold is None else argv + [f"--cold-threshold={threshold}"]
+    values = {**_TRAINING_VALUES, **(_SWEEP_GRIDS if command == "sweep" else {})}
+    flags = [f for f in _ALWAYS if f in values]
+    flags += draw(st.lists(st.sampled_from(sorted(values.keys() - set(flags))), max_size=6,
+                           unique=True))
+    invalid = draw(st.none() | st.sampled_from(flags))
+    argv += [f"{flag}={draw(values[flag][flag == invalid])}" for flag in flags]
+    if command == "train":
+        argv += draw(st.sampled_from([[]] + [[f"--variant={v}"] for v in VARIANTS]))
+    for view in ("ui", "ii", "hem"):
+        argv += draw(st.sampled_from([[], [f"--use-{view}"], [f"--no-use-{view}"]]))
+    return argv
+
+
+@pytest.fixture(scope="module")
+def fuzz_run(tmp_path_factory):
+    root = tmp_path_factory.mktemp("fuzz")
+    assert main(GEN_ARGS + ["--out-dir", str(root / "data")]) == EXIT_OK
+    assert run_train(root / "data", root / "run", ["--max-epochs", "1"]) == EXIT_OK
+    return root / "data", root / "run"
+
+
+@given(data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_cli_exits_with_a_typed_code(fuzz_run, data):
+    argv = data.draw(cli_argv(*fuzz_run))
+    stderr = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stderr(stderr):
+        out = Path(tmp) / "out"
+        code = main(argv + [f"--out-dir={out}"])
+        made_out_dir = out.exists()
+    assert code in (EXIT_OK, EXIT_CONFIG, EXIT_DATA, EXIT_NUMERIC, EXIT_MEMORY), stderr.getvalue()
+    assert "Traceback" not in stderr.getvalue()
+    assert code != EXIT_CONFIG or not made_out_dir

@@ -144,6 +144,10 @@ class TestSplit:
         with pytest.raises(ConfigError):
             split_dataset(self.make([5]), ratios=(0.5, 0.2, 0.2), seed=0)
 
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ConfigError, match="seed"):
+            split_dataset(self.make([5]), seed=-1)
+
     @pytest.mark.parametrize(
         "ratios",
         [(0.7, np.nan, 0.3), (np.nan, 0.0, 1.0), (0.5, 0.5, np.nan), (np.inf, 0.0, 0.0),
@@ -266,6 +270,8 @@ class TestSynthetic:
             generate_synthetic(SyntheticConfig(num_users=0))
         with pytest.raises(ConfigError):
             generate_synthetic(SyntheticConfig(noise_std=-1.0))
+        with pytest.raises(ConfigError, match="seed"):
+            generate_synthetic(SyntheticConfig(seed=-3))
 
 
 class TestFeatures:

@@ -48,5 +48,5 @@ def test_compare_names_an_edited_config(picked, tmp_path, monkeypatch, capsys):
     argv = ["--out", str(tmp_path / "again.json"), "--compare", str(tmp_path / "edited.json")]
     assert digest_grid.main(argv) == 1
     out = capsys.readouterr().out
-    assert "model: 0 of 3 differ" in out and "cli: 0 of 5 differ" in out
+    assert "model: 0 of 3 differ" in out and "cli: 0 of 6 differ" in out
     assert f"losses: 1 of 3 differ\n  {PICKED[1]}\n" in out

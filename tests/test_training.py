@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from mhcr import autodiff as ad
 from mhcr import evaluation, training
-from mhcr.dataio import MODALITIES, TRAIN, SyntheticConfig, generate_synthetic, split_dataset
+from mhcr.dataio import MODALITIES, TRAIN, VAL, SyntheticConfig, generate_synthetic, split_dataset
 from mhcr.errors import ConfigError, DataError, NumericError
 from mhcr.objectives import (
     LossBreakdown,
@@ -588,9 +588,10 @@ class TestConfigContract:
             {"use_ui": False, "use_ii": False, "use_hem": False},
             {"k_hyper": 0},
             {"d": 0},
+            {"seed": -1},
         ],
         ids=["tau-nan", "tau-inf", "tau-neginf", "lambda_ghc-nan", "lambda_reg-inf",
-             "learning_rate-inf", "no-view", "k_hyper-0", "d-0"],
+             "learning_rate-inf", "no-view", "k_hyper-0", "d-0", "seed-negative"],
     )
     def test_rejected(self, override):
         with pytest.raises(ConfigError):
@@ -714,10 +715,17 @@ class TestFit:
         cfg = micro_config(max_epochs=2)
         result = fit(ds, feats, cfg)
         assert result.params.config == cfg
-        report = evaluate_params(result.params, ds, feats)
         views = build_views(ds, feats, cfg)
         user_emb, item_emb = compute_embeddings(result.params, views, cfg)
-        manual = evaluation.evaluate(user_emb, item_emb, ds)
-        for k in (10, 20):
-            assert report.record("all", k).recall == manual.record("all", k).recall
-            assert report.record("all", k).ndcg == manual.record("all", k).ndcg
+        val = evaluation.evaluate(user_emb, item_emb, ds, target_split=VAL)
+        report = evaluate_params(result.params, ds, feats, target_split=VAL)
+        assert report.to_json() == val.to_json()
+        test = evaluation.evaluate(user_emb, item_emb, ds)
+        cold = evaluation.evaluate(user_emb, item_emb, ds, slice_name=evaluation.SLICE_COLD,
+                                   cold_threshold=4)
+        test.records += cold.records
+        report = evaluate_params(result.params, ds, feats, cold_threshold=4)
+        assert report.to_json() == test.to_json()
+        assert [(r.slice, r.k) for r in report.records] == [
+            ("all", 10), ("all", 20), ("cold_start", 10), ("cold_start", 20)
+        ]
