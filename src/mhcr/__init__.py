@@ -10,7 +10,6 @@ from .dataio import (
     InteractionDataset,
     ModalityFeatures,
     SyntheticConfig,
-    cold_start_users,
     generate_synthetic,
     load_interactions,
     split_dataset,
@@ -34,7 +33,6 @@ __all__ = [
     "ShapeError",
     "SyntheticConfig",
     "TrainConfig",
-    "cold_start_users",
     "evaluate",
     "evaluate_params",
     "fit",

@@ -4,10 +4,10 @@ Every scalar field of the config dataclass of `generate`, `train` and
 `sweep` is both a `--field-name` flag and a key of the `--config` file, a
 flat `key = value` text with `#` comments; `evaluate` takes its model from
 the checkpoint. Every command rejects keys it does not know. Precedence is
-built-in default < config file < `--variant` preset < flag. The output
-directory is `--out-dir`, else the MHCR_OUTPUT_DIR environment variable,
-else the file's `out_dir`, else `mhcr-out`. All randomness flows from one
-root seed, printed at startup.
+built-in default < config file < `--variant` preset < flag < a `sweep
+--grid` value. The output directory is `--out-dir`, else the
+MHCR_OUTPUT_DIR environment variable, else the file's `out_dir`, else
+`mhcr-out`. All randomness flows from one root seed, printed at startup.
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ from . import evaluation
 from .checkpoint import load_checkpoint, save_checkpoint
 from .dataio import (
     MODALITIES,
+    TRAIN,
     VAL,
     SyntheticConfig,
     check_split_ratios,
@@ -104,7 +105,7 @@ def load_config_file(path: str | Path) -> dict[str, str]:
     return values
 
 
-def _coerce(key: str, value: str, kind: type) -> object:
+def _coerce(name: str, value: str, kind: type) -> object:
     try:
         if kind is bool:
             lowered = value.lower()
@@ -115,7 +116,7 @@ def _coerce(key: str, value: str, kind: type) -> object:
             raise ValueError(value)
         return kind(value)
     except ValueError:
-        raise ConfigError(f"config key {key}: cannot parse {value!r} as {kind.__name__}") from None
+        raise ConfigError(f"{name}: cannot parse {value!r} as {kind.__name__}") from None
 
 
 def _read_config(args: argparse.Namespace, kinds: dict[str, type]) -> dict[str, object]:
@@ -125,7 +126,7 @@ def _read_config(args: argparse.Namespace, kinds: dict[str, type]) -> dict[str, 
     for key in raw:
         if key not in kinds:
             raise ConfigError(f"unknown config key {key!r}")
-    return {key: _coerce(key, value, kinds[key]) for key, value in raw.items()}
+    return {key: _coerce(f"config key {key}", value, kinds[key]) for key, value in raw.items()}
 
 
 def _setting(args: argparse.Namespace, file_values: dict[str, object], key: str, default=None):
@@ -239,46 +240,52 @@ def cmd_generate(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _parse_grid(name: str, text: str, kind: type) -> list:
-    try:
-        grid = [kind(part) for part in text.split(",") if part.strip()]
-    except ValueError:
-        raise ConfigError(f"cannot parse {name} {text!r}") from None
-    if not grid:
-        raise ConfigError(f"{name} {text!r} holds no value")
+# `sweep`'s grid when no --grid is given: hyperedge count x the two contrastive weights
+_DEFAULT_GRID = ("k_hyper=8,16,32,64", "lambda_hc=1e-6,1e-5,1e-4", "lambda_ghc=0.001,0.01,0.1")
+
+
+def _parse_grid(specs: Sequence[str]) -> dict[str, list]:
+    """Field -> values of `FIELD=v1,v2,...` specs, in the order given, each
+    value parsed by the config-file rules of its TrainConfig field."""
+    grid: dict[str, list] = {}
+    for spec in specs:
+        field, has_values, text = spec.partition("=")
+        field = field.strip()
+        if not has_values or field not in _TRAIN_FIELDS:
+            raise ConfigError(f"--grid {spec!r}: expected FIELD=v1,v2,... of a scalar "
+                              "TrainConfig field")
+        if field in grid:
+            raise ConfigError(f"--grid {spec!r}: {field} is given twice")
+        kind = _TRAIN_FIELDS[field]
+        grid[field] = [_coerce(f"--grid {field}", part.strip(), kind) for part in text.split(",")]
     return grid
 
 
 def _prepare_run(args: argparse.Namespace):
-    """The config cells (one for `train`, one per grid point for `sweep`),
-    the split dataset, the features and the output directory of a run.
-    Every setting and every cell is checked before any data is read, and the
-    data before the output directory is made, so a bad setting writes
-    nothing."""
+    """The swept fields, the config cells (one for `train`, one per grid
+    point for `sweep`), the split dataset, the features and the output
+    directory of a run. Every setting and cell is checked before any data is
+    read, and the data and split before the output directory is made, so a
+    bad setting writes nothing. The split follows the root seed."""
     cfg, file_values = _train_config(args)
     print(f"root seed: {cfg.seed}")
     ratios = _ratios(args, file_values)
     tags = _modalities(args, file_values)
-    cells = [cfg]
-    if args.command == "sweep":
-        grid = itertools.product(
-            _parse_grid("--hyper-num-grid", args.hyper_num_grid, int),
-            _parse_grid("--lambda-hc-grid", args.lambda_hc_grid, float),
-            _parse_grid("--lambda-ghc-grid", args.lambda_ghc_grid, float),
-        )
-        cells = [replace(cfg, k_hyper=k, lambda_hc=hc, lambda_ghc=ghc) for k, hc, ghc in grid]
-        for cell in cells:
-            cell.validate()
+    grid = _parse_grid(args.grid or _DEFAULT_GRID) if args.command == "sweep" else {}
+    cells = [replace(cfg, **dict(zip(grid, point))) for point in itertools.product(*grid.values())]
+    for cell in cells:
+        cell.validate()
     ds_raw, features = _load_data(args.data_dir, tags)
     for cell in cells:
         check_modality_count(cell, len(features))
-    out_dir = _out_dir(args, file_values)
-    return cells, split_dataset(ds_raw, ratios, seed=cfg.seed), features, out_dir
+    ds = split_dataset(ds_raw, ratios, seed=cfg.seed)
+    if not (ds.split == TRAIN).any():
+        raise DataError(f"split ratios {ratios} leave no train interaction")
+    return list(grid), cells, ds, features, _out_dir(args, file_values)
 
 
 def cmd_train(args: argparse.Namespace) -> int:
-    (cfg,), ds, features, out_dir = _prepare_run(args)
-    save_split(ds, out_dir / "split.tsv")
+    _, (cfg,), ds, features, out_dir = _prepare_run(args)
     print(format_dataset_stats(ds.num_users, ds.num_items, len(ds)))
     print(f"unseen val/test items: {unseen_eval_items(ds)} interaction(s)")
     if ds.num_dropped_users:
@@ -292,6 +299,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     )
 
     save_checkpoint(result.params, out_dir / "checkpoint.bin")
+    save_split(ds, out_dir / "split.tsv")
     _write_training_log(out_dir / "training_log.csv", variant_label(cfg), result.epochs)
 
     report = evaluate_params(result.params, ds, features, target_split=VAL)
@@ -327,27 +335,21 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    cells, ds, features, out_dir = _prepare_run(args)
-    rows = []
-    for cell in cells:
+    fields, cells, ds, features, out_dir = _prepare_run(args)
+    labels = [" ".join(f"{f}={getattr(cell, f)}" for f in fields) for cell in cells]
+    scores = []  # (best validation Recall@20, its epoch) per cell
+    for cell, label in zip(cells, labels):
         result = fit(ds, features, cell)
-        rows.append((cell.k_hyper, cell.lambda_hc, cell.lambda_ghc, result.best_val_recall20))
-        print(
-            f"hyper_num={cell.k_hyper} lambda_hc={cell.lambda_hc} lambda_ghc={cell.lambda_ghc} "
-            f"val_recall20={result.best_val_recall20:.5f}"
-        )
+        scores.append((result.best_val_recall20, result.best_epoch))
+        print(f"{label} val_recall20={result.best_val_recall20:.5f}")
 
-    best_idx = max(range(len(rows)), key=lambda i: rows[i][3])
+    best = max(range(len(cells)), key=lambda i: scores[i][0])
     with (out_dir / "sweep.csv").open("w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["hyper_num", "lambda_hc", "lambda_ghc", "val_recall20", "best"])
-        for i, row in enumerate(rows):
-            writer.writerow(list(row) + [1 if i == best_idx else 0])
-    best = rows[best_idx]
-    print(
-        f"best cell: hyper_num={best[0]} lambda_hc={best[1]} lambda_ghc={best[2]} "
-        f"val_recall20={best[3]:.5f}"
-    )
+        writer.writerow(fields + ["val_recall20", "best_epoch", "best"])
+        for i, cell in enumerate(cells):
+            writer.writerow([getattr(cell, f) for f in fields] + [*scores[i], int(i == best)])
+    print(f"best cell: {labels[best]} val_recall20={scores[best][0]:.5f}")
     return EXIT_OK
 
 
@@ -401,11 +403,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_eval.set_defaults(func=cmd_evaluate)
 
-    p_sweep = sub.add_parser("sweep", help="grid search over hypergraph hyperparameters")
+    p_sweep = sub.add_parser("sweep", help="grid search over TrainConfig fields")
     _add_train_flags(p_sweep)
-    p_sweep.add_argument("--hyper-num-grid", default="8,16,32,64", dest="hyper_num_grid")
-    p_sweep.add_argument("--lambda-hc-grid", default="1e-6,1e-5,1e-4", dest="lambda_hc_grid")
-    p_sweep.add_argument("--lambda-ghc-grid", default="0.001,0.01,0.1", dest="lambda_ghc_grid")
+    p_sweep.add_argument("--grid", action="append", metavar="FIELD=V1,V2,...",
+                         help="values of one TrainConfig field; repeatable, the cells are the "
+                              f"product (default {' '.join(_DEFAULT_GRID)})")
     p_sweep.set_defaults(func=cmd_sweep)
 
     return parser

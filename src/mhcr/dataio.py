@@ -303,12 +303,6 @@ def split_dataset(
     )
 
 
-def cold_start_users(ds: InteractionDataset, threshold: int = 3) -> set[int]:
-    """Users whose TRAIN interaction count is strictly below `threshold`."""
-    counts = ds.user_degree(TRAIN)
-    return set(np.flatnonzero(counts < threshold).tolist())
-
-
 def unseen_eval_items(ds: InteractionDataset) -> int:
     """Count val/test interactions whose item never occurs in train.
 

@@ -113,8 +113,8 @@ def cli_digests() -> dict[str, str]:
                  "--k-knn", "3", "--batch-size", "64", "--max-epochs", "3", "--seed", "5"]
         evaluate = ["evaluate", "--data-dir", str(data), "--out-dir", str(out), "--checkpoint",
                     str(out / "checkpoint.bin"), "--split", str(out / "split.tsv")]
-        sweep = ["sweep", *model, "--hyper-num-grid", "2,4", "--lambda-hc-grid", "1e-5",
-                 "--lambda-ghc-grid", "0.01"]
+        sweep = ["sweep", *model, "--grid", "k_hyper=2,4", "--grid", "lambda_hc=1e-5",
+                 "--grid", "lambda_ghc=0.01"]
         for argv in (generate, ["train", *model], evaluate, sweep):
             if mhcr_main(argv) != 0:
                 raise RuntimeError(f"mhcr {argv[0]} failed")

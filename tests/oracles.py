@@ -9,8 +9,8 @@ the hypergraph view with H_i, H_u and each broadcast one node
 assembled from those generic ops and views
 (`tape_forward`), which the model-node forward must match to a relative
 1e-12; the user-by-user split that the whole-array `split_dataset` must
-reproduce; and the user-by-user ranking and metrics that the block
-`evaluate` must reproduce byte for byte."""
+reproduce; and the user-by-user cold-start slice, ranking and metrics that
+the block `evaluate` must reproduce byte for byte."""
 
 from __future__ import annotations
 
@@ -19,7 +19,7 @@ from scipy.special import expit
 
 from mhcr import autodiff as ad
 from mhcr import training
-from mhcr.dataio import TEST, TRAIN, VAL, InteractionDataset, cold_start_users
+from mhcr.dataio import TEST, TRAIN, VAL, InteractionDataset
 from mhcr.errors import ConfigError, ShapeError
 from mhcr.evaluation import SLICE_ALL, SLICE_COLD, EvalReport, MetricRecord
 from mhcr.objectives import (
@@ -442,6 +442,16 @@ def ndcg_at_k(topk: np.ndarray, test_items: np.ndarray, k: int | None = None) ->
     ideal = np.arange(1, min(len(test_items), k) + 1)
     idcg = float((1.0 / np.log2(ideal + 1)).sum())
     return dcg / idcg
+
+
+def cold_start_users(ds: InteractionDataset, threshold: int = 3) -> set[int]:
+    """Users whose TRAIN interaction count is strictly below `threshold`,
+    counted pair by pair."""
+    split = ds.require_split()
+    counts = {u: 0 for u in range(ds.num_users)}
+    for u, label in zip(ds.users.tolist(), split.tolist()):
+        counts[u] += label == TRAIN
+    return {u for u, count in counts.items() if count < threshold}
 
 
 def evaluate_by_user(user_emb, item_emb, ds: InteractionDataset, slice_name=SLICE_ALL,

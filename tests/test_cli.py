@@ -9,6 +9,7 @@ import json
 import tempfile
 from dataclasses import asdict, fields, replace
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -29,17 +30,17 @@ from mhcr.cli import (
     main,
 )
 from mhcr.dataio import (
-    cold_start_users,
     load_features,
     load_interactions,
     load_split,
     split_dataset,
 )
-from mhcr.errors import ConfigError
+from mhcr.errors import ConfigError, NumericError
 from mhcr.evaluation import SLICE_COLD, evaluate
-from mhcr.training import build_views, compute_embeddings
+from mhcr.training import TrainConfig, build_views, compute_embeddings
 
 from conftest import train_configs, with_checkpoint_meta
+from oracles import cold_start_users
 
 GEN_ARGS = [
     "generate",
@@ -75,6 +76,21 @@ def run_train(data_dir, out, extra=()):
     return main(
         ["train", "--data-dir", str(data_dir), "--out-dir", str(out)] + FAST_TRAIN + list(extra)
     )
+
+
+def recording_fit(monkeypatch, run_fit=True):
+    """Replace `cli.fit` by one that records each call's (dataset, config,
+    result); without `run_fit` it trains nothing and returns a stub result."""
+    fit, calls = cli.fit, []
+
+    def record(ds, features, cfg):
+        result = fit(ds, features, cfg) if run_fit else SimpleNamespace(
+            best_val_recall20=0.0, best_epoch=1)
+        calls.append((ds, cfg, result))
+        return result
+
+    monkeypatch.setattr(cli, "fit", record)
+    return calls
 
 
 def expected_eval_test(params, ds, feats) -> str:
@@ -121,18 +137,13 @@ class TestTrain:
         assert len(log) == 2 + 2  # header comment + column row + one row per epoch
 
     def test_log_records_each_epochs_validation_recall(self, data_dir, tmp_path, monkeypatch):
-        fit, results = cli.fit, []
-
-        def recording_fit(*args):
-            results.append(fit(*args))
-            return results[-1]
-
-        monkeypatch.setattr(cli, "fit", recording_fit)
+        calls = recording_fit(monkeypatch)
         out = tmp_path / "run"
         assert run_train(data_dir, out) == 0
+        ((_, _, result),) = calls
         rows = (out / "training_log.csv").read_text().splitlines()[2:]
         logged = [float(row.split(",")[-1]) for row in rows]
-        assert logged == [e.val_recall20 for e in results[0].epochs] and len(logged) == 2
+        assert logged == [e.val_recall20 for e in result.epochs] and len(logged) == 2
 
     def test_max_epochs_one_gives_one_row(self, data_dir, tmp_path):
         out = tmp_path / "one"
@@ -167,6 +178,23 @@ class TestTrain:
         assert run_train(data_dir, tmp_path / "x") == EXIT_MEMORY == 5
         err = capsys.readouterr().err
         assert err.startswith("memory error: Unable to allocate") and "Traceback" not in err
+        assert not any((tmp_path / "x").iterdir())
+
+    def test_numeric_error_in_fit_leaves_no_split(self, data_dir, tmp_path, monkeypatch):
+        def diverged(*args, **kwargs):
+            raise NumericError("loss is not finite")
+
+        monkeypatch.setattr(cli, "fit", diverged)
+        assert run_train(data_dir, tmp_path / "x") == EXIT_NUMERIC == 4
+        assert not (tmp_path / "x" / "split.tsv").exists()
+
+    @pytest.mark.parametrize("command", ["train", "sweep"])
+    def test_split_without_train_pairs_writes_nothing(self, command, data_dir, tmp_path, capsys):
+        argv = [command, "--data-dir", str(data_dir), "--out-dir", str(tmp_path / "o"),
+                "--split-ratios", "0,0,1"]
+        assert main(argv + FAST_TRAIN) == EXIT_DATA
+        assert "leave no train interaction" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
 
 class TestAblate:
@@ -332,35 +360,62 @@ class TestEvaluate:
 
 
 class TestSweep:
-    def test_tiny_grid_rows_and_best_mark(self, data_dir, tmp_path):
+    def test_tiny_grid_rows_and_best_mark(self, data_dir, tmp_path, monkeypatch, capsys):
+        calls = recording_fit(monkeypatch)
         out = tmp_path / "sweep"
         code = main(
             ["sweep", "--data-dir", str(data_dir), "--out-dir", str(out)]
             + FAST_TRAIN
-            + [
-                "--max-epochs", "1",
-                "--hyper-num-grid", "2,4",
-                "--lambda-hc-grid", "1e-5",
-                "--lambda-ghc-grid", "0.01",
-            ]
+            + ["--max-epochs", "2", "--grid", "k_hyper=2,4", "--grid", "lambda_hc=1e-5",
+               "--grid", "lambda_ghc=0.01"]
         )
         assert code == 0
         rows = (out / "sweep.csv").read_text().splitlines()
-        assert rows[0] == "hyper_num,lambda_hc,lambda_ghc,val_recall20,best"
-        assert len(rows) == 3
+        assert rows[0] == "k_hyper,lambda_hc,lambda_ghc,val_recall20,best_epoch,best"
+        assert [row.split(",")[:5] for row in rows[1:]] == [
+            [str(k), "1e-05", "0.01", str(result.best_val_recall20), str(result.best_epoch)]
+            for k, (_, _, result) in zip((2, 4), calls, strict=True)
+        ]
         assert sum(int(r.rsplit(",", 1)[1]) for r in rows[1:]) == 1
+        printed = capsys.readouterr().out
+        assert "k_hyper=2 lambda_hc=1e-05 lambda_ghc=0.01 val_recall20=" in printed
+        assert "best cell: k_hyper=" in printed
 
-    def test_default_grid_contains_reported_optima(self):
-        from mhcr.cli import build_parser
+    def test_default_grid_contains_reported_optima(self, data_dir, tmp_path, monkeypatch):
+        assert build_parser().parse_args(["sweep", "--data-dir", "x"]).grid is None
+        calls = recording_fit(monkeypatch, run_fit=False)
+        argv = ["sweep", "--data-dir", str(data_dir), "--out-dir", str(tmp_path / "o")]
+        assert main(argv) == EXIT_OK
+        cells = [(cfg.k_hyper, cfg.lambda_hc, cfg.lambda_ghc) for _, cfg, _ in calls]
+        assert cells == list(itertools.product((8, 16, 32, 64), (1e-6, 1e-5, 1e-4),
+                                               (0.001, 0.01, 0.1)))
+        default = TrainConfig()
+        assert (default.k_hyper, default.lambda_hc, default.lambda_ghc) in cells
 
-        parser = build_parser()
-        args = parser.parse_args(["sweep", "--data-dir", "x"])
-        assert "32" in args.hyper_num_grid.split(",")
-        assert "1e-5" in args.lambda_hc_grid.split(",")
-        assert "0.01" in args.lambda_ghc_grid.split(",")
-        assert len(args.hyper_num_grid.split(",")) * len(args.lambda_hc_grid.split(",")) * len(
-            args.lambda_ghc_grid.split(",")
-        ) == 36
+    @pytest.mark.parametrize("grid,cells", [
+        (["use_hem=true,false", "seed=0"], [dict(use_hem=True, seed=0),
+                                            dict(use_hem=False, seed=0)]),
+        (["seed=3, 4", "drop_rate=0"], [dict(seed=3, drop_rate=0.0),
+                                        dict(seed=4, drop_rate=0.0)]),
+    ])
+    def test_any_scalar_field_is_a_grid_axis(self, data_dir, tmp_path, monkeypatch, grid, cells,
+                                             capsys):
+        calls = recording_fit(monkeypatch, run_fit=False)
+        out = tmp_path / "o"
+        argv = ["sweep", "--data-dir", str(data_dir), "--out-dir", str(out), "--seed", "13",
+                "--no-use-hem", "--drop-rate", "0.2"]
+        for spec in grid:
+            argv += ["--grid", spec]
+        assert main(argv) == EXIT_OK
+        # a grid value overrides the flag of its field
+        base = TrainConfig(seed=13, use_hem=False, drop_rate=0.2)
+        assert [cfg for _, cfg, _ in calls] == [replace(base, **cell) for cell in cells]
+        header = (out / "sweep.csv").read_text().splitlines()[0]
+        assert header == ",".join(cells[0]) + ",val_recall20,best_epoch,best"
+        # every cell trains on the split of the root seed
+        assert "root seed: 13" in capsys.readouterr().out
+        want = split_dataset(load_interactions(data_dir / "interactions.tsv"), seed=13)
+        assert all(np.array_equal(ds.split, want.split) for ds, _, _ in calls)
 
 
 class TestConfigFile:
@@ -553,23 +608,30 @@ class TestConfigValidation:
         assert "modalities" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
-    @pytest.mark.parametrize("flag,grid", [
-        ("--hyper-num-grid", "4,0"),
-        ("--hyper-num-grid", "4,x"),
-        ("--hyper-num-grid", ","),
-        ("--lambda-hc-grid", "1e-5,nan"),
-        ("--lambda-hc-grid", ""),
-        ("--lambda-ghc-grid", "0.01,-1"),
-        ("--lambda-ghc-grid", "0.01,inf"),
-    ])
-    def test_bad_sweep_grid_rejected_before_any_work(self, data_dir, flag, grid, tmp_path,
+    @pytest.mark.parametrize("specs", [
+        ["k_hyper=4,0"],
+        ["k_hyper=4,x"],
+        ["k_hyper=,"],
+        ["lambda_hc=1e-5,nan"],
+        ["lambda_hc="],
+        ["lambda_ghc=0.01,-1"],
+        ["lambda_ghc=0.01,inf"],
+        ["hyper_num=4"],  # not a field: the old column name
+        ["variant=wo-hem"],  # a preset, not a scalar field
+        ["k_hyper=4", "lambda_hc=0", "k_hyper=8"],
+        ["k_hyper"],
+    ], ids=" ".join)
+    def test_bad_sweep_grid_rejected_before_any_work(self, data_dir, specs, tmp_path, capsys,
                                                      monkeypatch):
         def no_training(*args, **kwargs):
             raise AssertionError("a cell trained")
 
         monkeypatch.setattr(cli, "fit", no_training)
-        argv = ["sweep", "--data-dir", str(data_dir), "--out-dir", str(tmp_path / "o"), flag, grid]
+        argv = ["sweep", "--data-dir", str(data_dir), "--out-dir", str(tmp_path / "o")]
+        for spec in specs:
+            argv += ["--grid", spec]
         assert main(argv) == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("config error:")
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("discovered", [False, True])
@@ -584,8 +646,8 @@ class TestConfigValidation:
         else:
             argv += ["--modalities", "image"]
         if command == "sweep":
-            argv += ["--hyper-num-grid", "4", "--lambda-hc-grid", "0,1e-5",
-                     "--lambda-ghc-grid", "0.01"]
+            argv += ["--grid", "k_hyper=4", "--grid", "lambda_hc=0,1e-5",
+                     "--grid", "lambda_ghc=0.01"]
         assert main(argv + FAST_TRAIN) == EXIT_CONFIG
         assert ">= 2 modalities" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
@@ -707,9 +769,7 @@ CLI_SURFACE = {
     },
     "sweep": {
         **TRAINING_OPTIONS,
-        ("--hyper-num-grid",): ("hyper_num_grid", None, "8,16,32,64", None, False),
-        ("--lambda-hc-grid",): ("lambda_hc_grid", None, "1e-6,1e-5,1e-4", None, False),
-        ("--lambda-ghc-grid",): ("lambda_ghc_grid", None, "0.001,0.01,0.1", None, False),
+        ("--grid",): ("grid", None, None, None, False),
     },
 }
 
@@ -765,7 +825,7 @@ def _texts(valid: str, invalid: str):
 
 _WEIGHT = _texts("0 1e-5 0.2", "-1 nan inf")
 # flag -> (valid values, invalid values) of `train` and `sweep`, each kept
-# small enough that a valid run trains at most 4 cells of one short epoch
+# small enough that a valid run trains at most 2 cells of one short epoch
 _TRAINING_VALUES = {
     "--max-epochs": _ints((1, 1), (-1, 0)),
     "--d": _ints((1, 8), (-1, 0)),
@@ -787,9 +847,10 @@ _TRAINING_VALUES = {
     "--modalities": _texts("image,text text,image image", "image,image audio , video"),
 }
 _SWEEP_GRIDS = {
-    "--hyper-num-grid": _texts("2 2,4", "0 4,x , -1"),
-    "--lambda-hc-grid": _texts("0 1e-5 0,1e-5", "nan -1 inf"),
-    "--lambda-ghc-grid": _texts("0.01 0", "inf -1"),
+    "--grid": _texts("k_hyper=2,4 lambda_hc=0,1e-5 lambda_ghc=0.01,0 seed=0,1 "
+                     "use_hem=true,false use_ii=off drop_rate=0,0.5 tau=0.2",
+                     "k_hyper=0 k_hyper=4,x k_hyper=, lambda_hc=nan lambda_ghc=-1,0.01 "
+                     "tau=inf hyper_num=2 variant=wo-hem seed=-1 use_ui=maybe k_hyper"),
 }
 # the flags every drawn `train` or `sweep` argv sets: the root seed, and the
 # sizes whose defaults would train 100 epochs of d = 64 and a sweep 36 cells
@@ -838,4 +899,4 @@ def test_cli_exits_with_a_typed_code(fuzz_run, data):
         made_out_dir = out.exists()
     assert code in (EXIT_OK, EXIT_CONFIG, EXIT_DATA, EXIT_NUMERIC, EXIT_MEMORY), stderr.getvalue()
     assert "Traceback" not in stderr.getvalue()
-    assert code != EXIT_CONFIG or not made_out_dir
+    assert code not in (EXIT_CONFIG, EXIT_DATA) or not made_out_dir

@@ -17,7 +17,6 @@ from mhcr.dataio import (
     InteractionDataset,
     ModalityFeatures,
     SyntheticConfig,
-    cold_start_users,
     format_dataset_stats,
     generate_synthetic,
     load_features,
@@ -30,6 +29,7 @@ from mhcr.dataio import (
     validate_features,
 )
 from mhcr.errors import ConfigError, DataError, ParseError
+from mhcr.evaluation import SLICE_COLD, _slice_users
 from oracles import split_by_user
 
 
@@ -205,23 +205,23 @@ class TestColdStart:
             2, 5, np.array([0, 0, 1, 1, 1]), np.array([0, 1, 0, 1, 2]),
             split=np.array([TRAIN, TRAIN, TRAIN, TRAIN, TRAIN]),
         )
-        assert cold_start_users(ds, threshold=3) == {0}
+        assert _slice_users(ds, SLICE_COLD, 3).tolist() == [0]
 
     def test_three_train_interactions_excluded(self):
         ds = InteractionDataset(
             1, 3, np.array([0, 0, 0]), np.array([0, 1, 2]),
             split=np.array([TRAIN, TRAIN, TRAIN]),
         )
-        assert cold_start_users(ds, threshold=3) == set()
+        assert _slice_users(ds, SLICE_COLD, 3).tolist() == []
 
     def test_threshold_zero_empty(self):
         ds = InteractionDataset(1, 1, np.array([0]), np.array([0]), split=np.array([TRAIN]))
-        assert cold_start_users(ds, threshold=0) == set()
+        assert _slice_users(ds, SLICE_COLD, 0).tolist() == []
 
     def test_requires_split(self):
         ds = InteractionDataset(1, 1, np.array([0]), np.array([0]))
         with pytest.raises(DataError):
-            cold_start_users(ds)
+            _slice_users(ds, SLICE_COLD, 3)
 
 
 class TestSynthetic:

@@ -14,7 +14,7 @@ from mhcr.dataio import TEST, TRAIN, VAL, InteractionDataset
 from mhcr.errors import ConfigError
 from mhcr.evaluation import SLICE_ALL, SLICE_COLD, EvalReport, evaluate, mean_recall
 
-from oracles import evaluate_by_user, ndcg_at_k, rank_items, recall_at_k
+from oracles import cold_start_users, evaluate_by_user, ndcg_at_k, rank_items, recall_at_k
 
 
 def brute_force_report(user_emb, item_emb, ds, users, ks, target, masked):
@@ -157,8 +157,6 @@ class TestEvaluate:
         assert cold.users <= all_rec.users
 
     def test_cold_slice_matches_oracle(self):
-        from mhcr.dataio import cold_start_users
-
         ds, user_emb, item_emb = random_instance(11)
         cold_users = cold_start_users(ds, 3)
         report = evaluate(user_emb, item_emb, ds, slice_name=SLICE_COLD)
