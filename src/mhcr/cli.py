@@ -3,11 +3,12 @@
 Every scalar field of the config dataclass of `generate`, `train` and
 `sweep` is both a `--field-name` flag and a key of the `--config` file, a
 flat `key = value` text with `#` comments; `evaluate` takes its model from
-the checkpoint. Every command rejects keys it does not know. Precedence is
-built-in default < config file < `--variant` preset < flag < a `sweep
---grid` value. The output directory is `--out-dir`, else the
-MHCR_OUTPUT_DIR environment variable, else the file's `out_dir`, else
-`mhcr-out`. All randomness flows from one root seed, printed at startup.
+the checkpoint. Every command rejects keys it does not know. A field's
+precedence is built-in default < config file < flag < a `sweep --grid`
+value; an ablation is a setting of the fields, named by `variant_label`.
+The output directory is `--out-dir`, else the MHCR_OUTPUT_DIR environment
+variable, else the file's `out_dir`, else `mhcr-out`. All randomness
+flows from one root seed, printed at startup.
 """
 
 from __future__ import annotations
@@ -46,8 +47,6 @@ from .objectives import LossBreakdown
 from .training import (
     EpochStats,
     TrainConfig,
-    VARIANT_PRESETS,
-    apply_variant,
     check_modality_count,
     evaluate_params,
     fit,
@@ -76,7 +75,8 @@ _SYNTHETIC_FIELDS = _scalar_fields(SyntheticConfig)
 _DIM_KEYS = {f"{tag}_dim": int for tag in MODALITIES}
 # Config-file keys of `train` and `sweep` besides the TrainConfig fields, and
 # all those of `evaluate` (`--data-dir` is a required flag, so it is no key).
-_RUN_KEYS = {"out_dir": str, "split_ratios": str, "variant": str, "modalities": str}
+# None of them sets a TrainConfig field: an ablation is set by its fields.
+_RUN_KEYS = {"out_dir": str, "split_ratios": str, "modalities": str}
 _EVALUATE_KEYS = {"out_dir": str, "cold_threshold": int}
 
 
@@ -138,15 +138,11 @@ def _setting(args: argparse.Namespace, file_values: dict[str, object], key: str,
 
 
 def _train_config(args: argparse.Namespace) -> tuple[TrainConfig, dict[str, object]]:
-    """The validated TrainConfig (defaults < config file < `--variant`
-    preset < flags) and the config file's values."""
+    """The validated TrainConfig (defaults < config file < flags) and the
+    config file's values."""
     file_values = _read_config(args, {**_TRAIN_FIELDS, **_RUN_KEYS})
-    cfg = replace(TrainConfig(), **{k: v for k, v in file_values.items() if k in _TRAIN_FIELDS})
-    variant = _setting(args, file_values, "variant")
-    if variant:
-        cfg = apply_variant(cfg, variant)
-    flags = {name: getattr(args, name) for name in _TRAIN_FIELDS}
-    cfg = replace(cfg, **{name: value for name, value in flags.items() if value is not None})
+    values = {name: _setting(args, file_values, name) for name in _TRAIN_FIELDS}
+    cfg = TrainConfig(**{name: value for name, value in values.items() if value is not None})
     cfg.validate()
     return cfg, file_values
 
@@ -246,7 +242,8 @@ _DEFAULT_GRID = ("k_hyper=8,16,32,64", "lambda_hc=1e-6,1e-5,1e-4", "lambda_ghc=0
 
 def _parse_grid(specs: Sequence[str]) -> dict[str, list]:
     """Field -> values of `FIELD=v1,v2,...` specs, in the order given, each
-    value parsed by the config-file rules of its TrainConfig field."""
+    value parsed by the config-file rules of its TrainConfig field; two
+    equal values of one field (`1e-5,0.00001`) would train one cell twice."""
     grid: dict[str, list] = {}
     for spec in specs:
         field, has_values, text = spec.partition("=")
@@ -257,7 +254,10 @@ def _parse_grid(specs: Sequence[str]) -> dict[str, list]:
         if field in grid:
             raise ConfigError(f"--grid {spec!r}: {field} is given twice")
         kind = _TRAIN_FIELDS[field]
-        grid[field] = [_coerce(f"--grid {field}", part.strip(), kind) for part in text.split(",")]
+        values = [_coerce(f"--grid {field}", part.strip(), kind) for part in text.split(",")]
+        if len(set(values)) != len(values):
+            raise ConfigError(f"--grid {spec!r}: {field} takes one value twice")
+        grid[field] = values
     return grid
 
 
@@ -390,7 +390,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_train = sub.add_parser("train", help="train and checkpoint a model")
     _add_train_flags(p_train)
-    p_train.add_argument("--variant", choices=sorted(VARIANT_PRESETS), help="an ablation preset")
     p_train.set_defaults(func=cmd_train)
 
     p_eval = sub.add_parser("evaluate", help="score a checkpoint's model on the test split")

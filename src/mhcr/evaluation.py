@@ -160,6 +160,9 @@ def evaluate(
     if user_emb.shape[0] != ds.num_users or item_emb.shape[0] != ds.num_items:
         raise ShapeError("embedding row counts do not match the dataset")
     ks = _cutoffs(ks)
+    if target_split not in (VAL, TEST):  # TRAIN targets are masked
+        raise ConfigError(f"target_split must be {VAL} (val) or {TEST} (test), "
+                          f"got {target_split!r}")
     check_cold_threshold(cold_threshold)
     mask_splits = (TRAIN,) if target_split == VAL else (TRAIN, VAL)
     targets = ds.user_csr(target_split)

@@ -6,7 +6,7 @@ the epoch loop with early stopping on validation Recall@20."""
 from __future__ import annotations
 
 import logging
-from dataclasses import astuple, dataclass, field, replace
+from dataclasses import astuple, dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -82,25 +82,11 @@ class TrainConfig:
             raise ConfigError("seed must be >= 0")
 
 
-VARIANT_PRESETS = {
-    "full": {},
-    "wo-ui": {"use_ui": False},
-    "wo-ii": {"use_ii": False},
-    "wo-hem": {"use_hem": False},
-    "wo-hc": {"lambda_hc": 0.0},
-    "wo-ghc": {"lambda_ghc": 0.0},
-    "bpr-mf": {"use_ii": False, "use_hem": False, "layers": 0},
-}
-
-
-def apply_variant(cfg: TrainConfig, variant: str) -> TrainConfig:
-    if variant not in VARIANT_PRESETS:
-        raise ConfigError(f"unknown variant {variant!r}; choose from {sorted(VARIANT_PRESETS)}")
-    return replace(cfg, **VARIANT_PRESETS[variant])
-
-
 def variant_label(cfg: TrainConfig) -> str:
-    """Human-readable name for an ablation configuration."""
+    """The name of the ablation that a config's view switches, contrastive
+    weights and `layers` describe: "MHCR" for the full model, "BPR-MF"
+    for the UI view alone at 0 layers, else "w/o " and the parts that are
+    off."""
     if cfg.use_ui and not cfg.use_ii and not cfg.use_hem and cfg.layers == 0:
         return "BPR-MF"
     missing = [name for on, name in (

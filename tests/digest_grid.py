@@ -1,7 +1,7 @@
 """Digests of a fixed grid of tiny fits, so a change can show which numbers
 it keeps and which it moves.
 
-Every config of the grid (the 7 variant presets plus hem-only and ii-only,
+Every config of the grid (the 7 ablations plus hem-only and ii-only,
 x `layers` {0, 2, 3} x `hyper_steps` {1, 2, 3} x `drop_rate` {0, 0.5},
 deduplicated: bpr-mf fixes `layers` to 0, so 150 configs) is fit on one
 70-user x 45-item synthetic set and gets two digests:
@@ -47,7 +47,9 @@ import numpy as np
 from mhcr.cli import main as mhcr_main
 from mhcr.dataio import VAL, SyntheticConfig, generate_synthetic, split_dataset
 from mhcr.evaluation import evaluate
-from mhcr.training import VARIANT_PRESETS, TrainConfig, build_views, compute_embeddings, fit
+from mhcr.training import TrainConfig, build_views, compute_embeddings, fit
+
+from ablations import ABLATIONS
 
 DATA = SyntheticConfig(num_users=70, num_items=45, num_clusters=4, seed=3)
 BASE = TrainConfig(d=6, k_hyper=5, k_knn=4, batch_size=48, max_epochs=2, patience=2, seed=1)
@@ -65,7 +67,7 @@ def grid() -> dict[str, TrainConfig]:
     """Name -> config, each distinct config once, named by its variant and
     its effective `layers`, `hyper_steps` and `drop_rate`."""
     configs: dict[str, TrainConfig] = {}
-    variants = {**VARIANT_PRESETS, **EXTRA_VARIANTS}
+    variants = {**ABLATIONS, **EXTRA_VARIANTS}
     for variant, layers, steps, drop in itertools.product(variants, LAYERS, HYPER_STEPS,
                                                           DROP_RATES):
         grid_values = {"layers": layers, "hyper_steps": steps, "drop_rate": drop}

@@ -6,6 +6,7 @@ variants) through a module-scoped fixture; everything else is fast.
 """
 
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -20,7 +21,6 @@ from mhcr.item_graph import build_affinity_graph
 from mhcr.objectives import bpr_loss, graph_hyper_contrastive_loss, hyper_contrastive_loss
 from mhcr.training import (
     TrainConfig,
-    apply_variant,
     build_views,
     compute_embeddings,
     fit,
@@ -29,6 +29,7 @@ from mhcr.training import (
 )
 from mhcr.ui_graph import build_norm_adjacency, propagate_ui
 
+from ablations import ABLATIONS
 from oracles import cosine_affinity
 
 from conftest import assert_grad_close, finite_difference, micro_batch, micro_config, micro_dataset
@@ -287,7 +288,7 @@ def seed_comparison():
         ds = split_dataset(ds, seed=seed)
         per_variant = {}
         for variant in ("full", "wo-hem", "bpr-mf"):
-            cfg = apply_variant(_train_config(seed), variant)
+            cfg = replace(_train_config(seed), **ABLATIONS[variant])
             result = fit(ds, feats, cfg)
             views = build_views(ds, feats, cfg)
             user_emb, item_emb = compute_embeddings(result.params, views, cfg)

@@ -200,13 +200,13 @@ class TestTrain:
 class TestAblate:
     def test_variant_recorded_in_log_header(self, data_dir, tmp_path):
         out = tmp_path / "ab"
-        assert run_train(data_dir, out, ["--variant", "wo-hem"]) == 0
+        assert run_train(data_dir, out, ["--no-use-hem"]) == 0
         header = (out / "training_log.csv").read_text().splitlines()[0]
         assert header == "# variant: w/o HEM"
 
     def test_bpr_mf_variant(self, data_dir, tmp_path):
         out = tmp_path / "mf"
-        assert run_train(data_dir, out, ["--variant", "bpr-mf"]) == 0
+        assert run_train(data_dir, out, ["--no-use-ii", "--no-use-hem", "--layers", "0"]) == 0
         assert (out / "training_log.csv").read_text().splitlines()[0] == "# variant: BPR-MF"
 
 
@@ -302,7 +302,7 @@ class TestEvaluate:
 
     def test_model_comes_from_the_checkpoint(self, data_dir, tmp_path):
         run = tmp_path / "run"
-        assert run_train(data_dir, run, ["--variant", "wo-hem", "--layers", "1", "--k-knn", "5"]) == 0
+        assert run_train(data_dir, run, ["--no-use-hem", "--layers", "1", "--k-knn", "5"]) == 0
         out = tmp_path / "eval"
         assert main(
             ["evaluate", "--data-dir", str(data_dir), "--checkpoint", str(run / "checkpoint.bin"),
@@ -577,7 +577,9 @@ class TestConfigValidation:
     @pytest.mark.parametrize(
         "command,key",
         [(c, "data_dir = x") for c in ("train", "evaluate", "sweep")]
-        + [(c, "cold_threshold = 5") for c in ("train", "sweep")]
+        # an ablation is set by its fields: `variant` is no key
+        + [(c, key) for c in ("train", "sweep") for key in ("cold_threshold = 5",
+                                                            "variant = wo-hem")]
         + [("evaluate", key) for key in ("d = 8", "seed = 1", "variant = wo-hem",
                                           "modalities = image", "split_ratios = 0.7,0.1,0.2")],
     )
@@ -590,6 +592,7 @@ class TestConfigValidation:
             argv += ["--checkpoint", str(tmp_path / "none.bin"), "--split", str(tmp_path / "none")]
         assert main(argv) == EXIT_CONFIG
         assert key.split()[0] in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("tags", ["image,image", "audio", "image,audio", ",", ""])
     @pytest.mark.parametrize("source", ["flag", "file"])
@@ -617,7 +620,10 @@ class TestConfigValidation:
         ["lambda_ghc=0.01,-1"],
         ["lambda_ghc=0.01,inf"],
         ["hyper_num=4"],  # not a field: the old column name
-        ["variant=wo-hem"],  # a preset, not a scalar field
+        ["variant=wo-hem"],  # not a field: an ablation is set by its fields
+        ["lambda_hc=1e-5,0.00001"],  # equal values would train one cell twice
+        ["use_hem=true,yes"],
+        ["seed=0,0"],
         ["k_hyper=4", "lambda_hc=0", "k_hyper=8"],
         ["k_hyper"],
     ], ids=" ".join)
@@ -700,18 +706,11 @@ class TestConfigValidation:
         assert code == EXIT_CONFIG
         assert "num_userz" in capsys.readouterr().err
 
-    def test_variant_sits_between_file_and_flags(self, tmp_path):
-        cfg_file = tmp_path / "run.cfg"
-        cfg_file.write_text("use_hem = true\nlambda_hc = 0.5\nd = 4\n", encoding="utf-8")
-        args = build_parser().parse_args(
-            ["train", "--data-dir", "x", "--config", str(cfg_file), "--variant", "bpr-mf",
-             "--layers", "1", "--d", "8"]
-        )
-        cfg, _ = _train_config(args)
-        assert (cfg.use_hem, cfg.layers, cfg.lambda_hc, cfg.d) == (False, 1, 0.5, 8)
-
-
-VARIANTS = ("bpr-mf", "full", "wo-ghc", "wo-hc", "wo-hem", "wo-ii", "wo-ui")
+    def test_variant_option_is_unknown(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exited:
+            main(["train", "--data-dir", str(tmp_path), "--variant", "wo-hem"])
+        assert exited.value.code == EXIT_CONFIG
+        assert "unrecognized arguments: --variant" in capsys.readouterr().err
 
 # Option strings -> (dest, type, default, choices, required) of every
 # subcommand, as written out by hand before the flags were derived from the
@@ -758,7 +757,7 @@ TRAINING_OPTIONS = {
 }
 CLI_SURFACE = {
     "generate": GENERATE_OPTIONS,
-    "train": {**TRAINING_OPTIONS, ("--variant",): ("variant", None, None, VARIANTS, False)},
+    "train": TRAINING_OPTIONS,
     "evaluate": {
         ("--data-dir",): ("data_dir", None, None, None, True),
         ("--checkpoint",): ("checkpoint", None, None, None, True),
@@ -873,8 +872,6 @@ def cli_argv(draw, data: Path, run: Path) -> list[str]:
                            unique=True))
     invalid = draw(st.none() | st.sampled_from(flags))
     argv += [f"{flag}={draw(values[flag][flag == invalid])}" for flag in flags]
-    if command == "train":
-        argv += draw(st.sampled_from([[]] + [[f"--variant={v}"] for v in VARIANTS]))
     for view in ("ui", "ii", "hem"):
         argv += draw(st.sampled_from([[], [f"--use-{view}"], [f"--no-use-{view}"]]))
     return argv

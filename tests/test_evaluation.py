@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mhcr import evaluation
+from mhcr import evaluation, training
 from mhcr.dataio import TEST, TRAIN, VAL, InteractionDataset
 from mhcr.errors import ConfigError
 from mhcr.evaluation import SLICE_ALL, SLICE_COLD, EvalReport, evaluate, mean_recall
@@ -314,6 +314,22 @@ class TestSettings:
         ds, user_emb, item_emb = random_instance(0)
         with pytest.raises(ConfigError, match="cold_threshold"):
             evaluate(user_emb, item_emb, ds, slice_name=slice_name, cold_threshold=threshold)
+
+    @pytest.mark.parametrize("target_split", [TRAIN, -1, 3])
+    @pytest.mark.parametrize("scorer", ["evaluate", "mean_recall", "evaluate_params"])
+    def test_target_split_other_than_val_or_test_rejected(self, micro, scorer, target_split):
+        # TRAIN targets are all masked, so every user would score 0; other
+        # values would select no target and report degenerate zeros
+        if scorer == "evaluate_params":
+            ds, feats, cfg, views = micro
+            params = training.init_parameters(cfg, ds.num_users, ds.num_items, views.modality_dims)
+            with pytest.raises(ConfigError, match="target_split"):
+                training.evaluate_params(params, ds, feats, target_split=target_split)
+            return
+        ds, user_emb, item_emb = random_instance(0)
+        with pytest.raises(ConfigError, match="target_split"):
+            {"evaluate": evaluate, "mean_recall": mean_recall}[scorer](
+                user_emb, item_emb, ds, target_split=target_split)
 
 
 class TestReport:

@@ -27,8 +27,6 @@ from mhcr.training import (
     Adam,
     Batch,
     TrainConfig,
-    VARIANT_PRESETS,
-    apply_variant,
     backward_and_step,
     build_views,
     compute_embeddings,
@@ -41,6 +39,7 @@ from mhcr.training import (
     variant_label,
 )
 
+from ablations import ABLATIONS
 from conftest import assert_grad_close, finite_difference, micro_batch, micro_config, micro_dataset
 from oracles import tape_forward
 
@@ -288,10 +287,10 @@ class TestBatchRows:
     @pytest.mark.parametrize("variant", ["full", "wo-ui", "wo-ii", "wo-hem", "bpr-mf"])
     def test_losses_and_gradients_match_all_node_views(self, variant, layers, hyper_steps):
         ds, feats, batch = batch_row_instance()
-        cfg = apply_variant(
+        cfg = replace(
             micro_config(layers=layers, hyper_steps=hyper_steps, drop_rate=0.0,
                          lambda_hc=0.3, lambda_ghc=0.3),
-            variant,
+            **ABLATIONS[variant],
         )
         views = build_views(ds, feats, cfg)
         params = make_params(cfg, ds, views)
@@ -372,7 +371,7 @@ class TestAgainstGenericTape:
         if variant == "hem-only":
             cfg = replace(cfg, use_ui=False, use_ii=False)
         else:
-            cfg = apply_variant(cfg, variant)
+            cfg = replace(cfg, **ABLATIONS[variant])
         params = make_params(cfg, ds, views)
         outs = []
         for run in (forward, tape_forward):
@@ -551,20 +550,18 @@ class TestOptimizer:
 class TestVariants:
     def test_labels(self):
         assert variant_label(TrainConfig()) == "MHCR"
-        assert variant_label(apply_variant(TrainConfig(), "wo-hem")) == "w/o HEM"
-        assert variant_label(apply_variant(TrainConfig(), "wo-ui")) == "w/o UI"
-        assert variant_label(apply_variant(TrainConfig(), "wo-hc")) == "w/o HC"
-        assert variant_label(apply_variant(TrainConfig(), "wo-ghc")) == "w/o GHC"
+        assert variant_label(TrainConfig(use_hem=False)) == "w/o HEM"
+        assert variant_label(TrainConfig(use_ui=False)) == "w/o UI"
+        assert variant_label(TrainConfig(use_ii=False)) == "w/o II"
+        assert variant_label(TrainConfig(lambda_hc=0.0)) == "w/o HC"
+        assert variant_label(TrainConfig(lambda_ghc=0.0)) == "w/o GHC"
         assert variant_label(TrainConfig(lambda_hc=0.0, lambda_ghc=0.0)) == "w/o HC+GHC"
-        assert variant_label(apply_variant(TrainConfig(), "bpr-mf")) == "BPR-MF"
-
-    def test_unknown_variant(self):
-        with pytest.raises(ConfigError):
-            apply_variant(TrainConfig(), "nope")
+        assert variant_label(TrainConfig(use_ii=False, use_hem=False)) == "w/o II+HEM"
+        assert variant_label(TrainConfig(use_ii=False, use_hem=False, layers=0)) == "BPR-MF"
 
     def test_bpr_mf_scores_come_from_raw_id_embeddings(self, micro):
         ds, _, _, views = micro
-        cfg = apply_variant(micro_config(), "bpr-mf")
+        cfg = replace(micro_config(), **ABLATIONS["bpr-mf"])
         params = make_params(cfg, ds, views)
         result = forward(params, views, cfg, mode="eval")
         assert np.array_equal(result.fused.data, params.e0.data)
@@ -597,9 +594,10 @@ class TestConfigContract:
         with pytest.raises(ConfigError):
             TrainConfig(**override).validate()
 
-    @pytest.mark.parametrize("variant", sorted(VARIANT_PRESETS))
+    @pytest.mark.parametrize("variant", sorted(ABLATIONS))
     def test_presets_valid(self, variant):
-        apply_variant(TrainConfig(), variant).validate()
+        # the ablations that the gate, the digest grid and README train
+        TrainConfig(**ABLATIONS[variant]).validate()
 
     @given(
         cfg=st.builds(
