@@ -60,12 +60,10 @@ def _config_from_json(values: object, path: Path) -> TrainConfig:
     for name, value in values.items():
         if type(value) is not kinds[name] and (kinds[name], type(value)) != (float, int):
             raise DataError(f"{path}: checkpoint config {name}={value!r} is no {kinds[name].__name__}")
-    cfg = TrainConfig(**values)
     try:
-        cfg.validate()
+        return TrainConfig(**values)
     except ConfigError as exc:
         raise DataError(f"{path}: checkpoint config is invalid: {exc}") from None
-    return cfg
 
 
 def _widths_from_json(widths: object, path: Path) -> dict[str, int]:

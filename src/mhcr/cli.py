@@ -27,10 +27,10 @@ from . import evaluation
 from .checkpoint import load_checkpoint, save_checkpoint
 from .dataio import (
     MODALITIES,
-    TRAIN,
     VAL,
     SyntheticConfig,
     check_split_ratios,
+    check_train_and_val,
     format_dataset_stats,
     generate_synthetic,
     load_features,
@@ -41,6 +41,7 @@ from .dataio import (
     save_split,
     split_dataset,
     unseen_eval_items,
+    validate_features,
 )
 from .errors import ConfigError, DataError, MhcrError, NumericError
 from .objectives import LossBreakdown
@@ -137,14 +138,17 @@ def _setting(args: argparse.Namespace, file_values: dict[str, object], key: str,
     return value
 
 
+def _build_config(cls, args: argparse.Namespace, file_values: dict[str, object], **fixed):
+    """A `cls` config whose scalar fields take default < config file < flag
+    and whose other fields take `fixed`; it checks itself as it is built."""
+    values = {name: _setting(args, file_values, name) for name in _scalar_fields(cls)}
+    return cls(**fixed, **{name: value for name, value in values.items() if value is not None})
+
+
 def _train_config(args: argparse.Namespace) -> tuple[TrainConfig, dict[str, object]]:
-    """The validated TrainConfig (defaults < config file < flags) and the
-    config file's values."""
+    """The TrainConfig of the settings and the config file's values."""
     file_values = _read_config(args, {**_TRAIN_FIELDS, **_RUN_KEYS})
-    values = {name: _setting(args, file_values, name) for name in _TRAIN_FIELDS}
-    cfg = TrainConfig(**{name: value for name, value in values.items() if value is not None})
-    cfg.validate()
-    return cfg, file_values
+    return _build_config(TrainConfig, args, file_values), file_values
 
 
 def _out_dir(args: argparse.Namespace, file_values: dict[str, object]) -> Path:
@@ -184,7 +188,8 @@ def _modalities(args: argparse.Namespace, file_values: dict[str, object]) -> lis
 
 def _load_data(data_dir: str, tags: Sequence[str] | None, named_by="the modalities setting"):
     """The interactions and the feature files of `tags` (`named_by` says who
-    named them), or of every modality that has a file if `tags` is None."""
+    named them), or of every modality that has a file if `tags` is None,
+    checked against each other; the features' row count is the item count."""
     root = Path(data_dir)
     ds = load_interactions(root / "interactions.tsv")
     if tags is None:
@@ -197,6 +202,11 @@ def _load_data(data_dir: str, tags: Sequence[str] | None, named_by="the modaliti
         if not path.is_file():
             raise DataError(f"{named_by} names modality {tag!r}, but {path} is not a file")
         features.append(load_features(path))
+    num_items = features[0].matrix.shape[0]
+    if ds.num_items > num_items:
+        raise DataError(f"item id {ds.num_items - 1} is outside the {num_items} feature rows")
+    ds = replace(ds, num_items=num_items)
+    validate_features(ds, features)
     return ds, features
 
 
@@ -212,7 +222,6 @@ def _write_training_log(path: Path, variant: str, epochs: Sequence[EpochStats]) 
 
 def cmd_generate(args: argparse.Namespace) -> int:
     file_values = _read_config(args, {**_SYNTHETIC_FIELDS, **_DIM_KEYS, "out_dir": str})
-    updates = {key: _setting(args, file_values, key) for key in _SYNTHETIC_FIELDS}
     dims = dict(SyntheticConfig().modality_dims)
     for tag in MODALITIES:
         value = _setting(args, file_values, f"{tag}_dim")
@@ -220,10 +229,7 @@ def cmd_generate(args: argparse.Namespace) -> int:
             dims.pop(tag, None)
         elif value is not None:
             dims[tag] = value
-    cfg = SyntheticConfig(
-        modality_dims=dims, **{key: value for key, value in updates.items() if value is not None}
-    )
-    cfg.validate()
+    cfg = _build_config(SyntheticConfig, args, file_values, modality_dims=dims)
     print(f"root seed: {cfg.seed}")
 
     out_dir = _out_dir(args, file_values)
@@ -273,14 +279,11 @@ def _prepare_run(args: argparse.Namespace):
     tags = _modalities(args, file_values)
     grid = _parse_grid(args.grid or _DEFAULT_GRID) if args.command == "sweep" else {}
     cells = [replace(cfg, **dict(zip(grid, point))) for point in itertools.product(*grid.values())]
-    for cell in cells:
-        cell.validate()
     ds_raw, features = _load_data(args.data_dir, tags)
     for cell in cells:
         check_modality_count(cell, len(features))
     ds = split_dataset(ds_raw, ratios, seed=cfg.seed)
-    if not (ds.split == TRAIN).any():
-        raise DataError(f"split ratios {ratios} leave no train interaction")
+    check_train_and_val(ds)
     return list(grid), cells, ds, features, _out_dir(args, file_values)
 
 

@@ -103,11 +103,6 @@ class InteractionDataset:
         np.cumsum(np.bincount(users, minlength=self.num_users), out=indptr[1:])
         return indptr, items[np.argsort(users, kind="stable")]
 
-    def items_by_user(self, label: int | tuple[int, ...]) -> list[np.ndarray]:
-        """Per user, the items of `split_pairs(label)` in dataset order."""
-        indptr, items = self.user_csr(label)
-        return [items[indptr[u]:indptr[u + 1]] for u in range(self.num_users)]
-
 
 @dataclass
 class ModalityFeatures:
@@ -303,6 +298,15 @@ def split_dataset(
     )
 
 
+def check_train_and_val(ds: InteractionDataset) -> None:
+    """Raise DataError unless the split holds a train pair, which training
+    fits, and a validation pair, by which it picks its epoch."""
+    split = ds.require_split()
+    for label, name in ((TRAIN, "train"), (VAL, "validation")):
+        if not (split == label).any():
+            raise DataError(f"the split ratios or labels leave no {name} interaction")
+
+
 def unseen_eval_items(ds: InteractionDataset) -> int:
     """Count val/test interactions whose item never occurs in train.
 
@@ -338,7 +342,7 @@ class SyntheticConfig:
     noise_std: float = 0.25
     seed: int = 0
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.num_users < 1 or self.num_items < 1 or self.num_clusters < 1:
             raise ConfigError("num_users, num_items, num_clusters must be >= 1")
         if self.mean_interactions < 1:
@@ -369,7 +373,6 @@ def _power_law_degrees(cfg: SyntheticConfig, rng: np.random.Generator) -> np.nda
 
 def generate_synthetic(cfg: SyntheticConfig) -> tuple[InteractionDataset, list[ModalityFeatures]]:
     """Deterministic planted-cluster dataset plus matching modality features."""
-    cfg.validate()
     rng = np.random.default_rng(cfg.seed)
 
     user_clusters = rng.integers(0, cfg.num_clusters, size=cfg.num_users)

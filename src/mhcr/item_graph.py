@@ -68,8 +68,8 @@ def build_affinity_graph(features: ModalityFeatures, k: int) -> sp.csr_matrix:
 
     normalized = _normalized_rows(features.matrix, features.modality)
     block_size = max(1, _AFFINITY_BLOCK_ELEMENTS // num_items)
-    counts: list[np.ndarray] = []
-    indices: list[np.ndarray] = []
+    rows: list[np.ndarray] = []
+    cols: list[np.ndarray] = []
     data: list[np.ndarray] = []
     for start in range(0, num_items, block_size):
         stop = min(start + block_size, num_items)
@@ -87,18 +87,12 @@ def build_affinity_graph(features: ModalityFeatures, k: int) -> sp.csr_matrix:
             same = np.flatnonzero(count == c)
             total[same] = kept[same, :c].sum(axis=1)
         kept /= total[:, None]
-        # out-of-prefix columns sort last, so each row's prefix stays its own
-        cols = np.where(positive, order, num_items)
-        by_col = np.argsort(cols, axis=1, kind="stable")
-        prefix = np.arange(k) < count[:, None]
-        counts.append(count)
-        indices.append(np.take_along_axis(cols, by_col, axis=1)[prefix])
-        data.append(np.take_along_axis(kept, by_col, axis=1)[prefix])
+        rows.append(start + np.nonzero(positive)[0])
+        cols.append(order[positive])
+        data.append(kept[positive])
 
-    indptr = np.zeros(num_items + 1, dtype=np.int64)
-    np.cumsum(np.concatenate(counts), out=indptr[1:])
     return sp.csr_matrix(
-        (np.concatenate(data), np.concatenate(indices), indptr),
+        (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
         shape=(num_items, num_items),
     )
 

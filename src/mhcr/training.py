@@ -14,7 +14,8 @@ import scipy.sparse as sp
 
 from . import autodiff as ad
 from . import evaluation
-from .dataio import MODALITIES, TEST, TRAIN, InteractionDataset, ModalityFeatures, validate_features
+from .dataio import (MODALITIES, TEST, TRAIN, InteractionDataset, ModalityFeatures,
+                     check_train_and_val, validate_features)
 from .errors import ConfigError, NumericError
 from .hypergraph import build_incidence, hypergraph_pass  # perfbench traces build_incidence
 from .item_graph import build_affinity_graph, propagate_items
@@ -36,7 +37,8 @@ _NEGATIVE_SAMPLING_TRIES = 100
 @dataclass(frozen=True)
 class TrainConfig:
     """Model, objective, and optimizer hyperparameters plus the view flags.
-    A contrastive loss is off when its weight is 0."""
+    A contrastive loss is off when its weight is 0. A bad setting raises
+    ConfigError as the config is built, by `dataclasses.replace` too."""
 
     d: int = 64
     layers: int = 2
@@ -57,7 +59,7 @@ class TrainConfig:
     use_ii: bool = True
     use_hem: bool = True
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if not all(np.isfinite(v) for v in astuple(self) if isinstance(v, float)):
             raise ConfigError("float settings must be finite")
         if not (self.use_ui or self.use_ii or self.use_hem):
@@ -172,7 +174,6 @@ def init_parameters(
     """Gaussian init, every entry i.i.d. N(0, (1/sqrt(d))^2), so ID embedding
     row norms concentrate near 1. Deterministic given the seed: the tensors
     of `parameter_shapes` are drawn in its order."""
-    cfg.validate()
     shapes = parameter_shapes(num_users, num_items, cfg.d, cfg.k_hyper, modality_dims)
     if len(shapes) == 1:
         raise ConfigError("at least one modality is required")
@@ -297,7 +298,8 @@ class ForwardResult:
 
 
 def train_item_sets(ds: InteractionDataset) -> list[frozenset[int]]:
-    return [frozenset(items.tolist()) for items in ds.items_by_user(TRAIN)]
+    indptr, items = ds.user_csr(TRAIN)
+    return [frozenset(items[indptr[u]:indptr[u + 1]].tolist()) for u in range(ds.num_users)]
 
 
 def sample_negatives(
@@ -525,8 +527,7 @@ def fit(
     shuffle, negative-sampling, and dropout streams are spawned from the
     root seed, and dropout is only consumed by the hypergraph view.
     """
-    cfg.validate()
-    ds.require_split()
+    check_train_and_val(ds)
     check_modality_count(cfg, len(features))
 
     views = build_views(ds, features, cfg)

@@ -104,9 +104,9 @@ def micro():
 
 _positive = st.floats(1e-6, 1e3)
 _weight = st.floats(0.0, 10.0)
-# valid TrainConfigs at ordinary magnitudes
-train_configs = st.builds(
-    training.TrainConfig,
+# valid TrainConfigs at ordinary magnitudes; the fields are drawn and
+# filtered first, since a config with no view raises as it is built
+train_configs = st.fixed_dictionaries(dict(
     d=st.integers(1, 512),
     layers=st.integers(0, 8),
     k_knn=st.integers(1, 64),
@@ -125,7 +125,8 @@ train_configs = st.builds(
     use_ui=st.booleans(),
     use_ii=st.booleans(),
     use_hem=st.booleans(),
-).filter(lambda cfg: cfg.use_ui or cfg.use_ii or cfg.use_hem)
+)).filter(lambda f: f["use_ui"] or f["use_ii"] or f["use_hem"]).map(
+    lambda f: training.TrainConfig(**f))
 
 
 def with_checkpoint_meta(raw: bytes, config: bytes | None = None,

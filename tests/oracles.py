@@ -454,6 +454,14 @@ def cold_start_users(ds: InteractionDataset, threshold: int = 3) -> set[int]:
     return {u for u, count in counts.items() if count < threshold}
 
 
+def _items_by_user(ds: InteractionDataset, label) -> list[np.ndarray]:
+    """Per user, the items of `ds.split_pairs(label)` in dataset order."""
+    grouped = [[] for _ in range(ds.num_users)]
+    for u, i in zip(*(part.tolist() for part in ds.split_pairs(label))):
+        grouped[u].append(i)
+    return [np.array(items, dtype=np.int64) for items in grouped]
+
+
 def evaluate_by_user(user_emb, item_emb, ds: InteractionDataset, slice_name=SLICE_ALL,
                      ks=(10, 20), target_split=TEST, cold_threshold=3,
                      block_rows=1024) -> EvalReport:
@@ -461,8 +469,8 @@ def evaluate_by_user(user_emb, item_emb, ds: InteractionDataset, slice_name=SLIC
     `ndcg_at_k`, scoring users in blocks of `block_rows` (a score's bits can
     depend on the block's row count)."""
     mask_splits = (TRAIN,) if target_split == VAL else (TRAIN, VAL)
-    targets = ds.items_by_user(target_split)
-    masked = ds.items_by_user(mask_splits)
+    targets = _items_by_user(ds, target_split)
+    masked = _items_by_user(ds, mask_splits)
     if slice_name == SLICE_COLD:
         slice_users = sorted(cold_start_users(ds, cold_threshold))
     else:

@@ -196,6 +196,36 @@ class TestTrain:
         assert "leave no train interaction" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("command", ["train", "sweep"])
+    def test_split_without_validation_pairs_writes_nothing(self, command, data_dir, tmp_path,
+                                                           capsys):
+        # no epoch can be chosen: every one would score validation Recall@20 0
+        argv = [command, "--data-dir", str(data_dir), "--out-dir", str(tmp_path / "o"),
+                "--split-ratios", "0.8,0,0.2"]
+        assert main(argv + FAST_TRAIN) == EXIT_DATA
+        assert "leave no validation interaction" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_items_without_interactions_are_kept(self, tmp_path):
+        # the cold items 98 and 99 have features, but no user touched them
+        data, out = tmp_path / "data", tmp_path / "run"
+        generate = ["generate", "--out-dir", str(data), "--num-users", "10", "--num-items", "100",
+                    "--seed", "2"]
+        assert main(generate) == EXIT_OK
+        assert load_interactions(data / "interactions.tsv").num_items == 98
+        assert run_train(data, out, ["--max-epochs", "1"]) == EXIT_OK
+        assert load_checkpoint(out / "checkpoint.bin").num_items == 100
+        evaluate = ["evaluate", "--data-dir", str(data), "--out-dir", str(out),
+                    "--checkpoint", str(out / "checkpoint.bin"), "--split", str(out / "split.tsv")]
+        assert main(evaluate) == EXIT_OK
+
+    def test_item_id_outside_the_features_writes_nothing(self, data_dir, tmp_path, capsys):
+        with (data_dir / "interactions.tsv").open("a", encoding="utf-8") as fh:
+            fh.write("0\t25\n")  # the features have 25 rows
+        assert run_train(data_dir, tmp_path / "x") == EXIT_DATA
+        assert "item id 25 is outside the 25 feature rows" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
 
 class TestAblate:
     def test_variant_recorded_in_log_header(self, data_dir, tmp_path):

@@ -2,6 +2,7 @@
 
 import logging
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -105,11 +106,12 @@ class TestDatasetInvariants:
         pair_users, pair_items = ds.split_pairs((TRAIN, VAL))
         assert pair_users.tolist() == [1, 0, 0, 2, 1]
         assert pair_items.tolist() == [0, 3, 1, 0, 4]
-        by_user = ds.items_by_user((TRAIN, VAL))
-        assert [row.tolist() for row in by_user] == [[3, 1], [0, 4], [0], []]
+        indptr, by_user = ds.user_csr((TRAIN, VAL))
+        assert indptr.tolist() == [0, 2, 4, 5, 5]
+        assert by_user.tolist() == [3, 1, 0, 4, 0]
         for label in (TRAIN, VAL, TEST):
-            one, single = ds.items_by_user((label,)), ds.items_by_user(label)
-            assert [r.tolist() for r in one] == [r.tolist() for r in single]
+            one, single = ds.user_csr((label,)), ds.user_csr(label)
+            assert [a.tolist() for a in one] == [a.tolist() for a in single]
 
 
 class TestSplit:
@@ -266,12 +268,15 @@ class TestSynthetic:
         assert not np.array_equal(generate_synthetic(cfg)[0].items, generate_synthetic(other)[0].items)
 
     def test_invalid_config(self):
-        with pytest.raises(ConfigError):
-            generate_synthetic(SyntheticConfig(num_users=0))
-        with pytest.raises(ConfigError):
-            generate_synthetic(SyntheticConfig(noise_std=-1.0))
-        with pytest.raises(ConfigError, match="seed"):
-            generate_synthetic(SyntheticConfig(seed=-3))
+        # a config checks itself as it is built, through `replace` too
+        for override in ({"num_users": 0}, {"num_items": 0}, {"noise_std": -1.0}, {"seed": -3},
+                         {"mean_interactions": 0.5}, {"within_cluster_prob": 1.0},
+                         {"modality_dims": {}}, {"modality_dims": {"audio": 4}},
+                         {"modality_dims": {"text": 0}}):
+            with pytest.raises(ConfigError):
+                SyntheticConfig(**override)
+            with pytest.raises(ConfigError):
+                replace(SyntheticConfig(), **override)
 
 
 class TestFeatures:

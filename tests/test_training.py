@@ -592,16 +592,17 @@ class TestConfigContract:
     )
     def test_rejected(self, override):
         with pytest.raises(ConfigError):
-            TrainConfig(**override).validate()
+            TrainConfig(**override)
+        with pytest.raises(ConfigError):
+            replace(TrainConfig(), **override)
 
     @pytest.mark.parametrize("variant", sorted(ABLATIONS))
     def test_presets_valid(self, variant):
         # the ablations that the gate, the digest grid and README train
-        TrainConfig(**ABLATIONS[variant]).validate()
+        TrainConfig(**ABLATIONS[variant])
 
     @given(
-        cfg=st.builds(
-            TrainConfig,
+        fields=st.fixed_dictionaries(dict(
             d=st.integers(1, 8),
             layers=st.integers(0, 3),
             k_knn=st.integers(1, 25),
@@ -620,12 +621,12 @@ class TestConfigContract:
             use_ui=st.booleans(),
             use_ii=st.booleans(),
             use_hem=st.booleans(),
-        ),
+        )),
         tags=st.sets(st.sampled_from(MODALITIES), min_size=1),
         data_seed=st.integers(0, 2**16),
     )
     @settings(max_examples=50, deadline=None)
-    def test_any_config_trains_or_raises_a_typed_error(self, cfg, tags, data_seed):
+    def test_any_config_trains_or_raises_a_typed_error(self, fields, tags, data_seed):
         data = SyntheticConfig(
             num_users=30, num_items=20, num_clusters=3, mean_interactions=4.0,
             modality_dims={tag: 4 for tag in tags}, seed=data_seed,
@@ -633,6 +634,7 @@ class TestConfigContract:
         ds, feats = generate_synthetic(data)
         ds = split_dataset(ds, seed=data_seed)
         try:
+            cfg = TrainConfig(**fields)
             with np.errstate(all="ignore"):
                 result = fit(ds, feats, cfg)
         except (ConfigError, DataError, NumericError):
@@ -691,13 +693,17 @@ class TestFit:
         result = fit(ds, feats[:1], micro_config(lambda_hc=0.0, max_epochs=1))
         assert result.epochs[0].loss.l_hc == 0.0 and result.epochs[0].loss.l_ghc > 0.0
 
-    def test_full_dropout_is_rejected(self, micro):
+    def test_split_without_validation_pairs_is_rejected(self, micro):
+        # with no validation pair every epoch would score 0 and epoch 1 be kept
+        ds, feats, cfg, _ = micro
+        no_val = replace(ds, split=np.where(ds.split == VAL, TRAIN, ds.split))
+        with pytest.raises(DataError, match="no validation interaction"):
+            fit(no_val, feats, cfg)
+
+    def test_full_dropout_is_rejected(self):
         # drop_rate=1 would zero every hypergraph message in training only
-        ds, feats, _, _ = micro
         with pytest.raises(ConfigError, match="drop_rate"):
-            micro_config(drop_rate=1.0).validate()
-        with pytest.raises(ConfigError, match="drop_rate"):
-            fit(ds, feats, micro_config(drop_rate=1.0, max_epochs=2))
+            micro_config(drop_rate=1.0)
 
     def test_restores_best_parameters(self, micro):
         ds, feats, _, _ = micro
