@@ -329,10 +329,9 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     if differ:
         raise DataError("checkpoint does not fit the data: " + "; ".join(differ))
     ds = load_split(ds, args.split)
-    out_dir = _out_dir(args, file_values)
 
     report = evaluate_params(params, ds, features, cold_threshold=cold_threshold)
-    (out_dir / "eval_test.json").write_text(report.to_json(), encoding="utf-8")
+    (_out_dir(args, file_values) / "eval_test.json").write_text(report.to_json(), encoding="utf-8")
     print(report.format_table())
     return EXIT_OK
 

@@ -34,15 +34,13 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import autodiff as ad
-from .errors import ConfigError, ShapeError
+from .errors import ShapeError
 
 
 def build_incidence(features: np.ndarray, v_m: np.ndarray) -> np.ndarray:
     """H_i: per item, the softmax over the K hyperedges of its logits
     F_m @ V_m^T, shifted by the item's largest logit. Each row sums to 1."""
     features = np.asarray(features, dtype=np.float64)
-    if features.ndim != 2 or v_m.ndim != 2:
-        raise ShapeError("features and hyperedge matrix must be 2-D")
     if features.shape[1] != v_m.shape[1]:
         raise ShapeError(f"feature width {features.shape[1]} != hyperedge width {v_m.shape[1]}")
     # K x |I|, so each reduction over the K hyperedges runs across whole rows
@@ -104,11 +102,6 @@ def hypergraph_pass(features: np.ndarray, v_m: ad.Tensor, w_m: ad.Tensor, x_rows
     states after the final step, stacked: the rows of `x_rows`, then
     `item_rows`.
     """
-    if steps < 1:
-        raise ConfigError("steps must be >= 1")
-    if not 0.0 <= drop_rate < 1.0:
-        raise ConfigError("drop_rate must be in [0, 1)")
-
     features = np.asarray(features, dtype=np.float64)
     v_m, w_m = ad.as_tensor(v_m), ad.as_tensor(w_m)
     h = build_incidence(features, v_m.data)

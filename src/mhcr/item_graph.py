@@ -17,7 +17,7 @@ import scipy.sparse as sp
 
 from . import autodiff as ad
 from .dataio import ModalityFeatures
-from .errors import ConfigError, ShapeError
+from .errors import ShapeError
 
 log = logging.getLogger(__name__)
 
@@ -59,8 +59,6 @@ def build_affinity_graph(features: ModalityFeatures, k: int) -> sp.csr_matrix:
     computed in row blocks of `_AFFINITY_BLOCK_ELEMENTS // |I|` rows (at
     least one).
     """
-    if k < 1:
-        raise ConfigError("neighbor count k must be >= 1")
     num_items = features.matrix.shape[0]
     if k >= num_items:
         log.warning("k=%d >= %d items; clamping to %d", k, num_items, num_items - 1)
@@ -107,10 +105,6 @@ def propagate_items(
     Returns `user_rows` zero rows (the view has no user side), then the rows
     of items `rows`. One tape node; the gradient into W_m is
     (S_m F_m)[rows]^T @ g[user_rows:]."""
-    if len(smoothed) != len(weights):
-        raise ShapeError(f"{len(smoothed)} feature matrices but {len(weights)} projections")
-    if not smoothed:
-        raise ConfigError("propagate_items requires at least one modality")
     weights = [ad.as_tensor(w) for w in weights]
     for features, w in zip(smoothed, weights):
         if w.shape[0] != features.shape[1]:

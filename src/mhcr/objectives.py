@@ -26,7 +26,6 @@ import numpy as np
 from scipy.special import expit
 
 from . import autodiff as ad
-from .errors import ConfigError, DataError
 
 
 @dataclass
@@ -52,12 +51,6 @@ def bpr_loss(fused, users, positives, negatives) -> ad.Tensor:
     users, positives, negatives = (
         np.asarray(rows, dtype=np.int64) for rows in (users, positives, negatives)
     )
-    if not users.shape == positives.shape == negatives.shape:
-        raise DataError(
-            f"batch rows differ in shape: {users.shape}, {positives.shape}, {negatives.shape}"
-        )
-    if users.size == 0:
-        raise DataError("bpr_loss: empty batch")
     u, p, n = fused.data[users], fused.data[positives], fused.data[negatives]
     margin = (u * n).sum(axis=1) - (u * p).sum(axis=1)
 
@@ -109,14 +102,7 @@ def hyper_contrastive_loss(
     column maximum for column sums), so no exponential overflows and no
     node's mass underflows to zero at any tau > 0.
     """
-    if tau <= 0:
-        raise ConfigError("temperature must be > 0")
-    if len(per_modality) < 2:
-        raise ConfigError("hyper_contrastive_loss needs at least two modalities")
     batch = np.asarray(batch, dtype=np.int64)
-    if batch.size == 0:
-        raise DataError("hyper_contrastive_loss: empty batch")
-
     inputs = [ad.as_tensor(e) for e in per_modality]
     normalized = [_UnitRows(e, batch) for e in inputs]
     z = [rows.data for rows in normalized]
@@ -173,12 +159,7 @@ def graph_hyper_contrastive_loss(
     One tape node whose parents are the two inputs: a row log-sum-exp over
     the normalized batch rows, shifted by the row maximum so no exponential
     overflows, with the softmax-minus-identity gradient."""
-    if tau <= 0:
-        raise ConfigError("temperature must be > 0")
     batch = np.asarray(batch, dtype=np.int64)
-    if batch.size == 0:
-        raise DataError("graph_hyper_contrastive_loss: empty batch")
-
     e_graph, e_hyper = ad.as_tensor(e_graph), ad.as_tensor(e_hyper)
     g_rows, h_rows = _UnitRows(e_graph, batch), _UnitRows(e_hyper, batch)
     g, h = g_rows.data, h_rows.data
@@ -227,8 +208,6 @@ def total_loss(
     (e.g. 0.0 for an ablated term). Returns the total as a Tensor together
     with a float breakdown whose `total` is exactly the same composition.
     """
-    if min(lambda_hc, lambda_ghc, lambda_reg) < 0:
-        raise ConfigError("loss weights must be >= 0")
     parts = [ad.as_tensor(x) for x in (l_bpr, l_hc, l_ghc, l_reg)]
     b, hc, ghc, reg = (t.data for t in parts)
     total = ad.custom_op(

@@ -498,15 +498,14 @@ class TrainResult:
 
 
 def _mean_breakdown(parts: list[tuple[int, LossBreakdown]], cfg: TrainConfig) -> LossBreakdown:
-    """Interaction-weighted component means; the total is recomposed from the
-    averaged components so the exact-composition invariant holds per row."""
+    """Interaction-weighted component means, composed by `total_loss`, so the
+    exact-composition invariant holds per row."""
     n = sum(size for size, _ in parts)
     acc = np.zeros(4)
     for size, b in parts:
         acc += size * np.array([b.l_bpr, b.l_hc, b.l_ghc, b.l_reg])
-    l_bpr, l_hc, l_ghc, l_reg = (acc / n).tolist()
-    total = l_bpr + cfg.lambda_hc * l_hc + cfg.lambda_ghc * l_ghc + cfg.lambda_reg * l_reg
-    return LossBreakdown(l_bpr, l_hc, l_ghc, l_reg, total)
+    _, breakdown = total_loss(*(acc / n).tolist(), cfg.lambda_hc, cfg.lambda_ghc, cfg.lambda_reg)
+    return breakdown
 
 
 def check_modality_count(cfg: TrainConfig, count: int) -> None:
@@ -543,9 +542,9 @@ def fit(
     user_emb, item_emb = compute_embeddings(params, views, cfg)
     initial_recall = evaluation.mean_recall(user_emb, item_emb, ds, k=20)
 
+    # validation Recall@20 is finite, so epoch 1 always sets best_params
     best_recall = -np.inf
     best_epoch = 0
-    best_params = params.copy()
     epochs_since_best = 0
     history: list[EpochStats] = []
 

@@ -9,7 +9,7 @@ import scipy.sparse as sp
 
 from . import autodiff as ad
 from .dataio import TRAIN, InteractionDataset
-from .errors import ConfigError, DataError, ShapeError
+from .errors import DataError, ShapeError
 
 
 def build_norm_adjacency(ds: InteractionDataset) -> sp.csr_matrix:
@@ -47,8 +47,6 @@ def propagate_ui(adjacency: sp.csr_matrix, e0, layers: int, rows: np.ndarray) ->
     `build_norm_adjacency` is symmetric with sorted indices, so the product
     sums each row in the order of the transposed one.
     """
-    if layers < 0:
-        raise ConfigError("layer count must be >= 0")
     e0 = ad.as_tensor(e0)
     if e0.ndim != 2 or e0.shape[0] != adjacency.shape[0]:
         raise ShapeError(

@@ -93,6 +93,14 @@ def recording_fit(monkeypatch, run_fit=True):
     return calls
 
 
+def write_test_only_split(run: Path) -> Path:
+    """A copy of the run's split.tsv that labels every pair test."""
+    path = run / "test-only-split.tsv"
+    lines = run.joinpath("split.tsv").read_text().splitlines()
+    path.write_text("".join(line.rsplit("\t", 1)[0] + "\t2\n" for line in lines))
+    return path
+
+
 def expected_eval_test(params, ds, feats) -> str:
     """The eval_test.json `mhcr evaluate` writes at the default cold
     threshold, built from two direct `evaluate` calls."""
@@ -387,6 +395,16 @@ class TestEvaluate:
         params = load_checkpoint(run / "checkpoint.bin")
         feats = [load_features(data_dir / f"features_{t}.bin") for t in params.modality_dims]
         assert (out / "eval_test.json").read_text() == expected_eval_test(params, ds, feats)
+
+    def test_split_without_train_pairs_writes_nothing(self, data_dir, tmp_path, capsys):
+        run = tmp_path / "run"
+        assert run_train(data_dir, run) == 0
+        code = main(["evaluate", "--data-dir", str(data_dir), "--checkpoint",
+                     str(run / "checkpoint.bin"), "--split", str(write_test_only_split(run)),
+                     "--out-dir", str(tmp_path / "e")])
+        assert code == EXIT_DATA
+        assert "no train interactions" in capsys.readouterr().err
+        assert not (tmp_path / "e").exists()
 
 
 class TestSweep:
@@ -889,11 +907,13 @@ _ALWAYS = ("--seed", "--max-epochs", "--d", *_SWEEP_GRIDS)
 @st.composite
 def cli_argv(draw, data: Path, run: Path) -> list[str]:
     """argv of `train`, `sweep` or `evaluate` on the 40 x 25 set, with at
-    most one invalid value besides the view switches."""
+    most one invalid value besides the view switches and evaluate's split,
+    the run's or one without train pairs."""
     command = draw(st.sampled_from(["train", "sweep", "evaluate"]))
     argv = [command, f"--data-dir={data}"]
     if command == "evaluate":
-        argv += [f"--checkpoint={run / 'checkpoint.bin'}", f"--split={run / 'split.tsv'}"]
+        split = draw(st.sampled_from(["split.tsv", "test-only-split.tsv"]))
+        argv += [f"--checkpoint={run / 'checkpoint.bin'}", f"--split={run / split}"]
         threshold = draw(st.none() | st.integers(-2, 6))
         return argv if threshold is None else argv + [f"--cold-threshold={threshold}"]
     values = {**_TRAINING_VALUES, **(_SWEEP_GRIDS if command == "sweep" else {})}
@@ -912,6 +932,7 @@ def fuzz_run(tmp_path_factory):
     root = tmp_path_factory.mktemp("fuzz")
     assert main(GEN_ARGS + ["--out-dir", str(root / "data")]) == EXIT_OK
     assert run_train(root / "data", root / "run", ["--max-epochs", "1"]) == EXIT_OK
+    write_test_only_split(root / "run")
     return root / "data", root / "run"
 
 

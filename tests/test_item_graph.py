@@ -7,7 +7,7 @@ import scipy.sparse as sp
 from mhcr import autodiff as ad
 from mhcr import item_graph
 from mhcr.dataio import ModalityFeatures
-from mhcr.errors import ConfigError, ShapeError
+from mhcr.errors import ShapeError
 from mhcr.item_graph import build_affinity_graph, propagate_items
 
 from oracles import cosine_affinity
@@ -145,10 +145,6 @@ class TestBuildAffinity:
         assert graph.getnnz(axis=1).tolist() == [2, 2, 2]
         assert "clamping to 2" in caplog.text
 
-    def test_k_must_be_positive(self):
-        with pytest.raises(ConfigError):
-            build_affinity_graph(ModalityFeatures("image", np.ones((3, 2))), k=0)
-
     def test_blocked_build_matches_unblocked(self, monkeypatch):
         rng = np.random.default_rng(9)
         matrix = rng.normal(size=(23, 4))
@@ -256,5 +252,3 @@ class TestPropagate:
         s = np.ones((3, 2))
         with pytest.raises(ShapeError):  # W_m has 4 rows for 2 feature columns
             propagate_items([s], [ad.Tensor(np.ones((4, 2)))], np.arange(3), 0)
-        with pytest.raises(ShapeError):
-            propagate_items([s], [], np.arange(3), 0)

@@ -19,7 +19,6 @@ from scipy.special import logsumexp
 
 from mhcr import autodiff as ad
 from mhcr.dataio import TRAIN, SyntheticConfig, generate_synthetic, split_dataset
-from mhcr.errors import ConfigError, DataError
 from mhcr.hypergraph import hypergraph_pass
 from mhcr.item_graph import propagate_items
 from mhcr.objectives import (
@@ -126,14 +125,6 @@ class TestBpr:
         loss = bpr_of_scores([0.0], [20.0])
         assert loss.item() == pytest.approx(20.0, abs=1e-6)
 
-    def test_empty_batch(self):
-        with pytest.raises(DataError):
-            bpr_of_scores([], [])
-
-    def test_shape_mismatch(self):
-        with pytest.raises(DataError):
-            bpr_of_scores([1.0], [1.0, 2.0])
-
     @given(
         margin=st.floats(-30, 30),
         delta=st.floats(1e-3, 5.0),
@@ -177,14 +168,6 @@ class TestHyperContrastive:
         loss = hyper_contrastive_loss(embeddings, np.array([0, 1]), 0.7)
         assert loss.item() == pytest.approx(LN2, abs=1e-10)
 
-    def test_single_modality_rejected(self):
-        with pytest.raises(ConfigError):
-            hyper_contrastive_loss([ad.Tensor(np.eye(2))], np.array([0, 1]), 0.2)
-
-    def test_bad_temperature(self):
-        with pytest.raises(ConfigError):
-            hyper_contrastive_loss(two_node_two_modality(True), np.array([0, 1]), 0.0)
-
     def test_scale_invariance(self):
         rng = np.random.default_rng(1)
         embeddings = [rng.normal(size=(5, 3)) for _ in range(2)]
@@ -221,10 +204,6 @@ class TestGraphHyperContrastive:
         loss = graph_hyper_contrastive_loss(ad.Tensor(g), ad.Tensor(g.copy()), np.arange(4), 0.2)
         assert loss.item() >= 0.0
 
-    def test_bad_temperature(self):
-        with pytest.raises(ConfigError):
-            graph_hyper_contrastive_loss(ad.Tensor(np.eye(2)), ad.Tensor(np.eye(2)), np.array([0]), -1.0)
-
     def test_scale_invariance(self):
         rng = np.random.default_rng(3)
         g = rng.normal(size=(5, 3))
@@ -253,10 +232,6 @@ class TestTotal:
     def test_all_zero_components(self):
         total, b = total_loss(0.0, 0.0, 0.0, 0.0, 1e-5, 0.01, 1e-4)
         assert total.item() == 0.0 and b.total == 0.0
-
-    def test_negative_weight_rejected(self):
-        with pytest.raises(ConfigError):
-            total_loss(1.0, 0.0, 0.0, 0.0, -1.0, 0.0, 0.0)
 
     def test_gradient_flows_through_composition(self):
         x = ad.Tensor(np.array([[1.0, 2.0], [0.5, -1.0]]), requires_grad=True)

@@ -229,14 +229,6 @@ class TestForward:
         assert [e.loss for e in weighted.epochs] == [e.loss for e in unweighted.epochs]
         assert all(e.loss.l_ghc == 0.0 for e in weighted.epochs)
 
-    def test_hc_requires_two_modalities(self, micro):
-        ds, feats, _, _ = micro
-        cfg = micro_config()
-        views = build_views(ds, feats[:1], cfg)
-        params = init_parameters(cfg, ds.num_users, ds.num_items, views.modality_dims)
-        with pytest.raises(ConfigError):
-            forward(params, views, cfg, batch=micro_batch(), mode="train", rng=MASK_SEED)
-
 
 def batch_row_instance():
     """40 users x 30 items; a 6-interaction batch reads a strict subset of
@@ -579,16 +571,27 @@ class TestConfigContract:
             {"tau": float("nan")},
             {"tau": float("inf")},
             {"tau": -float("inf")},
+            {"tau": 0.0},
+            {"tau": -1.0},
             {"lambda_ghc": float("nan")},
             {"lambda_reg": float("inf")},
+            {"lambda_hc": -1.0},
+            {"lambda_ghc": -1.0},
+            {"lambda_reg": -1.0},
             {"learning_rate": float("inf")},
+            {"drop_rate": -0.1},
             {"use_ui": False, "use_ii": False, "use_hem": False},
             {"k_hyper": 0},
+            {"k_knn": 0},
+            {"hyper_steps": 0},
+            {"layers": -1},
             {"d": 0},
             {"seed": -1},
         ],
-        ids=["tau-nan", "tau-inf", "tau-neginf", "lambda_ghc-nan", "lambda_reg-inf",
-             "learning_rate-inf", "no-view", "k_hyper-0", "d-0", "seed-negative"],
+        ids=["tau-nan", "tau-inf", "tau-neginf", "tau-0", "tau-negative", "lambda_ghc-nan",
+             "lambda_reg-inf", "lambda_hc-negative", "lambda_ghc-negative", "lambda_reg-negative",
+             "learning_rate-inf", "drop_rate-negative", "no-view", "k_hyper-0", "k_knn-0",
+             "hyper_steps-0", "layers-negative", "d-0", "seed-negative"],
     )
     def test_rejected(self, override):
         with pytest.raises(ConfigError):
