@@ -19,6 +19,7 @@ from scipy.special import logsumexp
 
 from mhcr import autodiff as ad
 from mhcr.dataio import TRAIN, SyntheticConfig, generate_synthetic, split_dataset
+from mhcr.errors import ConfigError
 from mhcr.hypergraph import hypergraph_pass
 from mhcr.item_graph import propagate_items
 from mhcr.objectives import (
@@ -29,7 +30,14 @@ from mhcr.objectives import (
     hyper_contrastive_loss,
     total_loss,
 )
-from mhcr.training import Batch, TrainConfig, build_views, forward, init_parameters
+from mhcr.training import (
+    Batch,
+    TrainConfig,
+    build_views,
+    check_modality_count,
+    forward,
+    init_parameters,
+)
 from mhcr.ui_graph import propagate_ui
 
 from oracles import (
@@ -160,6 +168,14 @@ class TestHyperContrastive:
         embeddings = [ad.Tensor(rng.normal(size=(6, 4))) for _ in range(3)]
         loss = hyper_contrastive_loss(embeddings, np.arange(6), 0.2)
         assert loss.item() >= 0.0
+
+    def test_single_modality_rejected(self):
+        # the loss compares modalities pairwise: a config that trains it
+        # with one modality is refused before any view is built
+        with pytest.raises(ConfigError, match="2 modalities"):
+            check_modality_count(TrainConfig(), 1)
+        check_modality_count(TrainConfig(), 2)
+        check_modality_count(TrainConfig(lambda_hc=0.0), 1)
 
     def test_three_modalities_identical_still_closed_form(self):
         # m(m-1)=6 positive terms over 2*6 equal denominator terms per node

@@ -29,6 +29,7 @@ from mhcr.training import (
     TrainConfig,
     backward_and_step,
     build_views,
+    check_modality_count,
     compute_embeddings,
     evaluate_params,
     fit,
@@ -228,6 +229,19 @@ class TestForward:
             assert a.data.tobytes() == b.data.tobytes(), name
         assert [e.loss for e in weighted.epochs] == [e.loss for e in unweighted.epochs]
         assert all(e.loss.l_ghc == 0.0 for e in weighted.epochs)
+
+    def test_hc_requires_two_modalities(self, micro):
+        # one-modality views are refused before forward when the
+        # cross-modal loss is on; with it off, forward trains without it
+        ds, feats, _, _ = micro
+        cfg = micro_config()
+        views = build_views(ds, feats[:1], cfg)
+        with pytest.raises(ConfigError, match="2 modalities"):
+            check_modality_count(cfg, len(views.features))
+        no_hc = micro_config(lambda_hc=0.0)
+        params = init_parameters(no_hc, ds.num_users, ds.num_items, views.modality_dims)
+        result = forward(params, views, no_hc, batch=micro_batch(), mode="train", rng=MASK_SEED)
+        assert result.breakdown.l_hc == 0.0 and result.breakdown.l_ghc > 0.0
 
 
 def batch_row_instance():

@@ -8,6 +8,7 @@ import scipy.sparse as sp
 
 from mhcr import autodiff as ad
 from mhcr.dataio import SyntheticConfig, generate_synthetic, split_dataset
+from mhcr.errors import ConfigError
 from mhcr.hypergraph import build_incidence, hypergraph_pass
 from mhcr.item_graph import build_affinity_graph, propagate_items
 from mhcr.training import build_views
@@ -119,9 +120,13 @@ class TestViewsAgainstTape:
             assert_grads_agree(grad, tape_grad, "W")
 
     @pytest.mark.parametrize("rows_case", ROW_CASES)
-    @pytest.mark.parametrize("drop_rate", [0.0, 0.5])
+    @pytest.mark.parametrize("drop_rate", [0.0, 0.5, 1.0])
     @pytest.mark.parametrize("steps", [1, 2, 3])
     def test_hypergraph(self, instance, steps, drop_rate, rows_case):
+        if drop_rate == 1.0:  # a rate that drops every message is refused by the config
+            with pytest.raises(ConfigError, match="drop_rate"):
+                micro_config(drop_rate=drop_rate, hyper_steps=steps)
+            return
         rng = np.random.default_rng(10 * steps + int(4 * drop_rate))
         feats = instance.features[0].matrix
         num_users = instance.x_u.shape[0]
