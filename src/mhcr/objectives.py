@@ -1,19 +1,26 @@
 """Training objectives: BPR ranking loss, the two temperature-scaled
-contrastive losses over batch nodes, embedding regularization, and their
-weighted composition.
+contrastive losses, embedding regularization, and their weighted
+composition.
 
 All similarities are cosine: embeddings are L2-normalized before any inner
 product, which makes every loss invariant to a common positive rescaling
 of its inputs.
 
+The contrastive losses take a sequence of disjoint row sets, each its own
+pool of in-batch negatives, and sum the per-set means: training passes the
+batch's unique user rows and its unique positive item rows, so no node is
+its own negative and users and items never compete. A pool of B' rows
+costs O(B'^2) per modality pair (hc) or once (ghc).
+
 Every loss, and their weighted total, is a single autodiff node with a
 closed-form gradient. Each loss takes the embedding tensors it scores as
 its parents, with the row indices it reads: it gathers (and, for the
-contrastive losses, normalizes) the batch rows itself, and hands its
-inputs the gradient as those rows (`ad.RowGrad`). The contrastive losses
-have a softmax-minus-target gradient and are computed as log-sum-exps
-shifted per node, so no exponential overflows at any tau > 0; the losses
-and their gradients still grow as 1/tau and reach inf at tau near 1e-307.
+contrastive losses, normalizes) those rows itself, and hands its inputs
+the gradient as those rows (`ad.RowGrad`, one per input). The contrastive
+losses have a softmax-minus-target gradient and are computed as
+log-sum-exps shifted per node, so no exponential overflows at any tau > 0;
+the losses and their gradients still grow as 1/tau and reach inf at tau
+near 1e-307.
 """
 
 from __future__ import annotations
@@ -84,29 +91,20 @@ def _logsumexp_terms(terms: np.ndarray) -> np.ndarray:
     return top + np.log(np.exp(terms - top).sum(axis=0))
 
 
-def hyper_contrastive_loss(
-    per_modality: Sequence, batch: np.ndarray, tau: float
-) -> ad.Tensor:
-    """Cross-modal contrastive loss over the batch nodes.
+def _joined(per_set: list[list[ad.RowGrad]]) -> list[ad.RowGrad]:
+    """Per input, one RowGrad holding the rows of every row set's RowGrad."""
+    return [
+        ad.RowGrad(np.concatenate([g.indices for g in grads]),
+                   np.concatenate([g.values for g in grads]))
+        for grads in zip(*per_set)
+    ]
 
-    For each node x, the positive mass sums exp(cos(E_x^m, E_x^m')/tau)
-    over ordered modality pairs m != m'; the negative mass sums the same
-    quantity over every batch node x' (x included). The loss is the batch
-    mean of -ln(pos / neg); it is non-negative because each positive term
-    also appears among the negatives.
 
-    One tape node whose parents are the per-modality inputs. The ordered
-    pair (m', m) reads the transpose of the (m, m') similarity block, so
-    each unordered pair gives node x its row sum and its column sum. Both
-    masses are log-sum-exps shifted per node (row maximum for row sums,
-    column maximum for column sums), so no exponential overflows and no
-    node's mass underflows to zero at any tau > 0.
-    """
-    batch = np.asarray(batch, dtype=np.int64)
-    inputs = [ad.as_tensor(e) for e in per_modality]
-    normalized = [_UnitRows(e, batch) for e in inputs]
-    z = [rows.data for rows in normalized]
-    inv_tau = 1.0 / tau
+def _hyper_contrastive_set(inputs: list[ad.Tensor], rows: np.ndarray, inv_tau: float):
+    """The cross-modal loss over one row set: its value, and the map from the
+    upstream gradient to one RowGrad per input."""
+    normalized = [_UnitRows(e, rows) for e in inputs]
+    z = [unit.data for unit in normalized]
     pairs = list(combinations(range(len(z)), 2))
     blocks, log_mass, diag = [], [], []
     for a, b in pairs:
@@ -126,7 +124,7 @@ def hyper_contrastive_loss(
     log_pos_half = _logsumexp_terms(diag)
     value = np.mean(log_neg - log_pos_half - np.log(2.0))
 
-    # dL/dS_ab * B = each entry's share of its row node's and its column
+    # dL/dS_ab * B' = each entry's share of its row node's and its column
     # node's negative mass, minus on the diagonal the pair's share of the
     # positive mass. The shares are the kept exponentials reweighted per node
     # (factors <= 1); one B' x B' matrix per pair is kept for backward.
@@ -137,33 +135,56 @@ def hyper_contrastive_loss(
         by_row += by_col
         weights.append((by_row, np.exp(d - log_pos_half)[:, None]))
 
-    def backward(g):
-        coef = float(g) * inv_tau / batch.size
+    def backward(g: float) -> list[ad.RowGrad]:
+        coef = g * inv_tau / rows.size
         grads = [np.zeros_like(x) for x in z]
         for (a, b), (w, on_diag) in zip(pairs, weights):
             grads[a] += w @ z[b] - on_diag * z[b]
             grads[b] += w.T @ z[a] - on_diag * z[a]
         for grad in grads:
             grad *= coef
-        return [rows.grad(grad) for rows, grad in zip(normalized, grads)]
+        return [unit.grad(grad) for unit, grad in zip(normalized, grads)]
 
-    return ad.custom_op(value, inputs, backward)
+    return value, backward
 
 
-def graph_hyper_contrastive_loss(
-    e_graph, e_hyper, batch: np.ndarray, tau: float
+def hyper_contrastive_loss(
+    per_modality: Sequence, row_sets: Sequence[np.ndarray], tau: float
 ) -> ad.Tensor:
-    """InfoNCE aligning the graph-side and hypergraph-side embedding of each
-    batch node against in-batch negatives.
+    """Cross-modal contrastive loss, summed over disjoint row sets.
 
-    One tape node whose parents are the two inputs: a row log-sum-exp over
-    the normalized batch rows, shifted by the row maximum so no exponential
-    overflows, with the softmax-minus-identity gradient."""
-    batch = np.asarray(batch, dtype=np.int64)
-    e_graph, e_hyper = ad.as_tensor(e_graph), ad.as_tensor(e_hyper)
-    g_rows, h_rows = _UnitRows(e_graph, batch), _UnitRows(e_hyper, batch)
-    g, h = g_rows.data, h_rows.data
+    Within one row set of B' rows, for each node x the positive mass sums
+    exp(cos(E_x^m, E_x^m')/tau) over ordered modality pairs m != m'; the
+    negative mass sums the same quantity over every node x' of the set (x
+    included). The set's term is its mean of -ln(pos / neg); it is
+    non-negative because each positive term also appears among the
+    negatives. Nodes of different sets are not each other's negatives.
+
+    One tape node whose parents are the per-modality inputs; each input gets
+    one RowGrad over the rows of every set. The ordered pair (m', m) reads
+    the transpose of the (m, m') similarity block, so each unordered pair
+    gives node x its row sum and its column sum. Both masses are
+    log-sum-exps shifted per node (row maximum for row sums, column maximum
+    for column sums), so no exponential overflows and no node's mass
+    underflows to zero at any tau > 0.
+    """
+    inputs = [ad.as_tensor(e) for e in per_modality]
     inv_tau = 1.0 / tau
+    sets = [_hyper_contrastive_set(inputs, np.asarray(rows, dtype=np.int64), inv_tau)
+            for rows in row_sets]
+
+    def backward(g):
+        return _joined([set_backward(float(g)) for _, set_backward in sets])
+
+    return ad.custom_op(np.sum([value for value, _ in sets]), inputs, backward)
+
+
+def _graph_hyper_contrastive_set(e_graph: ad.Tensor, e_hyper: ad.Tensor, rows: np.ndarray,
+                                 inv_tau: float):
+    """The graph-hypergraph InfoNCE over one row set: its value, and the map
+    from the upstream gradient to a RowGrad per input."""
+    g_rows, h_rows = _UnitRows(e_graph, rows), _UnitRows(e_hyper, rows)
+    g, h = g_rows.data, h_rows.data
     sims = (g * inv_tau) @ h.T
     pos = np.diagonal(sims).copy()
     top = sims.max(axis=1)
@@ -173,11 +194,34 @@ def graph_hyper_contrastive_loss(
     value = np.mean(top + np.log(mass) - pos)
     soft /= mass[:, None]
 
-    def backward(grad):
-        coef = float(grad) * inv_tau / batch.size
-        return g_rows.grad((soft @ h - h) * coef), h_rows.grad((soft.T @ g - g) * coef)
+    def backward(grad: float) -> list[ad.RowGrad]:
+        coef = grad * inv_tau / rows.size
+        return [g_rows.grad((soft @ h - h) * coef), h_rows.grad((soft.T @ g - g) * coef)]
 
-    return ad.custom_op(value, (e_graph, e_hyper), backward)
+    return value, backward
+
+
+def graph_hyper_contrastive_loss(
+    e_graph, e_hyper, row_sets: Sequence[np.ndarray], tau: float
+) -> ad.Tensor:
+    """InfoNCE aligning the graph-side and hypergraph-side embedding of each
+    node against the other nodes of its row set: the per-set means, summed
+    over disjoint row sets.
+
+    One tape node whose parents are the two inputs: a row log-sum-exp over
+    the normalized rows of each set, shifted by the row maximum so no
+    exponential overflows, with the softmax-minus-identity gradient; each
+    input gets one RowGrad over the rows of every set."""
+    e_graph, e_hyper = ad.as_tensor(e_graph), ad.as_tensor(e_hyper)
+    inv_tau = 1.0 / tau
+    sets = [_graph_hyper_contrastive_set(e_graph, e_hyper, np.asarray(rows, dtype=np.int64),
+                                         inv_tau)
+            for rows in row_sets]
+
+    def backward(grad):
+        return _joined([set_backward(float(grad)) for _, set_backward in sets])
+
+    return ad.custom_op(np.sum([value for value, _ in sets]), (e_graph, e_hyper), backward)
 
 
 def embedding_l2(embeddings, rows) -> ad.Tensor:

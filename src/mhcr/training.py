@@ -284,7 +284,10 @@ class ForwardResult:
 
     Row r of each view tensor is global node `nodes[r]`: every node in
     order (`np.arange(|U| + |I|)`) in eval mode, and only the rows the
-    losses read in train mode. A disabled view is None.
+    losses read in train mode: the batch's unique users, then its unique
+    items. BPR reads a row per triple; the contrastive losses read the
+    unique users and the unique positives, as two pools. A disabled view
+    is None.
     """
 
     e_ui: ad.Tensor | None
@@ -297,35 +300,66 @@ class ForwardResult:
     breakdown: LossBreakdown | None = None
 
 
-def train_item_sets(ds: InteractionDataset) -> list[frozenset[int]]:
-    indptr, items = ds.user_csr(TRAIN)
-    return [frozenset(items[indptr[u]:indptr[u + 1]].tolist()) for u in range(ds.num_users)]
+def train_item_sets(ds: InteractionDataset) -> np.ndarray:
+    """Each user's train items, as the sorted pair keys u * |I| + i that
+    `sample_negatives` looks up (the dataset checked that they fit int64)."""
+    users, items = ds.split_pairs(TRAIN)
+    return np.sort(users * ds.num_items + items)
+
+
+def _is_train_pair(train_keys: np.ndarray, keys: np.ndarray) -> np.ndarray:
+    """Whether each pair key is among the sorted train keys (`fit` checks
+    that there is at least one)."""
+    at = np.minimum(np.searchsorted(train_keys, keys), train_keys.size - 1)
+    return train_keys[at] == keys
 
 
 def sample_negatives(
     ds: InteractionDataset,
     batch_users: np.ndarray,
     rng: np.random.Generator,
-    train_sets: Sequence[frozenset[int]],
+    train_keys: np.ndarray,
 ) -> np.ndarray:
-    """One uniformly sampled non-train item per batch user, given each
-    user's train items (`train_item_sets`).
+    """One uniformly sampled non-train item per batch user, given the train
+    pairs' keys (`train_item_sets`).
 
-    Rejection sampling capped at 100 tries per user; users interacting with
-    (nearly) every item fall back to an unconstrained uniform draw.
+    Rejection sampling capped at 100 tries per user, the users served in
+    batch order from one stream of `rng.integers(|I|)` draws; users
+    interacting with (nearly) every item fall back to an unconstrained
+    uniform draw. Every user's first draw is taken at once and checked
+    together; a user who draws a train item redraws on its own, and the
+    users after it move one draw down the stream.
     """
-    negatives = np.empty(len(batch_users), dtype=np.int64)
-    fallbacks = 0
-    for row, u in enumerate(np.asarray(batch_users).tolist()):
-        seen = train_sets[u]
-        for _ in range(_NEGATIVE_SAMPLING_TRIES):
-            j = int(rng.integers(ds.num_items))
-            if j not in seen:
-                break
-        else:
-            j = int(rng.integers(ds.num_items))
-            fallbacks += 1
+    users = np.asarray(batch_users, dtype=np.int64)
+    n = ds.num_items
+    stream = rng.integers(n, size=users.size)
+    negatives = np.empty(users.size, dtype=np.int64)
+    row = fallbacks = 0
+    while row < users.size:
+        # users row, row + 1, ... read the stream from here, one draw each
+        shift = stream.size - users.size
+        drawn = stream[row + shift:]
+        seen = _is_train_pair(train_keys, users[row:] * n + drawn)
+        accepted = int(seen.argmax()) if seen.any() else seen.size
+        negatives[row:row + accepted] = drawn[:accepted]
+        row += accepted
+        if row == users.size:
+            break
+        # user `row` drew a train item: it redraws, and each redraw appends
+        # one draw to the stream for the users after it
+        pos, extra = row + shift, []
+        for tries in range(1, _NEGATIVE_SAMPLING_TRIES + 1):
+            extra.append(int(rng.integers(n)))
+            pos += 1
+            j = int(stream[pos]) if pos < stream.size else extra[pos - stream.size]
+            if tries == _NEGATIVE_SAMPLING_TRIES:
+                fallbacks += 1
+            elif _is_train_pair(train_keys, users[row] * n + j):
+                continue
+            break
         negatives[row] = j
+        stream = np.concatenate([stream, extra])
+        row += 1
     if fallbacks:
         log.warning("negative sampling fell back to uniform for %d draw(s)", fallbacks)
     return negatives
@@ -369,7 +403,10 @@ def forward(
     A view whose flag is off is not computed and is left out of the sums,
     without touching the remaining views' computations. A contrastive loss
     is 0.0 unless its weight is positive and the hypergraph view is on; the
-    graph-hypergraph loss also needs a graph view.
+    graph-hypergraph loss also needs a graph view. Each contrastive loss
+    scores two pools, the batch's unique users and its unique positive
+    items, and sums their means: a node that repeats in the batch is
+    scored once, and users and items are not each other's negatives.
     """
     if mode not in ("train", "eval"):
         raise ConfigError(f"mode must be 'train' or 'eval', got {mode!r}")
@@ -415,12 +452,12 @@ def forward(
         local, np.cumsum([len(batch.users), len(batch.pos_items)])
     )
     l_bpr = bpr_loss(fused, user_local, pos_local, neg_local)
-    contrastive_local = np.concatenate([user_local, pos_local])
+    pools = (np.arange(n_user_rows), np.unique(pos_local))
     l_hc = l_ghc = 0.0
     if cfg.use_hem and cfg.lambda_hc > 0:
-        l_hc = hyper_contrastive_loss(hyper_stacks, contrastive_local, cfg.tau)
+        l_hc = hyper_contrastive_loss(hyper_stacks, pools, cfg.tau)
     if cfg.use_hem and cfg.lambda_ghc > 0 and e_graph is not None:
-        l_ghc = graph_hyper_contrastive_loss(e_graph, e_h, contrastive_local, cfg.tau)
+        l_ghc = graph_hyper_contrastive_loss(e_graph, e_h, pools, cfg.tau)
     l_reg = embedding_l2(params.e0, nodes[local])
 
     result.total, result.breakdown = total_loss(
@@ -536,7 +573,7 @@ def fit(
     rng_shuffle, rng_neg, rng_drop = (np.random.default_rng(s) for s in seeds)
 
     train_users, train_items = ds.split_pairs(TRAIN)
-    train_sets = train_item_sets(ds)
+    train_keys = train_item_sets(ds)
     n_train = train_users.size
 
     user_emb, item_emb = compute_embeddings(params, views, cfg)
@@ -556,7 +593,7 @@ def fit(
             batch = Batch(
                 users=train_users[idx],
                 pos_items=train_items[idx],
-                neg_items=sample_negatives(ds, train_users[idx], rng_neg, train_sets),
+                neg_items=sample_negatives(ds, train_users[idx], rng_neg, train_keys),
             )
             result = forward(params, views, cfg, batch=batch, mode="train", rng=rng_drop)
             backward_and_step(result.total, params, optimizer)

@@ -6,11 +6,12 @@ the incidence softmax, D_e and each broadcast as nodes of their own) and
 of the BPR and L2 objectives, which the single-node versions must match;
 the hypergraph view with H_i, H_u and each broadcast one node
 (`per_broadcast_incidence`, `per_broadcast_pass`); the forward pass
-assembled from those generic ops and views
-(`tape_forward`), which the model-node forward must match to a relative
-1e-12; the user-by-user split that the whole-array `split_dataset` must
-reproduce; and the user-by-user cold-start slice, ranking and metrics that
-the block `evaluate` must reproduce byte for byte."""
+assembled from those generic ops and views (`tape_forward`), which the
+model-node forward must match to a relative 1e-12; the user-by-user
+negative sampler and split that the whole-array `sample_negatives` and
+`split_dataset` must reproduce; and the user-by-user cold-start slice,
+ranking and metrics that the block `evaluate` must reproduce byte for
+byte."""
 
 from __future__ import annotations
 
@@ -316,7 +317,9 @@ def tape_forward(params, views, cfg, batch=None, mode="train", rng=None):
     `tape_propagate_ui` for the UI view, and each modality's hypergraph view
     as `tape_hypergraph_pass` over the softmax nodes of
     `tape_build_incidence` and a `matmul` projection F_m W_m. The
-    graph-hypergraph loss is computed only with a graph view on."""
+    contrastive losses score the batch's unique users and its unique
+    positives as two pools; the graph-hypergraph loss is computed only with
+    a graph view on."""
     train_mode = mode == "train"
     num_users, num_items, d = params.num_users, params.num_items, params.d
     if train_mode:
@@ -366,17 +369,44 @@ def tape_forward(params, views, cfg, batch=None, mode="train", rng=None):
         local, np.cumsum([len(batch.users), len(batch.pos_items)])
     )
     l_bpr = bpr_loss(fused, user_local, pos_local, neg_local)
-    contrastive_local = np.concatenate([user_local, pos_local])
+    pools = (np.unique(user_local), np.unique(pos_local))
     l_hc = l_ghc = 0.0
     if cfg.use_hem and cfg.lambda_hc > 0:
-        l_hc = hyper_contrastive_loss(hyper_stacks, contrastive_local, cfg.tau)
+        l_hc = hyper_contrastive_loss(hyper_stacks, pools, cfg.tau)
     if cfg.use_hem and cfg.lambda_ghc > 0 and (cfg.use_ui or cfg.use_ii):
-        l_ghc = graph_hyper_contrastive_loss(e_graph, e_h, contrastive_local, cfg.tau)
+        l_ghc = graph_hyper_contrastive_loss(e_graph, e_h, pools, cfg.tau)
     l_reg = embedding_l2(params.e0, nodes[local])
     result.total, result.breakdown = total_loss(
         l_bpr, l_hc, l_ghc, l_reg, cfg.lambda_hc, cfg.lambda_ghc, cfg.lambda_reg
     )
     return result
+
+
+def train_sets_by_user(ds: InteractionDataset) -> list[frozenset[int]]:
+    """Per user, the set of its train items."""
+    indptr, items = ds.user_csr(TRAIN)
+    return [frozenset(items[indptr[u]:indptr[u + 1]].tolist()) for u in range(ds.num_users)]
+
+
+def sample_negatives_by_user(ds: InteractionDataset, batch_users, rng: np.random.Generator,
+                             train_sets) -> tuple[np.ndarray, int]:
+    """`training.sample_negatives` one user at a time, given per-user train
+    item sets (`train_sets_by_user`): up to 100 scalar draws until one is
+    not a train item, then one unconstrained draw. Returns the negatives and
+    the number of fallbacks."""
+    negatives = np.empty(len(batch_users), dtype=np.int64)
+    fallbacks = 0
+    for row, u in enumerate(np.asarray(batch_users).tolist()):
+        seen = train_sets[u]
+        for _ in range(training._NEGATIVE_SAMPLING_TRIES):
+            j = int(rng.integers(ds.num_items))
+            if j not in seen:
+                break
+        else:
+            j = int(rng.integers(ds.num_items))
+            fallbacks += 1
+        negatives[row] = j
+    return negatives, fallbacks
 
 
 def split_by_user(ds: InteractionDataset, ratios, seed: int) -> InteractionDataset:

@@ -156,14 +156,14 @@ def test_loss_closed_forms():
     # two nodes, two modalities, all embeddings identical: -ln(2/4) = ln 2
     row = np.array([[1.0, 2.0], [1.0, 2.0]])
     hc_identical = hyper_contrastive_loss(
-        [ad.Tensor(row), ad.Tensor(row)], np.array([0, 1]), 0.37
+        [ad.Tensor(row), ad.Tensor(row)], [np.array([0, 1])], 0.37
     ).item()
     assert abs(hc_identical - ln2) <= 1e-5
 
     # batch of two with identical graph/hypergraph embeddings: ln N = ln 2
     ones = np.ones((2, 3))
     ghc_identical = graph_hyper_contrastive_loss(
-        ad.Tensor(ones), ad.Tensor(ones), np.array([0, 1]), 0.2
+        ad.Tensor(ones), ad.Tensor(ones), [np.array([0, 1])], 0.2
     ).item()
     assert abs(ghc_identical - ln2) <= 1e-5
 
@@ -171,14 +171,14 @@ def test_loss_closed_forms():
     # per node -ln(2e^5 / (2e^5 + 2e^0)), averaged over the batch
     eye = np.eye(2)
     hc_aligned = hyper_contrastive_loss(
-        [ad.Tensor(eye), ad.Tensor(eye)], np.array([0, 1]), 0.2
+        [ad.Tensor(eye), ad.Tensor(eye)], [np.array([0, 1])], 0.2
     ).item()
     expected_hc = float(-np.log(2 * np.e**5 / (2 * np.e**5 + 2)))
     assert abs(hc_aligned - expected_hc) <= 1e-5
 
     # diagonal graph-hypergraph similarity at tau=0.2: -ln(e^5/(e^5+1))
     ghc_diag = graph_hyper_contrastive_loss(
-        ad.Tensor(eye), ad.Tensor(eye), np.array([0, 1]), 0.2
+        ad.Tensor(eye), ad.Tensor(eye), [np.array([0, 1])], 0.2
     ).item()
     assert abs(ghc_diag - 0.006715) <= 1e-5
 

@@ -206,11 +206,6 @@ class TestPass:
             stderr = samples.std(axis=0, ddof=1) / np.sqrt(draws)
             assert (np.abs(mean - exact) <= 3.0 * stderr).all()
 
-    def test_invalid_arguments(self):
-        with pytest.raises(ShapeError):  # X_u has 3 item columns, H_i 2 rows
-            pass_over(np.ones((2, 2)), np.ones((2, 2)), sp.csr_matrix(np.ones((1, 3))), 0.0, 1,
-                      seeded(0), [0, 1])
-
 
 @pytest.mark.parametrize("hyper_steps", [1, 2, 3, 4, 5])
 def test_rows_stay_in_the_convex_hull_of_the_item_state(hyper_steps):

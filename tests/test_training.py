@@ -12,7 +12,8 @@ from hypothesis import strategies as st
 
 from mhcr import autodiff as ad
 from mhcr import evaluation, training
-from mhcr.dataio import MODALITIES, TRAIN, VAL, SyntheticConfig, generate_synthetic, split_dataset
+from mhcr.dataio import (MODALITIES, TRAIN, VAL, InteractionDataset, SyntheticConfig,
+                         generate_synthetic, split_dataset)
 from mhcr.errors import ConfigError, DataError, NumericError
 from mhcr.objectives import (
     LossBreakdown,
@@ -42,7 +43,7 @@ from mhcr.training import (
 
 from ablations import ABLATIONS
 from conftest import assert_grad_close, finite_difference, micro_batch, micro_config, micro_dataset
-from oracles import tape_forward
+from oracles import sample_negatives_by_user, tape_forward, train_sets_by_user
 
 MASK_SEED = 1234
 
@@ -78,15 +79,40 @@ class TestNegativeSampling:
     def test_avoids_train_items(self, micro):
         ds, _, _, _ = micro
         rng = np.random.default_rng(0)
-        sets = train_item_sets(ds)
         users = np.repeat(np.arange(4), 25)
-        negs = sample_negatives(ds, users, rng, sets)
+        negs = sample_negatives(ds, users, rng, train_item_sets(ds))
+        sets = train_sets_by_user(ds)
         for u, j in zip(users.tolist(), negs.tolist()):
             assert j not in sets[u]
 
-    def test_all_items_seen_falls_back(self):
-        from mhcr.dataio import InteractionDataset
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_the_user_by_user_loop(self, seed, caplog):
+        # negatives, the generator's end state, the fallback count and its
+        # warning; user 0 trained on all items but one, user 1 on all, so
+        # their draws often reject 100 times and fall back
+        n = 40
+        sparse, _ = generate_synthetic(SyntheticConfig(
+            num_users=60, num_items=n, num_clusters=3, mean_interactions=6.0,
+            modality_dims={"image": 2}, seed=seed))
+        users = np.concatenate([np.zeros(n - 1, int), np.ones(n, int), 2 + sparse.users])
+        items = np.concatenate([np.arange(n - 1), np.arange(n), sparse.items])
+        ds = split_dataset(InteractionDataset(62, n, users, items), seed=seed)
+        ds.split[ds.users < 2] = TRAIN
+        rng = np.random.default_rng(seed)
+        batch = np.concatenate([[0, 1, 0], rng.integers(62, size=300), [1]])
+        keys, sets = train_item_sets(ds), train_sets_by_user(ds)
+        fast, loop = np.random.default_rng(seed + 10), np.random.default_rng(seed + 10)
+        with caplog.at_level("WARNING", logger="mhcr.training"):
+            negatives = sample_negatives(ds, batch, fast, keys)
+        expected, fallbacks = sample_negatives_by_user(ds, batch, loop, sets)
+        assert np.array_equal(negatives, expected)
+        assert fast.bit_generator.state == loop.bit_generator.state
+        assert fallbacks > 0
+        assert caplog.messages == [
+            f"negative sampling fell back to uniform for {fallbacks} draw(s)"
+        ]
 
+    def test_all_items_seen_falls_back(self):
         ds = InteractionDataset(
             1, 2, np.array([0, 0]), np.array([0, 1]), split=np.array([0, 0])
         )
@@ -266,19 +292,20 @@ def batch_row_instance():
 
 def full_node_losses(params, views, cfg, batch, num_users):
     """The training losses recomputed from eval-mode (all-node) views
-    gathered at the batch's global node ids."""
+    gathered at the batch's global node ids, the contrastive losses over
+    the unique users and the unique positives."""
     full = forward(params, views, cfg, mode="eval")
     user_nodes = np.asarray(batch.users)
     pos_nodes = num_users + np.asarray(batch.pos_items)
     neg_nodes = num_users + np.asarray(batch.neg_items)
     l_bpr = bpr_loss(full.fused, user_nodes, pos_nodes, neg_nodes)
-    contrastive = np.concatenate([user_nodes, pos_nodes])
+    pools = (np.unique(user_nodes), np.unique(pos_nodes))
     l_hc = l_ghc = 0.0
     if cfg.use_hem and cfg.lambda_hc > 0:
-        l_hc = hyper_contrastive_loss(full.hyper_stacks, contrastive, cfg.tau)
+        l_hc = hyper_contrastive_loss(full.hyper_stacks, pools, cfg.tau)
     if cfg.use_hem and cfg.lambda_ghc > 0 and (cfg.use_ui or cfg.use_ii):
         e_graph = ad.add(*(view for view in (full.e_ui, full.e_ii) if view is not None))
-        l_ghc = graph_hyper_contrastive_loss(e_graph, full.e_h, contrastive, cfg.tau)
+        l_ghc = graph_hyper_contrastive_loss(e_graph, full.e_h, pools, cfg.tau)
     reg_nodes = np.concatenate([user_nodes, pos_nodes, neg_nodes])
     l_reg = embedding_l2(params.e0, reg_nodes)
     return total_loss(l_bpr, l_hc, l_ghc, l_reg, cfg.lambda_hc, cfg.lambda_ghc, cfg.lambda_reg)
@@ -336,6 +363,78 @@ class TestBatchRows:
             assert getattr(result, view).shape == (result.nodes.size, cfg.d), view
         eval_nodes = forward(make_params(cfg, ds, views), views, cfg, mode="eval").nodes
         assert np.array_equal(eval_nodes, np.arange(ds.num_users + ds.num_items))
+
+
+LOSSES = {"hyper_contrastive_loss": hyper_contrastive_loss,
+          "graph_hyper_contrastive_loss": graph_hyper_contrastive_loss}
+CONTRASTIVE = tuple(LOSSES)
+
+
+def capture_contrastive(monkeypatch) -> dict:
+    """Record each contrastive loss call `forward` makes, by name, as
+    (arguments, loss tensor)."""
+    calls = {}
+    for name in CONTRASTIVE:
+        def record(*args, _name=name, _loss=getattr(training, name)):
+            calls[_name] = (args, _loss(*args))
+            return calls[_name][1]
+        monkeypatch.setattr(training, name, record)
+    return calls
+
+
+class TestContrastivePools:
+    """Each contrastive loss scores the batch's unique users and its unique
+    positives as two pools."""
+
+    def run(self, monkeypatch, batch, name=None):
+        ds, feats, _ = batch_row_instance()
+        cfg = micro_config(lambda_hc=0.3, lambda_ghc=0.3)
+        views = build_views(ds, feats, cfg)
+        params = make_params(cfg, ds, views)
+        calls = capture_contrastive(monkeypatch)
+        result = forward(params, views, cfg, batch=batch, mode="train", rng=MASK_SEED)
+        grads = None
+        if name is not None:
+            params.zero_grad()
+            calls[name][1].backward()
+            grads = [t.grad for t in params.tensors().values()]
+        return ds, result, calls, grads
+
+    def test_pools_are_the_unique_users_and_positives(self, monkeypatch):
+        _, _, batch = batch_row_instance()
+        ds, result, calls, _ = self.run(monkeypatch, batch)
+        for name, at in zip(CONTRASTIVE, (1, 2)):
+            users, positives = calls[name][0][at]
+            assert np.array_equal(result.nodes[users], np.unique(batch.users)), name
+            assert np.array_equal(result.nodes[positives],
+                                  ds.num_users + np.unique(batch.pos_items)), name
+
+    @pytest.mark.parametrize("name", CONTRASTIVE)
+    def test_repeated_triples_change_nothing(self, monkeypatch, name):
+        _, _, batch = batch_row_instance()
+        repeated = Batch(*(np.concatenate([part, part[[0, 3, 0]]]) for part in
+                           (batch.users, batch.pos_items, batch.neg_items)))
+        _, result, _, grads = self.run(monkeypatch, batch, name)
+        _, twice, _, twice_grads = self.run(monkeypatch, repeated, name)
+        assert np.array_equal(twice.nodes, result.nodes)
+        assert twice.breakdown.l_hc == result.breakdown.l_hc
+        assert twice.breakdown.l_ghc == result.breakdown.l_ghc
+        for got, expected in zip(twice_grads, grads):
+            assert (got is None) == (expected is None)
+            assert got is None or np.array_equal(got, expected)
+
+    def test_one_positive_item_adds_a_zero_term(self, monkeypatch):
+        _, _, batch = batch_row_instance()
+        one_item = Batch(batch.users, np.full_like(batch.pos_items, batch.pos_items[0]),
+                         batch.neg_items)
+        _, result, calls, _ = self.run(monkeypatch, one_item)
+        for name, part in zip(CONTRASTIVE, ("l_hc", "l_ghc")):
+            *inputs, (users, positives), tau = calls[name][0]
+            assert positives.size == 1
+            loss, score = getattr(result.breakdown, part), LOSSES[name]
+            assert np.isfinite(loss) and loss > 0.0
+            assert score(*inputs, [positives], tau).item() == pytest.approx(0.0, abs=1e-12)
+            assert loss == pytest.approx(score(*inputs, [users], tau).item(), rel=1e-12)
 
 
 @pytest.fixture(scope="module")
