@@ -50,15 +50,6 @@ class Tensor:
     def zero_grad(self) -> None:
         self.grad = None
 
-    def item(self) -> float:
-        return float(self.data)
-
-    def __repr__(self) -> str:
-        return f"Tensor(shape={self.shape}, grad={self.requires_grad})"
-
-    def __add__(self, other):
-        return add(self, other)
-
     def backward(self) -> None:
         """Accumulate d(self)/d(leaf) into .grad of every reachable tensor."""
         if self.data.size != 1:

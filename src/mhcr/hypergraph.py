@@ -4,17 +4,17 @@ dropout-regularized pool-then-broadcast message passing.
 Incidence H_i links items to K latent hyperedges: row i is the softmax over
 the hyperedges of item i's logits F_m V_m^T (as in LGMRec). User incidence
 H_u = D_u^-1 X_u H_i averages the rows of each user's train items. A step
-pools each hyperedge's members through D_e^-1, D_e holding the column sums
-of the undropped H_i (as in HGNN), and broadcasts back:
+pools one message per hyperedge through D_e^-1, D_e holding the column sums
+of the undropped H_i (as in HGNN), and broadcasts it to items and users:
 
-    E_i' = DROP(H_i) @ D_e^-1 DROP(H_i)^T @ E_i
-    E_u' = DROP(H_u) @ D_e^-1 DROP(H_i)^T @ E_i
+    P = D_e^-1 DROP(H_i)^T @ E_i,   E_i' = DROP(H_i) @ P,   E_u' = DROP(H_u) @ P
 
 from the item state E_i = F_m W_m, with an independent dropout mask per
-DROP occurrence. Without dropout both operators are row-stochastic, so at
-any number of steps every row is a convex combination of rows of F_m W_m.
-Dropout uses inverted scaling (survivors divided by the keep probability),
-so each factor is unbiased and evaluation needs no rescale.
+DROP occurrence, drawn in that order. Without dropout both operators are
+row-stochastic, so at any number of steps every row is a convex
+combination of rows of F_m W_m. Dropout uses inverted scaling (survivors
+divided by the keep probability), so each factor is unbiased and
+evaluation needs no rescale.
 
 Pooling is K x d, so the broadcast is the only per-row work: a caller
 names the users and items it reads (a training batch passes its ids and
@@ -63,26 +63,29 @@ def _masked(x: np.ndarray, mask) -> np.ndarray:
     return x if mask is None else x * mask
 
 
-def _pool_spread(h: np.ndarray, d_e: np.ndarray, state: np.ndarray, targets: np.ndarray,
-                 rate: float, rng: np.random.Generator):
-    """DROP(T) @ D_e^-1 (DROP(H)^T @ state) for targets T, the pool mask
-    drawn first, and its VJP: g -> (grad of T, grad of H, grad of state)."""
+def _step(h: np.ndarray, d_e: np.ndarray, state: np.ndarray, targets: list[np.ndarray],
+          rate: float, rng: np.random.Generator):
+    """One pool P = D_e^-1 (DROP(H)^T @ state), its mask drawn first, and
+    DROP(T) @ P for each of `targets`, one mask each in order; returns the
+    broadcasts and their VJP: gs -> (grads of the targets, grad of H, grad
+    of state), the targets' pool gradients summed before the pool's VJP."""
     pool_mask = _mask(h.shape, rate, rng)
     source = _masked(h, pool_mask)
     pooled = source.T @ state
     pooled /= d_e[:, None]
-    target_mask = _mask(targets.shape, rate, rng)
-    dropped_targets = _masked(targets, target_mask)
+    target_masks = [_mask(t.shape, rate, rng) for t in targets]
+    dropped = [_masked(t, mask) for t, mask in zip(targets, target_masks)]
 
-    def vjp(g):
-        g_pooled = dropped_targets.T @ g
+    def vjp(gs):
+        g_pooled = sum(t.T @ g for t, g in zip(dropped, gs))
         g_pooled /= d_e[:, None]
         g_h = _masked(state @ g_pooled.T, pool_mask)
         # D_e sums each column of H, so its gradient reaches every row
         g_h -= (g_pooled * pooled).sum(axis=1)
-        return _masked(g @ pooled.T, target_mask), g_h, source @ g_pooled
+        g_targets = [_masked(g @ pooled.T, mask) for g, mask in zip(gs, target_masks)]
+        return g_targets, g_h, source @ g_pooled
 
-    return dropped_targets @ pooled, vjp
+    return [t @ pooled for t in dropped], vjp
 
 
 def hypergraph_pass(features: np.ndarray, v_m: ad.Tensor, w_m: ad.Tensor, x_rows: sp.spmatrix,
@@ -93,14 +96,13 @@ def hypergraph_pass(features: np.ndarray, v_m: ad.Tensor, w_m: ad.Tensor, x_rows
     as one tape node.
 
     Earlier steps update only the item state, over every item. The final
-    step also computes the user update from the same incoming item state
-    through H_u = `x_rows` @ H_i, where `x_rows` holds the rows of
-    D_u^-1 X_u of the users the caller reads, and broadcasts items only to
-    `item_rows`. Masks are resampled for every DROP occurrence in a fixed
-    order (item update's two factors, then the user update's two), so a
-    seeded `rng` pins the whole stochastic chain. Returns the (user; item)
-    states after the final step, stacked: the rows of `x_rows`, then
-    `item_rows`.
+    step broadcasts its pool to `item_rows` and to the users through
+    H_u = `x_rows` @ H_i, where `x_rows` holds the rows of D_u^-1 X_u of
+    the users the caller reads. Masks are resampled for every DROP
+    occurrence in a fixed order (per step the pool's, then the items',
+    then in the final step the users'), so a seeded `rng` pins the whole
+    stochastic chain. Returns the (user; item) states after the final
+    step, stacked: the rows of `x_rows`, then `item_rows`.
     """
     features = np.asarray(features, dtype=np.float64)
     v_m, w_m = ad.as_tensor(v_m), ad.as_tensor(w_m)
@@ -114,21 +116,17 @@ def hypergraph_pass(features: np.ndarray, v_m: ad.Tensor, w_m: ad.Tensor, x_rows
 
     e_cur, earlier = features @ w_m.data, []
     for _ in range(steps - 1):
-        e_cur, vjp = _pool_spread(h, d_e, e_cur, h, drop_rate, rng)
+        (e_cur,), vjp = _step(h, d_e, e_cur, [h], drop_rate, rng)
         earlier.append(vjp)
-    e_next, item_vjp = _pool_spread(h, d_e, e_cur, h[item_rows], drop_rate, rng)
-    e_users, user_vjp = _pool_spread(h, d_e, e_cur, x_rows @ h, drop_rate, rng)
+    (e_items, e_users), last = _step(h, d_e, e_cur, [h[item_rows], x_rows @ h], drop_rate, rng)
     n_users = e_users.shape[0]
 
     def backward(g):
-        g_users, g_h, g_state = user_vjp(g[:n_users])
+        (g_items, g_users), g_h, g_state = last([g[n_users:], g[:n_users]])
+        ad.add_rows(g_h, item_rows, g_items)
         g_h += x_rows.T @ g_users
-        g_targets, g_pool, g_items = item_vjp(g[n_users:])
-        ad.add_rows(g_h, item_rows, g_targets)
-        g_h += g_pool
-        g_state += g_items
         for vjp in reversed(earlier):
-            g_targets, g_pool, g_state = vjp(g_state)
+            (g_targets,), g_pool, g_state = vjp([g_state])
             g_h += g_targets
             g_h += g_pool
         # through each row's softmax: h * (g_H - <g_H, h>)
@@ -136,4 +134,4 @@ def hypergraph_pass(features: np.ndarray, v_m: ad.Tensor, w_m: ad.Tensor, x_rows
         g_h *= h
         return g_h.T @ features, features.T @ g_state
 
-    return ad.custom_op(np.concatenate([e_users, e_next]), (v_m, w_m), backward)
+    return ad.custom_op(np.concatenate([e_users, e_items]), (v_m, w_m), backward)

@@ -91,13 +91,20 @@ def _logsumexp_terms(terms: np.ndarray) -> np.ndarray:
     return top + np.log(np.exp(terms - top).sum(axis=0))
 
 
-def _joined(per_set: list[list[ad.RowGrad]]) -> list[ad.RowGrad]:
-    """Per input, one RowGrad holding the rows of every row set's RowGrad."""
-    return [
-        ad.RowGrad(np.concatenate([g.indices for g in grads]),
-                   np.concatenate([g.values for g in grads]))
-        for grads in zip(*per_set)
-    ]
+def _sum_over_sets(sets: list, inputs: Sequence[ad.Tensor]) -> ad.Tensor:
+    """One tape node over `inputs` whose value sums the (value, backward)
+    pairs of `sets`, one per row set; its backward hands each input one
+    RowGrad holding the rows of every set's RowGrad."""
+
+    def backward(g):
+        per_set = [set_backward(float(g)) for _, set_backward in sets]
+        return [
+            ad.RowGrad(np.concatenate([r.indices for r in grads]),
+                       np.concatenate([r.values for r in grads]))
+            for grads in zip(*per_set)
+        ]
+
+    return ad.custom_op(np.sum([value for value, _ in sets]), inputs, backward)
 
 
 def _hyper_contrastive_set(inputs: list[ad.Tensor], rows: np.ndarray, inv_tau: float):
@@ -172,11 +179,7 @@ def hyper_contrastive_loss(
     inv_tau = 1.0 / tau
     sets = [_hyper_contrastive_set(inputs, np.asarray(rows, dtype=np.int64), inv_tau)
             for rows in row_sets]
-
-    def backward(g):
-        return _joined([set_backward(float(g)) for _, set_backward in sets])
-
-    return ad.custom_op(np.sum([value for value, _ in sets]), inputs, backward)
+    return _sum_over_sets(sets, inputs)
 
 
 def _graph_hyper_contrastive_set(e_graph: ad.Tensor, e_hyper: ad.Tensor, rows: np.ndarray,
@@ -217,11 +220,7 @@ def graph_hyper_contrastive_loss(
     sets = [_graph_hyper_contrastive_set(e_graph, e_hyper, np.asarray(rows, dtype=np.int64),
                                          inv_tau)
             for rows in row_sets]
-
-    def backward(grad):
-        return _joined([set_backward(float(grad)) for _, set_backward in sets])
-
-    return ad.custom_op(np.sum([value for value, _ in sets]), (e_graph, e_hyper), backward)
+    return _sum_over_sets(sets, (e_graph, e_hyper))
 
 
 def embedding_l2(embeddings, rows) -> ad.Tensor:

@@ -4,8 +4,8 @@ package because no program path runs it: the generic tape ops (`zeros`,
 ones); the op-by-op tape composition of the three views (projections,
 the incidence softmax, D_e and each broadcast as nodes of their own) and
 of the BPR and L2 objectives, which the single-node versions must match;
-the hypergraph view with H_i, H_u and each broadcast one node
-(`per_broadcast_incidence`, `per_broadcast_pass`); the forward pass
+the hypergraph view with H_i, H_u, each step's pool and each broadcast
+one node (`per_broadcast_incidence`, `per_broadcast_pass`); the forward pass
 assembled from those generic ops and views (`tape_forward`), which the
 model-node forward must match to a relative 1e-12; the user-by-user
 negative sampler and split that the whole-array `sample_negatives` and
@@ -198,9 +198,9 @@ def tape_propagate_ui(adjacency, e0: ad.Tensor, layers: int, rows) -> ad.Tensor:
     current = e0
     for layer in range(1, layers + 1):
         if layer == layers:
-            return out + spmm(adjacency[rows], current)
+            return ad.add(out, spmm(adjacency[rows], current))
         current = spmm(adjacency, current)
-        out = out + gather_rows(current, rows)
+        out = ad.add(out, gather_rows(current, rows))
     return out
 
 
@@ -210,7 +210,7 @@ def tape_propagate_items(graphs, features, weights, rows) -> ad.Tensor:
     out = None
     for graph, f, w in zip(graphs, features, weights):
         term = spmm(graph[rows], matmul(ad.constant(f), w))
-        out = term if out is None else out + term
+        out = term if out is None else ad.add(out, term)
     return out
 
 
@@ -232,19 +232,24 @@ def _dropped(t: ad.Tensor, rate: float, rng: np.random.Generator) -> ad.Tensor:
 
 def tape_hypergraph_pass(h_items, e_items, x_rows, drop_rate, steps, rng, item_rows):
     """Hypergraph pass with D_e, H_u, every dropout mask, transpose, product
-    and division as its own node, the masks drawn in the library's order,
-    and the (user; item) rows stacked by a concatenation node."""
+    and division as its own node, one pool per step read by each of that
+    step's broadcasts, the masks drawn in the library's order (per step the
+    pool's, then the items', then in the final step the users'), and the
+    (user; item) rows stacked by a concatenation node."""
     d_e = tensor_sum(transpose(h_items), axis=1, keepdims=True)
 
-    def broadcast(targets, state):
-        pooled = div_rows(matmul(transpose(_dropped(h_items, drop_rate, rng)), state), d_e)
+    def pool(state):
+        return div_rows(matmul(transpose(_dropped(h_items, drop_rate, rng)), state), d_e)
+
+    def broadcast(targets, pooled):
         return matmul(_dropped(targets, drop_rate, rng), pooled)
 
     e_cur = ad.as_tensor(e_items)
     for _ in range(steps - 1):
-        e_cur = broadcast(h_items, e_cur)
-    e_next = broadcast(gather_rows(h_items, item_rows), e_cur)
-    return concat_rows([broadcast(spmm(x_rows, h_items), e_cur), e_next])
+        e_cur = broadcast(h_items, pool(e_cur))
+    pooled = pool(e_cur)
+    e_next = broadcast(gather_rows(h_items, item_rows), pooled)
+    return concat_rows([broadcast(spmm(x_rows, h_items), pooled), e_next])
 
 
 def per_broadcast_incidence(features, v_m, x_u, user_rows) -> tuple[ad.Tensor, ad.Tensor]:
@@ -273,41 +278,53 @@ def _masked(x: np.ndarray, mask) -> np.ndarray:
     return x if mask is None else x * mask
 
 
-def _one_broadcast(h_items: ad.Tensor, state: ad.Tensor, rate: float,
-                   rng: np.random.Generator, targets) -> ad.Tensor:
-    """DROP(T) @ D_e^-1 (DROP(H_i)^T @ state) as one tape node, D_e the
-    column sums of H_i and the pool mask drawn before the target mask. T is
-    the tensor `targets`, or, when `targets` is an array of item ids, those
-    rows of H_i, whose gradient is added into H_i's."""
+def _pool(h_items: ad.Tensor, state: ad.Tensor, rate: float,
+          rng: np.random.Generator) -> ad.Tensor:
+    """D_e^-1 (DROP(H_i)^T @ state) as one tape node, D_e the column sums of
+    H_i."""
     d_e = h_items.data.sum(axis=0)[:, None]
     pool_mask = _mask(h_items.shape, rate, rng)
     source = _masked(h_items.data, pool_mask)
     pooled = source.T @ state.data / d_e
+
+    def backward(g):
+        g_sum = g / d_e
+        g_items = _masked(state.data @ g_sum.T, pool_mask) - (g_sum * pooled).sum(axis=1)
+        return g_items, source @ g_sum
+
+    return ad.custom_op(pooled, (h_items, state), backward)
+
+
+def _broadcast(h_items: ad.Tensor, pooled: ad.Tensor, rate: float,
+               rng: np.random.Generator, targets) -> ad.Tensor:
+    """DROP(T) @ pooled as one tape node. T is the tensor `targets`, or, when
+    `targets` is an array of item ids, those rows of H_i, whose gradient is
+    added into H_i's."""
     own = not isinstance(targets, ad.Tensor)
     t_data = h_items.data[targets] if own else targets.data
     target_mask = _mask(t_data.shape, rate, rng)
     dropped_targets = _masked(t_data, target_mask)
 
     def backward(g):
-        g_sum = dropped_targets.T @ g / d_e
-        g_items = _masked(state.data @ g_sum.T, pool_mask) - (g_sum * pooled).sum(axis=1)
-        g_state = source @ g_sum
-        g_targets = _masked(g @ pooled.T, target_mask)
-        return (ad.RowGrad(targets, g_targets) if own else g_targets), g_items, g_state
+        g_targets = _masked(g @ pooled.data.T, target_mask)
+        return (ad.RowGrad(targets, g_targets) if own else g_targets), dropped_targets.T @ g
 
-    parents = (h_items if own else targets, h_items, state)
-    return ad.custom_op(dropped_targets @ pooled, parents, backward)
+    parents = (h_items if own else targets, pooled)
+    return ad.custom_op(dropped_targets @ pooled.data, parents, backward)
 
 
 def per_broadcast_pass(incidence, e_items, drop_rate, steps, rng, item_rows):
     """The hypergraph pass over (H_i, H_u) from `per_broadcast_incidence`
-    with each broadcast one node; returns the (user; item) states."""
+    with each step's pool one node and each broadcast of it another, the
+    masks drawn in the library's order; returns the (user; item) states."""
     h_items, h_users = incidence
     e_cur = ad.as_tensor(e_items)
     for _ in range(steps - 1):
-        e_cur = _one_broadcast(h_items, e_cur, drop_rate, rng, np.arange(h_items.shape[0]))
-    e_next = _one_broadcast(h_items, e_cur, drop_rate, rng, item_rows)
-    return _one_broadcast(h_items, e_cur, drop_rate, rng, h_users), e_next
+        pooled = _pool(h_items, e_cur, drop_rate, rng)
+        e_cur = _broadcast(h_items, pooled, drop_rate, rng, np.arange(h_items.shape[0]))
+    pooled = _pool(h_items, e_cur, drop_rate, rng)
+    e_next = _broadcast(h_items, pooled, drop_rate, rng, item_rows)
+    return _broadcast(h_items, pooled, drop_rate, rng, h_users), e_next
 
 
 def tape_forward(params, views, cfg, batch=None, mode="train", rng=None):

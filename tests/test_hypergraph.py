@@ -187,6 +187,26 @@ class TestPass:
         assert np.array_equal(a[0], b[0])
         assert np.array_equal(a[1], b[1])
 
+    @pytest.mark.parametrize("steps", [1, 3])
+    def test_dropout_stream_draws_one_pool_mask_per_step(self, steps):
+        # per earlier step a pool mask and an item mask over H_i; then the
+        # final step's one pool mask, the item_rows mask and the user mask
+        rng = np.random.default_rng(8)
+        logits = rng.normal(size=(5, 3))
+        x_u = (rng.random((4, 5)) < 0.5).astype(float)
+        state = rng.normal(size=(5, 2))
+        item_rows = np.array([4, 0, 4])
+        used = seeded(31)
+        run_pass(logits, x_u, state, 0.5, steps, used, item_rows)
+        fresh = seeded(31)
+        for _ in range(steps - 1):
+            fresh.random((5, 3))
+            fresh.random((5, 3))
+        fresh.random((5, 3))
+        fresh.random((3, 3))
+        fresh.random((4, 3))
+        assert used.bit_generator.state == fresh.bit_generator.state
+
     def test_dropout_unbiased_on_small_instance(self):
         # 3 items x 2 hyperedges; sample mean over many mask draws stays
         # within 3 standard errors of the exact drop_rate=0 output

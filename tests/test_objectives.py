@@ -84,8 +84,8 @@ def tape_hyper_contrastive(per_modality, row_sets, tau):
             e_a, e_b = normalized[a], normalized[b]
             pos_term = exp(scale(row_dot(e_a, e_b), 1.0 / tau))
             neg_term = tensor_sum(exp(scale(matmul(e_a, transpose(e_b)), 1.0 / tau)), axis=1)
-            pos = pos_term if pos is None else pos + pos_term
-            neg = neg_term if neg is None else neg + neg_term
+            pos = pos_term if pos is None else ad.add(pos, pos_term)
+            neg = neg_term if neg is None else ad.add(neg, neg_term)
         return mean(sub(log(neg), log(pos)))
 
     return ad.add(*(one_set(rows) for rows in row_sets))
@@ -147,15 +147,15 @@ def bpr_of_scores(pos, neg) -> ad.Tensor:
 class TestBpr:
     def test_equal_scores_give_ln2(self):
         loss = bpr_of_scores([1.0, -3.0], [1.0, -3.0])
-        assert loss.item() == pytest.approx(LN2, abs=1e-12)
+        assert float(loss.data) == pytest.approx(LN2, abs=1e-12)
 
     def test_large_margin_vanishes(self):
         loss = bpr_of_scores([20.0], [0.0])
-        assert loss.item() == pytest.approx(2.06e-9, rel=1e-2)
+        assert float(loss.data) == pytest.approx(2.06e-9, rel=1e-2)
 
     def test_large_negative_margin_is_linear(self):
         loss = bpr_of_scores([0.0], [20.0])
-        assert loss.item() == pytest.approx(20.0, abs=1e-6)
+        assert float(loss.data) == pytest.approx(20.0, abs=1e-6)
 
     @given(
         margin=st.floats(-30, 30),
@@ -163,8 +163,8 @@ class TestBpr:
     )
     @settings(max_examples=50, deadline=None)
     def test_strictly_decreasing_in_margin(self, margin, delta):
-        low = bpr_of_scores([margin], [0.0]).item()
-        high = bpr_of_scores([margin + delta], [0.0]).item()
+        low = float(bpr_of_scores([margin], [0.0]).data)
+        high = float(bpr_of_scores([margin + delta], [0.0]).data)
         assert high < low
 
 
@@ -180,18 +180,18 @@ class TestHyperContrastive:
     def test_identical_embeddings_give_ln2(self):
         for tau in (0.1, 0.2, 1.0):
             loss = hyper_contrastive_loss(two_node_two_modality(True), [np.array([0, 1])], tau)
-            assert loss.item() == pytest.approx(LN2, abs=1e-10)
+            assert float(loss.data) == pytest.approx(LN2, abs=1e-10)
 
     def test_aligned_vs_orthogonal_closed_form(self):
         # each node's two modality views coincide; the two nodes are orthogonal
         loss = hyper_contrastive_loss(two_node_two_modality(False), [np.array([0, 1])], 0.2)
-        assert loss.item() == pytest.approx(ALIGNED_ORTHOGONAL, abs=1e-6)
+        assert float(loss.data) == pytest.approx(ALIGNED_ORTHOGONAL, abs=1e-6)
 
     def test_non_negative(self):
         rng = np.random.default_rng(0)
         embeddings = [ad.Tensor(rng.normal(size=(6, 4))) for _ in range(3)]
         loss = hyper_contrastive_loss(embeddings, [np.arange(6)], 0.2)
-        assert loss.item() >= 0.0
+        assert float(loss.data) >= 0.0
 
     def test_single_modality_rejected(self):
         # the loss compares modalities pairwise: a config that trains it
@@ -206,17 +206,17 @@ class TestHyperContrastive:
         row = np.array([[1.0, 0.5], [1.0, 0.5]])
         embeddings = [ad.Tensor(row) for _ in range(3)]
         loss = hyper_contrastive_loss(embeddings, [np.array([0, 1])], 0.7)
-        assert loss.item() == pytest.approx(LN2, abs=1e-10)
+        assert float(loss.data) == pytest.approx(LN2, abs=1e-10)
 
     def test_scale_invariance(self):
         rng = np.random.default_rng(1)
         embeddings = [rng.normal(size=(5, 3)) for _ in range(2)]
         batch = [np.arange(5)]
-        base = hyper_contrastive_loss([ad.Tensor(e) for e in embeddings], batch, 0.2).item()
+        base = float(hyper_contrastive_loss([ad.Tensor(e) for e in embeddings], batch, 0.2).data)
         for c in (0.5, 2.0, 10.0):
-            scaled = hyper_contrastive_loss(
+            scaled = float(hyper_contrastive_loss(
                 [ad.Tensor(c * e) for e in embeddings], batch, 0.2
-            ).item()
+            ).data)
             assert scaled == pytest.approx(base, abs=1e-6)
 
 
@@ -224,54 +224,55 @@ class TestGraphHyperContrastive:
     def test_batch_of_one_is_zero(self):
         g = ad.Tensor(np.array([[1.0, 2.0]]))
         h = ad.Tensor(np.array([[0.3, -1.0]]))
-        assert graph_hyper_contrastive_loss(g, h, [np.array([0])], 0.2).item() == pytest.approx(0.0)
+        loss = graph_hyper_contrastive_loss(g, h, [np.array([0])], 0.2)
+        assert float(loss.data) == pytest.approx(0.0)
 
     def test_identical_embeddings_give_ln_n(self):
         for n in (2, 5, 9):
             g = ad.Tensor(np.ones((n, 3)))
             h = ad.Tensor(np.ones((n, 3)))
             loss = graph_hyper_contrastive_loss(g, h, [np.arange(n)], 0.2)
-            assert loss.item() == pytest.approx(np.log(n), abs=1e-10)
+            assert float(loss.data) == pytest.approx(np.log(n), abs=1e-10)
 
     def test_diagonal_closed_form(self):
         e = np.eye(2)
         loss = graph_hyper_contrastive_loss(ad.Tensor(e), ad.Tensor(e), [np.array([0, 1])], 0.2)
-        assert loss.item() == pytest.approx(DIAGONAL_INFONCE, abs=1e-6)
+        assert float(loss.data) == pytest.approx(DIAGONAL_INFONCE, abs=1e-6)
 
     def test_non_negative_when_own_pair_maximal(self):
         rng = np.random.default_rng(2)
         g = rng.normal(size=(4, 3))
         loss = graph_hyper_contrastive_loss(ad.Tensor(g), ad.Tensor(g.copy()), [np.arange(4)], 0.2)
-        assert loss.item() >= 0.0
+        assert float(loss.data) >= 0.0
 
     def test_scale_invariance(self):
         rng = np.random.default_rng(3)
         g = rng.normal(size=(5, 3))
         h = rng.normal(size=(5, 3))
         batch = [np.arange(5)]
-        base = graph_hyper_contrastive_loss(ad.Tensor(g), ad.Tensor(h), batch, 0.2).item()
+        base = float(graph_hyper_contrastive_loss(ad.Tensor(g), ad.Tensor(h), batch, 0.2).data)
         for c in (0.5, 2.0, 10.0):
-            scaled = graph_hyper_contrastive_loss(
+            scaled = float(graph_hyper_contrastive_loss(
                 ad.Tensor(c * g), ad.Tensor(c * h), batch, 0.2
-            ).item()
+            ).data)
             assert scaled == pytest.approx(base, abs=1e-6)
 
 
 class TestTotal:
     def test_zero_weights_reduce_to_bpr(self):
         total, breakdown = total_loss(1.25, 7.0, 3.0, 2.0, 0.0, 0.0, 0.0)
-        assert total.item() == 1.25
+        assert float(total.data) == 1.25
         assert breakdown.total == 1.25
 
     def test_exact_composition(self):
         total, b = total_loss(0.5, 2.0, 3.0, 4.0, 1e-5, 0.01, 1e-4)
         recomposed = b.l_bpr + 1e-5 * b.l_hc + 0.01 * b.l_ghc + 1e-4 * b.l_reg
         assert b.total == recomposed
-        assert total.item() == b.total
+        assert float(total.data) == b.total
 
     def test_all_zero_components(self):
         total, b = total_loss(0.0, 0.0, 0.0, 0.0, 1e-5, 0.01, 1e-4)
-        assert total.item() == 0.0 and b.total == 0.0
+        assert float(total.data) == 0.0 and b.total == 0.0
 
     def test_gradient_flows_through_composition(self):
         x = ad.Tensor(np.array([[1.0, 2.0], [0.5, -1.0]]), requires_grad=True)
@@ -290,8 +291,8 @@ class TestTotal:
 
 def test_embedding_l2_mean_squared_norm():
     embeddings = np.array([[3.0, 4.0], [1.0, 1.0], [0.0, 2.0]])
-    assert embedding_l2(embeddings, [0, 2]).item() == pytest.approx((25.0 + 4.0) / 2.0)
-    assert embedding_l2(embeddings, [0, 0, 2]).item() == pytest.approx((50.0 + 4.0) / 3.0)
+    assert float(embedding_l2(embeddings, [0, 2]).data) == pytest.approx((25.0 + 4.0) / 2.0)
+    assert float(embedding_l2(embeddings, [0, 0, 2]).data) == pytest.approx((50.0 + 4.0) / 3.0)
 
 
 class TestLossGradients:
@@ -306,7 +307,7 @@ class TestLossGradients:
         bpr_loss(fused_t, *rows).backward()
 
         def value():
-            return bpr_loss(ad.Tensor(fused), *rows).item()
+            return float(bpr_loss(ad.Tensor(fused), *rows).data)
 
         assert_grad_close(fused_t.grad, finite_difference(value, fused), "bpr")
 
@@ -322,7 +323,7 @@ class TestLossGradients:
         hyper_contrastive_loss([a_t, b_t], batch, 0.2).backward()
 
         def value():
-            return hyper_contrastive_loss([ad.Tensor(a), ad.Tensor(b)], batch, 0.2).item()
+            return float(hyper_contrastive_loss([ad.Tensor(a), ad.Tensor(b)], batch, 0.2).data)
 
         assert_grad_close(a_t.grad, finite_difference(value, a), "hc/a")
         assert_grad_close(b_t.grad, finite_difference(value, b), "hc/b")
@@ -338,7 +339,8 @@ class TestLossGradients:
         hyper_contrastive_loss(tensors, batch, 0.2).backward()
 
         def value():
-            return hyper_contrastive_loss([ad.Tensor(e) for e in embeddings], batch, 0.2).item()
+            loss = hyper_contrastive_loss([ad.Tensor(e) for e in embeddings], batch, 0.2)
+            return float(loss.data)
 
         for m, (e, t) in enumerate(zip(embeddings, tensors)):
             assert_grad_close(t.grad, finite_difference(value, e), f"hc/{m}")
@@ -355,7 +357,7 @@ class TestLossGradients:
         graph_hyper_contrastive_loss(g_t, h_t, batch, 0.2).backward()
 
         def value():
-            return graph_hyper_contrastive_loss(ad.Tensor(g), ad.Tensor(h), batch, 0.2).item()
+            return float(graph_hyper_contrastive_loss(ad.Tensor(g), ad.Tensor(h), batch, 0.2).data)
 
         assert_grad_close(g_t.grad, finite_difference(value, g), "ghc/g")
         assert_grad_close(h_t.grad, finite_difference(value, h), "ghc/h")
@@ -375,7 +377,7 @@ class TestLossGradients:
         build(r_t, s_t).backward()
 
         def value():
-            return build(ad.Tensor(rows), ad.Tensor(scores)).item()
+            return float(build(ad.Tensor(rows), ad.Tensor(scores)).data)
 
         assert_grad_close(r_t.grad, finite_difference(value, rows), "l2")
         assert_grad_close(s_t.grad, finite_difference(value, scores), "total")
@@ -400,7 +402,7 @@ class TestFusedAgainstTape:
         tape_in = [ad.Tensor(e, requires_grad=True) for e in embeddings]
         fused = hyper_contrastive_loss(fused_in, [self.BATCH], tau)
         tape = tape_hyper_contrastive(tape_in, [self.BATCH], tau)
-        assert _rel_err(fused.item(), tape.item()) <= 1e-12
+        assert _rel_err(float(fused.data), float(tape.data)) <= 1e-12
         fused.backward()
         tape.backward()
         for f, t in zip(fused_in, tape_in):
@@ -414,7 +416,7 @@ class TestFusedAgainstTape:
         tape_in = [ad.Tensor(g, requires_grad=True), ad.Tensor(h, requires_grad=True)]
         fused = graph_hyper_contrastive_loss(*fused_in, [self.BATCH], tau)
         tape = tape_graph_hyper_contrastive(*tape_in, [self.BATCH], tau)
-        assert _rel_err(fused.item(), tape.item()) <= 1e-12
+        assert _rel_err(float(fused.data), float(tape.data)) <= 1e-12
         fused.backward()
         tape.backward()
         for f, t in zip(fused_in, tape_in):
@@ -501,10 +503,11 @@ class TestRowSets:
         users, item = self.POOLS[0], np.array([6])
         total = loss_of(inputs, [users, item], 0.2)
         total.backward()
-        assert np.isfinite(total.item())
+        assert np.isfinite(float(total.data))
         assert all(np.isfinite(t.grad).all() for t in inputs)
-        assert loss_of(inputs, [item], 0.2).item() == pytest.approx(0.0, abs=1e-12)
-        assert total.item() == pytest.approx(loss_of(inputs, [users], 0.2).item(), rel=1e-12)
+        assert float(loss_of(inputs, [item], 0.2).data) == pytest.approx(0.0, abs=1e-12)
+        users_only = float(loss_of(inputs, [users], 0.2).data)
+        assert float(total.data) == pytest.approx(users_only, rel=1e-12)
 
     @pytest.mark.parametrize("tau", [0.05, 1.0])
     def test_against_the_tape(self, loss, tau):
@@ -513,7 +516,7 @@ class TestRowSets:
         tape_in = [ad.Tensor(v, requires_grad=True) for v in values]
         fused = loss_of(fused_in, self.POOLS, tau)
         tape = tape_of(tape_in, self.POOLS, tau)
-        assert _rel_err(fused.item(), tape.item()) <= 1e-12
+        assert _rel_err(float(fused.data), float(tape.data)) <= 1e-12
         fused.backward()
         tape.backward()
         for f, t in zip(fused_in, tape_in):
@@ -529,8 +532,8 @@ class TestTinyTemperature:
         tensors = [ad.Tensor(e, requires_grad=True) for e in embeddings]
         loss = hyper_contrastive_loss(tensors, batch, tau)
         expected = logsumexp_hyper_contrastive(embeddings, batch, tau)
-        assert np.isfinite(loss.item()) and loss.item() >= 0.0
-        assert loss.item() == pytest.approx(expected, rel=1e-12)
+        assert np.isfinite(float(loss.data)) and float(loss.data) >= 0.0
+        assert float(loss.data) == pytest.approx(expected, rel=1e-12)
         loss.backward()
         assert all(np.isfinite(t.grad).all() for t in tensors)
 
@@ -542,8 +545,8 @@ class TestTinyTemperature:
         g_t, h_t = ad.Tensor(g, requires_grad=True), ad.Tensor(h, requires_grad=True)
         loss = graph_hyper_contrastive_loss(g_t, h_t, batch, tau)
         expected = logsumexp_graph_hyper_contrastive(g, h, batch, tau)
-        assert np.isfinite(loss.item()) and loss.item() >= 0.0
-        assert loss.item() == pytest.approx(expected, rel=1e-12)
+        assert np.isfinite(float(loss.data)) and float(loss.data) >= 0.0
+        assert float(loss.data) == pytest.approx(expected, rel=1e-12)
         loss.backward()
         assert np.isfinite(g_t.grad).all() and np.isfinite(h_t.grad).all()
 
@@ -557,7 +560,7 @@ class TestOneTapeNode:
     @staticmethod
     def assert_one_node_matching_the_reference(loss, reference, inputs, tape_inputs):
         assert loss._parents == tuple(inputs)
-        assert loss.item() == pytest.approx(reference.item(), rel=1e-12)
+        assert float(loss.data) == pytest.approx(float(reference.data), rel=1e-12)
         loss.backward()
         reference.backward()
         for t, ref in zip(inputs, tape_inputs):

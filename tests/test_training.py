@@ -433,8 +433,8 @@ class TestContrastivePools:
             assert positives.size == 1
             loss, score = getattr(result.breakdown, part), LOSSES[name]
             assert np.isfinite(loss) and loss > 0.0
-            assert score(*inputs, [positives], tau).item() == pytest.approx(0.0, abs=1e-12)
-            assert loss == pytest.approx(score(*inputs, [users], tau).item(), rel=1e-12)
+            assert float(score(*inputs, [positives], tau).data) == pytest.approx(0.0, abs=1e-12)
+            assert loss == pytest.approx(float(score(*inputs, [users], tau).data), rel=1e-12)
 
 
 @pytest.fixture(scope="module")
@@ -506,9 +506,9 @@ class TestGradients:
         batch = batch or micro_batch()
 
         def loss_value() -> float:
-            return forward(
+            return float(forward(
                 params, views, cfg, batch=batch, mode="train", rng=MASK_SEED
-            ).total.item()
+            ).total.data)
 
         result = forward(params, views, cfg, batch=batch, mode="train", rng=MASK_SEED)
         params.zero_grad()

@@ -157,8 +157,8 @@ class TestViewsAgainstTape:
 
 class TestPassAgainstPerBroadcastNodes:
     """The one-node pass against `per_broadcast_pass`, whose tape has H_i,
-    H_u and each broadcast as its own node: outputs and the gradients of V
-    and W agree to a relative 1e-12."""
+    H_u, each step's pool and each broadcast of it as its own node: outputs
+    and the gradients of V and W agree to a relative 1e-12."""
 
     @pytest.mark.parametrize("rows_case", ROW_CASES)
     @pytest.mark.parametrize("drop_rate", [0.0, 0.5])
@@ -212,7 +212,7 @@ class TestViewGradients:
         loss(tensors).backward()
         for name, array in arrays.items():
             numeric = finite_difference(
-                lambda: loss({n: ad.Tensor(a) for n, a in arrays.items()}).item(), array
+                lambda: float(loss({n: ad.Tensor(a) for n, a in arrays.items()}).data), array
             )
             assert_grad_close(tensors[name].grad, numeric, name)
 
