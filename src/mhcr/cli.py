@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import errno
 import itertools
 import os
 import sys
@@ -152,11 +153,15 @@ def _train_config(args: argparse.Namespace) -> tuple[TrainConfig, dict[str, obje
 
 
 def _out_dir(args: argparse.Namespace, file_values: dict[str, object]) -> Path:
-    """`--out-dir` > MHCR_OUTPUT_DIR > the config file's out_dir > mhcr-out."""
+    """`--out-dir` > MHCR_OUTPUT_DIR > the config file's out_dir > mhcr-out.
+    Its nearest existing path must be a directory; the command makes it once
+    it has something to write."""
     out = Path(
         args.out_dir or os.environ.get(ENV_OUTPUT_DIR) or file_values.get("out_dir", "mhcr-out")
     )
-    out.mkdir(parents=True, exist_ok=True)
+    nearest = next(path for path in (out, *out.parents) if path.exists())
+    if not nearest.is_dir():
+        raise NotADirectoryError(errno.ENOTDIR, os.strerror(errno.ENOTDIR), str(nearest))
     return out
 
 
@@ -234,6 +239,7 @@ def cmd_generate(args: argparse.Namespace) -> int:
 
     out_dir = _out_dir(args, file_values)
     ds, features = generate_synthetic(cfg)
+    out_dir.mkdir(parents=True, exist_ok=True)
     save_interactions(ds, out_dir / "interactions.tsv")
     for feats in features:
         save_features(feats, out_dir / f"features_{feats.modality}.bin")
@@ -271,8 +277,9 @@ def _prepare_run(args: argparse.Namespace):
     """The swept fields, the config cells (one for `train`, one per grid
     point for `sweep`), the split dataset, the features and the output
     directory of a run. Every setting and cell is checked before any data is
-    read, and the data and split before the output directory is made, so a
-    bad setting writes nothing. The split follows the root seed."""
+    read, and the data, the split and the output path before training; the
+    command makes the directory only once training has returned, so a bad
+    setting or a failed fit writes nothing. The split follows the root seed."""
     cfg, file_values = _train_config(args)
     print(f"root seed: {cfg.seed}")
     ratios = _ratios(args, file_values)
@@ -301,6 +308,7 @@ def cmd_train(args: argparse.Namespace) -> int:
         f"(initial {result.initial_val_recall20:.5f})"
     )
 
+    out_dir.mkdir(parents=True, exist_ok=True)
     save_checkpoint(result.params, out_dir / "checkpoint.bin")
     save_split(ds, out_dir / "split.tsv")
     _write_training_log(out_dir / "training_log.csv", variant_label(cfg), result.epochs)
@@ -317,6 +325,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     file_values = _read_config(args, _EVALUATE_KEYS)
     cold_threshold = _setting(args, file_values, "cold_threshold", 3)
     evaluation.check_cold_threshold(cold_threshold)
+    out_dir = _out_dir(args, file_values)
     params = load_checkpoint(args.checkpoint)
     print(f"root seed: {params.config.seed}")
 
@@ -331,7 +340,8 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     ds = load_split(ds, args.split)
 
     report = evaluate_params(params, ds, features, cold_threshold=cold_threshold)
-    (_out_dir(args, file_values) / "eval_test.json").write_text(report.to_json(), encoding="utf-8")
+    out_dir.mkdir(parents=True, exist_ok=True)
+    (out_dir / "eval_test.json").write_text(report.to_json(), encoding="utf-8")
     print(report.format_table())
     return EXIT_OK
 
@@ -346,6 +356,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         print(f"{label} val_recall20={result.best_val_recall20:.5f}")
 
     best = max(range(len(cells)), key=lambda i: scores[i][0])
+    out_dir.mkdir(parents=True, exist_ok=True)
     with (out_dir / "sweep.csv").open("w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(fields + ["val_recall20", "best_epoch", "best"])

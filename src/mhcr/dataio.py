@@ -29,8 +29,9 @@ _FEATURE_HEADER = struct.Struct("<8sIBQQ")
 _PLAIN_TSV_BYTES = b"0123456789-\t\n"
 
 
-def _pair_keys(users: np.ndarray, items: np.ndarray, num_users: int, num_items: int) -> np.ndarray:
-    """The key u*|I| + i of each pair, distinct for distinct in-range pairs."""
+def pair_keys(users: np.ndarray, items: np.ndarray, num_users: int, num_items: int) -> np.ndarray:
+    """The key u*|I| + i of each pair, distinct for distinct in-range pairs;
+    a vocabulary whose keys would overflow int64 is a DataError."""
     if int(num_users) * int(num_items) > np.iinfo(np.int64).max:
         raise DataError(f"{num_users} users x {num_items} items overflow int64 pair keys")
     return users * num_items + items
@@ -64,7 +65,7 @@ class InteractionDataset:
                 raise DataError("user index out of range")
             if self.items.min() < 0 or self.items.max() >= self.num_items:
                 raise DataError("item index out of range")
-        keys = np.sort(_pair_keys(self.users, self.items, self.num_users, self.num_items))
+        keys = np.sort(pair_keys(self.users, self.items, self.num_users, self.num_items))
         if (keys[1:] == keys[:-1]).any():
             raise DataError("duplicate (user, item) pairs")
         if self.split is not None:
@@ -219,7 +220,7 @@ def load_interactions(path: str | Path) -> InteractionDataset:
         raise DataError(f"{path}:{lineno}: negative id in ({u_arr[row]}, {i_arr[row]})")
     num_users = int(u_arr.max()) + 1
     num_items = int(i_arr.max()) + 1
-    keys = _pair_keys(u_arr, i_arr, num_users, num_items)
+    keys = pair_keys(u_arr, i_arr, num_users, num_items)
     _, first = np.unique(keys, return_index=True)
     first.sort()
     dup_count = keys.size - first.size
@@ -464,12 +465,13 @@ def load_split(ds: InteractionDataset, path: str | Path) -> InteractionDataset:
     bad = np.flatnonzero(~np.isin(split, (TRAIN, VAL, TEST)))
     if bad.size:
         raise ParseError(f"{path}:{_line_of_row(path, layout, bad[0])}: label must be 0, 1, or 2")
-    # pair keys u*|I| + i, last line first: np.unique keeps a repeated pair's last label
+    # last line first: np.unique keeps a repeated pair's last label
     inside = np.flatnonzero((users >= 0) & (users < ds.num_users) & (items >= 0)
                             & (items < ds.num_items))[::-1]
-    keys, first = np.unique(users[inside] * ds.num_items + items[inside], return_index=True)
+    keys, first = np.unique(pair_keys(users[inside], items[inside], ds.num_users, ds.num_items),
+                            return_index=True)
     keys = np.append(keys, np.iinfo(np.int64).max)  # above every key, so `at` stays in range
-    wanted = ds.users * ds.num_items + ds.items
+    wanted = pair_keys(ds.users, ds.items, ds.num_users, ds.num_items)
     at = np.searchsorted(keys, wanted)
     keep = keys[at] == wanted
     lined = np.zeros(ds.num_users, dtype=bool)

@@ -15,7 +15,7 @@ import scipy.sparse as sp
 from . import autodiff as ad
 from . import evaluation
 from .dataio import (MODALITIES, TEST, TRAIN, InteractionDataset, ModalityFeatures,
-                     check_train_and_val, validate_features)
+                     check_train_and_val, pair_keys, validate_features)
 from .errors import ConfigError, NumericError
 from .hypergraph import build_incidence, hypergraph_pass  # perfbench traces build_incidence
 from .item_graph import build_affinity_graph, propagate_items
@@ -137,10 +137,6 @@ class ModelParameters:
     @property
     def e0(self) -> ad.Tensor:
         return self.named["E0"]
-
-    @property
-    def d(self) -> int:
-        return self.e0.shape[1]
 
     @property
     def num_items(self) -> int:
@@ -301,17 +297,10 @@ class ForwardResult:
 
 
 def train_item_sets(ds: InteractionDataset) -> np.ndarray:
-    """Each user's train items, as the sorted pair keys u * |I| + i that
-    `sample_negatives` looks up (the dataset checked that they fit int64)."""
+    """Each user's train items, as the sorted pair keys (`dataio.pair_keys`)
+    that `sample_negatives` looks up."""
     users, items = ds.split_pairs(TRAIN)
-    return np.sort(users * ds.num_items + items)
-
-
-def _is_train_pair(train_keys: np.ndarray, keys: np.ndarray) -> np.ndarray:
-    """Whether each pair key is among the sorted train keys (`fit` checks
-    that there is at least one)."""
-    at = np.minimum(np.searchsorted(train_keys, keys), train_keys.size - 1)
-    return train_keys[at] == keys
+    return np.sort(pair_keys(users, items, ds.num_users, ds.num_items))
 
 
 def sample_negatives(
@@ -321,45 +310,37 @@ def sample_negatives(
     train_keys: np.ndarray,
 ) -> np.ndarray:
     """One uniformly sampled non-train item per batch user, given the train
-    pairs' keys (`train_item_sets`).
+    pairs' sorted keys (`train_item_sets`, at least one).
 
-    Rejection sampling capped at 100 tries per user, the users served in
-    batch order from one stream of `rng.integers(|I|)` draws; users
-    interacting with (nearly) every item fall back to an unconstrained
-    uniform draw. Every user's first draw is taken at once and checked
-    together; a user who draws a train item redraws on its own, and the
-    users after it move one draw down the stream.
+    Rejection sampling: the users, in batch order, read one stream of
+    `rng.integers(|I|)` draws until a draw is not one of their train items;
+    after 100 rejected draws a user keeps its next draw unchecked, counted
+    and warned as a fallback. `drawn` is the unread rest of one refill of a
+    draw per user left: each pass checks it against the users from `row` on,
+    keeps the accepted prefix and drops the first rejected draw. Every user
+    left takes at least one more draw, so a refill never reads past the
+    stream that scalar draws, user by user, would read.
     """
     users = np.asarray(batch_users, dtype=np.int64)
-    n = ds.num_items
-    stream = rng.integers(n, size=users.size)
     negatives = np.empty(users.size, dtype=np.int64)
-    row = fallbacks = 0
+    drawn = negatives[:0]
+    row = rejects = fallbacks = 0
     while row < users.size:
-        # users row, row + 1, ... read the stream from here, one draw each
-        shift = stream.size - users.size
-        drawn = stream[row + shift:]
-        seen = _is_train_pair(train_keys, users[row:] * n + drawn)
+        if not drawn.size:
+            drawn = rng.integers(ds.num_items, size=users.size - row)
+        keys = pair_keys(users[row:row + drawn.size], drawn, ds.num_users, ds.num_items)
+        at = np.minimum(np.searchsorted(train_keys, keys), train_keys.size - 1)
+        seen = train_keys[at] == keys
+        if rejects == _NEGATIVE_SAMPLING_TRIES:
+            seen[0] = False  # user `row` keeps this draw unchecked
+            fallbacks += 1
         accepted = int(seen.argmax()) if seen.any() else seen.size
         negatives[row:row + accepted] = drawn[:accepted]
-        row += accepted
-        if row == users.size:
-            break
-        # user `row` drew a train item: it redraws, and each redraw appends
-        # one draw to the stream for the users after it
-        pos, extra = row + shift, []
-        for tries in range(1, _NEGATIVE_SAMPLING_TRIES + 1):
-            extra.append(int(rng.integers(n)))
-            pos += 1
-            j = int(stream[pos]) if pos < stream.size else extra[pos - stream.size]
-            if tries == _NEGATIVE_SAMPLING_TRIES:
-                fallbacks += 1
-            elif _is_train_pair(train_keys, users[row] * n + j):
-                continue
-            break
-        negatives[row] = j
-        stream = np.concatenate([stream, extra])
-        row += 1
+        row, drawn = row + accepted, drawn[accepted:]
+        if accepted:
+            rejects = 0
+        if drawn.size:  # user `row` drew one of its train items
+            drawn, rejects = drawn[1:], rejects + 1
     if fallbacks:
         log.warning("negative sampling fell back to uniform for %d draw(s)", fallbacks)
     return negatives

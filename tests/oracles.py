@@ -338,7 +338,7 @@ def tape_forward(params, views, cfg, batch=None, mode="train", rng=None):
     positives as two pools; the graph-hypergraph loss is computed only with
     a graph view on."""
     train_mode = mode == "train"
-    num_users, num_items, d = params.num_users, params.num_items, params.d
+    num_users, num_items, d = params.num_users, params.num_items, params.e0.shape[1]
     if train_mode:
         nodes, n_user_rows, local = training._batch_nodes(batch, num_users)
     else:

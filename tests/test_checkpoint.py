@@ -40,7 +40,8 @@ def test_round_trip_preserves_structure_and_f32_values(tmp_path):
     assert loaded.config == params.config
     assert loaded.modality_dims == params.modality_dims
     assert list(loaded.named) == list(parameter_shapes(
-        params.num_users, params.num_items, params.d, params.config.k_hyper, params.modality_dims))
+        params.num_users, params.num_items, params.e0.shape[1], params.config.k_hyper,
+        params.modality_dims))
     for (name, original), restored in zip(params.tensors().items(), loaded.tensors().values()):
         assert np.array_equal(restored.data, original.data.astype(np.float32).astype(np.float64)), name
         assert restored.requires_grad
@@ -165,7 +166,7 @@ def _version_1_bytes(params) -> bytes:
     """`params` in the version-1 layout: sizes and modality dims in the
     header, no config, then the tensor records."""
     dims = params.modality_dims
-    raw = struct.pack("<8sIIQQII", b"MHCRCKPT", 1, params.d, params.num_users,
+    raw = struct.pack("<8sIIQQII", b"MHCRCKPT", 1, params.e0.shape[1], params.num_users,
                       params.num_items, params.config.k_hyper, len(dims))
     for tag, d_m in dims.items():
         raw += struct.pack("<BI", ("image", "video", "text").index(tag), d_m)

@@ -186,7 +186,7 @@ class TestTrain:
         assert run_train(data_dir, tmp_path / "x") == EXIT_MEMORY == 5
         err = capsys.readouterr().err
         assert err.startswith("memory error: Unable to allocate") and "Traceback" not in err
-        assert not any((tmp_path / "x").iterdir())
+        assert not (tmp_path / "x").exists()
 
     def test_numeric_error_in_fit_leaves_no_split(self, data_dir, tmp_path, monkeypatch):
         def diverged(*args, **kwargs):
@@ -194,7 +194,24 @@ class TestTrain:
 
         monkeypatch.setattr(cli, "fit", diverged)
         assert run_train(data_dir, tmp_path / "x") == EXIT_NUMERIC == 4
-        assert not (tmp_path / "x" / "split.tsv").exists()
+        assert not (tmp_path / "x").exists()
+
+    def test_numeric_error_in_a_sweep_cell_writes_nothing(self, data_dir, tmp_path, monkeypatch):
+        # the first cell trains, the second diverges
+        calls = recording_fit(monkeypatch, run_fit=False)
+        stub = cli.fit
+
+        def diverge_second(ds, features, cfg):
+            if calls:
+                raise NumericError("loss is not finite")
+            return stub(ds, features, cfg)
+
+        monkeypatch.setattr(cli, "fit", diverge_second)
+        argv = ["sweep", "--data-dir", str(data_dir), "--out-dir", str(tmp_path / "o"),
+                "--grid", "k_hyper=2,4"]
+        assert main(argv + FAST_TRAIN) == EXIT_NUMERIC
+        assert len(calls) == 1
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("command", ["train", "sweep"])
     def test_split_without_train_pairs_writes_nothing(self, command, data_dir, tmp_path, capsys):
@@ -480,7 +497,7 @@ class TestConfigFile:
         from mhcr.checkpoint import load_checkpoint
 
         params = load_checkpoint(out / "checkpoint.bin")
-        assert params.d == 8  # CLI flag beat the file's d=4
+        assert params.e0.shape[1] == 8  # CLI flag beat the file's d=4
 
     def test_unknown_key_rejected(self, tmp_path):
         cfg_file = tmp_path / "bad.cfg"

@@ -7,6 +7,7 @@ import importlib.util
 import inspect
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from mhcr import checkpoint, dataio, evaluation, training
@@ -43,7 +44,8 @@ def test_runner_calls_bind_to_the_program_signatures():
     params, views, cfg, batch, ds, users, rng = (object(),) * 7
     feats, total, optimizer, emb, path = (object(),) * 5
     bind(training.forward, params, views, cfg, batch=batch, mode="train", rng=rng)
-    bind(training.sample_negatives, ds, users, rng, [frozenset()])
+    train_keys = np.array([1, 5], dtype=np.int64)  # sorted pair keys, as train_item_sets gives
+    bind(training.sample_negatives, ds, users, rng, train_keys)
     bind(training.train_item_sets, ds)
     bind(training.init_parameters, cfg, 4, 3, {"image": 2})
     bind(training.Adam, {}, 1e-3)

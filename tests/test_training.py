@@ -54,6 +54,40 @@ def make_params(cfg, ds, views, seed=None):
     return init_parameters(cfg, ds.num_users, ds.num_items, views.modality_dims)
 
 
+def _rejecting_dataset(seed, n=40):
+    """62 users over n items: user 0 trained on every item but one, user 1
+    on every item, so their draws often reject 100 times and fall back, and
+    users 2.. a sparse synthetic set split by `seed`."""
+    sparse, _ = generate_synthetic(SyntheticConfig(
+        num_users=60, num_items=n, num_clusters=3, mean_interactions=6.0,
+        modality_dims={"image": 2}, seed=seed))
+    users = np.concatenate([np.zeros(n - 1, int), np.ones(n, int), 2 + sparse.users])
+    items = np.concatenate([np.arange(n - 1), np.arange(n), sparse.items])
+    ds = split_dataset(InteractionDataset(62, n, users, items), seed=seed)
+    ds.split[ds.users < 2] = TRAIN
+    return ds
+
+
+def _sampler_case(case):
+    """The dataset, batch and generator seed of one sampler case, and the
+    fallbacks it must count (None: at least one)."""
+    if case.isdigit():
+        seed = int(case)
+        rng = np.random.default_rng(seed)
+        batch = np.concatenate([[0, 1, 0], rng.integers(62, size=300), [1]])
+        return _rejecting_dataset(seed), batch, seed, None
+    rejecting = _rejecting_dataset(0)
+    # user 0 trained on item 0, user 1 on nothing, so user 1 never rejects
+    only_user_0 = InteractionDataset(2, 40, np.array([0]), np.array([0]), split=np.array([TRAIN]))
+    return {
+        "one-user": (rejecting, np.array([0]), 0, 0),
+        "all-fall-back": (rejecting, np.ones(5, int), 0, 5),
+        "no-rejection": (only_user_0, np.ones(50, int), 0, 0),
+        "one-item": (replace(only_user_0, num_items=1), np.array([1, 0, 1, 1, 0]), 0, 2),
+        "last-falls-back": (rejecting, np.array([5, 9, 30, 2, 61, 1]), 0, 1),
+    }[case]
+
+
 class TestInit:
     def test_deterministic(self, micro):
         ds, _, cfg, views = micro
@@ -85,21 +119,11 @@ class TestNegativeSampling:
         for u, j in zip(users.tolist(), negs.tolist()):
             assert j not in sets[u]
 
-    @pytest.mark.parametrize("seed", range(6))
-    def test_matches_the_user_by_user_loop(self, seed, caplog):
-        # negatives, the generator's end state, the fallback count and its
-        # warning; user 0 trained on all items but one, user 1 on all, so
-        # their draws often reject 100 times and fall back
-        n = 40
-        sparse, _ = generate_synthetic(SyntheticConfig(
-            num_users=60, num_items=n, num_clusters=3, mean_interactions=6.0,
-            modality_dims={"image": 2}, seed=seed))
-        users = np.concatenate([np.zeros(n - 1, int), np.ones(n, int), 2 + sparse.users])
-        items = np.concatenate([np.arange(n - 1), np.arange(n), sparse.items])
-        ds = split_dataset(InteractionDataset(62, n, users, items), seed=seed)
-        ds.split[ds.users < 2] = TRAIN
-        rng = np.random.default_rng(seed)
-        batch = np.concatenate([[0, 1, 0], rng.integers(62, size=300), [1]])
+    @pytest.mark.parametrize("case", [*map(str, range(6)), "one-user", "all-fall-back",
+                                      "no-rejection", "one-item", "last-falls-back"])
+    def test_matches_the_user_by_user_loop(self, case, caplog):
+        # negatives, the generator's end state, the fallback count and its warning
+        ds, batch, seed, want = _sampler_case(case)
         keys, sets = train_item_sets(ds), train_sets_by_user(ds)
         fast, loop = np.random.default_rng(seed + 10), np.random.default_rng(seed + 10)
         with caplog.at_level("WARNING", logger="mhcr.training"):
@@ -107,10 +131,10 @@ class TestNegativeSampling:
         expected, fallbacks = sample_negatives_by_user(ds, batch, loop, sets)
         assert np.array_equal(negatives, expected)
         assert fast.bit_generator.state == loop.bit_generator.state
-        assert fallbacks > 0
-        assert caplog.messages == [
-            f"negative sampling fell back to uniform for {fallbacks} draw(s)"
-        ]
+        assert fallbacks > 0 if want is None else fallbacks == want
+        assert caplog.messages == (
+            [f"negative sampling fell back to uniform for {fallbacks} draw(s)"] if fallbacks else []
+        )
 
     def test_all_items_seen_falls_back(self):
         ds = InteractionDataset(
