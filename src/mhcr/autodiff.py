@@ -122,11 +122,12 @@ def add(*terms) -> Tensor:
     terms = tuple(as_tensor(t) for t in terms)
     if len(terms) == 1:
         return terms[0]
-    data = terms[0].data
     for t in terms[1:]:
         if t.shape != terms[0].shape:
             raise ShapeError(f"add shape mismatch: {terms[0].shape} vs {t.shape}")
-        data = data + t.data
+    data = terms[0].data + terms[1].data
+    for t in terms[2:]:
+        data += t.data
 
     def backward(g):
         return tuple(g.copy() if t.requires_grad else None for t in terms)

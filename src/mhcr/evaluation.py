@@ -153,9 +153,10 @@ def evaluate(
     Users without interactions in the target split are skipped. An empty
     slice yields zero metrics flagged as degenerate. Users are scored in
     blocks of `_BLOCK_ELEMENTS // |I|` rows (at least 1, at most
-    `_MAX_BLOCK_ROWS`); each block is masked, matched against its targets
-    and scored at once, and only the stable sort runs per user. Per-user
-    values are summed one at a time in user order.
+    `_MAX_BLOCK_ROWS`), each into one buffer allocated per call; each is
+    masked, matched against its targets and scored at once, and only the
+    stable sort runs per user. Per-user values are summed one at a time in
+    user order.
     """
     if user_emb.shape[0] != ds.num_users or item_emb.shape[0] != ds.num_items:
         raise ShapeError("embedding row counts do not match the dataset")
@@ -178,10 +179,11 @@ def evaluate(
     gains = 1.0 / np.log2(np.arange(1, width + 1) + 1)
     values = {k: np.empty((2, users.size)) for k in ks}
     rows = min(_MAX_BLOCK_ROWS, max(1, _BLOCK_ELEMENTS // ds.num_items))
+    buffer = np.empty((min(rows, users.size), ds.num_items))
     for start in range(0, users.size, rows):
         block = slice(start, start + rows)
         block_users = users[block]
-        scores = np.asarray(user_emb[block_users] @ item_emb.T, dtype=np.float64)
+        scores = np.matmul(user_emb[block_users], item_emb.T, out=buffer[:block_users.size])
         hits = _ranked_hits(scores, _entries(*masked, block_users),
                             _entries(*targets, block_users), width)
         # only a row's first |I| - |masked| positions rank, as one user's

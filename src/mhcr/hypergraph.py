@@ -64,11 +64,11 @@ def _masked(x: np.ndarray, mask) -> np.ndarray:
 
 
 def _step(h: np.ndarray, d_e: np.ndarray, state: np.ndarray, targets: list[np.ndarray],
-          rate: float, rng: np.random.Generator):
+          rate: float, rng: np.random.Generator, outs: list):
     """One pool P = D_e^-1 (DROP(H)^T @ state), its mask drawn first, and
-    DROP(T) @ P for each of `targets`, one mask each in order; returns the
-    broadcasts and their VJP: gs -> (grads of the targets, grad of H, grad
-    of state), the targets' pool gradients summed before the pool's VJP."""
+    DROP(T) @ P into `outs` (arrays or None) for each of `targets`, one
+    mask each in order; returns them and their VJP: gs -> (grads of the
+    targets, of H, of state), the targets' pool gradients summed first."""
     pool_mask = _mask(h.shape, rate, rng)
     source = _masked(h, pool_mask)
     pooled = source.T @ state
@@ -85,7 +85,7 @@ def _step(h: np.ndarray, d_e: np.ndarray, state: np.ndarray, targets: list[np.nd
         g_targets = [_masked(g @ pooled.T, mask) for g, mask in zip(gs, target_masks)]
         return g_targets, g_h, source @ g_pooled
 
-    return [t @ pooled for t in dropped], vjp
+    return [np.matmul(t, pooled, out=o) for t, o in zip(dropped, outs)], vjp
 
 
 def hypergraph_pass(features: np.ndarray, v_m: ad.Tensor, w_m: ad.Tensor, x_rows: sp.spmatrix,
@@ -116,10 +116,12 @@ def hypergraph_pass(features: np.ndarray, v_m: ad.Tensor, w_m: ad.Tensor, x_rows
 
     e_cur, earlier = features @ w_m.data, []
     for _ in range(steps - 1):
-        (e_cur,), vjp = _step(h, d_e, e_cur, [h], drop_rate, rng)
+        (e_cur,), vjp = _step(h, d_e, e_cur, [h], drop_rate, rng, [None])
         earlier.append(vjp)
-    (e_items, e_users), last = _step(h, d_e, e_cur, [h[item_rows], x_rows @ h], drop_rate, rng)
-    n_users = e_users.shape[0]
+    n_users = x_rows.shape[0]
+    stacked = np.empty((n_users + len(item_rows), e_cur.shape[1]))
+    _, last = _step(h, d_e, e_cur, [h[item_rows], x_rows @ h], drop_rate, rng,
+                    [stacked[n_users:], stacked[:n_users]])
 
     def backward(g):
         (g_items, g_users), g_h, g_state = last([g[n_users:], g[:n_users]])
@@ -134,4 +136,4 @@ def hypergraph_pass(features: np.ndarray, v_m: ad.Tensor, w_m: ad.Tensor, x_rows
         g_h *= h
         return g_h.T @ features, features.T @ g_state
 
-    return ad.custom_op(np.concatenate([e_users, e_items]), (v_m, w_m), backward)
+    return ad.custom_op(stacked, (v_m, w_m), backward)

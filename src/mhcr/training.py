@@ -6,7 +6,7 @@ the epoch loop with early stopping on validation Recall@20."""
 from __future__ import annotations
 
 import logging
-from dataclasses import astuple, dataclass, field
+from dataclasses import astuple, dataclass
 from typing import Sequence
 
 import numpy as np
@@ -276,22 +276,18 @@ class Batch:
 
 @dataclass
 class ForwardResult:
-    """Per-view embeddings plus the training losses (train mode).
+    """The fused embeddings and, in train mode, the training losses; no
+    view is kept (a train-mode tape reaches them through `total`).
 
-    Row r of each view tensor is global node `nodes[r]`: every node in
-    order (`np.arange(|U| + |I|)`) in eval mode, and only the rows the
-    losses read in train mode: the batch's unique users, then its unique
-    items. BPR reads a row per triple; the contrastive losses read the
-    unique users and the unique positives, as two pools. A disabled view
-    is None.
+    Row r of `fused` is global node `nodes[r]`: every node in order
+    (`np.arange(|U| + |I|)`) in eval mode, and only the rows the losses
+    read in train mode: the batch's unique users, then its unique items.
+    BPR reads a row per triple; the contrastive losses read the unique
+    users and the unique positives, as two pools.
     """
 
-    e_ui: ad.Tensor | None
-    e_ii: ad.Tensor | None
-    e_h: ad.Tensor | None
     fused: ad.Tensor
     nodes: np.ndarray
-    hyper_stacks: list[ad.Tensor] = field(default_factory=list)
     total: ad.Tensor | None = None
     breakdown: LossBreakdown | None = None
 
@@ -380,6 +376,8 @@ def forward(
     those rows. Eval mode takes every node in order, disables dropout and
     computes no losses. Either mode records a tape through the parameters
     that require gradients; `compute_embeddings` passes constants instead.
+    The result keeps no view: each is freed once the sum that reads it
+    exists, or in train mode once the losses have read it.
 
     A view whose flag is off is not computed and is left out of the sums,
     without touching the remaining views' computations. A contrastive loss
@@ -401,33 +399,30 @@ def forward(
         nodes, n_user_rows = np.arange(num_users + num_items), num_users
     user_rows, item_rows = nodes[:n_user_rows], nodes[n_user_rows:] - num_users
 
-    e_ui = propagate_ui(views.adjacency, params.e0, cfg.layers, nodes) if cfg.use_ui else None
-    e_ii = e_h = None
+    # the hypergraph view first, so its stacks are freed before the graph
+    # views run; no other view draws from `rng`, so the order moves no bit
+    stacks, e_h = [], None
+    if cfg.use_hem:
+        rng, x_rows = np.random.default_rng(rng), views.x_u[user_rows]
+        drop = cfg.drop_rate if train_mode else 0.0
+        stacks = [hypergraph_pass(f.matrix, params.named[f"V_{f.modality}"],
+                                  params.named[f"W_{f.modality}"], x_rows, drop, cfg.hyper_steps,
+                                  rng, item_rows) for f in views.features]
+        e_h = ad.add(*stacks)
+        del x_rows
+        if not train_mode:
+            stacks = []  # only the cross-modal loss reads them past their sum
+    graph_views = []
+    if cfg.use_ui:
+        graph_views.append(propagate_ui(views.adjacency, params.e0, cfg.layers, nodes))
     if cfg.use_ii:
         weights = [params.named[f"W_{f.modality}"] for f in views.features]
-        e_ii = propagate_items(views.smoothed, weights, item_rows, n_user_rows)
-
-    hyper_stacks: list[ad.Tensor] = []
-    if cfg.use_hem:
-        if not isinstance(rng, np.random.Generator):
-            rng = np.random.default_rng(rng)
-        drop = cfg.drop_rate if train_mode else 0.0
-        x_rows = views.x_u[user_rows]
-        for feats in views.features:
-            hyper_stacks.append(hypergraph_pass(
-                feats.matrix, params.named[f"V_{feats.modality}"],
-                params.named[f"W_{feats.modality}"], x_rows, drop, cfg.hyper_steps, rng, item_rows
-            ))
-        e_h = ad.add(*hyper_stacks)
-
-    graph_views = [view for view in (e_ui, e_ii) if view is not None]
+        graph_views.append(propagate_items(views.smoothed, weights, item_rows, n_user_rows))
     e_graph = ad.add(*graph_views) if graph_views else None
+    del graph_views
     fused = ad.add(*(view for view in (e_graph, e_h) if view is not None))
-    result = ForwardResult(
-        e_ui=e_ui, e_ii=e_ii, e_h=e_h, fused=fused, hyper_stacks=hyper_stacks, nodes=nodes
-    )
     if not train_mode:
-        return result
+        return ForwardResult(fused, nodes)
 
     user_local, pos_local, neg_local = np.split(
         local, np.cumsum([len(batch.users), len(batch.pos_items)])
@@ -436,15 +431,14 @@ def forward(
     pools = (np.arange(n_user_rows), np.unique(pos_local))
     l_hc = l_ghc = 0.0
     if cfg.use_hem and cfg.lambda_hc > 0:
-        l_hc = hyper_contrastive_loss(hyper_stacks, pools, cfg.tau)
+        l_hc = hyper_contrastive_loss(stacks, pools, cfg.tau)
     if cfg.use_hem and cfg.lambda_ghc > 0 and e_graph is not None:
         l_ghc = graph_hyper_contrastive_loss(e_graph, e_h, pools, cfg.tau)
     l_reg = embedding_l2(params.e0, nodes[local])
 
-    result.total, result.breakdown = total_loss(
+    return ForwardResult(fused, nodes, *total_loss(
         l_bpr, l_hc, l_ghc, l_reg, cfg.lambda_hc, cfg.lambda_ghc, cfg.lambda_reg
-    )
-    return result
+    ))
 
 
 def backward_and_step(total: ad.Tensor, params: ModelParameters, optimizer: Adam) -> None:
@@ -466,8 +460,8 @@ def compute_embeddings(
 
     The forward pass runs on the parameters' values wrapped as constants, so
     it records no tape. The two blocks are views of one array allocated
-    before the pass: callers keep it while the pass's temporaries are freed,
-    and a heap can only shrink back to its highest live block."""
+    before the pass, the only one kept: callers keep it while the pass's
+    views are freed, and a heap can only shrink back to its highest block."""
     fused = np.empty(params.e0.shape)
     frozen = ModelParameters(
         params.num_users, {n: ad.constant(t.data) for n, t in params.named.items()}, params.config

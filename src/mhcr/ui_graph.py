@@ -59,7 +59,7 @@ def propagate_ui(adjacency: sp.csr_matrix, e0, layers: int, rows: np.ndarray) ->
     out = current[rows]
     for _ in range(layers - 1):
         current = adjacency @ current
-        out = out + current[rows]
+        out += current[rows]
 
     def backward(g):
         grad = last_adjacency.T @ g
@@ -69,4 +69,5 @@ def propagate_ui(adjacency: sp.csr_matrix, e0, layers: int, rows: np.ndarray) ->
         ad.add_rows(grad, rows, g)
         return (grad,)
 
-    return ad.custom_op(out + last_adjacency @ current, (e0,), backward)
+    out += last_adjacency @ current
+    return ad.custom_op(out, (e0,), backward)

@@ -6,14 +6,16 @@ the incidence softmax, D_e and each broadcast as nodes of their own) and
 of the BPR and L2 objectives, which the single-node versions must match;
 the hypergraph view with H_i, H_u, each step's pool and each broadcast
 one node (`per_broadcast_incidence`, `per_broadcast_pass`); the forward pass
-assembled from those generic ops and views (`tape_forward`), which the
-model-node forward must match to a relative 1e-12; the user-by-user
-negative sampler and split that the whole-array `sample_negatives` and
-`split_dataset` must reproduce; and the user-by-user cold-start slice,
-ranking and metrics that the block `evaluate` must reproduce byte for
-byte."""
+assembled from those generic ops and views (`tape_forward`, which keeps
+every view), which the model-node forward must match to a relative
+1e-12; the user-by-user negative sampler and split that the whole-array
+`sample_negatives` and `split_dataset` must reproduce; and the
+user-by-user cold-start slice, ranking and metrics that the block
+`evaluate` must reproduce byte for byte."""
 
 from __future__ import annotations
+
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import expit
@@ -24,6 +26,7 @@ from mhcr.dataio import TEST, TRAIN, VAL, InteractionDataset
 from mhcr.errors import ConfigError, ShapeError
 from mhcr.evaluation import SLICE_ALL, SLICE_COLD, EvalReport, MetricRecord
 from mhcr.objectives import (
+    LossBreakdown,
     bpr_loss,
     embedding_l2,
     graph_hyper_contrastive_loss,
@@ -327,6 +330,22 @@ def per_broadcast_pass(incidence, e_items, drop_rate, steps, rng, item_rows):
     return _broadcast(h_items, pooled, drop_rate, rng, h_users), e_next
 
 
+@dataclass
+class TapeForwardResult:
+    """What `training.ForwardResult` holds, plus the tensors of every view:
+    the UI, item and hypergraph views (a zero tensor when off) and each
+    modality's hypergraph stack."""
+
+    e_ui: ad.Tensor
+    e_ii: ad.Tensor
+    e_h: ad.Tensor
+    hyper_stacks: list[ad.Tensor]
+    fused: ad.Tensor
+    nodes: np.ndarray
+    total: ad.Tensor | None = None
+    breakdown: LossBreakdown | None = None
+
+
 def tape_forward(params, views, cfg, batch=None, mode="train", rng=None):
     """`training.forward` assembled from generic ops: the item view as
     `concat_rows` of zero user rows and `matmul`s of the rows of S_m F_m, a
@@ -376,9 +395,7 @@ def tape_forward(params, views, cfg, batch=None, mode="train", rng=None):
 
     e_graph = ad.add(e_ui, e_ii)
     fused = ad.add(e_graph, e_h)
-    result = training.ForwardResult(
-        e_ui=e_ui, e_ii=e_ii, e_h=e_h, fused=fused, hyper_stacks=hyper_stacks, nodes=nodes
-    )
+    result = TapeForwardResult(e_ui, e_ii, e_h, hyper_stacks, fused, nodes)
     if not train_mode:
         return result
 

@@ -227,6 +227,16 @@ class TestPass:
             assert (np.abs(mean - exact) <= 3.0 * stderr).all()
 
 
+def modality_stacks(params, views, cfg) -> list[np.ndarray]:
+    """Each modality's stack as eval mode computes it: `hypergraph_pass`
+    without dropout over every user and every item."""
+    items = np.arange(params.num_items)
+    return [hypergraph_pass(f.matrix, params.named[f"V_{f.modality}"],
+                            params.named[f"W_{f.modality}"], views.x_u, 0.0, cfg.hyper_steps,
+                            seeded(0), items).data
+            for f in views.features]
+
+
 @pytest.mark.parametrize("hyper_steps", [1, 2, 3, 4, 5])
 def test_rows_stay_in_the_convex_hull_of_the_item_state(hyper_steps):
     # without dropout both broadcasts are row-stochastic, so no row of a
@@ -237,29 +247,31 @@ def test_rows_stay_in_the_convex_hull_of_the_item_state(hyper_steps):
     params = init_parameters(cfg, ds.num_users, ds.num_items, views.modality_dims)
     for f in feats:
         params.named[f"V_{f.modality}"].data *= 10.0  # sharper incidence rows
-    result = forward(params, views, cfg, mode="eval")
-    for f, stacked in zip(views.features, result.hyper_stacks):
+    stacks = modality_stacks(params, views, cfg)
+    assert len(stacks) == len(feats) == 2
+    for f, stacked in zip(views.features, stacks):
         bound = np.linalg.norm(f.matrix @ params.named[f"W_{f.modality}"].data, axis=1).max()
-        assert np.linalg.norm(stacked.data, axis=1).max() <= bound + 1e-12, f.modality
+        assert np.linalg.norm(stacked, axis=1).max() <= bound + 1e-12, f.modality
 
 
 def hyper_view(features, edit=None):
-    """The eval-mode forward of the micro dataset over `features`, after
-    `edit` has changed the named parameters in place."""
+    """The eval-mode hypergraph view of the micro dataset over `features`
+    (the fused rows of a `forward` with that view alone on) and each
+    modality's stack, after `edit` has changed the named parameters in
+    place."""
     ds, _ = micro_dataset()
-    cfg = micro_config()
+    cfg = micro_config(use_ui=False, use_ii=False)
     views = build_views(ds, features, cfg)
     params = init_parameters(cfg, ds.num_users, ds.num_items, views.modality_dims)
     if edit is not None:
         edit(params.named)
-    return forward(params, views, cfg, mode="eval")
+    return forward(params, views, cfg, mode="eval").fused.data, modality_stacks(params, views, cfg)
 
 
 class TestAggregate:
     def test_single_modality_is_identity(self):
-        result = hyper_view(micro_dataset()[1][:1])
-        (stacked,) = result.hyper_stacks
-        assert np.array_equal(result.e_h.data, stacked.data)
+        e_h, (stacked,) = hyper_view(micro_dataset()[1][:1])
+        assert np.array_equal(e_h, stacked)
 
     def test_two_identical_modalities_double(self):
         image = micro_dataset()[1][0].matrix
@@ -269,10 +281,9 @@ class TestAggregate:
             for kind in ("W", "V"):
                 named[f"{kind}_text"].data[...] = named[f"{kind}_image"].data
 
-        result = hyper_view(feats, tie)
-        a, b = result.hyper_stacks
-        assert np.array_equal(a.data, b.data)
-        assert np.array_equal(result.e_h.data, 2.0 * a.data)
+        e_h, (a, b) = hyper_view(feats, tie)
+        assert np.array_equal(a, b)
+        assert np.array_equal(e_h, 2.0 * a)
 
     def test_disjoint_supports_add(self):
         # the pass is linear in the item state feats @ W, so zeroing W's
@@ -281,8 +292,7 @@ class TestAggregate:
             named["W_image"].data[:, 4:] = 0.0
             named["W_text"].data[:, :4] = 0.0
 
-        result = hyper_view(micro_dataset()[1], split_columns)
-        a, b = (stacked.data for stacked in result.hyper_stacks)
+        e_h, (a, b) = hyper_view(micro_dataset()[1], split_columns)
         assert a[:, :4].any() and not a[:, 4:].any()
         assert b[:, 4:].any() and not b[:, :4].any()
-        assert np.array_equal(result.e_h.data, a + b)
+        assert np.array_equal(e_h, a + b)

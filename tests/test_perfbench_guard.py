@@ -5,12 +5,15 @@ renames or reshapes any of them."""
 
 import importlib.util
 import inspect
+import json
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from mhcr import checkpoint, dataio, evaluation, training
+
+from conftest import micro_batch
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -73,3 +76,16 @@ def test_tracer_reads_the_forward_mode_at_its_position(spans):
     args = (None,) * 4
     assert spans._forward_name(args + ("eval",), {}) == "training.forward_eval"
     assert spans._forward_name(args, {"mode": "train"}) == "training.forward"
+
+
+def test_a_train_forward_has_the_fields_the_probe_reads(micro):
+    # the training probe steps on `total` and records the breakdown's parts
+    # as JSON, as `fit` does
+    ds, _, cfg, views = micro
+    params = training.init_parameters(cfg, ds.num_users, ds.num_items, views.modality_dims)
+    result = training.forward(params, views, cfg, batch=micro_batch(), mode="train", rng=0)
+    training.backward_and_step(result.total, params,
+                               training.Adam(params.tensors(), cfg.learning_rate))
+    b = result.breakdown
+    row = [b.l_bpr, b.l_hc, b.l_ghc, b.l_reg, b.total]
+    assert np.isfinite(row).all() and json.loads(json.dumps(row)) == row

@@ -46,6 +46,8 @@ from conftest import assert_grad_close, finite_difference, micro_batch, micro_co
 from oracles import sample_negatives_by_user, tape_forward, train_sets_by_user
 
 MASK_SEED = 1234
+VIEW_FLAGS = ("use_ui", "use_ii", "use_hem")
+VIEW_FUNCTIONS = ("propagate_ui", "propagate_items", "hypergraph_pass")
 
 
 def make_params(cfg, ds, views, seed=None):
@@ -154,6 +156,30 @@ class TestNegativeSampling:
         assert np.array_equal(a, b)
 
 
+def alone(cfg, *flags):
+    """`cfg` with only the views `flags` on: `forward`'s fused rows are then
+    their sum, and with one flag that view itself."""
+    return replace(cfg, **{flag: flag in flags for flag in VIEW_FLAGS})
+
+
+def per_modality(views):
+    """One `ViewInputs` per modality, holding that modality alone."""
+    return [replace(views, smoothed=[s], features=[f])
+            for s, f in zip(views.smoothed, views.features)]
+
+
+def capture_views(monkeypatch) -> dict:
+    """Record each view tensor `forward` computes, by view function name, in
+    call order: one `hypergraph_pass` per modality."""
+    calls = {name: [] for name in VIEW_FUNCTIONS}
+    for name in VIEW_FUNCTIONS:
+        def record(*args, _name=name, _view=getattr(training, name)):
+            calls[_name].append(_view(*args))
+            return calls[_name][-1]
+        monkeypatch.setattr(training, name, record)
+    return calls
+
+
 class TestForward:
     def test_eval_deterministic(self, micro):
         ds, _, cfg, views = micro
@@ -172,7 +198,7 @@ class TestForward:
         assert result.breakdown.l_ghc == 0.0
 
         local = {node: row for row, node in enumerate(result.nodes.tolist())}
-        e_ui = result.e_ui.data
+        e_ui = result.fused.data  # the UI view alone is on
 
         def rows(nodes):
             return e_ui[[local[node] for node in nodes.tolist()]]
@@ -187,45 +213,52 @@ class TestForward:
             expected + cfg.lambda_reg * result.breakdown.l_reg, abs=1e-12
         )
 
-    def test_hem_off_forces_contrastive_zero(self, micro):
+    def test_hem_off_forces_contrastive_zero(self, micro, monkeypatch):
         ds, _, _, views = micro
         cfg = micro_config(use_hem=False)
         params = make_params(cfg, ds, views)
+        calls = capture_views(monkeypatch)
         result = forward(params, views, cfg, batch=micro_batch(), mode="train", rng=MASK_SEED)
         assert result.breakdown.l_hc == 0.0
         assert result.breakdown.l_ghc == 0.0
-        assert result.e_h is None and result.hyper_stacks == []
+        # no hypergraph view: the fused rows are the two graph views' sum
+        assert calls["hypergraph_pass"] == []
+        (e_ui,), (e_ii,) = calls["propagate_ui"], calls["propagate_items"]
+        assert np.array_equal(result.fused.data, e_ui.data + e_ii.data)
 
-    def test_disabling_one_view_leaves_others_bitwise_identical(self, micro):
+    def test_disabling_one_view_leaves_others_bitwise_identical(self, micro, monkeypatch):
         ds, _, cfg, views = micro
         params = make_params(cfg, ds, views)
         batch = micro_batch()
-        full = forward(params, views, cfg, batch=batch, mode="train", rng=MASK_SEED)
-        for flag, off, others in (
-            ("use_ui", "e_ui", ("e_ii", "e_h")),
-            ("use_ii", "e_ii", ("e_ui", "e_h")),
-            ("use_hem", "e_h", ("e_ui", "e_ii")),
-        ):
+        calls = capture_views(monkeypatch)
+        forward(params, views, cfg, batch=batch, mode="train", rng=MASK_SEED)
+        full = {name: [view.data for view in outputs] for name, outputs in calls.items()}
+        assert len(full["hypergraph_pass"]) == len(views.features)
+        for flag, off in zip(VIEW_FLAGS, VIEW_FUNCTIONS):
+            for outputs in calls.values():
+                outputs.clear()
             ablated_cfg = micro_config(**{flag: False})
-            ablated = forward(params, views, ablated_cfg, batch=batch, mode="train", rng=MASK_SEED)
-            assert getattr(ablated, off) is None, flag
-            for view in others:
-                assert np.array_equal(
-                    getattr(full, view).data, getattr(ablated, view).data
-                ), (flag, view)
+            forward(params, views, ablated_cfg, batch=batch, mode="train", rng=MASK_SEED)
+            assert calls[off] == [], flag
+            for name in VIEW_FUNCTIONS:
+                if name != off:
+                    assert len(calls[name]) == len(full[name]) > 0, (flag, name)
+                    for got, expected in zip(calls[name], full[name]):
+                        assert np.array_equal(got.data, expected), (flag, name)
 
     def test_fusion_is_sum_of_views(self, micro):
         ds, _, cfg, views = micro
         params = make_params(cfg, ds, views)
         result = forward(params, views, cfg, mode="eval")
-        views_sum = result.e_ui.data + result.e_ii.data + result.e_h.data
+        e_ui, e_ii, e_h = (forward(params, views, alone(cfg, flag), mode="eval").fused.data
+                           for flag in VIEW_FLAGS)
+        views_sum = e_ui + e_ii + e_h
         assert np.array_equal(result.fused.data, views_sum)
         # the hypergraph view adds the modalities' stacks, left to right
-        image, text = result.hyper_stacks
-        assert np.array_equal(result.e_h.data, image.data + text.data)
-        one = replace(views, smoothed=views.smoothed[:1], features=views.features[:1])
-        alone = forward(params, one, cfg, mode="eval")
-        assert np.array_equal(alone.e_h.data, image.data)
+        hem = alone(cfg, "use_hem")
+        image, text = (forward(params, one, hem, mode="eval").fused.data
+                       for one in per_modality(views))
+        assert np.array_equal(e_h, image + text)
         user_emb, item_emb = compute_embeddings(params, views, cfg)
         assert np.array_equal(np.vstack([user_emb, item_emb]), views_sum)
 
@@ -239,10 +272,13 @@ class TestForward:
             return passes[-1]
 
         monkeypatch.setattr(training, "forward", recorded_forward)
+        calls = capture_views(monkeypatch)
         compute_embeddings(params, views, cfg)
         (result,) = passes
-        outputs = [result.e_ui, result.e_ii, result.e_h, result.fused, *result.hyper_stacks]
-        assert result.hyper_stacks
+        assert len(calls["hypergraph_pass"]) == len(views.features)
+        outputs = [*calls["propagate_ui"], *calls["propagate_items"], *calls["hypergraph_pass"],
+                   result.fused]
+        assert len(outputs) == len(views.features) + 3
         for tensor in outputs:
             assert tensor._backward is None and tensor._parents == ()
             assert not tensor.requires_grad
@@ -317,8 +353,10 @@ def batch_row_instance():
 def full_node_losses(params, views, cfg, batch, num_users):
     """The training losses recomputed from eval-mode (all-node) views
     gathered at the batch's global node ids, the contrastive losses over
-    the unique users and the unique positives."""
+    the unique users and the unique positives. Each view is the fused rows
+    of an eval-mode `forward` with that view alone on."""
     full = forward(params, views, cfg, mode="eval")
+    hem = alone(cfg, "use_hem")
     user_nodes = np.asarray(batch.users)
     pos_nodes = num_users + np.asarray(batch.pos_items)
     neg_nodes = num_users + np.asarray(batch.neg_items)
@@ -326,10 +364,13 @@ def full_node_losses(params, views, cfg, batch, num_users):
     pools = (np.unique(user_nodes), np.unique(pos_nodes))
     l_hc = l_ghc = 0.0
     if cfg.use_hem and cfg.lambda_hc > 0:
-        l_hc = hyper_contrastive_loss(full.hyper_stacks, pools, cfg.tau)
+        stacks = [forward(params, one, hem, mode="eval").fused for one in per_modality(views)]
+        assert len(stacks) == len(views.features) >= 2
+        l_hc = hyper_contrastive_loss(stacks, pools, cfg.tau)
     if cfg.use_hem and cfg.lambda_ghc > 0 and (cfg.use_ui or cfg.use_ii):
-        e_graph = ad.add(*(view for view in (full.e_ui, full.e_ii) if view is not None))
-        l_ghc = graph_hyper_contrastive_loss(e_graph, full.e_h, pools, cfg.tau)
+        e_graph = forward(params, views, replace(cfg, use_hem=False), mode="eval").fused
+        e_h = forward(params, views, hem, mode="eval").fused
+        l_ghc = graph_hyper_contrastive_loss(e_graph, e_h, pools, cfg.tau)
     reg_nodes = np.concatenate([user_nodes, pos_nodes, neg_nodes])
     l_reg = embedding_l2(params.e0, reg_nodes)
     return total_loss(l_bpr, l_hc, l_ghc, l_reg, cfg.lambda_hc, cfg.lambda_ghc, cfg.lambda_reg)
@@ -372,10 +413,11 @@ class TestBatchRows:
             scale = np.abs(expected_grads[name]).max()
             assert np.abs(tensor.grad - expected_grads[name]).max() <= 1e-12 * scale, name
 
-    def test_nodes_are_the_unique_batch_rows(self):
+    def test_nodes_are_the_unique_batch_rows(self, monkeypatch):
         ds, feats, batch = batch_row_instance()
         cfg = micro_config()
         views = build_views(ds, feats, cfg)
+        calls = capture_views(monkeypatch)
         result = forward(
             make_params(cfg, ds, views), views, cfg, batch=batch, mode="train", rng=MASK_SEED
         )
@@ -383,8 +425,11 @@ class TestBatchRows:
         assert np.array_equal(
             result.nodes, np.concatenate([np.unique(batch.users), ds.num_users + items])
         )
-        for view in ("e_ui", "e_ii", "e_h", "fused"):
-            assert getattr(result, view).shape == (result.nodes.size, cfg.d), view
+        assert [len(calls[name]) for name in VIEW_FUNCTIONS] == [1, 1, len(views.features)]
+        for name in VIEW_FUNCTIONS:
+            for view in calls[name]:
+                assert view.shape == (result.nodes.size, cfg.d), name
+        assert result.fused.shape == (result.nodes.size, cfg.d)
         eval_nodes = forward(make_params(cfg, ds, views), views, cfg, mode="eval").nodes
         assert np.array_equal(eval_nodes, np.arange(ds.num_users + ds.num_items))
 
