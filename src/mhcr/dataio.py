@@ -6,7 +6,6 @@ from __future__ import annotations
 import io
 import logging
 import struct
-from array import array
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -23,10 +22,6 @@ TRAIN, VAL, TEST = 0, 1, 2
 _FEATURE_MAGIC = b"MHCRFEAT"
 _FEATURE_VERSION = 1
 _FEATURE_HEADER = struct.Struct("<8sIBQQ")
-
-# A TSV made only of these bytes is parsed whole by numpy's C reader; any
-# other file, or one that reader rejects, is read line by line.
-_PLAIN_TSV_BYTES = b"0123456789-\t\n"
 
 
 def pair_keys(users: np.ndarray, items: np.ndarray, num_users: int, num_items: int) -> np.ndarray:
@@ -145,78 +140,70 @@ def validate_features(ds: InteractionDataset, features: Sequence[ModalityFeature
         raise DataError("duplicate modality tags")
 
 
-def _int_columns_by_line(path: Path, layout: str) -> tuple[array, np.ndarray]:
-    """The fields of a UTF-8 TSV whose non-blank lines read `layout` (e.g.
-    'user<TAB>item') as int64 columns, and the line number of each row.
-    Each field is what `int()` accepts; this reader defines the grammar and
-    every `ParseError`."""
-    width = layout.count("<TAB>") + 1
-    linenos, values = array("q"), array("q")  # int64 buffers keep no int object per entry
-    # a byte that is not UTF-8 reads as a lone surrogate, which no int() accepts
-    with path.open("r", encoding="utf-8", errors="surrogateescape") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            row = line.split("\t")  # int() ignores the last field's newline
-            if len(row) != width:
-                if line == "\n":
-                    continue
-                raise _line_error(path, lineno, line, f"expected {layout!r}, got")
-            try:
-                values.extend(map(int, row))
-            except ValueError:
-                raise _line_error(path, lineno, line, "non-integer field in") from None
-            except OverflowError:
-                raise _line_error(path, lineno, line, "field outside int64 in") from None
-            linenos.append(lineno)
-    return linenos, np.frombuffer(values, dtype=np.int64).reshape(-1, width).T.copy()
-
-
-def _line_error(path: Path, lineno: int, line: str, problem: str) -> ParseError:
-    text = line.rstrip("\n")
-    try:
-        text.encode("utf-8")
-    except UnicodeEncodeError:
-        problem = "bytes that are not UTF-8 in"
-    return ParseError(f"{path}:{lineno}: {problem} {text!r}")
+def _lines(raw: bytes):
+    """The number and bytes of each non-blank line, without its '\\n' or '\\r\\n'."""
+    for lineno, line in enumerate(raw.replace(b"\r\n", b"\n").split(b"\n"), start=1):
+        if line:
+            yield lineno, line
 
 
 def _int_columns(path: Path, layout: str) -> np.ndarray:
-    """`_int_columns_by_line`'s columns. A non-empty file of digits, '-',
-    tabs and newlines is parsed whole by numpy's C reader, which accepts a
-    subset of the line reader's grammar; every other file, and every file
-    that reader rejects, goes through the line reader."""
+    """The int64 columns of a TSV whose non-blank lines read `layout` (e.g.
+    'user<TAB>item'): each field is ASCII digits after an optional '-',
+    fields are split by single tabs, and lines end in '\\n' or '\\r\\n'.
+    numpy's C reader parses a file of that grammar's bytes in one pass; only
+    a file that fails is scanned, to name its first bad line in a ParseError."""
     raw = path.read_bytes()
-    if raw.count(b"\n") < len(raw) and not raw.translate(None, _PLAIN_TSV_BYTES):
+    width = layout.count("<TAB>") + 1
+    # loadtxt would take a lone '\r' at the end of the file for a line end
+    if not raw.translate(None, b"0123456789-\t\r\n") and raw.count(b"\r") == raw.count(b"\r\n"):
+        if not raw.strip(b"\r\n"):  # blank lines only, which loadtxt warns of
+            return np.empty((width, 0), dtype=np.int64)
         try:
             table = np.loadtxt(io.StringIO(raw.decode("ascii")), dtype=np.int64,
                                delimiter="\t", comments=None, ndmin=2)
-        except ValueError:
-            table = None
-        if table is not None and table.shape[1] == layout.count("<TAB>") + 1:
-            return table.T.copy()
-    return _int_columns_by_line(path, layout)[1]
+            if table.shape[1] == width:
+                return table.T.copy()
+        except ValueError:  # a bad field, or rows of another width
+            pass
+    for lineno, line in _lines(raw):
+        fields = line.split(b"\t")
+        if len(fields) != width:
+            problem = f"expected {layout!r}, got"
+        elif not all(field.removeprefix(b"-").isdigit() for field in fields):
+            problem = "non-integer field in"
+        elif not all(-2**63 <= int(field) < 2**63 for field in fields):
+            problem = "field outside int64 in"
+        else:
+            continue
+        text = line.decode("utf-8", errors="surrogateescape")
+        if text != line.decode("utf-8", errors="replace"):  # the two differ at non-UTF-8 bytes
+            problem = "bytes that are not UTF-8 in"
+        raise ParseError(f"{path}:{lineno}: {problem} {text!r}")
+    raise AssertionError(f"{path}: numpy's reader rejected a file of valid lines")
 
 
-def _line_of_row(path: Path, layout: str, row: int) -> int:
+def _line_of_row(path: Path, row: int) -> int:
     """The line number of data row `row`, for an error message."""
-    return _int_columns_by_line(path, layout)[0][row]
+    return [lineno for lineno, _ in _lines(path.read_bytes())][row]
 
 
 def load_interactions(path: str | Path) -> InteractionDataset:
-    """Read a UTF-8 TSV of `user<TAB>item` integer pairs (no header).
+    """Read a TSV of `user<TAB>item` integer pairs (no header) in the ASCII
+    grammar of `_int_columns`, which `save_interactions` writes.
 
     Duplicate pairs are dropped (first occurrence kept) with a warning that counts them.
     """
     path = Path(path)
     if not path.is_file():
         raise DataError(f"interactions file not found or not a file: {path}")
-    layout = "user<TAB>item"
-    u_arr, i_arr = _int_columns(path, layout)
+    u_arr, i_arr = _int_columns(path, "user<TAB>item")
     if not u_arr.size:
         raise DataError(f"{path}: no interactions")
     negative = np.flatnonzero((u_arr < 0) | (i_arr < 0))
     if negative.size:
         row = negative[0]
-        lineno = _line_of_row(path, layout, row)
+        lineno = _line_of_row(path, row)
         raise DataError(f"{path}:{lineno}: negative id in ({u_arr[row]}, {i_arr[row]})")
     num_users = int(u_arr.max()) + 1
     num_items = int(i_arr.max()) + 1
@@ -454,17 +441,17 @@ def save_split(ds: InteractionDataset, path: str | Path) -> None:
 
 
 def load_split(ds: InteractionDataset, path: str | Path) -> InteractionDataset:
-    """Attach a sidecar split to `ds`. Every pair of a user with a line in
-    the sidecar must be covered; the pairs of users without one are dropped
-    and counted in `num_dropped_users`, as `split_dataset` drops them."""
+    """Attach a sidecar split to `ds`, read in `_int_columns`' grammar as
+    `save_split` writes it. Every pair of a user with a line in the sidecar
+    must be covered; the pairs of users without one are dropped and counted
+    in `num_dropped_users`, as `split_dataset` drops them."""
     path = Path(path)
     if not path.is_file():
         raise DataError(f"split file not found or not a file: {path}")
-    layout = "user<TAB>item<TAB>label"
-    users, items, split = _int_columns(path, layout)
+    users, items, split = _int_columns(path, "user<TAB>item<TAB>label")
     bad = np.flatnonzero(~np.isin(split, (TRAIN, VAL, TEST)))
     if bad.size:
-        raise ParseError(f"{path}:{_line_of_row(path, layout, bad[0])}: label must be 0, 1, or 2")
+        raise ParseError(f"{path}:{_line_of_row(path, bad[0])}: label must be 0, 1, or 2")
     # last line first: np.unique keeps a repeated pair's last label
     inside = np.flatnonzero((users >= 0) & (users < ds.num_users) & (items >= 0)
                             & (items < ds.num_items))[::-1]

@@ -9,12 +9,14 @@ one node (`per_broadcast_incidence`, `per_broadcast_pass`); the forward pass
 assembled from those generic ops and views (`tape_forward`, which keeps
 every view), which the model-node forward must match to a relative
 1e-12; the user-by-user negative sampler and split that the whole-array
-`sample_negatives` and `split_dataset` must reproduce; and the
-user-by-user cold-start slice, ranking and metrics that the block
-`evaluate` must reproduce byte for byte."""
+`sample_negatives` and `split_dataset` must reproduce; a regex reader
+of the TSV grammar that `mhcr` writes (`read_tsv`), which `dataio`'s one
+reader must match; and the user-by-user cold-start slice, ranking and
+metrics that the block `evaluate` must reproduce byte for byte."""
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -414,6 +416,23 @@ def tape_forward(params, views, cfg, batch=None, mode="train", rng=None):
         l_bpr, l_hc, l_ghc, l_reg, cfg.lambda_hc, cfg.lambda_ghc, cfg.lambda_reg
     )
     return result
+
+
+def read_tsv(raw: bytes, width: int) -> np.ndarray | int:
+    """The int64 columns of a TSV read line by line: each non-blank line is
+    `width` fields of `-?[0-9]+` within int64 joined by single tabs, and a
+    line ends in '\\n' or '\\r\\n' (the last one may end in neither). A
+    file outside that grammar gives the number of its first bad line."""
+    pattern = re.compile(rb"\t".join([rb"(-?[0-9]+)"] * width))
+    rows = []
+    for lineno, line in enumerate(re.split(rb"\r?\n", raw), start=1):
+        if not line:
+            continue
+        match = pattern.fullmatch(line)
+        if match is None or not all(-(2**63) <= int(v) < 2**63 for v in match.groups()):
+            return lineno
+        rows.append([int(v) for v in match.groups()])
+    return np.array(rows, dtype=np.int64).reshape(-1, width).T
 
 
 def train_sets_by_user(ds: InteractionDataset) -> list[frozenset[int]]:

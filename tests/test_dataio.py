@@ -1,7 +1,9 @@
 """Dataset loading, splitting, synthesis, cold-start slicing, and file formats."""
 
 import logging
+import re
 import tempfile
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -31,7 +33,7 @@ from mhcr.dataio import (
 )
 from mhcr.errors import ConfigError, DataError, ParseError
 from mhcr.evaluation import SLICE_COLD, _slice_users
-from oracles import split_by_user
+from oracles import read_tsv, split_by_user
 
 
 def write(tmp_path, text, name="inter.tsv"):
@@ -400,50 +402,111 @@ FIELDS = st.integers(-(2**64), 2**64).map(str) | st.integers(0, 99).map("{:03d}"
 @st.composite
 def tsv_cases(draw):
     """A layout and a text: free token soup, or rows of mostly that many
-    integer fields with stray tokens, other widths and blank lines."""
+    integer fields with stray tokens (on their own or glued to a field),
+    other widths and blank lines."""
     layout = draw(st.sampled_from(LAYOUTS))
     if draw(st.integers(0, 3)) == 0:
         return layout, "".join(draw(st.lists(TOKENS, max_size=40)))
     width = layout.count("<TAB>") + 1
     row = st.lists(FIELDS, min_size=width, max_size=width)
     if draw(st.booleans()):
-        row = row | st.lists(FIELDS | TOKENS, min_size=1, max_size=4) | st.just([])
+        glued = st.tuples(TOKENS, FIELDS).map("".join) | st.tuples(FIELDS, TOKENS).map("".join)
+        row = (row | st.lists(FIELDS | glued, min_size=width, max_size=width)
+               | st.lists(FIELDS | TOKENS, min_size=1, max_size=4) | st.just([]))
     rows = draw(st.lists(row.map("\t".join), min_size=1, max_size=12))
-    return layout, "\n".join(rows) + draw(st.sampled_from(["", "\n", "\r\n", "\n\n"]))
-
-
-def read_or_error(reader, path, layout):
-    try:
-        return reader(path, layout)
-    except Exception as exc:
-        return type(exc), str(exc)
+    return layout, "\n".join(rows) + draw(st.sampled_from(["", "\n", "\r\n", "\n\n", "\r"]))
 
 
 @given(tsv_cases())
 @settings(max_examples=400, deadline=None)
-def test_whole_buffer_reader_matches_the_line_reader(case):
+def test_the_reader_matches_the_grammar_oracle(case):
     layout, text = case
+    raw = text.encode("utf-8")
+    want = read_tsv(raw, layout.count("<TAB>") + 1)
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "data.tsv"
-        path.write_bytes(text.encode("utf-8"))
-        got = read_or_error(dataio._int_columns, path, layout)
-        want = read_or_error(lambda p, lay: dataio._int_columns_by_line(p, lay)[1], path, layout)
-    if isinstance(want, np.ndarray):
-        assert isinstance(got, np.ndarray) and got.dtype == want.dtype
-        assert np.array_equal(got, want)
-    else:
-        assert got == want
+        path.write_bytes(raw)
+        if isinstance(want, int):
+            with pytest.raises(ParseError, match=f"^{re.escape(str(path))}:{want}: "):
+                dataio._int_columns(path, layout)
+        else:
+            got = dataio._int_columns(path, layout)
+            assert got.dtype == np.int64 and np.array_equal(got, want)
 
 
-def test_plain_files_skip_the_line_reader(tmp_path, monkeypatch):
-    def refuse(path, layout):
-        raise AssertionError("a plain TSV went through the line reader")
+@pytest.mark.parametrize(
+    "text, lineno",
+    [("0\t1\n+7\t0\n", 2), ("0\t1\n1_0\t0\n", 2), ("0\t1\n 7\t0\n", 2),
+     ("0\t1\n7 \t0\n", 2), ("0\t1\n--5\t0\n", 2), ("0\t1\n5-\t0\n", 2),
+     ("0\t1\n-\t0\n", 2), ("0\t1\n\t0\n", 2), ("0\t1\n0\t1\t\n", 2),
+     ("0\t1\n0\t2\r0\t3\n1\t1\n", 2), ("0\t1\n0\t2\r", 2),
+     ("0\t1\n9223372036854775808\t0\n", 2), ("0\t-9223372036854775809\n", 1)],
+    ids=["plus", "underscore", "leading-space", "trailing-space", "double-minus",
+         "trailing-minus", "bare-minus", "empty-field", "trailing-tab", "lone-cr",
+         "lone-cr-at-end", "above-int64", "below-int64"],
+)
+def test_fields_outside_the_grammar_name_their_line(tmp_path, text, lineno):
+    with pytest.raises(ParseError, match=f"inter.tsv:{lineno}: "):
+        dataio._int_columns(write(tmp_path, text), "user<TAB>item")
 
-    monkeypatch.setattr(dataio, "_int_columns_by_line", refuse)
-    ds = load_interactions(write(tmp_path, "0\t0\n\n0\t1\n1\t0\n"))
+
+def test_the_grammar_reads_leading_zeros_and_the_int64_bounds(tmp_path):
+    text = "007\t-0\n9223372036854775807\t-9223372036854775808\n"
+    columns = dataio._int_columns(write(tmp_path, text), "user<TAB>item")
+    assert columns.tolist() == [[7, 2**63 - 1], [0, -(2**63)]]
+
+
+def test_a_file_of_blank_lines_has_no_interactions(tmp_path):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # loadtxt's "input contained no data"
+        with pytest.raises(DataError, match=r"inter\.tsv: no interactions"):
+            load_interactions(write(tmp_path, "\n\r\n\n"))
+
+
+def test_a_crlf_file_is_parsed_in_one_pass(tmp_path, monkeypatch):
+    def refuse(raw):
+        raise AssertionError("a file of the grammar was scanned line by line")
+
+    monkeypatch.setattr(dataio, "_lines", refuse)
+    ds = load_interactions(write(tmp_path, "0\t0\r\n\r\n0\t1\r\n\n1\t0"))
     assert ds.users.tolist() == [0, 0, 1] and ds.items.tolist() == [0, 1, 0]
     split_file = write(tmp_path, "0\t0\t0\n0\t1\t2\n1\t0\t1", name="split.tsv")
     assert load_split(ds, split_file).split.tolist() == [TRAIN, TEST, VAL]
+
+
+@st.composite
+def written_datasets(draw):
+    """A split dataset whose item ids reach 2^40. User ids stay below 2^12,
+    because `load_split` keeps one flag per user."""
+    num_users, num_items = draw(st.integers(1, 2**12)), draw(st.integers(1, 2**40))
+    pairs = draw(st.lists(st.tuples(st.integers(0, num_users - 1), st.integers(0, num_items - 1)),
+                          min_size=1, max_size=30, unique=True))
+    users, items = np.array(pairs, dtype=np.int64).T
+    labels = draw(st.lists(st.sampled_from([TRAIN, VAL, TEST]), min_size=len(pairs),
+                           max_size=len(pairs)))
+    return InteractionDataset(num_users, num_items, users, items, split=np.array(labels))
+
+
+@given(written_datasets())
+@settings(max_examples=100, deadline=None)
+def test_what_mhcr_writes_reads_back(ds):
+    transposed = InteractionDataset(ds.num_items, ds.num_users, ds.items, ds.users)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "data.tsv"
+        for pairs in (ds, transposed):  # user ids reach 2^40 in the transposed file
+            save_interactions(pairs, path)
+            back = load_interactions(path)
+            assert (back.num_users, back.num_items) == (pairs.users.max() + 1,
+                                                        pairs.items.max() + 1)
+            assert np.array_equal(back.users, pairs.users)
+            assert np.array_equal(back.items, pairs.items)
+        save_split(ds, path)
+        written = path.read_bytes()
+        back = load_split(InteractionDataset(ds.num_users, ds.num_items, ds.users, ds.items), path)
+        assert back.num_dropped_users == 0 and np.array_equal(back.split, ds.split)
+        assert np.array_equal(back.users, ds.users) and np.array_equal(back.items, ds.items)
+        save_split(back, path)
+        assert path.read_bytes() == written
 
 
 def test_unseen_eval_items_counted():
