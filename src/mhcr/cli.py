@@ -313,7 +313,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     save_split(ds, out_dir / "split.tsv")
     _write_training_log(out_dir / "training_log.csv", variant_label(cfg), result.epochs)
 
-    report = evaluate_params(result.params, ds, features, target_split=VAL)
+    report = evaluation.evaluate(*result.best_embeddings, ds, target_split=VAL)
     (out_dir / "eval_val.json").write_text(report.to_json(), encoding="utf-8")
     print(report.format_table())
     return EXIT_OK

@@ -18,6 +18,7 @@ import numpy as np
 
 from .dataio import TEST, TRAIN, VAL, InteractionDataset
 from .errors import ConfigError, ShapeError
+from .item_graph import masked_row_sums
 
 SLICE_ALL = "all"
 SLICE_COLD = "cold_start"
@@ -121,17 +122,6 @@ def _ranked_hits(scores: np.ndarray, masked, targets, width: int) -> np.ndarray:
     return np.take_along_axis(is_target, order, axis=1)
 
 
-def _dcg(hits: np.ndarray, gains: np.ndarray) -> np.ndarray:
-    count = hits.sum(axis=1)
-    dcg = np.zeros(len(hits))
-    for c in np.unique(count[count > 0]).tolist():
-        # rows of one hit count sum as (rows, c) blocks, in the order a
-        # single row's 1-D sum takes
-        same = np.flatnonzero(count == c)
-        dcg[same] = gains[np.nonzero(hits[same])[1].reshape(-1, c)].sum(axis=1)
-    return dcg
-
-
 def _ideal_dcg(num_targets: np.ndarray, k: int) -> np.ndarray:
     """Each user's IDCG@k: the gains of ranks 1..min(|targets|, k), summed."""
     level, which = np.unique(np.minimum(num_targets, k), return_inverse=True)
@@ -143,20 +133,21 @@ def evaluate(
     user_emb: np.ndarray,
     item_emb: np.ndarray,
     ds: InteractionDataset,
-    slice_name: str = SLICE_ALL,
+    slice_name: str | Sequence[str] = SLICE_ALL,
     ks: Sequence[int] = (10, 20),
     target_split: int = TEST,
     cold_threshold: int = 3,
 ) -> EvalReport:
-    """Mean per-user Recall@K and NDCG@K over one user slice.
+    """Mean per-user Recall@K and NDCG@K over one user slice, or over each
+    of a sequence of slices, whose records follow in its order.
 
     Users without interactions in the target split are skipped. An empty
-    slice yields zero metrics flagged as degenerate. Users are scored in
-    blocks of `_BLOCK_ELEMENTS // |I|` rows (at least 1, at most
-    `_MAX_BLOCK_ROWS`), each into one buffer allocated per call; each is
-    masked, matched against its targets and scored at once, and only the
-    stable sort runs per user. Per-user values are summed one at a time in
-    user order.
+    slice yields zero metrics flagged as degenerate. The union of the
+    slices' users is ranked once, in blocks of `_BLOCK_ELEMENTS // |I|`
+    rows (at least 1, at most `_MAX_BLOCK_ROWS`), each into one buffer
+    allocated per call; each is masked, matched against its targets and
+    scored at once, and only the stable sort runs per user. Each slice sums
+    its own users' values one at a time in user order.
     """
     if user_emb.shape[0] != ds.num_users or item_emb.shape[0] != ds.num_items:
         raise ShapeError("embedding row counts do not match the dataset")
@@ -165,11 +156,15 @@ def evaluate(
         raise ConfigError(f"target_split must be {VAL} (val) or {TEST} (test), "
                           f"got {target_split!r}")
     check_cold_threshold(cold_threshold)
+    names = (slice_name,) if isinstance(slice_name, str) else tuple(slice_name)
+    if not names or len(set(names)) != len(names):
+        raise ConfigError(f"slice_name must name one or more distinct slices, got {slice_name!r}")
+    members = [_slice_users(ds, name, cold_threshold) for name in names]
     mask_splits = (TRAIN,) if target_split == VAL else (TRAIN, VAL)
     targets = ds.user_csr(target_split)
     masked = ds.user_csr(mask_splits)
     num_targets = np.diff(targets[0])
-    users = _slice_users(ds, slice_name, cold_threshold)
+    users = np.unique(np.concatenate(members))
     users = users[num_targets[users] > 0]
     num_targets = num_targets[users]
     # InteractionDataset holds no duplicate pairs, so no masked item repeats
@@ -190,20 +185,21 @@ def evaluate(
         # ranking always did; past them sit masked items or NaN scores
         hits &= np.arange(width) < num_candidates[block, None]
         for k in ks:
-            values[k][0, block] = hits[:, :k].sum(axis=1) / num_targets[block]
-            values[k][1, block] = _dcg(hits[:, :k], gains)
+            top = hits[:, :k]
+            values[k][0, block] = top.sum(axis=1) / num_targets[block]
+            dcg = masked_row_sums(np.broadcast_to(gains[:k], top.shape), top)
+            values[k][1, block] = dcg / _ideal_dcg(num_targets[block], k)
 
     report = EvalReport(target_split=target_split, masked_splits=mask_splits)
-    for k in ks:
-        if users.size:
-            values[k][1] /= _ideal_dcg(num_targets, k)
-            # accumulate adds one user at a time, in user order
-            recall, ndcg = np.add.accumulate(values[k], axis=1)[:, -1] / users.size
-            report.records.append(
-                MetricRecord(slice_name, k, float(recall), float(ndcg), users.size)
-            )
-        else:
-            report.records.append(MetricRecord(slice_name, k, 0.0, 0.0, 0, degenerate=True))
+    for name, member in zip(names, members):
+        in_slice = np.isin(users, member)
+        count = int(in_slice.sum())
+        for k in ks:
+            # accumulate adds one user at a time, in user order, onto 0.0
+            sums = np.add.accumulate(np.hstack([np.zeros((2, 1)), values[k][:, in_slice]]), axis=1)
+            recall, ndcg = sums[:, -1] / max(count, 1)
+            report.records.append(MetricRecord(name, k, float(recall), float(ndcg), count,
+                                               degenerate=not count))
     return report
 
 

@@ -50,6 +50,18 @@ def _top_k(sims: np.ndarray, k: int) -> np.ndarray:
     return order
 
 
+def masked_row_sums(values: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """Each row's sum of the entries of `values` where `mask` holds, taken
+    in the order a 1-D sum of those entries takes; 0 for a row with none."""
+    count = mask.sum(axis=1)
+    sums = np.zeros(len(mask))
+    for c in np.unique(count[count > 0]).tolist():
+        # rows of one count sum as one (rows, c) block
+        same = np.flatnonzero(count == c)
+        sums[same] = values[same][mask[same]].reshape(-1, c).sum(axis=1)
+    return sums
+
+
 def build_affinity_graph(features: ModalityFeatures, k: int) -> sp.csr_matrix:
     """Keep each item's K most cosine-similar neighbors (self excluded),
     clamp negatives to zero, and divide each row by its sum, so nonzero rows
@@ -75,19 +87,11 @@ def build_affinity_graph(features: ModalityFeatures, k: int) -> sp.csr_matrix:
         sims[np.arange(stop - start), np.arange(start, stop)] = -np.inf
         order = _top_k(sims, k)
         kept = np.maximum(np.take_along_axis(sims, order, axis=1), 0.0)
-        # values fall along each row, so the positive ones are a prefix
         positive = kept > 0.0
-        count = positive.sum(axis=1)
-        total = np.ones(stop - start)
-        for c in np.unique(count[count > 0]).tolist():
-            # rows of one count sum as (rows, c) blocks, in the order a
-            # single row's 1-D sum takes
-            same = np.flatnonzero(count == c)
-            total[same] = kept[same, :c].sum(axis=1)
-        kept /= total[:, None]
-        rows.append(start + np.nonzero(positive)[0])
+        row = np.nonzero(positive)[0]
+        rows.append(start + row)
         cols.append(order[positive])
-        data.append(kept[positive])
+        data.append(kept[positive] / masked_row_sums(kept, positive)[row])
 
     return sp.csr_matrix(
         (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),

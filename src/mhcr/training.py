@@ -14,7 +14,7 @@ import scipy.sparse as sp
 
 from . import autodiff as ad
 from . import evaluation
-from .dataio import (MODALITIES, TEST, TRAIN, InteractionDataset, ModalityFeatures,
+from .dataio import (MODALITIES, TRAIN, InteractionDataset, ModalityFeatures,
                      check_train_and_val, pair_keys, validate_features)
 from .errors import ConfigError, NumericError
 from .hypergraph import build_incidence, hypergraph_pass  # perfbench traces build_incidence
@@ -474,23 +474,17 @@ def evaluate_params(
     params: ModelParameters,
     ds: InteractionDataset,
     features: Sequence[ModalityFeatures],
-    target_split: int = TEST,
-    cold_threshold: int | None = None,
+    cold_threshold: int = 3,
 ) -> evaluation.EvalReport:
-    """The report of `mhcr train` (`target_split=VAL`) and of `mhcr
-    evaluate` (`cold_threshold` given): Recall@K and NDCG@K at K = 10 and
-    20 over all users with targets in `target_split`, followed, when
-    `cold_threshold` is given, by the records of the users with fewer train
-    interactions than it. The views of `params.config` are built and the
-    eval-mode embeddings computed once for both slices."""
+    """The report of `mhcr evaluate`: test-split Recall@K and NDCG@K at K =
+    10 and 20 over all users with test targets, then over those of them
+    with fewer train interactions than `cold_threshold`. The views of
+    `params.config` are built, the eval-mode embeddings computed and each
+    user ranked once for both slices."""
     cfg = params.config
     user_emb, item_emb = compute_embeddings(params, build_views(ds, features, cfg), cfg)
-    report = evaluation.evaluate(user_emb, item_emb, ds, target_split=target_split)
-    if cold_threshold is not None:
-        cold = evaluation.evaluate(user_emb, item_emb, ds, slice_name=evaluation.SLICE_COLD,
-                                   target_split=target_split, cold_threshold=cold_threshold)
-        report.records.extend(cold.records)
-    return report
+    slices = (evaluation.SLICE_ALL, evaluation.SLICE_COLD)
+    return evaluation.evaluate(user_emb, item_emb, ds, slices, cold_threshold=cold_threshold)
 
 
 @dataclass
@@ -502,7 +496,11 @@ class EpochStats:
 
 @dataclass
 class TrainResult:
+    """The best validation epoch's parameters and the eval-mode (user, item)
+    embeddings that scored its Recall@20, then the per-epoch history."""
+
     params: ModelParameters
+    best_embeddings: tuple[np.ndarray, np.ndarray]
     epochs: list[EpochStats]
     best_epoch: int
     best_val_recall20: float
@@ -554,7 +552,7 @@ def fit(
     user_emb, item_emb = compute_embeddings(params, views, cfg)
     initial_recall = evaluation.mean_recall(user_emb, item_emb, ds, k=20)
 
-    # validation Recall@20 is finite, so epoch 1 always sets best_params
+    # validation Recall@20 is finite, so epoch 1 always sets the best state
     best_recall = -np.inf
     best_epoch = 0
     epochs_since_best = 0
@@ -581,7 +579,7 @@ def fit(
         if val_recall > best_recall:
             best_recall = val_recall
             best_epoch = epoch
-            best_params = params.copy()
+            best_params, best_embeddings = params.copy(), (user_emb, item_emb)
             epochs_since_best = 0
         else:
             epochs_since_best += 1
@@ -590,6 +588,7 @@ def fit(
 
     return TrainResult(
         params=best_params,
+        best_embeddings=best_embeddings,
         epochs=history,
         best_epoch=best_epoch,
         best_val_recall20=float(best_recall),

@@ -1,7 +1,8 @@
 """The ablation table: every row of `ablations.py`, plus any
 `--set FIELD=value` rows, trained on the learning-signal gate's data and
-`_train_config` at the gate's seeds, so a change can show how it moves
-the paper's comparison of the full model with each "w/o" variant.
+`_train_config` at the gate's seeds, or at `--seeds`, so a change can
+show how it moves the paper's comparison of the full model with each
+"w/o" variant.
 
 Per row it prints the mean over seeds of the validation, test and
 cold-start Recall@20, the seeds in which the row beats `full` on
@@ -14,6 +15,12 @@ it also runs against another checkout:
     PYTHONPATH=/path/to/parent/src python tests/ablation_table.py --json parent.json
     PYTHONPATH=src python tests/ablation_table.py --json change.json
     PYTHONPATH=src python tests/ablation_table.py --compare parent.json change.json
+
+`--seeds A-B` trains every row at seeds A to B instead, both included:
+one gate pass or fail says little about a change that only reshuffles
+training, and 20 seeds show how often each row beats `full`:
+
+    PYTHONPATH=src python tests/ablation_table.py --seeds 0-19 --json seeds-0-19.json
 
 `--compare OLD NEW` trains nothing: it prints, per row both tables have,
 the change of each mean and of the seed counts. It gates nothing.
@@ -76,10 +83,22 @@ def fit_row(ds, features, cfg: TrainConfig) -> dict:
     }
 
 
-def collect(rows: dict[str, dict]) -> dict[str, dict[str, dict]]:
+def seed_range(text: str) -> range:
+    """The seeds A to B, both included, of an `A-B` option value."""
+    first, _, last = text.partition("-")
+    try:
+        seeds = range(int(first), int(last) + 1)
+    except ValueError:
+        seeds = range(0)
+    if not seeds or seeds.start < 0:
+        raise argparse.ArgumentTypeError(f"expected A-B with 0 <= A <= B, got {text!r}")
+    return seeds
+
+
+def collect(rows: dict[str, dict], seeds) -> dict[str, dict[str, dict]]:
     """Row name -> seed (as a string) -> `fit_row` of that row's config."""
     table: dict[str, dict[str, dict]] = {name: {} for name in rows}
-    for seed in SEEDS:
+    for seed in seeds:
         ds, features = dataset(seed)
         for name, settings in rows.items():
             cfg = replace(train_config(seed), **settings)
@@ -136,6 +155,8 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--set", action="append", default=[], metavar="FIELD=value",
                         help="add the row `full` with FIELD set to value (repeatable)")
+    parser.add_argument("--seeds", type=seed_range, metavar="A-B",
+                        help="train at seeds A to B, both included (default: the gate's seeds)")
     parser.add_argument("--json", metavar="PATH", help="write the per-seed table to PATH")
     parser.add_argument("--compare", nargs=2, metavar=("OLD", "NEW"),
                         help="print the change per row between two --json tables")
@@ -144,7 +165,7 @@ def main(argv=None) -> int:
         old, new = (json.loads(Path(p).read_text()) for p in args.compare)
         print(format_compare(old, new))
         return 0
-    table = collect({**ABLATIONS, **dict(parse_set(s) for s in args.set)})
+    table = collect({**ABLATIONS, **dict(parse_set(s) for s in args.set)}, args.seeds or SEEDS)
     print(format_table(table))
     if args.json:
         Path(args.json).write_text(json.dumps(table, indent=1) + "\n")

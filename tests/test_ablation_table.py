@@ -1,7 +1,8 @@
 """The ablation table tool (`ablation_table.py`) on a tiny config: one row
-per ablation and per `--set`, the JSON it writes, and `--compare`. The
-figures themselves are not pinned."""
+per ablation and per `--set`, `--seeds`, the JSON it writes, and
+`--compare`. The figures themselves are not pinned."""
 
+import argparse
 import json
 from dataclasses import replace
 
@@ -35,6 +36,21 @@ def test_one_row_per_ablation_and_set(tiny, tmp_path, capsys):
             assert set(run) == {"val", "test", "cold", "best_epoch"}
             assert 0.0 <= run["cold"] <= 1.0 and 1 <= run["best_epoch"] <= 2
     assert table["full"] != table["bpr-mf"]
+
+
+def test_seeds_sets_the_seeds_each_row_trains_at(tiny, tmp_path, capsys):
+    path = tmp_path / "table.json"
+    assert ablation_table.main(["--seeds", "2-4", "--json", str(path)]) == 0
+    table = json.loads(path.read_text())
+    assert {name: list(runs) for name, runs in table.items()} == {
+        name: ["2", "3", "4"] for name in ABLATIONS}
+    assert "of 3" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("text", ["3-2", "-1-2", "1", "1-", "a-b", "0-1-2"])
+def test_seeds_rejects_what_is_no_range(text):
+    with pytest.raises(argparse.ArgumentTypeError):
+        ablation_table.seed_range(text)
 
 
 def test_compare_prints_the_change_per_row(tmp_path, capsys):

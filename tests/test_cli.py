@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mhcr import cli
+from mhcr import cli, evaluation, training
 from mhcr.checkpoint import load_checkpoint
 from mhcr.cli import (
     EXIT_CONFIG,
@@ -30,6 +30,7 @@ from mhcr.cli import (
     main,
 )
 from mhcr.dataio import (
+    InteractionDataset,
     load_features,
     load_interactions,
     load_split,
@@ -422,6 +423,49 @@ class TestEvaluate:
         assert code == EXIT_DATA
         assert "no train interactions" in capsys.readouterr().err
         assert not (tmp_path / "e").exists()
+
+
+class TestOneScoringPerCommand:
+    """`mhcr train` scores the embeddings `fit` kept, so it builds its views
+    once; `mhcr evaluate` ranks the union of its two slices once, from one
+    target CSR and one mask CSR."""
+
+    def test_train_builds_its_views_once(self, data_dir, tmp_path, monkeypatch):
+        calls, build_views = [], training.build_views
+
+        def counting(*args):
+            calls.append(args)
+            return build_views(*args)
+
+        monkeypatch.setattr(training, "build_views", counting)
+        assert run_train(data_dir, tmp_path / "run") == 0
+        assert len(calls) == 1
+
+    def test_evaluate_ranks_each_user_once(self, tmp_path, monkeypatch):
+        data, run, out = tmp_path / "data", tmp_path / "run", tmp_path / "eval"
+        assert main(["generate", "--num-users", "400", "--num-items", "120", "--seed", "0",
+                     "--out-dir", str(data)]) == 0
+        assert run_train(data, run) == 0
+        rows, csrs = [], []
+        ranked_hits, user_csr = evaluation._ranked_hits, InteractionDataset.user_csr
+
+        def counting_hits(scores, *args):
+            rows.append(len(scores))
+            return ranked_hits(scores, *args)
+
+        def counting_csr(ds, label):
+            csrs.append(label)
+            return user_csr(ds, label)
+
+        monkeypatch.setattr(evaluation, "_ranked_hits", counting_hits)
+        monkeypatch.setattr(InteractionDataset, "user_csr", counting_csr)
+        assert main(["evaluate", "--data-dir", str(data), "--checkpoint",
+                     str(run / "checkpoint.bin"), "--split", str(run / "split.tsv"),
+                     "--out-dir", str(out)]) == 0
+        records = json.loads((out / "eval_test.json").read_text())["records"]
+        users = {r["slice"]: r["users"] for r in records}
+        assert users == {"all": 400, SLICE_COLD: 11}
+        assert (sum(rows), len(csrs)) == (400, 2)
 
 
 class TestSweep:

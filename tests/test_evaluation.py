@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mhcr import evaluation, training
+from mhcr import evaluation
 from mhcr.dataio import TEST, TRAIN, VAL, InteractionDataset
 from mhcr.errors import ConfigError
 from mhcr.evaluation import SLICE_ALL, SLICE_COLD, EvalReport, evaluate, mean_recall
@@ -291,6 +291,47 @@ class TestBlockEvaluate:
             assert seen == [1024, 976]
 
 
+class TestSlices:
+    """Slices given together rank the union of their users once; each
+    still reports what its own call reports."""
+
+    @given(eval_cases())
+    @settings(max_examples=150, deadline=None)
+    def test_slices_together_match_one_call_each(self, case):
+        ds, user_emb, item_emb, kwargs, _ = case
+        # integer scores, whose bits do not depend on the rows scored with them
+        user_emb, item_emb = np.rint(user_emb), np.rint(item_emb)
+        del kwargs["slice_name"]
+        for names in ((SLICE_ALL, SLICE_COLD), (SLICE_COLD, SLICE_ALL)):
+            report = evaluate(user_emb, item_emb, ds, slice_name=names, **kwargs)
+            apart = [evaluate(user_emb, item_emb, ds, slice_name=name, **kwargs) for name in names]
+            assert report.records == [rec for one in apart for rec in one.records]
+
+    def test_all_users_records_are_the_single_slice_records(self):
+        ds, user_emb, item_emb = random_instance(4)
+        report = evaluate(user_emb, item_emb, ds, slice_name=(SLICE_ALL, SLICE_COLD))
+        cold = evaluate(user_emb, item_emb, ds, slice_name=SLICE_COLD)
+        assert report.records[:2] == evaluate(user_emb, item_emb, ds).records
+        assert [r.users for r in report.records[2:]] == [r.users for r in cold.records]
+        assert cold.records[0].users > 0
+
+    def test_an_empty_slice_is_degenerate(self):
+        # every user has a train pair, so threshold 1 leaves the cold slice empty
+        ds, user_emb, item_emb = random_instance(4)
+        report = evaluate(user_emb, item_emb, ds, slice_name=(SLICE_COLD, SLICE_ALL),
+                          cold_threshold=1)
+        cold = evaluate(user_emb, item_emb, ds, slice_name=SLICE_COLD, cold_threshold=1)
+        assert report.records[:2] == cold.records
+        assert all(r.degenerate and r.users == 0 for r in cold.records)
+        assert report.records[2:] == evaluate(user_emb, item_emb, ds, cold_threshold=1).records
+
+    @pytest.mark.parametrize("names", [(), (SLICE_ALL, SLICE_ALL), ("warm",)])
+    def test_bad_slices_rejected(self, names):
+        ds, user_emb, item_emb = random_instance(0)
+        with pytest.raises(ConfigError, match="slice"):
+            evaluate(user_emb, item_emb, ds, slice_name=names)
+
+
 class TestSettings:
     @pytest.mark.parametrize("ks", [(), (0,), (-1,), (10, 0), (10, 10), (2.5,), ("10",)])
     def test_bad_cutoffs_rejected(self, ks):
@@ -316,16 +357,10 @@ class TestSettings:
             evaluate(user_emb, item_emb, ds, slice_name=slice_name, cold_threshold=threshold)
 
     @pytest.mark.parametrize("target_split", [TRAIN, -1, 3])
-    @pytest.mark.parametrize("scorer", ["evaluate", "mean_recall", "evaluate_params"])
-    def test_target_split_other_than_val_or_test_rejected(self, micro, scorer, target_split):
+    @pytest.mark.parametrize("scorer", ["evaluate", "mean_recall"])
+    def test_target_split_other_than_val_or_test_rejected(self, scorer, target_split):
         # TRAIN targets are all masked, so every user would score 0; other
         # values would select no target and report degenerate zeros
-        if scorer == "evaluate_params":
-            ds, feats, cfg, views = micro
-            params = training.init_parameters(cfg, ds.num_users, ds.num_items, views.modality_dims)
-            with pytest.raises(ConfigError, match="target_split"):
-                training.evaluate_params(params, ds, feats, target_split=target_split)
-            return
         ds, user_emb, item_emb = random_instance(0)
         with pytest.raises(ConfigError, match="target_split"):
             {"evaluate": evaluate, "mean_recall": mean_recall}[scorer](

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from mhcr import autodiff as ad
 from mhcr import evaluation, training
-from mhcr.dataio import (MODALITIES, TRAIN, VAL, InteractionDataset, SyntheticConfig,
+from mhcr.dataio import (MODALITIES, TEST, TRAIN, VAL, InteractionDataset, SyntheticConfig,
                          generate_synthetic, split_dataset)
 from mhcr.errors import ConfigError, DataError, NumericError
 from mhcr.objectives import (
@@ -899,6 +899,17 @@ class TestFit:
         recall = evaluation.mean_recall(user_emb, item_emb, ds, k=20)
         assert recall == pytest.approx(result.best_val_recall20)
 
+    def test_keeps_the_embeddings_of_its_best_epoch(self, micro):
+        ds, feats, _, _ = micro
+        cfg = micro_config(max_epochs=4, patience=10)
+        result = fit(ds, feats, cfg)
+        assert result.best_epoch < len(result.epochs)  # so the last epoch's would differ
+        expected = compute_embeddings(result.params, build_views(ds, feats, cfg), cfg)
+        for kept, fresh in zip(result.best_embeddings, expected, strict=True):
+            assert kept.tobytes() == fresh.tobytes() and kept.shape == fresh.shape
+        val = evaluation.mean_recall(*result.best_embeddings, ds, k=20)
+        assert val == result.best_val_recall20
+
     def test_evaluate_params_matches_manual_pipeline(self, micro):
         ds, feats, _, _ = micro
         cfg = micro_config(max_epochs=2)
@@ -906,15 +917,16 @@ class TestFit:
         assert result.params.config == cfg
         views = build_views(ds, feats, cfg)
         user_emb, item_emb = compute_embeddings(result.params, views, cfg)
-        val = evaluation.evaluate(user_emb, item_emb, ds, target_split=VAL)
-        report = evaluate_params(result.params, ds, feats, target_split=VAL)
-        assert report.to_json() == val.to_json()
-        test = evaluation.evaluate(user_emb, item_emb, ds)
-        cold = evaluation.evaluate(user_emb, item_emb, ds, slice_name=evaluation.SLICE_COLD,
-                                   cold_threshold=4)
-        test.records += cold.records
-        report = evaluate_params(result.params, ds, feats, cold_threshold=4)
-        assert report.to_json() == test.to_json()
+        for threshold in (3, 4):
+            test = evaluation.evaluate(user_emb, item_emb, ds, cold_threshold=threshold)
+            cold = evaluation.evaluate(user_emb, item_emb, ds, slice_name=evaluation.SLICE_COLD,
+                                       cold_threshold=threshold)
+            test.records += cold.records
+            report = evaluate_params(result.params, ds, feats, cold_threshold=threshold)
+            assert report.to_json() == test.to_json()
+        assert report.target_split == TEST
         assert [(r.slice, r.k) for r in report.records] == [
             ("all", 10), ("all", 20), ("cold_start", 10), ("cold_start", 20)
         ]
+        assert evaluate_params(result.params, ds, feats).to_json() == evaluate_params(
+            result.params, ds, feats, cold_threshold=3).to_json()
