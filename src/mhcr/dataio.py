@@ -64,11 +64,18 @@ class InteractionDataset:
         if (keys[1:] == keys[:-1]).any():
             raise DataError("duplicate (user, item) pairs")
         if self.split is not None:
-            self.split = np.asarray(self.split, dtype=np.int8)
-            if self.split.shape != self.users.shape:
+            split = np.asarray(self.split)
+            if split.shape != self.users.shape:
                 raise DataError("split assignment length mismatch")
-            if self.split.size and not np.isin(self.split, (TRAIN, VAL, TEST)).all():
+            # checked before the int8 cast, which would wrap 256 to 0 and
+            # truncate 0.9 to 0; a range test, as np.isin is slow (split_pairs)
+            if split.size and not (
+                split.dtype.kind in "iuf"
+                and TRAIN <= split.min() and split.max() <= TEST
+                and (split.dtype.kind != "f" or (split == np.floor(split)).all())
+            ):
                 raise DataError("split labels must be in {0, 1, 2}")
+            self.split = split.astype(np.int8)
 
     def __len__(self) -> int:
         return self.users.size
@@ -156,7 +163,8 @@ def _int_columns(path: Path, layout: str) -> np.ndarray:
     raw = path.read_bytes()
     width = layout.count("<TAB>") + 1
     # loadtxt would take a lone '\r' at the end of the file for a line end
-    if not raw.translate(None, b"0123456789-\t\r\n") and raw.count(b"\r") == raw.count(b"\r\n"):
+    lone_cr = b"\r" in raw and raw.count(b"\r") != raw.count(b"\r\n")
+    if not raw.translate(None, b"0123456789-\t\r\n") and not lone_cr:
         if not raw.strip(b"\r\n"):  # blank lines only, which loadtxt warns of
             return np.empty((width, 0), dtype=np.int64)
         try:

@@ -38,16 +38,27 @@ def _normalized_rows(matrix: np.ndarray, tag: str) -> np.ndarray:
 def _top_k(sims: np.ndarray, k: int) -> np.ndarray:
     """Column indices of each row's k largest values, by descending value and
     ascending index among equal values: the first k entries of a stable
-    argsort of -sims, without sorting whole rows."""
-    cols = np.sort(np.argpartition(sims, -k, axis=1)[:, -k:], axis=1)
-    vals = np.take_along_axis(sims, cols, axis=1)
-    # a row whose k-th value recurs outside the partition needs the lower
-    # indices among those equal values; only such rows are fully sorted
-    tied = (sims >= vals.min(axis=1, keepdims=True)).sum(axis=1) > k
-    order = np.take_along_axis(cols, np.argsort(-vals, axis=1, kind="stable"), axis=1)
-    if tied.any():
-        order[tied] = np.argsort(-sims[tied], axis=1, kind="stable")[:, :k]
-    return order
+    argsort of -sims, without sorting whole rows. `sims` holds no NaN.
+
+    Each row is cut into at least k column chunks (about 2k). The k-th
+    largest chunk maximum bounds the row's k-th largest value from below,
+    since k distinct chunks each hold an entry at least that large; so the
+    top k lie among the entries at or above the bound, about k + 1 per row
+    on spread-out values, and only those are ordered."""
+    rows, n = sims.shape
+    width = max(1, n // (2 * k))
+    maxima = np.maximum.reduceat(sims, np.arange(0, n, width), axis=1)
+    bound = np.partition(maxima, -k, axis=1)[:, -k, None]
+    # candidates in row-major order; row r's are flat[ends[r] - counts[r]:ends[r]]
+    flat = np.flatnonzero(sims >= bound)
+    ends = np.searchsorted(flat, np.arange(1, rows + 1) * n)
+    counts = np.diff(ends, prepend=0)
+    # each row's negated candidates, left-aligned and padded with +inf, which
+    # a stable sort keeps behind every candidate, -inf ones included
+    slots = np.full((rows, counts.max()), -np.inf)
+    slots[np.arange(slots.shape[1]) < counts[:, None]] = sims.ravel()[flat]
+    order = np.argsort(np.negative(slots, out=slots), axis=1, kind="stable")[:, :k]
+    return flat[(ends - counts)[:, None] + order] - n * np.arange(rows)[:, None]
 
 
 def masked_row_sums(values: np.ndarray, mask: np.ndarray) -> np.ndarray:

@@ -17,16 +17,23 @@ One fixed-seed `mhcr train` run also hashes its `checkpoint.bin`,
 split, so the load path is covered too, and the `sweep.csv` of a 2-cell
 `mhcr sweep` on the same data.
 
+The grid's 45 items fit in one similarity block, so "graphs" digests the
+item-item graphs at sizes where their build takes several row blocks and
+its top-K selection chunks wider than one column: the `indptr`, `indices`
+and `data` of each modality's `build_affinity_graph` at K in {1, 4, 10, 40}
+on a 300-item and a 1200-item cluster set, and on a 1200-item set without
+feature noise, where every item ties with its whole cluster.
+
 Digests depend on the numpy and BLAS builds, so compare them only between
 runs on one host. The script calls only `fit`, `build_views`,
-`compute_embeddings`, `evaluate` and the CLI's `main`, so it also runs
-against another checkout:
+`compute_embeddings`, `evaluate`, `build_affinity_graph` and the CLI's
+`main`, so it also runs against another checkout:
 
     PYTHONPATH=/path/to/parent/src python tests/digest_grid.py --out parent.json
     PYTHONPATH=src python tests/digest_grid.py --out change.json --compare parent.json
 
-`--compare` lists, per digest kind, the configs whose digests differ, and
-exits 1 if any do.
+`--compare` lists, per digest kind, the configs (CLI files, graphs) whose
+digests differ, and exits 1 if any do.
 """
 
 from __future__ import annotations
@@ -47,6 +54,7 @@ import numpy as np
 from mhcr.cli import main as mhcr_main
 from mhcr.dataio import VAL, SyntheticConfig, generate_synthetic, split_dataset
 from mhcr.evaluation import evaluate
+from mhcr.item_graph import build_affinity_graph
 from mhcr.training import TrainConfig, build_views, compute_embeddings, fit
 
 from ablations import ABLATIONS
@@ -61,6 +69,13 @@ LAYERS, HYPER_STEPS, DROP_RATES = (0, 2, 3), (1, 2, 3), (0.0, 0.5)
 KINDS = ("model", "losses")
 CLI_FILES = ("checkpoint.bin", "training_log.csv", "eval_val.json", "split.tsv",
              "eval_test.json", "sweep.csv")
+GRAPH_SETS = {
+    "clusters-300": SyntheticConfig(num_users=40, num_items=300, num_clusters=6, seed=3),
+    "clusters-1200": SyntheticConfig(num_users=40, num_items=1200, num_clusters=6, seed=3),
+    "ties-1200": SyntheticConfig(num_users=40, num_items=1200, num_clusters=6, noise_std=0.0,
+                                 seed=3),
+}
+GRAPH_KS = (1, 4, 10, 40)
 
 
 def grid() -> dict[str, TrainConfig]:
@@ -123,18 +138,34 @@ def cli_digests() -> dict[str, str]:
         return {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in CLI_FILES}
 
 
+def graph_digests() -> dict[str, str]:
+    """Per graph set and K, sha256 of the `indptr`, `indices` and `data` of
+    each modality's affinity graph."""
+    digests = {}
+    for name, data in GRAPH_SETS.items():
+        _, features = generate_synthetic(data)
+        for k in GRAPH_KS:
+            digest = hashlib.sha256()
+            for graph in (build_affinity_graph(f, k) for f in features):
+                for part in (graph.indptr, graph.indices, graph.data):
+                    digest.update(part.tobytes())
+            digests[f"{name}/k={k}"] = digest.hexdigest()
+    return digests
+
+
 def collect() -> dict:
     ds, features = dataset()
     return {
         "numpy": np.__version__,
         "configs": {name: config_digests(ds, features, cfg) for name, cfg in grid().items()},
         "cli": cli_digests(),
+        "graphs": graph_digests(),
     }
 
 
 def compare(ours: dict, theirs: dict) -> dict[str, list[str]]:
-    """Per digest kind, the configs (or CLI files) whose digests differ or
-    that only one side has."""
+    """Per digest kind, the configs (or CLI files, or graphs) whose digests
+    differ or that only one side has."""
     differ = {}
     for kind in KINDS:
         names = sorted(ours["configs"].keys() | theirs["configs"].keys())
@@ -143,6 +174,9 @@ def compare(ours: dict, theirs: dict) -> dict[str, list[str]]:
             if ours["configs"].get(n, {}).get(kind) != theirs["configs"].get(n, {}).get(kind)
         ]
     differ["cli"] = [n for n in CLI_FILES if ours["cli"].get(n) != theirs["cli"].get(n)]
+    ours_graphs, theirs_graphs = ours.get("graphs", {}), theirs.get("graphs", {})
+    differ["graphs"] = [n for n in sorted(ours_graphs.keys() | theirs_graphs.keys())
+                        if ours_graphs.get(n) != theirs_graphs.get(n)]
     return differ
 
 
@@ -153,7 +187,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     digests = collect()
     Path(args.out).write_text(json.dumps(digests, indent=1, sort_keys=True) + "\n")
-    print(f"{len(digests['configs'])} configs, {len(digests['cli'])} CLI files -> {args.out}")
+    print(f"{len(digests['configs'])} configs, {len(digests['cli'])} CLI files, "
+          f"{len(digests['graphs'])} graphs -> {args.out}")
     if not args.compare:
         return 0
     theirs = json.loads(Path(args.compare).read_text())
@@ -161,7 +196,7 @@ def main(argv=None) -> int:
         print(f"warning: numpy {theirs.get('numpy')} there, {digests['numpy']} here")
     differ = compare(digests, theirs)
     for kind, names in differ.items():
-        count = len(CLI_FILES) if kind == "cli" else len(digests["configs"])
+        count = len(digests.get(kind, digests["configs"]))
         print(f"{kind}: {len(names)} of {count} differ")
         for name in names:
             print(f"  {name}")

@@ -11,8 +11,10 @@ every view), which the model-node forward must match to a relative
 1e-12; the user-by-user negative sampler and split that the whole-array
 `sample_negatives` and `split_dataset` must reproduce; a regex reader
 of the TSV grammar that `mhcr` writes (`read_tsv`), which `dataio`'s one
-reader must match; and the user-by-user cold-start slice, ranking and
-metrics that the block `evaluate` must reproduce byte for byte."""
+reader must match; each row's top k by a full stable sort (`top_k`), which
+the bounded selection of `item_graph._top_k` must match; and the
+user-by-user cold-start slice, ranking and metrics that the block
+`evaluate` must reproduce byte for byte."""
 
 from __future__ import annotations
 
@@ -150,6 +152,12 @@ def cosine_affinity(features: np.ndarray, a: int, b: int) -> float:
     if na == 0.0 or nb == 0.0:
         return 0.0
     return float(va @ vb / (na * nb))
+
+
+def top_k(sims: np.ndarray, k: int) -> np.ndarray:
+    """Column indices of each row's k largest values, by descending value and
+    ascending column among equal values (-inf last): a full stable sort."""
+    return np.argsort(-sims, axis=1, kind="stable")[:, :k]
 
 
 def row_dot(a: ad.Tensor, b: ad.Tensor) -> ad.Tensor:

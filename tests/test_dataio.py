@@ -100,6 +100,27 @@ class TestDatasetInvariants:
         with pytest.raises(DataError, match="overflow int64 pair keys"):
             InteractionDataset(2**32 + 1, 2**32, np.array([0]), np.array([0]))
 
+    @pytest.mark.parametrize("labels", [
+        [256, 258],  # int8 would wrap these to TRAIN and TEST
+        [-256, 1],
+        [0.9, 1.0],  # int8 would truncate 0.9 to TRAIN
+        [2.7, 0.0],
+        [np.nan, 0.0],
+        [3, 0],
+        [-1, 2],
+        [True, False],
+        ["0", "1"],
+    ])
+    def test_split_labels_outside_0_1_2_rejected(self, labels):
+        with pytest.raises(DataError, match=r"split labels must be in \{0, 1, 2\}"):
+            InteractionDataset(2, 2, np.array([0, 1]), np.array([0, 1]), split=np.array(labels))
+
+    @pytest.mark.parametrize("labels", [[0, 2], [2.0, 1.0], np.array([1, 0], dtype=np.uint8)])
+    def test_whole_split_labels_are_kept_as_int8(self, labels):
+        ds = InteractionDataset(2, 2, np.array([0, 1]), np.array([0, 1]), split=labels)
+        assert ds.split.dtype == np.int8
+        assert ds.split.tolist() == np.asarray(labels).tolist()
+
     def test_pairs_of_a_tuple_of_labels_keep_dataset_order(self):
         users = np.array([1, 0, 1, 0, 2, 1])
         items = np.array([0, 3, 2, 1, 0, 4])

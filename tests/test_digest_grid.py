@@ -5,9 +5,11 @@ and BLAS builds."""
 
 import json
 
+import numpy as np
 import pytest
 
 import digest_grid
+from mhcr import item_graph
 
 PICKED = ("full/layers=2/hyper_steps=1/drop_rate=0.5",
           "hem-only/layers=2/hyper_steps=2/drop_rate=0.5",
@@ -37,6 +39,7 @@ def test_digests_repeat_within_one_process(picked):
 def test_compare_names_an_edited_config(picked, tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(digest_grid, "grid", lambda: picked)
     monkeypatch.setattr(digest_grid, "cli_digests", lambda: {n: "0" for n in digest_grid.CLI_FILES})
+    monkeypatch.setattr(digest_grid, "graph_digests", lambda: {"a/k=1": "0", "b/k=1": "0"})
     ours = tmp_path / "ours.json"
     assert digest_grid.main(["--out", str(ours)]) == 0
     assert digest_grid.main(["--out", str(tmp_path / "again.json"), "--compare", str(ours)]) == 0
@@ -44,9 +47,35 @@ def test_compare_names_an_edited_config(picked, tmp_path, monkeypatch, capsys):
 
     edited = json.loads(ours.read_text())
     edited["configs"][PICKED[1]]["losses"] = "edited"
+    edited["graphs"]["b/k=1"] = "edited"
     (tmp_path / "edited.json").write_text(json.dumps(edited))
     argv = ["--out", str(tmp_path / "again.json"), "--compare", str(tmp_path / "edited.json")]
     assert digest_grid.main(argv) == 1
     out = capsys.readouterr().out
     assert "model: 0 of 3 differ" in out and "cli: 0 of 6 differ" in out
     assert f"losses: 1 of 3 differ\n  {PICKED[1]}\n" in out
+    assert "graphs: 1 of 2 differ\n  b/k=1\n" in out
+
+
+def test_graph_sets_take_several_blocks_and_wide_chunks():
+    sizes = {data.num_items for data in digest_grid.GRAPH_SETS.values()}
+    # more items than rows in one similarity block, for at least one set
+    assert any(n > item_graph._AFFINITY_BLOCK_ELEMENTS // n for n in sizes)
+    # `_top_k` cuts a row into about 2K chunks: at least 2 columns wide here
+    assert min(sizes) >= 4 * max(digest_grid.GRAPH_KS)
+
+
+def test_graph_digests_see_the_tie_rule(monkeypatch):
+    first = digest_grid.graph_digests()
+    assert len(first) == len(digest_grid.GRAPH_SETS) * len(digest_grid.GRAPH_KS)
+    assert digest_grid.graph_digests() == first
+
+    def higher_column_first(sims, k):
+        n = sims.shape[1]
+        return n - 1 - np.argsort(-sims[:, ::-1], axis=1, kind="stable")[:, :k]
+
+    monkeypatch.setattr(item_graph, "_top_k", higher_column_first)
+    moved = digest_grid.compare({"configs": {}, "cli": {}, "graphs": digest_grid.graph_digests()},
+                                {"configs": {}, "cli": {}, "graphs": first})["graphs"]
+    assert {name for name in moved if name.startswith("ties-")} == {
+        f"ties-1200/k={k}" for k in digest_grid.GRAPH_KS}

@@ -3,14 +3,16 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mhcr import autodiff as ad
 from mhcr import item_graph
-from mhcr.dataio import ModalityFeatures
+from mhcr.dataio import ModalityFeatures, SyntheticConfig, generate_synthetic
 from mhcr.errors import ShapeError
 from mhcr.item_graph import build_affinity_graph, propagate_items
 
-from oracles import cosine_affinity
+from oracles import cosine_affinity, top_k
 
 
 def brute_force_topk(matrix: np.ndarray, k: int) -> list[list[int]]:
@@ -34,34 +36,45 @@ def set_block_rows(monkeypatch, rows: int, num_items: int) -> None:
     monkeypatch.setattr(item_graph, "_AFFINITY_BLOCK_ELEMENTS", rows * num_items)
 
 
-def full_sort_affinity(matrix: np.ndarray, k: int, block_size: int) -> sp.csr_matrix:
-    """The affinity graph with each row's top k taken from a full stable
-    argsort of the negated similarities, computed in the same row blocks
-    and with the same per-row normalization as the library."""
+def full_sort_affinity(matrix: np.ndarray, ks, block_size: int) -> list[sp.csr_matrix]:
+    """The affinity graph at each k of `ks`, with each row's top k taken from
+    a full stable argsort of the negated similarities (`oracles.top_k`),
+    computed in the same row blocks and with the same per-row normalization
+    as the library."""
     n = matrix.shape[0]
     norms = np.linalg.norm(matrix, axis=1, keepdims=True)
     norms[norms[:, 0] == 0.0] = 1.0
     unit = matrix / norms
-    indptr, indices, data = [0], [], []
+    parts = [([0], [], []) for _ in ks]
     for start in range(0, n, block_size):
         stop = min(start + block_size, n)
         sims = unit[start:stop] @ unit.T
         sims[np.arange(stop - start), np.arange(start, stop)] = -np.inf
-        order = np.argsort(-sims, axis=1, kind="stable")[:, :k]
-        kept = np.maximum(np.take_along_axis(sims, order, axis=1), 0.0)
-        for r in range(stop - start):
-            nz = kept[r] > 0.0
-            cols, vals = order[r][nz], kept[r][nz]
-            total = vals.sum()
-            if total > 0.0:
-                vals = vals / total
-            col_order = np.argsort(cols, kind="stable")
-            indices.append(cols[col_order])
-            data.append(vals[col_order])
-            indptr.append(indptr[-1] + cols.size)
-    return sp.csr_matrix(
-        (np.concatenate(data), np.concatenate(indices), np.asarray(indptr)), shape=(n, n)
-    )
+        ranked = top_k(sims, max(ks))
+        for k, (indptr, indices, data) in zip(ks, parts):
+            order = ranked[:, :k]
+            kept = np.maximum(np.take_along_axis(sims, order, axis=1), 0.0)
+            for r in range(stop - start):
+                nz = kept[r] > 0.0
+                cols, vals = order[r][nz], kept[r][nz]
+                total = vals.sum()
+                if total > 0.0:
+                    vals = vals / total
+                col_order = np.argsort(cols, kind="stable")
+                indices.append(cols[col_order])
+                data.append(vals[col_order])
+                indptr.append(indptr[-1] + cols.size)
+    return [
+        sp.csr_matrix((np.concatenate(data), np.concatenate(indices), np.asarray(indptr)),
+                      shape=(n, n))
+        for indptr, indices, data in parts
+    ]
+
+
+def assert_same_bytes(graph: sp.csr_matrix, expected: sp.csr_matrix) -> None:
+    for field in ("indptr", "indices", "data"):
+        actual, wanted = getattr(graph, field), getattr(expected, field)
+        assert actual.tobytes() == wanted.tobytes(), field
 
 
 class TestCosine:
@@ -185,10 +198,50 @@ class TestBuildAffinity:
         for matrix, block_size in ((duplicated, 64), (duplicated, 2048), (rounded, 16)):
             set_block_rows(monkeypatch, block_size, len(matrix))
             graph = build_affinity_graph(ModalityFeatures("image", matrix), k)
-            expected = full_sort_affinity(matrix, min(k, len(matrix) - 1), block_size)
-            for field in ("indptr", "indices", "data"):
-                actual, wanted = getattr(graph, field), getattr(expected, field)
-                assert actual.tobytes() == wanted.tobytes(), field
+            (expected,) = full_sort_affinity(matrix, [min(k, len(matrix) - 1)], block_size)
+            assert_same_bytes(graph, expected)
+
+    def test_byte_identical_to_full_sort_at_the_benchmark_scale(self):
+        # perfbench's generator settings: 2000 items in 8 row blocks, and the
+        # features rounded to float32 as the feature files store them
+        _, feats = generate_synthetic(SyntheticConfig(
+            num_users=20000, num_items=2000, num_clusters=10, mean_interactions=10.0,
+            degree_exponent=0.7, modality_dims={"image": 24, "video": 24, "text": 16},
+            within_cluster_prob=0.85, noise_std=0.25, seed=0,
+        ))
+        ks = (1, 10, 40)
+        block_size = item_graph._AFFINITY_BLOCK_ELEMENTS // 2000
+        for f in feats:
+            f = ModalityFeatures(f.modality, f.matrix.astype(np.float32))
+            for k, expected in zip(ks, full_sort_affinity(f.matrix, ks, block_size)):
+                assert_same_bytes(build_affinity_graph(f, k), expected)
+
+
+@st.composite
+def top_k_cases(draw):
+    """A block of similarity rows and a k: few distinct integer values, so
+    the k-th value is often tied across chunk boundaries, with -inf entries
+    and all-equal rows mixed in, and widths on both sides of 2k."""
+    width = draw(st.integers(1, 300))
+    rows = draw(st.integers(1, 4))
+    k = draw(st.one_of(st.integers(1, width), st.sampled_from([1, max(width - 1, 1), width])))
+    spread = draw(st.sampled_from([0, 1, 3, 1000]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    sims = rng.integers(-spread, spread + 1, size=(rows, width)).astype(np.float64)
+    sims[rng.random((rows, width)) < draw(st.sampled_from([0.0, 0.1, 0.9]))] = -np.inf
+    for r in draw(st.lists(st.integers(0, rows - 1), max_size=2)):
+        sims[r] = draw(st.sampled_from([0.0, 1.0, -np.inf]))  # an all-equal row
+    return sims, k
+
+
+class TestTopK:
+    @given(top_k_cases())
+    @settings(max_examples=400, deadline=None)
+    def test_matches_a_full_stable_sort(self, case):
+        sims, k = case
+        got = item_graph._top_k(sims, k)
+        assert got.shape == (len(sims), k)
+        assert np.array_equal(got, top_k(sims, k))
 
 
 def smoothed(graph, features) -> np.ndarray:

@@ -1,10 +1,13 @@
-"""Peak memory of an evaluation pass, as tracemalloc sees it: numpy reports
-every buffer it allocates to it."""
+"""Peak memory of an affinity graph build and of an evaluation pass, as
+tracemalloc sees it: numpy reports every buffer it allocates to it."""
 
 import tracemalloc
 
-from mhcr import evaluation
-from mhcr.dataio import SyntheticConfig, generate_synthetic, split_dataset
+import numpy as np
+import pytest
+
+from mhcr import evaluation, item_graph
+from mhcr.dataio import ModalityFeatures, SyntheticConfig, generate_synthetic, split_dataset
 from mhcr.training import TrainConfig, build_views, compute_embeddings, init_parameters
 
 
@@ -15,6 +18,35 @@ def peak_above_start(fn):
     tracemalloc.reset_peak()
     result = fn()
     return result, tracemalloc.get_traced_memory()[1] - start
+
+
+def traced_peak(fn):
+    """`peak_above_start(fn)`, starting tracemalloc if it is not running."""
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        return peak_above_start(fn)
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+
+
+@pytest.mark.parametrize("k", [10, 40])
+def test_an_affinity_build_holds_a_few_similarity_blocks(k):
+    # the whole 3000 x 3000 similarity matrix would be 17 blocks. Spread-out
+    # features leave about k + 1 candidates a row beside the block; equal
+    # rows make every entry a candidate, the bounded selection's worst case,
+    # which holds the block, the candidate positions, their padded values
+    # and their order
+    num_items = 3000
+    block = max(1, item_graph._AFFINITY_BLOCK_ELEMENTS // num_items) * num_items * 8
+    drawn = np.random.default_rng(0).normal(size=(num_items, 24))
+    for matrix, most in ((drawn, 3.0), (np.ones((num_items, 24)), 6.0)):
+        features = ModalityFeatures("image", matrix)
+        graph, peak = traced_peak(lambda: item_graph.build_affinity_graph(features, k))
+        assert graph.nnz == num_items * k
+        assert peak < most * block, peak / block
 
 
 def test_an_evaluation_pass_holds_few_node_arrays_and_one_score_block():
@@ -33,15 +65,7 @@ def test_an_evaluation_pass_holds_few_node_arrays_and_one_score_block():
     score_block = rows * ds.num_items * 8
     assert ds.num_users > 2 * rows  # several blocks, so two could be alive at once
 
-    tracing = tracemalloc.is_tracing()
-    if not tracing:
-        tracemalloc.start()
-    try:
-        (user_emb, item_emb), embed_peak = peak_above_start(
-            lambda: compute_embeddings(params, views, cfg))
-        _, rank_peak = peak_above_start(lambda: evaluation.evaluate(user_emb, item_emb, ds))
-    finally:
-        if not tracing:
-            tracemalloc.stop()
+    (user_emb, item_emb), embed_peak = traced_peak(lambda: compute_embeddings(params, views, cfg))
+    _, rank_peak = traced_peak(lambda: evaluation.evaluate(user_emb, item_emb, ds))
     assert embed_peak < 7 * node_array, embed_peak / node_array
     assert rank_peak < 1.5 * score_block, rank_peak / score_block
