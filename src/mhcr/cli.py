@@ -168,11 +168,8 @@ def _out_dir(args: argparse.Namespace, file_values: dict[str, object]) -> Path:
 def _ratios(args: argparse.Namespace, file_values: dict[str, object]) -> tuple[float, float, float]:
     """The split ratios by precedence, checked before any data is read."""
     text = _setting(args, file_values, "split_ratios", "0.7,0.1,0.2")
-    parts = text.split(",")
-    if len(parts) != 3:
-        raise ConfigError(f"split ratios need three comma-separated values, got {text!r}")
     try:
-        ratios = tuple(float(p) for p in parts)
+        ratios = tuple(float(p) for p in text.split(","))
     except ValueError:
         raise ConfigError(f"cannot parse split ratios {text!r}") from None
     check_split_ratios(ratios)

@@ -11,6 +11,7 @@ from pathlib import Path
 from typing import Mapping, Sequence
 
 import numpy as np
+import scipy.sparse as sp
 
 from .errors import ConfigError, DataError, ParseError
 
@@ -53,8 +54,10 @@ class InteractionDataset:
         self.items = np.asarray(self.items, dtype=np.int64)
         if self.users.shape != self.items.shape or self.users.ndim != 1:
             raise DataError("users and items must be parallel 1-D arrays")
-        if self.num_users < 1 or self.num_items < 1:
-            raise DataError("vocabulary sizes must be >= 1")
+        sizes = (self.num_users, self.num_items)
+        if not all(isinstance(n, (int, np.integer)) and not isinstance(n, bool) and n >= 1
+                   for n in sizes):
+            raise DataError(f"vocabulary sizes must be integers >= 1, got {sizes}")
         if self.users.size:
             if self.users.min() < 0 or self.users.max() >= self.num_users:
                 raise DataError("user index out of range")
@@ -93,18 +96,12 @@ class InteractionDataset:
         mask = np.any([split == one for one in np.atleast_1d(label)], axis=0)
         return self.users[mask], self.items[mask]
 
-    def user_degree(self, label: int) -> np.ndarray:
-        """Per-user interaction count within one split."""
-        users, _ = self.split_pairs(label)
-        return np.bincount(users, minlength=self.num_users)
-
-    def user_csr(self, label: int | tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
-        """`split_pairs(label)` grouped by user as (indptr, items): user u's
-        items, in dataset order, are items[indptr[u]:indptr[u + 1]]."""
+    def user_csr(self, label: int | tuple[int, ...]) -> sp.csr_matrix:
+        """`split_pairs(label)` grouped by user: the |U| x |I| CSR matrix of
+        ones whose row u holds user u's items, at sorted column indices."""
         users, items = self.split_pairs(label)
-        indptr = np.zeros(self.num_users + 1, dtype=np.int64)
-        np.cumsum(np.bincount(users, minlength=self.num_users), out=indptr[1:])
-        return indptr, items[np.argsort(users, kind="stable")]
+        return sp.csr_matrix((np.ones(users.size), (users, items)),
+                             shape=(self.num_users, self.num_items))
 
 
 @dataclass
@@ -232,9 +229,11 @@ def save_interactions(ds: InteractionDataset, path: str | Path) -> None:
 
 
 def check_split_ratios(ratios: Sequence[float]) -> None:
-    """Raise ConfigError unless the ratios are >= 0 and sum to 1 (NaN and inf fail the sum)."""
-    if any(r < 0 for r in ratios) or not abs(sum(ratios) - 1.0) <= 1e-9:
-        raise ConfigError(f"split ratios must be finite, >= 0 and sum to 1, got {ratios}")
+    """Raise ConfigError unless there are three ratios (train, val, test),
+    each >= 0, that sum to 1 (NaN and inf fail the sum)."""
+    if len(ratios) != 3 or any(r < 0 for r in ratios) or not abs(sum(ratios) - 1.0) <= 1e-9:
+        raise ConfigError(f"split ratios must be three finite values >= 0 that sum to 1, "
+                          f"got {ratios}")
 
 
 def split_dataset(
@@ -450,9 +449,10 @@ def save_split(ds: InteractionDataset, path: str | Path) -> None:
 
 def load_split(ds: InteractionDataset, path: str | Path) -> InteractionDataset:
     """Attach a sidecar split to `ds`, read in `_int_columns`' grammar as
-    `save_split` writes it. Every pair of a user with a line in the sidecar
-    must be covered; the pairs of users without one are dropped and counted
-    in `num_dropped_users`, as `split_dataset` drops them."""
+    `save_split` writes it. Each line must name one pair of `ds`, and no
+    pair twice; every pair of a user with a line must be covered. The pairs
+    of users without one are dropped and counted in `num_dropped_users`, as
+    `split_dataset` drops them."""
     path = Path(path)
     if not path.is_file():
         raise DataError(f"split file not found or not a file: {path}")
@@ -460,17 +460,29 @@ def load_split(ds: InteractionDataset, path: str | Path) -> InteractionDataset:
     bad = np.flatnonzero(~np.isin(split, (TRAIN, VAL, TEST)))
     if bad.size:
         raise ParseError(f"{path}:{_line_of_row(path, bad[0])}: label must be 0, 1, or 2")
-    # last line first: np.unique keeps a repeated pair's last label
-    inside = np.flatnonzero((users >= 0) & (users < ds.num_users) & (items >= 0)
-                            & (items < ds.num_items))[::-1]
-    keys, first = np.unique(pair_keys(users[inside], items[inside], ds.num_users, ds.num_items),
-                            return_index=True)
-    keys = np.append(keys, np.iinfo(np.int64).max)  # above every key, so `at` stays in range
+
+    def reject(rows: np.ndarray, problem: str) -> None:
+        if rows.size:
+            u, i = users[rows[0]], items[rows[0]]
+            raise DataError(f"{path}:{_line_of_row(path, rows[0])}: pair ({u}, {i}) {problem}")
+
+    # checked before the keys: (0, |I|) would share the key u*|I| + i of (1, 0)
+    reject(np.flatnonzero((users < 0) | (users >= ds.num_users) | (items < 0)
+                          | (items >= ds.num_items)),
+           f"is outside the {ds.num_users} x {ds.num_items} vocabulary")
     wanted = pair_keys(ds.users, ds.items, ds.num_users, ds.num_items)
-    at = np.searchsorted(keys, wanted)
-    keep = keys[at] == wanted
+    order = np.argsort(wanted)
+    keys = np.append(wanted[order], np.iinfo(np.int64).max)  # above every key: `at` stays in range
+    named = pair_keys(users, items, ds.num_users, ds.num_items)
+    at = np.searchsorted(keys, named)
+    reject(np.flatnonzero(keys[at] != named), "is not in the data")
+    rows, index = order[at], np.arange(at.size)
+    first = np.full(len(ds), at.size)  # each pair's first line; at.size for none
+    np.minimum.at(first, rows, index)
+    reject(np.flatnonzero(first[rows] != index), "repeats an earlier line")
+    keep = first < at.size
     lined = np.zeros(ds.num_users, dtype=bool)
-    lined[users[inside]] = True
+    lined[users] = True
     missing = np.flatnonzero(~keep & lined[ds.users])
     if missing.size:
         u, i = ds.users[missing[0]], ds.items[missing[0]]
@@ -479,7 +491,7 @@ def load_split(ds: InteractionDataset, path: str | Path) -> InteractionDataset:
     if dropped_users:
         log.warning("dropped %d user(s) left without train interactions", dropped_users)
     return InteractionDataset(ds.num_users, ds.num_items, ds.users[keep], ds.items[keep],
-                              split=split[inside[first[at[keep]]]], num_dropped_users=dropped_users)
+                              split=split[first[keep]], num_dropped_users=dropped_users)
 
 
 def format_dataset_stats(num_users: int, num_items: int, num_interactions: int) -> str:

@@ -93,17 +93,9 @@ def _slice_users(ds: InteractionDataset, slice_name: str, cold_threshold: int) -
     if slice_name == SLICE_ALL:
         return np.arange(ds.num_users)
     if slice_name == SLICE_COLD:
-        return np.flatnonzero(ds.user_degree(TRAIN) < cold_threshold)
+        return np.flatnonzero(np.bincount(ds.split_pairs(TRAIN)[0], minlength=ds.num_users)
+                              < cold_threshold)
     raise ConfigError(f"unknown slice {slice_name!r}")
-
-
-def _entries(indptr: np.ndarray, items: np.ndarray, users: np.ndarray):
-    """(row, item) of every CSR entry of `users`, row i standing for users[i]."""
-    starts, lengths = indptr[users], indptr[users + 1] - indptr[users]
-    rows = np.repeat(np.arange(users.size), lengths)
-    # entry j of row r sits at starts[r] + j - (entries before row r)
-    shift = starts - (np.cumsum(lengths) - lengths)
-    return rows, items[np.arange(rows.size) + shift[rows]]
 
 
 def _ranked_hits(scores: np.ndarray, masked, targets, width: int) -> np.ndarray:
@@ -163,12 +155,12 @@ def evaluate(
     mask_splits = (TRAIN,) if target_split == VAL else (TRAIN, VAL)
     targets = ds.user_csr(target_split)
     masked = ds.user_csr(mask_splits)
-    num_targets = np.diff(targets[0])
+    num_targets = np.diff(targets.indptr)
     users = np.unique(np.concatenate(members))
     users = users[num_targets[users] > 0]
     num_targets = num_targets[users]
     # InteractionDataset holds no duplicate pairs, so no masked item repeats
-    num_candidates = ds.num_items - np.diff(masked[0])[users]
+    num_candidates = ds.num_items - np.diff(masked.indptr)[users]
 
     width = min(max(ks), ds.num_items)
     gains = 1.0 / np.log2(np.arange(1, width + 1) + 1)
@@ -179,8 +171,8 @@ def evaluate(
         block = slice(start, start + rows)
         block_users = users[block]
         scores = np.matmul(user_emb[block_users], item_emb.T, out=buffer[:block_users.size])
-        hits = _ranked_hits(scores, _entries(*masked, block_users),
-                            _entries(*targets, block_users), width)
+        hits = _ranked_hits(scores, masked[block_users].nonzero(),
+                            targets[block_users].nonzero(), width)
         # only a row's first |I| - |masked| positions rank, as one user's
         # ranking always did; past them sit masked items or NaN scores
         hits &= np.arange(width) < num_candidates[block, None]

@@ -259,11 +259,9 @@ def build_views(
     feats = canonical_modalities(features)
     adjacency = build_norm_adjacency(ds)
     smoothed = [build_affinity_graph(f, cfg.k_knn) @ f.matrix for f in feats]
-    users, items = ds.split_pairs(TRAIN)
-    degree = np.bincount(users, minlength=ds.num_users)
-    x_u = sp.csr_matrix(
-        (1.0 / degree[users], (users, items)), shape=(ds.num_users, ds.num_items)
-    )
+    x_u = ds.user_csr(TRAIN)
+    degree = np.diff(x_u.indptr)
+    x_u.data /= np.repeat(degree, degree)
     return ViewInputs(adjacency, smoothed, x_u, feats)
 
 

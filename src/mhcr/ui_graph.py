@@ -16,20 +16,17 @@ def build_norm_adjacency(ds: InteractionDataset) -> sp.csr_matrix:
     """(|U|+|I|)-node adjacency with edge weight 1/sqrt(deg(u) * deg(i)).
 
     Users occupy node rows [0, |U|), items [|U|, |U|+|I|). Only train
-    interactions contribute edges; isolated nodes keep zero rows.
+    interactions contribute edges, read from `ds.user_csr(TRAIN)`, whose
+    row and column counts are the degrees; isolated nodes keep zero rows.
+    The result is symmetric with sorted indices.
     """
-    users, items = ds.split_pairs(TRAIN)
-    if users.size == 0:
+    x = ds.user_csr(TRAIN)
+    if x.nnz == 0:
         raise DataError("cannot build bipartite graph: no train interactions")
-    deg_u = np.bincount(users, minlength=ds.num_users)
-    deg_i = np.bincount(items, minlength=ds.num_items)
-    weights = 1.0 / np.sqrt(deg_u[users] * deg_i[items])
-
-    n = ds.num_users + ds.num_items
-    rows = np.concatenate([users, ds.num_users + items])
-    cols = np.concatenate([ds.num_users + items, users])
-    vals = np.concatenate([weights, weights])
-    return sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
+    deg_u = np.diff(x.indptr)
+    deg_i = np.bincount(x.indices, minlength=ds.num_items)
+    x.data = 1.0 / np.sqrt(np.repeat(deg_u, deg_u) * deg_i[x.indices])
+    return sp.bmat([[None, x], [x.T, None]], format="csr")
 
 
 def propagate_ui(adjacency: sp.csr_matrix, e0, layers: int, rows: np.ndarray) -> ad.Tensor:

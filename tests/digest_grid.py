@@ -24,15 +24,23 @@ and `data` of each modality's `build_affinity_graph` at K in {1, 4, 10, 40}
 on a 300-item and a 1200-item cluster set, and on a 1200-item set without
 feature noise, where every item ties with its whole cluster.
 
+"views" digests what a fit reads before its first step, on the grid's
+data in its generated (user, item) order and on the same pairs and labels
+in one fixed shuffled order, where a user's pairs are not in item order:
+per order, the `indptr`, `indices` and `data` of `build_views`' adjacency
+and of its D_u^-1 X_u, and the VAL and TEST reports (all users, then the
+cold-start slice) of the eval-mode embeddings of `BASE`'s initial
+parameters.
+
 Digests depend on the numpy and BLAS builds, so compare them only between
-runs on one host. The script calls only `fit`, `build_views`,
-`compute_embeddings`, `evaluate`, `build_affinity_graph` and the CLI's
-`main`, so it also runs against another checkout:
+runs on one host. The script calls only `fit`, `init_parameters`,
+`build_views`, `compute_embeddings`, `evaluate`, `build_affinity_graph`
+and the CLI's `main`, so it also runs against another checkout:
 
     PYTHONPATH=/path/to/parent/src python tests/digest_grid.py --out parent.json
     PYTHONPATH=src python tests/digest_grid.py --out change.json --compare parent.json
 
-`--compare` lists, per digest kind, the configs (CLI files, graphs) whose
+`--compare` lists, per digest kind, the configs (CLI files, graphs, views) whose
 digests differ, and exits 1 if any do.
 """
 
@@ -52,10 +60,11 @@ from pathlib import Path
 import numpy as np
 
 from mhcr.cli import main as mhcr_main
-from mhcr.dataio import VAL, SyntheticConfig, generate_synthetic, split_dataset
-from mhcr.evaluation import evaluate
+from mhcr.dataio import (TEST, VAL, InteractionDataset, SyntheticConfig, generate_synthetic,
+                         split_dataset)
+from mhcr.evaluation import SLICE_ALL, SLICE_COLD, evaluate
 from mhcr.item_graph import build_affinity_graph
-from mhcr.training import TrainConfig, build_views, compute_embeddings, fit
+from mhcr.training import TrainConfig, build_views, compute_embeddings, fit, init_parameters
 
 from ablations import ABLATIONS
 
@@ -76,6 +85,9 @@ GRAPH_SETS = {
                                  seed=3),
 }
 GRAPH_KS = (1, 4, 10, 40)
+VIEW_PARTS = ("adjacency", "x_u", "reports")
+VIEW_ORDERS = ("dataset-order", "shuffled")
+SHUFFLE_SEED = 11
 
 
 def grid() -> dict[str, TrainConfig]:
@@ -153,6 +165,31 @@ def graph_digests() -> dict[str, str]:
     return digests
 
 
+def view_digests() -> dict[str, str]:
+    """Per pair order of `VIEW_ORDERS` and part of `VIEW_PARTS`, sha256 of
+    the sparse matrix's `indptr`, `indices` and `data`, or of the initial
+    parameters' VAL and TEST report JSON."""
+    ds, features = dataset()
+    order = np.random.default_rng(SHUFFLE_SEED).permutation(len(ds))
+    shuffled = InteractionDataset(ds.num_users, ds.num_items, ds.users[order], ds.items[order],
+                                  split=ds.split[order])
+    digests = {}
+    for name, data in zip(VIEW_ORDERS, (ds, shuffled)):
+        views = build_views(data, features, BASE)
+        params = init_parameters(BASE, data.num_users, data.num_items, views.modality_dims)
+        user_emb, item_emb = compute_embeddings(params, views, BASE)
+        for part, matrix in (("adjacency", views.adjacency), ("x_u", views.x_u)):
+            digest = hashlib.sha256()
+            for array in (matrix.indptr, matrix.indices, matrix.data):
+                digest.update(array.tobytes())
+            digests[f"{name}/{part}"] = digest.hexdigest()
+        reports = [evaluate(user_emb, item_emb, data, (SLICE_ALL, SLICE_COLD), target_split=split)
+                   for split in (VAL, TEST)]
+        text = "".join(report.to_json() for report in reports)
+        digests[f"{name}/reports"] = hashlib.sha256(text.encode()).hexdigest()
+    return digests
+
+
 def collect() -> dict:
     ds, features = dataset()
     return {
@@ -160,6 +197,7 @@ def collect() -> dict:
         "configs": {name: config_digests(ds, features, cfg) for name, cfg in grid().items()},
         "cli": cli_digests(),
         "graphs": graph_digests(),
+        "views": view_digests(),
     }
 
 
@@ -174,9 +212,10 @@ def compare(ours: dict, theirs: dict) -> dict[str, list[str]]:
             if ours["configs"].get(n, {}).get(kind) != theirs["configs"].get(n, {}).get(kind)
         ]
     differ["cli"] = [n for n in CLI_FILES if ours["cli"].get(n) != theirs["cli"].get(n)]
-    ours_graphs, theirs_graphs = ours.get("graphs", {}), theirs.get("graphs", {})
-    differ["graphs"] = [n for n in sorted(ours_graphs.keys() | theirs_graphs.keys())
-                        if ours_graphs.get(n) != theirs_graphs.get(n)]
+    for kind in ("graphs", "views"):
+        ours_kind, theirs_kind = ours.get(kind, {}), theirs.get(kind, {})
+        differ[kind] = [n for n in sorted(ours_kind.keys() | theirs_kind.keys())
+                        if ours_kind.get(n) != theirs_kind.get(n)]
     return differ
 
 
@@ -188,7 +227,7 @@ def main(argv=None) -> int:
     digests = collect()
     Path(args.out).write_text(json.dumps(digests, indent=1, sort_keys=True) + "\n")
     print(f"{len(digests['configs'])} configs, {len(digests['cli'])} CLI files, "
-          f"{len(digests['graphs'])} graphs -> {args.out}")
+          f"{len(digests['graphs'])} graphs, {len(digests['views'])} views -> {args.out}")
     if not args.compare:
         return 0
     theirs = json.loads(Path(args.compare).read_text())

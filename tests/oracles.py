@@ -445,8 +445,10 @@ def read_tsv(raw: bytes, width: int) -> np.ndarray | int:
 
 def train_sets_by_user(ds: InteractionDataset) -> list[frozenset[int]]:
     """Per user, the set of its train items."""
-    indptr, items = ds.user_csr(TRAIN)
-    return [frozenset(items[indptr[u]:indptr[u + 1]].tolist()) for u in range(ds.num_users)]
+    sets = [set() for _ in range(ds.num_users)]
+    for u, i in zip(*(part.tolist() for part in ds.split_pairs(TRAIN))):
+        sets[u].add(i)
+    return [frozenset(s) for s in sets]
 
 
 def sample_negatives_by_user(ds: InteractionDataset, batch_users, rng: np.random.Generator,

@@ -30,6 +30,9 @@ from mhcr.cli import (
     main,
 )
 from mhcr.dataio import (
+    TEST,
+    TRAIN,
+    VAL,
     InteractionDataset,
     load_features,
     load_interactions,
@@ -424,6 +427,28 @@ class TestEvaluate:
         assert "no train interactions" in capsys.readouterr().err
         assert not (tmp_path / "e").exists()
 
+    def test_a_split_line_that_names_no_unique_pair_exits_3_at_its_line(self, data_dir, tmp_path,
+                                                                          capsys):
+        run = tmp_path / "run"
+        assert run_train(data_dir, run) == 0
+        raw = load_interactions(data_dir / "interactions.tsv")
+        absent = next(i for i in range(raw.num_items) if i not in raw.items[raw.users == 0])
+        lines = (run / "split.tsv").read_text().splitlines()
+        u, i, label = lines[0].split("\t")
+        vocabulary = f"is outside the {raw.num_users} x {raw.num_items} vocabulary"
+        cases = [(u, i, (int(label) + 1) % 3, "repeats an earlier line"),
+                 (-1, i, 0, vocabulary), (raw.num_users, 0, 0, vocabulary),
+                 (0, absent, 1, "is not in the data")]
+        split = tmp_path / "bad-split.tsv"
+        for user, item, label, problem in cases:
+            split.write_text("\n".join(lines[:3] + [f"{user}\t{item}\t{label}"] + lines[3:]))
+            code = main(["evaluate", "--data-dir", str(data_dir), "--checkpoint",
+                         str(run / "checkpoint.bin"), "--split", str(split),
+                         "--out-dir", str(tmp_path / "e")])
+            assert code == EXIT_DATA, problem
+            assert f"bad-split.tsv:4: pair ({user}, {item}) {problem}" in capsys.readouterr().err
+            assert not (tmp_path / "e").exists()
+
 
 class TestOneScoringPerCommand:
     """`mhcr train` scores the embeddings `fit` kept, so it builds its views
@@ -465,7 +490,9 @@ class TestOneScoringPerCommand:
         records = json.loads((out / "eval_test.json").read_text())["records"]
         users = {r["slice"]: r["users"] for r in records}
         assert users == {"all": 400, SLICE_COLD: 11}
-        assert (sum(rows), len(csrs)) == (400, 2)
+        # build_views' two TRAIN matrices (the UI graph, then D_u^-1 X_u), then
+        # evaluate's one target and one mask matrix
+        assert (sum(rows), csrs) == (400, [TRAIN, TRAIN, TEST, (TRAIN, VAL)])
 
 
 class TestSweep:

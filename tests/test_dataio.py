@@ -92,6 +92,11 @@ class TestDatasetInvariants:
         with pytest.raises(DataError):
             InteractionDataset(2, 2, np.array([2]), np.array([0]))
 
+    @pytest.mark.parametrize("sizes", [(2.5, 3), (3, 3.0), ("3", 3), (True, 3), (None, 3)])
+    def test_vocabulary_sizes_that_are_not_integers_rejected(self, sizes):
+        with pytest.raises(DataError, match="vocabulary sizes must be integers"):
+            InteractionDataset(*sizes, np.array([0]), np.array([1]))
+
     def test_duplicate_pairs_rejected(self):
         with pytest.raises(DataError):
             InteractionDataset(2, 2, np.array([0, 0]), np.array([1, 1]))
@@ -129,12 +134,32 @@ class TestDatasetInvariants:
         pair_users, pair_items = ds.split_pairs((TRAIN, VAL))
         assert pair_users.tolist() == [1, 0, 0, 2, 1]
         assert pair_items.tolist() == [0, 3, 1, 0, 4]
-        indptr, by_user = ds.user_csr((TRAIN, VAL))
-        assert indptr.tolist() == [0, 2, 4, 5, 5]
-        assert by_user.tolist() == [3, 1, 0, 4, 0]
-        for label in (TRAIN, VAL, TEST):
-            one, single = ds.user_csr((label,)), ds.user_csr(label)
-            assert [a.tolist() for a in one] == [a.tolist() for a in single]
+        csr = ds.user_csr((TRAIN, VAL))
+        assert csr.indptr.tolist() == [0, 2, 4, 5, 5]
+        assert csr.indices.tolist() == [1, 3, 0, 4, 0]
+
+    @given(data=st.data(), label=st.sampled_from([TRAIN, VAL, TEST, (TRAIN, VAL), (VAL, TEST),
+                                                  (TRAIN, VAL, TEST)]))
+    @settings(max_examples=60, deadline=None)
+    def test_user_csr_row_u_holds_user_u_items_sorted(self, data, label):
+        num_users, num_items = data.draw(st.integers(1, 6)), data.draw(st.integers(1, 6))
+        keys = data.draw(st.permutations(range(num_users * num_items)))  # shuffled pair order
+        keys = np.array(keys[:data.draw(st.integers(0, len(keys)))], dtype=np.int64)
+        split = data.draw(st.lists(st.sampled_from([TRAIN, VAL, TEST]), min_size=keys.size,
+                                   max_size=keys.size))
+        ds = InteractionDataset(num_users, num_items, keys // num_items, keys % num_items,
+                                split=np.array(split, dtype=np.int64))
+        csr = ds.user_csr(label)
+        users, items = ds.split_pairs(label)
+        assert csr.shape == (num_users, num_items)
+        assert csr.data.tolist() == [1.0] * users.size
+        for u in range(num_users):
+            row = csr.indices[csr.indptr[u]:csr.indptr[u + 1]].tolist()
+            assert row == sorted(items[users == u].tolist()), u
+        if not isinstance(label, tuple):
+            one = ds.user_csr((label,))
+            for part in ("indptr", "indices", "data"):
+                assert np.array_equal(getattr(one, part), getattr(csr, part)), part
 
 
 class TestSplit:
@@ -168,6 +193,11 @@ class TestSplit:
     def test_bad_ratios(self):
         with pytest.raises(ConfigError):
             split_dataset(self.make([5]), ratios=(0.5, 0.2, 0.2), seed=0)
+
+    @pytest.mark.parametrize("ratios", [(0.5, 0.5), (1.0,), (0.7, 0.1, 0.1, 0.1), ()])
+    def test_ratios_other_than_three_rejected(self, ratios):
+        with pytest.raises(ConfigError, match="three finite values"):
+            split_dataset(self.make([5]), ratios=ratios, seed=0)
 
     def test_negative_seed_rejected(self):
         with pytest.raises(ConfigError, match="seed"):
@@ -372,11 +402,24 @@ class TestSplitSidecar:
         for name in ("users", "items", "split"):
             assert np.array_equal(getattr(back, name), getattr(ds, name)), name
 
-    def test_last_label_wins_and_pairs_outside_the_data_are_ignored(self, tmp_path):
-        # (0, 3) would share the key u*|I| + i of (1, 0)
-        text = "-1\t5\t1\n9\t9\t0\n0\t1\t0\n1\t0\t2\n2\t2\t1\n2\t0\t0\n0\t1\t2\n0\t3\t1\n"
+    @pytest.mark.parametrize("line, problem", [
+        ("0\t1\t2", r"pair \(0, 1\) repeats an earlier line"),
+        ("-1\t2\t1", r"pair \(-1, 2\) is outside the 3 x 3 vocabulary"),
+        ("3\t0\t0", r"pair \(3, 0\) is outside the 3 x 3 vocabulary"),
+        ("0\t-1\t0", r"pair \(0, -1\) is outside the 3 x 3 vocabulary"),
+        ("2\t3\t0", r"pair \(2, 3\) is outside the 3 x 3 vocabulary"),
+        ("0\t3\t1", r"pair \(0, 3\) is outside the 3 x 3 vocabulary"),  # (1, 0)'s key
+        ("0\t0\t1", r"pair \(0, 0\) is not in the data"),
+    ], ids=["repeated", "negative-user", "user-at-vocabulary", "negative-item",
+            "item-at-vocabulary", "key-collision", "absent"])
+    def test_a_line_that_names_no_unique_pair_of_the_data_fails_at_its_line(
+            self, tmp_path, line, problem):
         ds = InteractionDataset(3, 3, np.array([0, 1, 2, 2]), np.array([1, 0, 2, 0]))
-        assert load_split(ds, write(tmp_path, text)).split.tolist() == [2, 2, 1, 0]
+        lines = ["0\t1\t0", "1\t0\t2", "", "2\t2\t1", "2\t0\t0"]
+        assert load_split(ds, write(tmp_path, "\n".join(lines))).split.tolist() == [0, 2, 1, 0]
+        path = write(tmp_path, "\n".join(lines[:3] + [line] + lines[3:]))
+        with pytest.raises(DataError, match=f"inter.tsv:4: {problem}$"):
+            load_split(ds, path)
 
 
 @pytest.mark.parametrize(
