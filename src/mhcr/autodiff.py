@@ -12,8 +12,13 @@ A full training step (three modalities) records 13 nodes. Inputs that do
 not require a gradient record nothing, so a forward pass over constants
 builds no tape.
 
-All data is float64. `add` takes operands of equal shape; there is no
-broadcasting.
+Data keeps its floating type: a Tensor holds float32 or float64 as it is
+given, and anything else as float64. Every op allocates its output and
+its gradients in its inputs' type, and a gradient is accumulated in the
+type of the tensor it belongs to: the losses compute in float64, and the
+row gradients they hand a float32 tensor are rounded as they are added
+into its float32 gradient. `add` takes operands of equal shape; there is
+no broadcasting.
 """
 
 from __future__ import annotations
@@ -25,6 +30,7 @@ import numpy as np
 from .errors import ShapeError
 
 Array = np.ndarray
+_FLOAT_TYPES = (np.dtype(np.float32), np.dtype(np.float64))
 
 
 class Tensor:
@@ -33,7 +39,8 @@ class Tensor:
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
 
     def __init__(self, data, requires_grad: bool = False):
-        self.data = np.asarray(data, dtype=np.float64)
+        data = np.asarray(data)
+        self.data = data if data.dtype in _FLOAT_TYPES else data.astype(np.float64)
         self.grad: Array | None = None
         self.requires_grad = requires_grad
         self._parents: tuple[Tensor, ...] = ()
@@ -81,7 +88,7 @@ class Tensor:
                     continue
                 if isinstance(grad, RowGrad):
                     if parent.grad is None:
-                        parent.grad = np.zeros(parent.shape)
+                        parent.grad = np.zeros(parent.shape, dtype=parent.data.dtype)
                     add_rows(parent.grad, *grad)
                 elif parent.grad is None:
                     parent.grad = grad
@@ -150,6 +157,6 @@ def add_rows(out: Array, indices: Array, g: Array) -> None:
     if rows.size == indices.size:
         out[indices] += g
     else:
-        summed = np.zeros((rows.size,) + g.shape[1:])
+        summed = np.zeros((rows.size,) + g.shape[1:], dtype=g.dtype)
         np.add.at(summed, inverse, g)
         out[rows] += summed

@@ -8,7 +8,9 @@ shape, followed by the tensors' little-endian f32 values. Layout:
 
 `parameter_shapes` of the header's sizes, the config's `d` and `k_hyper`
 and the widths is the only description of the body: it holds exactly
-those values, all finite, and nothing else.
+those values, all finite, and nothing else. The model's parameters are
+float32 (`training.STATE_DTYPE`), so a save stores them exactly and a
+load gives them back bit for bit, as float32.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ import numpy as np
 from . import autodiff as ad
 from .dataio import MODALITIES
 from .errors import ConfigError, DataError, NumericError
-from .training import ModelParameters, TrainConfig, parameter_shapes
+from .training import STATE_DTYPE, ModelParameters, TrainConfig, parameter_shapes
 
 _MAGIC = b"MHCRCKPT"
 _VERSION = 3
@@ -34,7 +36,8 @@ _HEADER = struct.Struct("<8sIQQI")  # magic, version, num_users, num_items, meta
 
 def save_checkpoint(params: ModelParameters, path: str | Path) -> None:
     """Write `params` and `params.config`; raises NumericError, before the
-    file is opened, if a value is not finite once rounded to f32."""
+    file is opened, if a value is not finite once rounded to f32 (float64
+    parameters are rounded, float32 ones stored as they are)."""
     cfg, widths = params.config, params.modality_dims
     shapes = parameter_shapes(params.num_users, params.num_items, cfg.d, cfg.k_hyper, widths)
     with np.errstate(over="ignore"):
@@ -112,6 +115,6 @@ def load_checkpoint(path: str | Path) -> ModelParameters:
         data = np.frombuffer(raw, dtype="<f4", count=size, offset=offset)
         if not np.isfinite(data).all():
             raise DataError(f"{path}: {name} contains non-finite values")
-        named[name] = ad.Tensor(data.astype(np.float64).reshape(shape), requires_grad=True)
+        named[name] = ad.Tensor(data.reshape(shape).astype(STATE_DTYPE), requires_grad=True)
         offset += 4 * size
     return ModelParameters(num_users, named, cfg)

@@ -4,7 +4,9 @@ NDCG@K, and cold-start slicing.
 Candidates for a test-split evaluation are all items minus the user's train
 and val items; ranking ties break toward the lower item index so reports
 are reproducible bit for bit. Metrics average only over users that have at
-least one interaction in the target split.
+least one interaction in the target split. Scores are float64 whatever the
+embeddings' floating type, and a non-finite embedding is an error, not a
+score.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from .dataio import TEST, TRAIN, VAL, InteractionDataset
-from .errors import ConfigError, ShapeError
+from .errors import ConfigError, NumericError, ShapeError
 from .item_graph import masked_row_sums
 
 SLICE_ALL = "all"
@@ -140,9 +142,18 @@ def evaluate(
     allocated per call; each is masked, matched against its targets and
     scored at once, and only the stable sort runs per user. Each slice sums
     its own users' values one at a time in user order.
+
+    Scores are float64: `item_emb` is upcast once and each block's user
+    rows as the block is scored, so float64 embeddings rank bit for bit as
+    they did and float32 ones as their float64 values. A NaN or an inf in
+    either matrix raises NumericError naming it.
     """
     if user_emb.shape[0] != ds.num_users or item_emb.shape[0] != ds.num_items:
         raise ShapeError("embedding row counts do not match the dataset")
+    item_emb = np.asarray(item_emb, dtype=np.float64)
+    for name, emb in (("user_emb", user_emb), ("item_emb", item_emb)):
+        if not np.isfinite(emb).all():
+            raise NumericError(f"{name} holds a NaN or an inf, which no ranking orders")
     ks = _cutoffs(ks)
     if target_split not in (VAL, TEST):  # TRAIN targets are masked
         raise ConfigError(f"target_split must be {VAL} (val) or {TEST} (test), "
@@ -170,11 +181,12 @@ def evaluate(
     for start in range(0, users.size, rows):
         block = slice(start, start + rows)
         block_users = users[block]
-        scores = np.matmul(user_emb[block_users], item_emb.T, out=buffer[:block_users.size])
+        rows64 = user_emb[block_users].astype(np.float64, copy=False)
+        scores = np.matmul(rows64, item_emb.T, out=buffer[:block_users.size])
         hits = _ranked_hits(scores, masked[block_users].nonzero(),
                             targets[block_users].nonzero(), width)
         # only a row's first |I| - |masked| positions rank, as one user's
-        # ranking always did; past them sit masked items or NaN scores
+        # ranking always did; past them sit masked items
         hits &= np.arange(width) < num_candidates[block, None]
         for k in ks:
             top = hits[:, :k]

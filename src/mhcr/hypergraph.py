@@ -40,7 +40,6 @@ from .errors import ShapeError
 def build_incidence(features: np.ndarray, v_m: np.ndarray) -> np.ndarray:
     """H_i: per item, the softmax over the K hyperedges of its logits
     F_m @ V_m^T, shifted by the item's largest logit. Each row sums to 1."""
-    features = np.asarray(features, dtype=np.float64)
     if features.shape[1] != v_m.shape[1]:
         raise ShapeError(f"feature width {features.shape[1]} != hyperedge width {v_m.shape[1]}")
     # K x |I|, so each reduction over the K hyperedges runs across whole rows
@@ -51,12 +50,14 @@ def build_incidence(features: np.ndarray, v_m: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(h.T)
 
 
-def _mask(shape: tuple[int, ...], rate: float, rng: np.random.Generator):
+def _mask(shape: tuple[int, ...], rate: float, rng: np.random.Generator, dtype):
     """The factor of one DROP occurrence: None (keep everything) or an
-    inverted-dropout mask drawn from `rng`."""
+    inverted-dropout mask drawn from `rng`, in `dtype`. The draws do not
+    depend on `dtype`, so at a rate whose 1 / (1 - rate) both types hold
+    exactly (0.5 among them) the factor has the same values in either."""
     if rate <= 0.0:
         return None
-    return (rng.random(shape) >= rate) * (1.0 / (1.0 - rate))
+    return np.multiply(rng.random(shape) >= rate, 1.0 / (1.0 - rate), dtype=dtype)
 
 
 def _masked(x: np.ndarray, mask) -> np.ndarray:
@@ -69,11 +70,11 @@ def _step(h: np.ndarray, d_e: np.ndarray, state: np.ndarray, targets: list[np.nd
     DROP(T) @ P into `outs` (arrays or None) for each of `targets`, one
     mask each in order; returns them and their VJP: gs -> (grads of the
     targets, of H, of state), the targets' pool gradients summed first."""
-    pool_mask = _mask(h.shape, rate, rng)
+    pool_mask = _mask(h.shape, rate, rng, state.dtype)
     source = _masked(h, pool_mask)
     pooled = source.T @ state
     pooled /= d_e[:, None]
-    target_masks = [_mask(t.shape, rate, rng) for t in targets]
+    target_masks = [_mask(t.shape, rate, rng, state.dtype) for t in targets]
     dropped = [_masked(t, mask) for t, mask in zip(targets, target_masks)]
 
     def vjp(gs):
@@ -104,7 +105,6 @@ def hypergraph_pass(features: np.ndarray, v_m: ad.Tensor, w_m: ad.Tensor, x_rows
     stochastic chain. Returns the (user; item) states after the final
     step, stacked: the rows of `x_rows`, then `item_rows`.
     """
-    features = np.asarray(features, dtype=np.float64)
     v_m, w_m = ad.as_tensor(v_m), ad.as_tensor(w_m)
     h = build_incidence(features, v_m.data)
     if x_rows.shape[1] != h.shape[0]:
@@ -119,7 +119,7 @@ def hypergraph_pass(features: np.ndarray, v_m: ad.Tensor, w_m: ad.Tensor, x_rows
         (e_cur,), vjp = _step(h, d_e, e_cur, [h], drop_rate, rng, [None])
         earlier.append(vjp)
     n_users = x_rows.shape[0]
-    stacked = np.empty((n_users + len(item_rows), e_cur.shape[1]))
+    stacked = np.empty((n_users + len(item_rows), e_cur.shape[1]), dtype=e_cur.dtype)
     _, last = _step(h, d_e, e_cur, [h[item_rows], x_rows @ h], drop_rate, rng,
                     [stacked[n_users:], stacked[:n_users]])
 

@@ -125,7 +125,8 @@ def propagate_items(
         if w.shape[0] != features.shape[1]:
             raise ShapeError(f"projection rows {w.shape[0]} != feature width {features.shape[1]}")
     picked = [features[rows] for features in smoothed]
-    out = np.zeros((user_rows + len(rows), weights[0].shape[1]))
+    out = np.zeros((user_rows + len(rows), weights[0].shape[1]),
+                   dtype=np.result_type(*picked, *(w.data for w in weights)))
     items = out[user_rows:]
     for features, w in zip(picked, weights):
         items += features @ w.data

@@ -16,7 +16,10 @@ Every loss, and their weighted total, is a single autodiff node with a
 closed-form gradient. Each loss takes the embedding tensors it scores as
 its parents, with the row indices it reads: it gathers (and, for the
 contrastive losses, normalizes) those rows itself, and hands its inputs
-the gradient as those rows (`ad.RowGrad`, one per input). The contrastive
+the gradient as those rows (`ad.RowGrad`, one per input). Every loss
+computes in float64 whatever the floating type of its inputs: it upcasts
+the rows it gathers, so a float32 model's losses and their gradients are
+float64 until they are added into its float32 gradients. The contrastive
 losses have a softmax-minus-target gradient and are computed as
 log-sum-exps shifted per node, so no exponential overflows at any tau > 0;
 the losses and their gradients still grow as 1/tau and reach inf at tau
@@ -58,7 +61,8 @@ def bpr_loss(fused, users, positives, negatives) -> ad.Tensor:
     users, positives, negatives = (
         np.asarray(rows, dtype=np.int64) for rows in (users, positives, negatives)
     )
-    u, p, n = fused.data[users], fused.data[positives], fused.data[negatives]
+    u, p, n = (fused.data[rows].astype(np.float64, copy=False)
+               for rows in (users, positives, negatives))
     margin = (u * n).sum(axis=1) - (u * p).sum(axis=1)
 
     def backward(g):
@@ -74,7 +78,7 @@ class _UnitRows:
     zero), and the map from their gradient back to the input's rows."""
 
     def __init__(self, embeddings: ad.Tensor, batch: np.ndarray):
-        rows = embeddings.data[batch]
+        rows = embeddings.data[batch].astype(np.float64, copy=False)
         self.batch = batch
         self.safe_norms = np.maximum(np.linalg.norm(rows, axis=1, keepdims=True), 1e-12)
         self.data = rows / self.safe_norms
@@ -228,7 +232,7 @@ def embedding_l2(embeddings, rows) -> ad.Tensor:
     that hands `embeddings` its gradient as those rows."""
     embeddings = ad.as_tensor(embeddings)
     rows = np.asarray(rows, dtype=np.int64)
-    x = embeddings.data[rows]
+    x = embeddings.data[rows].astype(np.float64, copy=False)
 
     def backward(g):
         return (ad.RowGrad(rows, (2.0 * float(g) / rows.size) * x),)

@@ -1,10 +1,17 @@
 """Model assembly and optimization: parameter ownership, the multi-view
 forward pass with view flags and loss weights, reverse-mode gradients
 through the fixed computation chain, Adam updates, negative sampling, and
-the epoch loop with early stopping on validation Recall@20."""
+the epoch loop with early stopping on validation Recall@20.
+
+The model's node-sized state is float32: the parameters and Adam's
+moments, the frozen view inputs of `build_views` and the embeddings of
+`compute_embeddings`. Every op keeps its inputs' type, so parameters and
+views handed in as float64 run in float64. The losses and the ranking
+compute in float64 either way (`objectives`, `evaluation.evaluate`)."""
 
 from __future__ import annotations
 
+import copy
 import logging
 from dataclasses import astuple, dataclass
 from typing import Sequence
@@ -32,6 +39,9 @@ from .ui_graph import build_norm_adjacency, propagate_ui
 log = logging.getLogger(__name__)
 
 _NEGATIVE_SAMPLING_TRIES = 100
+
+# The storage type of the node-sized state (see above).
+STATE_DTYPE = np.float32
 
 
 @dataclass(frozen=True)
@@ -169,14 +179,15 @@ def init_parameters(
 ) -> ModelParameters:
     """Gaussian init, every entry i.i.d. N(0, (1/sqrt(d))^2), so ID embedding
     row norms concentrate near 1. Deterministic given the seed: the tensors
-    of `parameter_shapes` are drawn in its order."""
+    of `parameter_shapes` are drawn in its order, in float64, and stored
+    rounded to `STATE_DTYPE`."""
     shapes = parameter_shapes(num_users, num_items, cfg.d, cfg.k_hyper, modality_dims)
     if len(shapes) == 1:
         raise ConfigError("at least one modality is required")
     rng = np.random.default_rng(cfg.seed)
     std = 1.0 / np.sqrt(cfg.d)
     return ModelParameters(num_users, {
-        name: ad.Tensor(rng.normal(0.0, std, size=shape), requires_grad=True)
+        name: ad.Tensor(rng.normal(0.0, std, size=shape).astype(STATE_DTYPE), requires_grad=True)
         for name, shape in shapes.items()
     }, cfg)
 
@@ -187,7 +198,8 @@ _ADAM_BLOCK_ELEMENTS = 1 << 15
 
 
 class Adam:
-    """Adam with bias correction; betas (0.9, 0.999), eps 1e-8."""
+    """Adam with bias correction; betas (0.9, 0.999), eps 1e-8. Moments and
+    scratch take each parameter's type, and so does the arithmetic."""
 
     beta1, beta2, eps = 0.9, 0.999, 1e-8
 
@@ -201,7 +213,7 @@ class Adam:
         for name, p in params.items():
             width = max(1, p.data[:1].size)
             rows = max(1, min(len(p.data), _ADAM_BLOCK_ELEMENTS // width))
-            block = np.empty((rows,) + p.shape[1:])
+            block = np.empty((rows,) + p.shape[1:], dtype=p.data.dtype)
             self._scratch[name] = (block, np.empty_like(block))
 
     def step(self) -> None:
@@ -240,7 +252,9 @@ class ViewInputs:
     its features propagated over its affinity graph, S_m F_m
     (`build_affinity_graph`; entry i belongs to `features[i]`), the
     |U| x |I| train interactions scaled by user degree, D_u^-1 X_u, and the
-    modality features in canonical order."""
+    modality features in canonical order. `build_views` stores all of them
+    in `STATE_DTYPE`; the features' `matrix` is a rounded copy of the
+    float64 one `ModalityFeatures` holds."""
 
     adjacency: sp.csr_matrix
     smoothed: list[np.ndarray]
@@ -255,14 +269,22 @@ class ViewInputs:
 def build_views(
     ds: InteractionDataset, features: Sequence[ModalityFeatures], cfg: TrainConfig
 ) -> ViewInputs:
+    """The frozen view inputs, each built in float64 and rounded once to
+    `STATE_DTYPE`. The sparse ones get a rounded copy of their values
+    only, so their rows keep the order they were built in."""
     validate_features(ds, features)
     feats = canonical_modalities(features)
     adjacency = build_norm_adjacency(ds)
-    smoothed = [build_affinity_graph(f, cfg.k_knn) @ f.matrix for f in feats]
+    adjacency.data = adjacency.data.astype(STATE_DTYPE)
+    smoothed = [(build_affinity_graph(f, cfg.k_knn) @ f.matrix).astype(STATE_DTYPE)
+                for f in feats]
     x_u = ds.user_csr(TRAIN)
     degree = np.diff(x_u.indptr)
-    x_u.data /= np.repeat(degree, degree)
-    return ViewInputs(adjacency, smoothed, x_u, feats)
+    x_u.data = (x_u.data / np.repeat(degree, degree)).astype(STATE_DTYPE)
+    stored = [copy.copy(f) for f in feats]
+    for f in stored:  # set past the constructor, which casts to float64
+        f.matrix = f.matrix.astype(STATE_DTYPE)
+    return ViewInputs(adjacency, smoothed, x_u, stored)
 
 
 @dataclass
@@ -458,9 +480,10 @@ def compute_embeddings(
 
     The forward pass runs on the parameters' values wrapped as constants, so
     it records no tape. The two blocks are views of one array allocated
-    before the pass, the only one kept: callers keep it while the pass's
-    views are freed, and a heap can only shrink back to its highest block."""
-    fused = np.empty(params.e0.shape)
+    before the pass, the only one kept, in the type of the parameters:
+    callers keep it while the pass's views are freed, and a heap can only
+    shrink back to its highest block."""
+    fused = np.empty(params.e0.shape, dtype=params.e0.data.dtype)
     frozen = ModelParameters(
         params.num_users, {n: ad.constant(t.data) for n, t in params.named.items()}, params.config
     )

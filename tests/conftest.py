@@ -1,4 +1,5 @@
-"""Shared fixtures: finite-difference helpers, the pinned micro-instance
+"""Shared fixtures: finite-difference helpers, a float64 build of the
+model for references at float64 tolerances, the pinned micro-instance
 (4 users, 6 items, 2 modalities) used for gradient checks, a strategy over
 valid training configs and a checkpoint meta rewriter."""
 
@@ -6,6 +7,7 @@ from __future__ import annotations
 
 import json
 import struct
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -47,6 +49,16 @@ def assert_grad_close(analytic: np.ndarray, numeric: np.ndarray, name: str = "")
             f"gradient mismatch{' for ' + name if name else ''} at {tuple(where)}: "
             f"analytic={analytic[tuple(where)]!r} numeric={numeric[tuple(where)]!r}"
         )
+
+
+def in_float64(build, *args, **kwargs):
+    """`build(*args, **kwargs)` with the model's storage type set to float64:
+    `build_views` and `init_parameters` then return the float64 views and
+    parameters that finite differences and float64 references compare
+    against at float64 tolerances. Every op keeps its inputs' type, so the
+    steps that read them run in float64 too."""
+    with mock.patch.object(training, "STATE_DTYPE", np.float64):
+        return build(*args, **kwargs)
 
 
 def micro_dataset() -> tuple[InteractionDataset, list[ModalityFeatures]]:

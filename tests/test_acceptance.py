@@ -32,7 +32,8 @@ from mhcr.ui_graph import build_norm_adjacency, propagate_ui
 from ablations import ABLATIONS
 from oracles import cosine_affinity
 
-from conftest import assert_grad_close, finite_difference, micro_batch, micro_config, micro_dataset
+from conftest import (assert_grad_close, finite_difference, in_float64, micro_batch, micro_config,
+                      micro_dataset)
 from test_evaluation import brute_force_report, random_instance
 
 
@@ -52,8 +53,8 @@ def test_gradient_correctness_micro_instance():
     started = time.monotonic()
     cfg = micro_config()
     ds, feats = micro_dataset()
-    views = build_views(ds, feats, cfg)
-    params = init_parameters(cfg, ds.num_users, ds.num_items, views.modality_dims)
+    views = in_float64(build_views, ds, feats, cfg)
+    params = in_float64(init_parameters, cfg, ds.num_users, ds.num_items, views.modality_dims)
     batch = micro_batch()
     mask_seed = 2024  # pins every dropout mask across repeated forwards
 

@@ -12,9 +12,9 @@ from hypothesis import given, settings
 
 from mhcr.checkpoint import load_checkpoint, save_checkpoint
 from mhcr.errors import DataError, NumericError
-from mhcr.training import build_views, init_parameters, parameter_shapes
+from mhcr.training import build_views, fit, init_parameters, parameter_shapes
 
-from conftest import micro_config, micro_dataset, train_configs, with_checkpoint_meta
+from conftest import in_float64, micro_config, micro_dataset, train_configs, with_checkpoint_meta
 
 
 def make_params():
@@ -43,8 +43,34 @@ def test_round_trip_preserves_structure_and_f32_values(tmp_path):
         params.num_users, params.num_items, params.e0.shape[1], params.config.k_hyper,
         params.modality_dims))
     for (name, original), restored in zip(params.tensors().items(), loaded.tensors().values()):
-        assert np.array_equal(restored.data, original.data.astype(np.float32).astype(np.float64)), name
+        assert restored.data.dtype == np.float32
+        assert np.array_equal(restored.data, original.data), name
         assert restored.requires_grad
+
+
+def test_trained_parameters_round_trip_bit_for_bit(tmp_path):
+    ds, feats = micro_dataset()
+    params = fit(ds, feats, micro_config(max_epochs=2)).params
+    loaded = load_checkpoint(saved(tmp_path, params))
+    for name, original in params.named.items():
+        restored = loaded.named[name].data
+        assert original.data.dtype == restored.dtype == np.float32, name
+        assert restored.tobytes() == original.data.tobytes(), name
+
+
+def test_a_file_of_float64_parameters_loads_its_stored_values(tmp_path):
+    # float64 parameters, as every model held before float32 storage, are
+    # rounded to the same version-3 file; float32 init is that rounding
+    ds, feats = micro_dataset()
+    cfg = micro_config()
+    views = build_views(ds, feats, cfg)
+    wide = in_float64(init_parameters, cfg, ds.num_users, ds.num_items, views.modality_dims)
+    raw = saved(tmp_path, wide).read_bytes()
+    assert struct.unpack_from("<I", raw, 8) == (3,)
+    assert raw == saved(tmp_path, make_params()).read_bytes()
+    loaded = load_checkpoint(tmp_path / "ckpt.bin")
+    for name, original in wide.named.items():
+        assert np.array_equal(loaded.named[name].data, original.data.astype(np.float32)), name
 
 
 def test_body_is_the_f32_values_in_parameter_shapes_order(tmp_path):
@@ -117,7 +143,7 @@ def test_missing_file(tmp_path):
 
 
 def test_value_beyond_f32_is_refused_before_writing(tmp_path):
-    params = make_params()
+    params = in_float64(make_params)  # float32 parameters cannot hold one
     params.e0.data[0, 0] = 1e39
     path = tmp_path / "ckpt.bin"
     with pytest.raises(NumericError, match="E0"):
@@ -147,8 +173,7 @@ def test_every_valid_config_round_trips(cfg):
     assert loaded.config == cfg
     assert list(loaded.named) == list(params.named)
     for name, original in params.named.items():
-        f32 = original.data.astype(np.float32).astype(np.float64)
-        assert np.array_equal(loaded.named[name].data, f32), name
+        assert np.array_equal(loaded.named[name].data, original.data), name
 
 
 def _records(params) -> bytes:

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from mhcr import evaluation
 from mhcr.dataio import TEST, TRAIN, VAL, InteractionDataset
-from mhcr.errors import ConfigError
+from mhcr.errors import ConfigError, NumericError
 from mhcr.evaluation import SLICE_ALL, SLICE_COLD, EvalReport, evaluate, mean_recall
 
 from oracles import cold_start_users, evaluate_by_user, ndcg_at_k, rank_items, recall_at_k
@@ -208,13 +208,43 @@ class TestEvaluate:
         report = evaluate(user_emb, item_emb, ds, ks=(20,), target_split=TEST)
         assert value == report.record(SLICE_ALL, 20).recall
 
+    @pytest.mark.parametrize("matrix", ["user_emb", "item_emb"])
+    def test_a_nan_embedding_is_an_error(self, matrix):
+        # an all-NaN user once ranked its NaN scores behind its masked item
+        # but inside its 3 candidates, so its Recall@2 read 1.0
+        ds = InteractionDataset(1, 4, np.zeros(3, dtype=np.int64), np.array([0, 1, 2]),
+                                split=np.array([TRAIN, TEST, TEST]))
+        emb = {"user_emb": np.ones((1, 2)), "item_emb": np.ones((4, 2))}
+        emb[matrix][0] = np.nan
+        with pytest.raises(NumericError, match=matrix):
+            evaluate(emb["user_emb"], emb["item_emb"], ds, ks=(2,))
+
+    @pytest.mark.parametrize("value", [np.inf, -np.inf])
+    @pytest.mark.parametrize("matrix", ["user_emb", "item_emb"])
+    def test_an_infinite_embedding_is_an_error(self, matrix, value):
+        ds, user_emb, item_emb = random_instance(6)
+        # a user without test targets is not ranked, and still checked
+        unranked = np.flatnonzero(np.diff(ds.user_csr(TEST).indptr) == 0)[0]
+        emb = {"user_emb": user_emb, "item_emb": item_emb}
+        emb[matrix][unranked if matrix == "user_emb" else 0, 0] = value
+        with pytest.raises(NumericError, match=matrix):
+            mean_recall(emb["user_emb"], emb["item_emb"], ds, target_split=TEST)
+
+    def test_float32_embeddings_rank_as_their_float64_values(self):
+        ds, user_emb, item_emb = random_instance(8)
+        user_emb, item_emb = user_emb.astype(np.float32), item_emb.astype(np.float32)
+        report = evaluate(user_emb, item_emb, ds, slice_name=(SLICE_ALL, SLICE_COLD))
+        wide = evaluate(user_emb.astype(np.float64), item_emb.astype(np.float64), ds,
+                        slice_name=(SLICE_ALL, SLICE_COLD))
+        assert report.to_json() == wide.to_json()
+
 
 @st.composite
 def eval_cases(draw):
     """A random split dataset, embeddings (integer-valued half the time, so
-    scores tie, and sometimes with a NaN item), cutoffs that may exceed |I|,
-    a target split, a slice and a block budget of 1 to 3 rows or the
-    default."""
+    scores tie, and sometimes with a NaN item, which `evaluate` rejects:
+    see `rejects_nan`), cutoffs that may exceed |I|, a target split, a
+    slice and a block budget of 1 to 3 rows or the default."""
     num_users, num_items = draw(st.integers(1, 12)), draw(st.integers(1, 40))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     users, items = np.nonzero(rng.random((num_users, num_items)) < draw(st.floats(0.1, 1.0)))
@@ -238,11 +268,23 @@ def eval_cases(draw):
     return ds, user_emb, item_emb, kwargs, draw(st.sampled_from([None, 1, 2, 3]))
 
 
+def rejects_nan(user_emb, item_emb, ds, kwargs) -> bool:
+    """For an `eval_cases` case with a NaN item: True, once `evaluate` has
+    raised NumericError naming `item_emb`. False for finite embeddings."""
+    if np.isfinite(item_emb).all():
+        return False
+    with pytest.raises(NumericError, match="item_emb"):
+        evaluate(user_emb, item_emb, ds, **kwargs)
+    return True
+
+
 class TestBlockEvaluate:
     @given(eval_cases())
     @settings(max_examples=300, deadline=None)
     def test_report_bytes_match_the_user_by_user_reference(self, case):
         ds, user_emb, item_emb, kwargs, block_rows = case
+        if rejects_nan(user_emb, item_emb, ds, kwargs):
+            return
         if block_rows is None:
             report = evaluate(user_emb, item_emb, ds, **kwargs)
             block_rows = 1024
@@ -301,6 +343,8 @@ class TestSlices:
         ds, user_emb, item_emb, kwargs, _ = case
         # integer scores, whose bits do not depend on the rows scored with them
         user_emb, item_emb = np.rint(user_emb), np.rint(item_emb)
+        if rejects_nan(user_emb, item_emb, ds, kwargs):
+            return
         del kwargs["slice_name"]
         for names in ((SLICE_ALL, SLICE_COLD), (SLICE_COLD, SLICE_ALL)):
             report = evaluate(user_emb, item_emb, ds, slice_name=names, **kwargs)

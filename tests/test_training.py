@@ -42,7 +42,8 @@ from mhcr.training import (
 )
 
 from ablations import ABLATIONS
-from conftest import assert_grad_close, finite_difference, micro_batch, micro_config, micro_dataset
+from conftest import (assert_grad_close, finite_difference, in_float64, micro_batch, micro_config,
+                      micro_dataset)
 from oracles import sample_negatives_by_user, tape_forward, train_sets_by_user
 
 MASK_SEED = 1234
@@ -189,9 +190,10 @@ class TestForward:
         assert np.array_equal(a.fused.data, b.fused.data)
 
     def test_ui_only_reduces_to_bpr_on_ui_scores(self, micro):
-        ds, _, _, views = micro
+        ds, feats, _, _ = micro
         cfg = micro_config(use_ii=False, use_hem=False)
-        params = make_params(cfg, ds, views)
+        views = in_float64(build_views, ds, feats, cfg)
+        params = in_float64(make_params, cfg, ds, views)
         batch = micro_batch()
         result = forward(params, views, cfg, batch=batch, mode="train", rng=MASK_SEED)
         assert result.breakdown.l_hc == 0.0
@@ -390,8 +392,8 @@ class TestBatchRows:
                          lambda_hc=0.3, lambda_ghc=0.3),
             **ABLATIONS[variant],
         )
-        views = build_views(ds, feats, cfg)
-        params = make_params(cfg, ds, views)
+        views = in_float64(build_views, ds, feats, cfg)
+        params = in_float64(make_params, cfg, ds, views)
 
         result = forward(params, views, cfg, batch=batch, mode="train", rng=MASK_SEED)
         assert result.nodes.size < ds.num_users + ds.num_items
@@ -518,7 +520,7 @@ def three_modality_batch():
     users, items = ds.split_pairs(TRAIN)
     idx = np.random.default_rng(4).choice(users.size, size=8, replace=False)
     negs = sample_negatives(ds, users[idx], np.random.default_rng(5), train_item_sets(ds))
-    views = build_views(ds, feats, micro_config())
+    views = in_float64(build_views, ds, feats, micro_config())
     return ds, views, Batch(users=users[idx], pos_items=items[idx], neg_items=negs)
 
 
@@ -546,7 +548,7 @@ class TestAgainstGenericTape:
             cfg = replace(cfg, use_ui=False, use_ii=False)
         else:
             cfg = replace(cfg, **ABLATIONS[variant])
-        params = make_params(cfg, ds, views)
+        params = in_float64(make_params, cfg, ds, views)
         outs = []
         for run in (forward, tape_forward):
             result = run(params, views, cfg, batch=batch, mode="train", rng=MASK_SEED)
@@ -570,8 +572,8 @@ class TestGradients:
 
     def check_all_tensors(self, cfg, batch=None):
         ds, feats = micro_dataset()
-        views = build_views(ds, feats, cfg)
-        params = init_parameters(cfg, ds.num_users, ds.num_items, views.modality_dims)
+        views = in_float64(build_views, ds, feats, cfg)
+        params = in_float64(init_parameters, cfg, ds.num_users, ds.num_items, views.modality_dims)
         batch = batch or micro_batch()
 
         def loss_value() -> float:
@@ -930,3 +932,48 @@ class TestFit:
         ]
         assert evaluate_params(result.params, ds, feats).to_json() == evaluate_params(
             result.params, ds, feats, cold_threshold=3).to_json()
+
+
+class TestStorageType:
+    """`init_parameters` and `build_views` store the node-sized state in
+    float32, and a training step keeps it there: a silent upcast would cost
+    the step its speed and fail no other check. The losses are float64
+    scalars, and float64 parameters and views run in float64."""
+
+    @staticmethod
+    def step(build):
+        ds, feats = micro_dataset()
+        cfg = micro_config()
+        views = build(build_views, ds, feats, cfg)
+        params = build(init_parameters, cfg, ds.num_users, ds.num_items, views.modality_dims)
+        optimizer = Adam(params.tensors(), cfg.learning_rate)
+        result = forward(params, views, cfg, batch=micro_batch(), mode="train", rng=MASK_SEED)
+        backward_and_step(result.total, params, optimizer)
+        arrays = {"adjacency": views.adjacency.data, "x_u": views.x_u.data,
+                  "fused": result.fused.data}
+        for f, smoothed in zip(views.features, views.smoothed):
+            arrays.update({f"F_{f.modality}": f.matrix, f"S_{f.modality} F": smoothed})
+        for name, t in params.named.items():
+            arrays.update({name: t.data, f"grad {name}": t.grad, f"m {name}": optimizer.m[name],
+                           f"v {name}": optimizer.v[name]})
+            arrays.update({f"scratch {name} {i}": block
+                           for i, block in enumerate(optimizer._scratch[name])})
+        arrays.update(zip(("users", "items"), compute_embeddings(params, views, cfg)))
+        return arrays, result
+
+    @pytest.mark.parametrize("dtype, build", [
+        (np.float32, lambda build, *args: build(*args)),
+        (np.float64, in_float64),
+    ])
+    def test_one_step_keeps_the_storage_type(self, dtype, build):
+        arrays, result = self.step(build)
+        assert {name: a.dtype for name, a in arrays.items()} == dict.fromkeys(arrays, dtype)
+        assert result.total.data.dtype == np.float64 and result.total.data.shape == ()
+        assert all(type(value) is float for value in astuple(result.breakdown))
+
+    def test_float32_is_the_float64_draw_rounded(self, micro):
+        ds, _, cfg, views = micro
+        narrow = make_params(cfg, ds, views)
+        wide = in_float64(make_params, cfg, ds, views)
+        for name, t in narrow.named.items():
+            assert np.array_equal(t.data, wide.named[name].data.astype(np.float32)), name

@@ -14,7 +14,7 @@ from mhcr.item_graph import build_affinity_graph, propagate_items
 from mhcr.training import build_views
 from mhcr.ui_graph import propagate_ui
 
-from conftest import assert_grad_close, finite_difference, micro_config, micro_dataset
+from conftest import assert_grad_close, finite_difference, in_float64, micro_config, micro_dataset
 from oracles import (
     concat_rows,
     matmul,
@@ -33,7 +33,7 @@ ROW_CASES = ["all", "subset", "duplicates"]
 
 @pytest.fixture(scope="module")
 def instance():
-    """40 users x 30 items, two modalities, d = 5."""
+    """The float64 views of 40 users x 30 items, two modalities, d = 5."""
     ds, feats = generate_synthetic(
         SyntheticConfig(
             num_users=40,
@@ -45,7 +45,7 @@ def instance():
         )
     )
     ds = split_dataset(ds, seed=8)
-    return build_views(ds, feats, micro_config(d=5, k_knn=3))
+    return in_float64(build_views, ds, feats, micro_config(d=5, k_knn=3))
 
 
 def pick_rows(case: str, n: int, rng: np.random.Generator):
