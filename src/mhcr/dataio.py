@@ -3,7 +3,6 @@ per-user splitting, synthetic generation, and the on-disk formats."""
 
 from __future__ import annotations
 
-import io
 import logging
 import struct
 from dataclasses import dataclass, field
@@ -155,8 +154,9 @@ def _int_columns(path: Path, layout: str) -> np.ndarray:
     """The int64 columns of a TSV whose non-blank lines read `layout` (e.g.
     'user<TAB>item'): each field is ASCII digits after an optional '-',
     fields are split by single tabs, and lines end in '\\n' or '\\r\\n'.
-    numpy's C reader parses a file of that grammar's bytes in one pass; only
-    a file that fails is scanned, to name its first bad line in a ParseError."""
+    numpy's C reader parses a file of that grammar's bytes in one pass, from
+    its path, so no decoded copy of the file is held; only a file that fails
+    is scanned, to name its first bad line in a ParseError."""
     raw = path.read_bytes()
     width = layout.count("<TAB>") + 1
     # loadtxt would take a lone '\r' at the end of the file for a line end
@@ -165,12 +165,16 @@ def _int_columns(path: Path, layout: str) -> np.ndarray:
         if not raw.strip(b"\r\n"):  # blank lines only, which loadtxt warns of
             return np.empty((width, 0), dtype=np.int64)
         try:
-            table = np.loadtxt(io.StringIO(raw.decode("ascii")), dtype=np.int64,
-                               delimiter="\t", comments=None, ndmin=2)
-            if table.shape[1] == width:
-                return table.T.copy()
+            table = np.loadtxt(path, dtype=np.int64, delimiter="\t", comments=None, ndmin=2)
         except ValueError:  # a bad field, or rows of another width
             pass
+        else:
+            # the reader reads the file again; each of its rows holds width - 1
+            # tabs, so a table of another row count than the checked bytes
+            # hold was read from a file that changed in between
+            if table.shape[1] == width and len(table) * (width - 1) == raw.count(b"\t"):
+                del raw  # not held beside the table and its copy
+                return table.T.copy()
     for lineno, line in _lines(raw):
         fields = line.split(b"\t")
         if len(fields) != width:
@@ -185,7 +189,8 @@ def _int_columns(path: Path, layout: str) -> np.ndarray:
         if text != line.decode("utf-8", errors="replace"):  # the two differ at non-UTF-8 bytes
             problem = "bytes that are not UTF-8 in"
         raise ParseError(f"{path}:{lineno}: {problem} {text!r}")
-    raise AssertionError(f"{path}: numpy's reader rejected a file of valid lines")
+    raise DataError(f"{path}: numpy's reader did not read the lines checked; "
+                    "did the file change while it was read?")
 
 
 def _line_of_row(path: Path, row: int) -> int:
@@ -198,6 +203,10 @@ def load_interactions(path: str | Path) -> InteractionDataset:
     grammar of `_int_columns`, which `save_interactions` writes.
 
     Duplicate pairs are dropped (first occurrence kept) with a warning that counts them.
+    The user vocabulary is the largest user id + 1, and every later step
+    holds arrays of that length, so a largest id that the pairs cannot pay
+    for (above max(2**16, 64 x the pair count)) is a DataError. Item ids are
+    bounded by the feature files instead.
     """
     path = Path(path)
     if not path.is_file():
@@ -211,6 +220,10 @@ def load_interactions(path: str | Path) -> InteractionDataset:
         lineno = _line_of_row(path, row)
         raise DataError(f"{path}:{lineno}: negative id in ({u_arr[row]}, {i_arr[row]})")
     num_users = int(u_arr.max()) + 1
+    if num_users > max(1 << 16, 64 * u_arr.size):  # a stray id, not data
+        lineno = _line_of_row(path, int(u_arr.argmax()))
+        raise DataError(f"{path}:{lineno}: user id {num_users - 1} asks for {num_users} users "
+                        f"for {u_arr.size} pairs; number the users 0..n-1")
     num_items = int(i_arr.max()) + 1
     keys = pair_keys(u_arr, i_arr, num_users, num_items)
     _, first = np.unique(keys, return_index=True)
@@ -452,46 +465,63 @@ def load_split(ds: InteractionDataset, path: str | Path) -> InteractionDataset:
     `save_split` writes it. Each line must name one pair of `ds`, and no
     pair twice; every pair of a user with a line must be covered. The pairs
     of users without one are dropped and counted in `num_dropped_users`, as
-    `split_dataset` drops them."""
+    `split_dataset` drops them. Each pair-sized temporary is freed once the
+    checks that read it are done."""
     path = Path(path)
     if not path.is_file():
         raise DataError(f"split file not found or not a file: {path}")
     users, items, split = _int_columns(path, "user<TAB>item<TAB>label")
-    bad = np.flatnonzero(~np.isin(split, (TRAIN, VAL, TEST)))
+    bad = np.flatnonzero((split < TRAIN) | (split > TEST))
     if bad.size:
         raise ParseError(f"{path}:{_line_of_row(path, bad[0])}: label must be 0, 1, or 2")
+    split = split.astype(np.int8)
 
-    def reject(rows: np.ndarray, problem: str) -> None:
-        if rows.size:
-            u, i = users[rows[0]], items[rows[0]]
-            raise DataError(f"{path}:{_line_of_row(path, rows[0])}: pair ({u}, {i}) {problem}")
+    def reject(lines: np.ndarray, pair_of, problem: str) -> None:
+        """A DataError naming the first of `lines`, rows of the file, and
+        its pair `pair_of(row)`, if there is one."""
+        if lines.size:
+            u, i = pair_of(lines[0])
+            raise DataError(f"{path}:{_line_of_row(path, lines[0])}: pair ({u}, {i}) {problem}")
 
     # checked before the keys: (0, |I|) would share the key u*|I| + i of (1, 0)
     reject(np.flatnonzero((users < 0) | (users >= ds.num_users) | (items < 0)
                           | (items >= ds.num_items)),
+           lambda row: (users[row], items[row]),
            f"is outside the {ds.num_users} x {ds.num_items} vocabulary")
-    wanted = pair_keys(ds.users, ds.items, ds.num_users, ds.num_items)
-    order = np.argsort(wanted)
-    keys = np.append(wanted[order], np.iinfo(np.int64).max)  # above every key: `at` stays in range
-    named = pair_keys(users, items, ds.num_users, ds.num_items)
-    at = np.searchsorted(keys, named)
-    reject(np.flatnonzero(keys[at] != named), "is not in the data")
-    rows, index = order[at], np.arange(at.size)
-    first = np.full(len(ds), at.size)  # each pair's first line; at.size for none
-    np.minimum.at(first, rows, index)
-    reject(np.flatnonzero(first[rows] != index), "repeats an earlier line")
-    keep = first < at.size
     lined = np.zeros(ds.num_users, dtype=bool)
     lined[users] = True
+    named = pair_keys(users, items, ds.num_users, ds.num_items)
+    del users, items
+    wanted = pair_keys(ds.users, ds.items, ds.num_users, ds.num_items)
+    order = np.argsort(wanted)
+    keys = np.empty(len(ds) + 1, dtype=np.int64)
+    np.take(wanted, order, out=keys[:-1])
+    del wanted
+    keys[-1] = np.iinfo(np.int64).max  # above every key: `at` stays in range
+    at = np.searchsorted(keys, named)
+    reject(np.flatnonzero(keys[at] != named), lambda row: divmod(int(named[row]), ds.num_items),
+           "is not in the data")
+    del keys, named
+    rows = order[at]  # the pair of `ds` that each line names
+    del order, at
+    index = np.arange(rows.size)
+    first = np.full(len(ds), rows.size)  # each pair's first line; rows.size for none
+    np.minimum.at(first, rows, index)
+    reject(np.flatnonzero(first[rows] != index),
+           lambda row: (ds.users[rows[row]], ds.items[rows[row]]), "repeats an earlier line")
+    del rows, index
+    keep = first < split.size
     missing = np.flatnonzero(~keep & lined[ds.users])
     if missing.size:
         u, i = ds.users[missing[0]], ds.items[missing[0]]
         raise DataError(f"{path}: no split label for pair ({u}, {i})")
+    split = split[first[keep]]
+    del first
     dropped_users = np.unique(ds.users[~keep]).size
     if dropped_users:
         log.warning("dropped %d user(s) left without train interactions", dropped_users)
     return InteractionDataset(ds.num_users, ds.num_items, ds.users[keep], ds.items[keep],
-                              split=split[first[keep]], num_dropped_users=dropped_users)
+                              split=split, num_dropped_users=dropped_users)
 
 
 def format_dataset_stats(num_users: int, num_items: int, num_interactions: int) -> str:

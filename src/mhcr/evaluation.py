@@ -26,10 +26,15 @@ SLICE_ALL = "all"
 SLICE_COLD = "cold_start"
 
 # Users are scored in blocks of about this many (user, item) entries, at
-# least one row, so a pass holds O(this) floats however many items there are.
-_BLOCK_ELEMENTS = 1 << 21
+# least one row, so a pass holds O(this) floats (4 MiB) however many items
+# there are.
+_BLOCK_ELEMENTS = 1 << 19
 # A score's bits can depend on the row count of the product it comes from;
-# no block grows past the 1024 rows that fixed the reported numbers.
+# no block grows past the 1024 rows that fixed the reported numbers. On
+# OpenBLAS 0.3.31 (one thread, K = 32, an AVX-512 host), products of 2 and
+# of 4 to 1000 rows gave the bits of a 1024-row block at 1000 to 4000 items,
+# and products of 1 and 3 rows did not. At 500 items no smaller block did;
+# there the cap, not the budget, sizes the blocks (2**19 // 500 > 1024).
 _MAX_BLOCK_ROWS = 1024
 
 

@@ -32,6 +32,12 @@ and of its D_u^-1 X_u, and the VAL and TEST reports (all users, then the
 cold-start slice) of the eval-mode embeddings of `BASE`'s initial
 parameters.
 
+The grid's 70 users fit in one score block of `evaluate`, so "ranking"
+digests the VAL and TEST report JSON of each slice alone and of both
+together, on a 3000-user x 2000-item set that `evaluate` ranks in several
+blocks and a partial one, from the eval-mode embeddings of `RANKING`'s
+initial parameters (d = 32, as the benchmark's).
+
 Digests depend on the numpy and BLAS builds, so compare them only between
 runs on one host. The script calls only `fit`, `init_parameters`,
 `build_views`, `compute_embeddings`, `evaluate`, `build_affinity_graph`
@@ -40,8 +46,8 @@ and the CLI's `main`, so it also runs against another checkout:
     PYTHONPATH=/path/to/parent/src python tests/digest_grid.py --out parent.json
     PYTHONPATH=src python tests/digest_grid.py --out change.json --compare parent.json
 
-`--compare` lists, per digest kind, the configs (CLI files, graphs, views) whose
-digests differ, and exits 1 if any do.
+`--compare` lists, per digest kind, the configs (CLI files, graphs, views,
+rankings) whose digests differ, and exits 1 if any do.
 """
 
 from __future__ import annotations
@@ -88,6 +94,10 @@ GRAPH_KS = (1, 4, 10, 40)
 VIEW_PARTS = ("adjacency", "x_u", "reports")
 VIEW_ORDERS = ("dataset-order", "shuffled")
 SHUFFLE_SEED = 11
+RANKING_DATA = SyntheticConfig(num_users=3000, num_items=2000, num_clusters=10,
+                               mean_interactions=10.0, seed=3)
+RANKING = replace(BASE, d=32)
+RANKING_SLICES = {"all": (SLICE_ALL,), "cold": (SLICE_COLD,), "both": (SLICE_ALL, SLICE_COLD)}
 
 
 def grid() -> dict[str, TrainConfig]:
@@ -190,6 +200,22 @@ def view_digests() -> dict[str, str]:
     return digests
 
 
+def ranking_digests() -> dict[str, str]:
+    """Per target split and slice set of `RANKING_SLICES`, sha256 of the
+    report JSON of `RANKING`'s initial parameters on `RANKING_DATA`."""
+    ds, features = generate_synthetic(RANKING_DATA)
+    ds = split_dataset(ds, seed=RANKING_DATA.seed)
+    views = build_views(ds, features, RANKING)
+    params = init_parameters(RANKING, ds.num_users, ds.num_items, views.modality_dims)
+    user_emb, item_emb = compute_embeddings(params, views, RANKING)
+    digests = {}
+    for split_name, split in (("val", VAL), ("test", TEST)):
+        for name, slices in RANKING_SLICES.items():
+            report = evaluate(user_emb, item_emb, ds, slices, target_split=split)
+            digests[f"{split_name}/{name}"] = hashlib.sha256(report.to_json().encode()).hexdigest()
+    return digests
+
+
 def collect() -> dict:
     ds, features = dataset()
     return {
@@ -198,12 +224,13 @@ def collect() -> dict:
         "cli": cli_digests(),
         "graphs": graph_digests(),
         "views": view_digests(),
+        "ranking": ranking_digests(),
     }
 
 
 def compare(ours: dict, theirs: dict) -> dict[str, list[str]]:
-    """Per digest kind, the configs (or CLI files, or graphs) whose digests
-    differ or that only one side has."""
+    """Per digest kind, the configs (or CLI files, graphs, views or
+    rankings) whose digests differ or that only one side has."""
     differ = {}
     for kind in KINDS:
         names = sorted(ours["configs"].keys() | theirs["configs"].keys())
@@ -212,7 +239,7 @@ def compare(ours: dict, theirs: dict) -> dict[str, list[str]]:
             if ours["configs"].get(n, {}).get(kind) != theirs["configs"].get(n, {}).get(kind)
         ]
     differ["cli"] = [n for n in CLI_FILES if ours["cli"].get(n) != theirs["cli"].get(n)]
-    for kind in ("graphs", "views"):
+    for kind in ("graphs", "views", "ranking"):
         ours_kind, theirs_kind = ours.get(kind, {}), theirs.get(kind, {})
         differ[kind] = [n for n in sorted(ours_kind.keys() | theirs_kind.keys())
                         if ours_kind.get(n) != theirs_kind.get(n)]
@@ -227,7 +254,8 @@ def main(argv=None) -> int:
     digests = collect()
     Path(args.out).write_text(json.dumps(digests, indent=1, sort_keys=True) + "\n")
     print(f"{len(digests['configs'])} configs, {len(digests['cli'])} CLI files, "
-          f"{len(digests['graphs'])} graphs, {len(digests['views'])} views -> {args.out}")
+          f"{len(digests['graphs'])} graphs, {len(digests['views'])} views, "
+          f"{len(digests['ranking'])} rankings -> {args.out}")
     if not args.compare:
         return 0
     theirs = json.loads(Path(args.compare).read_text())

@@ -255,6 +255,14 @@ class TestTrain:
         assert "item id 25 is outside the 25 feature rows" in capsys.readouterr().err
         assert not (tmp_path / "x").exists()
 
+    def test_a_user_id_the_pairs_cannot_pay_for_writes_nothing(self, data_dir, tmp_path,
+                                                              capsys):
+        with (data_dir / "interactions.tsv").open("a", encoding="utf-8") as fh:
+            fh.write("200000000\t0\n")
+        assert run_train(data_dir, tmp_path / "x") == EXIT_DATA
+        assert "user id 200000000 asks for 200000001 users" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
 
 class TestAblate:
     def test_variant_recorded_in_log_header(self, data_dir, tmp_path):

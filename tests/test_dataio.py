@@ -76,9 +76,22 @@ class TestLoadInteractions:
             load_interactions(write(tmp_path, "0\t1\n99999999999999999999\t0\n"))
 
     def test_pair_keys_that_would_wrap_raise(self, tmp_path):
-        # |U|*|I| = (2^32 + 1) * 2^32 > 2^63: u*|I| + i maps (2^32, 0) onto (0, 0)
+        # |U|*|I| = 2^16 * (2^48 + 1) > 2^63: u*|I| + i wraps from u = 2^15 on
         with pytest.raises(DataError, match="overflow int64 pair keys"):
-            load_interactions(write(tmp_path, "0\t0\n4294967296\t0\n0\t4294967295\n"))
+            load_interactions(write(tmp_path, "0\t0\n65535\t0\n0\t281474976710656\n"))
+
+    def test_a_user_id_the_pairs_cannot_pay_for_is_a_data_error(self, tmp_path):
+        # users are at most max(2^16, 64 x the pair count)
+        lines = ["0\t0", "1\t1", "200000000\t2", "3\t3", "4\t4"]
+        with pytest.raises(DataError, match=r"inter\.tsv:3: user id 200000000 asks for "
+                                            r"200000001 users for 5 pairs; number the users "
+                                            r"0\.\.n-1"):
+            load_interactions(write(tmp_path, "\n".join(lines)))
+        assert load_interactions(write(tmp_path, "65535\t0\n")).num_users == 2**16
+        with pytest.raises(DataError, match="user id 65536 "):
+            load_interactions(write(tmp_path, "65536\t0\n"))
+        pairs = [f"{u}\t0" for u in range(1500)] + ["95999\t1"]  # 64 x 1501 = 96064 users
+        assert load_interactions(write(tmp_path, "\n".join(pairs))).num_users == 96000
 
     def test_round_trip(self, tmp_path):
         ds = InteractionDataset(3, 4, np.array([0, 1, 2]), np.array([3, 0, 1]))
@@ -538,10 +551,26 @@ def test_a_crlf_file_is_parsed_in_one_pass(tmp_path, monkeypatch):
     assert load_split(ds, split_file).split.tolist() == [TRAIN, TEST, VAL]
 
 
+def test_a_file_that_gains_a_line_between_check_and_parse_is_a_data_error(tmp_path,
+                                                                           monkeypatch):
+    # numpy's reader reads the path again after the grammar check
+    path, loadtxt = write(tmp_path, "0\t0\n0\t1\n"), np.loadtxt
+
+    def after_a_write(fname, *args, **kwargs):
+        with open(fname, "a", encoding="utf-8") as fh:
+            fh.write("1\t0\n")
+        return loadtxt(fname, *args, **kwargs)
+
+    monkeypatch.setattr(np, "loadtxt", after_a_write)
+    with pytest.raises(DataError, match="did the file change while it was read"):
+        load_interactions(path)
+
+
 @st.composite
 def written_datasets(draw):
     """A split dataset whose item ids reach 2^40. User ids stay below 2^12,
-    because `load_split` keeps one flag per user."""
+    because `load_split` keeps one flag per user and `load_interactions`
+    refuses a user vocabulary far above the pair count."""
     num_users, num_items = draw(st.integers(1, 2**12)), draw(st.integers(1, 2**40))
     pairs = draw(st.lists(st.tuples(st.integers(0, num_users - 1), st.integers(0, num_items - 1)),
                           min_size=1, max_size=30, unique=True))
@@ -559,6 +588,10 @@ def test_what_mhcr_writes_reads_back(ds):
         path = Path(tmp) / "data.tsv"
         for pairs in (ds, transposed):  # user ids reach 2^40 in the transposed file
             save_interactions(pairs, path)
+            if pairs.users.max() >= max(2**16, 64 * len(pairs)):
+                with pytest.raises(DataError, match=f"user id {pairs.users.max()} asks for"):
+                    load_interactions(path)
+                continue
             back = load_interactions(path)
             assert (back.num_users, back.num_items) == (pairs.users.max() + 1,
                                                         pairs.items.max() + 1)

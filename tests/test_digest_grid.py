@@ -10,8 +10,8 @@ import pytest
 import scipy.sparse as sp
 
 import digest_grid
-from mhcr import item_graph
-from mhcr.dataio import InteractionDataset
+from mhcr import evaluation, item_graph
+from mhcr.dataio import TEST, VAL, InteractionDataset, generate_synthetic, split_dataset
 
 PICKED = ("full/layers=2/hyper_steps=1/drop_rate=0.5",
           "hem-only/layers=2/hyper_steps=2/drop_rate=0.5",
@@ -43,6 +43,7 @@ def test_compare_names_an_edited_config(picked, tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(digest_grid, "cli_digests", lambda: {n: "0" for n in digest_grid.CLI_FILES})
     monkeypatch.setattr(digest_grid, "graph_digests", lambda: {"a/k=1": "0", "b/k=1": "0"})
     monkeypatch.setattr(digest_grid, "view_digests", lambda: {"a/x_u": "0", "b/x_u": "0"})
+    monkeypatch.setattr(digest_grid, "ranking_digests", lambda: {"val/all": "0", "test/all": "0"})
     ours = tmp_path / "ours.json"
     assert digest_grid.main(["--out", str(ours)]) == 0
     assert digest_grid.main(["--out", str(tmp_path / "again.json"), "--compare", str(ours)]) == 0
@@ -52,6 +53,7 @@ def test_compare_names_an_edited_config(picked, tmp_path, monkeypatch, capsys):
     edited["configs"][PICKED[1]]["losses"] = "edited"
     edited["graphs"]["b/k=1"] = "edited"
     edited["views"]["a/x_u"] = "edited"
+    edited["ranking"]["test/all"] = "edited"
     (tmp_path / "edited.json").write_text(json.dumps(edited))
     argv = ["--out", str(tmp_path / "again.json"), "--compare", str(tmp_path / "edited.json")]
     assert digest_grid.main(argv) == 1
@@ -60,6 +62,7 @@ def test_compare_names_an_edited_config(picked, tmp_path, monkeypatch, capsys):
     assert f"losses: 1 of 3 differ\n  {PICKED[1]}\n" in out
     assert "graphs: 1 of 2 differ\n  b/k=1\n" in out
     assert "views: 1 of 2 differ\n  a/x_u\n" in out
+    assert "ranking: 1 of 2 differ\n  test/all\n" in out
 
 
 def test_graph_sets_take_several_blocks_and_wide_chunks():
@@ -68,6 +71,24 @@ def test_graph_sets_take_several_blocks_and_wide_chunks():
     assert any(n > item_graph._AFFINITY_BLOCK_ELEMENTS // n for n in sizes)
     # `_top_k` cuts a row into about 2K chunks: at least 2 columns wide here
     assert min(sizes) >= 4 * max(digest_grid.GRAPH_KS)
+
+
+def test_the_ranking_set_takes_several_blocks_and_a_partial_one():
+    # at the old budget of 2**21 entries and at today's, for each target split
+    ds, _ = generate_synthetic(digest_grid.RANKING_DATA)
+    ds = split_dataset(ds, seed=digest_grid.RANKING_DATA.seed)
+    for split in (VAL, TEST):
+        ranked = int((np.diff(ds.user_csr(split).indptr) > 0).sum())
+        for budget in (1 << 21, evaluation._BLOCK_ELEMENTS):
+            rows = min(evaluation._MAX_BLOCK_ROWS, budget // ds.num_items)
+            assert ranked > 2 * rows and ranked % rows, (split, budget)
+
+
+def test_ranking_digests_name_each_split_and_slice_set():
+    digests = digest_grid.ranking_digests()
+    assert set(digests) == {f"{split}/{name}" for split in ("val", "test")
+                            for name in digest_grid.RANKING_SLICES}
+    assert len(set(digests.values())) == len(digests)
 
 
 def test_graph_digests_see_the_tie_rule(monkeypatch):

@@ -331,6 +331,12 @@ class TestBlockEvaluate:
                                             np.zeros(2000, dtype=np.int64),
                                             split=np.full(2000, TEST)))
             assert seen == [1024, 976]
+            seen.clear()
+            # the default budget: 2**19 // 2000 = 262 rows, 4 MiB of float64 scores
+            evaluate(np.zeros((600, 2)), np.zeros((2000, 2)),
+                     InteractionDataset(600, 2000, np.arange(600), np.zeros(600, dtype=np.int64),
+                                        split=np.full(600, TEST)))
+            assert seen == [262, 262, 76]
 
 
 class TestSlices:

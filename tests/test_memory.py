@@ -1,13 +1,15 @@
-"""Peak memory of an affinity graph build and of an evaluation pass, as
-tracemalloc sees it: numpy reports every buffer it allocates to it."""
+"""Peak memory of an affinity graph build, of an evaluation pass and of the
+loads that set one up, as tracemalloc sees it: numpy reports every buffer it
+allocates to it."""
 
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from mhcr import evaluation, item_graph
+from mhcr import dataio, evaluation, item_graph
 from mhcr.dataio import ModalityFeatures, SyntheticConfig, generate_synthetic, split_dataset
+from mhcr.errors import DataError
 from mhcr.training import TrainConfig, build_views, compute_embeddings, init_parameters
 
 
@@ -69,3 +71,46 @@ def test_an_evaluation_pass_holds_few_node_arrays_and_one_score_block():
     _, rank_peak = traced_peak(lambda: evaluation.evaluate(user_emb, item_emb, ds))
     assert embed_peak < 7 * node_array, embed_peak / node_array
     assert rank_peak < 1.5 * score_block, rank_peak / score_block
+
+
+def test_an_evaluation_pass_at_4000_items_holds_a_4_mib_score_block():
+    # the block budget, not the 1024-row cap, sizes the blocks here: 131 rows
+    # of 4000 float64 scores; a 2**21 budget would take 524 rows, 16.8 MB
+    ds, _ = generate_synthetic(SyntheticConfig(
+        num_users=600, num_items=4000, num_clusters=10, mean_interactions=10.0,
+        modality_dims={"image": 8}, seed=0,
+    ))
+    ds = split_dataset(ds, seed=0)
+    rng = np.random.default_rng(0)
+    user_emb, item_emb = rng.normal(size=(ds.num_users, 32)), rng.normal(size=(ds.num_items, 32))
+    rows = evaluation._BLOCK_ELEMENTS // ds.num_items
+    assert rows < evaluation._MAX_BLOCK_ROWS and ds.num_users > 3 * rows
+    _, peak = traced_peak(lambda: evaluation.evaluate(user_emb, item_emb, ds))
+    assert peak < 6 * 2**20, peak / 2**20
+
+
+def test_load_split_holds_few_pair_sized_arrays(tmp_path):
+    # one int64 per pair is one pair-sized array; the parse, the key lookup
+    # and the returned dataset each hold a few, one stage at a time
+    ds, _ = generate_synthetic(SyntheticConfig(
+        num_users=5000, num_items=500, num_clusters=10, mean_interactions=12.0,
+        modality_dims={"image": 8}, seed=0,
+    ))
+    assert len(ds) >= 50_000
+    dataio.save_split(split_dataset(ds, seed=0), tmp_path / "split.tsv")
+    loaded, peak = traced_peak(lambda: dataio.load_split(ds, tmp_path / "split.tsv"))
+    assert len(loaded) == len(ds)
+    assert peak <= 10 * len(ds) * 8, peak / (len(ds) * 8)
+
+
+def test_a_user_id_the_pairs_cannot_pay_for_fails_before_any_user_sized_array(tmp_path):
+    path = tmp_path / "interactions.tsv"
+    path.write_text("".join(f"{u}\t{i}\n" for u, i in ((0, 0), (1, 1), (200_000_000, 2),
+                                                        (3, 3), (4, 4))))
+
+    def load():
+        with pytest.raises(DataError, match="user id 200000000"):
+            dataio.load_interactions(path)
+
+    _, peak = traced_peak(load)
+    assert peak < 2**20, peak
